@@ -11,8 +11,9 @@ Two families:
     refactors as long as the simulated trajectory is unchanged, which
     is exactly the invariant the optimization passes preserve.
 *micro*
-    Isolated hot paths (event kernel, network send, mailbox traffic)
-    for attributing a macro-level regression to a subsystem.
+    Isolated hot paths (event kernel, network send, mailbox traffic;
+    for the live runtime, a loopback UDP round trip and the clock
+    pump) for attributing a macro-level regression to a subsystem.
 
 Every macro/micro benchmark is deterministic: fixed seeds, no
 wall-clock dependence inside the simulated world.  The *live* family
@@ -348,6 +349,78 @@ def _micro_mailbox(n_items: int) -> Callable:
     return fn
 
 
+def _micro_udp_roundtrip(n_messages: int, window: int = 64) -> Callable:
+    """Two ``UdpTransport``s on loopback: *n_messages* sent and acked.
+
+    The work unit is messages, so ``events_per_sec`` reads msgs/s
+    (encode, sendto, decode, ack, timer arm + cancel — per message).
+    Sent *window* at a time so the socket buffer never overflows.
+    """
+
+    def fn() -> Dict[str, Any]:
+        import asyncio
+
+        from repro.net.message import Message
+        from repro.runtime.transport import PeerDirectory, UdpTransport
+
+        async def main() -> Dict[str, Any]:
+            directory = PeerDirectory()
+            got: List[Message] = []
+            a = UdpTransport("a", directory, lambda msg: None)
+            b = UdpTransport("b", directory, got.append)
+            await a.start()
+            await b.start()
+            try:
+                for base in range(0, n_messages, window):
+                    for i in range(base, min(base + window, n_messages)):
+                        a.send(Message(kind="stream", src="a", dst="b",
+                                       payload={"seq": i}, size=64.0))
+                    await a.flush(timeout=10.0)
+            finally:
+                await a.aclose()
+                await b.aclose()
+            assert len(got) == n_messages and a.stats.dropped == 0
+            return {
+                "events": n_messages,
+                "metrics": {"retransmits": a.retransmits,
+                            "acks": b.acks_sent},
+            }
+
+        return asyncio.run(main())
+
+    return fn
+
+
+def _micro_pump_tick(n_timeouts: int) -> Callable:
+    """One ``SimClockPump`` draining *n_timeouts* already-due timeouts
+    (``micro_event_kernel`` seen through the live runtime's pump)."""
+
+    def fn() -> Dict[str, Any]:
+        import asyncio
+
+        from repro.runtime.node import SimClockPump
+        from repro.sim import Environment
+
+        async def main() -> Dict[str, Any]:
+            env = Environment()
+
+            def ticker():
+                for _ in range(n_timeouts):
+                    yield env.timeout(0.0)
+
+            pump = SimClockPump(env)
+            done = pump.run_process(ticker())
+            running = asyncio.ensure_future(pump.run())
+            await done
+            pump.stop()
+            await running
+            return {"events": env.n_processed, "metrics": {}}
+
+        return asyncio.run(main())
+
+    return fn
+
+
 #: The registry, in execution order.
 BENCHES: List[BenchSpec] = [
     BenchSpec(
@@ -401,6 +474,18 @@ BENCHES: List[BenchSpec] = [
         name="micro_mailbox", family="micro", make=_micro_mailbox,
         params={"n_items": 50_000},
         quick_params={"n_items": 15_000},
+    ),
+    # Live-layer micros: loopback timing, so not in baseline_quick.json.
+    BenchSpec(
+        name="micro_udp_roundtrip", family="micro",
+        make=_micro_udp_roundtrip,
+        params={"n_messages": 20_000},
+        quick_params={"n_messages": 4_000},
+    ),
+    BenchSpec(
+        name="micro_pump_tick", family="micro", make=_micro_pump_tick,
+        params={"n_timeouts": 200_000},
+        quick_params={"n_timeouts": 50_000},
     ),
 ]
 

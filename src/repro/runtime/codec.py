@@ -304,20 +304,25 @@ def message_from_wire(body: Any) -> Message:
 # datagram framing
 # --------------------------------------------------------------------------
 
+#: One encoder for every datagram (``json.dumps(..., separators=)``
+#: would build a ``JSONEncoder`` per call).
+_to_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def encode_message(msg: Message) -> bytes:
     """Frame *msg* as a data datagram."""
     frame = {"v": WIRE_VERSION, "t": FRAME_MSG, "msg": message_to_wire(msg)}
-    return json.dumps(frame, separators=(",", ":")).encode("utf-8")
+    return _to_json(frame).encode("utf-8")
 
 
 def encode_ack(src: str, msg_id: int) -> bytes:
     """Frame a transport-level receipt for ``(original dst, msg_id)``.
 
     ``src`` is the *acknowledging* node — the original message's
-    destination; the retry loop keys its waiters on ``(dst, msg_id)``.
+    destination; the sender keys its pending sends on ``(dst, msg_id)``.
     """
     frame = {"v": WIRE_VERSION, "t": FRAME_ACK, "src": src, "id": msg_id}
-    return json.dumps(frame, separators=(",", ":")).encode("utf-8")
+    return _to_json(frame).encode("utf-8")
 
 
 def decode_frame(data: bytes) -> Dict[str, Any]:

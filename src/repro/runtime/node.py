@@ -39,39 +39,52 @@ from repro.telemetry.logs import get_logger
 class SimClockPump:
     """Advances a sim :class:`Environment` in wall-clock time.
 
-    Anchors sim time 0 at the loop time of :meth:`run`'s first
-    iteration; thereafter steps every event whose scheduled time is due
-    and sleeps until the next one (or until :meth:`kick` signals that an
-    external source — a received datagram — scheduled new work).
+    Anchors sim time 0 at the loop time :meth:`run` starts; thereafter
+    steps every event whose scheduled time is due and arms one loop
+    timer for the next one.  The pump is a loop callback (:meth:`_drain`),
+    not a coroutine: an idle wait costs no Task, and :meth:`kick` — an
+    external source, a received datagram, scheduled new work — is one
+    ``call_soon``.  :meth:`run` only awaits the pump's end, so whoever
+    holds its Task still sees a pump that dies.
     """
 
     def __init__(self, env: Environment, max_batch: int = 1000) -> None:
         self.env = env
         self.max_batch = max_batch
-        self._wake: Optional[asyncio.Event] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._done: Optional["asyncio.Future[None]"] = None
+        self._soon: Optional[asyncio.Handle] = None  # queued _drain
+        self._timer: Optional[asyncio.TimerHandle] = None  # next sim event
         self._stopped = False
         self._anchor = 0.0
 
     def kick(self) -> None:
-        """Wake the pump (new externally-scheduled work)."""
-        if self._wake is not None:
-            self._wake.set()
+        """Wake the pump (new externally-scheduled work); idempotent."""
+        if self._soon is None and self._loop is not None:
+            self._soon = self._loop.call_soon(self._drain)
 
     def stop(self) -> None:
+        """End :meth:`run`; afterwards nothing of the pump is armed,
+        and a late :meth:`kick` arms nothing."""
         self._stopped = True
-        self.kick()
+        for handle in (self._soon, self._timer):
+            if handle is not None:
+                handle.cancel()
+        self._loop = self._soon = self._timer = None
+        if self._done is not None and not self._done.done():
+            self._done.set_result(None)
 
     @property
     def wall_sim_now(self) -> float:
         """The sim time corresponding to the current wall clock."""
-        loop = asyncio.get_event_loop()
+        loop = self._loop or asyncio.get_running_loop()
         return loop.time() - self._anchor
 
     def run_process(
         self, gen: Generator[Event, Any, Any], name: Optional[str] = None
     ) -> "asyncio.Future[Any]":
         """Start *gen* as a sim process; resolve a future with its result."""
-        loop = asyncio.get_event_loop()
+        loop = self._loop or asyncio.get_running_loop()
         future: asyncio.Future[Any] = loop.create_future()
         proc = self.env.process(gen, name=name)
 
@@ -88,39 +101,50 @@ class SimClockPump:
         return future
 
     async def run(self) -> None:
-        loop = asyncio.get_running_loop()
-        self._wake = asyncio.Event()
+        """Pump until :meth:`stop`; raises what a sim event raised."""
+        self._loop = loop = asyncio.get_running_loop()
+        self._done = loop.create_future()
         self._anchor = loop.time() - self.env.now
-        while not self._stopped:
-            due = loop.time() - self._anchor
-            stepped = 0
-            while (
-                not self._stopped
-                and stepped < self.max_batch
-                and self.env.peek() <= due
-            ):
-                self.env.step()
-                stepped += 1
-            if self._stopped:
-                break
-            if stepped >= self.max_batch:
-                await asyncio.sleep(0)  # yield to I/O, keep draining
-                continue
-            nxt = self.env.peek()
-            if nxt == float("inf"):
-                await self._wait(None)
-            else:
-                delay = (self._anchor + nxt) - loop.time()
-                if delay > 0:
-                    await self._wait(delay)
-
-    async def _wait(self, timeout: Optional[float]) -> None:
-        assert self._wake is not None
         try:
-            await asyncio.wait_for(self._wake.wait(), timeout)
-        except asyncio.TimeoutError:
-            pass
-        self._wake.clear()
+            if not self._stopped:
+                self._drain()
+                await self._done
+        finally:
+            self.stop()
+
+    def _drain(self) -> None:
+        """Step every due event, then arm the timer for the next one."""
+        self._soon = None
+        if self._stopped:
+            return
+        env, now, anchor = self.env, self._loop.time, self._anchor
+        try:
+            for _ in range(self.max_batch):
+                if anchor + env.peek() > now():
+                    break
+                env.step()
+                if self._stopped:
+                    return
+            else:
+                self.kick()  # batch full: yield to I/O, keep draining
+                return
+        except Exception as exc:
+            self._done.set_exception(exc)  # run() raises it
+            self.stop()
+            return
+        when = anchor + env.peek()  # inf: nothing scheduled, nothing to arm
+        if self._timer is not None:
+            if when >= self._timer.when():
+                return  # the armed timer fires first and re-drains
+            self._timer.cancel()
+            self._timer = None
+        if when != float("inf"):
+            self._timer = self._loop.call_at(when, self._on_timer)
+
+    def _on_timer(self) -> None:
+        self._timer = None
+        if self._soon is None:  # else the queued drain covers it
+            self._drain()
 
 
 @dataclass

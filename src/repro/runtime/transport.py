@@ -22,6 +22,7 @@ from __future__ import annotations
 import abc
 import asyncio
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Set, Tuple
 
 from repro import telemetry
@@ -34,6 +35,7 @@ from repro.runtime.codec import (
     encode_ack,
     encode_message,
 )
+from repro.telemetry.logs import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import NetNode
@@ -77,7 +79,7 @@ class Transport(abc.ABC):
         return self.stats.summary()
 
     def close(self) -> None:
-        """Release any underlying resources (sockets, tasks)."""
+        """Release any underlying resources (sockets, timers)."""
 
 
 class SimTransport(Transport):
@@ -156,6 +158,18 @@ class PeerDirectory:
 DropFn = Callable[[Message, int], bool]
 
 
+@dataclass(slots=True)
+class _PendingSend:
+    """One unacknowledged message: its frame, the number and ack wait
+    of its *next* attempt, and the armed timer that will make it."""
+
+    msg: Message
+    frame: bytes
+    timeout: float
+    attempt: int = 0
+    handle: Optional[asyncio.TimerHandle] = None
+
+
 class UdpTransport(Transport, asyncio.DatagramProtocol):
     """One node's live UDP endpoint.
 
@@ -225,11 +239,13 @@ class UdpTransport(Transport, asyncio.DatagramProtocol):
         self._down: Set[str] = set()
         self._seen: OrderedDict[Tuple[str, int], None] = OrderedDict()
         self._dedup_capacity = dedup_capacity
-        self._pending_acks: Dict[Tuple[str, int], asyncio.Event] = {}
-        self._send_tasks: Set[asyncio.Task] = set()
+        self._pending_acks: Dict[Tuple[str, int], _PendingSend] = {}
+        #: What a :meth:`flush` awaits: resolved when the above empties.
+        self._drained: Optional["asyncio.Future[None]"] = None
         self._sock: Optional[asyncio.DatagramTransport] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._closed = False
+        self.log = get_logger("runtime.transport", node_id)
 
     # -- reliability counters (live in the shared NetworkStats so sim and
     # live summaries share one schema; kept as properties for callers
@@ -276,45 +292,39 @@ class UdpTransport(Transport, asyncio.DatagramProtocol):
         return self
 
     def close(self) -> None:
+        """Close the socket and disarm every ack timer (their messages
+        count as dropped); nothing of the transport stays on the loop."""
         if self._closed:
             return
         self._closed = True
-        for task in list(self._send_tasks):
-            task.cancel()
+        self._abandon_pending()
         if self._sock is not None:
             self._sock.close()
 
     async def aclose(self) -> None:
-        """Close and *reap*: await every cancelled retry task.
-
-        ``close()`` alone only requests cancellation; the tasks need a
-        loop cycle to unwind, and a loop that shuts down first logs
-        "Task was destroyed but it is pending!" and leaks the ack
-        waiters.  After this returns, ``_send_tasks`` is empty.
-        """
+        """:meth:`close` for callers on the loop (kept awaitable: node
+        and host teardown ``await`` it)."""
         self.close()
-        pending = [t for t in self._send_tasks if not t.done()]
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
-        self._send_tasks.clear()
-        self._pending_acks.clear()
 
     async def flush(self, timeout: float = 1.0) -> None:
         """Wait for in-flight reliable sends (graceful departure).
 
-        Sends still pending when *timeout* expires are cancelled — a
+        Sends still pending when *timeout* expires are abandoned — a
         straggler mid-backoff must not outlive the departure that
         called this (their messages count as dropped, datagram-style).
         """
-        pending = [t for t in self._send_tasks if not t.done()]
-        if not pending:
+        if not self._pending_acks:
             return
-        await asyncio.wait(pending, timeout=timeout)
-        stragglers = [t for t in pending if not t.done()]
-        for task in stragglers:
-            task.cancel()
-        if stragglers:
-            await asyncio.gather(*stragglers, return_exceptions=True)
+        loop = asyncio.get_running_loop()
+        if self._drained is None:
+            self._drained = loop.create_future()
+        deadline = loop.call_later(timeout, self._abandon_pending)
+        try:
+            # Shielded: a cancelled flusher must not cancel the future
+            # the next settled record will resolve.
+            await asyncio.shield(self._drained)
+        finally:
+            deadline.cancel()
 
     # -- Transport surface -------------------------------------------------
     def register(self, node: "NetNode") -> None:
@@ -348,7 +358,7 @@ class UdpTransport(Transport, asyncio.DatagramProtocol):
         return self.est_latency + size / self.est_bandwidth
 
     def send(self, msg: Message) -> None:
-        """Queue *msg* for reliable transmission (fire-and-forget API)."""
+        """Transmit *msg* reliably (fire-and-forget API)."""
         msg.ensure_trace_id()
         self.stats.note_send(msg)
         tel = telemetry.current()
@@ -374,9 +384,19 @@ class UdpTransport(Transport, asyncio.DatagramProtocol):
             self._note_dropped(msg)
             return
         assert self._loop is not None, "transport not started"
-        task = self._loop.create_task(self._send_reliable(msg))
-        self._send_tasks.add(task)
-        task.add_done_callback(self._send_tasks.discard)
+        try:
+            frame = encode_message(msg)
+        except WireFormatError as exc:
+            # The caller is a protocol handler mid-dispatch: an
+            # unencodable payload is that message's loss, not its crash.
+            self.log.warning("unencodable %s dropped: %s", msg.kind, exc)
+            self._note_dropped(msg)
+            return
+        key = (msg.dst, msg.msg_id)
+        pending = self._pending_acks[key] = _PendingSend(
+            msg, frame, self.ack_timeout
+        )
+        self._attempt(key, pending)
 
     def _note_dropped(self, msg: Message) -> None:
         self.stats.dropped += 1
@@ -393,43 +413,53 @@ class UdpTransport(Transport, asyncio.DatagramProtocol):
             tel.metrics.counter("repro_net_messages_delivered_total").inc()
 
     # -- reliability -------------------------------------------------------
-    async def _send_reliable(self, msg: Message) -> None:
-        frame = encode_message(msg)
-        key = (msg.dst, msg.msg_id)
-        waiter = asyncio.Event()
-        self._pending_acks[key] = waiter
-        timeout = self.ack_timeout
-        acked = False
-        try:
-            for attempt in range(self.max_retries + 1):
-                addr = self.directory.address(msg.dst)
-                if addr is None:
-                    break
-                if attempt > 0:
-                    self.stats.retransmits += 1
-                    tel = telemetry.current()
-                    if tel.enabled:
-                        tel.metrics.counter(
-                            "repro_udp_retransmits_total"
-                        ).inc()
-                        # Flight-recorder trigger: retry storms.
-                        tel.tracer.event(
-                            "udp.retry", node=self.node_id,
-                            dst=msg.dst, attempt=attempt,
-                        )
-                lost = self.drop_fn is not None and self.drop_fn(msg, attempt)
-                if not lost and self._sock is not None:
-                    self._sock.sendto(frame, addr)
-                try:
-                    await asyncio.wait_for(waiter.wait(), timeout)
-                    acked = True
-                    break
-                except asyncio.TimeoutError:
-                    timeout *= self.backoff
-        finally:
-            self._pending_acks.pop(key, None)
-            if not acked:
-                self._note_dropped(msg)
+    def _attempt(self, key: Tuple[str, int], pending: _PendingSend) -> None:
+        """Transmit once more and arm the ack timer; as that timer's
+        callback, out of retries, count the message dropped instead."""
+        msg, attempt = pending.msg, pending.attempt
+        addr = (
+            self.directory.address(msg.dst)
+            if attempt <= self.max_retries else None
+        )
+        if addr is None:
+            self._settle(key)
+            self._note_dropped(msg)
+            return
+        if attempt > 0:
+            self.stats.retransmits += 1
+            tel = telemetry.current()
+            if tel.enabled:
+                tel.metrics.counter("repro_udp_retransmits_total").inc()
+                # Flight-recorder trigger: retry storms.
+                tel.tracer.event(
+                    "udp.retry", node=self.node_id,
+                    dst=msg.dst, attempt=attempt,
+                )
+        lost = self.drop_fn is not None and self.drop_fn(msg, attempt)
+        if not lost and self._sock is not None:
+            self._sock.sendto(pending.frame, addr)
+        pending.handle = self._loop.call_later(
+            pending.timeout, self._attempt, key, pending
+        )
+        pending.attempt += 1
+        pending.timeout *= self.backoff
+
+    def _settle(self, key: Tuple[str, int]) -> None:
+        """Forget *key* (acked or given up) and disarm its timer."""
+        pending = self._pending_acks.pop(key, None)
+        if pending is None:
+            return
+        if pending.handle is not None:
+            pending.handle.cancel()
+        if self._drained is not None and not self._pending_acks:
+            self._drained.set_result(None)
+            self._drained = None
+
+    def _abandon_pending(self) -> None:
+        """Give up on every unacknowledged message, now."""
+        for key, pending in list(self._pending_acks.items()):
+            self._settle(key)
+            self._note_dropped(pending.msg)
 
     # -- DatagramProtocol --------------------------------------------------
     def datagram_received(self, data: bytes, addr: Tuple[str, int]) -> None:
@@ -442,9 +472,7 @@ class UdpTransport(Transport, asyncio.DatagramProtocol):
                 tel.metrics.counter("repro_udp_malformed_total").inc()
             return
         if frame["t"] == FRAME_ACK:
-            waiter = self._pending_acks.get((frame["src"], frame["id"]))
-            if waiter is not None:
-                waiter.set()
+            self._settle((frame["src"], frame["id"]))
             return
         msg: Message = frame["msg"]
         # Ack every copy: the previous ack may have been the lost packet.

@@ -1,5 +1,6 @@
 """Shared fixtures: a live Figure-1 domain with an active RM."""
 
+import logging
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -90,3 +91,27 @@ def build_live_domain(
 @pytest.fixture
 def live_domain() -> LiveDomain:
     return build_live_domain()
+
+
+@pytest.fixture
+def capture_log():
+    """``capture_log(name)`` -> the list that logger's records land in.
+
+    A handler on the named logger itself: ``caplog`` only sees records
+    that reach the root, and ``configure_logging`` (any CLI test that
+    ran earlier) turns propagation off for the ``repro`` namespace.
+    """
+    attached = []
+
+    def attach(name):
+        records = []
+        handler = logging.Handler()
+        handler.emit = records.append
+        logger = logging.getLogger(name)
+        logger.addHandler(handler)
+        attached.append((logger, handler))
+        return records
+
+    yield attach
+    for logger, handler in attached:
+        logger.removeHandler(handler)

@@ -151,6 +151,31 @@ class TestSelect:
         assert quick["n_items"] < full["n_items"]
 
 
+class TestLiveMicros:
+    NAMES = {"micro_udp_roundtrip", "micro_pump_tick"}
+
+    def test_listed_in_family_micro_but_not_gated(self):
+        specs = {s.name: s for s in select(quick=True)}
+        assert self.NAMES <= set(specs)
+        assert all(specs[n].family == "micro" for n in self.NAMES)
+        # Loopback timing is not gateable on shared CI runners.
+        gated = {
+            r["name"]
+            for r in load_report("benchmarks/baseline_quick.json")["results"]
+        }
+        assert not (self.NAMES & gated)
+
+    def test_udp_roundtrip_delivers_every_message(self):
+        spec = next(s for s in BENCHES if s.name == "micro_udp_roundtrip")
+        out = spec.make(n_messages=150)()
+        assert out["events"] == 150
+        assert out["metrics"] == {"retransmits": 0, "acks": 150}
+
+    def test_pump_tick_drains_every_timeout(self):
+        spec = next(s for s in BENCHES if s.name == "micro_pump_tick")
+        assert spec.make(n_timeouts=2500)()["events"] >= 2500
+
+
 class TestCli:
     def test_list_exits_zero(self, capsys):
         assert cli.main(["--list"]) == 0

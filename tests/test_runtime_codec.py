@@ -197,6 +197,23 @@ def test_ack_frame_round_trip():
     assert frame == {"t": FRAME_ACK, "src": "P2", "id": 41}
 
 
+def test_wire_v1_golden_bytes():
+    """Wire v1 pinned byte for byte (frames written by the PR-12 codec):
+    how the encoder is built may change, what it emits may not."""
+    assert encode_ack("P2", 41) == b'{"v":1,"t":"ack","src":"P2","id":41}'
+    msg = Message(kind=protocol.LOAD_UPDATE, src="P2", dst="M0",
+                  payload=_load_report().as_payload(), size=256.0,
+                  msg_id=17, sent_at=12.5, trace_id="tr-1")
+    assert encode_message(msg) == (
+        b'{"v":1,"t":"msg","msg":{"kind":"load_update","src":"P2",'
+        b'"dst":"M0","payload":{"peer_id":"P2","time":12.5,"power":10.0,'
+        b'"utilization":0.4,"load":4.0,"bw_used":200000.0,'
+        b'"queue_work":7.5,"queue_length":3,"services":{"T-e2":0.3},'
+        b'"dependencies":2},"size":256.0,"msg_id":17,"reply_to":null,'
+        b'"sent_at":12.5,"trace_id":"tr-1"}}'
+    )
+
+
 def _msg_frame(**overrides):
     body = {
         "kind": "task_ack", "src": "M0", "dst": "P4",

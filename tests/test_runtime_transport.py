@@ -8,6 +8,7 @@ still deliver exactly once, well inside a 5-second wall-clock budget.
 from __future__ import annotations
 
 import asyncio
+import logging
 import time
 
 import pytest
@@ -247,11 +248,11 @@ def test_expected_delay_monotone_in_size():
     assert t.expected_delay("A", "B", 0.0) == pytest.approx(0.001)
 
 
-def test_aclose_reaps_pending_send_tasks():
-    """Regression: retry tasks mid-backoff used to outlive ``close()``
-    (cancellation was requested but never awaited), leaking ack waiters
-    into the dying loop.  After ``aclose()`` the task set is empty and
-    every task has actually unwound."""
+def test_aclose_disarms_pending_sends():
+    """Regression: retries mid-backoff used to outlive ``close()``,
+    leaking ack waiters into the dying loop.  A pending send is now a
+    record plus one armed timer handle; after ``aclose()`` there is no
+    record, no armed handle and no Task of the transport's."""
     async def main():
         _, a, b, inbox = make_pair(
             drop_fn=lambda msg, attempt: True,  # black hole: no acks ever
@@ -262,13 +263,16 @@ def test_aclose_reaps_pending_send_tasks():
             for i in range(10):
                 a.send(Message(kind="stream", src="A", dst="B",
                                payload={"seq": i}, size=64.0))
-            await asyncio.sleep(0.05)  # let the send tasks park on acks
-            assert len(a._send_tasks) == 10  # all mid-retry, none done
+            await asyncio.sleep(0.05)
+            handles = [p.handle for p in a._pending_acks.values()]
+            assert len(handles) == 10  # all mid-retry, none settled
+            assert not any(h.cancelled() for h in handles)
         finally:
             await a.aclose()
             b.close()
-        assert a._send_tasks == set()
         assert a._pending_acks == {}
+        assert all(h.cancelled() for h in handles)
+        assert a.stats.dropped == 10  # abandoned counts as dropped
         # Nothing of the transport's survives into the loop shutdown.
         leftover = [
             t for t in asyncio.all_tasks() if t is not asyncio.current_task()
@@ -277,9 +281,9 @@ def test_aclose_reaps_pending_send_tasks():
     run(main())
 
 
-def test_flush_cancels_stragglers():
-    """A send still unacked when ``flush`` times out is cancelled — a
-    departing node must not leave retry loops running behind it."""
+def test_flush_abandons_stragglers():
+    """A send still unacked when ``flush`` times out is abandoned — a
+    departing node must not leave retry timers running behind it."""
     async def main():
         _, a, b, inbox = make_pair(
             drop_fn=lambda msg, attempt: True,
@@ -288,12 +292,94 @@ def test_flush_cancels_stragglers():
         await start_all(a, b)
         try:
             a.send(Message(kind="leave", src="A", dst="B", size=32.0))
-            await asyncio.sleep(0)
+            (pending,) = a._pending_acks.values()
+            start = time.monotonic()
             await a.flush(timeout=0.05)
-            assert all(t.done() for t in a._send_tasks)
+            assert time.monotonic() - start < 1.0  # not the 30 s timer
+            assert a._pending_acks == {}
+            assert pending.handle.cancelled()
+            assert a.stats.dropped == 1 and a.retransmits == 0
         finally:
             close_all(a, b)
     run(main())
+
+
+def test_flush_returns_as_soon_as_everything_is_acked():
+    async def main():
+        _, a, b, inbox = make_pair(ack_timeout=5.0)
+        await start_all(a, b)
+        try:
+            for i in range(5):
+                a.send(Message(kind="stream", src="A", dst="B",
+                               payload={"seq": i}, size=64.0))
+            start = time.monotonic()
+            await a.flush(timeout=5.0)
+            assert time.monotonic() - start < 1.0
+            assert a._pending_acks == {} and len(inbox) == 5
+            assert a.stats.dropped == 0
+        finally:
+            close_all(a, b)
+    run(main())
+
+
+def test_retransmit_schedule():
+    """Attempts 0..max_retries, spaced ``ack_timeout * backoff**k``,
+    then exactly one drop — the schedule the coroutine loop had."""
+    async def main():
+        loop = asyncio.get_running_loop()
+        calls = []
+
+        def record(msg, attempt):
+            calls.append((attempt, loop.time()))
+            return True
+
+        _, a, b, inbox = make_pair(
+            drop_fn=record, ack_timeout=0.02, backoff=2.0, max_retries=3,
+        )
+        await start_all(a, b)
+        try:
+            a.send(Message(kind="step_done", src="A", dst="B", size=96.0))
+            assert calls and calls[0][0] == 0  # transmitted inside send()
+            await a.flush(timeout=5.0)
+            assert [attempt for attempt, _ in calls] == [0, 1, 2, 3]
+            gaps = [t1 - t0 for (_, t0), (_, t1) in zip(calls, calls[1:])]
+            for gap, want in zip(gaps, (0.02, 0.04, 0.08)):
+                assert want <= gap < want + 0.05
+            # The drop lands one last timeout (0.16 s) after attempt 3.
+            assert loop.time() - calls[-1][1] >= 0.16
+            assert a.stats.dropped == 1 and a.retransmits == 3
+            assert inbox == []
+        finally:
+            close_all(a, b)
+    run(main())
+
+
+def test_unencodable_payload_is_a_logged_drop(capture_log):
+    """Regression: a payload the codec cannot encode used to raise
+    inside the fire-and-forget send Task ("Task exception was never
+    retrieved" at GC time).  It is now that message's loss: counted,
+    logged once by kind, and never raised into the calling handler."""
+    records = capture_log("repro.runtime.transport")
+
+    async def main():
+        _, a, b, inbox = make_pair()
+        await start_all(a, b)
+        try:
+            a.send(Message(kind="task_request", src="A", dst="B",
+                           payload={"blob": object()}, size=64.0))
+            assert a._pending_acks == {}
+            assert a.stats.sent == 1 and a.stats.dropped == 1
+            # The transport is unharmed: the next message goes through.
+            a.send(Message(kind="task_request", src="A", dst="B",
+                           payload={"ok": 1}, size=64.0))
+            assert await wait_for(lambda: len(inbox) == 1)
+        finally:
+            close_all(a, b)
+
+    run(main())
+    warnings = [r for r in records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert "task_request" in warnings[0].getMessage()
 
 
 def test_receiver_learns_sender_address():
