@@ -8,6 +8,7 @@ algorithm on the Figure-1 graph.
 
 import numpy as np
 
+from repro.benchmarking.scenarios import BENCHES
 from repro.core.allocation import Allocator
 from repro.core.fairness import LoadVector, jain_fairness
 from repro.graphs.search import iter_paths
@@ -54,8 +55,8 @@ def test_fig1_path_search(benchmark):
             iter_paths(info.resource_graph, sc.v_init, sc.v_sol, "paper")
         )
 
-    paths = benchmark(search)
-    assert len(paths) == 3
+    found = benchmark(search)
+    assert [len(path) for path, _state in found] == [2, 2, 4]
 
 
 def test_fig1_allocation(benchmark):
@@ -71,6 +72,15 @@ def test_fig1_allocation(benchmark):
 
     result = benchmark(allocate)
     assert result.n_candidates == 3
+
+
+def test_dense_domain_allocation(benchmark):
+    """``repro-bench``'s ``micro_allocate``: the Fig-3 allocation on the
+    64-peer domain of the ``sim_dense`` population."""
+    spec = next(s for s in BENCHES if s.name == "micro_allocate")
+    out = benchmark(spec.make(n_allocations=200))
+    assert out["events"] == 200 and out["metrics"]["domain_peers"] == 64
+    assert out["metrics"]["placed"] > 0
 
 
 def test_batch_fairness_what_if(benchmark):

@@ -421,6 +421,86 @@ def _micro_pump_tick(n_timeouts: int) -> Callable:
     return fn
 
 
+def _micro_allocate(n_allocations: int, warmup: float = 20.0) -> Callable:
+    """``Allocator.allocate`` (Fig-3 search + estimate + fairness) on
+    the largest domain — 64 peers — of the ``sim_dense`` population of
+    ``benchmarks/e2e``, frozen after *warmup* simulated seconds of its
+    load.  The work unit is allocations, feasible or not, so
+    ``events_per_sec`` reads allocations/s.  The domain is built here,
+    outside the timed ``fn``.
+    """
+    from repro.common.errors import NoFeasibleAllocation
+    from repro.core.manager import RMConfig
+    from repro.tasks.qos import QoSRequirements
+    from repro.tasks.task import ApplicationTask
+    from repro.workloads import (
+        PopulationConfig,
+        ScenarioConfig,
+        WorkloadConfig,
+        build_scenario,
+    )
+
+    scenario = build_scenario(ScenarioConfig(
+        seed=7,
+        population=PopulationConfig(
+            n_peers=256, n_objects=128, replication=3,
+        ),
+        workload=WorkloadConfig(rate=0.08 * 256),
+        rm=RMConfig(max_peers=64),
+    ))
+    scenario.env.run(until=warmup)
+    now = scenario.env.now
+    rm = max(scenario.overlay.rms(), key=lambda r: r.info.n_peers)
+    info = rm.info
+    peer_ids = list(info.peers)
+    requests = []
+    # One request per (object held in the domain, reachable goal), as
+    # admission would place it: least-loaded holder as the source.
+    for obj in rm.object_catalog.values():
+        holders = info.peers_with_object(obj.name)
+        if not holders:
+            continue
+        source = min(holders, key=lambda pid: info.effective_load(pid, now))
+        deadline = scenario.workload.nominal_deadline(obj)
+        for goal in scenario.catalog.reachable_from(obj.fmt, max_hops=3):
+            n = len(requests)
+            task = ApplicationTask(
+                name=obj.name, qos=QoSRequirements(deadline=deadline),
+                initial_state=obj.fmt, goal_state=goal,
+                origin_peer=peer_ids[n % len(peer_ids)],
+                task_id=f"micro{n}", submitted_at=now,
+            )
+            requests.append((task, dict(
+                v_init=obj.fmt, v_sol=goal, source_peer=source,
+                sink_peer=task.origin_peer, in_bytes=obj.size_bytes,
+                now=now,
+                work_scale=obj.duration_s / rm.rm_config.canonical_duration,
+            )))
+
+    def fn() -> Dict[str, Any]:
+        allocate = rm.allocator.allocate
+        net = rm.network
+        placed = examined = 0
+        for i in range(n_allocations):
+            task, kwargs = requests[i % len(requests)]
+            try:
+                examined += allocate(info, net, task, **kwargs).n_examined
+                placed += 1
+            except NoFeasibleAllocation:
+                pass
+        return {
+            "events": n_allocations,
+            "metrics": {
+                "domain_peers": len(peer_ids),
+                "requests": len(requests),
+                "placed": placed,
+                "paths_examined": examined,
+            },
+        }
+
+    return fn
+
+
 #: The registry, in execution order.
 BENCHES: List[BenchSpec] = [
     BenchSpec(
@@ -486,6 +566,12 @@ BENCHES: List[BenchSpec] = [
         name="micro_pump_tick", family="micro", make=_micro_pump_tick,
         params={"n_timeouts": 200_000},
         quick_params={"n_timeouts": 50_000},
+    ),
+    # Added after baseline_quick.json was recorded, so not in it either.
+    BenchSpec(
+        name="micro_allocate", family="micro", make=_micro_allocate,
+        params={"n_allocations": 8_000},
+        quick_params={"n_allocations": 2_000},
     ),
 ]
 

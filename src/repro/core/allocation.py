@@ -15,7 +15,7 @@ choice under test.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence
+from typing import Callable, Dict, Hashable, List, Optional
 
 from repro.common.errors import NoFeasibleAllocation
 from repro.core.estimate import CompletionTimeEstimator
@@ -138,7 +138,21 @@ class Allocator:
             by summary lookup; an overload may be *retried/redirected*
             too but signals domain saturation).
         """
-        load_view = loads if loads is not None else info.load_vector(now)
+        est = self.estimator
+        peers = info.peers
+        # One load table per call: it feeds the fairness view, the
+        # service-time term and the capacity check.  A peer claiming no
+        # power gets no free rate, so its edges prune like a missing
+        # peer's ("infinitely overloaded") instead of dividing by zero.
+        load_of: Dict[str, float] = {}
+        free_rate: Dict[str, float] = {}
+        min_free_frac = est.min_free_frac
+        for peer_id, rec in peers.items():
+            load = load_of[peer_id] = info.effective_load(peer_id, now)
+            power = rec.power
+            if power > 0:
+                free_rate[peer_id] = max(power - load, power * min_free_frac)
+        load_view = loads if loads is not None else LoadVector(load_of)
         # The remaining time budget: equals the relative QoS deadline for
         # a fresh submission, shrinks for redirected / repaired tasks.
         deadline = task.absolute_deadline - now
@@ -146,97 +160,68 @@ class Allocator:
             raise NoFeasibleAllocation(task.task_id, reason="qos")
         candidates: List[Candidate] = []
         n_examined = 0
-        any_path = False
-        budget = deadline * (1.0 - self.estimator.safety_margin)
+        budget = deadline * (1.0 - est.safety_margin)
+        max_utilization = est.max_utilization
+        transfer_time = est.transfer_time
 
-        # Incremental prefix-cost cache: BFS extends prefixes one edge
-        # at a time, so each prefix's lower-bound time is its parent's
-        # plus one hop — O(1) per check instead of re-walking the whole
-        # prefix (profiling: prefix re-estimation dominated allocation).
-        # Keyed by edge-id tuple; value = (elapsed, carried_bytes).
-        prefix_cost: dict = {(): (0.0, in_bytes)}
+        def extend(state: tuple, edge: ServiceEdge) -> Optional[tuple]:
+            """One hop of ``estimate_path``, folded along the search:
+            ``state`` is ``(elapsed, carried bytes, last peer)`` of the
+            prefix, a lower bound on any completion through it."""
+            elapsed, carried, prev_peer = state
+            peer_id = edge.peer_id
+            free = free_rate.get(peer_id)
+            if free is None:
+                return None
+            elapsed += transfer_time(net, prev_peer, peer_id, carried)
+            elapsed += edge.work * work_scale / free
+            if elapsed > budget:
+                return None
+            return elapsed, edge.out_bytes * work_scale, peer_id
 
-        def prefix_ok(prefix: Sequence[ServiceEdge]) -> bool:
-            if not prefix:
-                return True
-            key = tuple([e.edge_id for e in prefix])
-            cached = prefix_cost.get(key)
-            if cached is None:
-                parent = prefix_cost.get(key[:-1])
-                edge = prefix[-1]
-                if parent is None or not info.has_peer(edge.peer_id):
-                    # Parent itself was infeasible/unknown, or the peer
-                    # vanished: recompute from scratch as a fallback.
-                    elapsed = self.estimator.estimate_path(
-                        info, net, list(prefix), now, source_peer,
-                        prefix[-1].peer_id, in_bytes, work_scale,
-                    )
-                    carried = prefix[-1].out_bytes * work_scale
-                else:
-                    elapsed, carried = parent
-                    prev_peer = (
-                        prefix[-2].peer_id if len(prefix) > 1
-                        else source_peer
-                    )
-                    elapsed += self.estimator.transfer_time(
-                        net, prev_peer, edge.peer_id, carried
-                    )
-                    elapsed += self.estimator.service_time(
-                        info, edge, now, work_scale
-                    )
-                    carried = edge.out_bytes * work_scale
-                cached = (elapsed, carried)
-                prefix_cost[key] = cached
-            return cached[0] <= budget
-
-        for path in iter_paths(
+        for path, (elapsed, carried, last_peer) in iter_paths(
             info.resource_graph,
             v_init,
             v_sol,
             visited_policy=self.visited_policy,
-            feasible=prefix_ok,
+            extend=extend,
+            state=(0.0, in_bytes, source_peer),
             max_expansions=self.max_expansions,
         ):
-            any_path = True
             n_examined += 1
-            # Open-coded estimator.feasible(prefix=False) so the path
-            # estimate is computed once and reused as ``est`` (deadline
-            # positivity was checked above; ``budget`` is the same
-            # margin-scaled bound feasible() applies).
-            est = self.estimator.estimate_path(
-                info, net, path, now, source_peer, sink_peer, in_bytes,
-                work_scale,
+            est_time = elapsed + transfer_time(
+                net, last_peer, sink_peer, carried
             )
-            if est > budget or self.estimator.path_overloads(
-                info, path, now, deadline, work_scale
-            ):
+            if est_time > budget:
                 continue
-            deltas = self.estimator.path_load_deltas(
-                path, deadline, work_scale
-            )
-            fairness = load_view.fairness_with(deltas)
+            # One delta table for the capacity check (path_overloads'
+            # arithmetic), fairness and max_post_util.
+            deltas = est.path_load_deltas(path, deadline, work_scale)
             max_post_util = 0.0
             for peer_id, delta in deltas.items():
-                power = info.peer(peer_id).power
+                power = peers[peer_id].power
+                if load_of[peer_id] + delta > power * max_utilization:
+                    break
                 post = (load_view.get(peer_id) + delta) / power
-                max_post_util = max(max_post_util, post)
-            candidates.append(
-                Candidate(path, fairness, est, deltas, max_post_util)
-            )
-            if len(candidates) >= self.max_candidates:
-                break
+                if post > max_post_util:
+                    max_post_util = post
+            else:  # no peer overloaded
+                candidates.append(Candidate(
+                    path, load_view.fairness_with(deltas), est_time,
+                    deltas, max_post_util,
+                ))
+                if len(candidates) >= self.max_candidates:
+                    break
 
         if not candidates:
             # Distinguish "no route exists at all" from "routes exist but
             # none meets q": prefix pruning may have hidden every route,
             # so re-probe without the QoS predicate.
-            if not any_path:
-                probe = iter_paths(
-                    info.resource_graph, v_init, v_sol,
-                    visited_policy=self.visited_policy,
-                    max_expansions=self.max_expansions,
-                )
-                any_path = next(iter(probe), None) is not None
+            any_path = n_examined > 0 or next(iter_paths(
+                info.resource_graph, v_init, v_sol,
+                visited_policy=self.visited_policy,
+                max_expansions=self.max_expansions,
+            ), None) is not None
             raise NoFeasibleAllocation(
                 task.task_id, reason="qos" if any_path else "no_path"
             )

@@ -76,6 +76,10 @@ class CompletionTimeEstimator:
             raise UnknownPeer(edge.peer_id)
         free = rec.power - info.effective_load(edge.peer_id, now)
         free = max(free, rec.power * self.min_free_frac)
+        if free <= 0:
+            # A record claiming no power (an unvalidated live JOIN):
+            # "infinitely overloaded", not a ZeroDivisionError.
+            return float("inf")
         return edge.work * work_scale / free
 
     def transfer_time(
@@ -119,6 +123,8 @@ class CompletionTimeEstimator:
             total += self.transfer_time(net, prev_peer, peer_id, carried)
             free = rec.power - info.effective_load(peer_id, now)
             free = max(free, rec.power * min_free_frac)
+            if free <= 0:
+                return float("inf")
             total += edge.work * work_scale / free
             prev_peer = peer_id
             carried = edge.out_bytes * work_scale
@@ -149,7 +155,7 @@ class CompletionTimeEstimator:
                 return True
             rec = info.peer(peer_id)
             post = info.effective_load(peer_id, now) + delta
-            if post > rec.power * self.max_utilization:
+            if rec.power <= 0 or post > rec.power * self.max_utilization:
                 return True
         return False
 

@@ -83,10 +83,12 @@ def run(quick: bool = False) -> ExperimentResult:
     )
 
     # Enumerate the raw candidates exactly as the BFS sees them.
-    candidates = list(
-        iter_paths(info.resource_graph, scenario.v_init, scenario.v_sol,
-                   visited_policy="paper")
-    )
+    candidates = [
+        path for path, _ in iter_paths(
+            info.resource_graph, scenario.v_init, scenario.v_sol,
+            visited_policy="paper",
+        )
+    ]
     found = [[e.edge_id for e in path] for path in candidates]
     if found != FIG1_CANDIDATE_PATHS:
         raise AssertionError(

@@ -17,21 +17,36 @@ Two *visited policies* are provided:
     depth-first, up to an expansion budget.  Exponential in the worst
     case; used by the optimal baseline and in tests as ground truth.
 
-Both yield paths as lists of :class:`ServiceEdge` and accept a
-``feasible`` predicate applied to every path *prefix* — infeasible
-prefixes are pruned immediately, mirroring Fig. 3's "fulfills
-requirements in q" check.
+Both are *folds*: the caller's ``extend(state, edge)`` carries a state
+along every prefix one edge at a time and returns ``None`` to prune the
+prefix, which is then never extended (Fig. 3's "fulfills requirements
+in q" check).  Hits are yielded as ``(path, state)``: the edges as a
+list of :class:`ServiceEdge` and the state of the complete path.
+
+* ``extend`` runs once per prefix the search costs, on the state its
+  parent prefix produced.
+* Visit before cost: the BFS drops a prefix entering an already-expanded
+  state other than ``v_sol`` without calling ``extend`` — it would be
+  discarded whatever it costs (of *k* parallel edges into a state, only
+  the first feasible one is expanded).
+* The order of hits is fixed — BFS: queue order (expanded states in
+  turn, each in adjacency order); DFS: adjacency-order pre-order — and
+  pruning only thins it, never reorders it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Hashable, Iterator, List, Optional
+from typing import Any, Callable, Hashable, Iterator, List, Optional, Tuple
 
 from repro.graphs.resource_graph import ResourceGraph, ServiceEdge
 
 Path = List[ServiceEdge]
-FeasiblePredicate = Callable[[Path], bool]
+#: ``extend(state, edge) -> state`` of the prefix one edge longer, or
+#: ``None`` when that prefix cannot meet the requirements.
+Extend = Callable[[Any, ServiceEdge], Any]
+#: A prefix as parent links: ``(last edge, ..., link of the parent)``.
+_Link = Optional[tuple]
 
 
 def iter_paths(
@@ -39,9 +54,10 @@ def iter_paths(
     v_init: Hashable,
     v_sol: Hashable,
     visited_policy: str = "paper",
-    feasible: Optional[FeasiblePredicate] = None,
+    extend: Optional[Extend] = None,
+    state: Any = None,
     max_expansions: int = 100_000,
-) -> Iterator[Path]:
+) -> Iterator[Tuple[Path, Any]]:
     """Yield candidate execution sequences from ``v_init`` to ``v_sol``.
 
     Parameters
@@ -54,79 +70,96 @@ def iter_paths(
         allocation", §4.3).
     visited_policy:
         ``"paper"`` or ``"exhaustive"`` (see module docstring).
-    feasible:
-        Optional prefix-feasibility predicate; prefixes failing it are
-        pruned (and never extended).
+    extend, state:
+        The fold and the state of the empty prefix (see module
+        docstring).  Without ``extend`` nothing is pruned and every
+        path is yielded with *state* unchanged.
     max_expansions:
         Safety budget on vertex expansions.
     """
     if visited_policy == "paper":
-        yield from _bfs_paper(graph, v_init, v_sol, feasible, max_expansions)
+        search = _bfs_paper
     elif visited_policy == "exhaustive":
-        yield from _dfs_simple(graph, v_init, v_sol, feasible, max_expansions)
+        search = _dfs_simple
     else:
         raise ValueError(
             f"unknown visited_policy {visited_policy!r}; "
             "use 'paper' or 'exhaustive'"
         )
+    if not graph.has_state(v_init) or not graph.has_state(v_sol):
+        return
+    if v_init == v_sol:
+        # Already in the requested state: the empty sequence solves it.
+        yield [], state
+        return
+    yield from search(graph, v_init, v_sol, extend, state, max_expansions)
+
+
+def _path_of(link: _Link) -> Path:
+    """The edge list a chain of parent links stands for."""
+    path: Path = []
+    while link is not None:
+        path.append(link[0])
+        link = link[-1]
+    path.reverse()
+    return path
 
 
 def _bfs_paper(
     graph: ResourceGraph,
     v_init: Hashable,
     v_sol: Hashable,
-    feasible: Optional[FeasiblePredicate],
+    extend: Optional[Extend],
+    state: Any,
     max_expansions: int,
-) -> Iterator[Path]:
-    if not graph.has_state(v_init) or not graph.has_state(v_sol):
-        return
-    if v_init == v_sol:
-        # Already in the requested state: the empty sequence solves it.
-        if feasible is None or feasible([]):
-            yield []
-        return
-    queue: deque[tuple[Hashable, Path]] = deque([(v_init, [])])
-    popleft = queue.popleft
-    append = queue.append
-    visited: set[Hashable] = set()
+) -> Iterator[Tuple[Path, Any]]:
     # Read the adjacency dict directly: out_edges() returns a defensive
     # copy, but this loop only iterates (allocation runs this search for
     # every admitted task).
     out = graph._out
-    expansions = 0
-    while queue:
-        v, seq = popleft()
-        if feasible is not None and not feasible(seq):
+    # A queue entry is (edge, state of the parent prefix, parent entry):
+    # it is its own parent link, so queueing a prefix copies nothing.
+    queue: deque[tuple] = deque(
+        (edge, state, None) for edge in out.get(v_init, ())
+    )
+    popleft = queue.popleft
+    append = queue.append
+    visited: set[Hashable] = {v_init}
+    expansions = 1
+    while queue and expansions <= max_expansions:
+        entry = popleft()
+        edge = entry[0]
+        v = edge.dst
+        at_goal = v == v_sol
+        if not at_goal and v in visited:
             continue
-        if v == v_sol:
-            yield seq
-            continue
-        if v in visited:
+        state = entry[1]
+        if extend is not None:
+            state = extend(state, edge)
+            if state is None:
+                continue
+        if at_goal:
+            yield _path_of(entry), state
             continue
         visited.add(v)
         expansions += 1
-        if expansions > max_expansions:
-            return
         for edge in out.get(v, ()):
-            append((edge.dst, seq + [edge]))
+            append((edge, state, entry))
 
 
 def _dfs_simple(
     graph: ResourceGraph,
     v_init: Hashable,
     v_sol: Hashable,
-    feasible: Optional[FeasiblePredicate],
+    extend: Optional[Extend],
+    state: Any,
     max_expansions: int,
-) -> Iterator[Path]:
-    if not graph.has_state(v_init) or not graph.has_state(v_sol):
-        return
-    if v_init == v_sol:
-        if feasible is None or feasible([]):
-            yield []
-        return
+) -> Iterator[Tuple[Path, Any]]:
     budget = [max_expansions]
 
-    def dfs(v: Hashable, seq: Path, on_path: set[Hashable]) -> Iterator[Path]:
+    def dfs(
+        v: Hashable, state: Any, link: _Link, on_path: set[Hashable]
+    ) -> Iterator[Tuple[Path, Any]]:
         if budget[0] <= 0:
             return
         budget[0] -= 1
@@ -134,17 +167,19 @@ def _dfs_simple(
             nxt = edge.dst
             if nxt in on_path:
                 continue
-            new_seq = seq + [edge]
-            if feasible is not None and not feasible(new_seq):
-                continue
+            new_state = state
+            if extend is not None:
+                new_state = extend(state, edge)
+                if new_state is None:
+                    continue
             if nxt == v_sol:
-                yield new_seq
+                yield _path_of((edge, link)), new_state
                 continue
             on_path.add(nxt)
-            yield from dfs(nxt, new_seq, on_path)
+            yield from dfs(nxt, new_state, (edge, link), on_path)
             on_path.discard(nxt)
 
-    yield from dfs(v_init, [], {v_init})
+    yield from dfs(v_init, state, None, {v_init})
 
 
 class PathSearch:
@@ -166,16 +201,19 @@ class PathSearch:
         self,
         v_init: Hashable,
         v_sol: Hashable,
-        feasible: Optional[FeasiblePredicate] = None,
+        extend: Optional[Extend] = None,
+        state: Any = None,
     ) -> List[Path]:
         """All candidate paths as a list (see :func:`iter_paths`)."""
-        return list(
-            iter_paths(
+        return [
+            path
+            for path, _ in iter_paths(
                 self.graph,
                 v_init,
                 v_sol,
                 visited_policy=self.visited_policy,
-                feasible=feasible,
+                extend=extend,
+                state=state,
                 max_expansions=self.max_expansions,
             )
-        )
+        ]

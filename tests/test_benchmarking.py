@@ -151,14 +151,15 @@ class TestSelect:
         assert quick["n_items"] < full["n_items"]
 
 
-class TestLiveMicros:
-    NAMES = {"micro_udp_roundtrip", "micro_pump_tick"}
+class TestUngatedMicros:
+    NAMES = {"micro_udp_roundtrip", "micro_pump_tick", "micro_allocate"}
 
     def test_listed_in_family_micro_but_not_gated(self):
         specs = {s.name: s for s in select(quick=True)}
         assert self.NAMES <= set(specs)
         assert all(specs[n].family == "micro" for n in self.NAMES)
-        # Loopback timing is not gateable on shared CI runners.
+        # Loopback timing is not gateable on shared CI runners, and
+        # the allocation micro postdates the recorded baseline.
         gated = {
             r["name"]
             for r in load_report("benchmarks/baseline_quick.json")["results"]
@@ -174,6 +175,15 @@ class TestLiveMicros:
     def test_pump_tick_drains_every_timeout(self):
         spec = next(s for s in BENCHES if s.name == "micro_pump_tick")
         assert spec.make(n_timeouts=2500)()["events"] >= 2500
+
+    def test_allocate_places_on_the_dense_64_peer_domain(self):
+        spec = next(s for s in BENCHES if s.name == "micro_allocate")
+        out = spec.make(n_allocations=40, warmup=5.0)()
+        assert out["events"] == 40
+        metrics = out["metrics"]
+        assert metrics["domain_peers"] == 64
+        assert 0 < metrics["placed"] <= 40
+        assert metrics["paths_examined"] >= metrics["placed"]
 
 
 class TestCli:

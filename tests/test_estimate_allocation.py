@@ -158,6 +158,40 @@ class TestAllocator:
         assert "e3" not in result.edge_ids
         assert all(e.peer_id != "P3" for e in result.path)
 
+    def test_powerless_peer_is_infeasible_not_a_crash(self):
+        """A live JOIN may claim ``power = 0`` (``_rm_admit`` does not
+        validate it): the peer reads as infinitely overloaded, its edges
+        prune, and nothing divides by zero."""
+        info, net, sc = make_domain()
+        info.peer("P2").power = 0.0
+        est = CompletionTimeEstimator()
+        graph = info.resource_graph
+        for edge in graph.edges_at_peer("P2"):
+            assert est.service_time(info, edge, 0.0) == float("inf")
+        e1_e2 = [graph.edge("e1"), graph.edge("e2")]
+        assert est.estimate_path(
+            info, net, e1_e2, 0.0, "P1", "P4", 1e6
+        ) == float("inf")
+        assert est.path_overloads(info, e1_e2, 0.0, 60.0)
+        request = dict(
+            v_init=sc.v_init, v_sol=sc.v_sol, source_peer="P1",
+            sink_peer="P4", in_bytes=sc.source_object.size_bytes, now=0.0,
+        )
+        for policy in ("paper", "exhaustive"):
+            result = Allocator(visited_policy=policy).allocate(
+                info, net, make_task(scenario=sc), **request
+            )
+            # e2 and e4 sit on P2, which leaves {e1, e3} alone.
+            assert result.edge_ids == ["e1", "e3"]
+            assert (result.n_candidates, result.n_examined) == (1, 1)
+        for pid in ("P1", "P3", "P4"):
+            info.peer(pid).power = 0.0
+        with pytest.raises(NoFeasibleAllocation) as exc:
+            Allocator().allocate(
+                info, net, make_task(scenario=sc), **request
+            )
+        assert exc.value.reason == "qos"
+
     def test_no_path_reason(self):
         info, net, sc = make_domain()
         task = make_task(scenario=sc)

@@ -142,7 +142,7 @@ class TestFig1:
         sc = build_fig1_graph()
         found = [
             [e.edge_id for e in p]
-            for p in iter_paths(sc.graph, sc.v_init, sc.v_sol, "paper")
+            for p, _ in iter_paths(sc.graph, sc.v_init, sc.v_sol, "paper")
         ]
         assert found == FIG1_CANDIDATE_PATHS
 
@@ -150,7 +150,7 @@ class TestFig1:
         sc = build_fig1_graph()
         found = sorted(
             tuple(e.edge_id for e in p)
-            for p in iter_paths(sc.graph, sc.v_init, sc.v_sol, "exhaustive")
+            for p, _ in iter_paths(sc.graph, sc.v_init, sc.v_sol, "exhaustive")
         )
         assert found == sorted(tuple(p) for p in FIG1_CANDIDATE_PATHS)
 
