@@ -3,8 +3,9 @@
 
 Same protocol, no simulator network: every node is a process-like
 asyncio endpoint with its own UDP socket and wall-clock event kernel.
-A bootstrap service seeds the domain and runs the §4.1 RM
-qualification election; the winner (the well-provisioned candidate
+A roster agent — the same membership endpoint the sharded runtime runs
+per process — takes the joins and runs the §4.1 RM qualification
+election; the winner (the well-provisioned candidate
 ``M0``) becomes the Resource Manager and the Figure-1 peers P1..P4
 serve the transcoding graph.  A task submitted at P4 travels
 ``TASK_REQUEST -> TASK_ACK -> COMPOSE -> START_STREAM -> STREAM ->

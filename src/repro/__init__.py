@@ -30,7 +30,7 @@ Package map
                       task registry, repair
 ``repro.baselines``   comparison allocation policies
 ``repro.workloads``   populations, arrivals, one-call scenarios
-``repro.results``     run summaries and time series (né ``repro.metrics``)
+``repro.results``     run summaries and time series
 ``repro.telemetry``   tracing + runtime metrics registry
 ``repro.experiments`` the reproduced evaluation (F1-F3, E1-E10)
 """

@@ -1,8 +1,8 @@
 """The ``repro-bench`` performance harness.
 
 :mod:`repro.benchmarking.harness`
-    measurement machinery (warmup/repeat, phase timers, JSON schema,
-    regression gate).
+    measurement machinery (warmup/repeat, phase timers, JSON report
+    schema).
 :mod:`repro.benchmarking.scenarios`
     the pinned macro scenarios and micro benchmarks.
 :mod:`repro.benchmarking.cli`
@@ -13,9 +13,6 @@ from repro.benchmarking.harness import (
     SCHEMA_VERSION,
     BenchRecord,
     PhaseTimer,
-    Regression,
-    find_regressions,
-    load_report,
     report_document,
     run_benchmark,
     write_report,
@@ -26,9 +23,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "BenchRecord",
     "PhaseTimer",
-    "Regression",
-    "find_regressions",
-    "load_report",
     "report_document",
     "run_benchmark",
     "write_report",

@@ -123,8 +123,8 @@ def run_benchmark(
     With ``profile=True``, each recorded run executes under the
     wall-clock sampling profiler and the best run's hot-path report
     lands in :attr:`BenchRecord.profile`.  The profiler thread adds a
-    little overhead, so profiled runs should not be gated against an
-    unprofiled baseline (the CLI refuses).  *profile_period* overrides
+    little overhead, so a profiled run's timings are not comparable
+    with an unprofiled one's.  *profile_period* overrides
     the sampling period — quick rungs finish in well under a second,
     so capturing stacks from them needs a faster clock than the 20 Hz
     default.
@@ -209,56 +209,3 @@ def write_report(path: str, doc: Dict[str, Any]) -> None:
     with open(path, "w", encoding="utf-8") as fp:
         json.dump(doc, fp, indent=2, sort_keys=False)
         fp.write("\n")
-
-
-def load_report(path: str) -> Dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fp:
-        doc = json.load(fp)
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"{path}: unsupported bench schema_version {version!r} "
-            f"(this build reads {SCHEMA_VERSION})"
-        )
-    return doc
-
-
-@dataclass
-class Regression:
-    """One benchmark that got slower than the gate allows."""
-
-    name: str
-    baseline_eps: float
-    current_eps: float
-
-    @property
-    def slowdown_pct(self) -> float:
-        if self.baseline_eps <= 0:
-            return 0.0
-        return (1.0 - self.current_eps / self.baseline_eps) * 100.0
-
-
-def find_regressions(
-    baseline_doc: Dict[str, Any],
-    current: List[BenchRecord],
-    gate_pct: float,
-) -> List[Regression]:
-    """Benchmarks in *current* slower than baseline by > *gate_pct* %.
-
-    Only names present in both runs are compared (quick runs are a
-    subset of full runs), and only via ``events_per_sec`` — wall time
-    alone would punish configs that process more work.
-    """
-    base_eps = {
-        r["name"]: float(r.get("events_per_sec", 0.0))
-        for r in baseline_doc.get("results", [])
-    }
-    out: List[Regression] = []
-    for rec in current:
-        base = base_eps.get(rec.name)
-        if base is None or base <= 0 or rec.events_per_sec <= 0:
-            continue
-        reg = Regression(rec.name, base, rec.events_per_sec)
-        if reg.slowdown_pct > gate_pct:
-            out.append(reg)
-    return out

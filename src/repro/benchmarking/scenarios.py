@@ -70,8 +70,8 @@ def _live_soak(
 ) -> Callable:
     """The sharded runtime soak (``repro-live-soak``) as a ladder rung.
 
-    Wall-clock and multi-process, so excluded from ``--quick`` and
-    never regression-gated on events/sec — its value is the pass/fail
+    Wall-clock and multi-process, so excluded from ``--quick``; its
+    events/sec means nothing — its value is the pass/fail
     acceptance sweep (respawn, convergence, task conservation) plus
     the task-throughput metrics it reports.
     """
@@ -111,7 +111,7 @@ def _sampled_run(scenario, duration: float, timer: PhaseTimer):
 
     Opt-in only (``repro-bench --sample``): the sampler Process adds
     kernel events, so sampled runs are not comparable with unsampled
-    baselines — the CLI refuses to gate them.
+    ones.
     """
     from repro import telemetry
     from repro.telemetry.timeseries import HealthSampler, overlay_probes
@@ -555,7 +555,7 @@ BENCHES: List[BenchSpec] = [
         params={"n_items": 50_000},
         quick_params={"n_items": 15_000},
     ),
-    # Live-layer micros: loopback timing, so not in baseline_quick.json.
+    # Live-layer micros: loopback timing.
     BenchSpec(
         name="micro_udp_roundtrip", family="micro",
         make=_micro_udp_roundtrip,
@@ -567,7 +567,6 @@ BENCHES: List[BenchSpec] = [
         params={"n_timeouts": 200_000},
         quick_params={"n_timeouts": 50_000},
     ),
-    # Added after baseline_quick.json was recorded, so not in it either.
     BenchSpec(
         name="micro_allocate", family="micro", make=_micro_allocate,
         params={"n_allocations": 8_000},

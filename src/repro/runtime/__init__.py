@@ -14,18 +14,16 @@ fabric underneath them:
 :mod:`repro.runtime.node`
     :class:`LiveNode`: one protocol endpoint whose event kernel is
     pumped in wall-clock time on an asyncio loop.
-:mod:`repro.runtime.bootstrap`
-    The registration service that seeds a domain and runs the §4.1 RM
-    qualification election.
-:mod:`repro.runtime.cluster`
-    :class:`LiveCluster`: an in-process N-peers-plus-RM harness for
-    tests and demos.
 :mod:`repro.runtime.roster`
     The decentralized membership replica (ring-ordered, versioned,
-    gossip-merged) behind the sharded runtime.
+    gossip-merged).
 :mod:`repro.runtime.agent`
-    :class:`RosterAgent`: one per shard process — answers joins,
-    gossips the roster, runs the coordinator-side election trigger.
+    :class:`RosterAgent`: the one membership endpoint — answers joins,
+    gossips the roster, runs the §4.1 RM qualification election.  One
+    per shard process; a single-process domain hosts exactly one.
+:mod:`repro.runtime.cluster`
+    :class:`LiveCluster`: an in-process N-peers-plus-RM harness (one
+    agent, one loop) for tests and demos.
 :mod:`repro.runtime.shard`
     :class:`ShardHost`: a child process pumping its bucket of
     :class:`LiveNode` s, reporting over the supervisor's control pipe.
@@ -51,7 +49,6 @@ from repro.runtime.transport import (
     UdpTransport,
 )
 from repro.runtime.node import LiveNode, NodeSpec, SimClockPump
-from repro.runtime.bootstrap import BootstrapServer
 from repro.runtime.cluster import LiveCluster, LiveClusterConfig
 from repro.runtime.roster import Roster, RosterEntry, ring_position
 from repro.runtime.agent import RosterAgent
@@ -77,7 +74,6 @@ __all__ = [
     "LiveNode",
     "NodeSpec",
     "SimClockPump",
-    "BootstrapServer",
     "LiveCluster",
     "LiveClusterConfig",
     "Roster",

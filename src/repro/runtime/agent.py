@@ -1,25 +1,29 @@
-"""Per-shard roster agent: the decentralized replacement for the
-one-shot :class:`~repro.runtime.bootstrap.BootstrapServer`.
+"""Roster agent: the live runtime's one membership endpoint.
 
-Every :class:`~repro.runtime.shard.ShardHost` process runs one
-:class:`RosterAgent` — a membership endpoint on the same reliable UDP
-transport as the nodes.  Agents seed from each other (addresses handed
-out by the supervisor or any live agent), converge a replicated
-:class:`~repro.runtime.roster.Roster`, and *any* of them can answer a
-``join_request``, so there is no single registration point to lose:
+Every live domain forms through a :class:`RosterAgent` — a membership
+endpoint on the same reliable UDP transport as the nodes.  Each
+:class:`~repro.runtime.shard.ShardHost` process runs one; agents seed
+from each other (addresses handed out by the supervisor or any live
+agent), converge a replicated :class:`~repro.runtime.roster.Roster`,
+and *any* of them can answer a ``join_request``, so there is no single
+registration point to lose.  The in-process
+:class:`~repro.runtime.cluster.LiveCluster` is the one-agent case of
+the same protocol: no seeds, nothing to gossip to, the agent is its own
+coordinator.
 
 * **join** — record the member, bump its roster version, broadcast the
   delta to the other agents, and acknowledge with the member's role.
   Before the §4.1 election the ack is deferred; afterwards it is
   immediate and the full capability record is forwarded to the elected
-  RM exactly like the old bootstrap's late-join path.
+  RM, which admits it into the domain information base.
 * **election** — when a replica first sees the expected node population
   and is the ring-lowest live agent (a leaderless, deterministic
   choice), it ranks candidates with the §4.1
   :class:`~repro.overlay.qualification.QualificationPolicy` and
-  broadcasts the result.  The agent hosting the winner announces
-  ``rm_ready`` once the local node has assumed the role; only then do
-  the other agents release their deferred acks — so no peer ever
+  broadcasts the result.  The agent hosting the winner acks it at
+  once; its host calls :meth:`RosterAgent.announce_rm_ready` from the
+  node's ``on_role`` callback, and only then do the agents release
+  their deferred acks and forward the held records — so no peer ever
   heartbeats into a void.
 * **gossip** — roster deltas ride the existing ``gossip_summaries``
   kind (payloads are plain dicts; wire format stays v1), with periodic
@@ -35,8 +39,9 @@ from __future__ import annotations
 
 import asyncio
 import random
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
+from repro import telemetry
 from repro.core import protocol
 from repro.net.message import Message
 from repro.overlay.qualification import QualificationPolicy
@@ -73,7 +78,6 @@ class RosterAgent:
         gossip_period: float = 1.0,
         gossip_fanout: int = 2,
         page_size: int = 100,
-        on_rm_state: Optional[Callable[[str, bool, int], None]] = None,
         rng: Optional[random.Random] = None,
         **transport_kwargs: Any,
     ) -> None:
@@ -86,7 +90,6 @@ class RosterAgent:
         self.gossip_period = gossip_period
         self.gossip_fanout = gossip_fanout
         self.page_size = page_size
-        self.on_rm_state = on_rm_state
         self.rng = rng or random.Random()
         self.transport = UdpTransport(
             self.node_id, directory, self._handle, host=host, port=port,
@@ -96,8 +99,6 @@ class RosterAgent:
         #: pid -> full JOIN_REQUEST payload (capabilities + objects/edges);
         #: kept for RM (re-)introduction, never gossiped.
         self.records: Dict[str, Dict[str, Any]] = {}
-        #: Node ids hosted by this shard's own process.
-        self.local_pids: set = set()
         #: pids that joined but whose ack waits for rm_ready.
         self.pending: Dict[str, bool] = {}
         # RM state replica: (epoch, ready) is monotone; epoch bumps on
@@ -206,30 +207,29 @@ class RosterAgent:
                 return True
         return False
 
-    # -- local node registration ------------------------------------------
-    def register_local(self, pid: str) -> None:
-        """Mark *pid* as hosted in this shard's process (so its record
-        is (re-)introduced to every new RM incarnation)."""
-        self.local_pids.add(pid)
-
+    # -- host hooks --------------------------------------------------------
     def begin_drain(self) -> None:
         """Stop admitting joins; existing members keep being served."""
         self.draining = True
 
     def announce_rm_ready(self) -> None:
-        """Called by the host once the local RM node assumed its role."""
+        """Called by the host once the local RM node assumed its role
+        (every incarnation: a respawned RM announces a new epoch)."""
         state = {
             "rm_id": self.rm_id,
             "ready": True,
             "epoch": self.rm_epoch + 1,
         }
         self._apply_rm_state(state)
-        self._broadcast_entries([], extra_state=True)
+        self._broadcast_entries([])
 
-    def tombstone_local(self, pid: str) -> None:
-        """Departure of a locally hosted node (drain path)."""
+    def tombstone(self, pid: str) -> None:
+        """Departure of a member: tombstone it, forget its record (a
+        later RM incarnation must not be re-introduced to it), and
+        propagate the delta."""
         entry = self.roster.tombstone(pid)
         self.pending.pop(pid, None)
+        self.records.pop(pid, None)
         if entry is not None:
             self._broadcast_entries([entry])
 
@@ -276,25 +276,24 @@ class RosterAgent:
 
     def _handle_leave(self, msg: Message) -> None:
         pid = msg.payload.get("peer_id", msg.src)
-        entry = self.roster.tombstone(pid)
-        self.pending.pop(pid, None)
-        if entry is not None:
-            self._broadcast_entries([entry])
+        self.tombstone(pid)
         self.directory.remove(pid)
 
     def _handle_gossip(self, msg: Message) -> None:
         payload = msg.payload
         docs = payload.get("roster")
-        if isinstance(docs, list):
-            changed = self.roster.merge(docs)
-            self._sync_directory(changed)
-            if changed:
-                # The final member may reach the coordinator via gossip
-                # rather than a local join — check the election here too.
-                self._maybe_elect()
+        changed = self.roster.merge(docs) if isinstance(docs, list) else []
+        self._sync_directory(changed)
         state = payload.get("rm")
         if isinstance(state, dict):
             self._apply_rm_state(state)
+        if changed:
+            # The final member may reach the coordinator via gossip
+            # rather than a local join — check the election here too
+            # (after the sender's RM state: a respawned coordinator
+            # pulling the roster must adopt the standing RM, not
+            # re-elect one).
+            self._maybe_elect()
         pull = payload.get("pull_reply")
         if isinstance(pull, dict) and self._pull_future is not None:
             if not self._pull_future.done():
@@ -339,8 +338,14 @@ class RosterAgent:
         self.log.info(
             "elected %s over %d candidates", rm_id, len(candidates)
         )
+        tel = telemetry.current()
+        if tel.enabled:
+            tel.tracer.event(
+                "rm.elected", node=self.node_id, rm=rm_id,
+                members=len(candidates),
+            )
         self._apply_rm_state({"rm_id": rm_id, "ready": False, "epoch": 1})
-        self._broadcast_entries([], extra_state=True)
+        self._broadcast_entries([])
 
     def _rm_state(self) -> Dict[str, Any]:
         return {
@@ -365,8 +370,6 @@ class RosterAgent:
             # This shard hosts the winner: ack it so it assumes the role.
             self.pending.pop(rm_id, None)
             self._ack(rm_id, role="rm")
-        if self.on_rm_state is not None:
-            self.on_rm_state(rm_id, ready, epoch)
         if ready and self._forwarded_epoch < epoch:
             self._forwarded_epoch = epoch
             for pid in list(self.pending):
@@ -382,9 +385,9 @@ class RosterAgent:
     # -- outbound ----------------------------------------------------------
     def _ack(self, pid: str, role: str) -> None:
         roster_slice: Dict[str, Dict[str, Any]] = {}
-        # Address-only entries (no "power" key — the live node skips
-        # info-base admission for these): the RM and this agent, enough
-        # for an external v1 node to reach the control plane.
+        # Address-only entries: the RM and this agent, enough for a
+        # node with a per-process directory to reach the control plane.
+        # Capability records reach the RM as forwarded JOIN_REQUESTs.
         if self.rm_id is not None:
             rm_entry = self.roster.get(self.rm_id)
             if rm_entry is not None:
@@ -408,7 +411,7 @@ class RosterAgent:
         ))
 
     def _forward_record(self, pid: str) -> None:
-        """Hand a member's full record to the RM (old bootstrap path)."""
+        """Hand a member's full record to the RM for admission."""
         rec = self.records.get(pid)
         if rec is None or self.rm_id is None:
             return
@@ -431,11 +434,8 @@ class RosterAgent:
         known.discard(self.node_id)
         return sorted(known)
 
-    def _broadcast_entries(
-        self, entries: List[RosterEntry], extra_state: bool = False
-    ) -> None:
+    def _broadcast_entries(self, entries: List[RosterEntry]) -> None:
         """Push a delta (and always the RM state) to every known agent."""
-        del extra_state  # state rides every broadcast regardless
         payload = {
             "roster": [e.to_wire() for e in entries],
             "rm": self._rm_state(),

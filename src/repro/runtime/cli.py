@@ -1,7 +1,7 @@
 """``repro-live`` — run a live UDP domain and stream one media task.
 
 Boots an in-process :class:`~repro.runtime.cluster.LiveCluster`
-(bootstrap + RM candidate + N peers on localhost UDP sockets), submits
+(roster agent + RM candidate + N peers on localhost UDP sockets), submits
 a Figure-1 media task from a peer, waits for the ``TASK_REQUEST →
 TASK_ACK → COMPOSE → STREAM → TASK_DONE`` chain to finish over the
 wire, and prints per-node traffic summaries.
@@ -38,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-live",
         description=(
             "Run the middleware protocol over real localhost UDP sockets: "
-            "bootstrap a domain, elect an RM, and stream a media task."
+            "form a domain, elect an RM, and stream a media task."
         ),
     )
     parser.add_argument(

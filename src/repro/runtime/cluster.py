@@ -1,11 +1,13 @@
 """An in-process live domain: N peers + 1 elected RM over localhost UDP.
 
 :class:`LiveCluster` is the harness tests and demos build on.  It
-spawns a :class:`~repro.runtime.bootstrap.BootstrapServer` plus one
+hosts one :class:`~repro.runtime.agent.RosterAgent` — the same
+membership endpoint every shard of the multi-process runtime runs; with
+no seed agents it is its own coordinator — plus one
 :class:`~repro.runtime.node.LiveNode` per spec on a single asyncio
-loop, waits for registration + RM election, and exposes an async
-application API (submit a task, await its completion, read per-node
-traffic summaries).
+loop, waits until the elected RM has admitted every peer, and exposes
+an async application API (submit a task, await its completion, read
+per-node traffic summaries).
 
 The default population is the paper's Figure-1 worked example: peers
 ``P1..P4`` hosting the eight transcoding edges (``P1`` stores the
@@ -23,7 +25,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.manager import RMConfig
 from repro.media.fig1 import build_fig1_graph
 from repro.media.objects import MediaObject
-from repro.runtime.bootstrap import BOOTSTRAP_ID, BootstrapServer
+from repro.runtime.agent import RosterAgent
 from repro.runtime.node import LiveNode, NodeSpec
 from repro.runtime.transport import PeerDirectory
 from repro.tasks.task import ApplicationTask
@@ -98,7 +100,7 @@ def fig1_specs(cfg: LiveClusterConfig) -> List[NodeSpec]:
 
 
 class LiveCluster:
-    """1 bootstrap + N live nodes on one asyncio loop."""
+    """1 roster agent + N live nodes on one asyncio loop."""
 
     def __init__(
         self,
@@ -108,7 +110,7 @@ class LiveCluster:
         self.config = config or LiveClusterConfig()
         self.specs = specs if specs is not None else fig1_specs(self.config)
         self.directory = PeerDirectory()
-        self.bootstrap: Optional[BootstrapServer] = None
+        self.agent: Optional[RosterAgent] = None
         self.nodes: Dict[str, LiveNode] = {}
         #: (wall-ish sim time, task_id, event) in arrival order.
         self.task_events: List[Tuple[float, str, str]] = []
@@ -133,26 +135,39 @@ class LiveCluster:
             rm_config.placement_policy = cfg.placement_policy
         if cfg.enable_defense:
             rm_config.enable_defense = True
-        self.bootstrap = BootstrapServer(
-            self.directory,
-            expected_peers=len(self.specs),
+        self.agent = RosterAgent(
+            "s0", self.directory,
             domain_id=cfg.domain_id,
+            expected_nodes=len(self.specs),
             host=cfg.host,
             **cfg.transport_kwargs,
         )
-        await self.bootstrap.start()
+        await self.agent.start()
         for spec in self.specs:
             self.nodes[spec.node_id] = LiveNode(
-                spec, self.directory,
-                bootstrap_id=BOOTSTRAP_ID,
+                spec, self.directory, self.agent.node_id,
                 host=cfg.host,
                 rm_config=rm_config,
                 on_task_event=self._on_task_event,
                 join_timeout=cfg.join_timeout,
+                on_role=self._on_role,
                 **cfg.transport_kwargs,
             )
         await asyncio.gather(*(n.start() for n in self.nodes.values()))
+        # Every peer holds its ack, but the records the agent forwarded
+        # with those acks may still be in flight to the RM: its join
+        # handler resolves this once the last one is admitted.
+        await asyncio.wait_for(
+            self.rm_node.admitted(len(self.specs) - 1), cfg.join_timeout
+        )
         return self
+
+    def _on_role(self, node: LiveNode) -> None:
+        """The elected RM is up: have the agent ack the waiting peers
+        and forward their records to it."""
+        if node.role == "rm":
+            assert self.agent is not None
+            self.agent.announce_rm_ready()
 
     async def stop(self) -> None:
         if self.sampler is not None:
@@ -162,8 +177,8 @@ class LiveCluster:
             *(n.stop() for n in self.nodes.values()),
             return_exceptions=True,
         )
-        if self.bootstrap is not None:
-            await self.bootstrap.transport.aclose()
+        if self.agent is not None:
+            await self.agent.close()
 
     async def __aenter__(self) -> "LiveCluster":
         return await self.start()
@@ -184,9 +199,9 @@ class LiveCluster:
 
     async def add_peer(self, spec: NodeSpec) -> LiveNode:
         """Late join: register a new peer with the running domain."""
+        assert self.agent is not None
         node = LiveNode(
-            spec, self.directory,
-            bootstrap_id=BOOTSTRAP_ID,
+            spec, self.directory, self.agent.node_id,
             host=self.config.host,
             join_timeout=self.config.join_timeout,
             **self.config.transport_kwargs,
@@ -279,10 +294,10 @@ class LiveCluster:
         return sampler
 
     def summaries(self) -> Dict[str, Dict[str, Any]]:
-        """Per-node traffic summaries (plus the bootstrap's)."""
+        """Per-node traffic summaries (plus the roster agent's)."""
         out = {nid: n.summary() for nid, n in self.nodes.items()}
-        if self.bootstrap is not None:
-            out[self.bootstrap.node_id] = self.bootstrap.transport.summary()
+        if self.agent is not None:
+            out[self.agent.node_id] = self.agent.transport.summary()
         return out
 
     def aggregate_summary(self) -> Dict[str, Any]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.core import protocol
 from repro.core.info_base import PeerRecord
@@ -181,19 +181,24 @@ class LiveNode:
     """One middleware process: socket + event kernel + protocol endpoint.
 
     Lifecycle: :meth:`start` binds the UDP socket, starts the clock
-    pump, registers with the bootstrap service, and — once the
+    pump, registers with its roster agent (*agent_id*), and — once the
     ``JOIN_ACK`` assigns a role — constructs the *ordinary* protocol
     object (a :class:`Peer`, or a :class:`ResourceManager` if this node
-    won the §4.1 qualification election).  From then on the node is
-    indistinguishable from its simulated twin: same handlers, same
-    message kinds, same timeouts.
+    won the §4.1 qualification election) and calls *on_role* with
+    itself.  From then on the node is indistinguishable from its
+    simulated twin: same handlers, same message kinds, same timeouts.
+
+    There is one ``JOIN_ACK`` shape: role, ``rm_id``, ``domain_id`` and
+    an address-only roster slice.  An RM learns its members'
+    capabilities from the ``JOIN_REQUEST`` records the agents forward
+    once its host has announced it ready.
     """
 
     def __init__(
         self,
         spec: NodeSpec,
         directory: PeerDirectory,
-        bootstrap_id: str = "bootstrap",
+        agent_id: str,
         host: str = "127.0.0.1",
         port: int = 0,
         rm_config: Optional[RMConfig] = None,
@@ -201,11 +206,12 @@ class LiveNode:
         on_task_event: Optional[TaskEventFn] = None,
         join_timeout: float = 10.0,
         join_extra: Optional[Dict[str, Any]] = None,
+        on_role: Optional[Callable[["LiveNode"], None]] = None,
         **transport_kwargs: Any,
     ) -> None:
         self.spec = spec
         self.node_id = spec.node_id
-        self.bootstrap_id = bootstrap_id
+        self.agent_id = agent_id
         self.rm_config = rm_config
         self.allocator = allocator
         self.on_task_event = on_task_event
@@ -213,6 +219,9 @@ class LiveNode:
         #: Extra keys merged into the JOIN_REQUEST payload (e.g. the
         #: hosting shard id in the sharded runtime).
         self.join_extra = dict(join_extra or {})
+        #: Called with this node once it has assumed its role (the
+        #: RM's host announces ``rm_ready`` from here).
+        self.on_role = on_role
         self.env = Environment()
         self.pump = SimClockPump(self.env)
         self.directory = directory
@@ -227,6 +236,8 @@ class LiveNode:
         self.domain_id: Optional[str] = None
         self._joined = asyncio.Event()
         self._join_payload: Optional[Dict[str, Any]] = None
+        #: (member count, future) a host awaits via :meth:`admitted`.
+        self._admit_goal: Optional[Tuple[int, "asyncio.Future[None]"]] = None
         self._pump_task: Optional[asyncio.Task] = None
         self.log = get_logger("runtime.node", spec.node_id)
 
@@ -236,7 +247,7 @@ class LiveNode:
         await self.transport.start()
         self.log.info(
             "bound %s:%s, joining via %s",
-            self.transport.host, self.transport.port, self.bootstrap_id,
+            self.transport.host, self.transport.port, self.agent_id,
         )
         self._pump_task = asyncio.get_running_loop().create_task(
             self.pump.run(), name=f"pump:{self.node_id}"
@@ -255,7 +266,7 @@ class LiveNode:
             self.transport.send(Message(
                 kind=protocol.JOIN_REQUEST,
                 src=self.node_id,
-                dst=self.bootstrap_id,
+                dst=self.agent_id,
                 payload=self._join_request_payload(),
                 size=protocol.size_of(protocol.JOIN_REQUEST),
             ))
@@ -298,11 +309,11 @@ class LiveNode:
         }
 
     async def leave(self) -> None:
-        """Graceful departure: PEER_LEAVE to RM and bootstrap, then down."""
+        """Graceful departure: PEER_LEAVE to RM and agent, then down."""
         payload = {"peer_id": self.node_id}
         self.transport.send(Message(
             kind=protocol.PEER_LEAVE, src=self.node_id,
-            dst=self.bootstrap_id, payload=payload,
+            dst=self.agent_id, payload=payload,
             size=protocol.size_of(protocol.PEER_LEAVE),
         ))
         if self.node is not None and self.node.alive:
@@ -324,7 +335,7 @@ class LiveNode:
     # -- wiring ------------------------------------------------------------
     def _on_wire_message(self, msg: Message) -> None:
         if self.node is None:
-            # Pre-role phase: only the bootstrap handshake is understood.
+            # Pre-role phase: only the join handshake is understood.
             if msg.kind == protocol.JOIN_ACK and not self._joined.is_set():
                 self._join_payload = msg.payload
                 self._joined.set()
@@ -337,8 +348,8 @@ class LiveNode:
         self.rm_id = ack["rm_id"]
         self.domain_id = ack.get("domain_id", "d0")
         roster: Dict[str, Dict[str, Any]] = ack.get("roster", {})
-        # Learn every member's address (a shared directory already has
-        # them; a per-process one needs this).
+        # Learn the RM's and the agent's address (a shared directory
+        # already has them; a per-process one needs this).
         for pid, rec in roster.items():
             if pid != self.node_id and pid not in self.directory:
                 self.directory.add(pid, rec["host"], rec["port"])
@@ -350,13 +361,10 @@ class LiveNode:
                 peer_config=self.spec.peer_config(),
                 on_task_event=self.on_task_event,
             )
-            # Membership wiring for the live join protocol: the
-            # bootstrap forwards JOIN_REQUESTs here; admission reuses
-            # the same roster/info-base paths as the simulator overlay.
+            # Membership wiring for the live join protocol: the roster
+            # agents forward JOIN_REQUESTs here; admission reuses the
+            # same roster/info-base paths as the simulator overlay.
             node.on(protocol.JOIN_REQUEST, self._make_rm_join_handler(node))
-            for pid, rec in roster.items():
-                if pid != self.node_id:
-                    self._rm_admit(node, rec)
         else:
             node = Peer(
                 self.env, self.transport, self.node_id,
@@ -373,12 +381,11 @@ class LiveNode:
             self.role, self.rm_id, self.domain_id,
         )
         self.pump.kick()
+        if self.on_role is not None:
+            self.on_role(self)
 
     def _rm_admit(self, rm: ResourceManager, rec: Dict[str, Any]) -> None:
         """Fold one announced member into the RM's information base."""
-        if "power" not in rec:
-            return  # address-only roster slice (sharded ack); the full
-            # capability record arrives via a roster-agent forward
         if rm.info.has_peer(rec["peer_id"]):
             return
         rm.admit_peer(
@@ -404,7 +411,27 @@ class LiveNode:
             rec = msg.payload
             self.directory.add(rec["peer_id"], rec["host"], rec["port"])
             self._rm_admit(rm, rec)
+            self._check_admitted()
         return handle_join
+
+    def admitted(self, n_peers: int) -> "asyncio.Future[None]":
+        """RM role: a future the join handler resolves once the
+        information base holds *n_peers* members — hosts await domain
+        formation on it instead of polling.  One waiter at a time."""
+        if not isinstance(self.node, ResourceManager):
+            raise RuntimeError(f"{self.node_id} is not the RM")
+        future = asyncio.get_running_loop().create_future()
+        self._admit_goal = (n_peers, future)
+        self._check_admitted()
+        return future
+
+    def _check_admitted(self) -> None:
+        if self._admit_goal is not None:
+            n_peers, future = self._admit_goal
+            if self.node.info.n_peers >= n_peers:
+                self._admit_goal = None
+                if not future.done():
+                    future.set_result(None)
 
     # -- application API ---------------------------------------------------
     def submit_task(

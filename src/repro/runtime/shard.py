@@ -195,7 +195,6 @@ class ShardHost:
             expected_nodes=cfg.expected_nodes,
             host=cfg.host,
             gossip_period=cfg.gossip_period,
-            on_rm_state=self._on_rm_state,
             rng=self._rng,
             **cfg.transport_kwargs,
         )
@@ -226,15 +225,14 @@ class ShardHost:
             pulled = await self.agent.pull_roster(timeout=cfg.join_timeout)
             self.log.info("respawn roster pull: ok=%s", pulled)
         for spec in cfg.specs:
-            self.agent.register_local(spec.node_id)
             self.nodes[spec.node_id] = LiveNode(
-                spec, self.directory,
-                bootstrap_id=self.agent.node_id,
+                spec, self.directory, self.agent.node_id,
                 host=cfg.host,
                 rm_config=cfg.rm_config,
                 on_task_event=self._on_task_event,
                 join_timeout=cfg.join_timeout,
                 join_extra={"shard": cfg.shard_id},
+                on_role=self._on_role,
                 **cfg.transport_kwargs,
             )
         await asyncio.gather(*(n.start() for n in self.nodes.values()))
@@ -255,24 +253,15 @@ class ShardHost:
                 self._ship_loop(), name=f"ship:{cfg.shard_id}"
             ))
 
-    # -- RM watch ----------------------------------------------------------
-    def _on_rm_state(self, rm_id: str, ready: bool, epoch: int) -> None:
-        """Agent callback: if this shard hosts the elected RM, announce
-        rm_ready once the local node has actually assumed the role."""
-        if ready or rm_id not in self.nodes or self._loop is None:
-            return
-        self._loop.create_task(
-            self._watch_rm(rm_id, epoch), name=f"rmwatch:{self.cfg.shard_id}"
-        )
-
-    async def _watch_rm(self, rm_id: str, epoch: int) -> None:
-        node = self.nodes[rm_id]
-        while node.role != "rm" or node.node is None:
-            await asyncio.sleep(0.05)
-        assert self.agent is not None
-        if not self.agent.rm_ready:
+    def _on_role(self, node: LiveNode) -> None:
+        """Node callback: this shard hosts the elected RM and it has
+        assumed the role — announce rm_ready on a new epoch."""
+        if node.role == "rm":
+            assert self.agent is not None
             self.agent.announce_rm_ready()
-            self.log.info("rm %s ready (epoch %d)", rm_id, epoch + 1)
+            self.log.info(
+                "rm %s ready (epoch %d)", node.node_id, self.agent.rm_epoch
+            )
 
     # -- control pipe ------------------------------------------------------
     async def _pipe_loop(self) -> None:
@@ -558,7 +547,7 @@ class ShardHost:
                 await asyncio.wait_for(node.leave(), 5.0)
             except Exception:
                 clean = False
-            self.agent.tombstone_local(node.node_id)
+            self.agent.tombstone(node.node_id)
         return clean
 
     def _final_flush(self) -> None:

@@ -126,9 +126,10 @@ class SimTransport(Transport):
 class PeerDirectory:
     """node id -> UDP address book (the live runtime's name service).
 
-    The bootstrap service fills it as peers register; join
-    acknowledgements carry the roster so every node can populate its
-    own copy (one process may share a single instance).
+    The roster agent fills it as peers register; join
+    acknowledgements carry the RM's and the agent's address so every
+    node can populate its own copy (one process may share a single
+    instance).
     """
 
     def __init__(self) -> None:

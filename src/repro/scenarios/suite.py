@@ -4,8 +4,7 @@ Discovers pinned scenario configs (``benchmarks/scenarios/*.json`` by
 convention), runs each through the DSL builder with the same
 warmup/repeat discipline as the performance suite, and returns
 :class:`BenchRecord` s whose ``metrics`` carry the full per-scenario
-metrics document — so the report stays schema-compatible with the
-existing ``--baseline`` / ``--gate-pct`` regression gate.
+metrics document — so the report keeps the performance suite's schema.
 """
 
 from __future__ import annotations

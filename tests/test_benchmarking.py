@@ -1,4 +1,4 @@
-"""The repro-bench harness: measurement, report schema, regression gate."""
+"""The repro-bench harness: measurement and report schema."""
 
 import json
 
@@ -9,14 +9,16 @@ from repro.benchmarking.harness import (
     SCHEMA_VERSION,
     BenchRecord,
     PhaseTimer,
-    Regression,
-    find_regressions,
-    load_report,
     report_document,
     run_benchmark,
     write_report,
 )
 from repro.benchmarking.scenarios import BENCHES, select
+
+
+def load_report(path):
+    with open(path, encoding="utf-8") as fp:
+        return json.load(fp)
 
 
 def _toy_bench(counter):
@@ -96,32 +98,6 @@ class TestReportRoundTrip:
         assert loaded["results"][0]["name"] == "toy"
         assert loaded["results"][0]["events_per_sec"] == 123.0
 
-    def test_unsupported_schema_version_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema_version": 999, "results": []}))
-        with pytest.raises(ValueError, match="schema_version"):
-            load_report(str(path))
-
-    def test_regression_gate(self):
-        baseline = {
-            "schema_version": SCHEMA_VERSION,
-            "results": [
-                {"name": "fast", "events_per_sec": 1000.0},
-                {"name": "steady", "events_per_sec": 1000.0},
-                {"name": "gone", "events_per_sec": 1000.0},
-            ],
-        }
-        current = [
-            self._record("fast", eps=500.0),     # 50% slower -> flagged
-            self._record("steady", eps=900.0),   # 10% slower -> ok
-            self._record("new", eps=1.0),        # not in baseline -> skip
-        ]
-        regs = find_regressions(baseline, current, gate_pct=25.0)
-        assert [r.name for r in regs] == ["fast"]
-        assert regs[0].slowdown_pct == pytest.approx(50.0)
-
-    def test_regression_slowdown_pct_guards_zero_baseline(self):
-        assert Regression("x", 0.0, 10.0).slowdown_pct == 0.0
 
 
 class TestSelect:
@@ -155,16 +131,11 @@ class TestUngatedMicros:
     NAMES = {"micro_udp_roundtrip", "micro_pump_tick", "micro_allocate"}
 
     def test_listed_in_family_micro_but_not_gated(self):
+        # Nothing is gated any more (the events/sec gate is gone); the
+        # micros must still be registered, and run by --quick.
         specs = {s.name: s for s in select(quick=True)}
         assert self.NAMES <= set(specs)
         assert all(specs[n].family == "micro" for n in self.NAMES)
-        # Loopback timing is not gateable on shared CI runners, and
-        # the allocation micro postdates the recorded baseline.
-        gated = {
-            r["name"]
-            for r in load_report("benchmarks/baseline_quick.json")["results"]
-        }
-        assert not (self.NAMES & gated)
 
     def test_udp_roundtrip_delivers_every_message(self):
         spec = next(s for s in BENCHES if s.name == "micro_udp_roundtrip")
@@ -209,33 +180,3 @@ class TestCli:
         assert rec["name"] == "micro_mailbox"
         assert rec["events"] > 0
         assert rec["events_per_sec"] > 0
-
-    def test_baseline_gate_fails_on_regression(self, tmp_path, capsys):
-        # A baseline with an absurdly high events/sec forces the gate
-        # to trip without a second (slow) benchmark run.
-        base = {
-            "schema_version": SCHEMA_VERSION,
-            "bench_id": "BENCH_T",
-            "mode": "quick",
-            "results": [
-                {"name": "micro_mailbox", "events_per_sec": 1e15},
-            ],
-        }
-        base_path = tmp_path / "base.json"
-        base_path.write_text(json.dumps(base))
-        rc = cli.main([
-            "--quick", "--only", "micro_mailbox", "--out", "-",
-            "--warmup", "0", "--repeat", "1",
-            "--baseline", str(base_path),
-        ])
-        assert rc == 1
-        assert "REGRESSION" in capsys.readouterr().err
-
-    def test_missing_baseline_is_a_clean_error(self, tmp_path, capsys):
-        rc = cli.main([
-            "--quick", "--only", "micro_mailbox", "--out", "-",
-            "--warmup", "0", "--repeat", "1",
-            "--baseline", str(tmp_path / "does_not_exist.json"),
-        ])
-        assert rc == 2
-        assert "baseline file not found" in capsys.readouterr().err

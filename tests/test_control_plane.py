@@ -3,13 +3,9 @@
 Covers the refactor's contract: the task registry's snapshot/restore
 round-trip keeps in-flight tasks across a backup takeover (no lost or
 duplicated state), redirect targeting honors the summary staleness
-bound, the placement-policy registry resolves names and custom
-policies, and the repro.metrics -> repro.results rename shim keeps old
-imports working.
+bound, and the placement-policy registry resolves names and custom
+policies.
 """
-
-import sys
-import warnings
 
 import pytest
 
@@ -250,29 +246,3 @@ class TestPolicyRegistry:
 
         assert CallablePolicy(select_first).name == "first"
         assert CallablePolicy(RandomSelector()).name == "random"
-
-
-class TestResultsRenameShim:
-    def test_repro_metrics_warns_and_aliases(self):
-        for mod in [m for m in sys.modules if m.startswith("repro.metrics")]:
-            sys.modules.pop(mod)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            import repro.metrics  # noqa: F401
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-
-    def test_shim_exports_are_the_real_objects(self):
-        from repro.metrics import MetricsCollector as shimmed
-        from repro.metrics.collector import MetricsCollector as submodule
-        from repro.results.collector import MetricsCollector as real
-
-        assert shimmed is real
-        assert submodule is real
-
-    def test_timeseries_submodule_alias(self):
-        from repro.metrics.timeseries import TimeSeries as shimmed
-        from repro.results.timeseries import TimeSeries as real
-
-        assert shimmed is real

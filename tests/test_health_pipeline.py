@@ -5,15 +5,13 @@ Covers the tentpole surfaces end to end — simulated overlay probes
 feeding ring-buffered series, anomaly-triggered flight bundles (RM
 failover / deadline-miss burst / UDP retry storm, each exactly one dump
 under cooldown), the Prometheus ``/metrics`` + ``/healthz`` endpoint —
-plus the satellites: metric-name aliases, histogram quantile helpers,
-and the ``repro.metrics`` deprecation shim under ``-W error``.
+plus the satellites: metric-name aliases and histogram quantile
+helpers.
 """
 
 from __future__ import annotations
 
 import json
-import subprocess
-import sys
 import urllib.request
 
 import pytest
@@ -381,53 +379,6 @@ class TestMetricNames:
         assert qos_class(2.5) == "high"
         assert qos_class(1.0) == "normal"
         assert qos_class(0.4) == "low"
-
-
-# -- deprecation shim --------------------------------------------------------
-
-class TestMetricsShim:
-    def test_both_paths_import_and_warn_once(self):
-        script = (
-            "import warnings\n"
-            "with warnings.catch_warnings(record=True) as w:\n"
-            "    warnings.simplefilter('always')\n"
-            "    from repro.metrics import MetricsCollector\n"
-            "    from repro.metrics.timeseries import TimeSeries\n"
-            "from repro.results import MetricsCollector as M2\n"
-            "assert MetricsCollector is M2\n"
-            "assert sum(issubclass(x.category, DeprecationWarning)"
-            " for x in w) == 1\n"
-            "print('ok')\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, env={"PYTHONPATH": "src"},
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "ok"
-
-    def test_shim_under_error_on_deprecation_warning(self):
-        """Under -W error the new path stays clean, and the old path
-        raises the DeprecationWarning itself — not an AttributeError
-        or ImportError from a half-initialized module."""
-        script = (
-            "from repro.results import MetricsCollector  # clean\n"
-            "from repro.results.timeseries import TimeSeries\n"
-            "try:\n"
-            "    import repro.metrics\n"
-            "except DeprecationWarning as exc:\n"
-            "    assert 'repro.results' in str(exc)\n"
-            "else:\n"
-            "    raise SystemExit('expected the warning to raise')\n"
-            "print('ok')\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::DeprecationWarning",
-             "-c", script],
-            capture_output=True, text=True, env={"PYTHONPATH": "src"},
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "ok"
 
 
 # -- repro-dash CLI ----------------------------------------------------------

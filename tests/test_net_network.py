@@ -246,7 +246,7 @@ class TestPartitions:
         assert summary["partition_drops"] == 1
         class FakeCluster:
             nodes: dict = {}
-            bootstrap = None
+            agent = None
             summaries = LiveCluster.summaries
 
         agg = LiveCluster.aggregate_summary(FakeCluster())

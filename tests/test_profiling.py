@@ -674,12 +674,6 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["x.json", "--profile-folded", "f.folded"])
 
-    def test_repro_bench_profile_refuses_baseline(self):
-        from repro.benchmarking.cli import main
-
-        with pytest.raises(SystemExit):
-            main(["--profile", "--baseline", "b.json"])
-
     def test_repro_bench_profile_hot_paths(self, tmp_path, capsys):
         from repro.benchmarking.cli import main
 

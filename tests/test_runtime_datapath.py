@@ -92,7 +92,7 @@ def test_raising_sim_process_kills_the_pump_loudly(capture_log):
     records = capture_log("repro.runtime.node")
 
     async def main():
-        node = LiveNode(NodeSpec(node_id="P1"), PeerDirectory())
+        node = LiveNode(NodeSpec(node_id="P1"), PeerDirectory(), "roster@s0")
         env = node.env
 
         def doomed():

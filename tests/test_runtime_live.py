@@ -1,7 +1,7 @@
 """End-to-end: a live domain over localhost UDP completes a media task.
 
 The acceptance scenario for the live runtime: a
-:class:`~repro.runtime.cluster.LiveCluster` of one bootstrap, one
+:class:`~repro.runtime.cluster.LiveCluster` of one roster agent, one
 elected RM and four peers — real sockets, wall-clock event kernels —
 admits and completes a Figure-1 transcoding task through the full
 ``TASK_REQUEST -> TASK_ACK -> COMPOSE -> START_STREAM -> STREAM ->
@@ -20,8 +20,12 @@ from repro.core import protocol
 from repro.core.manager import ResourceManager
 from repro.core.peer import Peer
 from repro.net.network import ConstantLatency, Network
-from repro.runtime.cluster import LiveCluster, LiveClusterConfig
-from repro.runtime.node import NodeSpec
+from repro.runtime.cluster import (
+    LiveCluster,
+    LiveClusterConfig,
+    fig1_specs,
+)
+from repro.runtime.node import LiveNode, NodeSpec
 from repro.sim.core import Environment
 
 pytestmark = pytest.mark.integration
@@ -61,15 +65,29 @@ def live_run():
                 if tid == ack["task_id"]
             ]
 
-            # Late join through the bootstrap -> RM forwarding path.
+            # Late join through the agent -> RM forwarding path.
             await cluster.add_peer(NodeSpec(node_id="P9", power=8.0))
-            await asyncio.sleep(0.1)
+            await asyncio.wait_for(rm.admitted(5), 5.0)
             out["p9_admitted"] = rm.node.info.has_peer("P9")
+            out["p9_roster"] = cluster.agent.roster.get("P9").up
+            out["members_joined"] = (
+                sorted(rm.node.info.peers),
+                sorted(e.member_id for e in cluster.agent.roster.nodes_up()),
+            )
 
-            # Graceful departure prunes the roster via PEER_LEAVE.
+            # Graceful departure prunes both views via PEER_LEAVE.
             await cluster.remove_peer("P9")
-            await asyncio.sleep(0.1)
+            for _ in range(100):
+                if not rm.node.info.has_peer("P9"):
+                    break
+                await asyncio.sleep(0.02)
             out["p9_after_leave"] = rm.node.info.has_peer("P9")
+            out["p9_roster_after_leave"] = cluster.agent.roster.get("P9").up
+            out["p9_record_held"] = "P9" in cluster.agent.records
+            out["members_left"] = (
+                sorted(rm.node.info.peers),
+                sorted(e.member_id for e in cluster.agent.roster.nodes_up()),
+            )
 
             # Idle past one profiler period so at least one wall-clock
             # LOAD_UPDATE heartbeat crosses the wire.
@@ -132,7 +150,7 @@ def test_live_handlers_are_the_simulator_handlers(live_run):
     for kind, fn in sim_rm_table.items():
         assert live_rm_table[kind] is fn, f"forked RM handler for {kind}"
     # The only live-side addition is membership wiring (JOIN_REQUEST
-    # forwarded by the bootstrap) — not a protocol fork.
+    # forwarded by the roster agent) — not a protocol fork.
     assert set(live_rm_table) - set(sim_rm_table) == {protocol.JOIN_REQUEST}
 
     sim_peer_table = table(sim_peer._handlers)
@@ -148,11 +166,114 @@ def test_membership_churn_over_the_wire(live_run):
     assert live_run["p9_after_leave"] is False
 
 
+def test_late_join_and_leave_keep_rm_and_agent_in_agreement(live_run):
+    """The RM's information base (everyone but itself) and the agent's
+    roster hold the same members after a late join and after a leave;
+    a departed member's record is not kept for re-introduction."""
+    assert live_run["p9_roster"] is True
+    info, roster = live_run["members_joined"]
+    assert info == ["P1", "P2", "P3", "P4", "P9"]
+    assert roster == sorted(info + [live_run["rm_id"]])
+    assert live_run["p9_roster_after_leave"] is False
+    assert live_run["p9_record_held"] is False
+    info, roster = live_run["members_left"]
+    assert info == ["P1", "P2", "P3", "P4"]
+    assert roster == sorted(info + [live_run["rm_id"]])
+
+
+def test_agent_summary_rides_with_the_nodes(live_run):
+    assert "roster@s0" in live_run["summaries"]
+    assert set(live_run["summaries"]) == {
+        "roster@s0", "M0", "P1", "P2", "P3", "P4",
+    }
+
+
+def _fig1x4_specs(cfg):
+    """M0 plus the four Fig-1 peers replicated x4: 17 nodes."""
+    candidate, *peers = fig1_specs(cfg)
+    specs = [candidate]
+    for spec in peers:
+        for r in "abcd":
+            specs.append(NodeSpec(
+                node_id=spec.node_id + r, power=spec.power,
+                bandwidth=spec.bandwidth, uptime=spec.uptime,
+                objects=list(spec.objects),
+                service_edges=[
+                    dict(edge, edge_id=edge["edge_id"] + r)
+                    for edge in spec.service_edges
+                ],
+            ))
+    return specs
+
+
+def test_submit_right_after_start_is_accepted():
+    """``start()`` returns only once the RM has admitted every peer —
+    the agent acks the peers and forwards their records together, so a
+    task submitted at once must still find the whole domain.  No sleep
+    between ``start`` and ``submit``; fresh clusters, repeated."""
+    async def once():
+        cfg = LiveClusterConfig(object_duration_s=0.2)
+        async with LiveCluster(cfg, specs=_fig1x4_specs(cfg)) as cluster:
+            assert len(cluster.nodes) == 17
+            assert cluster.rm_node.node.info.n_peers == 16
+            ack = await cluster.submit("P4a", timeout=10.0)
+            assert ack["disposition"] == "accepted", ack
+            tasks = {t.get_name() for t in asyncio.all_tasks()}
+            assert not any(name.startswith("rmwatch:") for name in tasks)
+
+    for _ in range(5):
+        run(once())
+
+
+def test_unqualified_domain_still_elects_the_most_affluent():
+    """Nobody clears the §4.1 minimums (power 5, bandwidth 1e6, uptime
+    0.7): the domain must still get a leader — the node with the
+    largest power x bandwidth x uptime product."""
+    async def main():
+        specs = [
+            NodeSpec(node_id="A", power=1.0, bandwidth=1e5, uptime=0.5),
+            NodeSpec(node_id="B", power=4.0, bandwidth=9e5, uptime=0.6),
+            NodeSpec(node_id="C", power=2.0, bandwidth=5e5, uptime=0.6),
+        ]
+        async with LiveCluster(specs=specs) as cluster:
+            assert cluster.rm_node.node_id == "B"
+            assert sorted(n.node_id for n in cluster.peers()) == ["A", "C"]
+            assert sorted(cluster.rm_node.node.info.peers) == ["A", "C"]
+    run(main())
+
+
 def test_per_node_summaries_share_the_stats_shape(live_run):
     for node_id, summary in live_run["summaries"].items():
         assert {"sent", "delivered", "dropped", "by_kind",
                 "retransmits", "duplicates", "malformed",
                 "acks_sent"} <= set(summary), node_id
+
+
+def test_restarted_rm_is_reintroduced_to_every_member():
+    """Respawn semantics on the single path: an RM that comes back
+    under its old id re-assumes the role, its host announces a new
+    epoch, and the agent forwards every record it holds again — the
+    fresh information base is rebuilt and the domain serves tasks."""
+    async def main():
+        async with LiveCluster(LiveClusterConfig(object_duration_s=0.2)) as c:
+            crashed = c.nodes["M0"]
+            epoch = c.agent.rm_epoch
+            await crashed.stop()
+            reborn = LiveNode(
+                crashed.spec, c.directory, c.agent.node_id,
+                rm_config=crashed.rm_config,
+                on_task_event=c._on_task_event, on_role=c._on_role,
+            )
+            c.nodes["M0"] = reborn
+            await reborn.start()
+            await asyncio.wait_for(reborn.admitted(4), 5.0)
+            assert reborn.role == "rm"
+            assert (c.agent.rm_ready, c.agent.rm_epoch) == (True, epoch + 1)
+            assert sorted(reborn.node.info.peers) == ["P1", "P2", "P3", "P4"]
+            ack = await c.submit("P4", timeout=10.0)
+            assert ack["disposition"] == "accepted", ack
+            await c.wait_task_event(ack["task_id"], "completed", timeout=10.0)
+    run(main())
 
 
 # -- watcher bookkeeping (no sockets) ---------------------------------------

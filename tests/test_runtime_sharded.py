@@ -132,6 +132,101 @@ def test_task_ledger_conservation_accounting():
     assert led.counts()["terminal"] == 2
 
 
+# -- one shard host, in process ----------------------------------------------
+
+def test_rm_ready_handoff_is_a_callback_not_a_polling_task():
+    """A shard that hosts the elected RM announces ``rm_ready`` from the
+    node's ``on_role`` callback: every task the host creates is
+    recorded, and none of them is an ``rmwatch:*`` poller."""
+    import multiprocessing
+
+    from repro.runtime.cluster import LiveClusterConfig, fig1_specs
+    from repro.runtime.shard import ShardConfig, ShardHost
+
+    async def main():
+        created = []
+
+        def factory(loop, coro, **kwargs):
+            task = asyncio.Task(coro, loop=loop, **kwargs)
+            created.append(task)
+            return task
+
+        asyncio.get_running_loop().set_task_factory(factory)
+        parent, child = multiprocessing.Pipe()
+        cfg = ShardConfig(
+            shard_id="s0", specs=fig1_specs(LiveClusterConfig()),
+            expected_nodes=5, telemetry=False, join_timeout=10.0,
+        )
+        host = ShardHost(cfg, child)
+        runner = asyncio.ensure_future(host.run())
+        parent.send({"type": "seeds", "agents": {}})
+        await asyncio.wait_for(host._ready.wait(), 15.0)
+        assert host.agent.rm_id == "M0" and host.agent.rm_ready
+        assert host.agent.rm_epoch == 2  # elected = 1, assumed = 2
+        rm = host.nodes["M0"]
+        assert rm.role == "rm"
+        # The held records were forwarded with the announcement.
+        await asyncio.wait_for(rm.admitted(4), 5.0)
+        assert sorted(rm.node.info.peers) == ["P1", "P2", "P3", "P4"]
+        host.request_drain()
+        await asyncio.wait_for(runner, 30.0)
+        parent.close()
+        return [task.get_name() for task in created]
+
+    names = run(main())
+    assert any(name.startswith("pump:") for name in names)
+    assert not any(name.startswith("rmwatch:") for name in names)
+
+
+def test_respawned_coordinator_adopts_the_standing_rm():
+    """An agent that rebuilds its replica by pulling sees the whole
+    population before any local join.  Even when it is the ring-lowest
+    agent it must adopt the RM state riding the pull replies, not run
+    a second election (and emit a phantom ``rm.elected``)."""
+    from repro import telemetry
+    from repro.runtime.agent import RosterAgent
+    from repro.runtime.cluster import LiveCluster
+    from repro.runtime.roster import ring_position
+
+    async def main():
+        tel = telemetry.activate(telemetry.Telemetry.wall())
+        try:
+            async with LiveCluster() as cluster:
+                first = cluster.agent
+                # Pick the newcomer's shard id so that it, not the
+                # cluster's agent, is the election coordinator.
+                sid = next(
+                    f"r{i}" for i in range(1000)
+                    if ring_position(f"roster@r{i}")
+                    < ring_position(first.node_id)
+                )
+                late = RosterAgent(
+                    sid, cluster.directory, expected_nodes=5,
+                )
+                await late.start()
+                try:
+                    late.add_seed_agents({
+                        first.node_id:
+                            (first.transport.host, first.transport.port),
+                    })
+                    assert await late.pull_roster(timeout=5.0)
+                    assert late.roster.coordinator() == late.node_id
+                    assert len(late.roster.nodes_up()) == 5
+                    assert (late.rm_id, late.rm_ready, late.rm_epoch) == (
+                        first.rm_id, True, first.rm_epoch,
+                    )
+                finally:
+                    await late.close()
+            return [
+                ev.node for ev in tel.tracer.events
+                if ev.name == "rm.elected"
+            ]
+        finally:
+            telemetry.deactivate()
+
+    assert run(main()) == ["roster@s0"]
+
+
 # -- the full multi-process scenario -----------------------------------------
 
 @pytest.fixture(scope="module")

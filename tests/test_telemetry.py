@@ -456,7 +456,7 @@ class TestLiveTracing:
             assert hop.parent_id == task_span.span_id
             assert hop.status == "ok"
 
-    def test_trace_links_bootstrap_rm_and_peers(self, live_trace):
+    def test_trace_links_roster_agent_rm_and_peers(self, live_trace):
         tel = live_trace["tel"]
         trace_id = f"task:{live_trace['task_id']}"
         msg_nodes = {
@@ -464,9 +464,11 @@ class TestLiveTracing:
             if s.trace_id == trace_id
         }
         assert len(msg_nodes) >= 2  # request from origin, orders from RM
-        assert any(
-            ev.name == "rm.elected" for ev in tel.tracer.events
-        )
+        (elected,) = [
+            ev for ev in tel.tracer.events if ev.name == "rm.elected"
+        ]
+        assert elected.node == "roster@s0"
+        assert elected.attrs["rm"] == live_trace["rm_id"]
 
     def test_exported_live_trace_reports_a_critical_path(
         self, live_trace, tmp_path
