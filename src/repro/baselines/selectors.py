@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -66,26 +66,33 @@ class RoundRobinSelector:
         return winner
 
 
-_NAMES = (
-    "paper", "fairness", "first", "random", "least_loaded", "round_robin"
-)
+#: The built-in rules by table name (``fairness`` is the historical
+#: scenario-config name for the paper's rule).  The placement registry
+#: registers exactly these, so this is the one list of built-in names.
+SELECTOR_FACTORIES: Dict[
+    str, Callable[[Optional[np.random.Generator]], Selector]
+] = {
+    "paper": lambda rng: select_max_fairness,
+    "fairness": lambda rng: select_max_fairness,
+    "first": lambda rng: select_first,
+    "random": RandomSelector,
+    "least_loaded": lambda rng: LeastLoadedSelector(),
+    "round_robin": lambda rng: RoundRobinSelector(),
+}
 
 
 def make_selector(
     name: str, rng: Optional[np.random.Generator] = None
 ) -> Selector:
-    """Build a selector by table name (``paper`` aliases ``fairness``)."""
-    if name in ("fairness", "paper"):
-        return select_max_fairness
-    if name == "first":
-        return select_first
-    if name == "random":
-        return RandomSelector(rng)
-    if name == "least_loaded":
-        return LeastLoadedSelector()
-    if name == "round_robin":
-        return RoundRobinSelector()
-    raise ValueError(f"unknown selector {name!r}; known: {_NAMES}")
+    """Build a built-in selector by table name."""
+    if name not in SELECTOR_FACTORIES:
+        # Deferred: the registry module imports this one.
+        from repro.core.control.placement import policy_names
+
+        raise ValueError(
+            f"unknown selector {name!r}; known: {policy_names()}"
+        )
+    return SELECTOR_FACTORIES[name](rng)
 
 
 def make_allocator(

@@ -62,7 +62,7 @@ def _print_hot_paths(
             print(f"  {entry['share']:6.1%}  {leaf}")
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-bench", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -133,6 +133,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="diff this run's merged profile against a baseline .folded "
         "and print the top regressed/improved stacks; requires --profile",
     )
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.profile_period is not None and not args.profile:
         parser.error("--profile-period needs --profile")

@@ -28,6 +28,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.telemetry.observation import Observation
+
 #: Bumped whenever the JSON layout changes incompatibly.
 SCHEMA_VERSION = 1
 
@@ -138,24 +140,17 @@ def run_benchmark(
     best_profile: Optional[Dict[str, Any]] = None
     best_folded: Optional[str] = None
     for _ in range(repeat):
-        sess = None
-        if profile:
-            from repro.profiling import profile_wall
-
-            kwargs = {}
-            if profile_period is not None:
-                kwargs["period"] = profile_period
-            sess = profile_wall(**kwargs)
+        obs = Observation.wall(profile=profile, rate=profile_period).start()
         t0 = time.perf_counter()
         try:
             out = fn()
         finally:
-            if sess is not None:
-                sess.stop()
+            obs.close()
         wall = time.perf_counter() - t0
         walls.append(wall)
         if wall == min(walls):
             best = out
+            sess = obs.session
             if sess is not None:
                 best_profile = sess.record(top_n=10)
                 best_folded = (

@@ -106,28 +106,24 @@ def _live_soak(
 
 # -- macro scenarios ---------------------------------------------------------
 
-def _sampled_run(scenario, duration: float, timer: PhaseTimer):
-    """Run *scenario* with a sim-time health sampler attached.
+def _timed_run(
+    scenario, duration: float, timer: PhaseTimer, sample: bool
+) -> Dict[str, Any]:
+    """Run *scenario* under the ``run`` phase; the metrics it adds.
 
-    Opt-in only (``repro-bench --sample``): the sampler Process adds
-    kernel events, so sampled runs are not comparable with unsampled
-    ones.
+    With *sample* (``repro-bench --sample``, opt-in) a sim-time health
+    sampler rides along and its series land in the metrics: the sampler
+    Process adds kernel events, so sampled runs are not comparable with
+    unsampled ones.
     """
-    from repro import telemetry
-    from repro.telemetry.timeseries import HealthSampler, overlay_probes
+    from repro.telemetry.observation import Observation
 
-    with telemetry.session(
-        telemetry.Telemetry.sim(scenario.env)
-    ) as tel:
-        sampler = HealthSampler(tel, period=1.0)
-        for probe in overlay_probes(
-            scenario.overlay, scenario.network, per_peer=False
-        ):
-            sampler.add_probe(probe)
-        sampler.attach_sim(scenario.env)
-        with timer.phase("run"):
-            scenario.env.run(until=scenario.env.now + duration)
-    return sampler.records()
+    with Observation.sim(
+        scenario.env, scenario.overlay, scenario.network, per_peer=False,
+        sample=1.0 if sample else None,
+    ) as obs, timer.phase("run"):
+        scenario.env.run(until=scenario.env.now + duration)
+    return {"series": obs.sampler.records()} if sample else {}
 
 
 def _scalability(
@@ -157,12 +153,7 @@ def _scalability(
         )
         with timer.phase("build"):
             scenario = build_scenario(cfg)
-        metrics: Dict[str, Any] = {}
-        if sample:
-            metrics["series"] = _sampled_run(scenario, duration, timer)
-        else:
-            with timer.phase("run"):
-                scenario.env.run(until=scenario.env.now + duration)
+        metrics = _timed_run(scenario, duration, timer, sample)
         metrics.update({
             "domains": scenario.overlay.n_domains,
             "peers_joined": scenario.overlay.n_peers,
@@ -207,12 +198,7 @@ def _churn(
         )
         with timer.phase("build"):
             scenario = build_scenario(cfg)
-        metrics: Dict[str, Any] = {}
-        if sample:
-            metrics["series"] = _sampled_run(scenario, duration, timer)
-        else:
-            with timer.phase("run"):
-                scenario.env.run(until=scenario.env.now + duration)
+        metrics = _timed_run(scenario, duration, timer, sample)
         metrics.update({
             "departures": scenario.churn.departures,
             "rejoins": scenario.churn.rejoins,

@@ -22,6 +22,7 @@ from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro import telemetry
 from repro.baselines.selectors import (
+    SELECTOR_FACTORIES,
     LeastLoadedSelector,
     RandomSelector,
     RoundRobinSelector,
@@ -130,24 +131,16 @@ def make_placement_policy(
 
 def _register_builtins() -> None:
     register_policy("paper", lambda rng: PaperPolicy())
-    # "fairness" is the historical scenario-config name for the same rule.
-    register_policy(
-        "fairness", lambda rng: CallablePolicy(select_max_fairness, "paper")
-    )
-    register_policy(
-        "first", lambda rng: CallablePolicy(select_first, "first")
-    )
-    register_policy(
-        "random", lambda rng: CallablePolicy(RandomSelector(rng), "random")
-    )
-    register_policy(
-        "least_loaded",
-        lambda rng: CallablePolicy(LeastLoadedSelector(), "least_loaded"),
-    )
-    register_policy(
-        "round_robin",
-        lambda rng: CallablePolicy(RoundRobinSelector(), "round_robin"),
-    )
+    # Every other table name adapts its bare selector; the policy's own
+    # name is derived from it ("fairness" runs as "paper").
+    for name in SELECTOR_FACTORIES:
+        if name != "paper":
+            register_policy(
+                name,
+                lambda rng, name=name: CallablePolicy(
+                    SELECTOR_FACTORIES[name](rng)
+                ),
+            )
 
 
 _register_builtins()

@@ -17,7 +17,7 @@ import time
 from repro.experiments import EXPERIMENTS
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description=(
@@ -44,7 +44,11 @@ def main(argv: list[str] | None = None) -> int:
         "--csv", metavar="DIR",
         help="also write each result table as DIR/<id>.csv",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
 
     if args.list or not args.experiments:
         print("available experiments:")

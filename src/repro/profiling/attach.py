@@ -1,7 +1,8 @@
 """One-call wiring of profiler + budgeter + SLO monitor per runtime.
 
-The CLIs (``repro-run --profile``, ``repro-live --profile``,
-``repro-bench --profile``) and tests all want the same bundle:
+Every ``--profile`` run (attached through
+:class:`~repro.telemetry.observation.Observation`) and the tests all
+want the same bundle:
 
 * the right sampling driver for the runtime (event-count for sim,
   timer-thread for live),
@@ -19,7 +20,7 @@ record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.profiling.budget import (
@@ -52,12 +53,7 @@ class ProfileSession:
     profiler: Any
     budgeter: OverheadBudgeter
     monitor: Optional[BurnRateMonitor] = None
-    sampler: Any = None
-    #: Set when the session created the flight recorder itself (the
-    #: scenario had none); the caller then owns closing it.
-    created_recorder: Any = None
     folded_path: Optional[str] = None
-    _extra: Dict[str, Any] = field(default_factory=dict)
 
     # -- lifecycle ----------------------------------------------------------
     def stop(self) -> None:
@@ -124,9 +120,24 @@ class ProfileSession:
         return self.monitor.alerts if self.monitor is not None else []
 
 
-def _wire_budgeter(
-    budgeter: OverheadBudgeter, profiler, sampler, monitor
-) -> None:
+def _profile(
+    runtime: str, profiler, knob: str, lo: float, hi: float,
+    tel, sampler, recorder, budget: Optional[float],
+    slos: Tuple[SLO, ...], slo_kwargs: Optional[Dict[str, Any]],
+) -> ProfileSession:
+    """The bundle both runtimes share, around their own *profiler*."""
+    budgeter = OverheadBudgeter(
+        budget=DEFAULT_BUDGET if budget is None else budget
+    )
+    # lo = the configured rate: recovery restores the requested
+    # resolution after backoffs but never samples more finely than asked.
+    budgeter.add_actuator(Actuator(
+        knob,
+        profiler.get_rate_setting,
+        profiler.set_rate_setting,
+        lo=float(lo),
+        hi=max(float(lo), hi),
+    ))
     # The wall profiler models the GIL-handoff tax each timer wakeup
     # inflicts on application threads; the budgeter must meter that
     # estimated total, not just the measured in-sampler time.  The sim
@@ -135,33 +146,27 @@ def _wire_budgeter(
         budgeter.add_source("profiler", lambda: profiler.estimated_cost_s)
     else:
         budgeter.add_source("profiler", lambda: profiler.self_time_s)
-    if sampler is not None:
-        if monitor is not None:
-            # The monitor probe runs inside sampler.sample(), so its
-            # flight-recorder dump writes land in sample_cost_s; back
-            # them out — the dump is the alert's deliverable, not
-            # observation overhead.
-            budgeter.add_source(
-                "health_sampler",
-                lambda: sampler.sample_cost_s - monitor.dump_cost_s,
-            )
-        else:
-            budgeter.add_source(
-                "health_sampler", lambda: sampler.sample_cost_s
-            )
     # Evaluate from the profiler's own sample callback so the budgeter
     # runs even without a sampler (rate-limited by min_interval).
     profiler.on_sample = lambda _p: budgeter.maybe_evaluate()
-
-
-def _wire_sampler_probes(
-    sampler, budgeter, monitor, recorder
-) -> None:
-    """Order matters: signal probes already registered, then budgeter
-    series, then SLO evaluation over this tick's fresh points, then the
-    cooldown-gauge refresh."""
-    sampler.add_probe(budgeter.as_probe())
-    if monitor is not None:
+    monitor = None
+    if sampler is not None:
+        monitor = BurnRateMonitor(
+            sampler, slos=slos, tel=tel, recorder=recorder,
+            **(slo_kwargs or {}),
+        )
+        # The monitor probe runs inside sampler.sample(), so its
+        # flight-recorder dump writes land in sample_cost_s; back them
+        # out — the dump is the alert's deliverable, not observation
+        # overhead.
+        budgeter.add_source(
+            "health_sampler",
+            lambda: sampler.sample_cost_s - monitor.dump_cost_s,
+        )
+        # Probe order matters: signal probes already registered, then
+        # budgeter series, then SLO evaluation over this tick's fresh
+        # points, then the cooldown-gauge refresh.
+        sampler.add_probe(budgeter.as_probe())
         sampler.add_probe(monitor.as_probe())
         # Second-stage knob: the monitor's full-window rescans dominate
         # its cost, so the budgeter may thin the evaluation cadence
@@ -173,8 +178,12 @@ def _wire_sampler_probes(
             lo=1.0,
             hi=32.0,
         ))
-    if recorder is not None:
-        sampler.add_probe(lambda s: recorder.refresh_cooldowns(s.now))
+        if recorder is not None:
+            sampler.add_probe(lambda s: recorder.refresh_cooldowns(s.now))
+    return ProfileSession(
+        runtime=runtime, profiler=profiler, budgeter=budgeter,
+        monitor=monitor,
+    )
 
 
 def profile_sim(
@@ -182,8 +191,8 @@ def profile_sim(
     tel=None,
     sampler=None,
     recorder=None,
-    budget: float = DEFAULT_BUDGET,
-    stride: int = DEFAULT_STRIDE,
+    budget: Optional[float] = None,
+    stride: Optional[int] = None,
     slos: Tuple[SLO, ...] = DEFAULT_SLOS,
     slo_kwargs: Optional[Dict[str, Any]] = None,
 ) -> ProfileSession:
@@ -192,32 +201,15 @@ def profile_sim(
     The profiler hook observes only and the budgeter never actuates the
     sim sampler's period (that would change the simulated trajectory
     mid-run) — with ``--profile`` the event trajectory is identical to
-    the same run without it.
+    the same run without it.  *budget* / *stride* default to
+    ``DEFAULT_BUDGET`` / ``DEFAULT_STRIDE``.
     """
+    stride = DEFAULT_STRIDE if stride is None else stride
     profiler = SimEventProfiler(env, stride=stride)
     profiler.attach()
-    budgeter = OverheadBudgeter(budget=budget)
-    # lo = the configured stride: recovery restores the requested
-    # resolution after backoffs but never samples more finely than asked.
-    budgeter.add_actuator(Actuator(
-        "sim_stride",
-        profiler.get_rate_setting,
-        profiler.set_rate_setting,
-        lo=float(stride),
-        hi=max(float(stride), SIM_STRIDE_RANGE[1]),
-    ))
-    monitor = None
-    if sampler is not None:
-        monitor = BurnRateMonitor(
-            sampler, slos=slos, tel=tel, recorder=recorder,
-            **(slo_kwargs or {}),
-        )
-    _wire_budgeter(budgeter, profiler, sampler, monitor)
-    if monitor is not None:
-        _wire_sampler_probes(sampler, budgeter, monitor, recorder)
-    return ProfileSession(
-        runtime="sim", profiler=profiler, budgeter=budgeter,
-        monitor=monitor, sampler=sampler,
+    return _profile(
+        "sim", profiler, "sim_stride", stride, SIM_STRIDE_RANGE[1],
+        tel, sampler, recorder, budget, slos, slo_kwargs,
     )
 
 
@@ -225,8 +217,8 @@ def profile_wall(
     tel=None,
     sampler=None,
     recorder=None,
-    budget: float = DEFAULT_BUDGET,
-    period: float = DEFAULT_PERIOD,
+    budget: Optional[float] = None,
+    period: Optional[float] = None,
     slos: Tuple[SLO, ...] = DEFAULT_SLOS,
     slo_kwargs: Optional[Dict[str, Any]] = None,
     start: bool = True,
@@ -237,32 +229,18 @@ def profile_wall(
     With *gil_model* (default), the profiler calibrates its per-wakeup
     GIL-handoff cost on start and the budgeter meters the estimated
     total cost; ``gil_model=False`` zeroes the model (budgeter sees
-    measured self-time only, the pre-model behaviour).
+    measured self-time only, the pre-model behaviour).  *budget* /
+    *period* default to ``DEFAULT_BUDGET`` / ``DEFAULT_PERIOD``.
     """
+    period = DEFAULT_PERIOD if period is None else period
     profiler = WallStackProfiler(
         period=period,
         gil_cost_per_sample=None if gil_model else 0.0,
     )
-    budgeter = OverheadBudgeter(budget=budget)
-    budgeter.add_actuator(Actuator(
-        "wall_period",
-        profiler.get_rate_setting,
-        profiler.set_rate_setting,
-        lo=float(period),
-        hi=max(float(period), WALL_PERIOD_RANGE[1]),
-    ))
-    monitor = None
-    if sampler is not None:
-        monitor = BurnRateMonitor(
-            sampler, slos=slos, tel=tel, recorder=recorder,
-            **(slo_kwargs or {}),
-        )
-    _wire_budgeter(budgeter, profiler, sampler, monitor)
-    if monitor is not None:
-        _wire_sampler_probes(sampler, budgeter, monitor, recorder)
+    sess = _profile(
+        "wall", profiler, "wall_period", period, WALL_PERIOD_RANGE[1],
+        tel, sampler, recorder, budget, slos, slo_kwargs,
+    )
     if start:
         profiler.start()
-    return ProfileSession(
-        runtime="wall", profiler=profiler, budgeter=budgeter,
-        monitor=monitor, sampler=sampler,
-    )
+    return sess

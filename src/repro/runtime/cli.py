@@ -24,13 +24,17 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import os
 import sys
 from typing import Any, Dict, List, Optional
 
-from repro import telemetry
+from repro.net.node import RPCError
 from repro.runtime.cluster import LiveCluster, LiveClusterConfig
 from repro.telemetry.logs import configure_logging
+from repro.telemetry.observation import (
+    Observation,
+    add_observation_flags,
+    observation_flags,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,51 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="wall-clock completion timeout per task (default 30)",
     )
     parser.add_argument(
-        "--policy", default="paper",
-        choices=(
-            "paper", "fairness", "first", "random", "least_loaded",
-            "round_robin",
-        ),
-        help="placement policy the elected RM runs (default paper)",
-    )
-    parser.add_argument(
         "--json", action="store_true",
         help="emit a machine-readable JSON report instead of text",
     )
-    parser.add_argument(
-        "--trace", metavar="FILE",
-        help="record a telemetry trace (spans/events/metrics) to a JSONL "
-        "file; analyse it with repro-trace",
-    )
-    parser.add_argument(
-        "--sample", metavar="PERIOD", nargs="?", const=0.5, type=float,
-        default=None,
-        help="sample health series every PERIOD wall seconds (default "
-        "0.5) on a daemon thread and attach them to the --trace file; "
-        "view with repro-dash",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="attach the wall-clock sampling profiler + overhead "
-        "budgeter (and, with --sample, SLO burn-rate alerting over the "
-        "health series); writes a flame-ready .folded file on exit",
-    )
-    parser.add_argument(
-        "--profile-budget", type=float, default=None, metavar="FRAC",
-        help="observability overhead budget as a fraction of wall time "
-        "(default 0.02); the budgeter backs sampling off above it",
-    )
-    parser.add_argument(
-        "--profile-folded", metavar="FILE", default=None,
-        help="where to write the folded stacks (default: profile.folded "
-        "next to the trace, or ./profile.folded)",
-    )
-    parser.add_argument(
-        "--defense", action="store_true",
-        help="reputation-gated load reports (rm.enable_defense): the "
-        "elected RM cross-checks peer claims against observed evidence "
-        "and quarantines chronic liars (see docs/scenarios.md)",
-    )
+    add_observation_flags(parser, clock="wall")
     parser.add_argument(
         "--metrics-port", type=int, default=None, metavar="PORT",
         help="serve Prometheus text /metrics and /healthz on "
@@ -140,12 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 async def run_live(
-    args: argparse.Namespace, tel: Optional[Any] = None
+    args: argparse.Namespace, obs: Observation
 ) -> Dict[str, Any]:
     config = LiveClusterConfig(
         n_peers=args.peers, object_duration_s=args.duration,
-        placement_policy=args.policy,
-        enable_defense=getattr(args, "defense", False),
+        placement_policy=args.policy, enable_defense=args.defense,
     )
     cluster = LiveCluster(config)
     known = sorted(s.node_id for s in cluster.specs)
@@ -154,54 +116,18 @@ async def run_live(
             f"unknown origin peer {args.origin!r}; choose from "
             f"{', '.join(known)}"
         )
+
+    def _health() -> Dict[str, Any]:
+        doc: Dict[str, Any] = {"status": "ok", "nodes": len(cluster.nodes)}
+        if obs.session is not None:
+            doc["profiler"] = obs.session.summary()
+        return doc
+
     report: Dict[str, Any] = {"tasks": []}
-    server = None
-    profile_sess = None
     async with cluster:
-        sampler = None
-        if tel is not None and args.sample is not None:
-            sampler = cluster.start_health_sampler(
-                tel, period=args.sample
-            )
-            report["sampler"] = sampler
-        if args.profile:
-            from repro.profiling import DEFAULT_BUDGET, profile_wall
-
-            profile_sess = profile_wall(
-                tel=tel, sampler=sampler,
-                budget=(
-                    args.profile_budget
-                    if args.profile_budget is not None else DEFAULT_BUDGET
-                ),
-            )
-            report["profile_session"] = profile_sess
-        if args.metrics_port is not None:
-            if tel is None:
-                raise ValueError("--metrics-port requires --trace")
-            from repro.telemetry.httpd import TelemetryHTTPServer
-
-            def _metrics_text() -> str:
-                # Fold the live profiler/budgeter state into the
-                # registry on each scrape.
-                if profile_sess is not None:
-                    profile_sess.publish(tel.metrics)
-                return tel.metrics.to_prometheus_text()
-
-            def _health() -> Dict[str, Any]:
-                doc: Dict[str, Any] = {
-                    "status": "ok",
-                    "nodes": len(cluster.nodes),
-                }
-                if profile_sess is not None:
-                    doc["profiler"] = profile_sess.summary()
-                return doc
-
-            server = TelemetryHTTPServer(
-                _metrics_text,
-                health_fn=_health,
-                port=args.metrics_port,
-            ).start()
-            print(f"metrics endpoint: {server.url}/metrics",
+        obs.start(cluster, health_fn=_health)
+        if obs.httpd is not None:
+            print(f"metrics endpoint: {obs.httpd.url}/metrics",
                   file=sys.stderr)
         try:
             rm = cluster.rm_node
@@ -229,11 +155,11 @@ async def run_live(
                 await asyncio.sleep(args.linger)
             report["summaries"] = cluster.summaries()
             report["aggregate"] = cluster.aggregate_summary()
+            obs.meta["aggregate"] = report["aggregate"]
         finally:
-            if profile_sess is not None:
-                profile_sess.stop()
-            if server is not None:
-                server.close()
+            # While the cluster is still up: the sampler's last snapshot
+            # reads live nodes.
+            obs.stop()
     return report
 
 
@@ -337,12 +263,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.origin = "P1"
     if args.log_level:
         configure_logging(args.log_level, json_lines=args.log_json)
-    if args.sample is not None and not args.trace:
-        parser.error("--sample requires --trace")
-    if args.profile_budget is not None and not args.profile:
-        parser.error("--profile-budget requires --profile")
-    if args.profile_folded and not args.profile:
-        parser.error("--profile-folded requires --profile")
+    flags = observation_flags(parser, args)
     if args.shards:
         if args.shards < 1:
             parser.error("--shards must be at least 1")
@@ -371,64 +292,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.metrics_port is not None and not args.trace:
         parser.error("--metrics-port requires --trace (it serves the "
                      "run's metrics registry)")
-    tel = None
-    if args.trace:
-        tel = telemetry.activate(telemetry.Telemetry.wall())
-    report: Optional[Dict[str, Any]] = None
-    sampler = None
-    profile_sess = None
+    obs = Observation.wall(
+        metrics_port=args.metrics_port,
+        log=lambda line: print(line, file=sys.stderr),
+        **flags,
+    )
     try:
-        try:
-            report = asyncio.run(run_live(args, tel=tel))
-            if report is not None:
-                sampler = report.pop("sampler", None)
-                profile_sess = report.pop("profile_session", None)
-        except (asyncio.TimeoutError, TimeoutError):
-            print("error: live run timed out", file=sys.stderr)
-            return 1
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    finally:
-        if profile_sess is not None:
-            if tel is not None:
-                profile_sess.publish(tel.metrics)
-            folded = args.profile_folded or os.path.join(
-                os.path.dirname(args.trace) if args.trace else ".",
-                "profile.folded",
-            )
-            path = profile_sess.write_folded(folded)
-            info = profile_sess.summary()
-            print(
-                f"profiler: {info['samples']} samples / "
-                f"{info['unique_stacks']} stacks; overhead "
-                f"{info['overhead_ratio']:.2%} "
-                f"(budget {info['budget']:.0%}, "
-                f"{info['retunes']} retunes)"
-                + (f" -> {path}" if path else ""),
-                file=sys.stderr,
-            )
-            for alert in profile_sess.alerts:
-                print(
-                    f"SLO ALERT: {alert.slo} burning {alert.burn:.1f}x "
-                    f"({alert.window} window, t={alert.time:.1f}s)"
-                    + (f" -> {alert.dump}" if alert.dump else ""),
-                    file=sys.stderr,
-                )
-        if tel is not None:
-            tel.tracer.finish_open()
-            meta: Dict[str, Any] = {"runtime": "live"}
-            if report is not None:
-                meta["aggregate"] = report["aggregate"]
-            telemetry.export.write_jsonl(
-                args.trace, tel.tracer, tel.metrics, meta=meta,
-                sampler=sampler,
-                profile=(
-                    profile_sess.record() if profile_sess else None
-                ),
-            )
-            telemetry.deactivate()
-            print(f"telemetry trace -> {args.trace}", file=sys.stderr)
+        with obs:
+            report = asyncio.run(run_live(args, obs))
+    except (asyncio.TimeoutError, TimeoutError, RPCError) as exc:
+        print(f"error: live run failed: {exc or 'timed out'}",
+              file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps(report, indent=2, default=str))
     else:

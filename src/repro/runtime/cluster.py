@@ -121,9 +121,6 @@ class LiveCluster:
         self._watchers: Dict[Tuple[str, str], asyncio.Event] = {}
         #: The Figure-1 goal format, handy for demos/tests.
         self.default_goal = build_fig1_graph().v_sol
-        #: Wall-clock health sampler, if started (see
-        #: :meth:`start_health_sampler`).
-        self.sampler = None
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> "LiveCluster":
@@ -170,9 +167,6 @@ class LiveCluster:
             self.agent.announce_rm_ready()
 
     async def stop(self) -> None:
-        if self.sampler is not None:
-            self.sampler.stop_wall()
-            self.sampler = None
         await asyncio.gather(
             *(n.stop() for n in self.nodes.values()),
             return_exceptions=True,
@@ -275,24 +269,6 @@ class LiveCluster:
         return rm.tasks[task_id]  # type: ignore[attr-defined]
 
     # -- observability -----------------------------------------------------
-    def start_health_sampler(self, tel, period: float = 1.0):
-        """Start the wall-clock health sampler over this cluster.
-
-        Probes run on a daemon thread (reads only; the sampler swallows
-        mid-mutation races) and the series ride into any trace exported
-        with ``sampler=``.  Stopped automatically by :meth:`stop`.
-        """
-        from repro.telemetry.timeseries import (
-            HealthSampler, live_cluster_probes,
-        )
-
-        sampler = HealthSampler(tel, period=period)
-        for probe in live_cluster_probes(self):
-            sampler.add_probe(probe)
-        sampler.start_wall()
-        self.sampler = sampler
-        return sampler
-
     def summaries(self) -> Dict[str, Dict[str, Any]]:
         """Per-node traffic summaries (plus the roster agent's)."""
         out = {nid: n.summary() for nid, n in self.nodes.items()}

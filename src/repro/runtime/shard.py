@@ -38,7 +38,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set
 
-from repro import telemetry
 from repro.core.manager import RMConfig
 from repro.media.fig1 import build_fig1_graph
 from repro.runtime.agent import RosterAgent
@@ -46,9 +45,8 @@ from repro.runtime.node import LiveNode, NodeSpec
 from repro.runtime.transport import PeerDirectory
 from repro.tasks.task import ApplicationTask
 from repro.telemetry.export import TRACE_FORMAT_VERSION
-from repro.telemetry.flight_recorder import FlightRecorder
-from repro.telemetry.httpd import TelemetryHTTPServer
 from repro.telemetry.logs import get_logger
+from repro.telemetry.observation import Observation
 from repro.telemetry.ship import TraceShipper
 
 #: Tracer history kept per shard (a soak must not grow without bound;
@@ -105,11 +103,10 @@ class ShardHost:
         self.directory = PeerDirectory()
         self.agent: Optional[RosterAgent] = None
         self.nodes: Dict[str, LiveNode] = {}
-        self.tel: Optional[telemetry.Telemetry] = None
-        self.httpd: Optional[TelemetryHTTPServer] = None
-        self.recorder: Optional[FlightRecorder] = None
+        #: Telemetry handle, /metrics server, flight recorder and wall
+        #: profiler of this shard (empty until ``_startup``).
+        self.obs = Observation.wall()
         self.shipper: Optional[TraceShipper] = None
-        self.profile: Optional[Any] = None
         self._epoch_unix: Optional[float] = None
         self.draining = False
         self._paused = False
@@ -162,33 +159,23 @@ class ShardHost:
     async def _startup(self) -> None:
         cfg = self.cfg
         if cfg.telemetry:
-            self.tel = telemetry.activate(telemetry.Telemetry.wall())
+            self.obs = Observation.wall(
+                metrics_port=cfg.metrics_port, host=cfg.host,
+                record_dir=cfg.record_dir,
+                profile=cfg.observe, rate=cfg.profiler_period,
+            ).open()
             # Unix time of the wall clock's zero point: the cluster
             # merge aligns per-shard timestamps with this.
             self._epoch_unix = time.time()
-            self.httpd = TelemetryHTTPServer(
-                self._metrics_text, health_fn=self._health,
-                host=cfg.host, port=cfg.metrics_port,
+            self.obs.start(
+                metrics_fn=self._metrics_text, health_fn=self._health
             )
-            self.httpd.start()
-            if cfg.record_dir:
-                self.recorder = FlightRecorder(
-                    self.tel, out_dir=cfg.record_dir,
-                )
             if cfg.observe:
                 self.shipper = TraceShipper(
-                    self.tel.tracer, shard=cfg.shard_id
+                    self.obs.tel.tracer, shard=cfg.shard_id
                 )
-                if self.recorder is not None:
-                    self.recorder.on_dump = self._on_flight_dump
-                # Deferred import: profiling is opt-in; the default
-                # shard path must not even load it.
-                from repro.profiling.attach import profile_wall
-
-                self.profile = profile_wall(
-                    tel=self.tel, recorder=self.recorder,
-                    period=cfg.profiler_period, start=True,
-                )
+                if self.obs.recorder is not None:
+                    self.obs.recorder.on_dump = self._on_flight_dump
         self.agent = RosterAgent(
             cfg.shard_id, self.directory,
             domain_id=cfg.domain_id,
@@ -205,7 +192,9 @@ class ShardHost:
         self._send({
             "type": "ready", "shard": cfg.shard_id, "pid": os.getpid(),
             "agent_port": self.agent.transport.port,
-            "metrics_port": self.httpd.port if self.httpd else None,
+            "metrics_port": (
+                self.obs.httpd.port if self.obs.httpd else None
+            ),
             "nodes": [s.node_id for s in cfg.specs],
         })
         # Heartbeats flow from the moment the agent is up — the
@@ -244,7 +233,7 @@ class ShardHost:
             self._tasks.append(self._loop.create_task(
                 self._task_loop(), name=f"tasks:{cfg.shard_id}"
             ))
-        if self.tel is not None:
+        if self.obs.tel is not None:
             self._tasks.append(self._loop.create_task(
                 self._trim_loop(), name=f"trim:{cfg.shard_id}"
             ))
@@ -368,13 +357,14 @@ class ShardHost:
         trigger would bounce the fan-out forever."""
         reason = str(msg.get("reason", "snapshot"))
         path = None
-        if self.recorder is not None:
-            cb = self.recorder.on_dump
-            self.recorder.on_dump = None
+        recorder = self.obs.recorder
+        if recorder is not None:
+            cb = recorder.on_dump
+            recorder.on_dump = None
             try:
-                path = self.recorder.dump(reason)
+                path = recorder.dump(reason)
             finally:
-                self.recorder.on_dump = cb
+                recorder.on_dump = cb
         self._send({
             "type": "snapshot_done", "shard": self.cfg.shard_id,
             "reason": reason, "bundle": msg.get("bundle"), "path": path,
@@ -434,11 +424,11 @@ class ShardHost:
         }
 
     def _trace_meta(self) -> Dict[str, Any]:
-        assert self.tel is not None
+        assert self.obs.tel is not None
         return {
             "version": TRACE_FORMAT_VERSION,
             "shard": self.cfg.shard_id,
-            "clock": self.tel.clock.label,
+            "clock": self.obs.tel.clock.label,
             "epoch_unix": self._epoch_unix,
         }
 
@@ -460,8 +450,8 @@ class ShardHost:
         it cares about).  With a shipper attached the trim goes through
         it — only records already flushed to the export stream are
         dropped, closing the burst-loss window the bare ``del`` had."""
-        assert self.tel is not None
-        tracer = self.tel.tracer
+        assert self.obs.tel is not None
+        tracer = self.obs.tel.tracer
         while True:
             await asyncio.sleep(5.0)
             if self.shipper is not None:
@@ -477,8 +467,8 @@ class ShardHost:
 
     # -- observability -----------------------------------------------------
     def _metrics_text(self) -> str:
-        assert self.tel is not None
-        m = self.tel.metrics
+        assert self.obs.tel is not None
+        m = self.obs.tel.metrics
         agent = self.agent
         m.gauge(
             "repro_shard_nodes_joined",
@@ -506,8 +496,8 @@ class ShardHost:
                 "repro_shard_roster_agents_up",
                 help="Live agents in this shard's roster replica",
             ).set(float(counts["agents_up"]))
-        if self.profile is not None:
-            self.profile.budgeter.publish(m)
+        if self.obs.session is not None:
+            self.obs.session.budgeter.publish(m)
         return m.to_prometheus_text()
 
     def _health(self) -> Dict[str, Any]:
@@ -561,19 +551,19 @@ class ShardHost:
                     "type": "trace", "shard": self.cfg.shard_id,
                     "meta": self._trace_meta(), "records": records,
                 })
-        if self.profile is not None:
-            self.profile.stop()
-            agg = self.profile.profiler.agg
+        profile = self.obs.session
+        if profile is not None:
+            self.obs.stop()
+            agg = profile.profiler.agg
             if agg.n_samples:
                 self._send({
                     "type": "folded", "shard": self.cfg.shard_id,
                     "text": agg.to_folded(),
-                    "profile": self.profile.record(top_n=10),
+                    "profile": profile.record(top_n=10),
                 })
 
     async def _teardown(self, crash: bool) -> None:
-        if self.profile is not None:
-            self.profile.stop()
+        self.obs.stop()
         for task in self._tasks:
             task.cancel()
         if self._tasks:
@@ -586,12 +576,7 @@ class ShardHost:
                 await self.agent.close(graceful=not crash)
             except Exception:
                 pass
-        if self.recorder is not None:
-            self.recorder.close()
-        if self.httpd is not None:
-            self.httpd.close()
-        if self.tel is not None:
-            telemetry.deactivate()
+        self.obs.close()
         try:
             self.conn.close()
         except OSError:

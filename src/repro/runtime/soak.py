@@ -254,7 +254,7 @@ async def run_soak(cfg: SoakConfig) -> Dict[str, Any]:
     return result
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-live-soak",
         description="multi-process live soak with fault injection",
@@ -279,7 +279,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--json", dest="json_out", default=None,
                         help="also write the result document here")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
 
     cfg = SoakConfig(
         peers=args.peers, shards=args.shards, duration=args.duration,

@@ -7,9 +7,10 @@ the stock :func:`~repro.workloads.scenario.build_scenario` pipeline:
 * ``arrivals``  -> a shaped non-homogeneous arrival process,
 * ``adversaries`` -> inflated join claims + poisoned load reports,
 * ``faults``    -> a scripted :class:`FaultScript` process,
-* ``health``    -> sim-time HealthSampler + FlightRecorder, so the run
-  emits regression-gateable series (deadline-miss ratio, imbalance,
-  redirect rate) without any manual wiring.
+* ``health``    -> sim-time HealthSampler + FlightRecorder (one
+  :class:`~repro.telemetry.observation.Observation`), so the run emits
+  regression-gateable series (deadline-miss ratio, imbalance, redirect
+  rate) without any manual wiring.
 
 Every random choice derives from named substreams of the base seed, so
 two runs of the same spec produce identical event and message counts.
@@ -21,13 +22,17 @@ import copy
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro import telemetry
 from repro.results.collector import RunSummary
 from repro.scenarios.adversary import MisbehavingPeer, choose_liars
 from repro.scenarios.arrivals import make_workload_cls
 from repro.scenarios.faults import FaultScript
-from repro.scenarios.spec import METRICS_SCHEMA_VERSION, ScenarioSpec
+from repro.scenarios.spec import (
+    METRICS_SCHEMA_VERSION,
+    HealthSpec,
+    ScenarioSpec,
+)
 from repro.sim.rng import RandomStreams
+from repro.telemetry.observation import Observation
 from repro.workloads.scenario import Scenario, build_scenario
 
 
@@ -39,12 +44,11 @@ class StressedScenario:
     scenario: Scenario
     faults: Optional[FaultScript] = None
     liars: List[MisbehavingPeer] = field(default_factory=list)
-    tel: Optional[Any] = None
-    sampler: Optional[Any] = None
-    recorder: Optional[Any] = None
+    #: The run's observation session: ``obs.sampler`` / ``obs.recorder``
+    #: / ``obs.session`` are what the spec's ``health`` section and the
+    #: ``--trace/--sample/--profile`` flags attached (None when off).
+    obs: Observation = field(default_factory=Observation)
     summary: Optional[RunSummary] = None
-    #: The ProfileSession attached by :meth:`attach_profiling`, if any.
-    profile: Optional[Any] = None
 
     # -- convenience passthroughs ------------------------------------------
     @property
@@ -59,71 +63,14 @@ class StressedScenario:
     def network(self):
         return self.scenario.network
 
-    # -- profiling ---------------------------------------------------------
-    def attach_profiling(
-        self,
-        budget: Optional[float] = None,
-        stride: Optional[int] = None,
-        out_dir: str = ".",
-    ):
-        """Arm the self-observation bundle (``repro-run --profile``).
-
-        Attaches a :func:`~repro.profiling.profile_sim` session: the
-        event-count profiler, the overhead budgeter, and — when the spec
-        has a ``health`` section — SLO burn-rate monitoring over the
-        sampler series.  Specs that disabled the flight recorder get one
-        created here anyway so SLO alerts have somewhere to dump.
-        """
-        from repro.profiling import profile_sim
-        from repro.profiling.budget import DEFAULT_BUDGET
-        from repro.profiling.sampler import DEFAULT_STRIDE
-
-        if (
-            self.tel is not None
-            and self.sampler is not None
-            and self.recorder is None
-        ):
-            from repro.telemetry.flight_recorder import FlightRecorder
-
-            health = self.spec.health
-            self.recorder = FlightRecorder(
-                self.tel,
-                out_dir=out_dir,
-                miss_burst=health.miss_burst,
-                miss_window=health.miss_window,
-                cooldown=health.cooldown,
-                sampler=self.sampler,
-            )
-        self.profile = profile_sim(
-            self.env,
-            tel=self.tel,
-            sampler=self.sampler,
-            recorder=self.recorder,
-            budget=DEFAULT_BUDGET if budget is None else budget,
-            stride=DEFAULT_STRIDE if stride is None else stride,
-        )
-        return self.profile
-
     # -- execution ---------------------------------------------------------
     def run(self) -> RunSummary:
         """Run the scripted duration + drain; returns the RunSummary."""
         try:
-            if self.tel is not None:
-                with telemetry.session(self.tel):
-                    self.summary = self.scenario.run(
-                        self.spec.duration, drain=self.spec.drain
-                    )
-                    if self.profile is not None:
-                        self.profile.stop()
-                        self.profile.publish(self.tel.metrics)
-                    if self.recorder is not None:
-                        self.recorder.close()
-            else:
+            with self.obs:
                 self.summary = self.scenario.run(
                     self.spec.duration, drain=self.spec.drain
                 )
-                if self.profile is not None:
-                    self.profile.stop()
         finally:
             # Teardown: un-wrap the lying report paths so peers reused
             # or rebuilt after the run report honestly again.
@@ -134,10 +81,10 @@ class StressedScenario:
     # -- reporting ---------------------------------------------------------
     def health_summary(self) -> Dict[str, Dict[str, float]]:
         """Per-series {last, max, mean, n} over the sampled rings."""
-        if self.sampler is None:
+        if self.obs.sampler is None:
             return {}
         out: Dict[str, Dict[str, float]] = {}
-        for ring in self.sampler.all_series():
+        for ring in self.obs.sampler.all_series():
             labels = ",".join(
                 f"{k}={v}" for k, v in sorted(ring.labels.items())
             )
@@ -158,6 +105,7 @@ class StressedScenario:
         if self.summary is None:
             raise RuntimeError("run() the scenario before reporting")
         net = self.network.stats
+        recorder, profile = self.obs.recorder, self.obs.session
         doc: Dict[str, Any] = {
             "schema_version": METRICS_SCHEMA_VERSION,
             "scenario": self.spec.name,
@@ -182,15 +130,13 @@ class StressedScenario:
                 name: {k: round(v, 6) for k, v in stats.items()}
                 for name, stats in self.health_summary().items()
             },
-            "flight_dumps": (
-                list(self.recorder.dumps) if self.recorder else []
-            ),
+            "flight_dumps": list(recorder.dumps) if recorder else [],
         }
         reputation = self.reputation_document()
         if reputation:
             doc["reputation"] = reputation
-        if self.profile is not None:
-            doc["profile"] = self.profile.record(top_n=10)
+        if profile is not None:
+            doc["profile"] = profile.record(top_n=10)
         return doc
 
     def reputation_document(self) -> Dict[str, Any]:
@@ -234,12 +180,22 @@ class StressedScenario:
 
 
 def build_stressed_scenario(
-    spec: ScenarioSpec, out_dir: str = "."
+    spec: ScenarioSpec,
+    out_dir: str = ".",
+    sample: Optional[float] = None,
+    profile: bool = False,
+    **flags: Any,
 ) -> StressedScenario:
     """Assemble the full stressed system described by *spec*.
 
     ``out_dir`` is where flight-recorder anomaly bundles land (when the
-    ``health`` section arms the recorder).
+    ``health`` section arms the recorder).  *sample*, *profile* and
+    *flags* (``trace``, ``budget``, ``folded``, ``log``, ...) are
+    :class:`~repro.telemetry.observation.Observation` flags: the spec's
+    ``health`` section and *sample* set the same sampler, the flag
+    overriding the period.  With *profile*, a spec that disabled the
+    flight recorder gets one anyway so SLO alerts have somewhere to
+    dump.
     """
     # The spec's embedded base config is mutated below (cost knobs,
     # canonical-duration coupling inside build_scenario); deep-copy so
@@ -306,37 +262,23 @@ def build_stressed_scenario(
             rng=scenario.streams.get("faults"),
         )
 
-    tel = sampler = recorder = None
-    if spec.health is not None:
-        from repro.telemetry.flight_recorder import FlightRecorder
-        from repro.telemetry.timeseries import HealthSampler, overlay_probes
-
-        health = spec.health
-        tel = telemetry.Telemetry.sim(scenario.env)
-        sampler = HealthSampler(tel, period=health.period)
-        for probe in overlay_probes(
-            scenario.overlay, scenario.network, per_peer=False
-        ):
-            sampler.add_probe(probe)
-        sampler.attach_sim(scenario.env)
-        if health.flight_recorder:
-            recorder = FlightRecorder(
-                tel,
-                out_dir=out_dir,
-                miss_burst=health.miss_burst,
-                miss_window=health.miss_window,
-                cooldown=health.cooldown,
-                sampler=sampler,
-            )
-
+    health = spec.health or HealthSpec()
+    if sample is None and spec.health is not None:
+        sample = health.period
+    obs = Observation.sim(
+        scenario.env, scenario.overlay, scenario.network, per_peer=False,
+        sample=sample, profile=profile,
+        record_dir=out_dir if health.flight_recorder or profile else None,
+        recorder_kwargs={
+            "miss_burst": health.miss_burst,
+            "miss_window": health.miss_window,
+            "cooldown": health.cooldown,
+        },
+        meta={"seed": cfg.seed, "scenario": spec.name},
+        **flags,
+    )
     return StressedScenario(
-        spec=spec,
-        scenario=scenario,
-        faults=faults,
-        liars=liars,
-        tel=tel,
-        sampler=sampler,
-        recorder=recorder,
+        spec=spec, scenario=scenario, faults=faults, liars=liars, obs=obs,
     )
 
 

@@ -13,7 +13,7 @@ import os
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.benchmarking import harness
-from repro.scenarios.builder import build_stressed_scenario
+from repro.scenarios.builder import run_spec
 from repro.scenarios.spec import ScenarioSpec, load_spec
 
 #: Where the pinned suite lives, relative to the repo root.
@@ -57,9 +57,7 @@ def make_bench_fn(
         spec = load_spec(path)
         if quick:
             _quicken(spec)
-        stressed = build_stressed_scenario(spec, out_dir=out_dir)
-        stressed.run()
-        doc = stressed.metrics_document()
+        doc = run_spec(spec, out_dir=out_dir)
         return {"events": doc["events"], "metrics": doc}
 
     return fn

@@ -19,16 +19,12 @@ The default handle is a no-op: instrumented hot paths check one flag::
         tel.tracer.event("gossip.round", node=rm_id)
 
 so a run that never activates telemetry pays a module-global read and a
-branch per call site (bounded by a test).  Activate explicitly::
-
-    tel = telemetry.activate(telemetry.Telemetry.wall())   # live runtime
-    tel = telemetry.activate(telemetry.Telemetry.sim(env)) # simulator
-    ...
-    telemetry.export.write_jsonl("out.jsonl", tel.tracer, tel.metrics)
-    telemetry.deactivate()
-
-or scope it with ``with telemetry.session(tel): ...``.  The ``repro-trace``
-CLI (:mod:`repro.telemetry.cli`) analyses the exported JSONL.
+branch per call site (bounded by a test).  A run attaches it — with the
+sampler, recorder, profiler and exporters its flags ask for — through one
+:class:`~repro.telemetry.observation.Observation`; library code scopes a
+bare handle with ``with telemetry.session(tel): ...`` (or
+:func:`activate` / :func:`deactivate`).  The ``repro-trace`` CLI
+(:mod:`repro.telemetry.cli`) analyses the exported JSONL.
 """
 
 from __future__ import annotations

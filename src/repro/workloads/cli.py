@@ -12,37 +12,56 @@ from __future__ import annotations
 import argparse
 import os
 
-from repro import telemetry
 from repro.common.util import fmt_table
 from repro.reporting.ascii import sparkline
+from repro.telemetry.observation import (
+    Observation,
+    add_observation_flags,
+    observation_flags,
+)
 from repro.workloads.configio import config_to_json, load_config
 from repro.workloads.scenario import ScenarioConfig, build_scenario
 from repro.workloads.trace import TraceRecorder, save_trace
 
 
-def _run_scenario(args) -> int:
+def _override(cfg: ScenarioConfig, args) -> ScenarioConfig:
+    """Apply ``--seed/--policy/--defense`` on top of a loaded config."""
+    if args.seed is not None:
+        cfg.seed = args.seed
+    if args.policy is not None:
+        cfg.allocation_policy = args.policy
+        cfg.rm.placement_policy = args.policy
+    if args.defense:
+        cfg.rm.enable_defense = True
+    return cfg
+
+
+def _print_summary(summary, scenario, extra_rows=()) -> None:
+    rows = [[k, v if not isinstance(v, float) else f"{v:.3f}"]
+            for k, v in summary.row().items()]
+    print(fmt_table(["metric", "value"], rows + list(extra_rows)))
+    if len(scenario.metrics.fairness_series):
+        _, values = scenario.metrics.fairness_series.as_arrays()
+        print(f"fairness over time: {sparkline(values, width=60)}")
+
+
+def _run_scenario(args, flags) -> int:
     """The ``--scenario`` path: run one stress-scenario DSL file."""
     import json
 
     from repro.scenarios import build_stressed_scenario, load_spec
 
     spec = load_spec(args.scenario)
-    if args.seed is not None:
-        spec.base.seed = args.seed
-    if args.policy is not None:
-        spec.base.allocation_policy = args.policy
-        spec.base.rm.placement_policy = args.policy
-    if args.defense:
-        spec.base.rm.enable_defense = True
+    _override(spec.base, args)
 
     out_dir = (
         os.path.dirname(args.metrics_out) if args.metrics_out else "."
     ) or "."
-    stressed = build_stressed_scenario(spec, out_dir=out_dir)
-    if args.profile:
-        stressed.attach_profiling(
-            budget=args.profile_budget, out_dir=out_dir
-        )
+    if args.profile and not args.profile_folded:
+        flags["folded"] = os.path.join(out_dir, f"profile-{spec.name}.folded")
+    stressed = build_stressed_scenario(
+        spec, out_dir=out_dir, log=print, **flags
+    )
     scenario = stressed.scenario
     print(
         f"scenario {spec.name!r}: {scenario.overlay.n_peers} peers / "
@@ -55,39 +74,12 @@ def _run_scenario(args) -> int:
     summary = stressed.run()
     doc = stressed.metrics_document()
 
-    rows = [[k, v if not isinstance(v, float) else f"{v:.3f}"]
-            for k, v in summary.row().items()]
-    rows.append(["partition_drops", doc["partition_drops"]])
-    print(fmt_table(["metric", "value"], rows))
+    _print_summary(
+        summary, scenario, [["partition_drops", doc["partition_drops"]]]
+    )
     if stressed.faults is not None:
         for t, kind, detail in stressed.faults.log:
             print(f"  fault t={t:.1f}s {kind}: {detail}")
-    if stressed.recorder is not None:
-        for path in stressed.recorder.dumps:
-            print(f"flight-recorder bundle -> {path}")
-    if stressed.profile is not None:
-        sess = stressed.profile
-        folded = args.profile_folded or os.path.join(
-            out_dir, f"profile-{spec.name}.folded"
-        )
-        path = sess.write_folded(folded)
-        info = sess.summary()
-        print(
-            f"profiler: {info['samples']} samples / "
-            f"{info['unique_stacks']} stacks; overhead "
-            f"{info['overhead_ratio']:.2%} (budget {info['budget']:.0%}, "
-            f"{info['retunes']} retunes)"
-            + (f" -> {path}" if path else "")
-        )
-        for alert in sess.alerts:
-            print(
-                f"SLO ALERT: {alert.slo} burning {alert.burn:.1f}x "
-                f"({alert.window} window, t={alert.time:.1f}s)"
-                + (f" -> {alert.dump}" if alert.dump else "")
-            )
-    if len(scenario.metrics.fairness_series):
-        _, values = scenario.metrics.fairness_series.as_arrays()
-        print(f"fairness over time: {sparkline(values, width=60)}")
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8") as fp:
             json.dump(doc, fp, indent=2)
@@ -96,7 +88,7 @@ def _run_scenario(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-run",
         description="Run one peer-to-peer middleware scenario.",
@@ -112,7 +104,8 @@ def main(argv: list[str] | None = None) -> int:
         "--scenario", metavar="FILE",
         help="run a stress-scenario DSL file (.json/.toml) instead of a "
         "plain config: shaped arrivals, fault scripts, misbehaving "
-        "peers, auto-attached health sampling (see docs/scenarios.md)",
+        "peers, auto-attached health sampling (see docs/scenarios.md); "
+        "the spec owns duration, drain and the request trace",
     )
     parser.add_argument(
         "--metrics-out", metavar="FILE",
@@ -120,77 +113,32 @@ def main(argv: list[str] | None = None) -> int:
         "metrics JSON here",
     )
     parser.add_argument(
-        "--duration", type=float, default=300.0,
+        "--duration", type=float, default=None,
         help="simulated seconds of workload (default 300)",
     )
     parser.add_argument(
-        "--drain", type=float, default=60.0,
+        "--drain", type=float, default=None,
         help="extra simulated seconds for in-flight tasks (default 60)",
     )
     parser.add_argument(
         "--seed", type=int, default=None, help="override the config seed"
     )
     parser.add_argument(
-        "--policy", default=None,
-        choices=(
-            "paper", "fairness", "first", "random", "least_loaded",
-            "round_robin",
-        ),
-        help="override the placement policy (default: the config's "
-        "allocation_policy / rm.placement_policy)",
-    )
-    parser.add_argument(
-        "--defense", action="store_true",
-        help="reputation-gated load reports (rm.enable_defense): the RM "
-        "cross-checks each peer's claims against observed evidence, "
-        "discounts divergent peers in placement and quarantines chronic "
-        "liars (see docs/scenarios.md)",
-    )
-    parser.add_argument(
         "--record-trace", metavar="FILE",
         help="record generated requests to a CSV trace",
     )
-    parser.add_argument(
-        "--trace", metavar="FILE",
-        help="record a telemetry trace (spans/events/metrics) to a JSONL "
-        "file; analyse it with repro-trace",
-    )
-    parser.add_argument(
-        "--sample", metavar="PERIOD", nargs="?", const=1.0, type=float,
-        default=None,
-        help="with --trace: sample health series every PERIOD simulated "
-        "seconds (default 1.0) and attach them to the trace; view with "
-        "repro-dash.  Also arms the flight recorder (anomaly bundles "
-        "land next to the trace file).",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="attach the in-process sampling profiler + overhead "
-        "budgeter (and, when health series are sampled, SLO burn-rate "
-        "alerting); writes a flame-ready .folded file.  Observation "
-        "only: the event trajectory is unchanged.",
-    )
-    parser.add_argument(
-        "--profile-budget", type=float, default=None, metavar="FRAC",
-        help="observability overhead budget as a fraction of wall time "
-        "(default 0.02); the budgeter backs sampling off above it",
-    )
-    parser.add_argument(
-        "--profile-folded", metavar="FILE", default=None,
-        help="where to write the folded stacks (default: profile.folded "
-        "next to the trace / metrics output)",
-    )
+    add_observation_flags(parser, clock="sim")
     parser.add_argument(
         "--print-default-config", action="store_true",
         help="emit the default ScenarioConfig as JSON and exit",
     )
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
-    if args.sample is not None and not args.trace:
-        parser.error("--sample requires --trace")
-    if args.profile_budget is not None and not args.profile:
-        parser.error("--profile-budget requires --profile")
-    if args.profile_folded and not args.profile:
-        parser.error("--profile-folded requires --profile")
+    flags = observation_flags(parser, args)
 
     if args.print_default_config:
         print(config_to_json(ScenarioConfig()))
@@ -198,21 +146,20 @@ def main(argv: list[str] | None = None) -> int:
     if args.scenario:
         if args.config:
             parser.error("--scenario replaces the plain config argument")
-        return _run_scenario(args)
+        for flag in ("duration", "drain", "record_trace"):
+            if getattr(args, flag) is not None:
+                parser.error(
+                    f"--{flag.replace('_', '-')} cannot be combined with "
+                    "--scenario (the spec owns it)"
+                )
+        return _run_scenario(args, flags)
     if args.metrics_out:
         parser.error("--metrics-out requires --scenario")
     if not args.config:
         parser.error("a config file is required (or --print-default-config "
                      "/ --scenario)")
 
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.policy is not None:
-        cfg.allocation_policy = args.policy
-        cfg.rm.placement_policy = args.policy
-    if args.defense:
-        cfg.rm.enable_defense = True
+    cfg = _override(load_config(args.config), args)
     scenario = build_scenario(cfg)
     recorder = None
     if args.record_trace:
@@ -224,92 +171,17 @@ def main(argv: list[str] | None = None) -> int:
         f"{scenario.overlay.n_domains} domains; "
         f"policy={cfg.allocation_policy}; seed={cfg.seed}"
     )
-    tel = None
-    sampler = None
-    recorder_fr = None
-    if args.trace:
-        tel = telemetry.activate(telemetry.Telemetry.sim(scenario.env))
-        if args.sample is not None:
-            from repro.telemetry.flight_recorder import FlightRecorder
-            from repro.telemetry.timeseries import (
-                HealthSampler, overlay_probes,
-            )
-
-            sampler = HealthSampler(tel, period=args.sample)
-            for probe in overlay_probes(scenario.overlay, scenario.network):
-                sampler.add_probe(probe)
-            sampler.attach_sim(scenario.env)
-            recorder_fr = FlightRecorder(
-                tel,
-                out_dir=os.path.dirname(args.trace) or ".",
-                sampler=sampler,
-            )
-    profile_sess = None
-    if args.profile:
-        from repro.profiling import profile_sim
-
-        profile_sess = profile_sim(
-            scenario.env, tel=tel, sampler=sampler, recorder=recorder_fr,
-            budget=(
-                args.profile_budget
-                if args.profile_budget is not None else 0.02
-            ),
+    with Observation.sim(
+        scenario.env, scenario.overlay, scenario.network,
+        record_dir=os.path.dirname(args.trace or "") or ".",
+        meta={"seed": cfg.seed}, log=print, **flags,
+    ):
+        summary = scenario.run(
+            duration=300.0 if args.duration is None else args.duration,
+            drain=60.0 if args.drain is None else args.drain,
         )
-    try:
-        summary = scenario.run(duration=args.duration, drain=args.drain)
-    finally:
-        if profile_sess is not None:
-            profile_sess.stop()
-            if tel is not None:
-                profile_sess.publish(tel.metrics)
-            folded = args.profile_folded or os.path.join(
-                os.path.dirname(args.trace) if args.trace else ".",
-                "profile.folded",
-            )
-            path = profile_sess.write_folded(folded)
-            info = profile_sess.summary()
-            print(
-                f"profiler: {info['samples']} samples / "
-                f"{info['unique_stacks']} stacks; overhead "
-                f"{info['overhead_ratio']:.2%} "
-                f"(budget {info['budget']:.0%}, "
-                f"{info['retunes']} retunes)"
-                + (f" -> {path}" if path else "")
-            )
-            for alert in profile_sess.alerts:
-                print(
-                    f"SLO ALERT: {alert.slo} burning {alert.burn:.1f}x "
-                    f"({alert.window} window, t={alert.time:.1f}s)"
-                    + (f" -> {alert.dump}" if alert.dump else "")
-                )
-        if tel is not None:
-            tel.tracer.finish_open()
-            telemetry.export.write_jsonl(
-                args.trace, tel.tracer, tel.metrics,
-                meta={
-                    "runtime": "sim",
-                    "seed": cfg.seed,
-                    "aggregate": scenario.network.stats.summary(),
-                },
-                sampler=sampler,
-                profile=(
-                    profile_sess.record() if profile_sess else None
-                ),
-            )
-            if recorder_fr is not None:
-                recorder_fr.close()
-                for path in recorder_fr.dumps:
-                    print(f"flight-recorder bundle -> {path}")
-            telemetry.deactivate()
-            print(f"telemetry trace -> {args.trace}")
 
-    rows = [[k, v if not isinstance(v, float) else f"{v:.3f}"]
-            for k, v in summary.row().items()]
-    print(fmt_table(["metric", "value"], rows))
-    if len(scenario.metrics.fairness_series):
-        _, values = scenario.metrics.fairness_series.as_arrays()
-        print(f"fairness over time: {sparkline(values, width=60)}")
-
+    _print_summary(summary, scenario)
     if recorder is not None:
         with open(args.record_trace, "w", encoding="utf-8") as fp:
             save_trace(recorder.entries, fp)

@@ -569,10 +569,9 @@ class TestProfileSessions:
             ))
             spec.duration = 20.0
             spec.drain = 10.0
-            stressed = build_stressed_scenario(spec,
-                                               out_dir=str(tmp_path))
-            if profiled:
-                stressed.attach_profiling(out_dir=str(tmp_path))
+            stressed = build_stressed_scenario(
+                spec, out_dir=str(tmp_path), profile=profiled
+            )
             stressed.run()
             docs.append(stressed.metrics_document())
         plain, profiled = docs
@@ -606,11 +605,13 @@ class TestProfileSessions:
             ))
             out = tmp_path / name
             out.mkdir()
-            stressed = build_stressed_scenario(spec, out_dir=str(out))
-            sess = stressed.attach_profiling(out_dir=str(out))
+            stressed = build_stressed_scenario(
+                spec, out_dir=str(out), profile=True
+            )
             stressed.run()
             alerts[name] = [
-                a for a in sess.alerts if a.slo == "miss_rate"
+                a for a in stressed.obs.session.alerts
+                if a.slo == "miss_rate"
             ]
         assert alerts["liar_control"] == []
         assert len(alerts["liar_peers"]) >= 1

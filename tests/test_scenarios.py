@@ -628,7 +628,7 @@ class TestHealthCoupling:
         stressed = build_stressed_scenario(spec, out_dir=str(tmp_path))
         stressed.run()
         rings = [
-            r for r in stressed.sampler.all_series()
+            r for r in stressed.obs.sampler.all_series()
             if r.name == "repro_sched_miss_ratio"
         ]
         assert rings, "per-QoS miss series were not sampled"
@@ -699,8 +699,8 @@ class TestHealthCoupling:
         stressed = build_stressed_scenario(spec, out_dir=str(tmp_path))
         stressed.run()
         metrics = stressed.metrics_document()
-        assert metrics["flight_dumps"] == stressed.recorder.dumps
-        for path in stressed.recorder.dumps:
+        assert metrics["flight_dumps"] == stressed.obs.recorder.dumps
+        for path in stressed.obs.recorder.dumps:
             assert os.path.dirname(path) == str(tmp_path)
             assert os.path.exists(path)
 
@@ -819,6 +819,48 @@ class TestCli:
 
         with pytest.raises(SystemExit):
             cli.main(["--metrics-out", str(tmp_path / "m.json")])
+
+    def test_repro_run_scenario_honours_trace(self, tmp_path):
+        from repro.telemetry.export import read_jsonl
+        from repro.workloads import cli
+
+        trace = tmp_path / "s.jsonl"
+        rc = cli.main(["--scenario", str(self.write_config(tmp_path)),
+                       "--trace", str(trace)])
+        assert rc == 0
+        data = read_jsonl(str(trace))
+        assert data.meta["scenario"] == "t" and data.meta["seed"] == 7
+        assert data.spans and not data.series  # the spec has no health
+
+    def test_repro_run_scenario_sample_overrides_health_period(
+        self, tmp_path
+    ):
+        from repro.telemetry.export import read_jsonl
+        from repro.workloads import cli
+
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(small_doc(health={"period": 5.0})))
+        trace = tmp_path / "s.jsonl"
+        rc = cli.main(["--scenario", str(path), "--trace", str(trace),
+                       "--sample", "2"])
+        assert rc == 0
+        series = read_jsonl(str(trace)).series
+        assert series
+        # 30 s of run sampled every 2 s (the flag), not every 5 (the spec).
+        assert max(len(rec["t"]) for rec in series) == 16
+
+    @pytest.mark.parametrize("flag", [
+        ["--duration", "5"], ["--drain", "5"], ["--record-trace", "r.csv"],
+    ])
+    def test_repro_run_scenario_rejects_spec_owned_flags(
+        self, tmp_path, flag, capsys
+    ):
+        from repro.workloads import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--scenario", str(self.write_config(tmp_path))] + flag)
+        assert exc.value.code == 2
+        assert f"{flag[0]} cannot be combined" in capsys.readouterr().err
 
     def test_repro_bench_adversarial_list(self, tmp_path, capsys):
         from repro.benchmarking import cli
