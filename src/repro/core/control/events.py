@@ -1,9 +1,9 @@
 """Task lifecycle event emission shared by the control-plane components.
 
 Every component reports transitions through
-:func:`emit_task_event` (via ``rm._emit``): it feeds the legacy sim
-tracer, the unified telemetry layer (span per task, counters), and the
-RM's ``on_task_event`` metrics hook.
+:func:`emit_task_event` (via ``rm._emit``): it feeds the unified
+telemetry layer (span per task, counters) and the RM's
+``on_task_event`` metrics hook.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ def emit_task_event(
     rm: "ResourceManager", task: ApplicationTask, event: str
 ) -> None:
     """Record a task lifecycle transition on every observer channel."""
-    if rm.tracer is not None:
-        rm.tracer.record(
-            rm.env.now, f"task.{event}", task=task.task_id, rm=rm.node_id,
-        )
     tel = telemetry.current()
     if tel.enabled:
         trace_id = f"task:{task.task_id}"

@@ -178,9 +178,6 @@ class TaskRegistry:
                 {"task_id": session.task_id, "from_step": resume},
                 size=protocol.size_of(protocol.START_STREAM),
             )
-        if rm.tracer is not None:
-            rm.tracer.record(rm.env.now, "rm.takeover", rm=rm.node_id,
-                             domain=rm.domain_id)
         tel = telemetry.current()
         if tel.enabled:
             tel.tracer.event(

@@ -52,17 +52,12 @@ class RepairCoordinator:
         rm = self.rm
         if not rm.info.has_peer(peer_id):
             return
-        removed_edges = rm.info.remove_peer(peer_id)
+        rm.info.remove_peer(peer_id)
         rm.last_seen.pop(peer_id, None)
         # Objects hosted only there become unavailable.
         for name in list(rm.object_catalog):
             if not rm.info.peers_with_object(name):
                 del rm.object_catalog[name]
-        if rm.tracer is not None:
-            rm.tracer.record(
-                rm.env.now, "rm.peer_down", rm=rm.node_id, peer=peer_id,
-                graceful=graceful, edges=len(removed_edges),
-            )
         # Repair interrupted tasks (the roster no longer lists the dead
         # peer, so scan the session graphs directly).
         affected = [

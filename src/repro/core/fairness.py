@@ -64,6 +64,12 @@ def optimal_single_load(other_loads: Sequence[float]) -> float:
     return float(np.square(arr).sum()) / s
 
 
+#: A what-if sum of squares at or below this fraction of the stored one
+#: has lost its low digits to cancellation (a what-if that empties the
+#: heaviest peers): ``1.0 + 1e-20 - 1.0`` is 0, not ``1e-20``.
+_CANCELLED = 1e-5
+
+
 class LoadVector:
     """A named load distribution with O(1) incremental what-if fairness."""
 
@@ -146,9 +152,12 @@ class LoadVector:
                 new = max(0.0, old + delta)
                 sums[i] += new - old
                 sumsqs[i] += new * new - old * old
-        out = np.ones(len(candidates), dtype=float)
-        nonzero = sumsqs > 0.0
-        out[nonzero] = (sums[nonzero] ** 2) / (n * sumsqs[nonzero])
+        out = np.empty(len(candidates), dtype=float)
+        cancelled = sumsqs <= self._sumsq * _CANCELLED
+        ok = ~cancelled
+        out[ok] = (sums[ok] ** 2) / (n * sumsqs[ok])
+        for i in np.flatnonzero(cancelled):
+            out[i] = self._recomputed_with(candidates[i])
         return out
 
     def fairness_with(self, deltas: Mapping[str, float]) -> float:
@@ -168,9 +177,19 @@ class LoadVector:
             new = max(0.0, old + delta)
             s += new - old
             q += new * new - old * old
-        if q <= 0.0:
-            return 1.0
+        if q <= self._sumsq * _CANCELLED:
+            return self._recomputed_with(deltas)
         return (s * s) / (n * q)
+
+    def _recomputed_with(self, deltas: Mapping[str, float]) -> float:
+        """Equation (1) over the stored loads with *deltas* applied —
+        the exact answer for when the running sums have cancelled."""
+        loads = dict(self._loads)
+        for peer, delta in deltas.items():
+            old = loads.get(peer)
+            if old is not None:
+                loads[peer] = max(0.0, old + delta)
+        return jain_fairness(list(loads.values()))
 
 
 def fairness_after_assignment(

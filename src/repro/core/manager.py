@@ -32,7 +32,6 @@ from repro.net.message import Message
 from repro.net.network import Network
 from repro.sim.core import Environment
 from repro.sim.events import Event, Interrupt
-from repro.sim.trace import Tracer
 from repro.tasks.qos import QoSRequirements
 from repro.tasks.task import ApplicationTask, TaskState
 
@@ -122,12 +121,10 @@ class ResourceManager(Peer):
         peer_config: Optional[PeerConfig] = None,
         active: bool = True,
         on_task_event: Optional[TaskEventFn] = None,
-        tracer: Optional[Tracer] = None,
         policy: Optional[Union[PlacementPolicy, str]] = None,
     ) -> None:
         super().__init__(
             env, network, peer_id, config=peer_config, rm_id=peer_id,
-            tracer=tracer,
         )
         self.domain_id = domain_id
         self.rm_config = rm_config or RMConfig()

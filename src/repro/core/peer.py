@@ -32,7 +32,6 @@ from repro.scheduling.policies import SchedulingPolicy, make_policy
 from repro.scheduling.processor import Processor
 from repro.sim.core import Environment
 from repro.sim.events import Event
-from repro.sim.trace import Tracer
 
 
 @dataclass
@@ -87,19 +86,16 @@ class Peer(NetNode):
         config: Optional[PeerConfig] = None,
         rm_id: Optional[str] = None,
         policy: Optional[SchedulingPolicy] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         super().__init__(env, network, peer_id)
         self.config = config or PeerConfig()
         self.rm_id = rm_id
-        self.tracer = tracer
         self.processor = Processor(
             env,
             peer_id,
             power=self.config.power,
             policy=policy or make_policy(self.config.scheduling_policy),
             quantum=self.config.quantum,
-            tracer=tracer,
         )
         self.profiler = Profiler(
             env,
@@ -265,11 +261,6 @@ class Peer(NetNode):
         if current is not None and current.epoch > order.epoch:
             return  # stale repair
         self._orders[order.task_id] = order
-        if self.tracer is not None:
-            self.tracer.record(
-                self.env.now, "peer.compose", peer=self.node_id,
-                task=order.task_id, epoch=order.epoch,
-            )
 
     def _handle_start_stream(self, msg: Message) -> None:
         """The RM told us to (re)start emitting a task's data."""
@@ -411,11 +402,6 @@ class Peer(NetNode):
             },
             size=protocol.size_of(protocol.TASK_DONE),
         )
-        if self.tracer is not None:
-            self.tracer.record(
-                self.env.now, "peer.task_complete", peer=self.node_id,
-                task=order.task_id,
-            )
 
     def _handle_cancel_task(self, msg: Message) -> None:
         task_id = msg.payload["task_id"]

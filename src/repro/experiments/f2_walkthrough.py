@@ -10,6 +10,8 @@ its simulated timestamp.
 
 from __future__ import annotations
 
+from repro import telemetry
+from repro.core import protocol
 from repro.core.info_base import PeerRecord
 from repro.core.manager import ResourceManager
 from repro.core.peer import Peer, PeerConfig
@@ -18,25 +20,22 @@ from repro.media.fig1 import build_fig1_graph
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
 from repro.sim.core import Environment
-from repro.sim.trace import Tracer
 
 
 def run(quick: bool = False) -> ExperimentResult:
     """Drive the Fig-2 sequence and regenerate the event timeline."""
     env = Environment()
-    tracer = Tracer()
-    net = Network(env, ConstantLatency(0.010), bandwidth=1.25e6,
-                  tracer=tracer)
+    net = Network(env, ConstantLatency(0.010), bandwidth=1.25e6)
     events = []
     rm = ResourceManager(
-        env, net, "rm0", "d0", tracer=tracer,
+        env, net, "rm0", "d0",
         on_task_event=lambda t, e: events.append((env.now, e, t)),
     )
     scenario = build_fig1_graph()
     peers = {}
     for pid in scenario.peers:
         peers[pid] = Peer(env, net, pid, PeerConfig(power=10.0),
-                          rm_id="rm0", tracer=tracer)
+                          rm_id="rm0")
         rm.admit_peer(PeerRecord(peer_id=pid, power=10.0, bandwidth=1.25e6))
     for edge in scenario.graph.edges():
         rm.info.register_service_instance(
@@ -56,7 +55,9 @@ def run(quick: bool = False) -> ExperimentResult:
         acks.append((env.now, reply.payload))
 
     env.process(client())
-    env.run(until=60.0)
+    with telemetry.session(telemetry.Telemetry.sim(env)) as tel:
+        env.run(until=60.0)
+    messages = tel.tracer.spans_of_kind(telemetry.MESSAGE)
 
     task = next(iter(rm.tasks.values()))
     result = ExperimentResult(
@@ -73,24 +74,32 @@ def run(quick: bool = False) -> ExperimentResult:
         + " -> ".join(f"{s}@{p}" for s, p in task.allocation)
         + f" (fairness {task.allocation_fairness:.3f})",
     )
-    composes = tracer.of_kind("peer.compose")
-    for rec in composes:
+    # A message span ends at delivery to ``dst``; a service span runs
+    # from CPU submit to the step's completion on its peer.
+    for span in messages:
+        if span.name == protocol.COMPOSE:
+            result.add_row(
+                span.end, "B",
+                f"graph composition message at {span.attrs['dst']}",
+            )
+    steps = [
+        s for s in tel.tracer.spans_of_kind(telemetry.SERVICE)
+        if s.status == "ok"
+    ]
+    if steps:
         result.add_row(
-            rec.time, "B", f"graph composition message at {rec['peer']}"
+            min(s.start for s in steps), "C",
+            "streaming + transcoding begins",
         )
-    submits = tracer.of_kind("cpu.submit")
-    if submits:
-        result.add_row(submits[0].time, "C", "streaming + transcoding begins")
-    for rec in tracer.of_kind("cpu.complete"):
+    for span in steps:
         result.add_row(
-            rec.time, "C",
-            f"transcoding step finished at {rec['peer']}",
+            span.end, "C", f"transcoding step finished at {span.node}"
         )
-    done = tracer.of_kind("peer.task_complete")
-    for rec in done:
-        result.add_row(
-            rec.time, "C", f"final stream delivered at {rec['peer']}"
-        )
+    for span in messages:
+        if span.name == protocol.TASK_DONE:
+            result.add_row(
+                span.start, "C", f"final stream delivered at {span.node}"
+            )
     if task.outcome is None or task.outcome.value != "met":
         raise AssertionError(f"walkthrough task did not complete: {task}")
     result.notes.append(

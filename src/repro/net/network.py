@@ -12,7 +12,6 @@ from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.message import Message
 from repro.sim.core import Environment
 from repro.sim.events import NORMAL, Event
-from repro.sim.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import NetNode
@@ -116,7 +115,6 @@ class Network:
         bandwidth: float = 1.25e6,
         loss_rate: float = 0.0,
         loss_rng: Optional[Any] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         if bandwidth <= 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth}")
@@ -131,7 +129,6 @@ class Network:
         #: detection and repair — never through retransmission magic).
         self.loss_rate = float(loss_rate)
         self._loss_rng = loss_rng
-        self.tracer = tracer
         self.stats = NetworkStats()
         self._nodes: Dict[str, "NetNode"] = {}
         self._down: Set[str] = set()
@@ -242,11 +239,6 @@ class Network:
         msg.sent_at = self.env.now
         msg.ensure_trace_id()
         self.stats.note_send(msg)
-        if self.tracer is not None:
-            self.tracer.record(
-                self.env.now, "net.send", msg_kind=msg.kind, src=msg.src,
-                dst=msg.dst, size=msg.size,
-            )
         tel = telemetry.current()
         if tel.enabled:
             tel.tracer.start_span(
@@ -316,11 +308,6 @@ class Network:
             self._drop(msg)
             return
         self.stats.delivered += 1
-        if self.tracer is not None:
-            self.tracer.record(
-                self.env.now, "net.deliver", msg_kind=msg.kind, src=msg.src,
-                dst=msg.dst,
-            )
         tel = telemetry.current()
         if tel.enabled:
             tel.tracer.end_span_key(f"msg:{msg.msg_id}", status="ok")

@@ -35,7 +35,6 @@ from repro.overlay.failover import FailoverAgent, FailoverConfig
 from repro.overlay.qualification import QualificationPolicy
 from repro.sim.core import Environment
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import Tracer
 
 _domain_counter = itertools.count(0)
 
@@ -112,7 +111,6 @@ class OverlayNetwork:
         rm_capable_quota: int = 2,
         on_task_event: Optional[TaskEventFn] = None,
         streams: Optional[RandomStreams] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.env = env
         self.network = network
@@ -129,7 +127,6 @@ class OverlayNetwork:
         self.rm_capable_quota = max(1, rm_capable_quota)
         self.on_task_event = on_task_event
         self.streams = streams or RandomStreams(0)
-        self.tracer = tracer
 
         self.domains: Dict[str, Domain] = {}
         self.peers: Dict[str, Peer] = {}
@@ -160,7 +157,6 @@ class OverlayNetwork:
             peer_config=spec.peer_config(),
             active=True,
             on_task_event=self.on_task_event,
-            tracer=self.tracer,
         )
         domain = Domain(domain_id=domain_id, rm=rm)
         self.domains[domain_id] = domain
@@ -177,11 +173,6 @@ class OverlayNetwork:
                 rm,
                 self.gossip_config,
                 rng=self.streams.get(f"gossip:{rm.node_id}"),
-            )
-        if self.tracer is not None:
-            self.tracer.record(
-                self.env.now, "overlay.domain_created", domain=domain_id,
-                rm=spec.peer_id,
             )
         return domain
 
@@ -262,7 +253,6 @@ class OverlayNetwork:
                 peer_config=spec.peer_config(),
                 active=False,
                 on_task_event=self.on_task_event,
-                tracer=self.tracer,
             )
             node.rm_id = domain.rm.node_id
             domain.eligible.append(node)  # type: ignore[arg-type]
@@ -275,7 +265,6 @@ class OverlayNetwork:
                 spec.peer_id,
                 config=spec.peer_config(),
                 rm_id=domain.rm.node_id,
-                tracer=self.tracer,
             )
         self._enroll(node, spec, domain.rm)
         # Confirm on the wire (overhead accounting).

@@ -27,6 +27,7 @@ import json
 import sys
 from typing import Any, Dict, List, Optional
 
+from repro.core.manager import RMConfig
 from repro.net.node import RPCError
 from repro.runtime.cluster import LiveCluster, LiveClusterConfig
 from repro.telemetry.logs import configure_logging
@@ -107,6 +108,9 @@ async def run_live(
 ) -> Dict[str, Any]:
     config = LiveClusterConfig(
         n_peers=args.peers, object_duration_s=args.duration,
+    )
+    config.rm_config = RMConfig(
+        expected_update_period=config.profiler_update_period,
         placement_policy=args.policy, enable_defense=args.defense,
     )
     cluster = LiveCluster(config)

@@ -43,19 +43,10 @@ class LiveClusterConfig:
     #: runs wall-clock fast.
     object_duration_s: float = 3.0
     profiler_update_period: float = 0.5
-    peer_power: float = 10.0
-    peer_bandwidth: float = 1.25e6
-    peer_uptime: float = 0.9
-    rm_candidate_id: str = "M0"
-    rm_power: float = 50.0
-    rm_bandwidth: float = 1.0e7
-    rm_uptime: float = 1.0
     join_timeout: float = 10.0
-    #: Placement policy name the elected RM runs (registry name;
-    #: overrides ``rm_config.placement_policy`` when non-default).
-    placement_policy: str = "paper"
-    #: Reputation-gated load reports on the elected RM (``--defense``).
-    enable_defense: bool = False
+    #: What the elected RM runs (placement policy, defense, ...); the
+    #: default expects reports every ``profiler_update_period``.  Read,
+    #: never written, so one instance may be shared between clusters.
     rm_config: Optional[RMConfig] = None
     #: Extra kwargs forwarded to every UdpTransport (test shims).
     transport_kwargs: Dict[str, Any] = field(default_factory=dict)
@@ -76,10 +67,10 @@ def fig1_specs(cfg: LiveClusterConfig) -> List[NodeSpec]:
     )
     specs: List[NodeSpec] = [
         NodeSpec(
-            node_id=cfg.rm_candidate_id,
-            power=cfg.rm_power,
-            bandwidth=cfg.rm_bandwidth,
-            uptime=cfg.rm_uptime,
+            node_id="M0",
+            power=50.0,
+            bandwidth=1.0e7,
+            uptime=1.0,
             profiler_update_period=cfg.profiler_update_period,
         )
     ]
@@ -89,9 +80,9 @@ def fig1_specs(cfg: LiveClusterConfig) -> List[NodeSpec]:
     for pid in peer_ids:
         specs.append(NodeSpec(
             node_id=pid,
-            power=cfg.peer_power,
-            bandwidth=cfg.peer_bandwidth,
-            uptime=cfg.peer_uptime,
+            power=10.0,
+            bandwidth=1.25e6,
+            uptime=0.9,
             objects=[movie] if pid == "P1" else [],
             service_edges=edges_by_peer.get(pid, []),
             profiler_update_period=cfg.profiler_update_period,
@@ -128,10 +119,6 @@ class LiveCluster:
         rm_config = cfg.rm_config or RMConfig(
             expected_update_period=cfg.profiler_update_period,
         )
-        if cfg.placement_policy != "paper":
-            rm_config.placement_policy = cfg.placement_policy
-        if cfg.enable_defense:
-            rm_config.enable_defense = True
         self.agent = RosterAgent(
             "s0", self.directory,
             domain_id=cfg.domain_id,

@@ -37,6 +37,7 @@ from repro.core.control.events import TERMINAL_EVENTS
 from repro.runtime.agent import agent_id_for
 from repro.runtime.node import NodeSpec
 from repro.runtime.shard import ShardConfig, _shard_entry
+from repro.telemetry.export import write_records
 from repro.telemetry.httpd import TelemetryHTTPServer
 from repro.telemetry.logs import get_logger
 
@@ -426,11 +427,8 @@ class ClusterSupervisor:
             sink = {"epoch": meta.get("epoch_unix"), "fh": fh, "path": path}
             self._trace_sinks[sid] = sink
             self._trace_paths.append(path)
-        fh = sink["fh"]
-        for rec in msg.get("records", []):
-            fh.write(json.dumps(rec, separators=(",", ":"), default=str))
-            fh.write("\n")
-        fh.flush()
+        write_records(sink["fh"], msg.get("records", []))
+        sink["fh"].flush()
 
     def _on_folded(self, sid: str, msg: Dict[str, Any]) -> None:
         if self.observe_dir is None:
@@ -488,12 +486,8 @@ class ClusterSupervisor:
         if self.observe_dir is None:
             return None
         from repro.profiling.folded import merge_folded, read_folded
-        from repro.telemetry.cluster import (
-            cross_shard_summary,
-            merge_traces,
-            write_trace_data,
-        )
-        from repro.telemetry.export import read_jsonl
+        from repro.telemetry.cluster import cross_shard_summary, merge_traces
+        from repro.telemetry.export import read_jsonl, write_trace_data
 
         for sink in self._trace_sinks.values():
             self._close_sink(sink)

@@ -23,7 +23,6 @@ from repro.scheduling.job import Job
 from repro.scheduling.policies import SchedulingPolicy
 from repro.sim.core import Environment
 from repro.sim.events import Event, Interrupt
-from repro.sim.trace import Tracer
 
 #: Remaining-work epsilon below which a job counts as complete.
 _EPS = 1e-9
@@ -64,7 +63,6 @@ class Processor:
         power: float,
         policy: SchedulingPolicy,
         quantum: Optional[float] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         if power <= 0:
             raise ValueError(f"power must be positive, got {power}")
@@ -75,7 +73,6 @@ class Processor:
         self.power = float(power)
         self.policy = policy
         self.quantum = quantum if quantum is not None else 0.1
-        self.tracer = tracer
 
         self.ready: List[Job] = []
         self.running: Optional[Job] = None
@@ -110,11 +107,6 @@ class Processor:
             raise RuntimeError(f"processor {self.peer_id} is stopped")
         job.done = Event(self.env)
         self.ready.append(job)
-        if self.tracer is not None:
-            self.tracer.record(
-                self.env.now, "cpu.submit", peer=self.peer_id,
-                job=job.job_id, task=job.task_id, work=job.work,
-            )
         tel = telemetry.current()
         if tel.enabled:
             tel.metrics.gauge(
@@ -279,12 +271,6 @@ class Processor:
                             self.missed_by_class.get(cls, 0) + 1
                         )
                     self.completed_jobs.append(job)
-                    if self.tracer is not None:
-                        self.tracer.record(
-                            env.now, "cpu.complete", peer=self.peer_id,
-                            job=job.job_id, task=job.task_id,
-                            met=job.met_deadline,
-                        )
                     tel = telemetry.current()
                     if tel.enabled:
                         tel.metrics.counter(

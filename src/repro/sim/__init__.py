@@ -2,7 +2,7 @@
 
 A self-contained, deterministic discrete-event simulator in the style of
 SimPy: simulation *processes* are Python generators that ``yield`` events
-(timeouts, other processes, resource requests, ...) and are resumed by the
+(timeouts, other processes, store gets, ...) and are resumed by the
 :class:`~repro.sim.core.Environment` when those events fire.
 
 The kernel is the substrate on which the entire peer-to-peer middleware
@@ -29,34 +29,23 @@ Example
 
 from repro.sim.core import Environment, StopSimulation
 from repro.sim.events import (
-    AllOf,
     AnyOf,
     Event,
     Interrupt,
     Process,
     Timeout,
 )
-from repro.sim.resources import (
-    PriorityResource,
-    Resource,
-    Store,
-)
+from repro.sim.resources import Store
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Environment",
     "Event",
     "Interrupt",
-    "PriorityResource",
     "Process",
     "RandomStreams",
-    "Resource",
     "StopSimulation",
     "Store",
     "Timeout",
-    "TraceRecord",
-    "Tracer",
 ]

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import heapq
-from typing import Any, Generator, Iterable, Optional, Union
+from typing import Any, Generator, Optional, Union
 
 from repro.sim.events import (
     NORMAL,
-    AllOf,
-    AnyOf,
     Event,
     Process,
     Timeout,
@@ -76,14 +74,6 @@ class Environment:
     ) -> Process:
         """Start a new process running *generator*."""
         return Process(self, generator, name=name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """An event firing once all *events* have fired."""
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """An event firing once any of *events* has fired."""
-        return AnyOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
     def schedule(

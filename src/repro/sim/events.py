@@ -124,9 +124,6 @@ class Event:
         self.env.schedule(self)
 
     # -- composition -----------------------------------------------------
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.env, [self, other])
-
     def __or__(self, other: "Event") -> "AnyOf":
         return AnyOf(self.env, [self, other])
 
@@ -312,29 +309,26 @@ class Process(Event):
         return f"<Process {self.name} {'alive' if self.is_alive else 'dead'}>"
 
 
-class _Condition(Event):
-    """Base for :class:`AllOf` / :class:`AnyOf` composite events."""
+class AnyOf(Event):
+    """Fires when *any* component event has fired; value maps event->value.
 
-    __slots__ = ("events", "_n_fired")
+    ``a | b`` builds one: the processor races its quantum against a
+    wake-up, an RPC its reply against a deadline.
+    """
+
+    __slots__ = ("events",)
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
         self.events = list(events)
-        self._n_fired = 0
         for ev in self.events:
             if ev.env is not env:
                 raise ValueError("cannot mix events from different environments")
-        if not self.events:
-            self.succeed(self._collect())
-            return
         for ev in self.events:
             if ev.processed:
                 self._check(ev)
             else:
                 ev.callbacks.append(self._check)
-
-    def _collect(self) -> dict[Event, Any]:
-        return {ev: ev._value for ev in self.events if ev.processed and ev._ok}
 
     def _check(self, event: Event) -> None:
         if self.triggered:
@@ -342,27 +336,6 @@ class _Condition(Event):
         if not event._ok:
             self.fail(event._value)
             return
-        self._n_fired += 1
-        if self._satisfied():
-            self.succeed(self._collect())
-
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Fires when *all* component events have fired; value maps event->value."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._n_fired == len(self.events)
-
-
-class AnyOf(_Condition):
-    """Fires when *any* component event has fired; value maps event->value."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._n_fired >= 1
+        self.succeed(
+            {ev: ev._value for ev in self.events if ev.processed and ev._ok}
+        )

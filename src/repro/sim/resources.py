@@ -1,12 +1,5 @@
-"""Shared-resource primitives built on the event kernel.
+"""The shared buffer primitive built on the event kernel.
 
-These mirror the classic SimPy primitives:
-
-:class:`Resource`
-    ``capacity`` identical slots, FIFO queueing.
-:class:`PriorityResource`
-    like :class:`Resource` but the wait queue is ordered by a numeric
-    priority (lower = more urgent), FIFO within a priority.
 :class:`Store`
     an unbounded (or bounded) buffer of Python objects with blocking
     ``put``/``get`` — the building block for mailboxes and links.
@@ -14,139 +7,12 @@ These mirror the classic SimPy primitives:
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
-
-
-class Request(Event):
-    """A pending acquisition of one slot of a :class:`Resource`.
-
-    Usable as a context manager so the slot is always released::
-
-        with resource.request() as req:
-            yield req
-            ... hold the resource ...
-    """
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.env)
-        self.resource = resource
-
-    def __enter__(self) -> "Request":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.resource.release(self)
-
-    def cancel(self) -> None:
-        """Withdraw a not-yet-granted request from the wait queue."""
-        self.resource._cancel(self)
-
-
-class Resource:
-    """``capacity`` identical slots with FIFO queueing."""
-
-    def __init__(self, env: "Environment", capacity: int = 1) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.env = env
-        self.capacity = capacity
-        self.users: list[Request] = []
-        self.queue: list[Request] = []
-
-    @property
-    def count(self) -> int:
-        """Number of slots currently held."""
-        return len(self.users)
-
-    def request(self) -> Request:
-        """Ask for one slot; the returned event fires when granted."""
-        req = Request(self)
-        if len(self.users) < self.capacity:
-            self.users.append(req)
-            req.succeed()
-        else:
-            self.queue.append(req)
-        return req
-
-    def release(self, request: Request) -> None:
-        """Return a slot previously granted to *request*.
-
-        Releasing a request that was never granted silently cancels it;
-        this keeps the context-manager form safe even if the holder was
-        interrupted before the grant.
-        """
-        if request in self.users:
-            self.users.remove(request)
-            self._grant_next()
-        else:
-            self._cancel(request)
-
-    def _cancel(self, request: Request) -> None:
-        try:
-            self.queue.remove(request)
-        except ValueError:
-            pass
-
-    def _grant_next(self) -> None:
-        while self.queue and len(self.users) < self.capacity:
-            nxt = self.queue.pop(0)
-            self.users.append(nxt)
-            nxt.succeed()
-
-
-class PriorityRequest(Request):
-    """A :class:`Request` carrying a priority (lower = more urgent)."""
-
-    __slots__ = ("priority", "_seq")
-
-    def __init__(self, resource: "PriorityResource", priority: float) -> None:
-        self.priority = priority
-        self._seq = next(resource._counter)
-        super().__init__(resource)
-
-    def _key(self) -> tuple[float, int]:
-        return (self.priority, self._seq)
-
-
-class PriorityResource(Resource):
-    """A resource whose wait queue is a priority queue."""
-
-    def __init__(self, env: "Environment", capacity: int = 1) -> None:
-        self._counter = itertools.count()
-        super().__init__(env, capacity)
-        self._heap: list[tuple[tuple[float, int], PriorityRequest]] = []
-
-    def request(self, priority: float = 0.0) -> PriorityRequest:  # type: ignore[override]
-        req = PriorityRequest(self, priority)
-        if len(self.users) < self.capacity:
-            self.users.append(req)
-            req.succeed()
-        else:
-            heapq.heappush(self._heap, (req._key(), req))
-            self.queue.append(req)
-        return req
-
-    def _cancel(self, request: Request) -> None:
-        super()._cancel(request)
-        # lazily dropped from the heap in _grant_next
-
-    def _grant_next(self) -> None:
-        while self._heap and len(self.users) < self.capacity:
-            _, nxt = heapq.heappop(self._heap)
-            if nxt not in self.queue:  # cancelled
-                continue
-            self.queue.remove(nxt)
-            self.users.append(nxt)
-            nxt.succeed()
 
 
 class StorePut(Event):

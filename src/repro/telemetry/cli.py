@@ -21,7 +21,7 @@ import sys
 from typing import List, Optional
 
 from repro.telemetry.analyze import format_report, report_dict
-from repro.telemetry.export import read_jsonl
+from repro.telemetry.export import read_jsonl, write_trace_data
 
 _SUBCOMMANDS = ("merge", "diff-profile")
 
@@ -94,11 +94,7 @@ def build_diff_parser() -> argparse.ArgumentParser:
 
 
 def _main_merge(argv: List[str]) -> int:
-    from repro.telemetry.cluster import (
-        cross_shard_summary,
-        merge_traces,
-        write_trace_data,
-    )
+    from repro.telemetry.cluster import cross_shard_summary, merge_traces
 
     args = build_merge_parser().parse_args(argv)
     parts = []

@@ -27,45 +27,14 @@ touch more than one shard, and whether each is fully connected.
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
 from repro.telemetry.analyze import task_traces
-from repro.telemetry.export import TraceData
+from repro.telemetry.export import (  # noqa: F401  (re-exported)
+    TraceData,
+    write_trace_data,
+)
 from repro.telemetry.tracer import TASK, Span
-
-
-def write_trace_data(
-    dest: Union[str, "os.PathLike[str]"], data: TraceData
-) -> int:
-    """Write an in-memory :class:`TraceData` (e.g. a merge result) as a
-    JSONL trace file; returns the number of records written.
-
-    The inverse of :func:`~repro.telemetry.export.read_jsonl` — the
-    existing :func:`~repro.telemetry.export.write_jsonl` serializes a
-    live tracer, not an already-loaded trace.
-    """
-    n = 0
-    with open(dest, "w", encoding="utf-8") as fh:
-        def emit(rec: Dict[str, Any]) -> None:
-            nonlocal n
-            fh.write(json.dumps(rec, separators=(",", ":"), default=str))
-            fh.write("\n")
-            n += 1
-
-        emit({"type": "meta", **data.meta})
-        for span in data.spans:
-            emit({"type": "span", **span.as_dict()})
-        for ev in data.events:
-            emit({"type": "event", **ev.as_dict()})
-        for rec in data.metrics:
-            emit({"type": "metric", **rec})
-        for rec in data.series:
-            emit({"type": "series", **rec})
-        if data.profile is not None:
-            emit({"type": "profile", **data.profile})
-    return n
 
 
 def _shard_of(span_or_event, default: Optional[str]) -> Optional[str]:

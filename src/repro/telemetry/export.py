@@ -100,17 +100,44 @@ def write_jsonl(
     )
     if isinstance(dest, (str, os.PathLike)):
         with open(dest, "w", encoding="utf-8") as fp:
-            return _write(fp, records)
-    return _write(dest, records)
+            return write_records(fp, records)
+    return write_records(dest, records)
 
 
-def _write(fp: IO[str], records: Iterable[Dict[str, Any]]) -> int:
+def write_records(fp: IO[str], records: Iterable[Dict[str, Any]]) -> int:
+    """The one JSONL line-writer: one compact record per line."""
     n = 0
     for rec in records:
         fp.write(json.dumps(rec, separators=(",", ":"), default=str))
         fp.write("\n")
         n += 1
     return n
+
+
+def write_trace_data(
+    dest: Union[str, "os.PathLike[str]"], data: TraceData
+) -> int:
+    """Write an in-memory :class:`TraceData` (e.g. a merge result) as a
+    JSONL trace file; returns the number of records written.
+
+    The inverse of :func:`read_jsonl` — :func:`write_jsonl` serializes
+    a live tracer, not an already-loaded trace.
+    """
+    def records() -> Iterable[Dict[str, Any]]:
+        yield {"type": "meta", **data.meta}
+        for span in data.spans:
+            yield {"type": "span", **span.as_dict()}
+        for ev in data.events:
+            yield {"type": "event", **ev.as_dict()}
+        for rec in data.metrics:
+            yield {"type": "metric", **rec}
+        for rec in data.series:
+            yield {"type": "series", **rec}
+        if data.profile is not None:
+            yield {"type": "profile", **data.profile}
+
+    with open(dest, "w", encoding="utf-8") as fp:
+        return write_records(fp, records())
 
 
 def read_jsonl(src: Union[str, "os.PathLike[str]", IO[str]]) -> TraceData:

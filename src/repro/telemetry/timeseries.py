@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import deque
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -54,65 +53,51 @@ def qos_class(importance: float) -> str:
 
 
 class SeriesRing:
-    """One bounded time series: (t, value) points in a ring buffer.
+    """One bounded time series: (t, value) points under a hard ceiling.
 
-    Two retention modes share the hard memory ceiling ``capacity``:
-
-    * **drop-oldest** (default) — a plain ring: the oldest point falls
-      off when a new one arrives at capacity.
-    * **rollup** (``rollup=True``) — when full, the *oldest half* is
-      downsampled pairwise: adjacent points merge into one carrying the
-      count-weighted mean time/value plus the running min/max/count.
-      Long soaks keep their full history at progressively coarser
-      resolution (recent samples stay raw) instead of forgetting it.
+    At most ``capacity`` points are held.  When full, the *oldest half*
+    is downsampled pairwise: adjacent points merge into one carrying the
+    count-weighted mean time/value plus the running min/max/count.  Long
+    soaks keep their full history at progressively coarser resolution
+    (recent samples stay raw) instead of forgetting it.
     """
 
-    __slots__ = (
-        "name", "labels", "capacity", "rollup",
-        "_t", "_v", "_mn", "_mx", "_n",
-    )
+    __slots__ = ("name", "labels", "capacity", "_t", "_v", "_mn", "_mx", "_n")
 
     def __init__(
         self,
         name: str,
         labels: Optional[Dict[str, str]] = None,
         capacity: int = DEFAULT_CAPACITY,
-        rollup: bool = False,
     ) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        if capacity < 2:
+            raise ValueError(f"capacity must be >= 2, got {capacity}")
         self.name = name
         self.labels: Dict[str, str] = dict(labels or {})
         self.capacity = int(capacity)
-        self.rollup = bool(rollup)
-        if rollup:
-            self._t: deque = deque()
-            self._v: deque = deque()
-            self._mn: Optional[deque] = deque()
-            self._mx: Optional[deque] = deque()
-            self._n: Optional[deque] = deque()
-        else:
-            self._t = deque(maxlen=capacity)
-            self._v = deque(maxlen=capacity)
-            self._mn = self._mx = self._n = None
+        self._t: List[float] = []
+        self._v: List[float] = []
+        self._mn: List[float] = []
+        self._mx: List[float] = []
+        self._n: List[int] = []
 
     def append(self, t: float, v: float) -> None:
         t = float(t)
         v = float(v)
-        if self.rollup:
-            if len(self._v) >= self.capacity:
-                self._compact()
-            self._mn.append(v)
-            self._mx.append(v)
-            self._n.append(1)
+        if len(self._v) >= self.capacity:
+            self._compact()
         self._t.append(t)
         self._v.append(v)
+        self._mn.append(v)
+        self._mx.append(v)
+        self._n.append(1)
 
     def _compact(self) -> None:
-        """Pairwise-merge the oldest half of the ring (rollup mode)."""
-        ts, vs = list(self._t), list(self._v)
-        mns, mxs, ns = list(self._mn), list(self._mx), list(self._n)
-        half = len(ts) // 2
+        """Pairwise-merge the oldest half of the ring."""
+        ts, vs = self._t, self._v
+        mns, mxs, ns = self._mn, self._mx, self._n
+        # At least one pair merges, so tiny rings shrink too.
+        half = max(2, len(ts) // 2)
         m_t: List[float] = []
         m_v: List[float] = []
         m_mn: List[float] = []
@@ -134,12 +119,11 @@ class SeriesRing:
             m_mn.append(mns[i])
             m_mx.append(mxs[i])
             m_n.append(ns[i])
-            i += 1
-        self._t = deque(m_t + ts[half:])
-        self._v = deque(m_v + vs[half:])
-        self._mn = deque(m_mn + mns[half:])
-        self._mx = deque(m_mx + mxs[half:])
-        self._n = deque(m_n + ns[half:])
+        self._t = m_t + ts[half:]
+        self._v = m_v + vs[half:]
+        self._mn = m_mn + mns[half:]
+        self._mx = m_mx + mxs[half:]
+        self._n = m_n + ns[half:]
 
     def __len__(self) -> int:
         return len(self._v)
@@ -155,16 +139,12 @@ class SeriesRing:
         return list(self._v)
 
     def counts(self) -> List[int]:
-        """Per-point sample counts (all 1 unless rollup has merged)."""
-        if self._n is not None:
-            return list(self._n)
-        return [1] * len(self._v)
+        """Per-point sample counts (all 1 until a rollup has merged)."""
+        return list(self._n)
 
     def points(self) -> List[Tuple[float, float, float, float, int]]:
         """All points as ``(t, mean, min, max, count)`` tuples."""
-        if self.rollup:
-            return list(zip(self._t, self._v, self._mn, self._mx, self._n))
-        return [(t, v, v, v, 1) for t, v in zip(self._t, self._v)]
+        return list(zip(self._t, self._v, self._mn, self._mx, self._n))
 
     def points_since(
         self, t_min: float
@@ -175,18 +155,11 @@ class SeriesRing:
         short trailing window over a long ring stays cheap (the SLO
         monitor calls this every evaluation).
         """
-        if self.rollup:
-            it = zip(
-                reversed(self._t), reversed(self._v),
-                reversed(self._mn), reversed(self._mx), reversed(self._n),
-            )
-        else:
-            it = (
-                (t, v, v, v, 1)
-                for t, v in zip(reversed(self._t), reversed(self._v))
-            )
         out: List[Tuple[float, float, float, float, int]] = []
-        for point in it:
+        for point in zip(
+            reversed(self._t), reversed(self._v),
+            reversed(self._mn), reversed(self._mx), reversed(self._n),
+        ):
             if point[0] < t_min:
                 break
             out.append(point)
@@ -203,12 +176,8 @@ class SeriesRing:
         if not self._v:
             return 0.0
         q = min(1.0, max(0.0, q))
-        if self.rollup:
-            pairs = sorted(zip(self._v, self._n))
-        else:
-            pairs = sorted((v, 1) for v in self._v)
-        total = sum(n for _, n in pairs)
-        target = q * total
+        pairs = sorted(zip(self._v, self._n))
+        target = q * sum(self._n)
         running = 0
         for v, n in pairs:
             running += n
@@ -218,39 +187,34 @@ class SeriesRing:
 
     def as_record(self) -> Dict[str, Any]:
         """The JSONL ``series`` record (sans the ``type`` tag)."""
-        rec = {
+        return {
             "name": self.name,
             "labels": dict(self.labels),
             "t": [round(t, 6) for t in self._t],
             "v": [round(v, 6) for v in self._v],
+            "n": list(self._n),
         }
-        if self.rollup:
-            rec["n"] = list(self._n)
-        return rec
 
     @classmethod
     def from_record(cls, rec: Dict[str, Any]) -> "SeriesRing":
-        times = rec.get("t", [])
+        """Rebuild a ring from its record.
+
+        The ring arrives exactly at capacity and is restored without
+        re-compacting; merged points keep their counts (1 each when the
+        record has no ``"n"``), min/max degrade to the stored mean.
+        """
         values = rec.get("v", [])
-        counts = rec.get("n")
         ring = cls(
             rec.get("name", "?"), rec.get("labels"),
-            capacity=max(1, len(values)),
-            rollup=counts is not None,
+            capacity=max(2, len(values)),
         )
-        if counts is not None:
-            # Restore without re-compacting (the ring arrives exactly
-            # at capacity); merged points keep their counts, min/max
-            # degrade to the stored mean.
-            for t, v, n in zip(times, values, counts):
-                ring._t.append(float(t))
-                ring._v.append(float(v))
-                ring._mn.append(float(v))
-                ring._mx.append(float(v))
-                ring._n.append(int(n))
-        else:
-            for t, v in zip(times, values):
-                ring.append(t, v)
+        counts = rec.get("n") or [1] * len(values)
+        for t, v, n in zip(rec.get("t", []), values, counts):
+            ring._t.append(float(t))
+            ring._v.append(float(v))
+            ring._mn.append(float(v))
+            ring._mx.append(float(v))
+            ring._n.append(int(n))
         return ring
 
     def __repr__(self) -> str:
@@ -272,14 +236,12 @@ class HealthSampler:
         tel,
         period: float = DEFAULT_PERIOD,
         capacity: int = DEFAULT_CAPACITY,
-        rollup: bool = True,
     ) -> None:
         if period <= 0:
             raise ValueError(f"period must be positive, got {period}")
         self.tel = tel
         self.period = float(period)
         self.capacity = int(capacity)
-        self.rollup = bool(rollup)
         self._series: Dict[_SeriesKey, SeriesRing] = {}
         self._probes: List[Callable[["HealthSampler"], None]] = []
         self.n_samples = 0
@@ -308,8 +270,7 @@ class HealthSampler:
         ring = self._series.get(key)
         if ring is None:
             ring = self._series[key] = SeriesRing(
-                name, dict(key[1]),
-                capacity=self.capacity, rollup=self.rollup,
+                name, dict(key[1]), capacity=self.capacity,
             )
         ring.append(self._now, value)
 

@@ -21,7 +21,6 @@ from repro.overlay.qualification import QualificationPolicy
 from repro.overlay.network import PeerSpec
 from repro.sim.core import Environment
 from repro.sim.rng import RandomStreams, set_ambient_streams
-from repro.sim.trace import Tracer
 from repro.workloads.arrivals import TaskArrivalProcess, WorkloadConfig
 from repro.workloads.catalog import MediaCatalog
 from repro.workloads.population import (
@@ -69,8 +68,6 @@ class ScenarioConfig:
     loss_rate: float = 0.0
     #: Fairness/utilization sampling period for metrics.
     metrics_period: float = 1.0
-    #: Enable structured tracing (costs memory on long runs).
-    tracing: bool = False
 
 
 @dataclass
@@ -87,7 +84,6 @@ class Scenario:
     workload: TaskArrivalProcess
     streams: RandomStreams
     churn: Optional[ChurnProcess] = None
-    tracer: Optional[Tracer] = None
 
     def run(self, duration: float, drain: float = 30.0) -> RunSummary:
         """Run for *duration*, stop new arrivals, drain, summarize.
@@ -133,7 +129,6 @@ def build_scenario(
     # instead of OS entropy.
     set_ambient_streams(streams)
     env = Environment()
-    tracer = Tracer() if cfg.tracing else None
 
     # The latency model reads the overlay's (mutable) domain map; the
     # dict identity is stable, so wiring it before peers join is safe.
@@ -143,7 +138,6 @@ def build_scenario(
         bandwidth=cfg.bandwidth,
         loss_rate=cfg.loss_rate,
         loss_rng=streams.get("loss"),
-        tracer=tracer,
     )
     metrics = MetricsCollector(env)
     # Keep the workload's scheduling/update settings consistent with the
@@ -180,7 +174,6 @@ def build_scenario(
         enable_gossip=cfg.enable_gossip,
         on_task_event=metrics.on_task_event,
         streams=streams,
-        tracer=tracer,
     )
     network.latency = DomainAwareLatency(
         overlay.domain_of.get,
@@ -235,5 +228,4 @@ def build_scenario(
         workload=workload,
         streams=streams,
         churn=churn,
-        tracer=tracer,
     )

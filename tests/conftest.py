@@ -6,12 +6,13 @@ from typing import Dict, List
 
 import pytest
 
+from repro import telemetry
 from repro.core import Peer, PeerConfig, ResourceManager
 from repro.core.info_base import PeerRecord
 from repro.core.manager import RMConfig
 from repro.media.fig1 import Fig1Scenario, build_fig1_graph
 from repro.net import ConstantLatency, Network
-from repro.sim import Environment, Tracer
+from repro.sim import Environment
 
 
 @dataclass
@@ -23,7 +24,8 @@ class LiveDomain:
     rm: ResourceManager
     peers: Dict[str, Peer]
     scenario: Fig1Scenario
-    tracer: Tracer
+    #: Sim-clock telemetry handle; the ``live_domain`` fixture activates it.
+    tel: telemetry.Telemetry
     events: List[tuple] = field(default_factory=list)
 
     def submit(self, origin="P4", name="movie", goal=None, deadline=60.0,
@@ -50,14 +52,11 @@ def build_live_domain(
     peer_update_period=2.0,
 ) -> LiveDomain:
     env = Environment()
-    tracer = Tracer()
-    net = Network(env, ConstantLatency(0.010), bandwidth=1.25e6,
-                  tracer=tracer)
+    net = Network(env, ConstantLatency(0.010), bandwidth=1.25e6)
     events: List[tuple] = []
     rm = ResourceManager(
         env, net, "rm0", "d0",
         rm_config=rm_config or RMConfig(),
-        tracer=tracer,
         on_task_event=lambda t, e: events.append((env.now, t.task_id, e)),
     )
     scenario = build_fig1_graph(duration_s=duration_s)
@@ -70,7 +69,7 @@ def build_live_domain(
                 scheduling_policy=peer_policy,
                 profiler_update_period=peer_update_period,
             ),
-            rm_id="rm0", tracer=tracer,
+            rm_id="rm0",
         )
         rm.admit_peer(PeerRecord(peer_id=pid, power=power, bandwidth=1.25e6))
     for edge in scenario.graph.edges():
@@ -83,14 +82,16 @@ def build_live_domain(
     rm.info.peer("P1").objects.add(scenario.source_object.name)
     domain = LiveDomain(
         env=env, net=net, rm=rm, peers=peers, scenario=scenario,
-        tracer=tracer, events=events,
+        tel=telemetry.Telemetry.sim(env), events=events,
     )
     return domain
 
 
 @pytest.fixture
-def live_domain() -> LiveDomain:
-    return build_live_domain()
+def live_domain():
+    domain = build_live_domain()
+    with telemetry.session(domain.tel):
+        yield domain
 
 
 @pytest.fixture

@@ -54,6 +54,22 @@ class TestF2:
         times = result.column("t_sim_s")
         assert times == sorted(times)
 
+    def test_nine_rows_pinned(self):
+        """The Figure-2 walkthrough, row for row (time to 3 dp)."""
+        rows = [(f"{t:.3f}", stage, event) for t, stage, event in run_f2().rows]
+        assert rows == [
+            ("0.010", "A", "query received by RM (task_request)"),
+            ("0.010", "B", "allocation decided: T-e1@P1 -> T-e2@P2 "
+                           "(fairness 0.498)"),
+            ("0.021", "B", "graph composition message at P1"),
+            ("0.021", "B", "graph composition message at P2"),
+            ("0.021", "B", "graph composition message at P4"),
+            ("0.021", "C", "streaming + transcoding begins"),
+            ("1.623", "C", "transcoding step finished at P1"),
+            ("5.012", "C", "transcoding step finished at P2"),
+            ("5.406", "C", "final stream delivered at P4"),
+        ]
+
     def test_task_completes(self):
         result = run_f2()
         task = result.extra["task"]

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.fairness import (
@@ -183,6 +183,10 @@ class TestLoadVector:
         ),
     )
     @settings(max_examples=100)
+    # The what-if empties the heavy peer: the running sums cancel to 0
+    # (first case) or to their rounding noise (second).
+    @example(loads={"d": 1.0, "a": 4.77e-64}, deltas={"d": -1.0})
+    @example(loads={"d": 100.0, "a": 0.001}, deltas={"d": -200.0})
     def test_incremental_equals_recompute(self, loads, deltas):
         vec = LoadVector(loads)
         applied = {
@@ -191,9 +195,11 @@ class TestLoadVector:
             if p in loads
         }
         merged = {**loads, **applied}
-        assert vec.fairness_with(deltas) == pytest.approx(
+        expected = pytest.approx(
             jain_fairness(list(merged.values())), rel=1e-9, abs=1e-9
         )
+        assert vec.fairness_with(deltas) == expected
+        assert vec.fairness_with_batch([deltas])[0] == expected
 
     @given(
         st.dictionaries(

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 
+from repro import telemetry
 from repro.core import protocol
 from repro.experiments.cli import main as cli_main
 from repro.workloads import (
@@ -20,22 +21,44 @@ class TestTracingScenario:
             seed=6,
             population=PopulationConfig(n_peers=6, n_objects=3),
             workload=WorkloadConfig(rate=0.5),
-            tracing=True,
         )
         scenario = build_scenario(cfg)
-        scenario.run(duration=40.0, drain=20.0)
-        assert scenario.tracer is not None
-        assert scenario.tracer.count("net.send") > 0
-        assert scenario.tracer.count("cpu.complete") > 0
-        kinds = {r.kind for r in scenario.tracer.records}
-        assert "task.admitted" in kinds
+        with telemetry.session(telemetry.Telemetry.sim(scenario.env)) as tel:
+            scenario.run(duration=40.0, drain=20.0)
+        assert tel.tracer.spans_of_kind(telemetry.MESSAGE)
+        assert tel.tracer.spans_of_kind(telemetry.SERVICE)
+        assert "task.admitted" in {e.name for e in tel.tracer.events}
 
     def test_no_tracer_by_default(self):
         cfg = ScenarioConfig(
             seed=6,
             population=PopulationConfig(n_peers=4, n_objects=2),
         )
-        assert build_scenario(cfg).tracer is None
+        scenario = build_scenario(cfg)
+        assert telemetry.current() is telemetry.NOOP
+        assert not hasattr(scenario, "tracer")
+
+
+    def test_telemetry_is_the_only_trace_channel(self):
+        """No second observer threaded through the protocol constructors."""
+        import inspect
+        import pathlib
+
+        import repro
+        from repro.core import Peer, ResourceManager
+        from repro.net import Network
+        from repro.overlay import OverlayNetwork
+        from repro.scheduling.processor import Processor
+
+        for cls in (Network, OverlayNetwork, Peer, ResourceManager, Processor):
+            assert "tracer" not in inspect.signature(cls).parameters, cls
+        src = pathlib.Path(repro.__file__).parent
+        assert not (src / "sim" / "trace.py").exists()
+        offenders = [
+            str(path) for path in src.rglob("*.py")
+            if "sim.trace" in path.read_text(encoding="utf-8")
+        ]
+        assert offenders == []
 
 
 class TestCliExport:

@@ -174,6 +174,28 @@ def test_registered_policy_is_accepted_by_both_parsers():
         run_parser().parse_args(["c.json", "--policy", "test_only"])
 
 
+def test_policy_and_defense_travel_in_the_rm_config(monkeypatch, capsys):
+    """``repro-live`` builds the RMConfig the elected RM runs."""
+    from repro.runtime.cluster import LiveCluster, LiveClusterConfig
+
+    seen = []
+
+    class Spy(LiveCluster):
+        async def start(self):
+            await super().start()
+            seen.append(self.rm_node.node.rm_config)
+            return self
+
+    monkeypatch.setattr("repro.runtime.cli.LiveCluster", Spy)
+    assert main(["--peers", "2", "--policy", "least_loaded", "--defense"]) == 0
+    capsys.readouterr()
+    (rm_config,) = seen
+    assert rm_config.placement_policy == "least_loaded"
+    assert rm_config.enable_defense
+    assert (rm_config.expected_update_period
+            == LiveClusterConfig().profiler_update_period)
+
+
 def test_default_paths_do_not_load_profiling():
     """The benchmark's peak_rss_mb bound rests on ``repro.profiling``
     staying unimported until a run asks for ``--profile``."""

@@ -1,5 +1,7 @@
 """The Resource Manager: admission, sessions, repair, adaptation."""
 
+from repro import telemetry
+from repro.core import protocol
 from repro.core.manager import RMConfig
 from repro.tasks.task import TaskOutcome, TaskState
 from tests.conftest import build_live_domain
@@ -45,8 +47,13 @@ class TestAdmission:
         d = live_domain
         d.submit(origin="P3")
         d.env.run(until=60.0)
-        completes = d.tracer.of_kind("peer.task_complete")
-        assert completes and completes[0]["peer"] == "P3"
+        # The sink announces completion: the TASK_DONE message span
+        # starts at the peer the stream was delivered to.
+        done = [
+            s for s in d.tel.tracer.spans_of_kind(telemetry.MESSAGE)
+            if s.name == protocol.TASK_DONE
+        ]
+        assert done and done[0].node == "P3"
 
     def test_projection_released_after_completion(self, live_domain):
         d = live_domain

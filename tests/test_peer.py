@@ -1,5 +1,6 @@
 """Peer-side session execution: streams, epochs, cancellation."""
 
+from repro import telemetry
 from repro.core import protocol
 from repro.core.session import ComposeOrder
 from repro.graphs.service_graph import ServiceStep
@@ -112,10 +113,10 @@ class TestFailureAPI:
         d.env.run(until=10.0)
         # Profiler was stopped: no more load updates from P2.
         updates_from_p2 = [
-            r for r in d.tracer.of_kind("net.send")
-            if r["src"] == "P2" and r["msg_kind"] == protocol.LOAD_UPDATE
+            s for s in d.tel.tracer.spans_of_kind(telemetry.MESSAGE)
+            if s.node == "P2" and s.name == protocol.LOAD_UPDATE
         ]
-        assert all(r.time <= 0.0 for r in updates_from_p2)
+        assert all(s.start <= 0.0 for s in updates_from_p2)
 
     def test_rm_takeover_repoints(self, live_domain):
         d = live_domain

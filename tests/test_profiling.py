@@ -361,8 +361,7 @@ class TestBurnRateMonitor:
     def test_rolled_up_points_judged_by_worst_side(self):
         # A short excursion merged into a low-mean point must still
         # count as bad: the monitor judges ">"-SLOs by the point max.
-        ring = SeriesRing("repro_sched_miss_ratio", capacity=4,
-                          rollup=True)
+        ring = SeriesRing("repro_sched_miss_ratio", capacity=4)
         for t, v in [(0, 0.0), (1, 0.9), (2, 0.0), (3, 0.0), (4, 0.0)]:
             ring.append(float(t), v)
         merged = [p for p in ring.points() if p[4] > 1]
@@ -461,7 +460,7 @@ class TestRecorderCooldownMetrics:
 
 class TestSeriesRingRollup:
     def test_empty_ring(self):
-        ring = SeriesRing("x", rollup=True)
+        ring = SeriesRing("x")
         assert len(ring) == 0 and ring.last is None
         assert ring.points() == [] and ring.points_since(0.0) == []
         assert ring.counts() == []
@@ -469,7 +468,7 @@ class TestSeriesRingRollup:
         assert ring.as_record()["n"] == []
 
     def test_exactly_at_capacity_does_not_downsample(self):
-        ring = SeriesRing("x", capacity=8, rollup=True)
+        ring = SeriesRing("x", capacity=8)
         for t in range(8):
             ring.append(float(t), float(t))
         assert len(ring) == 8
@@ -477,7 +476,7 @@ class TestSeriesRingRollup:
         assert ring.values() == [float(t) for t in range(8)]
 
     def test_crossing_capacity_merges_oldest_half(self):
-        ring = SeriesRing("x", capacity=8, rollup=True)
+        ring = SeriesRing("x", capacity=8)
         for t in range(9):
             ring.append(float(t), float(t))
         # Oldest half (4 points) pairwise-merged to 2; recent 4 raw;
@@ -492,7 +491,7 @@ class TestSeriesRingRollup:
         assert max(p[3] for p in points) == 8.0
 
     def test_odd_half_carries_unpaired_point(self):
-        ring = SeriesRing("x", capacity=7, rollup=True)
+        ring = SeriesRing("x", capacity=7)
         for t in range(8):
             ring.append(float(t), float(t))
         assert sum(ring.counts()) == 8
@@ -502,7 +501,7 @@ class TestSeriesRingRollup:
     def test_quantiles_weight_by_sample_count(self):
         # Stationary signal: count-weighting keeps quantiles anchored
         # to sample mass, so the median survives heavy downsampling.
-        ring = SeriesRing("x", capacity=32, rollup=True)
+        ring = SeriesRing("x", capacity=32)
         stationary = [float(1 + (i % 10)) for i in range(100)]
         for t, v in enumerate(stationary):
             ring.append(float(t), v)
@@ -516,7 +515,7 @@ class TestSeriesRingRollup:
         # samples.  The count-weighted median lands in that bucket (its
         # stored mean); an unweighted median over the stored points
         # would escape into the raw tail (~88) and be far wrong.
-        ring = SeriesRing("x", capacity=32, rollup=True)
+        ring = SeriesRing("x", capacity=32)
         for t, v in enumerate(range(1, 101)):
             ring.append(float(t), float(v))
         points = ring.points()
@@ -533,28 +532,24 @@ class TestSeriesRingRollup:
         assert ring.quantile(1.0) == 100.0
 
     def test_points_since_stops_at_window_edge(self):
-        ring = SeriesRing("x", capacity=64, rollup=True)
+        ring = SeriesRing("x", capacity=64)
         for t in range(50):
             ring.append(float(t), float(t))
         window = ring.points_since(40.0)
         assert [p[0] for p in window] == [float(t) for t in range(40, 50)]
 
     def test_record_round_trip_keeps_counts(self):
-        ring = SeriesRing("x", capacity=4, rollup=True)
+        ring = SeriesRing("x", capacity=4)
         for t in range(6):
             ring.append(float(t), float(t))
         rec = ring.as_record()
         back = SeriesRing.from_record(rec)
-        assert back.rollup
         assert back.counts() == ring.counts()
         assert back.values() == pytest.approx(ring.values())
 
-    def test_default_ring_still_drops_oldest(self):
-        ring = SeriesRing("x", capacity=4)
-        for t in range(6):
-            ring.append(float(t), float(t))
-        assert ring.values() == [2.0, 3.0, 4.0, 5.0]
-        assert ring.counts() == [1, 1, 1, 1]
+    def test_record_without_counts_restores_ones(self):
+        back = SeriesRing.from_record({"name": "x", "t": [0, 1], "v": [2, 3]})
+        assert back.points() == [(0.0, 2.0, 2.0, 2.0, 1), (1.0, 3.0, 3.0, 3.0, 1)]
 
 
 # -- session wiring ----------------------------------------------------------

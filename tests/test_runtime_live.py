@@ -13,11 +13,12 @@ no second dispatch table).
 from __future__ import annotations
 
 import asyncio
+import copy
 
 import pytest
 
 from repro.core import protocol
-from repro.core.manager import ResourceManager
+from repro.core.manager import ResourceManager, RMConfig
 from repro.core.peer import Peer
 from repro.net.network import ConstantLatency, Network
 from repro.runtime.cluster import (
@@ -282,6 +283,22 @@ class _StubTask:
     def __init__(self, task_id):
         self.task_id = task_id
         self.finished_at = 1.0
+
+
+def test_start_leaves_a_shared_rm_config_untouched():
+    """Regression: ``start()`` used to write the cluster config's
+    policy/defense knobs into a caller-supplied ``RMConfig`` in place,
+    so two clusters sharing one instance configured each other."""
+    shared = RMConfig(expected_update_period=0.5,
+                      placement_policy="least_loaded")
+    before = copy.deepcopy(shared)
+
+    async def main():
+        config = LiveClusterConfig(n_peers=1, rm_config=shared)
+        async with LiveCluster(config) as cluster:
+            assert cluster.rm_node.node.rm_config is shared
+    run(main())
+    assert shared == before
 
 
 def test_task_event_watchers_do_not_accumulate():

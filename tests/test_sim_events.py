@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Environment
-from repro.sim.events import AllOf, AnyOf, Timeout
+from repro.sim.events import AnyOf, Timeout
 
 
 @pytest.fixture
@@ -84,24 +84,12 @@ class TestTimeout:
 
 
 class TestConditions:
-    def test_all_of_waits_for_all(self, env):
-        a, b = env.timeout(1, "a"), env.timeout(3, "b")
-        got = {}
-
-        def waiter():
-            result = yield env.all_of([a, b])
-            got.update({"t": env.now, "n": len(result)})
-
-        env.process(waiter())
-        env.run()
-        assert got == {"t": 3.0, "n": 2}
-
     def test_any_of_fires_on_first(self, env):
         a, b = env.timeout(1, "a"), env.timeout(3, "b")
         got = {}
 
         def waiter():
-            result = yield env.any_of([a, b])
+            result = yield a | b
             got["t"] = env.now
             got["has_a"] = a in result
             got["has_b"] = b in result
@@ -110,17 +98,9 @@ class TestConditions:
         env.run()
         assert got["t"] == 1.0 and got["has_a"] and not got["has_b"]
 
-    def test_and_operator(self, env):
-        cond = env.timeout(1) & env.timeout(2)
-        assert isinstance(cond, AllOf)
-
     def test_or_operator(self, env):
         cond = env.timeout(1) | env.timeout(2)
         assert isinstance(cond, AnyOf)
-
-    def test_empty_all_of_fires_immediately(self, env):
-        cond = env.all_of([])
-        assert cond.triggered
 
     def test_condition_propagates_failure(self, env):
         bad = env.event()
@@ -133,7 +113,7 @@ class TestConditions:
 
         def waiter():
             try:
-                yield env.all_of([bad, env.timeout(5)])
+                yield bad | env.timeout(5)
             except RuntimeError as exc:
                 caught.append(str(exc))
 
@@ -145,18 +125,18 @@ class TestConditions:
     def test_cross_environment_mix_rejected(self, env):
         other = Environment()
         with pytest.raises(ValueError):
-            AllOf(env, [env.timeout(1), other.timeout(1)])
+            AnyOf(env, [env.timeout(1), other.timeout(1)])
 
-    def test_all_of_with_already_processed_event(self, env):
+    def test_any_of_with_already_processed_event(self, env):
         a = env.timeout(0, "x")
         env.run()
         assert a.processed
         done = []
 
         def waiter():
-            result = yield env.all_of([a, env.timeout(1)])
+            result = yield a | env.timeout(1)
             done.append((env.now, result[a]))
 
         env.process(waiter())
         env.run()
-        assert done == [(1.0, "x")]
+        assert done == [(0.0, "x")]

@@ -1,90 +1,13 @@
-"""Resource, PriorityResource and Store primitives."""
+"""The Store primitive."""
 
 import pytest
 
-from repro.sim import Environment, PriorityResource, Resource, Store
+from repro.sim import Environment, Store
 
 
 @pytest.fixture
 def env():
     return Environment()
-
-
-class TestResource:
-    def test_capacity_validation(self, env):
-        with pytest.raises(ValueError):
-            Resource(env, capacity=0)
-
-    def test_grant_immediately_when_free(self, env):
-        res = Resource(env, capacity=2)
-        r1, r2 = res.request(), res.request()
-        assert r1.triggered and r2.triggered
-        assert res.count == 2
-
-    def test_queue_when_full_fifo(self, env):
-        res = Resource(env, capacity=1)
-        order = []
-
-        def user(name, hold):
-            with res.request() as req:
-                yield req
-                order.append((env.now, name))
-                yield env.timeout(hold)
-
-        for i in range(3):
-            env.process(user(f"u{i}", 2))
-        env.run()
-        assert order == [(0.0, "u0"), (2.0, "u1"), (4.0, "u2")]
-
-    def test_release_ungranted_cancels(self, env):
-        res = Resource(env, capacity=1)
-        held = res.request()
-        waiting = res.request()
-        assert not waiting.triggered
-        res.release(waiting)  # cancel from the queue
-        res.release(held)
-        assert res.count == 0 and not res.queue
-
-    def test_cancel_method(self, env):
-        res = Resource(env, capacity=1)
-        res.request()
-        waiting = res.request()
-        waiting.cancel()
-        assert waiting not in res.queue
-
-
-class TestPriorityResource:
-    def test_lower_priority_number_first(self, env):
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def user(name, prio):
-            req = res.request(priority=prio)
-            yield req
-            order.append(name)
-            yield env.timeout(1)
-            res.release(req)
-
-        def driver():
-            first = res.request(priority=0)
-            yield first
-            env.process(user("low", 5))
-            env.process(user("high", 1))
-            yield env.timeout(1)
-            res.release(first)
-
-        env.process(driver())
-        env.run()
-        assert order == ["high", "low"]
-
-    def test_fifo_within_priority(self, env):
-        res = PriorityResource(env, capacity=1)
-        blocker = res.request(priority=0)
-        a = res.request(priority=2)
-        b = res.request(priority=2)
-        res.release(blocker)
-        env.run()
-        assert a.triggered and not b.triggered
 
 
 class TestStore:

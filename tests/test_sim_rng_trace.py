@@ -1,9 +1,9 @@
-"""RandomStreams and Tracer."""
+"""RandomStreams."""
 
 import numpy as np
 import pytest
 
-from repro.sim import RandomStreams, Tracer
+from repro.sim import RandomStreams
 
 
 class TestRandomStreams:
@@ -46,51 +46,3 @@ class TestRandomStreams:
         a = s1.get("signal").random(3)
         b = RandomStreams(5).get("signal").random(3)
         assert np.array_equal(a, b)
-
-
-class TestTracer:
-    def test_record_and_count(self):
-        tr = Tracer()
-        tr.record(1.0, "x", a=1)
-        tr.record(2.0, "x", a=2)
-        tr.record(3.0, "y")
-        assert tr.count("x") == 2 and tr.count("y") == 1
-        assert len(tr) == 3
-
-    def test_of_kind_ordering(self):
-        tr = Tracer()
-        tr.record(1.0, "k", i=0)
-        tr.record(2.0, "k", i=1)
-        assert [r["i"] for r in tr.of_kind("k")] == [0, 1]
-
-    def test_disabled_records_nothing(self):
-        tr = Tracer(enabled=False)
-        tr.record(1.0, "x")
-        assert len(tr) == 0 and tr.count("x") == 0
-
-    def test_kind_filter_still_counts(self):
-        tr = Tracer(kinds={"keep"})
-        tr.record(1.0, "keep")
-        tr.record(1.0, "drop")
-        assert len(tr) == 1
-        assert tr.count("drop") == 1  # counted but not stored
-
-    def test_where_predicate(self):
-        tr = Tracer()
-        tr.record(1.0, "a", n=1)
-        tr.record(2.0, "a", n=5)
-        hits = list(tr.where(lambda r: r.get("n", 0) > 2))
-        assert len(hits) == 1 and hits[0]["n"] == 5
-
-    def test_clear(self):
-        tr = Tracer()
-        tr.record(1.0, "x")
-        tr.clear()
-        assert len(tr) == 0 and tr.count("x") == 0
-
-    def test_record_get_default(self):
-        tr = Tracer()
-        tr.record(1.0, "x", a=1)
-        rec = tr.records[0]
-        assert rec.get("missing", "d") == "d"
-        assert rec["a"] == 1

@@ -150,6 +150,9 @@ class TestConfigIO:
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ValueError):
             config_from_json('{"not_a_knob": 1}')
+        # The retired legacy-tracer switch is an unknown key like any other.
+        with pytest.raises(ValueError, match="tracing"):
+            config_from_json('{"tracing": true}')
 
     def test_unknown_section_key_rejected(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ class TestRunCLI:
         doc = json.loads(capsys.readouterr().out)
         assert doc["allocation_policy"] == "fairness"
         assert doc["population"]["n_peers"] > 0
+        assert "tracing" not in doc
 
     def test_config_required(self, capsys):
         with pytest.raises(SystemExit):
