@@ -335,6 +335,36 @@ def _micro_mailbox(n_items: int) -> Callable:
     return fn
 
 
+def _micro_periodic_timers(n_peers: int, sim_seconds: float) -> Callable:
+    """The periodic plane alone: per peer, a 0.5 s sampler and a 2 s
+    reporter ``Timer`` (the Profiler's two periods) with EWMA-sized
+    bodies, run for *sim_seconds*.  ``events_per_sec`` counts the timers'
+    start events too; ``ticks`` is the body calls alone."""
+
+    def fn() -> Dict[str, Any]:
+        from repro.sim import Environment
+
+        env = Environment()
+        ticks = [0]
+        for _ in range(n_peers):
+            state = [0.0, 0.0]
+
+            def sample(state=state) -> None:
+                state[0] += 0.4 * (env.now - state[0])
+                ticks[0] += 1
+
+            def report(state=state) -> None:
+                state[1] = state[0]
+                ticks[0] += 1
+
+            env.every(0.5, sample)
+            env.every(2.0, report)
+        env.run(until=sim_seconds)
+        return {"events": env.n_processed, "metrics": {"ticks": ticks[0]}}
+
+    return fn
+
+
 def _micro_udp_roundtrip(n_messages: int, window: int = 64) -> Callable:
     """Two ``UdpTransport``s on loopback: *n_messages* sent and acked.
 
@@ -540,6 +570,12 @@ BENCHES: List[BenchSpec] = [
         name="micro_mailbox", family="micro", make=_micro_mailbox,
         params={"n_items": 50_000},
         quick_params={"n_items": 15_000},
+    ),
+    BenchSpec(
+        name="micro_periodic_timers", family="micro",
+        make=_micro_periodic_timers,
+        params={"n_peers": 2500, "sim_seconds": 20.0},
+        quick_params={"sim_seconds": 5.0},
     ),
     # Live-layer micros: loopback timing.
     BenchSpec(

@@ -2,7 +2,7 @@
 
 An RM is itself a peer ("Resource Managers are selected among regular
 peers").  It is a thin message-routing shell: protocol handlers and
-periodic loops live here, while the duties are delegated to four
+periodic timers live here, while the duties are delegated to four
 composable components under :mod:`repro.core.control` —
 :class:`AdmissionController`, :class:`PlacementEngine` (with a named,
 pluggable :class:`PlacementPolicy`), :class:`TaskRegistry`, and
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.core import protocol
 from repro.core.allocation import Allocator
@@ -31,7 +31,7 @@ from repro.monitoring.profiler import LoadReport
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.sim.core import Environment
-from repro.sim.events import Event, Interrupt
+from repro.sim.events import Timer
 from repro.tasks.qos import QoSRequirements
 from repro.tasks.task import ApplicationTask, TaskState
 
@@ -167,8 +167,8 @@ class ResourceManager(Peer):
         self.on(protocol.PEER_LEAVE, self._handle_peer_leave)
         self.on(protocol.QOS_UPDATE, self._handle_qos_update)
 
-        self._monitor_proc = None
-        self._reassign_proc = None
+        self._monitor: Optional[Timer] = None
+        self._reassigner: Optional[Timer] = None
         if active:
             self._start_loops()
 
@@ -191,19 +191,18 @@ class ResourceManager(Peer):
 
     # ------------------------------------------------------------------ setup
     def _start_loops(self) -> None:
-        self._monitor_proc = self.env.process(
-            self._monitor_loop(), name=f"rm-monitor:{self.node_id}"
-        )
-        if self.rm_config.enable_reassignment:
-            self._reassign_proc = self.env.process(
-                self._reassign_loop(), name=f"rm-reassign:{self.node_id}"
+        cfg = self.rm_config
+        self._monitor = self.env.every(cfg.monitor_period, self._monitor_tick)
+        if cfg.enable_reassignment:
+            self._reassigner = self.env.every(
+                cfg.reassign_period, self._reassign_tick
             )
 
     def fail(self) -> None:
         """Crash: a dead RM stops monitoring/reassigning entirely."""
-        for proc in (self._monitor_proc, self._reassign_proc):
-            if proc is not None and proc.is_alive:
-                proc.interrupt("fail")
+        for timer in (self._monitor, self._reassigner):
+            if timer is not None:
+                timer.cancel()
         self.active = False
         super().fail()
 
@@ -345,17 +344,11 @@ class ResourceManager(Peer):
         self.send(kind, dst, payload, size=size)
 
     # -------------------------------------------------------------- monitoring
-    def _monitor_loop(self) -> Generator[Event, Any, None]:
+    def _monitor_tick(self) -> None:
         # Sense withdrawn connections (§4.1), then expire lost tasks.
-        cfg = self.rm_config
-        try:
-            while True:
-                yield self.env.timeout(cfg.monitor_period)
-                now = self.env.now
-                self.repair.check_liveness(now)
-                self.registry.expire_lost(now, cfg.task_loss_grace)
-        except Interrupt:
-            return
+        now = self.env.now
+        self.repair.check_liveness(now)
+        self.registry.expire_lost(now, self.rm_config.task_loss_grace)
 
     def _peer_update_period(self, peer_id: str) -> float:
         # Expected report interval for liveness judgement.
@@ -366,16 +359,9 @@ class ResourceManager(Peer):
         self.repair.peer_down(peer_id, graceful)
 
     # ------------------------------------------------------------ reassignment
-    def _reassign_loop(self) -> Generator[Event, Any, None]:
-        cfg = self.rm_config
-        try:
-            while True:
-                yield self.env.timeout(cfg.reassign_period)
-                if not self.active or self.info.n_peers == 0:
-                    continue
-                self.repair.maybe_reassign()
-        except Interrupt:
-            return
+    def _reassign_tick(self) -> None:
+        if self.active and self.info.n_peers > 0:
+            self.repair.maybe_reassign()
 
     # ------------------------------------------------------------ join protocol
     def consider_join(self, power: float, bandwidth: float,

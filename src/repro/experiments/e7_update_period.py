@@ -38,19 +38,17 @@ def run_once(seed: int, period: float, duration: float) -> dict:
     staleness_samples = []
 
     def stale_probe():
-        while True:
-            yield scenario.env.timeout(5.0)
-            for rm in scenario.overlay.rms():
-                now = scenario.env.now
-                vals = [
-                    rm.info.staleness(pid, now)
-                    for pid in rm.info.peers
-                    if rm.info.staleness(pid, now) != float("inf")
-                ]
-                if vals:
-                    staleness_samples.append(sum(vals) / len(vals))
+        for rm in scenario.overlay.rms():
+            now = scenario.env.now
+            vals = [
+                rm.info.staleness(pid, now)
+                for pid in rm.info.peers
+                if rm.info.staleness(pid, now) != float("inf")
+            ]
+            if vals:
+                staleness_samples.append(sum(vals) / len(vals))
 
-    scenario.env.process(stale_probe())
+    scenario.env.every(5.0, stale_probe)
     summary = scenario.run(duration=duration, drain=40.0)
     updates = scenario.network.stats.by_kind.get(protocol.LOAD_UPDATE, 0)
     n_peers = cfg.population.n_peers

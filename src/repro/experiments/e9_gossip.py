@@ -49,14 +49,11 @@ def run_once(
     converged_at = {"t": None}
 
     def probe():
-        while True:
-            yield scenario.env.timeout(period / 2.0)
-            if converged_at["t"] is not None:
-                return
-            if all(len(a.summaries) == total for a in agents):
-                converged_at["t"] = scenario.env.now
+        if all(len(a.summaries) == total for a in agents):
+            converged_at["t"] = scenario.env.now
+            timer.cancel()
 
-    scenario.env.process(probe())
+    timer = scenario.env.every(period / 2.0, probe)
     scenario.env.run(until=600.0)
     t = converged_at["t"]
     return {

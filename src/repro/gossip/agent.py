@@ -16,7 +16,7 @@ in a digest becomes a future gossip target.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from repro import telemetry
 from repro.core import protocol
 from repro.core.manager import ResourceManager
 from repro.net.message import Message
-from repro.sim.events import Event, Interrupt
 from repro.sim.rng import fallback_rng
 from repro.summaries.domain_summary import DomainSummary
 
@@ -72,9 +71,7 @@ class GossipAgent:
 
         rm.on(protocol.GOSSIP_DIGEST, self._handle_digest)
         rm.on(protocol.GOSSIP_SUMMARIES, self._handle_summaries)
-        self._proc = rm.env.process(
-            self._loop(), name=f"gossip:{rm.node_id}"
-        )
+        self._timer = rm.env.every(self.config.period, self._round)
 
     # -- publication -------------------------------------------------------
     def publish(self) -> DomainSummary:
@@ -153,46 +150,35 @@ class GossipAgent:
                     self.rm.info.note_summary(summary.rm_id, summary, now)
         self._sync_into_rm()
 
-    # -- the loop ---------------------------------------------------------------
-    def _loop(self) -> Generator[Event, Any, None]:
+    # -- the round --------------------------------------------------------------
+    def _round(self) -> None:
         rm = self.rm
-        try:
-            while True:
-                yield rm.env.timeout(self.config.period)
-                if not rm.active:
-                    continue
-                self.publish()
-                targets = [
-                    rid for rid in rm.known_rms if rid != rm.node_id
-                ]
-                if not targets:
-                    continue
-                k = min(self.config.fanout, len(targets))
-                chosen = self.rng.choice(len(targets), size=k, replace=False)
-                # One digest per round, shared across the fanout —
-                # receivers only read it, and the live runtime
-                # serializes per hop anyway.
-                payload = {"digest": self.digest()}
-                size = protocol.size_of(protocol.GOSSIP_DIGEST)
-                for idx in chosen:
-                    rm.send(
-                        protocol.GOSSIP_DIGEST, targets[int(idx)],
-                        payload, size=size,
-                    )
-                self.rounds += 1
-                tel = telemetry.current()
-                if tel.enabled:
-                    tel.tracer.event(
-                        "gossip.round", node=rm.node_id, fanout=k,
-                        round=self.rounds,
-                    )
-                    tel.metrics.counter("repro_gossip_rounds_total").inc()
-        except Interrupt:
+        if not rm.active:
             return
+        self.publish()
+        targets = [rid for rid in rm.known_rms if rid != rm.node_id]
+        if not targets:
+            return
+        k = min(self.config.fanout, len(targets))
+        chosen = self.rng.choice(len(targets), size=k, replace=False)
+        # One digest per round, shared across the fanout — receivers
+        # only read it, and the live runtime serializes per hop anyway.
+        payload = {"digest": self.digest()}
+        size = protocol.size_of(protocol.GOSSIP_DIGEST)
+        for idx in chosen:
+            rm.send(
+                protocol.GOSSIP_DIGEST, targets[int(idx)], payload, size=size,
+            )
+        self.rounds += 1
+        tel = telemetry.current()
+        if tel.enabled:
+            tel.tracer.event(
+                "gossip.round", node=rm.node_id, fanout=k, round=self.rounds,
+            )
+            tel.metrics.counter("repro_gossip_rounds_total").inc()
 
     def stop(self) -> None:
-        if self._proc.is_alive:
-            self._proc.interrupt("stop")
+        self._timer.cancel()
 
     def converged_with(self, others: list["GossipAgent"]) -> bool:
         """Do all agents hold identical version vectors? (test/metric)"""

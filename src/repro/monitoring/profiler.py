@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro import telemetry
 from repro.common.util import EWMA
 from repro.scheduling.processor import Processor
 from repro.sim.core import Environment
-from repro.sim.events import Event, Interrupt, Timeout
 
 
 @dataclass
@@ -143,12 +142,8 @@ class Profiler:
         self._services_snapshot: Dict[str, float] = {}
         self._services_dirty = False
         self.reports_sent = 0
-        self._sampler = env.process(
-            self._sample_loop(), name=f"profiler-sample:{processor.peer_id}"
-        )
-        self._reporter = env.process(
-            self._report_loop(), name=f"profiler-report:{processor.peer_id}"
-        )
+        self._sampler = env.every(sample_period, self._sample)
+        self._reporter = env.every(self.current_period, self._report)
 
     # -- measurement -----------------------------------------------------------
     @property
@@ -200,41 +195,19 @@ class Profiler:
             services=self._services_snapshot,
         )
 
-    # -- processes ---------------------------------------------------------------
-    def _sample_loop(self) -> Generator[Event, None, None]:
-        # Collaborators are bound once: one of these loops ticks per
-        # peer for the whole run, and the period/processor/EWMA objects
-        # never change after construction.
-        env = self.env
-        period = self.sample_period
-        busy_now = self.processor.busy_time_now
-        util_update = self._util.update
-        bw_update = self._bw_rate.update
-        last_t = self._last_sample_t
-        last_busy = self._last_busy
-        last_bytes = self._last_bytes
-        try:
-            while True:
-                yield Timeout(env, period)
-                busy = busy_now()
-                now = env._now
-                span = now - last_t
-                bytes_out = self._bytes_out
-                if span > 0:
-                    u = (busy - last_busy) / span
-                    util_update(u if u < 1.0 else 1.0)
-                    bw_update((bytes_out - last_bytes) / span)
-                last_t = now
-                last_busy = busy
-                last_bytes = bytes_out
-        except Interrupt:
-            return
-        finally:
-            # Mirror the locals back so external introspection (and a
-            # hypothetical restarted loop) sees the latest sample state.
-            self._last_sample_t = last_t
-            self._last_busy = last_busy
-            self._last_bytes = last_bytes
+    # -- periodic work ------------------------------------------------------------
+    def _sample(self) -> None:
+        busy = self.processor.busy_time_now()
+        now = self.env.now
+        span = now - self._last_sample_t
+        bytes_out = self._bytes_out
+        if span > 0:
+            u = (busy - self._last_busy) / span
+            self._util.update(u if u < 1.0 else 1.0)
+            self._bw_rate.update((bytes_out - self._last_bytes) / span)
+        self._last_sample_t = now
+        self._last_busy = busy
+        self._last_bytes = bytes_out
 
     def current_period(self) -> float:
         """The in-force update period (QoS-adaptive when enabled)."""
@@ -244,34 +217,26 @@ class Profiler:
             return self.update_period * self.adaptive_busy_factor
         return self.update_period * self.adaptive_idle_factor
 
-    def _report_loop(self) -> Generator[Event, None, None]:
-        try:
-            while True:
-                yield self.env.timeout(self.current_period())
-                if self.report_fn is not None:
-                    report = self.current_report()
-                    self.report_fn(report)
-                    self.reports_sent += 1
-                    tel = telemetry.current()
-                    if tel.enabled:
-                        tel.tracer.event(
-                            "profiler.update", node=report.peer_id,
-                            utilization=report.utilization,
-                            load=report.load,
-                            queue_length=report.queue_length,
-                        )
-                        tel.metrics.gauge(
-                            "repro_profiler_peer_utilization",
-                            peer=report.peer_id,
-                        ).set(report.utilization)
-                        tel.metrics.counter(
-                            "repro_profiler_reports_total"
-                        ).inc()
-        except Interrupt:
+    def _report(self) -> None:
+        if self.report_fn is None:
             return
+        report = self.current_report()
+        self.report_fn(report)
+        self.reports_sent += 1
+        tel = telemetry.current()
+        if tel.enabled:
+            tel.tracer.event(
+                "profiler.update", node=report.peer_id,
+                utilization=report.utilization,
+                load=report.load,
+                queue_length=report.queue_length,
+            )
+            tel.metrics.gauge(
+                "repro_profiler_peer_utilization", peer=report.peer_id,
+            ).set(report.utilization)
+            tel.metrics.counter("repro_profiler_reports_total").inc()
 
     def stop(self) -> None:
         """Halt sampling and reporting (peer departure)."""
-        for proc in (self._sampler, self._reporter):
-            if proc.is_alive:
-                proc.interrupt("stop")
+        self._sampler.cancel()
+        self._reporter.cancel()

@@ -237,10 +237,13 @@ class Network:
         when it "senses the withdrawn connection".
         """
         msg.sent_at = self.env.now
-        msg.ensure_trace_id()
         self.stats.note_send(msg)
         tel = telemetry.current()
         if tel.enabled:
+            # Trace ids exist for telemetry only: with it off, the
+            # simulated path assigns none (the UDP transport always
+            # does, because the wire frame carries the id).
+            msg.ensure_trace_id()
             tel.tracer.start_span(
                 msg.kind, kind=telemetry.MESSAGE, node=msg.src,
                 trace_id=msg.trace_id, key=f"msg:{msg.msg_id}",
@@ -310,6 +313,9 @@ class Network:
         self.stats.delivered += 1
         tel = telemetry.current()
         if tel.enabled:
+            # A message sent before telemetry was enabled gets its id
+            # here, so a reply to it still joins the request's trace.
+            msg.ensure_trace_id()
             tel.tracer.end_span_key(f"msg:{msg.msg_id}", status="ok")
             tel.metrics.counter("repro_net_messages_delivered_total").inc()
         self._nodes[msg.dst].mailbox.put(msg)

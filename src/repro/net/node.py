@@ -8,8 +8,8 @@ from typing import Any, Callable, Dict, Generator, Optional
 from repro.net.message import Message, trace_id_for_payload
 from repro.net.network import Network
 from repro.sim.core import Environment
-from repro.sim.events import Event, Interrupt, Process
-from repro.sim.resources import Store
+from repro.sim.events import Event, Initialize
+from repro.sim.resources import Store, StoreGet
 
 #: A handler takes the incoming message; it may return a generator to be
 #: run as a new process, or ``None`` for fire-and-forget handling.
@@ -33,10 +33,10 @@ class NetNode:
     """A protocol endpoint attached to a :class:`Network`.
 
     Subclasses (peers, resource managers) register message handlers with
-    :meth:`on`; a dispatcher process delivers each incoming message to its
-    handler, spawning a new simulation process when the handler is a
-    generator function.  Replies to outstanding :meth:`rpc` calls are
-    matched by correlation id before handler dispatch.
+    :meth:`on`; a callback on the mailbox's get delivers each incoming
+    message to its handler, spawning a new simulation process when the
+    handler is a generator function.  Replies to outstanding :meth:`rpc`
+    calls are matched by correlation id before handler dispatch.
     """
 
     def __init__(self, env: Environment, network: Network, node_id: str) -> None:
@@ -46,9 +46,11 @@ class NetNode:
         self.mailbox = Store(env)
         self._handlers: Dict[str, Handler] = {}
         self._pending: Dict[int, Event] = {}
-        self._dispatcher: Process = env.process(
-            self._dispatch_loop(), name=f"dispatch:{node_id}"
-        )
+        #: The outstanding mailbox get (None before the start event and
+        #: after shutdown).
+        self._inbox: Optional[StoreGet] = None
+        self._listening = True
+        Initialize(env, self._listen)
         network.register(self)
 
     # -- wiring ---------------------------------------------------------------
@@ -63,38 +65,47 @@ class NetNode:
             raise ValueError(f"{self.node_id}: handler for {kind!r} already set")
         self._handlers[kind] = handler
 
-    def _dispatch_loop(self) -> Generator[Event, Any, None]:
-        try:
-            yield from self._dispatch_forever()
-        except Interrupt:
-            return
+    # Mailbox dispatch is a callback on the outstanding get: each message
+    # is handled when its get fires, and the next get is issued after the
+    # handler returns — the events and order of a dispatcher process
+    # looping on ``yield mailbox.get()``, without the process.
+    def _listen(self, _event: Optional[Event] = None) -> None:
+        if self._listening:
+            self._inbox = self.mailbox.get()
+            self._inbox.callbacks.append(self._on_mail)
 
-    def _dispatch_forever(self) -> Generator[Event, Any, None]:
-        while True:
-            msg: Message = yield self.mailbox.get()
-            # Correlated replies resolve the waiting RPC instead of (or in
-            # addition to) a handler.
-            if msg.reply_to is not None:
-                waiter = self._pending.pop(msg.reply_to, None)
-                if waiter is not None:
-                    if not waiter.triggered:
-                        waiter.succeed(msg)
-                    continue
-            handler = self._handlers.get(msg.kind)
-            if handler is None:
-                continue  # unknown kinds are dropped, datagram-style
-            result = handler(msg)
-            # Only generators become processes; handlers may return any
-            # other value (e.g. the Message from a reply) harmlessly.
-            if inspect.isgenerator(result):
-                self.env.process(
-                    result, name=f"{self.node_id}:{msg.kind}"
-                )
+    def _on_mail(self, get: Event) -> None:
+        self._dispatch(get.value)
+        self._listen()
+
+    def _dispatch(self, msg: Message) -> None:
+        # Correlated replies resolve the waiting RPC instead of (or in
+        # addition to) a handler.
+        if msg.reply_to is not None:
+            waiter = self._pending.pop(msg.reply_to, None)
+            if waiter is not None:
+                if not waiter.triggered:
+                    waiter.succeed(msg)
+                return
+        handler = self._handlers.get(msg.kind)
+        if handler is None:
+            return  # unknown kinds are dropped, datagram-style
+        result = handler(msg)
+        # Only generators become processes; handlers may return any
+        # other value (e.g. the Message from a reply) harmlessly.
+        if inspect.isgenerator(result):
+            self.env.process(result, name=f"{self.node_id}:{msg.kind}")
 
     def shutdown(self) -> None:
-        """Stop the dispatcher (node leaves the system)."""
-        if self._dispatcher.is_alive:
-            self._dispatcher.interrupt("shutdown")
+        """Stop dispatching (node leaves the system).
+
+        The pending get is detached, not withdrawn: it still takes the
+        next message put into the mailbox, which is then dropped.
+        """
+        self._listening = False
+        inbox, self._inbox = self._inbox, None
+        if inbox is not None and inbox.callbacks is not None:
+            inbox.callbacks.remove(self._on_mail)
         for waiter in self._pending.values():
             if not waiter.triggered:
                 waiter.fail(RPCError(f"{self.node_id} shut down"))
@@ -112,9 +123,9 @@ class NetNode:
     ) -> Message:
         """Fire-and-forget send; returns the sent message.
 
-        When *trace_id* is omitted the network derives one at send time
-        (task-scoped payloads join their ``task:<id>`` trace, anything
-        else starts a fresh trace).
+        When *trace_id* is omitted and telemetry is enabled, the network
+        derives one at send time (task-scoped payloads join their
+        ``task:<id>`` trace, anything else starts a fresh trace).
         """
         msg = Message(
             kind=kind,

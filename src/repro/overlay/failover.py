@@ -11,13 +11,12 @@ a Resource Manager, using its backup copy."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro import telemetry
 from repro.core import protocol
 from repro.core.manager import ResourceManager
 from repro.net.message import Message
-from repro.sim.events import Event, Interrupt
 
 
 @dataclass
@@ -61,49 +60,35 @@ class FailoverAgent:
         # replace=True: a spare from the eligible list may be paired
         # with a new primary after a takeover.
         backup.on(protocol.RM_SYNC, self._handle_sync, replace=True)
-        self._sync_proc = primary.env.process(
-            self._sync_loop(), name=f"rm-sync:{primary.node_id}"
-        )
-        self._watch_proc = backup.env.process(
-            self._watch_loop(), name=f"rm-watch:{backup.node_id}"
-        )
+        period = self.config.sync_period
+        self._sync = primary.env.every(period, self._sync_tick)
+        self._watch = backup.env.every(period, self._watch_tick)
 
     # -- primary side ----------------------------------------------------------
-    def _sync_loop(self) -> Generator[Event, Any, None]:
-        env = self.primary.env
-        try:
-            while True:
-                yield env.timeout(self.config.sync_period)
-                if not self.primary.alive or not self.primary.active:
-                    return
-                self.primary.send(
-                    protocol.RM_SYNC,
-                    self.backup.node_id,
-                    {"snapshot": self.primary.snapshot_state()},
-                    size=protocol.size_of(protocol.RM_SYNC),
-                )
-        except Interrupt:
+    def _sync_tick(self) -> None:
+        if not self.primary.alive or not self.primary.active:
+            self._sync.cancel()
             return
+        self.primary.send(
+            protocol.RM_SYNC,
+            self.backup.node_id,
+            {"snapshot": self.primary.snapshot_state()},
+            size=protocol.size_of(protocol.RM_SYNC),
+        )
 
     # -- backup side ---------------------------------------------------------------
     def _handle_sync(self, msg: Message) -> None:
         self.last_sync = self.backup.env.now
         self.last_snapshot = msg.payload["snapshot"]
 
-    def _watch_loop(self) -> Generator[Event, Any, None]:
-        env = self.backup.env
-        limit = self.config.dead_after_periods * self.config.sync_period
-        try:
-            while True:
-                yield env.timeout(self.config.sync_period)
-                if self.took_over or not self.backup.alive:
-                    return
-                if env.now - self.last_sync <= limit:
-                    continue
-                self._takeover()
-                return
-        except Interrupt:
+    def _watch_tick(self) -> None:
+        if self.took_over or not self.backup.alive:
+            self._watch.cancel()
             return
+        limit = self.config.dead_after_periods * self.config.sync_period
+        if self.backup.env.now - self.last_sync > limit:
+            self._watch.cancel()
+            self._takeover()
 
     def _takeover(self) -> None:
         """The backup becomes the domain's Resource Manager."""
@@ -129,12 +114,8 @@ class FailoverAgent:
             self.on_takeover(old_rm_id, self.backup)
 
     def stop(self) -> None:
-        env = self.backup.env
-        for proc in (self._sync_proc, self._watch_proc):
-            # stop() may be invoked from inside the watch loop itself
-            # (takeover callback); the running process ends on its own.
-            if proc.is_alive and proc is not env.active_process:
-                proc.interrupt("stop")
+        self._sync.cancel()
+        self._watch.cancel()
 
     @property
     def recovery_delay(self) -> Optional[float]:

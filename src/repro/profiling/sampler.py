@@ -224,7 +224,7 @@ class SimEventProfiler:
     Attaching installs a dispatch hook; the kernel's default (unhooked)
     run loop is untouched, and the hook only observes — the event
     trajectory with the profiler attached is identical to without
-    (goldens: scalability_1000 stays 190,173 events either way).
+    (goldens: scalability_1000 stays 190,047 events either way).
     """
 
     def __init__(

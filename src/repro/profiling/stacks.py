@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.sim.events import Timer
+
 #: Catch-all bucket once ``max_stacks`` distinct stacks exist.
 OTHER_KEY = "(other)"
 
@@ -182,12 +184,15 @@ def describe_callback(cb) -> Optional[str]:
     """A low-cardinality label for an event callback target.
 
     Bound methods of a :class:`~repro.sim.events.Process` resolve to the
-    process generator's code location (``path:function``); other bound
-    methods to ``Class.method``; plain functions to their qualname.
-    Instance names are deliberately ignored — per-peer names would blow
-    up stack cardinality.
+    process generator's code location (``path:function``); a
+    :class:`~repro.sim.events.Timer`'s to its body (``Profiler._sample``);
+    other bound methods to ``Class.method``; plain functions to their
+    qualname.  Instance names are deliberately ignored — per-peer names
+    would blow up stack cardinality.
     """
     owner = getattr(cb, "__self__", None)
+    if isinstance(owner, Timer):
+        return describe_callback(owner.body)
     if owner is not None:
         gen = getattr(owner, "generator", None)
         code = getattr(gen, "gi_code", None)

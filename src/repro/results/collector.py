@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.common.util import percentile
 from repro.results.timeseries import TimeSeries
 from repro.core.fairness import jain_fairness
 from repro.sim.core import Environment
-from repro.sim.events import Event, Interrupt
+from repro.sim.events import Timer
 from repro.tasks.task import ApplicationTask, TaskOutcome
 
 
@@ -95,7 +95,8 @@ class MetricsCollector:
         self.counts: Dict[str, int] = {}
         self.fairness_series = TimeSeries()
         self.utilization_series = TimeSeries()
-        self._sampler = None
+        self._overlay: Any = None
+        self._sampler: Optional[Timer] = None
 
     # -- lifecycle hook -----------------------------------------------------
     def on_task_event(self, task: ApplicationTask, event: str) -> None:
@@ -116,39 +117,23 @@ class MetricsCollector:
         """
         if period <= 0:
             raise ValueError("period must be positive")
-        self._sampler = self.env.process(
-            self._sample_loop(overlay, period), name="metrics-sampler"
-        )
+        self._overlay = overlay
+        self._sampler = self.env.every(period, self._sample)
 
-    def _sample_loop(
-        self, overlay: Any, period: float
-    ) -> Generator[Event, Any, None]:
-        try:
-            while True:
-                yield self.env.timeout(period)
-                loads = [
-                    p.profiler.load
-                    for p in overlay.peers.values()
-                    if p.alive
-                ]
-                utils = [
-                    p.profiler.utilization
-                    for p in overlay.peers.values()
-                    if p.alive
-                ]
-                if loads:
-                    self.fairness_series.add(
-                        self.env.now, jain_fairness(loads)
-                    )
-                    self.utilization_series.add(
-                        self.env.now, sum(utils) / len(utils)
-                    )
-        except Interrupt:
-            return
+    def _sample(self) -> None:
+        alive = [p for p in self._overlay.peers.values() if p.alive]
+        if alive:
+            now = self.env.now
+            self.fairness_series.add(
+                now, jain_fairness([p.profiler.load for p in alive])
+            )
+            self.utilization_series.add(
+                now, sum(p.profiler.utilization for p in alive) / len(alive)
+            )
 
     def stop_sampling(self) -> None:
-        if self._sampler is not None and self._sampler.is_alive:
-            self._sampler.interrupt("stop")
+        if self._sampler is not None:
+            self._sampler.cancel()
 
     # -- aggregation ------------------------------------------------------------
     def summary(

@@ -18,13 +18,15 @@ object ``{"__t__": <tag>, ...}``: tuples, sets, and the protocol's
 payload dataclasses (media formats/objects, QoS sets, compose orders,
 service steps, load reports, application tasks).  Decoding reverses the
 tags; any datagram that is not valid UTF-8 JSON, has the wrong version,
-an unknown frame type/tag, or ill-typed message fields raises
-:class:`WireFormatError` — the transport drops such datagrams.
+an unknown frame type/tag, ill-typed message fields or an out-of-range
+load report raises :class:`WireFormatError` — the transport drops such
+datagrams.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Callable, Dict, Tuple, Type
 
 from repro.core.session import ComposeOrder
@@ -185,10 +187,61 @@ _register(
     ),
 )
 
+
+def _finite(value: Any, field: str, positive: bool = False) -> None:
+    """A finite real number, > 0 if *positive* else >= 0."""
+    try:
+        ok = (
+            isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value)
+            and (value > 0 if positive else value >= 0)
+        )
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
+        bound = "> 0" if positive else ">= 0"
+        raise WireFormatError(
+            f"load_report {field} must be a finite number {bound}, "
+            f"got {value!r}"
+        )
+
+
+def _count(value: Any, field: str) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise WireFormatError(
+            f"load_report {field} must be an int >= 0, got {value!r}"
+        )
+
+
+def _load_report_from_wire(d: Dict[str, Any]) -> LoadReport:
+    # A report feeds the RM's load arithmetic directly: a field of the
+    # wrong type or range must be dropped here, at the boundary, not
+    # raise later inside an allocation.
+    report = LoadReport.from_payload(_dec(d))
+    if not isinstance(report.peer_id, str):
+        raise WireFormatError(
+            f"load_report peer_id must be a string, got {report.peer_id!r}"
+        )
+    _finite(report.power, "power", positive=True)
+    for name in ("time", "utilization", "load", "bw_used", "queue_work"):
+        _finite(getattr(report, name), name)
+    _count(report.queue_length, "queue_length")
+    _count(report.dependencies, "dependencies")
+    if not isinstance(report.services, dict):
+        raise WireFormatError("load_report services must be a map")
+    for service, mean_time in report.services.items():
+        if not isinstance(service, str):
+            raise WireFormatError(
+                f"load_report service id must be a string, got {service!r}"
+            )
+        _finite(mean_time, f"services[{service!r}]")
+    return report
+
+
 _register(
     LoadReport, "load_report",
     lambda r: _enc(r.as_payload()),
-    lambda d: LoadReport.from_payload(_dec(d)),
+    _load_report_from_wire,
 )
 
 _register(

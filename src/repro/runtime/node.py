@@ -14,8 +14,8 @@ real wall-clock timers — through the exact same code paths as the
 simulator.
 
 Inbound UDP messages are decoded by the transport and dropped into the
-node's ordinary mailbox; the dispatcher process picks them up on the
-next pump step.
+node's ordinary mailbox; the mailbox-get callback dispatches them on
+the next pump step.
 """
 
 from __future__ import annotations

@@ -6,8 +6,11 @@ SimPy: simulation *processes* are Python generators that ``yield`` events
 :class:`~repro.sim.core.Environment` when those events fire.
 
 The kernel is the substrate on which the entire peer-to-peer middleware
-reproduction runs; every protocol component (schedulers, profilers,
-resource managers, gossip, churn) is a process in this simulator.
+reproduction runs.  Work that waits on events (schedulers, arrivals,
+churn, RPCs) is a process; work that recurs on a period (profiler
+sampling and reports, RM monitoring, gossip rounds) is a
+:class:`~repro.sim.events.Timer` callback, with the same events and
+order as the equivalent ``while True: yield env.timeout(d)`` process.
 
 Determinism: for a fixed seed and identical call order, runs are exactly
 reproducible.  The event queue orders by ``(time, priority, sequence)``
@@ -34,6 +37,7 @@ from repro.sim.events import (
     Interrupt,
     Process,
     Timeout,
+    Timer,
 )
 from repro.sim.resources import Store
 from repro.sim.rng import RandomStreams
@@ -48,4 +52,5 @@ __all__ = [
     "StopSimulation",
     "Store",
     "Timeout",
+    "Timer",
 ]

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import heapq
-from typing import Any, Generator, Optional, Union
+from typing import Any, Callable, Generator, Optional, Union
 
 from repro.sim.events import (
     NORMAL,
     Event,
     Process,
     Timeout,
+    Timer,
 )
 
 
@@ -74,6 +75,14 @@ class Environment:
     ) -> Process:
         """Start a new process running *generator*."""
         return Process(self, generator, name=name)
+
+    def every(
+        self,
+        delay: Union[float, Callable[[], float]],
+        body: Callable[[], Any],
+    ) -> Timer:
+        """Run ``body()`` every *delay* from now on (see :class:`Timer`)."""
+        return Timer(self, delay, body)
 
     # -- scheduling ----------------------------------------------------------
     def schedule(

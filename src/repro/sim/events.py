@@ -165,16 +165,91 @@ class Timeout(Event):
 
 
 class Initialize(Event):
-    """Internal event used to start a freshly created :class:`Process`."""
+    """Urgent start event: runs *callback* at the current time, ahead of
+    every NORMAL event (starts a :class:`Process` or a node's mailbox
+    dispatch)."""
 
     __slots__ = ()
 
-    def __init__(self, env: "Environment", process: "Process") -> None:
+    def __init__(
+        self, env: "Environment", callback: Callable[["Event"], None]
+    ) -> None:
         super().__init__(env)
-        self.callbacks.append(process._resume)
+        self.callbacks.append(callback)
         self._ok = True
         self._value = None
         env.schedule(self, priority=URGENT)
+
+
+class Timer(Event):
+    """Runs ``body()`` every *delay* units of simulated time until cancelled.
+
+    The process-free form of ``while True: yield env.timeout(d); body()``
+    with the same kernel events: one URGENT start event at creation
+    (the loop's :class:`Initialize`), then one NORMAL event per tick at
+    ``now + delay``.  The next tick is pushed after the body returns, so
+    whatever the body schedules keeps the loop's sequence order.
+    *delay* is a number or a zero-argument callable; a callable is
+    re-read before every tick (adaptive periods).
+
+    The timer is itself the event on the heap and is re-armed in place:
+    a tick allocates no Process, generator, Timeout or callbacks list.
+    :meth:`cancel` works from anywhere, the body included; a tick that
+    is already pushed still pops, as an empty event.  An exception from
+    the body propagates out of ``run``/``step`` and stops the timer.
+    """
+
+    __slots__ = ("body", "delay", "cancelled", "_delay_fn", "_ticks")
+
+    def __init__(
+        self,
+        env: "Environment",
+        delay: "float | Callable[[], float]",
+        body: Callable[[], Any],
+    ) -> None:
+        super().__init__(env)
+        self.body = body
+        self.cancelled = False
+        if callable(delay):
+            self._delay_fn = delay
+            self.delay = 0.0  # resolved when the first tick is armed
+        else:
+            self._delay_fn = None
+            self.delay = _check_delay(delay)
+        self._ticks = [self._tick]
+        self.callbacks.append(self._arm)
+        self._value = None
+        env.schedule(self, priority=URGENT)
+
+    def cancel(self) -> None:
+        """Stop ticking; idempotent."""
+        self.cancelled = True
+        if self.callbacks is not None:  # the pending tick pops empty
+            self.callbacks = []
+
+    def _tick(self, _event: Event) -> None:
+        self.body()
+        if not self.cancelled:
+            self._arm()
+
+    def _arm(self, _event: Optional[Event] = None) -> None:
+        if self._delay_fn is not None:
+            self.delay = _check_delay(self._delay_fn())
+        env = self.env
+        self.callbacks = self._ticks
+        _heappush(env._queue, (env._now + self.delay, NORMAL, env._seq, self))
+        env._seq += 1
+
+    def __repr__(self) -> str:
+        state = "cancelled" if self.cancelled else f"every {self.delay}"
+        return f"<Timer {getattr(self.body, '__qualname__', '?')} {state}>"
+
+
+def _check_delay(delay: float) -> float:
+    delay = float(delay)
+    if delay < 0:
+        raise ValueError(f"negative delay {delay}")
+    return delay
 
 
 class _InterruptDelivery(Event):
@@ -221,7 +296,7 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         #: The event this process is currently waiting on.
         self._target: Optional[Event] = None
-        Initialize(env, self)
+        Initialize(env, self._resume)
 
     @property
     def is_alive(self) -> bool:

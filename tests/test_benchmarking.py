@@ -128,7 +128,19 @@ class TestSelect:
 
 
 class TestUngatedMicros:
-    NAMES = {"micro_udp_roundtrip", "micro_pump_tick", "micro_allocate"}
+    NAMES = {
+        "micro_udp_roundtrip", "micro_pump_tick", "micro_allocate",
+        "micro_periodic_timers",
+    }
+
+    def test_periodic_timers_event_count(self):
+        spec = next(s for s in BENCHES if s.name == "micro_periodic_timers")
+        out = spec.make(n_peers=100, sim_seconds=10.0)()
+        # 200 start events, then 100 x (20 samples + 5 reports) ticks.
+        assert out["metrics"]["ticks"] == 2500
+        assert out["events"] == 2700
+        full = spec.make(**spec.effective_params(quick=True))()
+        assert full["events"] == 5000 + 2500 * (10 + 2)
 
     def test_listed_in_family_micro_but_not_gated(self):
         # Nothing is gated any more (the events/sec gate is gone); the

@@ -51,6 +51,46 @@ class TestDispatch:
         with pytest.raises(ValueError):
             a.on("k", lambda m: None)
 
+    def test_handlers_run_as_mailbox_callbacks_not_in_a_process(
+        self, env, net
+    ):
+        a, b = NetNode(env, net, "a"), NetNode(env, net, "b")
+        seen = []
+        b.on("hello", lambda msg: seen.append(env.active_process))
+        a.send("hello", "b")
+        a.send("hello", "b")
+        env.run()
+        assert seen == [None, None]
+
+    def test_shutdown_detaches_the_pending_get(self, env, net):
+        a, b = NetNode(env, net, "a"), NetNode(env, net, "b")
+        got = []
+        b.on("hello", lambda msg: got.append(msg))
+        env.run()  # start events: both nodes wait on their mailbox
+        b.shutdown()
+        a.send("hello", "b")
+        env.run()
+        assert got == []
+        # The detached get still took the message (and popped empty).
+        assert len(b.mailbox) == 0
+        # two starts, then the delivery, the mailbox put and the empty get
+        assert env.n_processed == 2 + 3
+
+    def test_shutdown_from_inside_a_handler_stops_dispatch(self, env, net):
+        a, b = NetNode(env, net, "a"), NetNode(env, net, "b")
+        got = []
+
+        def handler(msg):
+            got.append(msg.payload["i"])
+            b.shutdown()
+
+        b.on("hello", handler)
+        for i in range(3):
+            a.send("hello", "b", {"i": i})
+        env.run()
+        assert got == [0]
+        assert len(b.mailbox) == 2  # nobody takes the rest
+
 
 class TestRPC:
     def test_round_trip(self, env, net):

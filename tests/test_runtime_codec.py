@@ -244,3 +244,56 @@ def _msg_frame(**overrides):
 def test_malformed_datagrams_rejected(data):
     with pytest.raises(WireFormatError):
         decode_frame(data)
+
+
+# -- load_report field validation ---------------------------------------------
+
+def _load_update_frame(**fields):
+    """A LOAD_UPDATE frame as a peer sends it, with report fields replaced."""
+    msg = Message(kind=protocol.LOAD_UPDATE, src="P2", dst="M0",
+                  payload={"report": _load_report()}, size=256.0)
+    frame = json.loads(encode_message(msg))
+    frame["msg"]["payload"]["report"].update(fields)
+    return json.dumps(frame).encode()
+
+
+def test_load_report_round_trips_with_boundary_values():
+    data = _load_update_frame(
+        time=0, utilization=0.0, load=0, bw_used=0.0, queue_work=0.0,
+        queue_length=0, dependencies=0, services={}, power=1,
+    )
+    report = decode_frame(data)["msg"].payload["report"]
+    assert isinstance(report, LoadReport)
+    assert report.power == 1 and report.services == {}
+
+
+@pytest.mark.parametrize("fields", [
+    {"load": "boom"},                      # the crash: str in RM arithmetic
+    {"peer_id": 7},
+    {"time": None},
+    {"power": 0.0},                        # would divide by zero
+    {"power": -5.0},
+    {"utilization": -0.1},
+    {"bw_used": True},                     # bool is not a number here
+    {"queue_work": [1.0]},
+    {"load": 10 ** 400},                   # int too large for a float
+    {"queue_length": 2.5},
+    {"queue_length": -1},
+    {"dependencies": False},
+    {"services": ["T-e2"]},
+    {"services": {"T-e2": "fast"}},
+    {"services": {"T-e2": -0.3}},
+])
+def test_hostile_load_report_fields_rejected(fields):
+    with pytest.raises(WireFormatError):
+        decode_frame(_load_update_frame(**fields))
+
+
+@pytest.mark.parametrize("value", [
+    float("nan"), float("inf"), float("-inf"),
+])
+def test_non_finite_load_report_numbers_rejected(value):
+    # json.dumps writes these as the NaN/Infinity tokens json.loads
+    # accepts back — a hostile sender can put them on the wire.
+    with pytest.raises(WireFormatError):
+        decode_frame(_load_update_frame(load=value))

@@ -8,13 +8,17 @@ still deliver exactly once, well inside a 5-second wall-clock budget.
 from __future__ import annotations
 
 import asyncio
+import json
 import logging
 import time
 
 import pytest
 
+from repro.core import protocol
+from repro.monitoring.profiler import LoadReport
 from repro.net.message import Message, reset_message_ids
 from repro.net.network import ConstantLatency, Network
+from repro.runtime.codec import encode_message
 from repro.runtime.transport import PeerDirectory, SimTransport, UdpTransport
 from repro.sim.core import Environment
 
@@ -184,6 +188,33 @@ def test_malformed_datagram_counted_not_delivered():
             b.datagram_received(b'{"v": 99, "t": "msg"}', ("127.0.0.1", 9))
             assert inbox == []
             assert b.malformed == 2
+            assert b.stats.delivered == 0
+        finally:
+            close_all(a, b)
+    run(main())
+
+
+def test_hostile_load_update_counted_not_delivered():
+    """A LOAD_UPDATE whose report carries a string load used to decode,
+    reach the RM's info base and crash the next allocation (and with it
+    the live clock pump); it is now dropped at the codec as malformed."""
+    report = LoadReport(
+        peer_id="A", time=1.0, power=10.0, utilization=0.5, load=5.0,
+        bw_used=0.0, queue_work=0.0, queue_length=0,
+    )
+    frame = json.loads(encode_message(Message(
+        kind=protocol.LOAD_UPDATE, src="A", dst="B",
+        payload={"report": report}, size=256.0,
+    )))
+    frame["msg"]["payload"]["report"]["load"] = "boom"
+
+    async def main():
+        _, a, b, inbox = make_pair()
+        await start_all(a, b)
+        try:
+            b.datagram_received(json.dumps(frame).encode(), ("127.0.0.1", 9))
+            assert inbox == []
+            assert b.malformed == 1
             assert b.stats.delivered == 0
         finally:
             close_all(a, b)

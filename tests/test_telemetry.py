@@ -237,12 +237,10 @@ class TestTraceId:
         reset_message_ids()
         assert next_trace_id() == first
 
-    def test_network_send_stamps_and_reply_inherits(self):
-        env = Environment()
+    def _ping_pong(self, env):
         net = Network(env)
         a = NetNode(env, net, "a")
         b = NetNode(env, net, "b")
-
         got = {}
         b.on("ping", lambda m: got.setdefault("req", m))
         a.on("pong", lambda m: got.setdefault("rep", m))
@@ -250,8 +248,36 @@ class TestTraceId:
         env.run(until=1.0)
         b.reply(got["req"], "pong", {"n": 2})
         env.run(until=2.0)
+        return got
+
+    def test_network_send_stamps_and_reply_inherits(self):
+        env = Environment()
+        with telemetry.session(Telemetry.sim(env)):
+            got = self._ping_pong(env)
         assert got["req"].trace_id is not None
         assert got["rep"].trace_id == got["req"].trace_id
+
+    def test_disabled_telemetry_assigns_no_trace_ids(self):
+        got = self._ping_pong(Environment())
+        assert got["req"].trace_id is None
+        assert got["rep"].trace_id is None
+        assert next_trace_id() == "m1"  # the counter never moved
+
+    def test_message_sent_before_the_session_joins_its_reply(self):
+        env = Environment()
+        net = Network(env)
+        a = NetNode(env, net, "a")
+        b = NetNode(env, net, "b")
+        got = {}
+        b.on("ping", lambda m: got.setdefault("req", m))
+        a.on("pong", lambda m: got.setdefault("rep", m))
+        a.send("ping", "b")
+        with telemetry.session(Telemetry.sim(env)):
+            env.run(until=1.0)
+            b.reply(got["req"], "pong")
+            env.run(until=2.0)
+        assert got["req"].trace_id == "m1"
+        assert got["rep"].trace_id == "m1"
 
     def test_task_payload_reply_joins_the_task_trace(self):
         env = Environment()
