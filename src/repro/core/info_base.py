@@ -291,7 +291,8 @@ class DomainInfoBase:
         peer_id: str,
         work: float,
         out_bytes: float = 0.0,
-        edge_id: Optional[str] = None,
+        *,
+        edge_id: str,
     ) -> ServiceEdge:
         """Add a hosted service instance to the resource graph + roster."""
         rec = self.peer(peer_id)

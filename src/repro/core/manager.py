@@ -270,6 +270,7 @@ class ResourceManager(Peer):
             initial_state=None,  # resolved from the object catalog
             goal_state=p["goal_state"],
             origin_peer=p.get("origin", msg.src), submitted_at=self.env.now,
+            task_id=f"t{next(self.env.ids.task)}",
         )
         self.registry.register(task)
         self._emit(task, "submitted")
@@ -335,9 +336,12 @@ class ResourceManager(Peer):
         if dst == self.node_id:
             handler = self._handlers.get(kind)
             if handler is not None:
-                result = handler(
-                    Message(kind=kind, src=dst, dst=dst, payload=payload)
-                )
+                # Never sent, but numbered as if sent: the msg_id values
+                # in --trace output count this draw.
+                result = handler(Message(
+                    kind=kind, src=dst, dst=dst, payload=payload,
+                    msg_id=next(self.env.ids.msg),
+                ))
                 if inspect.isgenerator(result):
                     self.env.process(result, name=f"{dst}:{kind}:local")
             return

@@ -334,6 +334,7 @@ class Peer(NetNode):
             importance=order.importance,
             task_id=order.task_id,
             service_id=step.service_id,
+            job_id=next(self.env.ids.job),
         )
         self._task_jobs.setdefault(order.task_id, []).append(job)
         started = self.env.now

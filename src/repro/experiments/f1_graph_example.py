@@ -71,6 +71,7 @@ def run(quick: bool = False) -> ExperimentResult:
         goal_state=scenario.v_sol,
         origin_peer="P4",
         submitted_at=0.0,
+        task_id=f"t{next(env.ids.task)}",
     )
     estimator = CompletionTimeEstimator()
     allocator = Allocator(estimator=estimator, visited_policy="paper")

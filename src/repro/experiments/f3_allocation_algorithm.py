@@ -56,13 +56,14 @@ def random_domain(
         b = int(rng.integers(n_states))
         if a != b:
             edges.append((a, b))
-    for a, b in edges:
+    for k, (a, b) in enumerate(edges, 1):
         info.register_service_instance(
             states[a], states[b],
             service_id=f"svc{a}-{b}",
             peer_id=f"p{int(rng.integers(n_peers))}",
             work=float(rng.uniform(5.0, 25.0)),
             out_bytes=float(rng.uniform(1e5, 1e6)),
+            edge_id=f"e{k}",
         )
     return info, net
 
@@ -93,12 +94,12 @@ def run(quick: bool = False) -> ExperimentResult:
         gaps = []
         ex_paper = []
         ex_exh = []
-        for _trial in range(trials):
+        for trial in range(1, trials + 1):
             info, net = random_domain(n_states, n_edges, 8, rng)
             task = ApplicationTask(
                 name="x", qos=QoSRequirements(deadline=120.0),
                 initial_state="s0", goal_state=f"s{n_states - 1}",
-                origin_peer="p0", submitted_at=0.0,
+                origin_peer="p0", submitted_at=0.0, task_id=f"t{trial}",
             )
             kwargs = dict(
                 v_init="s0", v_sol=f"s{n_states - 1}",

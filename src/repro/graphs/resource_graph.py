@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Iterator, List, Optional
-
-_edge_counter = itertools.count(1)
+from typing import Any, Dict, Hashable, Iterator, List
 
 
 @dataclass(frozen=True)
@@ -29,7 +26,8 @@ class ServiceEdge:
     out_bytes:
         Bytes this service emits downstream per execution.
     edge_id:
-        Unique label (``e1``, ``e2``, ... in Figure 1).
+        Unique label (``e1``, ``e2``, ... in Figure 1); the overlay draws
+        it from the run's ids when a peer's service joins.
     """
 
     src: Hashable
@@ -38,7 +36,7 @@ class ServiceEdge:
     peer_id: str
     work: float
     out_bytes: float = 0.0
-    edge_id: str = field(default_factory=lambda: f"e{next(_edge_counter)}")
+    edge_id: str = field(kw_only=True)
     meta: Dict[str, Any] = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
@@ -91,24 +89,17 @@ class ResourceGraph:
         peer_id: str,
         work: float,
         out_bytes: float = 0.0,
-        edge_id: Optional[str] = None,
+        *,
+        edge_id: str,
         **meta: Any,
     ) -> ServiceEdge:
         """Add a service instance edge; endpoints are created as needed."""
         self.add_state(src)
         self.add_state(dst)
-        kwargs: Dict[str, Any] = dict(
-            src=src,
-            dst=dst,
-            service_id=service_id,
-            peer_id=peer_id,
-            work=work,
-            out_bytes=out_bytes,
-            meta=meta,
+        edge = ServiceEdge(
+            src, dst, service_id, peer_id, work, out_bytes,
+            edge_id=edge_id, meta=meta,
         )
-        if edge_id is not None:
-            kwargs["edge_id"] = edge_id
-        edge = ServiceEdge(**kwargs)
         if edge.edge_id in self._edges:
             raise ValueError(f"duplicate edge id {edge.edge_id!r}")
         self._edges[edge.edge_id] = edge

@@ -19,13 +19,9 @@ real-time transcodes of that kind.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.media.formats import MediaFormat
-
-_tc_counter = itertools.count(1)
-
 
 @dataclass
 class TranscodingCostModel:
@@ -66,7 +62,6 @@ class TranscoderSpec:
     src: MediaFormat
     dst: MediaFormat
     name: str = ""
-    spec_id: str = field(default_factory=lambda: f"tc{next(_tc_counter)}")
 
     def __post_init__(self) -> None:
         if self.src == self.dst:

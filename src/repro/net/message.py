@@ -2,37 +2,11 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
-_msg_counter = itertools.count(1)
-_trace_counter = itertools.count(1)
-
-
-def _next_id() -> int:
-    return next(_msg_counter)
-
-
-def next_trace_id() -> str:
-    """A fresh correlation id for a message that starts its own trace."""
-    return f"m{next(_trace_counter)}"
-
-
-def reset_message_ids(start: int = 1) -> None:
-    """Rewind the module-global message-id and trace-id counters.
-
-    Repeated in-process runs (experiment sweeps, notebook re-runs) share
-    this module's counters, so without a reset the *second* run's message
-    ids differ from a fresh interpreter's — breaking trace comparisons.
-    Experiment setup calls this so identical configs produce identical
-    ids.  Never call it mid-run: id uniqueness within one run depends on
-    the counters only moving forward.
-    """
-    global _msg_counter, _trace_counter
-    _msg_counter = itertools.count(start)
-    _trace_counter = itertools.count(start)
-
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.ids import Ids
 
 _task_traces: Dict[str, str] = {}
 
@@ -84,7 +58,8 @@ class Message:
         Wire size in bytes (drives transmission delay and bandwidth
         accounting).
     msg_id:
-        Unique id, assigned automatically.
+        Unique per sender, drawn by the sender from its run's
+        :class:`~repro.sim.ids.Ids` (0: never sent).
     reply_to:
         For responses: the ``msg_id`` of the request being answered.
     sent_at:
@@ -94,8 +69,7 @@ class Message:
         ``task:<task_id>``, replies inherit the request's id, everything
         else gets a fresh ``m<N>`` at send time (see
         :func:`trace_id_for_payload`).  Travels on the wire so spans
-        correlate across the UDP hop; deterministic given a
-        :func:`reset_message_ids` at run start.
+        correlate across the UDP hop.
     """
 
     kind: str
@@ -103,7 +77,7 @@ class Message:
     dst: str
     payload: Dict[str, Any] = field(default_factory=dict)
     size: float = 512.0
-    msg_id: int = field(default_factory=_next_id)
+    msg_id: int = 0
     reply_to: Optional[int] = None
     sent_at: float = 0.0
     trace_id: Optional[str] = None
@@ -112,25 +86,20 @@ class Message:
         if self.size <= 0:
             raise ValueError(f"message size must be positive, got {self.size}")
 
-    @staticmethod
-    def reset_ids(start: int = 1) -> None:
-        """Rewind automatic id assignment (see :func:`reset_message_ids`)."""
-        reset_message_ids(start)
-
     def is_reply(self) -> bool:
         """True if this message answers an earlier request."""
         return self.reply_to is not None
 
-    def ensure_trace_id(self) -> str:
+    def ensure_trace_id(self, ids: "Ids") -> str:
         """Assign (if still unset) and return this message's trace id.
 
         Called by every transport at the send chokepoint: payload-derived
         task correlation wins, otherwise the message starts a trace of
-        its own.
+        its own, ``m<N>`` from the sender's *ids*.
         """
         if self.trace_id is None:
             self.trace_id = (
-                trace_id_for_payload(self.payload) or next_trace_id()
+                trace_id_for_payload(self.payload) or f"m{next(ids.trace)}"
             )
         return self.trace_id
 

@@ -243,7 +243,7 @@ class Network:
             # Trace ids exist for telemetry only: with it off, the
             # simulated path assigns none (the UDP transport always
             # does, because the wire frame carries the id).
-            msg.ensure_trace_id()
+            msg.ensure_trace_id(self.env.ids)
             tel.tracer.start_span(
                 msg.kind, kind=telemetry.MESSAGE, node=msg.src,
                 trace_id=msg.trace_id, key=f"msg:{msg.msg_id}",
@@ -315,7 +315,7 @@ class Network:
         if tel.enabled:
             # A message sent before telemetry was enabled gets its id
             # here, so a reply to it still joins the request's trace.
-            msg.ensure_trace_id()
+            msg.ensure_trace_id(self.env.ids)
             tel.tracer.end_span_key(f"msg:{msg.msg_id}", status="ok")
             tel.metrics.counter("repro_net_messages_delivered_total").inc()
         self._nodes[msg.dst].mailbox.put(msg)

@@ -133,6 +133,7 @@ class NetNode:
             dst=dst,
             payload=payload or {},
             size=size,
+            msg_id=next(self.env.ids.msg),
             reply_to=reply_to,
             trace_id=trace_id,
         )

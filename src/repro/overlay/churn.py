@@ -10,7 +10,6 @@ population roughly stationary — the standard P2P churn model.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional
 
@@ -19,9 +18,6 @@ import numpy as np
 from repro.overlay.network import OverlayNetwork, PeerSpec
 from repro.sim.events import Event, Interrupt
 from repro.sim.rng import fallback_rng
-
-_rebirth_counter = itertools.count(1)
-
 
 @dataclass
 class ChurnConfig:
@@ -119,7 +115,7 @@ class ChurnProcess:
             if not cfg.replace or old_spec is None:
                 return
             yield env.timeout(float(self.rng.exponential(cfg.mean_offtime)))
-            new_id = f"{peer_id}.r{next(_rebirth_counter)}"
+            new_id = f"{peer_id}.r{next(env.ids.rebirth)}"
             new_spec = PeerSpec(
                 peer_id=new_id,
                 power=old_spec.power,

@@ -19,7 +19,6 @@ way a real peer re-runs different code after promotion.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, List, Optional
 
@@ -35,9 +34,6 @@ from repro.overlay.failover import FailoverAgent, FailoverConfig
 from repro.overlay.qualification import QualificationPolicy
 from repro.sim.core import Environment
 from repro.sim.rng import RandomStreams
-
-_domain_counter = itertools.count(0)
-
 
 @dataclass(frozen=True)
 class ServiceInstanceSpec:
@@ -146,7 +142,7 @@ class OverlayNetwork:
 
     def create_domain(self, spec: PeerSpec) -> Domain:
         """Bootstrap a new domain led by *spec* (first peer / promotion)."""
-        domain_id = f"d{next(_domain_counter)}"
+        domain_id = f"d{next(self.env.ids.domain)}"
         rm = ResourceManager(
             self.env,
             self.network,
@@ -332,6 +328,7 @@ class OverlayNetwork:
                 spec.peer_id,
                 svc.work,
                 svc.out_bytes,
+                edge_id=f"e{next(self.env.ids.edge)}",
             )
 
     # -- membership changes ----------------------------------------------------

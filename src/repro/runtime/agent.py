@@ -184,11 +184,8 @@ class RosterAgent:
             ok = True
             while cursor is not None and loop.time() < deadline:
                 self._pull_future = loop.create_future()
-                self.transport.send(Message(
-                    kind=protocol.GOSSIP_DIGEST, src=self.node_id,
-                    dst=seed, payload={"roster_pull": {"cursor": cursor}},
-                    size=protocol.size_of(protocol.GOSSIP_DIGEST),
-                ))
+                self._send(protocol.GOSSIP_DIGEST, seed,
+                           {"roster_pull": {"cursor": cursor}})
                 try:
                     cursor = await asyncio.wait_for(
                         self._pull_future, per_page_timeout
@@ -234,6 +231,13 @@ class RosterAgent:
             self._broadcast_entries([entry])
 
     # -- message handling --------------------------------------------------
+    def _send(self, kind: str, dst: str, payload: Dict[str, Any]) -> None:
+        self.transport.send(Message(
+            kind=kind, src=self.node_id, dst=dst, payload=payload,
+            size=protocol.size_of(kind),
+            msg_id=next(self.transport.ids.msg),
+        ))
+
     def _handle(self, msg: Message) -> None:
         if msg.kind == protocol.JOIN_REQUEST:
             self._handle_join(msg)
@@ -305,15 +309,11 @@ class RosterAgent:
             return
         cursor = int(req.get("cursor", 0))
         entries, nxt = self.roster.page(cursor, self.page_size)
-        self.transport.send(Message(
-            kind=protocol.GOSSIP_SUMMARIES, src=self.node_id, dst=msg.src,
-            payload={
-                "roster": [e.to_wire() for e in entries],
-                "rm": self._rm_state(),
-                "pull_reply": {"next": nxt},
-            },
-            size=protocol.size_of(protocol.GOSSIP_SUMMARIES),
-        ))
+        self._send(protocol.GOSSIP_SUMMARIES, msg.src, {
+            "roster": [e.to_wire() for e in entries],
+            "rm": self._rm_state(),
+            "pull_reply": {"next": nxt},
+        })
 
     # -- election ----------------------------------------------------------
     def _maybe_elect(self) -> None:
@@ -399,16 +399,12 @@ class RosterAgent:
             "peer_id": self.node_id, "host": self.transport.host,
             "port": self.transport.port,
         }
-        self.transport.send(Message(
-            kind=protocol.JOIN_ACK, src=self.node_id, dst=pid,
-            payload={
-                "role": role,
-                "rm_id": self.rm_id,
-                "domain_id": self.domain_id,
-                "roster": roster_slice,
-            },
-            size=protocol.size_of(protocol.JOIN_ACK),
-        ))
+        self._send(protocol.JOIN_ACK, pid, {
+            "role": role,
+            "rm_id": self.rm_id,
+            "domain_id": self.domain_id,
+            "roster": roster_slice,
+        })
 
     def _forward_record(self, pid: str) -> None:
         """Hand a member's full record to the RM for admission."""
@@ -417,11 +413,7 @@ class RosterAgent:
             return
         if self.rm_id not in self.directory:
             return
-        self.transport.send(Message(
-            kind=protocol.JOIN_REQUEST, src=self.node_id, dst=self.rm_id,
-            payload=dict(rec),
-            size=protocol.size_of(protocol.JOIN_REQUEST),
-        ))
+        self._send(protocol.JOIN_REQUEST, self.rm_id, dict(rec))
 
     def _other_agents(self) -> List[str]:
         known = {
@@ -441,11 +433,7 @@ class RosterAgent:
             "rm": self._rm_state(),
         }
         for aid in self._other_agents():
-            self.transport.send(Message(
-                kind=protocol.GOSSIP_SUMMARIES, src=self.node_id, dst=aid,
-                payload=payload,
-                size=protocol.size_of(protocol.GOSSIP_SUMMARIES),
-            ))
+            self._send(protocol.GOSSIP_SUMMARIES, aid, payload)
 
     def _sync_directory(self, changed: List[RosterEntry]) -> None:
         for entry in changed:
@@ -470,11 +458,7 @@ class RosterAgent:
             }
             fanout = min(self.gossip_fanout, len(others))
             for aid in self.rng.sample(others, fanout):
-                self.transport.send(Message(
-                    kind=protocol.GOSSIP_SUMMARIES, src=self.node_id,
-                    dst=aid, payload=payload,
-                    size=protocol.size_of(protocol.GOSSIP_SUMMARIES),
-                ))
+                self._send(protocol.GOSSIP_SUMMARIES, aid, payload)
 
     def counts(self) -> Dict[str, int]:
         return self.roster.counts()

@@ -32,6 +32,7 @@ from repro.media.objects import MediaObject
 from repro.net.message import Message
 from repro.sim.core import Environment
 from repro.sim.events import Event
+from repro.sim.ids import Ids
 from repro.runtime.transport import PeerDirectory, UdpTransport
 from repro.telemetry.logs import get_logger
 
@@ -222,12 +223,12 @@ class LiveNode:
         #: Called with this node once it has assumed its role (the
         #: RM's host announces ``rm_ready`` from here).
         self.on_role = on_role
-        self.env = Environment()
+        self.env = Environment(ids=Ids.incarnation())
         self.pump = SimClockPump(self.env)
         self.directory = directory
         self.transport = UdpTransport(
             spec.node_id, directory, self._on_wire_message,
-            host=host, port=port, **transport_kwargs,
+            host=host, port=port, ids=self.env.ids, **transport_kwargs,
         )
         #: The protocol endpoint; built once the JOIN_ACK assigns a role.
         self.node: Optional[Peer] = None
@@ -269,6 +270,7 @@ class LiveNode:
                 dst=self.agent_id,
                 payload=self._join_request_payload(),
                 size=protocol.size_of(protocol.JOIN_REQUEST),
+                msg_id=next(self.env.ids.msg),
             ))
             remaining = deadline - loop.time()
             if remaining <= 0:
@@ -315,6 +317,7 @@ class LiveNode:
             kind=protocol.PEER_LEAVE, src=self.node_id,
             dst=self.agent_id, payload=payload,
             size=protocol.size_of(protocol.PEER_LEAVE),
+            msg_id=next(self.env.ids.msg),
         ))
         if self.node is not None and self.node.alive:
             self.node.leave()  # sends PEER_LEAVE to the RM, then fails

@@ -585,13 +585,6 @@ class ShardHost:
 
 def _shard_entry(cfg: ShardConfig, conn: Any) -> None:
     """Spawn entry point (module-level so it pickles)."""
-    from repro.net.message import reset_message_ids
-
-    # Every incarnation gets a disjoint message-id range: peers keep
-    # their node ids across a respawn, and the receivers' (src, msg_id)
-    # dedup would otherwise discard the new process's messages as
-    # duplicates of the dead one's.
-    reset_message_ids(start=1 + int.from_bytes(os.urandom(6), "big"))
     if cfg.seed is not None:
         random.seed(cfg.seed)
     try:

@@ -35,6 +35,7 @@ from repro.runtime.codec import (
     encode_ack,
     encode_message,
 )
+from repro.sim.ids import Ids
 from repro.telemetry.logs import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -203,6 +204,9 @@ class UdpTransport(Transport, asyncio.DatagramProtocol):
         How many ``(src, msg_id)`` keys the duplicate filter remembers.
     drop_fn:
         Optional outbound packet-loss shim for tests.
+    ids:
+        The owning process life's id source, which names the traces
+        this endpoint starts (default: a fresh :meth:`Ids.incarnation`).
     """
 
     def __init__(
@@ -220,6 +224,7 @@ class UdpTransport(Transport, asyncio.DatagramProtocol):
         dedup_capacity: int = 8192,
         drop_fn: Optional[DropFn] = None,
         rcvbuf: int = 1 << 20,
+        ids: Optional[Ids] = None,
     ) -> None:
         if ack_timeout <= 0 or backoff < 1.0 or max_retries < 0:
             raise ValueError("bad reliability parameters")
@@ -235,6 +240,7 @@ class UdpTransport(Transport, asyncio.DatagramProtocol):
         self.est_bandwidth = est_bandwidth
         self.drop_fn = drop_fn
         self.rcvbuf = rcvbuf
+        self.ids = ids if ids is not None else Ids.incarnation()
         self.stats = NetworkStats()
         self._node: Optional["NetNode"] = None
         self._down: Set[str] = set()
@@ -360,7 +366,7 @@ class UdpTransport(Transport, asyncio.DatagramProtocol):
 
     def send(self, msg: Message) -> None:
         """Transmit *msg* reliably (fire-and-forget API)."""
-        msg.ensure_trace_id()
+        msg.ensure_trace_id(self.ids)
         self.stats.note_send(msg)
         tel = telemetry.current()
         if tel.enabled:

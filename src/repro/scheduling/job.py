@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.events import Event
-
-_job_counter = itertools.count(1)
 
 
 class JobCancelled(Exception):
@@ -37,6 +34,9 @@ class Job:
         Task importance, consumed by value-aware policies.
     service_id / task_id:
         Provenance, for profiling and tracing.
+    job_id:
+        Breaks policy-key ties in creation order; the peer draws it from
+        the run's ids.  Unnumbered jobs (0) tie in queue order.
     """
 
     __slots__ = (
@@ -63,10 +63,11 @@ class Job:
         importance: float = 1.0,
         task_id: str = "",
         service_id: str = "",
+        job_id: int = 0,
     ) -> None:
         if work <= 0:
             raise ValueError(f"job work must be positive, got {work}")
-        self.job_id = next(_job_counter)
+        self.job_id = job_id
         self.task_id = task_id
         self.service_id = service_id
         self.work = float(work)

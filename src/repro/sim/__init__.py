@@ -39,6 +39,7 @@ from repro.sim.events import (
     Timeout,
     Timer,
 )
+from repro.sim.ids import Ids
 from repro.sim.resources import Store
 from repro.sim.rng import RandomStreams
 
@@ -46,6 +47,7 @@ __all__ = [
     "AnyOf",
     "Environment",
     "Event",
+    "Ids",
     "Interrupt",
     "Process",
     "RandomStreams",

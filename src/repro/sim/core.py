@@ -12,6 +12,7 @@ from repro.sim.events import (
     Timeout,
     Timer,
 )
+from repro.sim.ids import Ids
 
 
 class StopSimulation(Exception):
@@ -31,6 +32,8 @@ class Environment:
     ----------
     initial_time:
         Starting value of the simulation clock (default ``0.0``).
+    ids:
+        The run's id source (default: a fresh :class:`Ids` from 1).
 
     Notes
     -----
@@ -38,8 +41,11 @@ class Environment:
     at the same time fire in (priority, insertion) order.
     """
 
-    def __init__(self, initial_time: float = 0.0) -> None:
+    def __init__(
+        self, initial_time: float = 0.0, ids: Optional[Ids] = None
+    ) -> None:
         self._now = float(initial_time)
+        self.ids = ids if ids is not None else Ids()
         self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         #: Events processed so far (the benchmark harness's work unit).

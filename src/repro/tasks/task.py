@@ -3,13 +3,10 @@
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.tasks.qos import QoSRequirements
-
-_task_counter = itertools.count(1)
 
 
 class TaskState(enum.Enum):
@@ -56,6 +53,9 @@ class ApplicationTask:
         media format) and what the user asked for.
     origin_peer:
         Peer that submitted the query.
+    task_id:
+        The run's name for the task (``t<N>``), drawn by the RM that
+        receives the query.
     submitted_at:
         Simulation time of submission (stamped by the RM on receipt).
     """
@@ -65,7 +65,7 @@ class ApplicationTask:
     initial_state: Any
     goal_state: Any
     origin_peer: str = ""
-    task_id: str = field(default_factory=lambda: f"t{next(_task_counter)}")
+    task_id: str = field(kw_only=True)
     submitted_at: float = 0.0
     state: TaskState = TaskState.PENDING
     #: Assigned execution sequence as (service_id, peer_id) pairs.

@@ -12,7 +12,6 @@ from repro.gossip.agent import GossipConfig
 from repro.media.objects import MediaObject
 from repro.results.collector import MetricsCollector, RunSummary
 from repro.net.latency import DomainAwareLatency
-from repro.net.message import Message
 from repro.net.network import Network
 from repro.overlay.churn import ChurnConfig, ChurnProcess
 from repro.overlay.failover import FailoverConfig
@@ -120,9 +119,6 @@ def build_scenario(
     ingests the lie).  Both default to the historic behavior.
     """
     cfg = config or ScenarioConfig()
-    # Repeated in-process runs must produce identical message ids; the
-    # id counter is module-global, so rewind it per scenario.
-    Message.reset_ids()
     streams = RandomStreams(cfg.seed)
     # Components constructed later without an explicit rng (test shims,
     # ad-hoc wiring) derive their fallback streams from this run's seed

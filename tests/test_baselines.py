@@ -18,7 +18,7 @@ from repro.graphs.resource_graph import ServiceEdge
 def cand(peers, fairness=0.5, est=1.0, max_util=0.5):
     path = [
         ServiceEdge(src=i, dst=i + 1, service_id=f"s{i}", peer_id=p,
-                    work=1.0)
+                    work=1.0, edge_id=f"e{i}@{p}")
         for i, p in enumerate(peers)
     ]
     return Candidate(path, fairness, est, {p: 1.0 for p in peers},

@@ -22,7 +22,7 @@ from repro.core.manager import RMConfig
 from repro.media import MediaFormat
 from repro.net import ConstantLatency, Network
 from repro.overlay.failover import FailoverAgent, FailoverConfig
-from repro.sim import Environment
+from repro.sim import Environment, Ids
 from repro.summaries.domain_summary import DomainSummary
 from repro.tasks.qos import QoSRequirements
 from repro.tasks.task import ApplicationTask, TaskState
@@ -110,11 +110,15 @@ class TestTakeoverRoundTrip:
         assert backup.info.summary_received_at == {}
 
 
+_ids = Ids()
+
+
 def _task(name="movie"):
     return ApplicationTask(
         name=name, qos=QoSRequirements(deadline=60.0),
         initial_state=SRC, goal_state=DST,
         origin_peer="a1", submitted_at=0.0,
+        task_id=f"t{next(_ids.task)}",
     )
 
 

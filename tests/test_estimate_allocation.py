@@ -11,6 +11,7 @@ from repro.monitoring.profiler import LoadReport
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
 from repro.sim.core import Environment
+from repro.sim.ids import Ids
 from repro.tasks.qos import QoSRequirements
 from repro.tasks.task import ApplicationTask
 
@@ -39,12 +40,16 @@ def make_domain(loads=None, power=10.0):
     return info, net, scenario
 
 
+_ids = Ids()
+
+
 def make_task(deadline=60.0, scenario=None):
     sc = scenario or build_fig1_graph()
     return ApplicationTask(
         name="movie", qos=QoSRequirements(deadline=deadline),
         initial_state=sc.v_init, goal_state=sc.v_sol,
         origin_peer="P4", submitted_at=0.0,
+        task_id=f"t{next(_ids.task)}",
     )
 
 

@@ -96,6 +96,6 @@ class TestDotExport:
 
     def test_quotes_escaped(self):
         g = ResourceGraph()
-        g.add_service('a"x', "b", 'svc"1', "p", 1.0)
+        g.add_service('a"x', "b", 'svc"1', "p", 1.0, edge_id="e1")
         dot = resource_graph_to_dot(g)
         assert '\\"' in dot

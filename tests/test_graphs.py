@@ -32,14 +32,14 @@ class TestResourceGraph:
 
     def test_add_service_creates_endpoints(self):
         g = ResourceGraph()
-        e = g.add_service("u", "v", "svc", "p", 2.0, 100.0)
+        e = g.add_service("u", "v", "svc", "p", 2.0, 100.0, edge_id="e1")
         assert g.has_state("u") and g.has_state("v")
         assert g.out_edges("u") == [e] and g.in_edges("v") == [e]
 
     def test_parallel_edges_allowed(self):
         g = ResourceGraph()
-        g.add_service("u", "v", "svc1", "p1", 1.0)
-        g.add_service("u", "v", "svc2", "p2", 1.0)
+        g.add_service("u", "v", "svc1", "p1", 1.0, edge_id="e1")
+        g.add_service("u", "v", "svc2", "p2", 1.0, edge_id="e2")
         assert len(g.out_edges("u")) == 2
 
     def test_duplicate_edge_id_rejected(self):
@@ -50,7 +50,7 @@ class TestResourceGraph:
 
     def test_negative_work_rejected(self):
         with pytest.raises(ValueError):
-            ServiceEdge("u", "v", "s", "p", work=-1.0)
+            ServiceEdge("u", "v", "s", "p", work=-1.0, edge_id="e1")
 
     def test_remove_edge(self):
         g = diamond()
@@ -61,9 +61,9 @@ class TestResourceGraph:
 
     def test_remove_peer_prunes_all_its_edges(self):
         g = ResourceGraph()
-        g.add_service("u", "v", "s1", "pX", 1.0)
-        g.add_service("v", "w", "s2", "pX", 1.0)
-        g.add_service("u", "w", "s3", "pY", 1.0)
+        g.add_service("u", "v", "s1", "pX", 1.0, edge_id="e1")
+        g.add_service("v", "w", "s2", "pX", 1.0, edge_id="e2")
+        g.add_service("u", "w", "s3", "pY", 1.0, edge_id="e3")
         removed = g.remove_peer("pX")
         assert len(removed) == 2
         assert g.n_edges == 1 and g.peers() == ["pY"]
@@ -241,7 +241,7 @@ class TestSearch:
         g = ResourceGraph()
         # A long chain.
         for i in range(100):
-            g.add_service(i, i + 1, f"s{i}", "p", 1.0)
+            g.add_service(i, i + 1, f"s{i}", "p", 1.0, edge_id=f"e{i}")
         got = list(iter_paths(g, 0, 100, "paper", max_expansions=5))
         assert got == []
 

@@ -98,6 +98,7 @@ class TestValueGoodput:
                                               importance=importance),
                 initial_state="a", goal_state="b", origin_peer="p",
                 submitted_at=0.0,
+                task_id=f"t{next(env.ids.task)}",
             )
 
         important = task(9.0)

@@ -35,9 +35,9 @@ class TestRoster:
             info.remove_peer("ghost")
 
     def test_remove_peer_returns_pruned_edges(self, info):
-        info.register_service_instance("a", "b", "s1", "p1", 1.0)
-        info.register_service_instance("b", "c", "s2", "p1", 1.0)
-        info.register_service_instance("a", "c", "s3", "p2", 1.0)
+        info.register_service_instance("a", "b", "s1", "p1", 1.0, edge_id="e1")
+        info.register_service_instance("b", "c", "s2", "p1", 1.0, edge_id="e2")
+        info.register_service_instance("a", "c", "s3", "p2", 1.0, edge_id="e3")
         removed = info.remove_peer("p1")
         assert len(removed) == 2
         assert info.resource_graph.n_edges == 1
@@ -120,12 +120,14 @@ class TestObjectsAndServices:
     def test_all_objects_and_services(self, info):
         info.peer("p1").objects.add("o1")
         info.peer("p2").objects.add("o2")
-        info.register_service_instance("a", "b", "svcX", "p1", 1.0)
+        info.register_service_instance("a", "b", "svcX", "p1", 1.0,
+                                       edge_id="e1")
         assert info.all_objects() == {"o1", "o2"}
         assert "svcX" in info.all_services()
 
     def test_register_service_instance_updates_roster(self, info):
-        edge = info.register_service_instance("a", "b", "svc", "p2", 2.0)
+        edge = info.register_service_instance("a", "b", "svc", "p2", 2.0,
+                                              edge_id="e1")
         assert "svc" in info.peer("p2").services
         assert edge.peer_id == "p2"
         assert info.resource_graph.has_edge(edge.edge_id)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.results import MetricsCollector, RunSummary, TimeSeries
-from repro.sim import Environment
+from repro.sim import Environment, Ids
 from repro.tasks import ApplicationTask, QoSRequirements
 
 
@@ -46,11 +46,15 @@ class TestTimeSeries:
         assert t.tolist() == [0.0] and v.tolist() == [1.0]
 
 
+_ids = Ids()
+
+
 def make_task(deadline=10.0):
     return ApplicationTask(
         name="m", qos=QoSRequirements(deadline=deadline),
         initial_state="a", goal_state="b", origin_peer="p0",
         submitted_at=0.0,
+        task_id=f"t{next(_ids.task)}",
     )
 
 

@@ -38,6 +38,7 @@ def random_graph(draw):
             int(a), int(b), f"svc{k}", f"p{int(rng.integers(4))}",
             work=float(rng.uniform(1, 10)),
             out_bytes=float(rng.uniform(0, 1e5)),
+            edge_id=f"e{k}",
         )
     return g, 0, n - 1
 
@@ -110,11 +111,15 @@ class TestEstimatorProperties:
     @settings(max_examples=60)
     def test_service_time_monotone_in_load(self, load, work):
         info, _net = small_domain({"p0": load})
-        edge = info.register_service_instance("a", "b", "s", "p0", work)
+        edge = info.register_service_instance(
+            "a", "b", "s", "p0", work, edge_id="e1"
+        )
         est = CompletionTimeEstimator()
         base = est.service_time(info, edge, 0.0)
         info2, _ = small_domain({"p0": min(load + 1.0, 9.9)})
-        edge2 = info2.register_service_instance("a", "b", "s", "p0", work)
+        edge2 = info2.register_service_instance(
+            "a", "b", "s", "p0", work, edge_id="e1"
+        )
         assert est.service_time(info2, edge2, 0.0) >= base
 
     @given(
@@ -126,7 +131,9 @@ class TestEstimatorProperties:
         self, scale, work
     ):
         info, net = small_domain({"p0": 0.0})
-        edge = info.register_service_instance("a", "b", "s", "p0", work)
+        edge = info.register_service_instance(
+            "a", "b", "s", "p0", work, edge_id="e1"
+        )
         est = CompletionTimeEstimator()
         t1 = est.estimate_path(info, net, [edge], 0.0, "p0", "p0", 0.0)
         ts = est.estimate_path(
@@ -138,7 +145,9 @@ class TestEstimatorProperties:
     @settings(max_examples=40)
     def test_tighter_deadline_never_more_feasible(self, deadline):
         info, net = small_domain({"p0": 5.0})
-        edge = info.register_service_instance("a", "b", "s", "p0", 20.0)
+        edge = info.register_service_instance(
+            "a", "b", "s", "p0", 20.0, edge_id="e1"
+        )
         est = CompletionTimeEstimator()
         loose = est.feasible(
             info, net, [edge], deadline * 2, 0.0, "p0", "p0", 0.0
@@ -273,6 +282,7 @@ def allocation_case(draw):
         name="obj", qos=QoSRequirements(deadline=uniform(0.01, 60.0)),
         initial_state=0, goal_state=n_states - 1, origin_peer="p0",
         submitted_at=now - (uniform(0.0, 45.0) if rng.random() < 0.2 else 0.0),
+        task_id="t1",
     )
     loads = None
     if rng.random() < 0.3:

@@ -51,7 +51,7 @@ class TwoDomains:
         self.rmB.object_catalog["movie"] = self.movie
         self.rmB.info.peer("b1").objects.add("movie")
         self.rmB.info.register_service_instance(
-            SRC, DST, "tc", "b1", work=10.0, out_bytes=2.4e5,
+            SRC, DST, "tc", "b1", work=10.0, out_bytes=2.4e5, edge_id="e1",
         )
 
         if with_gossip:

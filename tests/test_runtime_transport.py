@@ -16,15 +16,24 @@ import pytest
 
 from repro.core import protocol
 from repro.monitoring.profiler import LoadReport
-from repro.net.message import Message, reset_message_ids
+from repro.net.message import Message
 from repro.net.network import ConstantLatency, Network
 from repro.runtime.codec import encode_message
 from repro.runtime.transport import PeerDirectory, SimTransport, UdpTransport
 from repro.sim.core import Environment
+from repro.sim.ids import Ids
 
 
 def run(coro):
     return asyncio.run(coro)
+
+
+_ids = Ids()
+
+
+def message(**kwargs):
+    """A Message numbered the way a sender numbers it."""
+    return Message(msg_id=next(_ids.msg), **kwargs)
 
 
 def make_pair(drop_fn=None, **kwargs):
@@ -68,7 +77,7 @@ def test_clean_delivery():
         _, a, b, inbox = make_pair()
         await start_all(a, b)
         try:
-            msg = Message(kind="load_update", src="A", dst="B",
+            msg = message(kind="load_update", src="A", dst="B",
                           payload={"x": 1}, size=256.0)
             a.send(msg)
             assert await wait_for(lambda: len(inbox) == 1)
@@ -92,7 +101,7 @@ def test_retry_recovers_from_packet_loss():
         await start_all(a, b)
         try:
             start = time.monotonic()
-            msg = Message(kind="task_request", src="A", dst="B",
+            msg = message(kind="task_request", src="A", dst="B",
                           payload={"name": "movie"}, size=512.0)
             a.send(msg)
             assert await wait_for(lambda: len(inbox) == 1)
@@ -117,7 +126,7 @@ def test_loss_beyond_retry_budget_is_a_drop():
         )
         await start_all(a, b)
         try:
-            a.send(Message(kind="step_done", src="A", dst="B", size=96.0))
+            a.send(message(kind="step_done", src="A", dst="B", size=96.0))
             await a.flush()
             assert inbox == []
             assert a.stats.dropped == 1
@@ -134,7 +143,7 @@ def test_duplicate_suppression():
         directory, a, b, inbox = make_pair(ack_timeout=0.02, max_retries=4)
         await start_all(a, b)
         try:
-            msg = Message(kind="task_done", src="A", dst="B", size=128.0)
+            msg = message(kind="task_done", src="A", dst="B", size=128.0)
             frame_addr = directory.address("B")
             # Simulate retransmissions reaching B directly, bypassing
             # the retry loop: hand B the same datagram three times.
@@ -164,7 +173,7 @@ def test_wall_clock_bound_under_loss():
         try:
             start = time.monotonic()
             sent = [
-                Message(kind="stream", src="A", dst="B",
+                message(kind="stream", src="A", dst="B",
                         payload={"seq": i}, size=64.0)
                 for i in range(20)
             ]
@@ -202,7 +211,7 @@ def test_hostile_load_update_counted_not_delivered():
         peer_id="A", time=1.0, power=10.0, utilization=0.5, load=5.0,
         bw_used=0.0, queue_work=0.0, queue_length=0,
     )
-    frame = json.loads(encode_message(Message(
+    frame = json.loads(encode_message(message(
         kind=protocol.LOAD_UPDATE, src="A", dst="B",
         payload={"report": report}, size=256.0,
     )))
@@ -229,12 +238,12 @@ def test_down_node_semantics():
             # Destination locally down: acked (transport alive) but not
             # delivered — mirrors the simulator's crashed-node drop.
             b.set_down("B")
-            a.send(Message(kind="load_update", src="A", dst="B", size=256.0))
+            a.send(message(kind="load_update", src="A", dst="B", size=256.0))
             await a.flush()
             assert inbox == [] and a.stats.dropped == 0
             # Source down: dropped at the send gate, like Network.send.
             a.set_down("A")
-            a.send(Message(kind="load_update", src="A", dst="B", size=256.0))
+            a.send(message(kind="load_update", src="A", dst="B", size=256.0))
             assert a.stats.dropped == 1
         finally:
             close_all(a, b)
@@ -251,7 +260,7 @@ def test_summary_parity_between_sim_and_udp():
         _, a, b, inbox = make_pair()
         await start_all(a, b)
         try:
-            a.send(Message(kind="load_update", src="A", dst="B", size=256.0))
+            a.send(message(kind="load_update", src="A", dst="B", size=256.0))
             await wait_for(lambda: len(inbox) == 1)
             return a.summary(), b.summary()
         finally:
@@ -292,7 +301,7 @@ def test_aclose_disarms_pending_sends():
         await start_all(a, b)
         try:
             for i in range(10):
-                a.send(Message(kind="stream", src="A", dst="B",
+                a.send(message(kind="stream", src="A", dst="B",
                                payload={"seq": i}, size=64.0))
             await asyncio.sleep(0.05)
             handles = [p.handle for p in a._pending_acks.values()]
@@ -322,7 +331,7 @@ def test_flush_abandons_stragglers():
         )
         await start_all(a, b)
         try:
-            a.send(Message(kind="leave", src="A", dst="B", size=32.0))
+            a.send(message(kind="leave", src="A", dst="B", size=32.0))
             (pending,) = a._pending_acks.values()
             start = time.monotonic()
             await a.flush(timeout=0.05)
@@ -341,7 +350,7 @@ def test_flush_returns_as_soon_as_everything_is_acked():
         await start_all(a, b)
         try:
             for i in range(5):
-                a.send(Message(kind="stream", src="A", dst="B",
+                a.send(message(kind="stream", src="A", dst="B",
                                payload={"seq": i}, size=64.0))
             start = time.monotonic()
             await a.flush(timeout=5.0)
@@ -369,7 +378,7 @@ def test_retransmit_schedule():
         )
         await start_all(a, b)
         try:
-            a.send(Message(kind="step_done", src="A", dst="B", size=96.0))
+            a.send(message(kind="step_done", src="A", dst="B", size=96.0))
             assert calls and calls[0][0] == 0  # transmitted inside send()
             await a.flush(timeout=5.0)
             assert [attempt for attempt, _ in calls] == [0, 1, 2, 3]
@@ -396,12 +405,12 @@ def test_unencodable_payload_is_a_logged_drop(capture_log):
         _, a, b, inbox = make_pair()
         await start_all(a, b)
         try:
-            a.send(Message(kind="task_request", src="A", dst="B",
+            a.send(message(kind="task_request", src="A", dst="B",
                            payload={"blob": object()}, size=64.0))
             assert a._pending_acks == {}
             assert a.stats.sent == 1 and a.stats.dropped == 1
             # The transport is unharmed: the next message goes through.
-            a.send(Message(kind="task_request", src="A", dst="B",
+            a.send(message(kind="task_request", src="A", dst="B",
                            payload={"ok": 1}, size=64.0))
             assert await wait_for(lambda: len(inbox) == 1)
         finally:
@@ -422,7 +431,7 @@ def test_receiver_learns_sender_address():
         await start_all(a, b)
         try:
             directory.add("A", "127.0.0.1", 1)  # stale: A's old life
-            a.send(Message(kind="join", src="A", dst="B", size=64.0))
+            a.send(message(kind="join", src="A", dst="B", size=64.0))
             assert await wait_for(lambda: len(inbox) == 1)
             assert directory.address("A") == (a.host, a.port)
         finally:
@@ -431,15 +440,12 @@ def test_receiver_learns_sender_address():
 
 
 def test_message_id_reset_determinism():
-    """Message.reset_ids rewinds the auto-id counter so repeated runs
-    assign identical ids (trace comparability across in-process runs)."""
-    Message.reset_ids()
-    first = [Message(kind="stream", src="a", dst="b", size=1.0).msg_id
-             for _ in range(3)]
-    Message.reset_ids()
-    second = [Message(kind="stream", src="a", dst="b", size=1.0).msg_id
-              for _ in range(3)]
-    assert first == second == [1, 2, 3]
-    reset_message_ids(100)
-    assert Message(kind="stream", src="a", dst="b", size=1.0).msg_id == 100
-    Message.reset_ids()
+    """Ids belong to the run: two fresh sim sources number messages
+    alike, while two live incarnations start at different offsets (a
+    respawned node must not reuse its old life's ``(src, msg_id)``)."""
+    first, second = Ids(), Environment().ids
+    assert [next(first.msg) for _ in range(3)] == [1, 2, 3]
+    assert [next(second.msg) for _ in range(3)] == [1, 2, 3]
+    directory = PeerDirectory()
+    lives = [UdpTransport("A", directory, lambda m: None) for _ in range(2)]
+    assert next(lives[0].ids.msg) != next(lives[1].ids.msg)

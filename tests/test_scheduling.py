@@ -70,8 +70,8 @@ class TestPolicies:
         assert p.key(j2, 0, 1) < p.key(j1, 0, 1)
 
     def test_ties_break_by_job_id(self):
-        a = Job(work=5, abs_deadline=10, release=0)
-        b = Job(work=5, abs_deadline=10, release=0)
+        a = Job(work=5, abs_deadline=10, release=0, job_id=1)
+        b = Job(work=5, abs_deadline=10, release=0, job_id=2)
         p = EDFPolicy()
         assert p.key(a, 0, 1) < p.key(b, 0, 1)
 

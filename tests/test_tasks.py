@@ -3,6 +3,7 @@
 import pytest
 
 from repro.tasks import ApplicationTask, QoSRequirements, TaskOutcome, TaskState
+from tests.conftest import build_live_domain
 
 
 class TestQoS:
@@ -40,6 +41,7 @@ def make_task(**kw):
         goal_state="B",
         origin_peer="p0",
         submitted_at=100.0,
+        task_id="t1",
     )
     defaults.update(kw)
     return ApplicationTask(**defaults)
@@ -47,7 +49,16 @@ def make_task(**kw):
 
 class TestLifecycle:
     def test_ids_unique(self):
-        assert make_task().task_id != make_task().task_id
+        # The RM names tasks from its run's ids: distinct within a run,
+        # and every run numbers from t1 again.
+        runs = []
+        for n_tasks in (2, 1):
+            domain = build_live_domain()
+            for _ in range(n_tasks):
+                domain.submit()
+            domain.env.run(until=1.0)
+            runs.append(list(domain.rm.tasks))
+        assert runs == [["t1", "t2"], ["t1"]]
 
     def test_absolute_deadline(self):
         assert make_task().absolute_deadline == 130.0

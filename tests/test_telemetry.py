@@ -15,16 +15,12 @@ import time
 import pytest
 
 from repro import telemetry
-from repro.net.message import (
-    Message,
-    next_trace_id,
-    reset_message_ids,
-    trace_id_for_payload,
-)
+from repro.net.message import Message, trace_id_for_payload
 from repro.net.network import Network, NetworkStats
 from repro.net.node import NetNode
 from repro.runtime.codec import decode_frame, encode_message
 from repro.sim.core import Environment
+from repro.sim.ids import Ids
 from repro.telemetry import MetricsRegistry, Telemetry
 from repro.telemetry.analyze import (
     format_report,
@@ -209,7 +205,7 @@ class TestExport:
 
 class TestTraceId:
     def setup_method(self):
-        reset_message_ids()
+        self.ids = Ids()
 
     def test_task_payloads_derive_the_task_trace(self):
         assert trace_id_for_payload({"task_id": "t9"}) == "task:t9"
@@ -221,21 +217,26 @@ class TestTraceId:
         assert trace_id_for_payload({"x": 1}) is None
 
     def test_ensure_trace_id_is_deterministic_after_reset(self):
-        a = Message(kind="ping", src="a", dst="b").ensure_trace_id()
-        reset_message_ids()
-        b = Message(kind="ping", src="a", dst="b").ensure_trace_id()
-        assert a == b
+        # Every run starts from a fresh source: the same first trace id.
+        a = Message(kind="ping", src="a", dst="b").ensure_trace_id(self.ids)
+        b = Message(kind="ping", src="a", dst="b").ensure_trace_id(Ids())
+        assert a == b == "m1"
 
     def test_ensure_trace_id_prefers_task_payload_and_sticks(self):
         msg = Message(kind="step_done", src="a", dst="b",
                       payload={"task_id": "t5"})
-        assert msg.ensure_trace_id() == "task:t5"
-        assert msg.ensure_trace_id() == "task:t5"  # idempotent
+        assert msg.ensure_trace_id(self.ids) == "task:t5"
+        assert msg.ensure_trace_id(self.ids) == "task:t5"  # idempotent
+        assert next(self.ids.trace) == 1  # no trace id drawn
 
     def test_reset_rewinds_the_trace_counter(self):
-        first = next_trace_id()
-        reset_message_ids()
-        assert next_trace_id() == first
+        # Two sim sources yield one sequence; two live lives never meet.
+        sim = [
+            [next(ids.trace) for _ in range(3)] for ids in (self.ids, Ids())
+        ]
+        assert sim[0] == sim[1] == [1, 2, 3]
+        live = [next(Ids.incarnation().trace) for _ in range(2)]
+        assert live[0] != live[1]
 
     def _ping_pong(self, env):
         net = Network(env)
@@ -258,10 +259,11 @@ class TestTraceId:
         assert got["rep"].trace_id == got["req"].trace_id
 
     def test_disabled_telemetry_assigns_no_trace_ids(self):
-        got = self._ping_pong(Environment())
+        env = Environment()
+        got = self._ping_pong(env)
         assert got["req"].trace_id is None
         assert got["rep"].trace_id is None
-        assert next_trace_id() == "m1"  # the counter never moved
+        assert next(env.ids.trace) == 1  # the counter never moved
 
     def test_message_sent_before_the_session_joins_its_reply(self):
         env = Environment()

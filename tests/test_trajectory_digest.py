@@ -16,27 +16,20 @@ long, so only the digest is pinned there; without churn it happens only
 while the overlay forms (a backup re-paired when a domain splits), and
 the warm-up keeps it out of the count.
 
-Every config runs in a fresh interpreter: task, domain, edge and job ids
-come from process-global counters that ``build_scenario`` does not
-rewind, so in a shared process a run's ids would depend on whichever
-tests ran before it.  The child inherits the environment, which makes
-``PYTHONHASHSEED=<n> pytest tests/test_trajectory_digest.py`` a
+Every id a run hands out comes from its own environment's id source,
+so the configs run in this process, back to back and in any order.
+``PYTHONHASHSEED=<n> pytest tests/test_trajectory_digest.py`` is a
 hash-seed sweep of the three digests.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 import struct
-import subprocess
-import sys
 from typing import Any, Optional
 
 import pytest
 
-import repro
 from repro.core.manager import RMConfig
 from repro.overlay import ChurnConfig
 from repro.workloads import (
@@ -131,20 +124,18 @@ def run_pinned(name: str) -> dict:
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_decision_digest_is_pinned(name):
     _, _, _, digest, n_processed = PINNED[name]
-    src = os.path.dirname(os.path.dirname(repro.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
-    out = subprocess.run(
-        [sys.executable, __file__, name], env=env, check=True,
-        capture_output=True, text=True,
-    )
-    got = json.loads(out.stdout)
+    got = run_pinned(name)
     assert got["digest"] == digest
     if n_processed is not None:
         assert got["n_processed"] == n_processed
 
 
-if __name__ == "__main__":
-    print(json.dumps(run_pinned(sys.argv[1])))
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_back_to_back_builds_agree(name):
+    assert run_pinned(name) == run_pinned(name)
+
+
+def test_churn_digest_is_independent_of_earlier_runs():
+    run_pinned("many_small_domains")
+    run_pinned("dense")
+    assert run_pinned("churn")["digest"] == PINNED["churn"][3]
