@@ -8,7 +8,7 @@ def test_e10_ablation(run_experiment):
     by_key = {(row[0], row[1], row[2]): row for row in result.rows}
     cvs = sorted({row[0] for row in result.rows})
     for cv in cvs:
-        fair = by_key[(cv, "fairness", "paper")]
+        fair = by_key[(cv, "paper", "paper")]
         first = by_key[(cv, "first", "paper")]
         # Fairness-max keeps its fairness advantage at every
         # heterogeneity level (the design choice under test).
@@ -16,6 +16,6 @@ def test_e10_ablation(run_experiment):
     # Exhaustive search does not meaningfully improve goodput over the
     # Fig-3 BFS (validating the cheap search).
     for cv in cvs:
-        paper = by_key[(cv, "fairness", "paper")]
-        exhaustive = by_key[(cv, "fairness", "exhaustive")]
+        paper = by_key[(cv, "paper", "paper")]
+        exhaustive = by_key[(cv, "paper", "exhaustive")]
         assert exhaustive[4] <= paper[4] + 0.1

@@ -11,11 +11,11 @@ def test_e2_missrate_vs_load(run_experiment):
     }
     # At light load everyone is fine (goodput ~1).
     light = rates[0]
-    for policy in ("fairness", "least_loaded", "random", "first"):
+    for policy in ("paper", "least_loaded", "random", "first"):
         assert by_key[(light, policy)][2] > 0.9
     # Load-aware allocation sustains goodput at least as well as blind
     # random selection at the heaviest rate.
     heavy = rates[-1]
     good = {p: by_key[(heavy, p)][2] for p in
-            ("fairness", "least_loaded", "random", "first")}
-    assert max(good["fairness"], good["least_loaded"]) >= good["random"] - 0.05
+            ("paper", "least_loaded", "random", "first")}
+    assert max(good["paper"], good["least_loaded"]) >= good["random"] - 0.05

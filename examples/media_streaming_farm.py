@@ -26,7 +26,6 @@ from repro.workloads import (
 def main() -> None:
     config = ScenarioConfig(
         seed=2005,
-        allocation_policy="fairness",
         population=PopulationConfig(
             n_peers=24,
             n_objects=12,          # the movie library
@@ -35,7 +34,9 @@ def main() -> None:
             services_per_peer=6,
         ),
         workload=WorkloadConfig(rate=0.8, deadline_slack=3.0),
-        rm=RMConfig(max_peers=12),  # forces a two-domain overlay
+        # The paper's fairness-max placement; max_peers=12 forces a
+        # two-domain overlay.
+        rm=RMConfig(max_peers=12, placement_policy="paper"),
     )
     scenario = build_scenario(config)
     print(

@@ -10,6 +10,7 @@ Run:  python examples/policy_comparison.py
 """
 
 from repro.common.util import fmt_table
+from repro.core.manager import RMConfig
 from repro.workloads import (
     PopulationConfig,
     ScenarioConfig,
@@ -17,13 +18,13 @@ from repro.workloads import (
     build_scenario,
 )
 
-POLICIES = ["fairness", "least_loaded", "round_robin", "random", "first"]
+POLICIES = ["paper", "least_loaded", "round_robin", "random", "first"]
 
 
 def run_policy(policy: str) -> dict:
     config = ScenarioConfig(
         seed=99,                      # identical across policies
-        allocation_policy=policy,
+        rm=RMConfig(placement_policy=policy),
         population=PopulationConfig(
             n_peers=16, n_objects=8, replication=2, power_cv=0.6
         ),
@@ -58,7 +59,7 @@ def main() -> None:
         rows,
     ))
     print("\nfairness = time-weighted mean Jain index of measured peer "
-          "loads (eq. 1 of the paper); the paper's policy is 'fairness'")
+          "loads (eq. 1 of the paper); the paper's policy is 'paper'")
 
 
 if __name__ == "__main__":

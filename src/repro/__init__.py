@@ -25,10 +25,10 @@ Package map
 ``repro.summaries``   Bloom-filter domain summaries
 ``repro.gossip``      inter-domain gossip of summaries
 ``repro.overlay``     domains, join protocol, churn, RM failover
-``repro.core``        the paper's contribution: RM, allocation, fairness
-``repro.core.control`` the RM control plane: admission, placement,
-                      task registry, repair
-``repro.baselines``   comparison allocation policies
+``repro.core``        the paper's contribution: RM, allocation, fairness,
+                      and the baseline selectors it is compared against
+``repro.core.control`` the RM control plane: admission, placement
+                      (the named policy table), task registry, repair
 ``repro.workloads``   populations, arrivals, one-call scenarios
 ``repro.results``     run summaries and time series
 ``repro.telemetry``   tracing + runtime metrics registry

@@ -6,16 +6,19 @@ candidates that satisfy ``q``, the one maximizing the Jain fairness
 index of the post-assignment load distribution wins.
 
 The *selection rule* is pluggable (``selector``) so the baselines of
-experiment E1/E2 — random, first-feasible, least-loaded — share the
-identical search and feasibility machinery and differ **only** in the
-choice among feasible candidates, which is precisely the paper's design
-choice under test.
+experiment E1/E2 — random, round-robin, first-feasible, least-loaded —
+share the identical search and feasibility machinery and differ
+**only** in the choice among feasible candidates, which is precisely
+the paper's design choice under test.  Each rule is a
+:data:`Selector`; :mod:`repro.core.control.placement` names them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional
+
+import numpy as np
 
 from repro.common.errors import NoFeasibleAllocation
 from repro.core.estimate import CompletionTimeEstimator
@@ -24,6 +27,7 @@ from repro.core.info_base import DomainInfoBase
 from repro.graphs.resource_graph import ServiceEdge
 from repro.graphs.search import iter_paths
 from repro.net.network import Network
+from repro.sim.rng import fallback_rng
 from repro.tasks.task import ApplicationTask
 
 
@@ -65,6 +69,56 @@ def select_max_fairness(candidates: List[Candidate]) -> Candidate:
         if cand.fairness > best.fairness:
             best = cand
     return best
+
+
+def select_first(candidates: List[Candidate]) -> Candidate:
+    """First feasible path in search order — fairness-blind BFS."""
+    return candidates[0]
+
+
+class RandomSelector:
+    """Uniform choice among feasible candidates."""
+
+    def __init__(self, rng: Optional[np.random.Generator] = None) -> None:
+        # Fallback: the ambient scenario seed when installed (see
+        # repro.sim.rng), else OS entropy; the overlay plumbs an
+        # explicit seed-derived rng.
+        self.rng = rng if rng is not None else fallback_rng("allocator")
+
+    def __call__(self, candidates: List[Candidate]) -> Candidate:
+        return candidates[int(self.rng.integers(len(candidates)))]
+
+
+class LeastLoadedSelector:
+    """Greedy: minimize the max post-assignment utilization.
+
+    The "centralized greedy" reference the paper cites ([17], §4.2) —
+    good at avoiding hot spots but blind to distribution shape.
+    """
+
+    def __call__(self, candidates: List[Candidate]) -> Candidate:
+        return min(candidates, key=lambda c: (c.max_post_util, c.est_time))
+
+
+class RoundRobinSelector:
+    """Rotate load across peers: pick the candidate whose peers have
+    been used least recently/often by this selector (the classic
+    middleware load-balancing strategy of the related work, [16])."""
+
+    def __init__(self) -> None:
+        self._use_counts: Dict[str, int] = {}
+
+    def __call__(self, candidates: List[Candidate]) -> Candidate:
+        def burden(cand: Candidate) -> tuple[int, float]:
+            return (
+                sum(self._use_counts.get(p, 0) for p in cand.peers()),
+                cand.est_time,
+            )
+
+        winner = min(candidates, key=burden)
+        for peer in winner.peers():
+            self._use_counts[peer] = self._use_counts.get(peer, 0) + 1
+        return winner
 
 
 @dataclass

@@ -5,9 +5,10 @@ protocol messages to four composable components:
 
 * :class:`AdmissionController` — capacity/QoS admission, session
   launch, summary-guided redirection (§4.3, §4.5),
-* :class:`PlacementEngine` + :class:`PlacementPolicy` — the Fig-3
-  search with a pluggable candidate-choice rule (paper fairness, or the
-  baseline heuristics by name),
+* :class:`PlacementEngine` — the Fig-3 search under the placement
+  policy ``RMConfig.placement_policy`` names: a candidate-choice rule
+  (paper fairness, or a baseline heuristic) looked up by
+  :func:`make_selector`,
 * :class:`TaskRegistry` — task lifecycle state, sessions, and the
   failover snapshots replicated to the backup RM (§4.1),
 * :class:`RepairCoordinator` — liveness sensing, service-graph repair,
@@ -19,11 +20,8 @@ custom placement policy.
 
 from repro.core.control.admission import AdmissionController
 from repro.core.control.placement import (
-    CallablePolicy,
-    PaperPolicy,
     PlacementEngine,
-    PlacementPolicy,
-    make_placement_policy,
+    make_selector,
     policy_names,
     register_policy,
 )
@@ -32,13 +30,10 @@ from repro.core.control.repair import RepairCoordinator
 
 __all__ = [
     "AdmissionController",
-    "CallablePolicy",
-    "PaperPolicy",
     "PlacementEngine",
-    "PlacementPolicy",
     "RepairCoordinator",
     "TaskRegistry",
-    "make_placement_policy",
+    "make_selector",
     "policy_names",
     "register_policy",
 ]

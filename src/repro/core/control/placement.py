@@ -1,38 +1,33 @@
-"""Placement policy interface and the RM's placement engine.
+"""Placement policies and the RM's placement engine.
 
 The Figure-3 allocation machinery (:class:`~repro.core.allocation.
 Allocator`) searches the resource graph and prunes infeasible paths;
 *which* feasible candidate wins is a policy choice.  The paper maximizes
 post-assignment Jain fairness; the related-work baselines pick randomly,
-greedily, or round-robin.  A :class:`PlacementPolicy` captures exactly
-that choice, so alternatives are drop-in comparable while the search,
-feasibility, and QoS machinery stay shared.
+greedily, or round-robin.  A placement policy is exactly that choice: a
+:data:`~repro.core.allocation.Selector`, so alternatives are drop-in
+comparable while the search, feasibility, and QoS machinery stay shared.
 
-Policies are registered by name (``register_policy``) and built with
-:func:`make_placement_policy`; ``repro-run --policy`` / ``repro-live
---policy`` and :class:`~repro.core.manager.RMConfig.placement_policy`
-resolve through the same registry.
+This module holds the one table of policies, ``name -> factory(rng) ->
+Selector``.  :class:`~repro.core.manager.RMConfig.placement_policy`
+names the policy an RM runs; ``repro-run --policy`` / ``repro-live
+--policy`` set that field and offer :func:`policy_names` as choices.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from abc import ABC, abstractmethod
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro import telemetry
-from repro.baselines.selectors import (
-    SELECTOR_FACTORIES,
-    LeastLoadedSelector,
-    RandomSelector,
-    RoundRobinSelector,
-    select_first,
-)
 from repro.core.allocation import (
     AllocationResult,
     Allocator,
-    Candidate,
+    LeastLoadedSelector,
+    RandomSelector,
+    RoundRobinSelector,
     Selector,
+    select_first,
     select_max_fairness,
 )
 from repro.tasks.task import ApplicationTask
@@ -42,70 +37,22 @@ if TYPE_CHECKING:  # pragma: no cover
 
     from repro.core.manager import ResourceManager
 
-
-class PlacementPolicy(ABC):
-    """Chooses the winning candidate among feasible allocations.
-
-    Subclass and :func:`register_policy` to experiment with custom
-    placement heuristics; every candidate carries its path, projected
-    fairness, estimated completion time, per-peer load deltas, and the
-    max post-assignment utilization (see
-    :class:`~repro.core.allocation.Candidate`).
-    """
-
-    #: Registry name (set per subclass/instance).
-    name: str = "custom"
-
-    @abstractmethod
-    def select(self, candidates: List[Candidate]) -> Candidate:
-        """Pick one of the (non-empty) feasible candidates."""
-
-
-class CallablePolicy(PlacementPolicy):
-    """Adapt a bare :data:`~repro.core.allocation.Selector` callable."""
-
-    def __init__(self, fn: Selector, name: Optional[str] = None) -> None:
-        self._fn = fn
-        self.name = name if name is not None else _derive_name(fn)
-
-    def select(self, candidates: List[Candidate]) -> Candidate:
-        return self._fn(candidates)
-
-
-class PaperPolicy(PlacementPolicy):
-    """The paper's rule: maximize post-assignment fairness (Fig. 3)."""
-
-    name = "paper"
-
-    def select(self, candidates: List[Candidate]) -> Candidate:
-        return select_max_fairness(candidates)
-
-
-def _derive_name(fn: Selector) -> str:
-    """A readable policy name for a bare selector callable."""
-    if fn is select_max_fairness:
-        return "paper"
-    if fn is select_first:
-        return "first"
-    for cls, name in (
-        (RandomSelector, "random"),
-        (LeastLoadedSelector, "least_loaded"),
-        (RoundRobinSelector, "round_robin"),
-    ):
-        if isinstance(fn, cls):
-            return name
-    return getattr(fn, "__name__", type(fn).__name__).lower()
-
-
-#: name -> factory(rng) -> PlacementPolicy
+#: name -> factory(rng) -> Selector.  A factory runs once per RM, so
+#: stateful rules (round-robin use counts) are per RM.
 _POLICY_FACTORIES: Dict[
-    str, Callable[[Optional["np.random.Generator"]], PlacementPolicy]
-] = {}
+    str, Callable[[Optional["np.random.Generator"]], Selector]
+] = {
+    "paper": lambda rng: select_max_fairness,
+    "first": lambda rng: select_first,
+    "random": RandomSelector,
+    "least_loaded": lambda rng: LeastLoadedSelector(),
+    "round_robin": lambda rng: RoundRobinSelector(),
+}
 
 
 def register_policy(
     name: str,
-    factory: Callable[[Optional["np.random.Generator"]], PlacementPolicy],
+    factory: Callable[[Optional["np.random.Generator"]], Selector],
 ) -> None:
     """Register a custom placement policy under *name*."""
     _POLICY_FACTORIES[name] = factory
@@ -116,10 +63,10 @@ def policy_names() -> List[str]:
     return sorted(_POLICY_FACTORIES)
 
 
-def make_placement_policy(
+def make_selector(
     name: str, rng: Optional["np.random.Generator"] = None
-) -> PlacementPolicy:
-    """Build a registered policy by name."""
+) -> Selector:
+    """Build the selector of the policy registered as *name*."""
     try:
         factory = _POLICY_FACTORIES[name]
     except KeyError:
@@ -129,57 +76,26 @@ def make_placement_policy(
     return factory(rng)
 
 
-def _register_builtins() -> None:
-    register_policy("paper", lambda rng: PaperPolicy())
-    # Every other table name adapts its bare selector; the policy's own
-    # name is derived from it ("fairness" runs as "paper").
-    for name in SELECTOR_FACTORIES:
-        if name != "paper":
-            register_policy(
-                name,
-                lambda rng, name=name: CallablePolicy(
-                    SELECTOR_FACTORIES[name](rng)
-                ),
-            )
-
-
-_register_builtins()
-
-
 class PlacementEngine:
-    """Runs the allocation search under one placement policy.
+    """Runs the allocation search under the RM's placement policy.
 
-    Resolution order for the effective policy:
-
-    1. an explicit ``policy`` (instance or registry name),
-    2. the selector already configured on an explicitly supplied
-       ``allocator`` (so callers who pre-built an allocator — the
-       simulator's per-RM factories, tests — keep byte-identical
-       behavior),
-    3. ``default_policy`` (the RM's ``RMConfig.placement_policy``).
+    The policy is ``rm.rm_config.placement_policy``.  An ``allocator``
+    supplies only the search settings (estimator, ``visited_policy``,
+    budgets); its selector is replaced by the policy's.  ``rng`` feeds
+    randomized policies.
     """
 
     def __init__(
         self,
         rm: "ResourceManager",
         allocator: Optional[Allocator] = None,
-        policy: Optional[PlacementPolicy | str] = None,
-        default_policy: str = "paper",
         rng: Optional["np.random.Generator"] = None,
     ) -> None:
         self.rm = rm
-        base = allocator if allocator is not None else Allocator()
-        if policy is None:
-            if allocator is not None:
-                policy = CallablePolicy(base.selector)
-            else:
-                policy = make_placement_policy(default_policy, rng)
-        elif isinstance(policy, str):
-            policy = make_placement_policy(policy, rng)
-        self.policy: PlacementPolicy = policy
-        #: The shared search machinery, wired to the policy's choice rule.
+        self.policy_name: str = rm.rm_config.placement_policy
         self.allocator: Allocator = dataclasses.replace(
-            base, selector=policy.select
+            allocator or Allocator(),
+            selector=make_selector(self.policy_name, rng),
         )
 
     def place(
@@ -221,7 +137,7 @@ class PlacementEngine:
                 "placement.decide",
                 node=rm.node_id,
                 trace_id=f"task:{task.task_id}",
-                policy=self.policy.name,
+                policy=self.policy_name,
                 phase=phase,
                 fairness=result.fairness,
                 est_time=result.est_time,
@@ -229,7 +145,7 @@ class PlacementEngine:
             )
             tel.metrics.counter(
                 "repro_rm_placement_decisions_total",
-                policy=self.policy.name,
+                policy=self.policy_name,
                 phase=phase,
             ).inc()
         return result
@@ -249,4 +165,4 @@ class PlacementEngine:
         return dataclasses.replace(base, estimator=strict_est)
 
     def __repr__(self) -> str:
-        return f"<PlacementEngine policy={self.policy.name}>"
+        return f"<PlacementEngine policy={self.policy_name}>"

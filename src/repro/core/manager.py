@@ -4,22 +4,23 @@ An RM is itself a peer ("Resource Managers are selected among regular
 peers").  It is a thin message-routing shell: protocol handlers and
 periodic timers live here, while the duties are delegated to four
 composable components under :mod:`repro.core.control` —
-:class:`AdmissionController`, :class:`PlacementEngine` (with a named,
-pluggable :class:`PlacementPolicy`), :class:`TaskRegistry`, and
-:class:`RepairCoordinator`.  See ``docs/architecture.md``.
+:class:`AdmissionController`, :class:`PlacementEngine` (running the
+placement policy ``RMConfig.placement_policy`` names),
+:class:`TaskRegistry`, and :class:`RepairCoordinator`.  See
+``docs/architecture.md``.
 """
 
 from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.core import protocol
 from repro.core.allocation import Allocator
 from repro.core.control.admission import AdmissionController
 from repro.core.control.events import emit_task_event
-from repro.core.control.placement import PlacementEngine, PlacementPolicy
+from repro.core.control.placement import PlacementEngine
 from repro.core.control.registry import TaskRegistry
 from repro.core.control.repair import RepairCoordinator
 from repro.core.control.reputation import ReputationEngine
@@ -34,6 +35,9 @@ from repro.sim.core import Environment
 from repro.sim.events import Timer
 from repro.tasks.qos import QoSRequirements
 from repro.tasks.task import ApplicationTask, TaskState
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 #: Task lifecycle callback: (task, event), e.g. "submitted"/"completed".
 TaskEventFn = Callable[[ApplicationTask, str], None]
@@ -54,8 +58,7 @@ class RMConfig:
     #: Maximum inter-domain redirects per task.
     max_redirects: int = 3
     #: Placement policy name — ``paper`` (fairness maximization), or any
-    #: name registered in :mod:`repro.core.control.placement`.  Applies
-    #: when the RM is built without an explicit allocator/policy.
+    #: name registered in :mod:`repro.core.control.placement`.
     placement_policy: str = "paper"
     #: Distrust a gossiped domain summary older than this many seconds
     #: when picking a redirect target (demote to fallback).  ``None``
@@ -101,10 +104,9 @@ class RMConfig:
 class ResourceManager(Peer):
     """A domain leader: admission, allocation, adaptation.
 
-    When ``allocator`` is supplied its configured selector *is* the
-    placement policy (unless ``policy`` — an instance or registry name —
-    is also given), so pre-built allocators keep byte-identical
-    behavior; otherwise ``rm_config.placement_policy`` decides.
+    ``rm_config.placement_policy`` names the placement policy; an
+    ``allocator`` carries only the search settings, and ``rng`` feeds
+    randomized policies.
     ``active=False`` builds a passive backup: handlers installed and
     state received via RM_SYNC, but no admission or monitoring until
     :meth:`activate` (failover).
@@ -121,7 +123,7 @@ class ResourceManager(Peer):
         peer_config: Optional[PeerConfig] = None,
         active: bool = True,
         on_task_event: Optional[TaskEventFn] = None,
-        policy: Optional[Union[PlacementPolicy, str]] = None,
+        rng: Optional["np.random.Generator"] = None,
     ) -> None:
         super().__init__(
             env, network, peer_id, config=peer_config, rm_id=peer_id,
@@ -144,10 +146,7 @@ class ResourceManager(Peer):
         )}
 
         # The control plane: placement, admission, registry, repair.
-        self.placement = PlacementEngine(
-            self, allocator=allocator, policy=policy,
-            default_policy=self.rm_config.placement_policy,
-        )
+        self.placement = PlacementEngine(self, allocator=allocator, rng=rng)
         self.registry = TaskRegistry(self)
         self.admission = AdmissionController(self, self.placement)
         self.repair = RepairCoordinator(self, self.placement)
@@ -187,7 +186,7 @@ class ResourceManager(Peer):
 
     @property
     def policy_name(self) -> str:
-        return self.placement.policy.name
+        return self.placement.policy_name
 
     # ------------------------------------------------------------------ setup
     def _start_loops(self) -> None:

@@ -10,6 +10,7 @@
 
 from __future__ import annotations
 
+from repro.core.manager import RMConfig
 from repro.experiments.base import ExperimentResult, replicate, seeds_for
 from repro.workloads import (
     PopulationConfig,
@@ -28,7 +29,7 @@ def run_once(
 ) -> dict:
     cfg = ScenarioConfig(
         seed=seed,
-        allocation_policy=policy,
+        rm=RMConfig(placement_policy=policy),
         visited_policy=visited,
         population=PopulationConfig(
             n_peers=16, n_objects=8, replication=2, power_cv=power_cv
@@ -55,9 +56,9 @@ def run(quick: bool = False) -> ExperimentResult:
                  "miss_rate"],
     )
     variants = [
-        ("fairness", "paper"),
+        ("paper", "paper"),
         ("first", "paper"),
-        ("fairness", "exhaustive"),
+        ("paper", "exhaustive"),
     ]
     for cv in cvs:
         for policy, visited in variants:

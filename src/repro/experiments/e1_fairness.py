@@ -15,6 +15,7 @@ distribution, plus goodput.
 from __future__ import annotations
 
 from repro.core.control.placement import policy_names
+from repro.core.manager import RMConfig
 from repro.experiments.base import ExperimentResult, replicate, seeds_for
 from repro.workloads import (
     PopulationConfig,
@@ -24,8 +25,8 @@ from repro.workloads import (
 )
 
 # The paper policy plus every built-in baseline from the placement
-# registry ("fairness" is an alias of "paper" and is skipped).
-POLICIES = [n for n in policy_names() if n != "fairness"]
+# registry.
+POLICIES = policy_names()
 
 
 def run_once(
@@ -33,7 +34,7 @@ def run_once(
 ) -> dict:
     cfg = ScenarioConfig(
         seed=seed,
-        allocation_policy=policy,
+        rm=RMConfig(placement_policy=policy),
         population=PopulationConfig(
             n_peers=n_peers, n_objects=8, replication=2, power_cv=0.5
         ),

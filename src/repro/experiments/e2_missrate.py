@@ -9,6 +9,7 @@ Deadlines are tight (low slack) so queueing differences show.
 
 from __future__ import annotations
 
+from repro.core.manager import RMConfig
 from repro.experiments.base import ExperimentResult, replicate, seeds_for
 from repro.workloads import (
     PopulationConfig,
@@ -17,7 +18,7 @@ from repro.workloads import (
     build_scenario,
 )
 
-POLICIES = ["fairness", "least_loaded", "random", "first"]
+POLICIES = ["paper", "least_loaded", "random", "first"]
 
 
 def run_once(
@@ -25,7 +26,7 @@ def run_once(
 ) -> dict:
     cfg = ScenarioConfig(
         seed=seed,
-        allocation_policy=policy,
+        rm=RMConfig(placement_policy=policy),
         population=PopulationConfig(
             n_peers=16, n_objects=8, replication=2, power_cv=0.5
         ),
@@ -63,7 +64,7 @@ def run(quick: bool = False) -> ExperimentResult:
             )
     result.notes.append(
         "expected shape: all policies meet deadlines at light load; at "
-        "high load the load-aware policies (fairness, least_loaded) "
+        "high load the load-aware policies (paper, least_loaded) "
         "sustain higher goodput than random/first"
     )
     return result

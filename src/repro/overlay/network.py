@@ -20,7 +20,7 @@ way a real peer re-runs different code after promotion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, List, Optional
+from typing import Any, Dict, Hashable, List, Optional
 
 from repro.core import protocol
 from repro.core.allocation import Allocator
@@ -99,7 +99,7 @@ class OverlayNetwork:
         network: Network,
         qualification: Optional[QualificationPolicy] = None,
         rm_config: Optional[RMConfig] = None,
-        allocator_factory: Optional[Callable[[], Allocator]] = None,
+        allocator: Optional[Allocator] = None,
         gossip_config: Optional[GossipConfig] = None,
         failover_config: Optional[FailoverConfig] = None,
         enable_backups: bool = True,
@@ -112,7 +112,10 @@ class OverlayNetwork:
         self.network = network
         self.qualification = qualification or QualificationPolicy()
         self.rm_config = rm_config or RMConfig()
-        self.allocator_factory = allocator_factory or Allocator
+        #: The search settings every RM's allocator starts from; the
+        #: placement policy comes from ``rm_config`` (see
+        #: :class:`~repro.core.control.placement.PlacementEngine`).
+        self.allocator = allocator
         self.gossip_config = gossip_config or GossipConfig()
         self.failover_config = failover_config or FailoverConfig()
         self.enable_backups = enable_backups
@@ -148,11 +151,12 @@ class OverlayNetwork:
             self.network,
             spec.peer_id,
             domain_id,
-            allocator=self.allocator_factory(),
+            allocator=self.allocator,
             rm_config=self._import_rm_config(),
             peer_config=spec.peer_config(),
             active=True,
             on_task_event=self.on_task_event,
+            rng=self.streams.get("allocator"),
         )
         domain = Domain(domain_id=domain_id, rm=rm)
         self.domains[domain_id] = domain
@@ -244,11 +248,12 @@ class OverlayNetwork:
                 self.network,
                 spec.peer_id,
                 domain.domain_id,
-                allocator=self.allocator_factory(),
+                allocator=self.allocator,
                 rm_config=self._import_rm_config(),
                 peer_config=spec.peer_config(),
                 active=False,
                 on_task_event=self.on_task_event,
+                rng=self.streams.get("allocator"),
             )
             node.rm_id = domain.rm.node_id
             domain.eligible.append(node)  # type: ignore[arg-type]

@@ -203,7 +203,6 @@ class LiveNode:
         host: str = "127.0.0.1",
         port: int = 0,
         rm_config: Optional[RMConfig] = None,
-        allocator: Any = None,
         on_task_event: Optional[TaskEventFn] = None,
         join_timeout: float = 10.0,
         join_extra: Optional[Dict[str, Any]] = None,
@@ -214,7 +213,6 @@ class LiveNode:
         self.node_id = spec.node_id
         self.agent_id = agent_id
         self.rm_config = rm_config
-        self.allocator = allocator
         self.on_task_event = on_task_event
         self.join_timeout = join_timeout
         #: Extra keys merged into the JOIN_REQUEST payload (e.g. the
@@ -359,7 +357,6 @@ class LiveNode:
         if self.role == "rm":
             node = ResourceManager(
                 self.env, self.transport, self.node_id, self.domain_id,
-                allocator=self.allocator,
                 rm_config=self.rm_config,
                 peer_config=self.spec.peer_config(),
                 on_task_event=self.on_task_event,

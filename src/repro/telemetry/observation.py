@@ -260,8 +260,7 @@ def add_observation_flags(
         "--policy", default=None if sim else "paper",
         choices=policy_names(),
         help="placement policy the RMs run (default: the config's "
-        "allocation_policy / rm.placement_policy where there is a config, "
-        "else paper)",
+        "rm.placement_policy where there is a config, else paper)",
     )
     parser.add_argument(
         "--defense", action="store_true",

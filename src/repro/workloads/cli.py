@@ -29,7 +29,6 @@ def _override(cfg: ScenarioConfig, args) -> ScenarioConfig:
     if args.seed is not None:
         cfg.seed = args.seed
     if args.policy is not None:
-        cfg.allocation_policy = args.policy
         cfg.rm.placement_policy = args.policy
     if args.defense:
         cfg.rm.enable_defense = True
@@ -169,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"overlay: {scenario.overlay.n_peers} peers / "
         f"{scenario.overlay.n_domains} domains; "
-        f"policy={cfg.allocation_policy}; seed={cfg.seed}"
+        f"policy={cfg.rm.placement_policy}; seed={cfg.seed}"
     )
     with Observation.sim(
         scenario.env, scenario.overlay, scenario.network,

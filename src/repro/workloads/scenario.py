@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from repro.baselines.selectors import make_allocator
+from repro.core.allocation import Allocator
 from repro.core.estimate import CompletionTimeEstimator
 from repro.core.manager import RMConfig
 from repro.gossip.agent import GossipConfig
@@ -34,15 +34,12 @@ class ScenarioConfig:
     """Everything that defines one simulation run."""
 
     seed: int = 0
-    #: Allocation policy: paper/fairness | first | random | least_loaded |
-    #: round_robin (see :mod:`repro.core.control.placement`).  The
-    #: default defers to ``rm.placement_policy`` when that names a
-    #: non-default policy, so either config section can pick the policy.
-    allocation_policy: str = "fairness"
     #: Path search variant: "paper" (Fig-3 BFS) or "exhaustive".
     visited_policy: str = "paper"
     population: PopulationConfig = field(default_factory=PopulationConfig)
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
+    #: RM tunables, the placement policy (``rm.placement_policy``)
+    #: among them.
     rm: RMConfig = field(default_factory=RMConfig)
     estimator: CompletionTimeEstimator = field(
         default_factory=CompletionTimeEstimator
@@ -141,29 +138,14 @@ def build_scenario(
     cfg.rm.canonical_duration = cfg.population.object_duration
     cfg.rm.expected_update_period = cfg.population.update_period
 
-    # Either config section may name the policy: `allocation_policy`
-    # (historic) wins when set to a non-default value, otherwise a
-    # non-default `rm.placement_policy` is honored.
-    policy = cfg.allocation_policy
-    if policy in ("fairness", "paper") and cfg.rm.placement_policy not in (
-        "paper", "fairness"
-    ):
-        policy = cfg.rm.placement_policy
-
-    def allocator_factory():
-        return make_allocator(
-            policy,
-            rng=streams.get("allocator"),
-            visited_policy=cfg.visited_policy,
-            estimator=cfg.estimator,
-        )
-
     overlay = OverlayNetwork(
         env,
         network,
         qualification=cfg.qualification,
         rm_config=cfg.rm,
-        allocator_factory=allocator_factory,
+        allocator=Allocator(
+            estimator=cfg.estimator, visited_policy=cfg.visited_policy
+        ),
         gossip_config=cfg.gossip,
         failover_config=cfg.failover,
         enable_backups=cfg.enable_backups,

@@ -1,17 +1,17 @@
-"""Baseline selection rules."""
+"""Baseline selection rules and the policy table that names them."""
 
 import numpy as np
 import pytest
 
-from repro.baselines import (
+from repro.core.allocation import (
+    Candidate,
     LeastLoadedSelector,
     RandomSelector,
     RoundRobinSelector,
-    make_allocator,
-    make_selector,
     select_first,
+    select_max_fairness,
 )
-from repro.core.allocation import Candidate, select_max_fairness
+from repro.core.control.placement import make_selector
 from repro.graphs.resource_graph import ServiceEdge
 
 
@@ -77,15 +77,18 @@ class TestSelectors:
 
 class TestFactories:
     def test_make_selector_names(self):
-        for name in ("fairness", "first", "random", "least_loaded",
-                     "round_robin"):
-            assert make_selector(name) is not None
+        assert make_selector("paper") is select_max_fairness
+        assert make_selector("first") is select_first
+        rng = np.random.default_rng(0)
+        assert make_selector("random", rng).rng is rng
+        assert isinstance(make_selector("least_loaded"), LeastLoadedSelector)
+        # Stateful rules are built fresh per call (one per RM).
+        rr = make_selector("round_robin")
+        assert isinstance(rr, RoundRobinSelector)
+        assert make_selector("round_robin") is not rr
 
     def test_make_selector_unknown(self):
         with pytest.raises(ValueError):
             make_selector("optimal-oracle")
-
-    def test_make_allocator_wires_policy(self):
-        alloc = make_allocator("first", visited_policy="exhaustive")
-        assert alloc.selector is select_first
-        assert alloc.visited_policy == "exhaustive"
+        with pytest.raises(ValueError):
+            make_selector("fairness")  # no alias: the paper's rule is "paper"

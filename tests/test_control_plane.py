@@ -7,25 +7,33 @@ bound, and the placement-policy registry resolves names and custom
 policies.
 """
 
+import inspect
+
 import pytest
 
 from repro.core import ResourceManager
+from repro.core.allocation import (
+    Allocator,
+    LeastLoadedSelector,
+    select_first,
+    select_max_fairness,
+)
 from repro.core.control.placement import (
-    CallablePolicy,
-    PlacementPolicy,
     _POLICY_FACTORIES,
-    make_placement_policy,
+    make_selector,
     policy_names,
     register_policy,
 )
 from repro.core.manager import RMConfig
 from repro.media import MediaFormat
 from repro.net import ConstantLatency, Network
+from repro.overlay import OverlayNetwork, PeerSpec
 from repro.overlay.failover import FailoverAgent, FailoverConfig
 from repro.sim import Environment, Ids
 from repro.summaries.domain_summary import DomainSummary
 from repro.tasks.qos import QoSRequirements
 from repro.tasks.task import ApplicationTask, TaskState
+from repro.workloads import PopulationConfig, ScenarioConfig, build_scenario
 
 SRC = MediaFormat("MPEG-2", 640, 480, 256.0)
 DST = MediaFormat("MPEG-4", 640, 480, 64.0)
@@ -191,25 +199,20 @@ class TestRedirectStaleness:
 
 class TestPolicyRegistry:
     def test_builtin_names(self):
-        for name in ("paper", "fairness", "first", "random",
-                     "least_loaded", "round_robin"):
+        for name in ("paper", "first", "random", "least_loaded",
+                     "round_robin"):
             assert name in policy_names()
+        assert "fairness" not in policy_names()
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown placement policy"):
-            make_placement_policy("nope")
-
-    def test_fairness_aliases_paper(self):
-        assert make_placement_policy("fairness").name == "paper"
+            make_selector("nope")
 
     def test_custom_policy_plugs_into_rm(self):
-        class LastPolicy(PlacementPolicy):
-            name = "last"
+        def select_last(candidates):
+            return candidates[-1]
 
-            def select(self, candidates):
-                return candidates[-1]
-
-        register_policy("last", lambda rng: LastPolicy())
+        register_policy("last", lambda rng: select_last)
         try:
             env = Environment()
             net = Network(env, ConstantLatency(0.01), bandwidth=1e7)
@@ -218,35 +221,82 @@ class TestPolicyRegistry:
                 rm_config=RMConfig(placement_policy="last"),
             )
             assert rm.policy_name == "last"
+            assert rm.allocator.selector is select_last
         finally:
             del _POLICY_FACTORIES["last"]
 
     def test_explicit_allocator_selector_is_the_policy(self):
-        """Pre-built allocators keep their selector (parity path)."""
-        from repro.baselines.selectors import make_allocator
-
+        """An allocator passed to the RM never changes its policy: it
+        carries the search settings, the RM config names the policy."""
         env = Environment()
         net = Network(env, ConstantLatency(0.01), bandwidth=1e7)
-        rm = ResourceManager(
-            env, net, "rm0", "d0",
-            allocator=make_allocator("least_loaded"),
+        template = Allocator(
+            selector=LeastLoadedSelector(), visited_policy="exhaustive"
         )
-        assert rm.policy_name == "least_loaded"
-
-    def test_policy_name_overrides_allocator_selector(self):
-        from repro.baselines.selectors import make_allocator
-
-        env = Environment()
-        net = Network(env, ConstantLatency(0.01), bandwidth=1e7)
-        rm = ResourceManager(
-            env, net, "rm0", "d0",
-            allocator=make_allocator("least_loaded"),
-            policy="paper",
-        )
+        rm = ResourceManager(env, net, "rm0", "d0", allocator=template)
         assert rm.policy_name == "paper"
+        assert rm.allocator.selector is select_max_fairness
+        assert rm.allocator.visited_policy == "exhaustive"
+        rm = ResourceManager(
+            env, net, "rm1", "d1", allocator=template,
+            rm_config=RMConfig(placement_policy="first"),
+        )
+        assert rm.policy_name == "first"
+        assert rm.allocator.selector is select_first
 
-    def test_callable_policy_derives_names(self):
-        from repro.baselines.selectors import RandomSelector, select_first
 
-        assert CallablePolicy(select_first).name == "first"
-        assert CallablePolicy(RandomSelector()).name == "random"
+def _rule(selector):
+    """What a selector runs: the function itself, or its class."""
+    return selector if inspect.isfunction(selector) else type(selector)
+
+
+def _all_rms(overlay):
+    """Every RM the overlay built: primaries and passive eligibles."""
+    return [p for p in overlay.peers.values()
+            if isinstance(p, ResourceManager)]
+
+
+class TestPolicyWiring:
+    """``RMConfig.placement_policy`` alone picks every RM's policy."""
+
+    @pytest.mark.parametrize("policy", policy_names())
+    def test_bare_overlay_runs_the_configured_policy(self, policy):
+        env = Environment()
+        net = Network(env, ConstantLatency(0.005), bandwidth=1e7)
+        overlay = OverlayNetwork(
+            env, net, rm_config=RMConfig(placement_policy=policy),
+            enable_gossip=False,
+        )
+        for i in range(4):
+            overlay.join(PeerSpec(peer_id=f"p{i}", power=10.0,
+                                  bandwidth=2e6, uptime=0.9))
+        (domain,) = overlay.domains.values()
+        rms = [domain.rm] + domain.eligible
+        assert len(rms) == 3 and not any(r.active for r in rms[1:])
+        expected = _rule(make_selector(policy))
+        for rm in rms:
+            assert rm.policy_name == policy
+            assert _rule(rm.allocator.selector) is expected
+        if not inspect.isfunction(rms[0].allocator.selector):
+            # One selector per RM: round-robin keeps per-RM use counts.
+            assert len({id(r.allocator.selector) for r in rms}) == len(rms)
+
+    @pytest.mark.parametrize("policy", policy_names())
+    def test_build_scenario_rms_report_the_configured_policy(self, policy):
+        cfg = ScenarioConfig(
+            seed=3,
+            population=PopulationConfig(n_peers=16, n_objects=4),
+            rm=RMConfig(placement_policy=policy, max_peers=8),
+        )
+        scenario = build_scenario(cfg)
+        rms = _all_rms(scenario.overlay)
+        assert len(rms) > scenario.overlay.n_domains  # eligibles too
+        allocator_rng = scenario.streams.get("allocator")
+        for rm in rms:
+            assert rm.policy_name == rm.rm_config.placement_policy == policy
+            assert _rule(rm.allocator.selector) is _rule(
+                make_selector(policy)
+            )
+            if policy == "random":
+                # Every RM draws from the run's one "allocator" stream.
+                assert rm.allocator.selector.rng is allocator_rng

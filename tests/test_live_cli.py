@@ -158,11 +158,12 @@ def test_flag_inventory(module):
 
 
 def test_registered_policy_is_accepted_by_both_parsers():
+    from repro.core.allocation import select_max_fairness
     from repro.core.control import placement
     from repro.runtime.cli import build_parser as live_parser
     from repro.workloads.cli import build_parser as run_parser
 
-    placement.register_policy("test_only", lambda rng: placement.PaperPolicy())
+    placement.register_policy("test_only", lambda rng: select_max_fairness)
     try:
         assert run_parser().parse_args(
             ["c.json", "--policy", "test_only"]).policy == "test_only"

@@ -17,6 +17,7 @@ Regenerate the golden (only after an *intentional* behavior change)::
 import json
 import sys
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -28,8 +29,11 @@ GOLDEN = Path(__file__).parent / "data" / "placement_parity_golden.json"
 pytestmark = pytest.mark.slow
 
 
-def run_scenario(policy: str = "fairness", seed: int = 42):
-    cfg = ScenarioConfig(seed=seed, allocation_policy=policy)
+def run_scenario(policy: Optional[str] = "paper", seed: int = 42):
+    """Run the parity scenario; ``policy=None`` keeps the config default."""
+    cfg = ScenarioConfig(seed=seed)
+    if policy is not None:
+        cfg.rm.placement_policy = policy
     cfg.workload.rate = 0.4
     scenario = build_scenario(cfg)
     scenario.run(duration=120.0, drain=60.0)
@@ -39,8 +43,8 @@ def run_scenario(policy: str = "fairness", seed: int = 42):
 def placement_records(scenario) -> list:
     """Canonical per-task records, ordered by submission.
 
-    ``task_id`` is excluded: the id counter is module-global, so the
-    ids shift with test execution order while the placements don't.
+    ``task_id`` is excluded: ids come from each run's own counter
+    (``env.ids``, fresh from 1), so they pin id naming, not placement.
     """
     tasks = scenario.overlay.all_tasks()
     tasks.sort(key=lambda t: (t.submitted_at, int(t.task_id[1:])))
@@ -60,22 +64,20 @@ def placement_records(scenario) -> list:
 class TestPaperPolicyParity:
     def test_placements_match_pre_refactor_golden(self):
         golden = json.loads(GOLDEN.read_text())
-        scenario = run_scenario("fairness", seed=golden["seed"])
+        scenario = run_scenario("paper", seed=golden["seed"])
         records = placement_records(scenario)
         assert len(records) == golden["n_tasks"]
         assert records == golden["tasks"]
 
     def test_paper_name_is_the_same_policy(self):
-        """The registry name 'paper' routes to the identical selector."""
-        a = placement_records(run_scenario("fairness"))
+        """The default config runs the policy named 'paper'."""
+        a = placement_records(run_scenario(None))
         b = placement_records(run_scenario("paper"))
         assert a == b
 
 
 class TestPolicySmoke:
-    @pytest.mark.parametrize(
-        "policy", [n for n in policy_names() if n != "fairness"]
-    )
+    @pytest.mark.parametrize("policy", policy_names())
     def test_policy_completes_tasks(self, policy):
         scenario = run_scenario(policy)
         completed = sum(
@@ -83,13 +85,12 @@ class TestPolicySmoke:
         )
         assert completed > 0, f"policy {policy!r} completed nothing"
         for rm in scenario.overlay.rms():
-            assert rm.policy_name == ("paper" if policy == "fairness"
-                                      else policy)
+            assert rm.policy_name == policy
 
 
 if __name__ == "__main__":  # pragma: no cover — golden regeneration
-    doc = {"seed": 42, "policy": "fairness/paper"}
-    records = placement_records(run_scenario("fairness", seed=42))
+    doc = {"seed": 42, "policy": "paper"}
+    records = placement_records(run_scenario("paper", seed=42))
     doc["n_tasks"] = len(records)
     doc["tasks"] = records
     json.dump(doc, sys.stdout, indent=1, sort_keys=True)

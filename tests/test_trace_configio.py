@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from repro.core.manager import RMConfig
 from repro.media import MediaFormat
 from repro.workloads import (
     PopulationConfig,
@@ -126,13 +127,13 @@ class TestConfigIO:
     def test_round_trip_preserves_values(self):
         cfg = ScenarioConfig(
             seed=77,
-            allocation_policy="least_loaded",
+            rm=RMConfig(placement_policy="least_loaded"),
             population=PopulationConfig(n_peers=13, power_cv=0.7),
             workload=WorkloadConfig(rate=1.5),
         )
         again = config_from_json(config_to_json(cfg))
         assert again.seed == 77
-        assert again.allocation_policy == "least_loaded"
+        assert again.rm.placement_policy == "least_loaded"
         assert again.population.n_peers == 13
         assert again.population.power_cv == 0.7
         assert again.workload.rate == 1.5
@@ -150,9 +151,13 @@ class TestConfigIO:
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ValueError):
             config_from_json('{"not_a_knob": 1}')
-        # The retired legacy-tracer switch is an unknown key like any other.
+        # Retired keys are unknown keys like any other: the legacy-tracer
+        # switch, and the second policy field (rm.placement_policy is
+        # the one).
         with pytest.raises(ValueError, match="tracing"):
             config_from_json('{"tracing": true}')
+        with pytest.raises(ValueError, match="allocation_policy"):
+            config_from_json('{"allocation_policy": "random"}')
 
     def test_unknown_section_key_rejected(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,8 @@ class TestRunCLI:
     def test_print_default_config(self, capsys):
         assert run_main(["--print-default-config"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["allocation_policy"] == "fairness"
+        assert "allocation_policy" not in doc
+        assert doc["rm"]["placement_policy"] == "paper"
         assert doc["population"]["n_peers"] > 0
         assert "tracing" not in doc
 
