@@ -48,6 +48,8 @@ def _print_hot_paths(
     records: List[harness.BenchRecord], top_n: int = 5
 ) -> None:
     """The per-benchmark hot-path report (``--profile``)."""
+    from repro.profiling.gc_probe import format_gc
+
     for r in records:
         prof = r.profile
         if not prof:
@@ -60,6 +62,7 @@ def _print_hot_paths(
         for entry in prof.get("top", [])[:top_n]:
             leaf = entry["stack"].rsplit(";", 1)[-1]
             print(f"  {entry['share']:6.1%}  {leaf}")
+        print(f"  {format_gc(prof['gc'])}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -60,6 +60,17 @@ class PeerConfig:
             )
 
 
+def _count_unmatched(kind: str) -> None:
+    """A message named a task this peer holds no order for: dropped,
+    and counted so the drop shows in ``/metrics``."""
+    tel = telemetry.current()
+    if tel.enabled:
+        tel.metrics.counter(
+            "repro_peer_unmatched_total", kind=kind,
+            help="Messages dropped for naming a task with no order here.",
+        ).inc()
+
+
 class Peer(NetNode):
     """A domain member peer.
 
@@ -268,6 +279,7 @@ class Peer(NetNode):
         from_step = msg.payload.get("from_step", 0)
         order = self._orders.get(task_id)
         if order is None:
+            _count_unmatched(protocol.START_STREAM)
             return
         self._forward_stream(order, from_step)
 
@@ -309,8 +321,11 @@ class Peer(NetNode):
         step_index = payload["step_index"]
         epoch = payload.get("epoch", 0)
         order = self._orders.get(task_id)
-        if order is None or epoch < order.epoch:
-            return None  # unknown task or stale epoch: drop
+        if order is None:
+            _count_unmatched(protocol.STREAM)
+            return None
+        if epoch < order.epoch:
+            return None  # stale epoch (repaired away): drop
         if step_index >= len(order.steps):
             # We are the sink: the task is complete.
             self._task_complete(order)

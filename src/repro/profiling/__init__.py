@@ -17,7 +17,9 @@ this package observes the *system running it*:
 * :mod:`repro.profiling.attach` — one-call wiring per runtime
   (:func:`profile_sim` / :func:`profile_wall`),
 * :mod:`repro.profiling.folded` — ``.folded`` profile I/O, cross-shard
-  merge, and share-normalized run-to-run diffing.
+  merge, and share-normalized run-to-run diffing,
+* :mod:`repro.profiling.gc_probe` — cyclic-GC collections and seconds
+  per generation, which no stack sampler can see.
 
 Everything is stdlib-only and strictly opt-in: nothing here is
 imported or scheduled on the default path, so trajectory goldens and

@@ -20,7 +20,7 @@ record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from repro.profiling.budget import (
@@ -28,6 +28,7 @@ from repro.profiling.budget import (
     Actuator,
     OverheadBudgeter,
 )
+from repro.profiling.gc_probe import GCProbe
 from repro.profiling.sampler import (
     DEFAULT_PERIOD,
     DEFAULT_STRIDE,
@@ -54,14 +55,18 @@ class ProfileSession:
     budgeter: OverheadBudgeter
     monitor: Optional[BurnRateMonitor] = None
     folded_path: Optional[str] = None
+    #: Cyclic-GC collections and seconds over the session's lifetime.
+    gc_probe: GCProbe = field(default_factory=GCProbe)
 
     # -- lifecycle ----------------------------------------------------------
     def stop(self) -> None:
-        """Detach/stop the profiler (leaves aggregates readable)."""
+        """Detach/stop the profiler and the GC probe (leaves aggregates
+        readable)."""
         if self.runtime == "sim":
             self.profiler.detach()
         else:
             self.profiler.stop()
+        self.gc_probe.stop()
         self.budgeter.evaluate()
 
     def write_folded(self, path: str) -> Optional[str]:
@@ -94,6 +99,7 @@ class ProfileSession:
                 self.profiler.estimated_cost_s, 6
             )
         rec["budget"] = self.budgeter.record()
+        rec["gc"] = self.gc_probe.record()
         if self.monitor is not None:
             rec["slo"] = self.monitor.record()
         if self.folded_path:
@@ -110,6 +116,7 @@ class ProfileSession:
             "overhead_ratio": round(self.budgeter.overhead_cumulative, 5),
             "budget": self.budgeter.budget,
             "retunes": self.budgeter.n_backoffs + self.budgeter.n_recovers,
+            "gc": self.gc_probe.record(),
         }
         if self.monitor is not None:
             out["slo_alerts"] = len(self.monitor.alerts)

@@ -10,7 +10,8 @@ Accounting maintained for the Profiler:
 
 * cumulative ``busy_time`` (integrates utilization),
 * ``queue_work`` (remaining work across ready jobs),
-* per-job completion records (response time, deadline met).
+* completed / deadline-missed / cancelled job counts, overall and per
+  QoS class.
 """
 
 from __future__ import annotations
@@ -85,7 +86,6 @@ class Processor:
         self.n_completed = 0
         self.n_missed = 0
         self.n_cancelled = 0
-        self.completed_jobs: List[Job] = []
         # Per-QoS-class tallies for the health sampler's miss-ratio
         # series.  Plain dict bumps: always on, trajectory-neutral.
         self.completed_by_class: dict = {}
@@ -270,7 +270,6 @@ class Processor:
                         self.missed_by_class[cls] = (
                             self.missed_by_class.get(cls, 0) + 1
                         )
-                    self.completed_jobs.append(job)
                     tel = telemetry.current()
                     if tel.enabled:
                         tel.metrics.counter(

@@ -223,6 +223,8 @@ class Observation:
     def _report(self, log: Callable[[str], None]) -> None:
         prof = self.session
         if prof is not None:
+            from repro.profiling.gc_probe import format_gc
+
             info = prof.summary()
             log(
                 f"profiler: {info['samples']} samples / "
@@ -231,6 +233,7 @@ class Observation:
                 f"{info['retunes']} retunes)"
                 + (f" -> {prof.folded_path}" if prof.folded_path else "")
             )
+            log(format_gc(info["gc"]))
             for alert in prof.alerts:
                 log(
                     f"SLO ALERT: {alert.slo} burning {alert.burn:.1f}x "

@@ -556,6 +556,7 @@ class TestGilCostModel:
         sess.profiler.self_time_s = 0.001
         src = dict(sess.budgeter._sources)["profiler"]
         assert src() == pytest.approx(0.001 + 0.02)
+        sess.stop()
         rec = sess.record(top_n=1)
         assert rec["gil_per_sample_s"] == pytest.approx(200e-6)
         assert rec["gil_seconds"] == pytest.approx(0.02)

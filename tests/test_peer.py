@@ -4,6 +4,7 @@ from repro import telemetry
 from repro.core import protocol
 from repro.core.session import ComposeOrder
 from repro.graphs.service_graph import ServiceStep
+from tests.conftest import build_live_domain
 
 
 def make_order(d, task_id="tX", epoch=0, steps_peers=("P2",),
@@ -61,6 +62,42 @@ class TestStreamHandling:
         assert peer._process_stream(
             {"task_id": "tX", "step_index": 0, "epoch": 0}
         ) is None
+
+    def test_unknown_task_drops_are_counted(self, live_domain):
+        from repro.net.message import Message
+
+        peer = live_domain.peers["P2"]
+        metrics = live_domain.tel.metrics
+        peer._handle_start_stream(Message(
+            kind=protocol.START_STREAM, src="rm0", dst="P2",
+            payload={"task_id": "ghost", "from_step": 0},
+        ))
+        peer._handle_stream(Message(
+            kind=protocol.STREAM, src="P1", dst="P2",
+            payload={"task_id": "ghost", "step_index": 0, "epoch": 0},
+        ))
+        for kind in (protocol.START_STREAM, protocol.STREAM):
+            assert metrics.value(
+                "repro_peer_unmatched_total", kind=kind
+            ) == 1
+
+    def test_stale_epoch_is_not_counted_unmatched(self, live_domain):
+        d = live_domain
+        peer = d.peers["P2"]
+        peer._orders["tX"] = make_order(d, epoch=2)
+        assert peer._process_stream(
+            {"task_id": "tX", "step_index": 0, "epoch": 0}
+        ) is None
+        assert d.tel.metrics.total("repro_peer_unmatched_total") == 0
+
+    def test_unmatched_drop_without_telemetry_records_nothing(self):
+        d = build_live_domain()  # its handle is never activated
+        with telemetry.session(telemetry.Telemetry.noop()) as noop:
+            d.peers["P2"]._process_stream(
+                {"task_id": "ghost", "step_index": 0, "epoch": 0}
+            )
+        for tel in (noop, d.tel):
+            assert tel.metrics.total("repro_peer_unmatched_total") == 0
 
     def test_older_compose_does_not_replace_newer(self, live_domain):
         d = live_domain

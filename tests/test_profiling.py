@@ -10,6 +10,7 @@ gauge/skip counter, and the liar_peers/liar_control SLO distinction.
 
 from __future__ import annotations
 
+import gc
 import os
 from time import perf_counter, sleep
 
@@ -591,6 +592,38 @@ class TestProfileSessions:
         sess.publish(tel.metrics)
         assert tel.metrics.value("repro_prof_budget_target") == 0.02
 
+    def test_gc_probe_books_collections_and_detaches(self):
+        from repro.telemetry.observation import Observation
+        from repro.workloads import (
+            PopulationConfig, ScenarioConfig, WorkloadConfig, build_scenario,
+        )
+
+        scenario = build_scenario(ScenarioConfig(
+            seed=5,
+            population=PopulationConfig(n_peers=8, n_objects=4),
+            workload=WorkloadConfig(rate=0.5),
+        ))
+        env = scenario.env
+
+        def collect():
+            yield env.timeout(1.0)
+            gc.collect()
+
+        env.process(collect())
+        callbacks = list(gc.callbacks)
+        obs = Observation.sim(
+            env, scenario.overlay, scenario.network, profile=True
+        )
+        with obs:
+            assert len(gc.callbacks) == len(callbacks) + 1
+            scenario.run(duration=5.0, drain=0.0)
+        assert gc.callbacks == callbacks
+        block = obs.session.record()["gc"]
+        assert block["collections"][2] >= 1
+        assert all(s >= 0.0 for s in block["seconds"])
+        assert 0.0 < block["share"] < 1.0
+        assert obs.session.summary()["gc"] == block
+
     def test_liar_pair_slo_distinction(self, tmp_path):
         """liar_peers burns the miss-rate SLO; liar_control must not."""
         alerts = {}
@@ -637,6 +670,7 @@ class TestCLI:
         assert rc == 0
         out = capsys.readouterr().out
         assert "profiler:" in out and "samples" in out
+        assert "cyclic GC:" in out
         assert os.path.getsize(tmp_path / "hot.folded") > 0
         import json
         doc = json.load(open(tmp_path / "m.json"))
@@ -680,12 +714,13 @@ class TestCLI:
         ])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "micro_event_kernel:" in out
+        assert "micro_event_kernel:" in out and "cyclic GC:" in out
         import json
         doc = json.load(open(tmp_path / "b.json"))
         prof = doc["results"][0]["profile"]
         assert prof["runtime"] == "wall"
         assert prof["budget"]["target"] == 0.02
+        assert len(prof["gc"]["collections"]) == 3
 
     def test_dash_renders_profiler_and_slo_panels(self, tmp_path,
                                                   capsys):
