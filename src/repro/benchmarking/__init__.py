@@ -1,10 +1,9 @@
-"""The ``repro-bench`` performance harness.
+"""The ``repro-bench`` layer bench.
 
 :mod:`repro.benchmarking.harness`
-    measurement machinery (warmup/repeat, phase timers, JSON report
-    schema).
+    measurement machinery (warmup/repeat, JSON report schema).
 :mod:`repro.benchmarking.scenarios`
-    the pinned macro scenarios and micro benchmarks.
+    the micro benchmarks.
 :mod:`repro.benchmarking.cli`
     the ``repro-bench`` entry point.
 """
@@ -12,7 +11,6 @@
 from repro.benchmarking.harness import (
     SCHEMA_VERSION,
     BenchRecord,
-    PhaseTimer,
     report_document,
     run_benchmark,
     write_report,
@@ -22,7 +20,6 @@ from repro.benchmarking.scenarios import BENCHES, BenchSpec, select
 __all__ = [
     "SCHEMA_VERSION",
     "BenchRecord",
-    "PhaseTimer",
     "report_document",
     "run_benchmark",
     "write_report",

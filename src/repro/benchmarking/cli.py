@@ -1,11 +1,12 @@
-"""``repro-bench`` — the pinned macro/micro benchmark runner.
+"""``repro-bench`` — the layer bench: micro benchmarks per hot path.
 
-Runs the registered macro scenarios and micro benchmarks with
-warmup/repeat discipline, prints a throughput table, and writes a
-schema-versioned JSON report (``BENCH.json`` unless ``--out`` says
-otherwise).  The events/sec figures are for looking at one host, one
-sitting — they are not comparable across runs and gate nothing; the
-judge for a performance claim is ``python3 -m benchmarks.e2e``.
+Runs the registered micro benchmarks with warmup/repeat discipline,
+prints a throughput table, and writes a schema-versioned JSON report
+(``BENCH.json`` unless ``--out`` says otherwise).  The events/sec
+figures are for looking at one host, one sitting — they are not
+comparable across runs and gate nothing; the judge for a performance
+claim is ``python3 -m benchmarks.e2e``.  ``--suite adversarial`` runs
+the pinned stress scenarios through the scenario DSL instead.
 """
 
 from __future__ import annotations
@@ -72,11 +73,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--quick", action="store_true",
-        help="CI smoke mode: reduced durations, heavy rungs skipped",
+        help="CI smoke mode: smaller micros, capped scenario durations",
     )
     parser.add_argument(
         "--suite", default="perf", choices=("perf", "adversarial"),
-        help="'perf' (default) runs the pinned performance suite; "
+        help="'perf' (default) runs the micro benchmarks; "
         "'adversarial' runs the stress-scenario configs under "
         "--scenario-dir through the scenario DSL",
     )
@@ -106,15 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the JSON report here (default BENCH.json; '-' to skip)",
     )
     parser.add_argument(
-        "--bench-id", default="BENCH",
-        help="identifier stamped into the report (default BENCH)",
-    )
-    parser.add_argument(
-        "--sample", action="store_true",
-        help="attach sampled health series to macro benchmark reports "
-        "(the sampler adds kernel events)",
-    )
-    parser.add_argument(
         "--profile", action="store_true",
         help="run each benchmark under the wall-clock sampling profiler "
         "and attach a per-benchmark hot-path report (the profiler "
@@ -123,18 +115,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--profile-period", type=float, default=None, metavar="SECONDS",
         help="override the profiler's sampling period (default 0.05 s; "
-        "quick rungs finish fast, so smoke runs need a faster clock "
+        "quick micros finish fast, so smoke runs need a faster clock "
         "to capture stacks); requires --profile",
     )
     parser.add_argument(
         "--profile-folded", default=None, metavar="PATH",
         help="write this run's merged .folded profile (all benchmarks' "
         "best-run stacks summed); requires --profile",
-    )
-    parser.add_argument(
-        "--profile-baseline", default=None, metavar="PATH",
-        help="diff this run's merged profile against a baseline .folded "
-        "and print the top regressed/improved stacks; requires --profile",
     )
     return parser
 
@@ -144,10 +131,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.profile_period is not None and not args.profile:
         parser.error("--profile-period needs --profile")
-    if (args.profile_folded or args.profile_baseline) and not args.profile:
-        parser.error(
-            "--profile-folded/--profile-baseline need --profile samples"
-        )
+    if args.profile_folded and not args.profile:
+        parser.error("--profile-folded needs --profile samples")
 
     adversarial = args.suite == "adversarial"
     from repro.scenarios import suite as scenario_suite
@@ -159,9 +144,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(path)
             return 0
         for spec in BENCHES:
-            quick = "quick+full" if spec.quick else "full only"
-            print(f"{spec.name:22s} [{spec.family}] ({quick}) "
-                  f"{spec.params}")
+            print(f"{spec.name:22s} {spec.params}")
         return 0
 
     only = (
@@ -200,7 +183,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
     else:
         try:
-            specs = select(only=only, quick=args.quick)
+            specs = select(only=only)
         except KeyError as exc:
             print(exc.args[0], file=sys.stderr)
             return 2
@@ -210,7 +193,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"running {spec.name} {params} "
                   f"(warmup={warmup}, repeat={repeat}) ...", flush=True)
             record = harness.run_benchmark(
-                spec.name, spec.build(quick=args.quick, sample=args.sample),
+                spec.name, spec.make(**params),
                 params=params, warmup=warmup, repeat=repeat,
                 profile=args.profile,
                 profile_period=args.profile_period,
@@ -222,42 +205,25 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.profile:
         _print_hot_paths(records)
 
-    if args.profile_folded or args.profile_baseline:
+    if args.profile_folded:
         from repro.profiling.folded import (
-            diff_folded,
-            format_diff,
             merge_folded,
             parse_folded,
-            read_folded,
             write_folded,
         )
 
-        merged = merge_folded(
+        write_folded(args.profile_folded, merge_folded(
             parse_folded(r.folded) for r in records
             if getattr(r, "folded", None)
-        )
-        if args.profile_folded:
-            write_folded(args.profile_folded, merged)
-            print(f"\nwrote {args.profile_folded}")
-        if args.profile_baseline:
-            try:
-                base = read_folded(args.profile_baseline)
-            except OSError as exc:
-                print(
-                    f"error: cannot read {args.profile_baseline}: {exc}",
-                    file=sys.stderr,
-                )
-                return 2
-            print()
-            print(format_diff(diff_folded(base, merged)))
+        ))
+        print(f"\nwrote {args.profile_folded}")
 
     out_path = args.out
     if out_path is None:
         out_path = "BENCH_SCENARIOS.json" if adversarial else "BENCH.json"
     if out_path != "-":
         mode = "quick" if args.quick else "full"
-        doc = harness.report_document(records, mode=mode,
-                                      bench_id=args.bench_id)
+        doc = harness.report_document(records, mode=mode)
         harness.write_report(out_path, doc)
         print(f"\nwrote {out_path}")
     return 0

@@ -3,8 +3,7 @@
 A benchmark is a zero-argument callable returning a counters dict::
 
     {"events": <work units processed>,
-     "phases": {"build": 1.2, "run": 8.7},      # seconds, optional
-     "metrics": {...}}                           # free-form, optional
+     "metrics": {...}}              # free-form, optional
 
 The harness runs it ``warmup`` unrecorded times, then ``repeat``
 recorded times, and folds the wall-clock samples into a
@@ -31,7 +30,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.telemetry.observation import Observation
 
 #: Bumped whenever the JSON layout changes incompatibly.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def peak_rss_kb() -> int:
@@ -47,31 +46,6 @@ def peak_rss_kb() -> int:
     return int(usage)
 
 
-class PhaseTimer:
-    """Accumulates named wall-clock phases inside one benchmark run."""
-
-    def __init__(self) -> None:
-        self.phases: Dict[str, float] = {}
-
-    def phase(self, name: str) -> "_Phase":
-        return _Phase(self, name)
-
-
-class _Phase:
-    def __init__(self, timer: PhaseTimer, name: str) -> None:
-        self._timer = timer
-        self._name = name
-
-    def __enter__(self) -> "_Phase":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        elapsed = time.perf_counter() - self._t0
-        phases = self._timer.phases
-        phases[self._name] = phases.get(self._name, 0.0) + elapsed
-
-
 @dataclass
 class BenchRecord:
     """One benchmark's aggregated measurement."""
@@ -84,7 +58,6 @@ class BenchRecord:
     events: int
     events_per_sec: float
     peak_rss_kb: int
-    phases: Dict[str, float] = field(default_factory=dict)
     metrics: Dict[str, Any] = field(default_factory=dict)
     #: Hot-path report from the best recorded run (``--profile`` only).
     profile: Optional[Dict[str, Any]] = None
@@ -103,7 +76,6 @@ class BenchRecord:
             "events": self.events,
             "events_per_sec": self.events_per_sec,
             "peak_rss_kb": self.peak_rss_kb,
-            "phases": self.phases,
             "metrics": self.metrics,
         }
         if self.profile is not None:
@@ -127,7 +99,7 @@ def run_benchmark(
     lands in :attr:`BenchRecord.profile`.  The profiler thread adds a
     little overhead, so a profiled run's timings are not comparable
     with an unprofiled one's.  *profile_period* overrides
-    the sampling period — quick rungs finish in well under a second,
+    the sampling period — quick micros finish in well under a second,
     so capturing stacks from them needs a faster clock than the 20 Hz
     default.
     """
@@ -174,20 +146,16 @@ def run_benchmark(
         events=events,
         events_per_sec=(events / best_wall) if best_wall > 0 else 0.0,
         peak_rss_kb=peak_rss_kb(),
-        phases=dict(best.get("phases", {})),
         metrics=dict(best.get("metrics", {})),
         profile=best_profile,
         folded=best_folded,
     )
 
 
-def report_document(
-    records: List[BenchRecord], mode: str, bench_id: str
-) -> Dict[str, Any]:
+def report_document(records: List[BenchRecord], mode: str) -> Dict[str, Any]:
     """The schema-versioned JSON document a bench run emits."""
     return {
         "schema_version": SCHEMA_VERSION,
-        "bench_id": bench_id,
         "created_unix": int(time.time()),
         "mode": mode,
         "host": {

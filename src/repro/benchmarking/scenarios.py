@@ -1,25 +1,11 @@
-"""The pinned benchmark suite behind ``repro-bench``.
+"""The micro benchmarks behind ``repro-bench``.
 
-Two families:
-
-*macro*
-    Whole-system scenarios built through :func:`build_scenario` (the
-    same entry point the experiments use): the e4-style scalability
-    ladder at 250/1000/2500 peers, a churning overlay, and a pure
-    gossip-convergence run.  The work unit is **kernel events
-    processed** (``Environment.n_processed``) — stable across
-    refactors as long as the simulated trajectory is unchanged, which
-    is exactly the invariant the optimization passes preserve.
-*micro*
-    Isolated hot paths (event kernel, network send, mailbox traffic;
-    for the live runtime, a loopback UDP round trip and the clock
-    pump) for attributing a macro-level regression to a subsystem.
-
-Every macro/micro benchmark is deterministic: fixed seeds, no
-wall-clock dependence inside the simulated world.  The *live* family
-(the sharded multi-process soak) is the exception — wall-clock by
-nature, excluded from ``--quick`` and from events/sec regression
-gating; it contributes an acceptance sweep, not a perf number.
+Each one isolates a hot path — the event kernel, network send, mailbox
+traffic, the periodic plane and the RM's allocation search; for the
+live runtime, a loopback UDP round trip and the clock pump — so that a
+change seen end to end (``python3 -m benchmarks.e2e``, the judge) can
+be attributed to a layer.  The simulated micros are deterministic:
+fixed seeds, no wall-clock dependence inside the simulated world.
 """
 
 from __future__ import annotations
@@ -27,33 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.benchmarking.harness import PhaseTimer
-
 
 @dataclass
 class BenchSpec:
     """One registered benchmark: how to build it and how to scale it."""
 
     name: str
-    family: str  # "macro" | "micro"
     make: Callable[..., Callable[[], Dict[str, Any]]]
     params: Dict[str, Any] = field(default_factory=dict)
     #: Parameter overrides applied in ``--quick`` mode (CI smoke).
     quick_params: Dict[str, Any] = field(default_factory=dict)
-    #: Excluded from ``--quick`` runs entirely when False.
-    quick: bool = True
-    #: Accepts ``sample=True`` to attach health series to its metrics.
-    supports_sample: bool = False
-
-    def build(
-        self, quick: bool = False, sample: bool = False
-    ) -> Callable[[], Dict[str, Any]]:
-        params = dict(self.params)
-        if quick:
-            params.update(self.quick_params)
-        if sample and self.supports_sample:
-            params["sample"] = True
-        return self.make(**params)
 
     def effective_params(self, quick: bool = False) -> Dict[str, Any]:
         params = dict(self.params)
@@ -61,205 +30,6 @@ class BenchSpec:
             params.update(self.quick_params)
         return params
 
-
-# -- live (wall-clock, multi-process) ----------------------------------------
-
-def _live_soak(
-    peers: int, shards: int, duration: float, rate: float,
-    kill: bool = True, drain: bool = True, seed: int = 7,
-) -> Callable:
-    """The sharded runtime soak (``repro-live-soak``) as a ladder rung.
-
-    Wall-clock and multi-process, so excluded from ``--quick``; its
-    events/sec means nothing — its value is the pass/fail
-    acceptance sweep (respawn, convergence, task conservation) plus
-    the task-throughput metrics it reports.
-    """
-
-    def fn() -> Dict[str, Any]:
-        import asyncio
-
-        from repro.runtime.soak import SoakConfig, run_soak
-
-        cfg = SoakConfig(
-            peers=peers, shards=shards, duration=duration,
-            task_rate=rate, kill=kill, drain=drain, seed=seed,
-        )
-        result = asyncio.run(run_soak(cfg))
-        if not result["ok"]:
-            raise AssertionError(f"live soak failed: {result}")
-        counts = result.get("tasks", {})
-        return {
-            "events": counts.get("seen", 0),
-            "metrics": {
-                "tasks_terminal": counts.get("terminal", 0),
-                "tasks_completed": counts.get("completed", 0),
-                "tasks_open": counts.get("open", 0),
-                "submit_failures": counts.get("submit_failures", 0),
-                "restarts": sum(result.get("restarts", {}).values()),
-                "converged": int(result["converged"]),
-            },
-        }
-
-    return fn
-
-
-# -- macro scenarios ---------------------------------------------------------
-
-def _timed_run(
-    scenario, duration: float, timer: PhaseTimer, sample: bool
-) -> Dict[str, Any]:
-    """Run *scenario* under the ``run`` phase; the metrics it adds.
-
-    With *sample* (``repro-bench --sample``, opt-in) a sim-time health
-    sampler rides along and its series land in the metrics: the sampler
-    Process adds kernel events, so sampled runs are not comparable with
-    unsampled ones.
-    """
-    from repro.telemetry.observation import Observation
-
-    with Observation.sim(
-        scenario.env, scenario.overlay, scenario.network, per_peer=False,
-        sample=1.0 if sample else None,
-    ) as obs, timer.phase("run"):
-        scenario.env.run(until=scenario.env.now + duration)
-    return {"series": obs.sampler.records()} if sample else {}
-
-
-def _scalability(
-    n_peers: int, duration: float, seed: int, sample: bool = False
-) -> Callable:
-    """e4-style ladder rung: constant per-peer load, bounded domains."""
-
-    def fn() -> Dict[str, Any]:
-        from repro.core.manager import RMConfig
-        from repro.workloads import (
-            PopulationConfig,
-            ScenarioConfig,
-            WorkloadConfig,
-            build_scenario,
-        )
-
-        timer = PhaseTimer()
-        cfg = ScenarioConfig(
-            seed=seed,
-            population=PopulationConfig(
-                n_peers=n_peers,
-                n_objects=max(6, n_peers // 2),
-                replication=3,
-            ),
-            workload=WorkloadConfig(rate=0.03 * n_peers),
-            rm=RMConfig(max_peers=16),
-        )
-        with timer.phase("build"):
-            scenario = build_scenario(cfg)
-        metrics = _timed_run(scenario, duration, timer, sample)
-        metrics.update({
-            "domains": scenario.overlay.n_domains,
-            "peers_joined": scenario.overlay.n_peers,
-            "messages": scenario.network.stats.sent,
-            "sim_duration": duration,
-        })
-        return {
-            "events": scenario.env.n_processed,
-            "phases": timer.phases,
-            "metrics": metrics,
-        }
-
-    return fn
-
-
-def _churn(
-    n_peers: int, duration: float, seed: int, sample: bool = False
-) -> Callable:
-    """A churning overlay: joins/leaves/failovers dominate."""
-
-    def fn() -> Dict[str, Any]:
-        from repro.core.manager import RMConfig
-        from repro.overlay import ChurnConfig
-        from repro.workloads import (
-            PopulationConfig,
-            ScenarioConfig,
-            WorkloadConfig,
-            build_scenario,
-        )
-
-        timer = PhaseTimer()
-        cfg = ScenarioConfig(
-            seed=seed,
-            population=PopulationConfig(
-                n_peers=n_peers,
-                n_objects=max(6, n_peers // 2),
-                replication=3,
-            ),
-            workload=WorkloadConfig(rate=0.02 * n_peers),
-            rm=RMConfig(max_peers=16),
-            churn=ChurnConfig(mean_lifetime=40.0, mean_offtime=10.0),
-        )
-        with timer.phase("build"):
-            scenario = build_scenario(cfg)
-        metrics = _timed_run(scenario, duration, timer, sample)
-        metrics.update({
-            "departures": scenario.churn.departures,
-            "rejoins": scenario.churn.rejoins,
-            "messages": scenario.network.stats.sent,
-        })
-        return {
-            "events": scenario.env.n_processed,
-            "phases": timer.phases,
-            "metrics": metrics,
-        }
-
-    return fn
-
-
-def _gossip_convergence(
-    n_domains: int, peers_per_domain: int, duration: float, seed: int
-) -> Callable:
-    """Anti-entropy across many single-RM domains, no workload."""
-
-    def fn() -> Dict[str, Any]:
-        from repro.core.manager import RMConfig
-        from repro.gossip import GossipConfig
-        from repro.net import ConstantLatency, Network
-        from repro.overlay import OverlayNetwork, PeerSpec
-        from repro.sim import Environment, RandomStreams
-
-        timer = PhaseTimer()
-        with timer.phase("build"):
-            env = Environment()
-            net = Network(env, ConstantLatency(0.005), bandwidth=1e7)
-            overlay = OverlayNetwork(
-                env, net,
-                rm_config=RMConfig(max_peers=peers_per_domain),
-                gossip_config=GossipConfig(period=2.0, fanout=3),
-                enable_backups=False,
-                streams=RandomStreams(seed),
-            )
-            for i in range(n_domains * peers_per_domain):
-                overlay.join(PeerSpec(
-                    peer_id=f"p{i}", power=10.0, bandwidth=2e6, uptime=0.9,
-                ))
-        with timer.phase("run"):
-            env.run(until=duration)
-        agents = [d.gossip for d in overlay.domains.values()]
-        converged = (
-            agents[0].converged_with(agents[1:]) if len(agents) > 1 else True
-        )
-        return {
-            "events": env.n_processed,
-            "phases": timer.phases,
-            "metrics": {
-                "domains": overlay.n_domains,
-                "converged": bool(converged),
-                "messages": net.stats.sent,
-            },
-        }
-
-    return fn
-
-
-# -- micro benchmarks --------------------------------------------------------
 
 def _micro_kernel(n_timeouts: int) -> Callable:
     """Raw event-kernel throughput: one process draining timeouts."""
@@ -521,96 +291,53 @@ def _micro_allocate(n_allocations: int, warmup: float = 20.0) -> Callable:
 #: The registry, in execution order.
 BENCHES: List[BenchSpec] = [
     BenchSpec(
-        name="scalability_250", family="macro", make=_scalability,
-        params={"n_peers": 250, "duration": 40.0, "seed": 7},
-        quick_params={"duration": 10.0},
-        supports_sample=True,
-    ),
-    BenchSpec(
-        name="scalability_1000", family="macro", make=_scalability,
-        params={"n_peers": 1000, "duration": 30.0, "seed": 7},
-        quick_params={"duration": 6.0},
-        supports_sample=True,
-    ),
-    BenchSpec(
-        name="scalability_2500", family="macro", make=_scalability,
-        params={"n_peers": 2500, "duration": 8.0, "seed": 7},
-        quick=False,
-        supports_sample=True,
-    ),
-    BenchSpec(
-        name="churn_300", family="macro", make=_churn,
-        params={"n_peers": 300, "duration": 60.0, "seed": 11},
-        quick_params={"duration": 15.0},
-        supports_sample=True,
-    ),
-    BenchSpec(
-        name="gossip_convergence", family="macro",
-        make=_gossip_convergence,
-        params={"n_domains": 24, "peers_per_domain": 2,
-                "duration": 120.0, "seed": 13},
-        quick_params={"n_domains": 10, "duration": 40.0},
-    ),
-    BenchSpec(
-        name="live_soak_200", family="live", make=_live_soak,
-        params={"peers": 200, "shards": 4, "duration": 20.0,
-                "rate": 4.0, "seed": 7},
-        quick=False,
-    ),
-    BenchSpec(
-        name="micro_event_kernel", family="micro", make=_micro_kernel,
+        name="micro_event_kernel", make=_micro_kernel,
         params={"n_timeouts": 200_000},
         quick_params={"n_timeouts": 50_000},
     ),
     BenchSpec(
-        name="micro_net_send", family="micro", make=_micro_net_send,
+        name="micro_net_send", make=_micro_net_send,
         params={"n_messages": 30_000},
         quick_params={"n_messages": 8_000},
     ),
     BenchSpec(
-        name="micro_mailbox", family="micro", make=_micro_mailbox,
+        name="micro_mailbox", make=_micro_mailbox,
         params={"n_items": 50_000},
         quick_params={"n_items": 15_000},
     ),
     BenchSpec(
-        name="micro_periodic_timers", family="micro",
-        make=_micro_periodic_timers,
+        name="micro_periodic_timers", make=_micro_periodic_timers,
         params={"n_peers": 2500, "sim_seconds": 20.0},
         quick_params={"sim_seconds": 5.0},
     ),
     # Live-layer micros: loopback timing.
     BenchSpec(
-        name="micro_udp_roundtrip", family="micro",
-        make=_micro_udp_roundtrip,
+        name="micro_udp_roundtrip", make=_micro_udp_roundtrip,
         params={"n_messages": 20_000},
         quick_params={"n_messages": 4_000},
     ),
     BenchSpec(
-        name="micro_pump_tick", family="micro", make=_micro_pump_tick,
+        name="micro_pump_tick", make=_micro_pump_tick,
         params={"n_timeouts": 200_000},
         quick_params={"n_timeouts": 50_000},
     ),
     BenchSpec(
-        name="micro_allocate", family="micro", make=_micro_allocate,
+        name="micro_allocate", make=_micro_allocate,
         params={"n_allocations": 8_000},
         quick_params={"n_allocations": 2_000},
     ),
 ]
 
 
-def select(
-    only: Optional[List[str]] = None, quick: bool = False
-) -> List[BenchSpec]:
+def select(only: Optional[List[str]] = None) -> List[BenchSpec]:
     """The benchmarks a run should execute, in registry order."""
-    specs = [s for s in BENCHES if s.quick or not quick]
-    if only:
-        known = {s.name for s in BENCHES}
-        unknown = [n for n in only if n not in known]
-        if unknown:
-            raise KeyError(
-                f"unknown benchmark(s): {', '.join(unknown)} "
-                f"(see --list)"
-            )
-        wanted = set(only)
-        specs = [s for s in BENCHES if s.name in wanted]
-    return specs
+    if not only:
+        return list(BENCHES)
+    known = {s.name for s in BENCHES}
+    unknown = [n for n in only if n not in known]
+    if unknown:
+        raise KeyError(
+            f"unknown benchmark(s): {', '.join(unknown)} (see --list)"
+        )
+    wanted = set(only)
+    return [s for s in BENCHES if s.name in wanted]

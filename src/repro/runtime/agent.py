@@ -45,6 +45,7 @@ from repro import telemetry
 from repro.core import protocol
 from repro.net.message import Message
 from repro.overlay.qualification import QualificationPolicy
+from repro.runtime.codec import WireFormatError, check_join_record
 from repro.runtime.roster import (
     KIND_AGENT,
     KIND_NODE,
@@ -253,15 +254,19 @@ class RosterAgent:
         if self.draining:
             return  # admission stopped; the joiner retries another seed
         rec = msg.payload
-        pid = rec.get("peer_id", msg.src)
+        try:
+            check_join_record(rec)
+        except WireFormatError as exc:
+            self.log.warning("dropped join from %s: %s", msg.src, exc)
+            return
+        pid = rec["peer_id"]
         self.records[pid] = dict(rec)
         self.directory.add(pid, rec["host"], rec["port"])
         entry = self.roster.upsert(RosterEntry(
-            member_id=pid, host=rec["host"], port=int(rec["port"]),
+            member_id=pid, host=rec["host"], port=rec["port"],
             kind=KIND_NODE, shard=rec.get("shard", self.shard_id),
-            power=float(rec.get("power", 0.0)),
-            bandwidth=float(rec.get("bandwidth", 0.0)),
-            uptime=float(rec.get("uptime", 1.0)),
+            power=float(rec["power"]), bandwidth=float(rec["bandwidth"]),
+            uptime=float(rec["uptime"]),
         ))
         self._broadcast_entries([entry])
         if self.rm_id is None:

@@ -20,7 +20,8 @@ service steps, load reports, application tasks).  Decoding reverses the
 tags; any datagram that is not valid UTF-8 JSON, has the wrong version,
 an unknown frame type/tag, ill-typed message fields or an out-of-range
 load report raises :class:`WireFormatError` — the transport drops such
-datagrams.
+datagrams.  A ``JOIN_REQUEST`` record is an untagged map, so its
+receivers check it with :func:`check_join_record` instead.
 """
 
 from __future__ import annotations
@@ -189,7 +190,7 @@ _register(
 
 
 def _finite(value: Any, field: str, positive: bool = False) -> None:
-    """A finite real number, > 0 if *positive* else >= 0."""
+    """*field* is a finite real number, > 0 if *positive* else >= 0."""
     try:
         ok = (
             isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -201,8 +202,7 @@ def _finite(value: Any, field: str, positive: bool = False) -> None:
     if not ok:
         bound = "> 0" if positive else ">= 0"
         raise WireFormatError(
-            f"load_report {field} must be a finite number {bound}, "
-            f"got {value!r}"
+            f"{field} must be a finite number {bound}, got {value!r}"
         )
 
 
@@ -213,18 +213,20 @@ def _count(value: Any, field: str) -> None:
         )
 
 
+def _string(value: Any, field: str) -> None:
+    if not isinstance(value, str):
+        raise WireFormatError(f"{field} must be a string, got {value!r}")
+
+
 def _load_report_from_wire(d: Dict[str, Any]) -> LoadReport:
     # A report feeds the RM's load arithmetic directly: a field of the
     # wrong type or range must be dropped here, at the boundary, not
     # raise later inside an allocation.
     report = LoadReport.from_payload(_dec(d))
-    if not isinstance(report.peer_id, str):
-        raise WireFormatError(
-            f"load_report peer_id must be a string, got {report.peer_id!r}"
-        )
-    _finite(report.power, "power", positive=True)
+    _string(report.peer_id, "load_report peer_id")
+    _finite(report.power, "load_report power", positive=True)
     for name in ("time", "utilization", "load", "bw_used", "queue_work"):
-        _finite(getattr(report, name), name)
+        _finite(getattr(report, name), f"load_report {name}")
     _count(report.queue_length, "queue_length")
     _count(report.dependencies, "dependencies")
     if not isinstance(report.services, dict):
@@ -234,7 +236,7 @@ def _load_report_from_wire(d: Dict[str, Any]) -> LoadReport:
             raise WireFormatError(
                 f"load_report service id must be a string, got {service!r}"
             )
-        _finite(mean_time, f"services[{service!r}]")
+        _finite(mean_time, f"load_report services[{service!r}]")
     return report
 
 
@@ -243,6 +245,52 @@ _register(
     lambda r: _enc(r.as_payload()),
     _load_report_from_wire,
 )
+
+
+def check_join_record(rec: Dict[str, Any]) -> None:
+    """Raise :class:`WireFormatError` unless *rec* is a well-formed
+    ``JOIN_REQUEST`` record.
+
+    The record is an untagged map, so decoding cannot check it; its two
+    receivers (the roster agent and the RM) call this before admitting
+    it, because its fields reach the roster, the RM's information base
+    and its load arithmetic as given.
+    """
+    _string(rec.get("peer_id"), "join peer_id")
+    _string(rec.get("host"), "join host")
+    _string(rec.get("shard", ""), "join shard")
+    port = rec.get("port")
+    if not (isinstance(port, int) and not isinstance(port, bool)
+            and 1 <= port <= 65535):
+        raise WireFormatError(
+            f"join port must be an int in 1-65535, got {port!r}"
+        )
+    _finite(rec.get("power"), "join power", positive=True)
+    _finite(rec.get("bandwidth"), "join bandwidth", positive=True)
+    _finite(rec.get("uptime"), "join uptime")
+    objects = rec.get("objects", [])
+    if not (isinstance(objects, list)
+            and all(isinstance(o, MediaObject) for o in objects)):
+        raise WireFormatError(
+            f"join objects must be a list of media objects, got {objects!r}"
+        )
+    edges = rec.get("edges", [])
+    if not isinstance(edges, list):
+        raise WireFormatError(f"join edges must be a list, got {edges!r}")
+    for edge in edges:
+        if not isinstance(edge, dict):
+            raise WireFormatError(f"join edge must be a map, got {edge!r}")
+        try:
+            hash((edge["src"], edge["dst"]))
+        except (KeyError, TypeError) as exc:
+            raise WireFormatError(
+                f"join edge needs hashable src/dst states: {exc}"
+            ) from exc
+        _string(edge.get("service_id"), "join edge service_id")
+        _string(edge.get("edge_id", ""), "join edge edge_id")
+        _finite(edge.get("work"), "join edge work")
+        _finite(edge.get("out_bytes"), "join edge out_bytes")
+
 
 _register(
     TaskState, "task_state",

@@ -325,7 +325,7 @@ class HealthSampler:
 
         Never wired on the default path — a sampler Process changes the
         kernel event count and would break trajectory goldens; callers
-        opt in explicitly (``repro-run --sample``, bench ``--sample``).
+        opt in explicitly (``repro-run --sample``, ``repro-live --sample``).
         """
         def _loop():
             while True:

@@ -8,7 +8,6 @@ from repro.benchmarking import cli
 from repro.benchmarking.harness import (
     SCHEMA_VERSION,
     BenchRecord,
-    PhaseTimer,
     report_document,
     run_benchmark,
     write_report,
@@ -24,11 +23,7 @@ def load_report(path):
 def _toy_bench(counter):
     def fn():
         counter["calls"] += 1
-        return {
-            "events": 1000,
-            "phases": {"build": 0.001, "run": 0.002},
-            "metrics": {"widgets": 7},
-        }
+        return {"events": 1000, "metrics": {"widgets": 7}}
 
     return fn
 
@@ -53,7 +48,6 @@ class TestRunBenchmark:
         )
         assert rec.peak_rss_kb > 0
         assert rec.metrics == {"widgets": 7}
-        assert rec.phases == {"build": 0.001, "run": 0.002}
 
     def test_repeat_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -65,19 +59,6 @@ class TestRunBenchmark:
         assert rec.wall_s["stdev"] == 0.0
 
 
-class TestPhaseTimer:
-    def test_phases_accumulate(self):
-        timer = PhaseTimer()
-        with timer.phase("a"):
-            pass
-        with timer.phase("a"):
-            pass
-        with timer.phase("b"):
-            pass
-        assert set(timer.phases) == {"a", "b"}
-        assert timer.phases["a"] >= 0.0
-
-
 class TestReportRoundTrip:
     def _record(self, name="toy", eps=123.0):
         return BenchRecord(
@@ -87,34 +68,29 @@ class TestReportRoundTrip:
         )
 
     def test_write_then_load(self, tmp_path):
-        doc = report_document([self._record()], mode="full",
-                              bench_id="BENCH_T")
+        doc = report_document([self._record()], mode="full")
         path = tmp_path / "bench.json"
         write_report(str(path), doc)
         loaded = load_report(str(path))
-        assert loaded["schema_version"] == SCHEMA_VERSION
-        assert loaded["bench_id"] == "BENCH_T"
+        assert loaded["schema_version"] == SCHEMA_VERSION == 2
+        assert "bench_id" not in loaded
         assert loaded["mode"] == "full"
-        assert loaded["results"][0]["name"] == "toy"
-        assert loaded["results"][0]["events_per_sec"] == 123.0
-
+        (result,) = loaded["results"]
+        assert result["name"] == "toy"
+        assert result["events_per_sec"] == 123.0
+        assert "phases" not in result
 
 
 class TestSelect:
     def test_default_returns_all(self):
         assert [s.name for s in select()] == [s.name for s in BENCHES]
 
-    def test_quick_skips_heavy_rungs(self):
-        names = {s.name for s in select(quick=True)}
-        assert "scalability_2500" not in names
-        assert "scalability_250" in names
-
     def test_only_filters_in_registry_order(self):
         names = [
             s.name
-            for s in select(only=["micro_mailbox", "scalability_250"])
+            for s in select(only=["micro_allocate", "micro_event_kernel"])
         ]
-        assert names == ["scalability_250", "micro_mailbox"]
+        assert names == ["micro_event_kernel", "micro_allocate"]
 
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError, match="no_such_bench"):
@@ -142,12 +118,12 @@ class TestUngatedMicros:
         full = spec.make(**spec.effective_params(quick=True))()
         assert full["events"] == 5000 + 2500 * (10 + 2)
 
-    def test_listed_in_family_micro_but_not_gated(self):
-        # Nothing is gated any more (the events/sec gate is gone); the
-        # micros must still be registered, and run by --quick.
-        specs = {s.name: s for s in select(quick=True)}
+    def test_registered_and_run_by_quick(self):
+        # Nothing is gated (the events/sec gate is gone); the micros
+        # must still be registered, with a --quick size.
+        specs = {s.name: s for s in select()}
         assert self.NAMES <= set(specs)
-        assert all(specs[n].family == "micro" for n in self.NAMES)
+        assert all(specs[n].quick_params for n in self.NAMES)
 
     def test_udp_roundtrip_delivers_every_message(self):
         spec = next(s for s in BENCHES if s.name == "micro_udp_roundtrip")
@@ -172,8 +148,13 @@ class TestUngatedMicros:
 class TestCli:
     def test_list_exits_zero(self, capsys):
         assert cli.main(["--list"]) == 0
-        out = capsys.readouterr().out
-        assert "scalability_1000" in out
+        listed = [line.split()[0]
+                  for line in capsys.readouterr().out.splitlines()]
+        assert listed == [
+            "micro_event_kernel", "micro_net_send", "micro_mailbox",
+            "micro_periodic_timers", "micro_udp_roundtrip",
+            "micro_pump_tick", "micro_allocate",
+        ]
 
     def test_unknown_bench_exits_two(self, capsys):
         assert cli.main(["--only", "nope", "--out", "-"]) == 2
@@ -182,11 +163,11 @@ class TestCli:
         out = tmp_path / "bench.json"
         rc = cli.main([
             "--quick", "--only", "micro_mailbox", "--out", str(out),
-            "--warmup", "0", "--repeat", "1", "--bench-id", "BENCH_T",
+            "--warmup", "0", "--repeat", "1",
         ])
         assert rc == 0
         doc = load_report(str(out))
-        assert doc["bench_id"] == "BENCH_T"
+        assert doc["schema_version"] == 2
         assert doc["mode"] == "quick"
         (rec,) = doc["results"]
         assert rec["name"] == "micro_mailbox"

@@ -673,7 +673,7 @@ class TestCli:
         from repro.benchmarking.cli import main
 
         with pytest.raises(SystemExit):
-            main(["--quick", "--profile-baseline", "x.folded"])
+            main(["--quick", "--profile-folded", "x.folded"])
         assert "--profile" in capsys.readouterr().err
 
 

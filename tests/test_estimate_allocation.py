@@ -164,9 +164,10 @@ class TestAllocator:
         assert all(e.peer_id != "P3" for e in result.path)
 
     def test_powerless_peer_is_infeasible_not_a_crash(self):
-        """A live JOIN may claim ``power = 0`` (``_rm_admit`` does not
-        validate it): the peer reads as infinitely overloaded, its edges
-        prune, and nothing divides by zero."""
+        """A peer record with ``power = 0`` (a live JOIN can no longer
+        claim it, but the info base does not forbid it): the peer reads
+        as infinitely overloaded, its edges prune, and nothing divides
+        by zero."""
         info, net, sc = make_domain()
         info.peer("P2").power = 0.0
         est = CompletionTimeEstimator()

@@ -138,11 +138,13 @@ FLAG_INVENTORY = {
         "--record-dir", "--seed", "--shards", "-h",
     },
     "repro.telemetry.cli": {"--help", "--json", "--verbose", "-h", "-v"},
+    # Three flags were dropped on purpose when repro-bench became the
+    # micros-only layer bench (report id, in-bench profile diff, macro
+    # health sampling).
     "repro.benchmarking.cli": {
-        "--bench-id", "--help", "--list", "--only", "--out", "--profile",
-        "--profile-baseline", "--profile-folded", "--profile-period",
-        "--quick", "--repeat", "--sample", "--scenario-dir", "--suite",
-        "--warmup", "-h",
+        "--help", "--list", "--only", "--out", "--profile",
+        "--profile-folded", "--profile-period", "--quick", "--repeat",
+        "--scenario-dir", "--suite", "--warmup", "-h",
     },
     "repro.telemetry.dash": {
         "--bundle", "--help", "--json", "--markdown", "--width", "-h",

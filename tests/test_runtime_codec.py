@@ -25,6 +25,7 @@ from repro.runtime.codec import (
     FRAME_MSG,
     WIRE_VERSION,
     WireFormatError,
+    check_join_record,
     decode_frame,
     encode_ack,
     encode_message,
@@ -297,3 +298,49 @@ def test_non_finite_load_report_numbers_rejected(value):
     # accepts back — a hostile sender can put them on the wire.
     with pytest.raises(WireFormatError):
         decode_frame(_load_update_frame(load=value))
+
+
+# -- join record validation ---------------------------------------------------
+
+def test_shipped_join_record_is_well_formed():
+    rec = PAYLOADS[protocol.JOIN_REQUEST]()
+    check_join_record(rec)
+    check_join_record(dict(rec, shard="s1", power=1, uptime=0))
+    del rec["objects"], rec["edges"]  # hosting nothing is fine
+    check_join_record(rec)
+
+
+@pytest.mark.parametrize("fields", [
+    {"peer_id": None},
+    {"host": 7},
+    {"shard": 3},
+    {"port": 0},
+    {"port": 70000},
+    {"port": True},
+    {"port": "40001"},
+    {"power": "10"},                       # the crash: str in RM arithmetic
+    {"power": 0.0},
+    {"power": -5.0},
+    {"power": float("nan")},
+    {"bandwidth": None},
+    {"uptime": -0.1},
+    {"uptime": float("inf")},
+    {"objects": "movie"},
+    {"objects": ["movie"]},
+    {"edges": {"e1": {}}},
+    {"edges": ["e1"]},
+    {"edges": [{"dst": V2, "service_id": "T-e1", "work": 1.0,
+                "out_bytes": 0.0}]},
+    {"edges": [{"src": [1], "dst": V2, "service_id": "T-e1", "work": 1.0,
+                "out_bytes": 0.0}]},
+    {"edges": [{"src": V1, "dst": V2, "service_id": 1, "work": 1.0,
+                "out_bytes": 0.0}]},
+    {"edges": [{"src": V1, "dst": V2, "service_id": "T-e1", "work": "48",
+                "out_bytes": 0.0}]},
+    {"edges": [{"src": V1, "dst": V2, "service_id": "T-e1", "work": 1.0,
+                "out_bytes": -1.0, "edge_id": "e1"}]},
+])
+def test_hostile_join_record_fields_rejected(fields):
+    rec = dict(PAYLOADS[protocol.JOIN_REQUEST](), **fields)
+    with pytest.raises(WireFormatError):
+        check_join_record(rec)

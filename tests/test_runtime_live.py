@@ -20,6 +20,7 @@ import pytest
 from repro.core import protocol
 from repro.core.manager import ResourceManager, RMConfig
 from repro.core.peer import Peer
+from repro.net.message import Message
 from repro.net.network import ConstantLatency, Network
 from repro.runtime.cluster import (
     LiveCluster,
@@ -27,6 +28,7 @@ from repro.runtime.cluster import (
     fig1_specs,
 )
 from repro.runtime.node import LiveNode, NodeSpec
+from repro.runtime.transport import UdpTransport
 from repro.sim.core import Environment
 
 pytestmark = pytest.mark.integration
@@ -274,6 +276,72 @@ def test_restarted_rm_is_reintroduced_to_every_member():
             ack = await c.submit("P4", timeout=10.0)
             assert ack["disposition"] == "accepted", ack
             await c.wait_task_event(ack["task_id"], "completed", timeout=10.0)
+    run(main())
+
+
+#: One forged field per JOIN_REQUEST; the rest of the record is valid.
+HOSTILE_JOIN_FIELDS = [
+    {"power": "10"},          # the crash: a str in the RM's load arithmetic
+    {"power": -5.0},
+    {"power": float("nan")},
+    {"bandwidth": 0.0},
+    {"uptime": float("inf")},
+    {"port": 0},
+    {"host": 7},
+    {"objects": ["movie"]},
+    {"edges": [{"src": [1], "dst": [2], "service_id": "T-x",
+                "work": 1.0, "out_bytes": 0.0}]},
+    {"edges": [{"src": "a", "dst": "b", "service_id": "T-x",
+                "work": "48", "out_bytes": 0.0}]},
+]
+
+
+@pytest.mark.parametrize("entry", ["agent", "rm"])
+def test_hostile_join_records_are_dropped(entry):
+    """Regression: a JOIN_REQUEST record was admitted as given, so one
+    ``power`` of ``"10"`` from a raw socket killed the RM's clock pump
+    at the next submit.  Both receivers (the agent, and the RM, which a
+    sender can address directly) now drop a malformed record; a
+    well-formed one from the same socket is still admitted, and the
+    domain keeps serving tasks."""
+    async def main():
+        async with LiveCluster(LiveClusterConfig(object_duration_s=0.2)) as c:
+            rm = c.rm_node
+            dst = c.agent.node_id if entry == "agent" else rm.node_id
+            raw = await UdpTransport("X", c.directory, lambda msg: None).start()
+
+            def join(peer_id, **fields):
+                raw.send(Message(
+                    kind=protocol.JOIN_REQUEST, src="X", dst=dst,
+                    payload={
+                        "peer_id": peer_id, "host": raw.host,
+                        "port": raw.port, "power": 10.0,
+                        "bandwidth": 1.25e6, "uptime": 0.9,
+                        "objects": [], "edges": [], **fields,
+                    },
+                    size=protocol.size_of(protocol.JOIN_REQUEST),
+                    msg_id=next(raw.ids.msg),
+                ))
+
+            try:
+                for i, fields in enumerate(HOSTILE_JOIN_FIELDS):
+                    join(f"X{i}", **fields)
+                await raw.flush()
+                join("Xok")
+                await asyncio.wait_for(rm.admitted(5), 5.0)
+                assert sorted(rm.node.info.peers) == [
+                    "P1", "P2", "P3", "P4", "Xok",
+                ]
+                assert set(c.agent.records) <= {
+                    "M0", "P1", "P2", "P3", "P4", "Xok",
+                }
+                ack = await c.submit("P4", timeout=10.0)
+                assert ack["disposition"] == "accepted", ack
+                await c.wait_task_event(
+                    ack["task_id"], "completed", timeout=10.0
+                )
+            finally:
+                await raw.aclose()
     run(main())
 
 

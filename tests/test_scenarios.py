@@ -744,8 +744,7 @@ class TestSuite:
         rec = records[0]
         assert rec.events > 0 and rec.events_per_sec > 0
         assert rec.metrics["schema_version"] == METRICS_SCHEMA_VERSION
-        doc = harness.report_document([rec], mode="quick",
-                                      bench_id="TEST")
+        doc = harness.report_document([rec], mode="quick")
         assert doc["schema_version"] == harness.SCHEMA_VERSION
         assert doc["results"][0]["name"] == "mini"
         assert doc["results"][0]["events_per_sec"] == rec.events_per_sec
@@ -879,11 +878,11 @@ class TestCli:
         out = tmp_path / "report.json"
         rc = cli.main([
             "--suite", "adversarial", "--scenario-dir", str(tmp_path),
-            "--quick", "--out", str(out), "--bench-id", "SCEN_TEST",
+            "--quick", "--out", str(out),
         ])
         assert rc == 0
         report = json.loads(out.read_text())
-        assert report["bench_id"] == "SCEN_TEST"
+        assert "bench_id" not in report
         assert report["results"][0]["name"] == "mini"
         assert report["results"][0]["metrics"]["schema_version"] == (
             METRICS_SCHEMA_VERSION

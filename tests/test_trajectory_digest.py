@@ -1,9 +1,10 @@
-"""Decision digests of three small pinned scenarios.
+"""Decision digests of three small pinned scenarios, and the
+``scalability_1000`` golden.
 
 Each digest hashes what the simulated system *decided*: the ordered
 task lifecycle log (times as float bits), every task's outcome and
 response/finish-time bits, and the network's traffic counters.  A change
-that only makes the simulator faster must leave all three digests
+that only makes the simulator faster must leave every digest
 unchanged; a change to a protocol, a policy or the model will move them
 and must re-pin them deliberately.
 
@@ -16,10 +17,14 @@ long, so only the digest is pinned there; without churn it happens only
 while the overlay forms (a backup re-paired when a domain splits), and
 the warm-up keeps it out of the count.
 
+The ``scalability_1000`` golden is the exception: it keeps the protocol
+it was first pinned under (no warm-up, no drain), so it also pins the
+whole run's event count, overlay formation included.
+
 Every id a run hands out comes from its own environment's id source,
 so the configs run in this process, back to back and in any order.
 ``PYTHONHASHSEED=<n> pytest tests/test_trajectory_digest.py`` is a
-hash-seed sweep of the three digests.
+hash-seed sweep of every digest.
 """
 
 from __future__ import annotations
@@ -139,3 +144,27 @@ def test_churn_digest_is_independent_of_earlier_runs():
     run_pinned("many_small_domains")
     run_pinned("dense")
     assert run_pinned("churn")["digest"] == PINNED["churn"][3]
+
+
+def test_scalability_1000_golden():
+    """The paper's §6 scalability config at 1,000 peers (constant
+    per-peer load, 16-peer domains), run the way it has been pinned
+    since the first performance pass: ``build_scenario``, then 30
+    simulated seconds from time 0, no warm-up and no drain.  Its event
+    count is the whole run's, overlay formation included; 190,173
+    before periodic loops became ``Timer``s, same messages and
+    decisions."""
+    scenario = build_scenario(ScenarioConfig(
+        seed=7,
+        population=PopulationConfig(
+            n_peers=1000, n_objects=500, replication=3,
+        ),
+        workload=WorkloadConfig(rate=30.0),
+        rm=RMConfig(max_peers=16),
+    ))
+    scenario.env.run(until=30.0)
+    assert scenario.env.n_processed == 190_047
+    assert scenario.network.stats.sent == 25_671
+    assert decision_digest(scenario) == (
+        "d16ed779748176485282aa30b8392c6eb77557d91b3e6bbbec3b0bab5cb01701"
+    )
