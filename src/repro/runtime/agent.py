@@ -45,7 +45,12 @@ from repro import telemetry
 from repro.core import protocol
 from repro.net.message import Message
 from repro.overlay.qualification import QualificationPolicy
-from repro.runtime.codec import WireFormatError, check_join_record
+from repro.runtime.codec import (
+    WireFormatError,
+    check_join_record,
+    check_rm_state,
+    check_roster_entry,
+)
 from repro.runtime.roster import (
     KIND_AGENT,
     KIND_NODE,
@@ -59,6 +64,13 @@ from repro.telemetry.logs import get_logger
 #: directory namespace as node ids.
 AGENT_PREFIX = "roster@"
 
+#: The live runtime hosts one domain.
+DOMAIN_ID = "d0"
+#: Anti-entropy: every period, one page of the roster to this many agents.
+GOSSIP_PERIOD = 1.0
+GOSSIP_FANOUT = 2
+PAGE_SIZE = 100
+
 
 def agent_id_for(shard_id: str) -> str:
     return f"{AGENT_PREFIX}{shard_id}"
@@ -71,26 +83,16 @@ class RosterAgent:
         self,
         shard_id: str,
         directory: PeerDirectory,
-        domain_id: str = "d0",
         expected_nodes: Optional[int] = None,
-        policy: Optional[QualificationPolicy] = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        gossip_period: float = 1.0,
-        gossip_fanout: int = 2,
-        page_size: int = 100,
         rng: Optional[random.Random] = None,
         **transport_kwargs: Any,
     ) -> None:
         self.shard_id = shard_id
         self.node_id = agent_id_for(shard_id)
-        self.domain_id = domain_id
         self.expected_nodes = expected_nodes
-        self.policy = policy or QualificationPolicy()
         self.directory = directory
-        self.gossip_period = gossip_period
-        self.gossip_fanout = gossip_fanout
-        self.page_size = page_size
         self.rng = rng or random.Random()
         self.transport = UdpTransport(
             self.node_id, directory, self._handle, host=host, port=port,
@@ -220,6 +222,7 @@ class RosterAgent:
         }
         self._apply_rm_state(state)
         self._broadcast_entries([])
+        self.log.info("rm %s ready (epoch %d)", self.rm_id, self.rm_epoch)
 
     def tombstone(self, pid: str) -> None:
         """Departure of a member: tombstone it, forget its record (a
@@ -264,7 +267,7 @@ class RosterAgent:
         self.directory.add(pid, rec["host"], rec["port"])
         entry = self.roster.upsert(RosterEntry(
             member_id=pid, host=rec["host"], port=rec["port"],
-            kind=KIND_NODE, shard=rec.get("shard", self.shard_id),
+            kind=KIND_NODE, shard=self.shard_id,
             power=float(rec["power"]), bandwidth=float(rec["bandwidth"]),
             uptime=float(rec["uptime"]),
         ))
@@ -291,10 +294,13 @@ class RosterAgent:
     def _handle_gossip(self, msg: Message) -> None:
         payload = msg.payload
         docs = payload.get("roster")
-        changed = self.roster.merge(docs) if isinstance(docs, list) else []
+        changed = self.roster.merge([
+            doc for doc in (docs if isinstance(docs, list) else [])
+            if self._checked(check_roster_entry, doc, msg.src)
+        ])
         self._sync_directory(changed)
         state = payload.get("rm")
-        if isinstance(state, dict):
+        if state is not None and self._checked(check_rm_state, state, msg.src):
             self._apply_rm_state(state)
         if changed:
             # The final member may reach the coordinator via gossip
@@ -308,12 +314,22 @@ class RosterAgent:
             if not self._pull_future.done():
                 self._pull_future.set_result(pull.get("next"))
 
+    def _checked(self, check: Any, doc: Any, src: str) -> bool:
+        """Gossiped state reaches the roster and the directory every
+        node of this host sends through: drop a malformed piece alone."""
+        try:
+            check(doc)
+        except WireFormatError as exc:
+            self.log.warning("dropped gossip from %s: %s", src, exc)
+            return False
+        return True
+
     def _handle_pull(self, msg: Message) -> None:
         req = msg.payload.get("roster_pull")
         if not isinstance(req, dict):
             return
         cursor = int(req.get("cursor", 0))
-        entries, nxt = self.roster.page(cursor, self.page_size)
+        entries, nxt = self.roster.page(cursor, PAGE_SIZE)
         self._send(protocol.GOSSIP_SUMMARIES, msg.src, {
             "roster": [e.to_wire() for e in entries],
             "rm": self._rm_state(),
@@ -332,7 +348,7 @@ class RosterAgent:
         candidates = [
             (e.member_id, e.power, e.bandwidth, e.uptime) for e in ups
         ]
-        eligible = self.policy.rank(candidates)
+        eligible = QualificationPolicy().rank(candidates)
         if eligible:
             rm_id = eligible[0]
         else:
@@ -407,7 +423,7 @@ class RosterAgent:
         self._send(protocol.JOIN_ACK, pid, {
             "role": role,
             "rm_id": self.rm_id,
-            "domain_id": self.domain_id,
+            "domain_id": DOMAIN_ID,
             "roster": roster_slice,
         })
 
@@ -450,23 +466,20 @@ class RosterAgent:
     async def _gossip_loop(self) -> None:
         """Periodic anti-entropy: a rotating roster page to K agents."""
         while True:
-            await asyncio.sleep(self.gossip_period)
+            await asyncio.sleep(GOSSIP_PERIOD)
             others = self._other_agents()
             if not others:
                 continue
             window, self._gossip_cursor = self.roster.rotation(
-                self._gossip_cursor, self.page_size
+                self._gossip_cursor, PAGE_SIZE
             )
             payload = {
                 "roster": [e.to_wire() for e in window],
                 "rm": self._rm_state(),
             }
-            fanout = min(self.gossip_fanout, len(others))
+            fanout = min(GOSSIP_FANOUT, len(others))
             for aid in self.rng.sample(others, fanout):
                 self._send(protocol.GOSSIP_SUMMARIES, aid, payload)
-
-    def counts(self) -> Dict[str, int]:
-        return self.roster.counts()
 
     def __repr__(self) -> str:
         return (

@@ -20,8 +20,10 @@ service steps, load reports, application tasks).  Decoding reverses the
 tags; any datagram that is not valid UTF-8 JSON, has the wrong version,
 an unknown frame type/tag, ill-typed message fields or an out-of-range
 load report raises :class:`WireFormatError` — the transport drops such
-datagrams.  A ``JOIN_REQUEST`` record is an untagged map, so its
-receivers check it with :func:`check_join_record` instead.
+datagrams.  A ``JOIN_REQUEST`` record and the roster entries and RM
+state a gossip page carries are untagged maps, so their receivers check
+them with :func:`check_join_record`, :func:`check_roster_entry` and
+:func:`check_rm_state` instead.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from repro.media.formats import MediaFormat
 from repro.media.objects import MediaObject
 from repro.monitoring.profiler import LoadReport
 from repro.net.message import Message
+from repro.runtime.roster import KIND_AGENT, KIND_NODE, STATUS_LEFT, STATUS_UP
 from repro.tasks.qos import QoSRequirements
 from repro.tasks.task import ApplicationTask, TaskOutcome, TaskState
 
@@ -208,14 +211,20 @@ def _finite(value: Any, field: str, positive: bool = False) -> None:
 
 def _count(value: Any, field: str) -> None:
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise WireFormatError(
-            f"load_report {field} must be an int >= 0, got {value!r}"
-        )
+        raise WireFormatError(f"{field} must be an int >= 0, got {value!r}")
 
 
 def _string(value: Any, field: str) -> None:
     if not isinstance(value, str):
         raise WireFormatError(f"{field} must be a string, got {value!r}")
+
+
+def _port(value: Any, field: str) -> None:
+    if not (isinstance(value, int) and not isinstance(value, bool)
+            and 1 <= value <= 65535):
+        raise WireFormatError(
+            f"{field} must be an int in 1-65535, got {value!r}"
+        )
 
 
 def _load_report_from_wire(d: Dict[str, Any]) -> LoadReport:
@@ -227,8 +236,8 @@ def _load_report_from_wire(d: Dict[str, Any]) -> LoadReport:
     _finite(report.power, "load_report power", positive=True)
     for name in ("time", "utilization", "load", "bw_used", "queue_work"):
         _finite(getattr(report, name), f"load_report {name}")
-    _count(report.queue_length, "queue_length")
-    _count(report.dependencies, "dependencies")
+    _count(report.queue_length, "load_report queue_length")
+    _count(report.dependencies, "load_report dependencies")
     if not isinstance(report.services, dict):
         raise WireFormatError("load_report services must be a map")
     for service, mean_time in report.services.items():
@@ -259,12 +268,7 @@ def check_join_record(rec: Dict[str, Any]) -> None:
     _string(rec.get("peer_id"), "join peer_id")
     _string(rec.get("host"), "join host")
     _string(rec.get("shard", ""), "join shard")
-    port = rec.get("port")
-    if not (isinstance(port, int) and not isinstance(port, bool)
-            and 1 <= port <= 65535):
-        raise WireFormatError(
-            f"join port must be an int in 1-65535, got {port!r}"
-        )
+    _port(rec.get("port"), "join port")
     _finite(rec.get("power"), "join power", positive=True)
     _finite(rec.get("bandwidth"), "join bandwidth", positive=True)
     _finite(rec.get("uptime"), "join uptime")
@@ -290,6 +294,47 @@ def check_join_record(rec: Dict[str, Any]) -> None:
         _string(edge.get("edge_id", ""), "join edge edge_id")
         _finite(edge.get("work"), "join edge work")
         _finite(edge.get("out_bytes"), "join edge out_bytes")
+
+
+def check_roster_entry(doc: Any) -> None:
+    """Raise :class:`WireFormatError` unless *doc* is a well-formed
+    gossiped roster entry (:meth:`RosterEntry.to_wire`).
+
+    A merged entry lands in the roster and, through it, in the address
+    directory every node of the receiving host sends through, so one
+    bad port there would break their sends.
+    """
+    if not isinstance(doc, dict):
+        raise WireFormatError(f"roster entry must be a map, got {doc!r}")
+    _string(doc.get("id"), "roster id")
+    _string(doc.get("host"), "roster host")
+    _port(doc.get("port"), "roster port")
+    if doc.get("kind", KIND_NODE) not in (KIND_NODE, KIND_AGENT):
+        raise WireFormatError(f"roster kind {doc.get('kind')!r} unknown")
+    if doc.get("status", STATUS_UP) not in (STATUS_UP, STATUS_LEFT):
+        raise WireFormatError(f"roster status {doc.get('status')!r} unknown")
+    shard = doc.get("shard")
+    if shard is not None:
+        _string(shard, "roster shard")
+    for name in ("power", "bandwidth", "uptime"):
+        _finite(doc.get(name, 0.0), f"roster {name}")
+    _count(doc.get("version", 1), "roster version")
+
+
+def check_rm_state(state: Any) -> None:
+    """Raise :class:`WireFormatError` unless *state* is a well-formed
+    gossiped RM state: ``rm_id`` a string (None before the election),
+    ``epoch`` an int >= 0 and ``ready`` a bool."""
+    if not isinstance(state, dict):
+        raise WireFormatError(f"rm state must be a map, got {state!r}")
+    rm_id = state.get("rm_id")
+    if rm_id is not None:
+        _string(rm_id, "rm_id")
+    _count(state.get("epoch", 0), "rm epoch")
+    if not isinstance(state.get("ready", False), bool):
+        raise WireFormatError(
+            f"rm ready must be a bool, got {state.get('ready')!r}"
+        )
 
 
 _register(

@@ -206,7 +206,6 @@ class LiveNode:
         rm_config: Optional[RMConfig] = None,
         on_task_event: Optional[TaskEventFn] = None,
         join_timeout: float = 10.0,
-        join_extra: Optional[Dict[str, Any]] = None,
         on_role: Optional[Callable[["LiveNode"], None]] = None,
         **transport_kwargs: Any,
     ) -> None:
@@ -216,9 +215,6 @@ class LiveNode:
         self.rm_config = rm_config
         self.on_task_event = on_task_event
         self.join_timeout = join_timeout
-        #: Extra keys merged into the JOIN_REQUEST payload (e.g. the
-        #: hosting shard id in the sharded runtime).
-        self.join_extra = dict(join_extra or {})
         #: Called with this node once it has assumed its role (the
         #: RM's host announces ``rm_ready`` from here).
         self.on_role = on_role
@@ -298,7 +294,6 @@ class LiveNode:
 
     def _join_request_payload(self) -> Dict[str, Any]:
         return {
-            **self.join_extra,
             "peer_id": self.node_id,
             "host": self.transport.host,
             "port": self.transport.port,

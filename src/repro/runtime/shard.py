@@ -1,11 +1,11 @@
 """One shard of the multi-process live cluster.
 
 A :class:`ShardHost` is the child-process side of the sharded runtime:
-it runs its own asyncio loop pumping the sim environments of the
-:class:`~repro.runtime.node.LiveNode`\\ s it hosts, one
-:class:`~repro.runtime.agent.RosterAgent` as the shard's membership
-endpoint, a per-shard ``/metrics`` + ``/healthz`` endpoint, and an
-optional flight recorder.  The parent
+its roster agent and nodes run through a
+:class:`~repro.runtime.cluster.LiveCluster` on the shard's own asyncio
+loop, and the host adds a per-shard ``/metrics`` + ``/healthz``
+endpoint, an optional flight recorder, the seed (and respawn-pull) step
+between agent and node start, a task generator, and drain.  The parent
 (:class:`~repro.runtime.supervisor.ClusterSupervisor`) talks to it over
 a :mod:`multiprocessing` pipe:
 
@@ -38,11 +38,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set
 
-from repro.core.manager import RMConfig
-from repro.media.fig1 import build_fig1_graph
-from repro.runtime.agent import RosterAgent
-from repro.runtime.node import LiveNode, NodeSpec
-from repro.runtime.transport import PeerDirectory
+from repro.runtime.cluster import LiveCluster, LiveClusterConfig
+from repro.runtime.node import NodeSpec
 from repro.tasks.task import ApplicationTask
 from repro.telemetry.export import TRACE_FORMAT_VERSION
 from repro.telemetry.logs import get_logger
@@ -54,6 +51,15 @@ from repro.telemetry.ship import TraceShipper
 _TRACE_KEEP = 2000
 _TRACE_HIGH = 2 * _TRACE_KEEP
 
+#: Seconds between heartbeats up the pipe.
+HEARTBEAT_PERIOD = 1.0
+#: Wall profiler sampling period when ``observe`` is on.
+PROFILER_PERIOD = 0.05
+#: RPC timeout of a generated task's submit.
+TASK_TIMEOUT = 15.0
+#: How long a drain waits for locally-originated in-flight tasks.
+DRAIN_GRACE = 15.0
+
 
 @dataclass
 class ShardConfig:
@@ -63,15 +69,8 @@ class ShardConfig:
     specs: List[NodeSpec]
     #: Cluster-wide population the §4.1 election waits for.
     expected_nodes: int
-    domain_id: str = "d0"
-    host: str = "127.0.0.1"
-    rm_config: Optional[RMConfig] = None
-    join_timeout: float = 30.0
-    gossip_period: float = 1.0
-    heartbeat_period: float = 1.0
-    #: Serve per-shard /metrics + /healthz (port 0 = ephemeral).
-    telemetry: bool = True
-    metrics_port: int = 0
+    #: Host, join timeout, RM config, transport shims (not population).
+    cluster: LiveClusterConfig = field(default_factory=LiveClusterConfig)
     #: Directory for flight-recorder bundles (None = no recorder).
     record_dir: Optional[str] = None
     #: Join the cluster observability plane: ship spans/events up the
@@ -79,19 +78,14 @@ class ShardConfig:
     #: model) + overhead budgeter, report health payloads in the
     #: heartbeat, and answer correlated snapshot requests.
     observe: bool = False
-    #: Wall profiler sampling period when ``observe`` is on.
-    profiler_period: float = 0.05
     #: Tasks/s this shard originates (0 = driven by ``submit`` messages).
     task_rate: float = 0.0
     task_deadline: float = 20.0
-    task_timeout: float = 15.0
-    drain_grace: float = 15.0
     #: True when the supervisor respawned this shard after a crash: the
     #: agent pulls the roster from its seeds before nodes re-join under
     #: their old ids.
     respawn: bool = False
     seed: Optional[int] = None
-    transport_kwargs: Dict[str, Any] = field(default_factory=dict)
 
 
 class ShardHost:
@@ -100,12 +94,18 @@ class ShardHost:
     def __init__(self, cfg: ShardConfig, conn: Any) -> None:
         self.cfg = cfg
         self.conn = conn
-        self.directory = PeerDirectory()
-        self.agent: Optional[RosterAgent] = None
-        self.nodes: Dict[str, LiveNode] = {}
-        #: Telemetry handle, /metrics server, flight recorder and wall
-        #: profiler of this shard (empty until ``_startup``).
-        self.obs = Observation.wall()
+        self._rng = random.Random(cfg.seed)
+        self.cluster = LiveCluster(
+            cfg.cluster, cfg.specs, shard_id=cfg.shard_id,
+            expected_nodes=cfg.expected_nodes, rng=self._rng,
+            on_task_event=self._on_task_event,
+        )
+        #: Telemetry handle, /metrics server (ephemeral port), flight
+        #: recorder and wall profiler of this shard (opened at startup).
+        self.obs = Observation.wall(
+            metrics_port=0, host=cfg.cluster.host, record_dir=cfg.record_dir,
+            profile=cfg.observe, rate=PROFILER_PERIOD,
+        )
         self.shipper: Optional[TraceShipper] = None
         self._epoch_unix: Optional[float] = None
         self.draining = False
@@ -118,10 +118,7 @@ class ShardHost:
         #: (cleared by the supervisor's ``task_done`` relays).
         self._inflight: Set[str] = set()
         self.submitted = 0
-        self.accepted = 0
         self._tasks: List[asyncio.Task] = []
-        self._rng = random.Random(cfg.seed)
-        self._goal = build_fig1_graph().v_sol
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self.log = get_logger("runtime.shard", cfg.shard_id)
 
@@ -158,43 +155,25 @@ class ShardHost:
     # -- startup -----------------------------------------------------------
     async def _startup(self) -> None:
         cfg = self.cfg
-        if cfg.telemetry:
-            self.obs = Observation.wall(
-                metrics_port=cfg.metrics_port, host=cfg.host,
-                record_dir=cfg.record_dir,
-                profile=cfg.observe, rate=cfg.profiler_period,
-            ).open()
-            # Unix time of the wall clock's zero point: the cluster
-            # merge aligns per-shard timestamps with this.
-            self._epoch_unix = time.time()
-            self.obs.start(
-                metrics_fn=self._metrics_text, health_fn=self._health
+        self.obs.open()
+        # Unix time of the wall clock's zero point: the cluster merge
+        # aligns per-shard timestamps with this.
+        self._epoch_unix = time.time()
+        self.obs.start(metrics_fn=self._metrics_text, health_fn=self._health)
+        if cfg.observe:
+            self.shipper = TraceShipper(
+                self.obs.tel.tracer, shard=cfg.shard_id
             )
-            if cfg.observe:
-                self.shipper = TraceShipper(
-                    self.obs.tel.tracer, shard=cfg.shard_id
-                )
-                if self.obs.recorder is not None:
-                    self.obs.recorder.on_dump = self._on_flight_dump
-        self.agent = RosterAgent(
-            cfg.shard_id, self.directory,
-            domain_id=cfg.domain_id,
-            expected_nodes=cfg.expected_nodes,
-            host=cfg.host,
-            gossip_period=cfg.gossip_period,
-            rng=self._rng,
-            **cfg.transport_kwargs,
-        )
-        await self.agent.start()
+            if self.obs.recorder is not None:
+                self.obs.recorder.on_dump = self._on_flight_dump
+        agent = await self.cluster.agent.start()
         self._tasks.append(self._loop.create_task(
             self._pipe_loop(), name=f"pipe:{cfg.shard_id}"
         ))
         self._send({
             "type": "ready", "shard": cfg.shard_id, "pid": os.getpid(),
-            "agent_port": self.agent.transport.port,
-            "metrics_port": (
-                self.obs.httpd.port if self.obs.httpd else None
-            ),
+            "agent_port": agent.transport.port,
+            "metrics_port": self.obs.httpd.port,
             "nodes": [s.node_id for s in cfg.specs],
         })
         # Heartbeats flow from the moment the agent is up — the
@@ -202,55 +181,32 @@ class ShardHost:
         self._tasks.append(self._loop.create_task(
             self._heartbeat_loop(), name=f"hb:{cfg.shard_id}"
         ))
-        await asyncio.wait_for(
-            self._seeds_event.wait(), cfg.join_timeout
-        )
+        join_timeout = cfg.cluster.join_timeout
+        await asyncio.wait_for(self._seeds_event.wait(), join_timeout)
         assert self._seeds is not None
-        self.agent.add_seed_agents({
+        agent.add_seed_agents({
             aid: (host, int(port))
             for aid, (host, port) in self._seeds.items()
         })
         if cfg.respawn:
-            pulled = await self.agent.pull_roster(timeout=cfg.join_timeout)
+            pulled = await agent.pull_roster(timeout=join_timeout)
             self.log.info("respawn roster pull: ok=%s", pulled)
-        for spec in cfg.specs:
-            self.nodes[spec.node_id] = LiveNode(
-                spec, self.directory, self.agent.node_id,
-                host=cfg.host,
-                rm_config=cfg.rm_config,
-                on_task_event=self._on_task_event,
-                join_timeout=cfg.join_timeout,
-                join_extra={"shard": cfg.shard_id},
-                on_role=self._on_role,
-                **cfg.transport_kwargs,
-            )
-        await asyncio.gather(*(n.start() for n in self.nodes.values()))
+        await self.cluster.start_nodes()
         self.log.info(
-            "all %d nodes joined (rm=%s)", len(self.nodes), self.agent.rm_id
+            "all %d nodes joined (rm=%s)", len(cfg.specs), agent.rm_id
         )
         self._ready.set()
         if cfg.task_rate > 0:
             self._tasks.append(self._loop.create_task(
                 self._task_loop(), name=f"tasks:{cfg.shard_id}"
             ))
-        if self.obs.tel is not None:
-            self._tasks.append(self._loop.create_task(
-                self._trim_loop(), name=f"trim:{cfg.shard_id}"
-            ))
+        self._tasks.append(self._loop.create_task(
+            self._trim_loop(), name=f"trim:{cfg.shard_id}"
+        ))
         if self.shipper is not None:
             self._tasks.append(self._loop.create_task(
                 self._ship_loop(), name=f"ship:{cfg.shard_id}"
             ))
-
-    def _on_role(self, node: LiveNode) -> None:
-        """Node callback: this shard hosts the elected RM and it has
-        assumed the role — announce rm_ready on a new epoch."""
-        if node.role == "rm":
-            assert self.agent is not None
-            self.agent.announce_rm_ready()
-            self.log.info(
-                "rm %s ready (epoch %d)", node.node_id, self.agent.rm_epoch
-            )
 
     # -- control pipe ------------------------------------------------------
     async def _pipe_loop(self) -> None:
@@ -292,7 +248,6 @@ class ShardHost:
 
     # -- task generation ---------------------------------------------------
     async def _task_loop(self) -> None:
-        await self._ready.wait()
         interval = 1.0 / self.cfg.task_rate
         while not self.draining:
             await asyncio.sleep(self._rng.uniform(0.5, 1.5) * interval)
@@ -301,39 +256,38 @@ class ShardHost:
             asyncio.ensure_future(self._submit_one())
 
     async def _submit_one(self) -> None:
-        origins = [n for n in self.nodes.values() if n.role == "peer"]
+        origins = self.cluster.peers()
         if not origins or self.draining:
             return
-        node = self._rng.choice(origins)
+        origin = self._rng.choice(origins).node_id
         self.submitted += 1
         try:
-            ack = await asyncio.wait_for(
-                node.submit_task(
-                    "movie", self._goal, self.cfg.task_deadline,
-                    timeout=self.cfg.task_timeout,
+            payload = await asyncio.wait_for(
+                self.cluster.submit(
+                    origin, deadline=self.cfg.task_deadline,
+                    timeout=TASK_TIMEOUT,
                 ),
-                self.cfg.task_timeout + 2.0,
+                TASK_TIMEOUT + 2.0,
             )
         except Exception:
             self._send({
                 "type": "submit_failed", "shard": self.cfg.shard_id,
-                "origin": node.node_id,
+                "origin": origin,
             })
             return
-        payload = ack.payload
         tid = payload.get("task_id")
         disposition = payload.get("disposition")
         if disposition == "accepted" and tid:
-            self.accepted += 1
             self._inflight.add(tid)
         self._send({
             "type": "submitted", "shard": self.cfg.shard_id,
             "tid": tid, "disposition": disposition,
-            "origin": node.node_id,
+            "origin": origin,
         })
 
     def _on_task_event(self, task: ApplicationTask, event: str) -> None:
-        """RM-side lifecycle stream (only fires on the RM's shard)."""
+        """Relay of the RM-side lifecycle stream the cluster records
+        (only fires on the RM's shard)."""
         self._send({
             "type": "task", "shard": self.cfg.shard_id,
             "ev": event, "tid": task.task_id,
@@ -372,20 +326,12 @@ class ShardHost:
 
     # -- periodic loops ----------------------------------------------------
     async def _heartbeat_loop(self) -> None:
-        assert self.agent is not None
         while True:
-            await asyncio.sleep(self.cfg.heartbeat_period)
+            await asyncio.sleep(HEARTBEAT_PERIOD)
             msg = {
-                "type": "hb", "shard": self.cfg.shard_id,
-                "joined": self._joined(),
-                "nodes": len(self.nodes),
-                "rm_id": self.agent.rm_id,
-                "rm_ready": self.agent.rm_ready,
-                "roster": self.agent.counts(),
-                "inflight": len(self._inflight),
+                "type": "hb", **self._health(),
+                "roster": self.cluster.agent.roster.counts(),
                 "submitted": self.submitted,
-                "accepted": self.accepted,
-                "draining": self.draining,
             }
             if self.cfg.observe:
                 msg["health"] = self._health_payload()
@@ -399,7 +345,7 @@ class ShardHost:
         finished: Dict[str, int] = {}
         missed: Dict[str, int] = {}
         rm = {"admitted": 0.0, "rejected": 0.0, "redirected_out": 0.0}
-        for live in self.nodes.values():
+        for live in self.cluster.nodes.values():
             sig = live.health_signal()
             if sig.get("load") is not None:
                 loads.append(sig["load"])
@@ -424,7 +370,6 @@ class ShardHost:
         }
 
     def _trace_meta(self) -> Dict[str, Any]:
-        assert self.obs.tel is not None
         return {
             "version": TRACE_FORMAT_VERSION,
             "shard": self.cfg.shard_id,
@@ -434,15 +379,18 @@ class ShardHost:
 
     async def _ship_loop(self) -> None:
         """Flush new spans/events up the pipe (cluster trace stream)."""
-        assert self.shipper is not None
         while True:
             await asyncio.sleep(1.0)
-            records = self.shipper.collect(limit=4000)
-            if records:
-                self._send({
-                    "type": "trace", "shard": self.cfg.shard_id,
-                    "meta": self._trace_meta(), "records": records,
-                })
+            self._ship(limit=4000)
+
+    def _ship(self, limit: Optional[int] = None) -> None:
+        assert self.shipper is not None
+        records = self.shipper.collect(limit=limit)
+        if records:
+            self._send({
+                "type": "trace", "shard": self.cfg.shard_id,
+                "meta": self._trace_meta(), "records": records,
+            })
 
     async def _trim_loop(self) -> None:
         """Bound tracer history: a soak would otherwise grow it forever
@@ -450,7 +398,6 @@ class ShardHost:
         it cares about).  With a shipper attached the trim goes through
         it — only records already flushed to the export stream are
         dropped, closing the burst-loss window the bare ``del`` had."""
-        assert self.obs.tel is not None
         tracer = self.obs.tel.tracer
         while True:
             await asyncio.sleep(5.0)
@@ -463,13 +410,14 @@ class ShardHost:
                 del tracer.events[:-_TRACE_KEEP]
 
     def _joined(self) -> int:
-        return sum(1 for n in self.nodes.values() if n.node is not None)
+        return sum(
+            1 for n in self.cluster.nodes.values() if n.node is not None
+        )
 
     # -- observability -----------------------------------------------------
     def _metrics_text(self) -> str:
-        assert self.obs.tel is not None
         m = self.obs.tel.metrics
-        agent = self.agent
+        agent = self.cluster.agent
         m.gauge(
             "repro_shard_nodes_joined",
             help="Nodes of this shard that have assumed a role",
@@ -482,33 +430,32 @@ class ShardHost:
             "repro_shard_tasks_submitted_total",
             help="Tasks originated by this shard",
         ).value = float(self.submitted)
-        if agent is not None:
-            counts = agent.counts()
-            m.gauge(
-                "repro_shard_rm_ready",
-                help="1 once the elected RM has assumed its role",
-            ).set(1.0 if agent.rm_ready else 0.0)
-            m.gauge(
-                "repro_shard_roster_nodes_up",
-                help="Live nodes in this shard's roster replica",
-            ).set(float(counts["nodes_up"]))
-            m.gauge(
-                "repro_shard_roster_agents_up",
-                help="Live agents in this shard's roster replica",
-            ).set(float(counts["agents_up"]))
+        counts = agent.roster.counts()
+        m.gauge(
+            "repro_shard_rm_ready",
+            help="1 once the elected RM has assumed its role",
+        ).set(1.0 if agent.rm_ready else 0.0)
+        m.gauge(
+            "repro_shard_roster_nodes_up",
+            help="Live nodes in this shard's roster replica",
+        ).set(float(counts["nodes_up"]))
+        m.gauge(
+            "repro_shard_roster_agents_up",
+            help="Live agents in this shard's roster replica",
+        ).set(float(counts["agents_up"]))
         if self.obs.session is not None:
             self.obs.session.budgeter.publish(m)
         return m.to_prometheus_text()
 
     def _health(self) -> Dict[str, Any]:
-        agent = self.agent
+        agent = self.cluster.agent
         return {
             "status": "draining" if self.draining else "ok",
             "shard": self.cfg.shard_id,
             "joined": self._joined(),
-            "nodes": len(self.nodes),
-            "rm_id": agent.rm_id if agent else None,
-            "rm_ready": bool(agent.rm_ready) if agent else False,
+            "nodes": len(self.cluster.nodes),
+            "rm_id": agent.rm_id,
+            "rm_ready": agent.rm_ready,
             "inflight": len(self._inflight),
         }
 
@@ -516,28 +463,29 @@ class ShardHost:
     async def _drain(self) -> bool:
         """The graceful path; returns True if no in-flight task was
         abandoned within the grace window."""
-        assert self._loop is not None and self.agent is not None
+        agent = self.cluster.agent
+        assert self._loop is not None
         self.draining = True
-        self.agent.begin_drain()
+        agent.begin_drain()
         self.log.info(
             "draining: %d in-flight tasks, %d nodes",
-            len(self._inflight), len(self.nodes),
+            len(self._inflight), len(self.cluster.nodes),
         )
-        deadline = self._loop.time() + self.cfg.drain_grace
+        deadline = self._loop.time() + DRAIN_GRACE
         while self._inflight and self._loop.time() < deadline:
             await asyncio.sleep(0.05)
         clean = not self._inflight
         # Peers leave through the ordinary departure protocol: the RM
         # reassigns their in-progress sessions (§4.5).  A hosted RM has
         # no graceful successor — it goes down with the shard.
-        for node in self.nodes.values():
+        for node in self.cluster.nodes.values():
             if node.role == "rm":
                 continue
             try:
                 await asyncio.wait_for(node.leave(), 5.0)
             except Exception:
                 clean = False
-            self.agent.tombstone(node.node_id)
+            agent.tombstone(node.node_id)
         return clean
 
     def _final_flush(self) -> None:
@@ -545,12 +493,7 @@ class ShardHost:
         before announcing ``drained`` (the supervisor consumes the pipe
         in order, so these land before it stops listening)."""
         if self.shipper is not None:
-            records = self.shipper.collect()
-            if records:
-                self._send({
-                    "type": "trace", "shard": self.cfg.shard_id,
-                    "meta": self._trace_meta(), "records": records,
-                })
+            self._ship()
         profile = self.obs.session
         if profile is not None:
             self.obs.stop()
@@ -568,14 +511,10 @@ class ShardHost:
             task.cancel()
         if self._tasks:
             await asyncio.gather(*self._tasks, return_exceptions=True)
-        await asyncio.gather(
-            *(n.stop() for n in self.nodes.values()), return_exceptions=True
-        )
-        if self.agent is not None:
-            try:
-                await self.agent.close(graceful=not crash)
-            except Exception:
-                pass
+        try:
+            await self.cluster.stop(graceful=not crash)
+        except Exception:
+            pass
         self.obs.close()
         try:
             self.conn.close()

@@ -33,8 +33,11 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.core.manager import RMConfig
-from repro.media.fig1 import build_fig1_graph
-from repro.media.objects import MediaObject
+from repro.runtime.cluster import (
+    LiveClusterConfig,
+    fig1_catalogue,
+    rm_candidate,
+)
 from repro.runtime.node import NodeSpec
 from repro.runtime.shard import ShardConfig
 from repro.runtime.supervisor import ClusterSupervisor, partition_specs
@@ -61,7 +64,6 @@ class SoakConfig:
     observe_dir: Optional[str] = None
     seed: int = 7
     profiler_update_period: float = 5.0
-    gossip_period: float = 1.0
     object_duration_s: float = 1.0
     join_timeout: float = 60.0
     settle_grace: float = 60.0
@@ -71,29 +73,15 @@ def soak_specs(cfg: SoakConfig) -> List[NodeSpec]:
     """The soak population: a well-provisioned RM candidate plus
     uniform peers all hosting the Figure-1 edge set (so any peer can
     take over any reassigned session) and the source object."""
-    scenario = build_fig1_graph(duration_s=60.0)  # canonical calibration
-    edges = [
-        {
-            "src": e.src, "dst": e.dst, "service_id": e.service_id,
-            "work": e.work, "out_bytes": e.out_bytes, "edge_id": e.edge_id,
-        }
-        for e in scenario.graph.edges()
-    ]
-    movie = MediaObject(
-        "movie", scenario.source_object.fmt,
-        duration_s=cfg.object_duration_s,
-    )
-    specs = [NodeSpec(
-        node_id="M0", power=50.0, bandwidth=1.0e7, uptime=1.0,
-        profiler_update_period=cfg.profiler_update_period,
-    )]
+    edges, movie = fig1_catalogue(cfg.object_duration_s)
+    specs = [rm_candidate(cfg.profiler_update_period)]
     for i in range(cfg.peers):
         pid = f"P{i + 1}"
         # Edge ids must be unique per hosted instance: every peer
         # carries the full edge set so any session can be reassigned
         # anywhere (§4.5), so qualify the id with the host.
         hosted = [
-            {**e, "edge_id": f"{e['edge_id']}@{pid}"} for e in edges
+            {**e, "edge_id": f"{e['edge_id']}@{pid}"} for _, e in edges
         ]
         specs.append(NodeSpec(
             node_id=pid,
@@ -108,9 +96,13 @@ def soak_specs(cfg: SoakConfig) -> List[NodeSpec]:
 def soak_shard_configs(cfg: SoakConfig) -> List[ShardConfig]:
     specs = soak_specs(cfg)
     buckets = partition_specs(specs, cfg.shards)
-    rm_config = RMConfig(
-        max_peers=cfg.peers + 8,
-        expected_update_period=cfg.profiler_update_period,
+    cluster = LiveClusterConfig(
+        host=cfg.host,
+        join_timeout=cfg.join_timeout,
+        rm_config=RMConfig(
+            max_peers=cfg.peers + 8,
+            expected_update_period=cfg.profiler_update_period,
+        ),
     )
     out: List[ShardConfig] = []
     for i, bucket in enumerate(buckets):
@@ -122,10 +114,7 @@ def soak_shard_configs(cfg: SoakConfig) -> List[ShardConfig]:
             shard_id=sid,
             specs=bucket,
             expected_nodes=len(specs),
-            host=cfg.host,
-            rm_config=rm_config,
-            join_timeout=cfg.join_timeout,
-            gossip_period=cfg.gossip_period,
+            cluster=cluster,
             record_dir=record_dir,
             observe=cfg.observe_dir is not None,
             task_rate=cfg.task_rate / len(buckets),

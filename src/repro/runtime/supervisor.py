@@ -42,6 +42,13 @@ from repro.telemetry.httpd import TelemetryHTTPServer
 from repro.telemetry.logs import get_logger
 
 
+#: Respawn backoff after a crash: 0.5 s · 2^restarts, capped at 8 s; a
+#: shard that crashed this many times stays down.
+RESPAWN_BACKOFF = 0.5
+RESPAWN_BACKOFF_MAX = 8.0
+MAX_RESTARTS = 5
+
+
 def partition_specs(
     specs: List[NodeSpec], n_shards: int
 ) -> List[List[NodeSpec]]:
@@ -200,20 +207,12 @@ class ClusterSupervisor:
         configs: List[ShardConfig],
         serve_metrics: bool = True,
         metrics_port: int = 0,
-        respawn: bool = True,
-        respawn_backoff: float = 0.5,
-        respawn_backoff_max: float = 8.0,
-        max_restarts: int = 5,
         start_timeout: float = 60.0,
         observe_dir: Optional[str] = None,
     ) -> None:
         if not configs:
             raise ValueError("need at least one shard config")
         self.configs = {cfg.shard_id: cfg for cfg in configs}
-        self.respawn = respawn
-        self.respawn_backoff = respawn_backoff
-        self.respawn_backoff_max = respawn_backoff_max
-        self.max_restarts = max_restarts
         self.start_timeout = start_timeout
         self.ledger = TaskLedger()
         self.shards: Dict[str, _Shard] = {}
@@ -230,7 +229,7 @@ class ClusterSupervisor:
         if serve_metrics:
             self.httpd = TelemetryHTTPServer(
                 self.metrics_text, health_fn=self.status,
-                host=configs[0].host, port=metrics_port,
+                host=configs[0].cluster.host, port=metrics_port,
             )
         self._submit_rr = 0
         #: The cluster observability plane (None unless *observe_dir*).
@@ -315,7 +314,7 @@ class ClusterSupervisor:
 
     def _agents_map(self) -> Dict[str, Tuple[str, int]]:
         return {
-            agent_id_for(sid): (sh.cfg.host, sh.agent_port)
+            agent_id_for(sid): (sh.cfg.cluster.host, sh.agent_port)
             for sid, sh in self.shards.items()
             if sh.agent_port is not None
         }
@@ -538,9 +537,9 @@ class ClusterSupervisor:
             "shard %s exited (code %s) without draining",
             sid, sh.proc.exitcode,
         )
-        if not self.respawn or self._closing:
+        if self._closing:
             return
-        if sh.restarts >= self.max_restarts:
+        if sh.restarts >= MAX_RESTARTS:
             sh.status = "failed"
             self.log.warning("shard %s exceeded restart budget", sid)
             return
@@ -551,11 +550,9 @@ class ClusterSupervisor:
 
     async def _respawn(self, sid: str) -> None:
         sh = self.shards[sid]
-        backoff = min(
-            self.respawn_backoff * (2 ** sh.restarts),
-            self.respawn_backoff_max,
+        await asyncio.sleep(
+            min(RESPAWN_BACKOFF * 2 ** sh.restarts, RESPAWN_BACKOFF_MAX)
         )
-        await asyncio.sleep(backoff)
         if self._closing:
             return
         new = self._spawn(sid, respawn=True)
@@ -766,7 +763,7 @@ class ClusterSupervisor:
         for sh in list(self.shards.values()):
             if sh.metrics_port is None:
                 continue
-            url = f"http://{sh.cfg.host}:{sh.metrics_port}/metrics"
+            url = f"http://{sh.cfg.cluster.host}:{sh.metrics_port}/metrics"
             try:
                 with urllib.request.urlopen(url, timeout=1.0) as resp:
                     texts.append(resp.read().decode("utf-8"))

@@ -92,6 +92,17 @@ class TestFailedRun:
         assert "clock=wall" in capsys.readouterr().out
 
 
+def test_sharded_run_completes_its_tasks(capsys):
+    """``--shards``: the domain hosted by two supervised shard
+    processes serves every task it is given."""
+    assert main([
+        "--peers", "4", "--shards", "2", "--tasks", "2", "--json",
+    ]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["tasks"]["submit_acks"] == 2
+    assert report["tasks"]["open"] == 0
+
+
 class TestValidation:
     @pytest.mark.parametrize("argv,needle", [
         (["--sample", "0.1"], "--sample requires --trace"),

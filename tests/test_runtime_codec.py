@@ -26,6 +26,8 @@ from repro.runtime.codec import (
     WIRE_VERSION,
     WireFormatError,
     check_join_record,
+    check_rm_state,
+    check_roster_entry,
     decode_frame,
     encode_ack,
     encode_message,
@@ -344,3 +346,48 @@ def test_hostile_join_record_fields_rejected(fields):
     rec = dict(PAYLOADS[protocol.JOIN_REQUEST](), **fields)
     with pytest.raises(WireFormatError):
         check_join_record(rec)
+
+
+# -- gossip validation --------------------------------------------------------
+
+def test_shipped_roster_entries_and_rm_states_are_well_formed():
+    from repro.runtime.roster import RosterEntry
+
+    check_roster_entry(RosterEntry("P1", "127.0.0.1", 40001).to_wire())
+    check_roster_entry({"id": "roster@s1", "host": "127.0.0.1",
+                        "port": 40002, "kind": "agent", "shard": "s1",
+                        "status": "left", "version": 3})
+    check_rm_state({"rm_id": None, "ready": False, "epoch": 0})
+    check_rm_state({"rm_id": "M0", "ready": True, "epoch": 2})
+
+
+@pytest.mark.parametrize("fields", [
+    {"id": 7},                             # raised in ring_position
+    {"host": 5},
+    {"port": 99999},                       # redirected every node's sends
+    {"port": "40001"},
+    {"kind": "rm"},
+    {"status": "gone"},
+    {"shard": 3},
+    {"power": "10"},
+    {"uptime": float("nan")},
+    {"version": "99"},
+    {"version": -1},
+])
+def test_hostile_roster_entry_fields_rejected(fields):
+    doc = {"id": "M0", "host": "127.0.0.1", "port": 40001, **fields}
+    with pytest.raises(WireFormatError):
+        check_roster_entry(doc)
+
+
+@pytest.mark.parametrize("state", [
+    ["M0", True, 2],
+    {"rm_id": 5, "ready": True, "epoch": 2},
+    {"rm_id": "M0", "ready": "yes", "epoch": 2},
+    {"rm_id": "M0", "ready": True, "epoch": "2"},
+    {"rm_id": "M0", "ready": True, "epoch": True},
+    {"rm_id": "M0", "ready": True, "epoch": -1},
+])
+def test_hostile_rm_states_rejected(state):
+    with pytest.raises(WireFormatError):
+        check_rm_state(state)

@@ -345,6 +345,55 @@ def test_hostile_join_records_are_dropped(entry):
     run(main())
 
 
+def test_forged_gossip_page_cannot_redirect_the_domain():
+    """Regression: gossiped roster entries and RM state merged as given.
+    One entry naming ``M0`` at a higher version with port 99999 was
+    written into the directory every node of the host sends through;
+    the next send to the RM raised inside asyncio, which closed that
+    node's socket.  A non-string id raised inside the datagram callback.
+    Now each bad piece is dropped alone: the valid entry on the same
+    page still merges, a task completes, and a late joiner is admitted."""
+    async def main():
+        async with LiveCluster(LiveClusterConfig(object_duration_s=0.2)) as c:
+            rm = c.rm_node
+            raw = await UdpTransport("X", c.directory, lambda msg: None).start()
+            entry = {"host": "127.0.0.1", "port": raw.port, "version": 99}
+            try:
+                raw.send(Message(
+                    kind=protocol.GOSSIP_SUMMARIES, src="X",
+                    dst=c.agent.node_id,
+                    payload={
+                        "roster": [
+                            dict(entry, id=7),
+                            dict(entry, id="M0", port=99999),
+                            dict(entry, id="P4", host=5),
+                            dict(entry, id="P1", version="99"),
+                            dict(entry, id="Xgood", version=1),
+                        ],
+                        "rm": {"rm_id": "P2", "ready": "yes", "epoch": 99},
+                    },
+                    size=protocol.size_of(protocol.GOSSIP_SUMMARIES),
+                    msg_id=next(raw.ids.msg),
+                ))
+                await raw.flush()
+                assert c.agent.roster.get("Xgood") is not None
+                assert c.directory.address("M0") == (
+                    rm.transport.host, rm.transport.port
+                )
+                assert (c.agent.rm_id, c.agent.rm_epoch) == ("M0", 2)
+                ack = await c.submit("P4", timeout=10.0)
+                assert ack["disposition"] == "accepted", ack
+                await c.wait_task_event(
+                    ack["task_id"], "completed", timeout=10.0
+                )
+                await c.add_peer(NodeSpec(node_id="P9", power=8.0))
+                await asyncio.wait_for(rm.admitted(5), 5.0)
+                assert rm.node.info.has_peer("P9")
+            finally:
+                await raw.aclose()
+    run(main())
+
+
 # -- watcher bookkeeping (no sockets) ---------------------------------------
 
 class _StubTask:

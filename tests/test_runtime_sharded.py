@@ -155,15 +155,16 @@ def test_rm_ready_handoff_is_a_callback_not_a_polling_task():
         parent, child = multiprocessing.Pipe()
         cfg = ShardConfig(
             shard_id="s0", specs=fig1_specs(LiveClusterConfig()),
-            expected_nodes=5, telemetry=False, join_timeout=10.0,
+            expected_nodes=5,
         )
         host = ShardHost(cfg, child)
         runner = asyncio.ensure_future(host.run())
         parent.send({"type": "seeds", "agents": {}})
         await asyncio.wait_for(host._ready.wait(), 15.0)
-        assert host.agent.rm_id == "M0" and host.agent.rm_ready
-        assert host.agent.rm_epoch == 2  # elected = 1, assumed = 2
-        rm = host.nodes["M0"]
+        agent = host.cluster.agent
+        assert agent.rm_id == "M0" and agent.rm_ready
+        assert agent.rm_epoch == 2  # elected = 1, assumed = 2
+        rm = host.cluster.nodes["M0"]
         assert rm.role == "rm"
         # The held records were forwarded with the announcement.
         await asyncio.wait_for(rm.admitted(4), 5.0)
