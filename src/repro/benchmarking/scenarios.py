@@ -2,7 +2,8 @@
 
 Each one isolates a hot path — the event kernel, network send, mailbox
 traffic, the periodic plane and the RM's allocation search; for the
-live runtime, a loopback UDP round trip and the clock pump — so that a
+live runtime, a loopback UDP round trip, the clock pump and the wire
+codec — so that a
 change seen end to end (``python3 -m benchmarks.e2e``, the judge) can
 be attributed to a layer.  The simulated micros are deterministic:
 fixed seeds, no wall-clock dependence inside the simulated world.
@@ -208,6 +209,76 @@ def _micro_pump_tick(n_timeouts: int) -> Callable:
     return fn
 
 
+def _micro_codec(n_rounds: int) -> Callable:
+    """``encode_message`` + ``decode_frame`` over one fixed corpus shaped
+    like the live domain's traffic: a 4-step COMPOSE, STREAM, STEP_DONE,
+    TASK_REQUEST, LOAD_UPDATE, and an ack (``encode_ack``), *n_rounds*
+    times each.  The work unit is messages, so ``events_per_sec`` reads
+    messages/s; ``metrics["us_per_message"]`` is encode + decode per
+    kind, in µs."""
+    from time import perf_counter
+
+    from repro.core import protocol
+    from repro.core.session import ComposeOrder
+    from repro.graphs.service_graph import ServiceStep
+    from repro.media.fig1 import V1, V2, V3, V4, V5
+    from repro.monitoring.profiler import LoadReport
+    from repro.net.message import Message
+    from repro.runtime.codec import decode_frame, encode_ack, encode_message
+
+    task_id = "t281474976710657"
+    chain = [V1, V2, V4, V5, V3]
+    order = ComposeOrder(
+        task_id=task_id, rm_id="M0", source_peer="P1a", sink_peer="P4b",
+        steps=[
+            ServiceStep(i, f"T-e{i + 1}", f"P{i % 3 + 1}a", 48.0, 1.2e6,
+                        src, dst, edge_id=f"e{i + 1}a")
+            for i, (src, dst) in enumerate(zip(chain, chain[1:]))
+        ],
+        abs_deadline=61.25, importance=1.0, in_bytes=3.84e6,
+    )
+    payloads = {
+        protocol.COMPOSE: {"order": order},
+        protocol.STREAM: {"task_id": task_id, "step_index": 1, "epoch": 0,
+                          "from": "P1a"},
+        protocol.STEP_DONE: {"task_id": task_id, "step_index": 0,
+                             "peer_id": "P1a", "epoch": 0, "started": 41.25,
+                             "finished": 41.5},
+        protocol.TASK_REQUEST: {"name": "movie", "goal_state": V3,
+                                "deadline": 20.0, "importance": 1.0,
+                                "origin": "P4b"},
+        protocol.LOAD_UPDATE: {"report": LoadReport(
+            peer_id="P2a", time=42.0, power=10.0, utilization=0.4, load=4.0,
+            bw_used=2.0e5, queue_work=7.5, queue_length=3,
+            services={"T-e2": 0.3}, dependencies=2,
+        )},
+    }
+    messages = [
+        Message(kind=kind, src="M0", dst="P1a", payload=payload,
+                size=protocol.size_of(kind), msg_id=4096 + i, sent_at=41.0,
+                trace_id=f"task:{task_id}")
+        for i, (kind, payload) in enumerate(payloads.items())
+    ]
+    for msg in messages:
+        assert decode_frame(encode_message(msg))["msg"] == msg
+
+    def fn() -> Dict[str, Any]:
+        us: Dict[str, float] = {}
+        for msg in messages:
+            start = perf_counter()
+            for _ in range(n_rounds):
+                decode_frame(encode_message(msg))
+            us[msg.kind] = (perf_counter() - start) * 1e6 / n_rounds
+        start = perf_counter()
+        for i in range(n_rounds):
+            decode_frame(encode_ack("P1a", i))
+        us["ack"] = (perf_counter() - start) * 1e6 / n_rounds
+        return {"events": n_rounds * len(us),
+                "metrics": {"us_per_message": us}}
+
+    return fn
+
+
 def _micro_allocate(n_allocations: int, warmup: float = 20.0) -> Callable:
     """``Allocator.allocate`` (Fig-3 search + estimate + fairness) on
     the largest domain — 64 peers — of the ``sim_dense`` population of
@@ -325,6 +396,11 @@ BENCHES: List[BenchSpec] = [
         name="micro_allocate", make=_micro_allocate,
         params={"n_allocations": 8_000},
         quick_params={"n_allocations": 2_000},
+    ),
+    BenchSpec(
+        name="micro_codec", make=_micro_codec,
+        params={"n_rounds": 5_000},
+        quick_params={"n_rounds": 1_000},
     ),
 ]
 

@@ -111,7 +111,7 @@ class Peer(NetNode):
         self.profiler = Profiler(
             env,
             self.processor,
-            report_fn=self._send_load_update,
+            report_fn=self._report,
             update_period=self.config.profiler_update_period,
             sample_period=self.config.profiler_sample_period,
             alpha=self.config.profiler_alpha,
@@ -128,6 +128,9 @@ class Peer(NetNode):
         #: §3.2 item 5 — current dependencies per task: the peers this
         #: peer is receiving services from ("up") / offering to ("down").
         self._deps: Dict[str, Dict[str, set]] = {}
+        #: Deadlines of the tasks whose part here is over: their
+        #: dependencies last until then (the session runs on downstream).
+        self._linger: Dict[str, float] = {}
         #: The Connection Manager of §2: bounded open connections.
         self.connections = ConnectionManager(
             self, max_connections=self.config.max_connections
@@ -197,6 +200,15 @@ class Peer(NetNode):
         if dep is None:
             dep = self._deps[task_id] = {"up": set(), "down": set()}
         return dep
+
+    def _report(self, report) -> None:
+        """A report tick: forget the tasks done here whose deadline has
+        passed, then report."""
+        now = self.env.now
+        for task_id, until in list(self._linger.items()):
+            if until < now:
+                self._release(task_id)
+        self._send_load_update(report)
 
     def _send_load_update(self, report) -> None:
         if not self.alive or not self.rm_id:
@@ -272,6 +284,7 @@ class Peer(NetNode):
         if current is not None and current.epoch > order.epoch:
             return  # stale repair
         self._orders[order.task_id] = order
+        self._linger.pop(order.task_id, None)
 
     def _handle_start_stream(self, msg: Message) -> None:
         """The RM told us to (re)start emitting a task's data."""
@@ -310,6 +323,14 @@ class Peer(NetNode):
             self.connections.ensure(dst)
             self.profiler.note_bytes_out(nbytes)
             self.send(protocol.STREAM, dst, payload, size=max(nbytes, 1.0))
+        me = self.node_id
+        if order.sink_peer != me and all(
+            step.peer_id != me for step in order.steps[step_index:]
+        ):
+            # This hop's part is over: no message of this epoch names it
+            # again, and a repair sends a fresh order.
+            self._orders.pop(order.task_id, None)
+            self._linger[order.task_id] = order.abs_deadline
 
     def _handle_stream(self, msg: Message) -> Optional[Generator]:
         return self._process_stream(msg.payload)
@@ -369,6 +390,8 @@ class Peer(NetNode):
         jobs = self._task_jobs.get(order.task_id)
         if jobs and job in jobs:
             jobs.remove(job)
+            if not jobs:
+                del self._task_jobs[order.task_id]
         if job.cancelled or not self.alive:
             if span is not None:
                 tel.tracer.end_span(span, status="cancelled")
@@ -406,8 +429,7 @@ class Peer(NetNode):
         self._forward_stream(order, step_index + 1)
 
     def _task_complete(self, order: ComposeOrder) -> None:
-        self._orders.pop(order.task_id, None)
-        self._deps.pop(order.task_id, None)
+        self._release(order.task_id)
         self.send(
             protocol.TASK_DONE,
             order.rm_id,
@@ -421,10 +443,15 @@ class Peer(NetNode):
 
     def _handle_cancel_task(self, msg: Message) -> None:
         task_id = msg.payload["task_id"]
-        self._orders.pop(task_id, None)
-        self._deps.pop(task_id, None)
+        self._release(task_id)
         for job in self._task_jobs.pop(task_id, []):
             self.processor.cancel(job, "task cancelled by RM")
+
+    def _release(self, task_id: str) -> None:
+        """Forget a task's order and dependencies here."""
+        self._orders.pop(task_id, None)
+        self._deps.pop(task_id, None)
+        self._linger.pop(task_id, None)
 
     def _handle_rm_takeover(self, msg: Message) -> None:
         """The backup RM took over: re-point our reports (§4.1)."""

@@ -47,6 +47,8 @@ from repro.net.message import Message
 from repro.overlay.qualification import QualificationPolicy
 from repro.runtime.codec import (
     WireFormatError,
+    _count,
+    _string,
     check_join_record,
     check_rm_state,
     check_roster_entry,
@@ -257,10 +259,7 @@ class RosterAgent:
         if self.draining:
             return  # admission stopped; the joiner retries another seed
         rec = msg.payload
-        try:
-            check_join_record(rec)
-        except WireFormatError as exc:
-            self.log.warning("dropped join from %s: %s", msg.src, exc)
+        if not self._checked("join", msg.src, check_join_record, rec):
             return
         pid = rec["peer_id"]
         self.records[pid] = dict(rec)
@@ -288,19 +287,22 @@ class RosterAgent:
 
     def _handle_leave(self, msg: Message) -> None:
         pid = msg.payload.get("peer_id", msg.src)
-        self.tombstone(pid)
-        self.directory.remove(pid)
+        if self._checked("leave", msg.src, _string, pid, "leave peer_id"):
+            self.tombstone(pid)
+            self.directory.remove(pid)
 
     def _handle_gossip(self, msg: Message) -> None:
         payload = msg.payload
         docs = payload.get("roster")
         changed = self.roster.merge([
             doc for doc in (docs if isinstance(docs, list) else [])
-            if self._checked(check_roster_entry, doc, msg.src)
+            if self._checked("gossip", msg.src, check_roster_entry, doc)
         ])
         self._sync_directory(changed)
         state = payload.get("rm")
-        if state is not None and self._checked(check_rm_state, state, msg.src):
+        if state is not None and self._checked(
+            "gossip", msg.src, check_rm_state, state
+        ):
             self._apply_rm_state(state)
         if changed:
             # The final member may reach the coordinator via gossip
@@ -314,13 +316,14 @@ class RosterAgent:
             if not self._pull_future.done():
                 self._pull_future.set_result(pull.get("next"))
 
-    def _checked(self, check: Any, doc: Any, src: str) -> bool:
-        """Gossiped state reaches the roster and the directory every
-        node of this host sends through: drop a malformed piece alone."""
+    def _checked(self, what: str, src: str, check: Any, *args: Any) -> bool:
+        """Untagged fields from the wire reach the roster and the
+        directory every node of this host sends through: drop a
+        malformed piece alone, and log it."""
         try:
-            check(doc)
+            check(*args)
         except WireFormatError as exc:
-            self.log.warning("dropped gossip from %s: %s", src, exc)
+            self.log.warning("dropped %s from %s: %s", what, src, exc)
             return False
         return True
 
@@ -328,7 +331,9 @@ class RosterAgent:
         req = msg.payload.get("roster_pull")
         if not isinstance(req, dict):
             return
-        cursor = int(req.get("cursor", 0))
+        cursor = req.get("cursor", 0)
+        if not self._checked("pull", msg.src, _count, cursor, "pull cursor"):
+            return
         entries, nxt = self.roster.page(cursor, PAGE_SIZE)
         self._send(protocol.GOSSIP_SUMMARIES, msg.src, {
             "roster": [e.to_wire() for e in entries],

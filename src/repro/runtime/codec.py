@@ -12,13 +12,16 @@ including ``size``, the *nominal* wire size from
 live run matches the simulator's (the JSON encoding itself is an
 implementation detail, not the accounted size).
 
-Payload values are encoded recursively.  Plain JSON scalars, lists and
-string-keyed dicts pass through; everything else is written as a tagged
-object ``{"__t__": <tag>, ...}``: tuples, sets, and the protocol's
-payload dataclasses (media formats/objects, QoS sets, compose orders,
-service steps, load reports, application tasks).  Decoding reverses the
-tags; any datagram that is not valid UTF-8 JSON, has the wrong version,
-an unknown frame type/tag, ill-typed message fields or an out-of-range
+Plain JSON scalars, lists and string-keyed dicts pass through;
+everything else is written as a tagged object ``{"__t__": <tag>, ...}``:
+tuples, sets, and the protocol's payload dataclasses (media
+formats/objects, QoS sets, compose orders, service steps, load reports,
+application tasks).  Encoding looks each value's exact type up in one
+writer table.  Decoding is one JSON parse whose object hook turns each
+tagged object into its value as the parser closes it, children first,
+so no value is visited twice; decoded media formats are interned.  Any
+datagram that is not valid UTF-8 JSON, has the wrong version, an
+unknown frame type/tag, ill-typed message fields or an out-of-range
 load report raises :class:`WireFormatError` — the transport drops such
 datagrams.  A ``JOIN_REQUEST`` record and the roster entries and RM
 state a gossip page carries are untagged maps, so their receivers check
@@ -50,101 +53,115 @@ FRAME_ACK = "ack"
 
 _TAG_KEY = "__t__"
 
+#: Distinct decoded media formats kept for reuse; past this many,
+#: decode builds fresh (equal) objects.
+FORMAT_INTERN_CAP = 1024
+
 
 class WireFormatError(ValueError):
     """A datagram that cannot be decoded (malformed, wrong version)."""
 
 
 # --------------------------------------------------------------------------
-# value encoding: tagged recursive JSON
+# value encoding: one writer per exact type; decoding: one reader per tag
 # --------------------------------------------------------------------------
 
-_encoders: Dict[Type, Tuple[str, Callable[[Any], Dict[str, Any]]]] = {}
-_decoders: Dict[str, Callable[[Dict[str, Any]], Any]] = {}
+#: Exact type -> the value's JSON-ready form.  Tagged bodies carry their
+#: tag as the last key.
+_writers: Dict[Type, Callable[[Any], Any]] = {}
+#: Tag -> the value of a tagged body whose children are already decoded.
+_readers: Dict[str, Callable[[Dict[str, Any]], Any]] = {}
 
 
 def _register(
     cls: Type, tag: str,
-    to_wire: Callable[[Any], Dict[str, Any]],
+    to_wire: Callable[[Any], Any],
     from_wire: Callable[[Dict[str, Any]], Any],
 ) -> None:
-    _encoders[cls] = (tag, to_wire)
-    _decoders[tag] = from_wire
+    _writers[cls] = to_wire
+    _readers[tag] = from_wire
 
 
-def _enc(value: Any) -> Any:
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, (list, tuple)):
-        items = [_enc(v) for v in value]
-        if isinstance(value, tuple):
-            return {_TAG_KEY: "tuple", "v": items}
-        return items
-    if isinstance(value, (set, frozenset)):
-        return {_TAG_KEY: "set", "v": sorted((_enc(v) for v in value),
-                                             key=repr)}
-    if isinstance(value, dict):
-        if all(isinstance(k, str) for k in value) and _TAG_KEY not in value:
-            return {k: _enc(v) for k, v in value.items()}
-        # Non-string keys (or a reserved key) need the pair form.
-        return {
-            _TAG_KEY: "dict",
-            "v": [[_enc(k), _enc(v)] for k, v in value.items()],
-        }
-    entry = _encoders.get(type(value))
-    if entry is not None:
-        tag, to_wire = entry
-        body = to_wire(value)
-        body[_TAG_KEY] = tag
-        return body
+def _wire(value: Any) -> Any:
+    writer = _writers.get(type(value))
+    if writer is None:
+        writer = _resolve(type(value))
+    return writer(value)
+
+
+def _resolve(cls: Type) -> Callable[[Any], Any]:
+    """A subclass of a builtin writes as that builtin (an ``IntEnum`` as
+    an int, an ``OrderedDict`` as a dict); cached per type."""
+    for base in cls.__mro__[1:]:
+        if base in _BUILTINS:
+            writer = _writers[cls] = _writers[base]
+            return writer
     raise WireFormatError(
-        f"cannot encode {type(value).__name__!r} value for the wire"
+        f"cannot encode {cls.__name__!r} value for the wire"
     )
 
 
-def _dec(value: Any) -> Any:
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, list):
-        return [_dec(v) for v in value]
-    if isinstance(value, dict):
-        tag = value.get(_TAG_KEY)
-        if tag is None:
-            return {k: _dec(v) for k, v in value.items()}
-        if tag == "tuple":
-            return tuple(_dec(v) for v in value.get("v", []))
-        if tag == "set":
-            return set(_dec(v) for v in value.get("v", []))
-        if tag == "dict":
-            return {_dec(k): _dec(v) for k, v in value.get("v", [])}
-        decoder = _decoders.get(tag)
-        if decoder is None:
-            raise WireFormatError(f"unknown wire tag {tag!r}")
-        body = {k: v for k, v in value.items() if k != _TAG_KEY}
-        try:
-            return decoder(body)
-        except WireFormatError:
-            raise
-        except Exception as exc:
-            raise WireFormatError(f"bad {tag!r} body: {exc}") from exc
-    raise WireFormatError(f"cannot decode wire value {value!r}")
+def _same(value: Any) -> Any:
+    return value
+
+
+def _write_dict(value: Dict[Any, Any]) -> Any:
+    for key in value:
+        if not isinstance(key, str) or key == _TAG_KEY:
+            # Non-string keys (or a reserved key) need the pair form.
+            return {_TAG_KEY: "dict", "v": [
+                [_wire(k), _wire(v)] for k, v in value.items()
+            ]}
+    return {k: _wire(v) for k, v in value.items()}
+
+
+_BUILTINS = (type(None), bool, int, float, str, list, tuple, set,
+             frozenset, dict)
+_writers.update(dict.fromkeys(_BUILTINS[:5], _same))
+_writers[list] = lambda v: list(map(_wire, v))
+_writers[dict] = _write_dict
+_register(tuple, "tuple", lambda v: {_TAG_KEY: "tuple",
+                                     "v": list(map(_wire, v))},
+          lambda d: tuple(d.get("v", [])))
+_register(set, "set", lambda v: {_TAG_KEY: "set",
+                                 "v": sorted(map(_wire, v), key=repr)},
+          lambda d: set(d.get("v", [])))
+_writers[frozenset] = _writers[set]
+_readers["dict"] = lambda d: {k: v for k, v in d.get("v", [])}
 
 
 # -- payload dataclasses ------------------------------------------------------
 
+_formats: Dict[Tuple[Tuple[str, Any], ...], MediaFormat] = {}
+
+
+def _format_from_wire(d: Dict[str, Any]) -> MediaFormat:
+    # Formats are frozen values drawn from a small catalog: a repeated
+    # one (same keys, equal values) is the object decoded before.
+    key = tuple(d.items())
+    fmt = _formats.get(key)
+    if fmt is None:
+        fmt = MediaFormat(**d)
+        if len(_formats) < FORMAT_INTERN_CAP:
+            _formats[key] = fmt
+    return fmt
+
+
 _register(
     MediaFormat, "fmt",
     lambda f: {"codec": f.codec, "width": f.width, "height": f.height,
-               "bitrate_kbps": f.bitrate_kbps, "fps": f.fps},
-    lambda d: MediaFormat(**d),
+               "bitrate_kbps": f.bitrate_kbps, "fps": f.fps,
+               _TAG_KEY: "fmt"},
+    _format_from_wire,
 )
 
 _register(
     MediaObject, "media",
-    lambda o: {"name": o.name, "fmt": _enc(o.fmt),
-               "duration_s": o.duration_s, "content_hash": o.content_hash},
+    lambda o: {"name": o.name, "fmt": _wire(o.fmt),
+               "duration_s": o.duration_s, "content_hash": o.content_hash,
+               _TAG_KEY: "media"},
     lambda d: MediaObject(
-        name=d["name"], fmt=_dec(d["fmt"]), duration_s=d["duration_s"],
+        name=d["name"], fmt=d["fmt"], duration_s=d["duration_s"],
         content_hash=d["content_hash"],
     ),
 )
@@ -152,10 +169,11 @@ _register(
 _register(
     QoSRequirements, "qos",
     lambda q: {"deadline": q.deadline, "importance": q.importance,
-               "constraints": _enc(dict(q.constraints))},
+               "constraints": _write_dict(dict(q.constraints)),
+               _TAG_KEY: "qos"},
     lambda d: QoSRequirements(
         deadline=d["deadline"], importance=d["importance"],
-        constraints=_dec(d["constraints"]),
+        constraints=d["constraints"],
     ),
 )
 
@@ -163,12 +181,13 @@ _register(
     ServiceStep, "step",
     lambda s: {"index": s.index, "service_id": s.service_id,
                "peer_id": s.peer_id, "work": s.work,
-               "out_bytes": s.out_bytes, "src_state": _enc(s.src_state),
-               "dst_state": _enc(s.dst_state), "edge_id": s.edge_id},
+               "out_bytes": s.out_bytes, "src_state": _wire(s.src_state),
+               "dst_state": _wire(s.dst_state), "edge_id": s.edge_id,
+               _TAG_KEY: "step"},
     lambda d: ServiceStep(
         index=d["index"], service_id=d["service_id"], peer_id=d["peer_id"],
         work=d["work"], out_bytes=d["out_bytes"],
-        src_state=_dec(d["src_state"]), dst_state=_dec(d["dst_state"]),
+        src_state=d["src_state"], dst_state=d["dst_state"],
         edge_id=d["edge_id"],
     ),
 )
@@ -177,14 +196,14 @@ _register(
     ComposeOrder, "order",
     lambda o: {"task_id": o.task_id, "rm_id": o.rm_id,
                "source_peer": o.source_peer, "sink_peer": o.sink_peer,
-               "steps": [_enc(s) for s in o.steps],
+               "steps": list(map(_wire, o.steps)),
                "abs_deadline": o.abs_deadline, "importance": o.importance,
                "in_bytes": o.in_bytes, "resume_from": o.resume_from,
-               "epoch": o.epoch},
+               "epoch": o.epoch, _TAG_KEY: "order"},
     lambda d: ComposeOrder(
         task_id=d["task_id"], rm_id=d["rm_id"],
         source_peer=d["source_peer"], sink_peer=d["sink_peer"],
-        steps=[_dec(s) for s in d["steps"]],
+        steps=list(d["steps"]),
         abs_deadline=d["abs_deadline"], importance=d["importance"],
         in_bytes=d["in_bytes"], resume_from=d["resume_from"],
         epoch=d["epoch"],
@@ -227,11 +246,17 @@ def _port(value: Any, field: str) -> None:
         )
 
 
+def _load_report_to_wire(r: LoadReport) -> Dict[str, Any]:
+    body = _write_dict(r.as_payload())
+    body[_TAG_KEY] = "load_report"
+    return body
+
+
 def _load_report_from_wire(d: Dict[str, Any]) -> LoadReport:
     # A report feeds the RM's load arithmetic directly: a field of the
     # wrong type or range must be dropped here, at the boundary, not
     # raise later inside an allocation.
-    report = LoadReport.from_payload(_dec(d))
+    report = LoadReport.from_payload(d)
     _string(report.peer_id, "load_report peer_id")
     _finite(report.power, "load_report power", positive=True)
     for name in ("time", "utilization", "load", "bw_used", "queue_work"):
@@ -250,9 +275,7 @@ def _load_report_from_wire(d: Dict[str, Any]) -> LoadReport:
 
 
 _register(
-    LoadReport, "load_report",
-    lambda r: _enc(r.as_payload()),
-    _load_report_from_wire,
+    LoadReport, "load_report", _load_report_to_wire, _load_report_from_wire,
 )
 
 
@@ -339,69 +362,139 @@ def check_rm_state(state: Any) -> None:
 
 _register(
     TaskState, "task_state",
-    lambda s: {"v": s.value},
+    lambda s: {"v": s.value, _TAG_KEY: "task_state"},
     lambda d: TaskState(d["v"]),
 )
 
 _register(
     TaskOutcome, "task_outcome",
-    lambda o: {"v": o.value},
+    lambda o: {"v": o.value, _TAG_KEY: "task_outcome"},
     lambda d: TaskOutcome(d["v"]),
 )
 
 
 def _task_to_wire(t: ApplicationTask) -> Dict[str, Any]:
     return {
-        "name": t.name, "qos": _enc(t.qos),
-        "initial_state": _enc(t.initial_state),
-        "goal_state": _enc(t.goal_state), "origin_peer": t.origin_peer,
+        "name": t.name, "qos": _wire(t.qos),
+        "initial_state": _wire(t.initial_state),
+        "goal_state": _wire(t.goal_state), "origin_peer": t.origin_peer,
         "task_id": t.task_id, "submitted_at": t.submitted_at,
-        "state": _enc(t.state), "allocation": _enc(t.allocation),
+        "state": _wire(t.state), "allocation": _wire(t.allocation),
         "allocation_fairness": t.allocation_fairness,
         "admitted_domain": t.admitted_domain, "redirects": t.redirects,
         "repairs": t.repairs, "finished_at": t.finished_at,
-        "outcome": _enc(t.outcome), "meta": _enc(t.meta),
+        "outcome": _wire(t.outcome), "meta": _wire(t.meta),
+        _TAG_KEY: "task",
     }
 
 
 def _task_from_wire(d: Dict[str, Any]) -> ApplicationTask:
     return ApplicationTask(
-        name=d["name"], qos=_dec(d["qos"]),
-        initial_state=_dec(d["initial_state"]),
-        goal_state=_dec(d["goal_state"]), origin_peer=d["origin_peer"],
+        name=d["name"], qos=d["qos"],
+        initial_state=d["initial_state"],
+        goal_state=d["goal_state"], origin_peer=d["origin_peer"],
         task_id=d["task_id"], submitted_at=d["submitted_at"],
-        state=_dec(d["state"]), allocation=_dec(d["allocation"]),
+        state=d["state"], allocation=d["allocation"],
         allocation_fairness=d["allocation_fairness"],
         admitted_domain=d["admitted_domain"], redirects=d["redirects"],
         repairs=d["repairs"], finished_at=d["finished_at"],
-        outcome=_dec(d["outcome"]), meta=_dec(d["meta"]),
+        outcome=d["outcome"], meta=d["meta"],
     )
 
 
 _register(ApplicationTask, "task", _task_to_wire, _task_from_wire)
 
 
+def _from_tagged(d: Dict[str, Any]) -> Any:
+    """The parser's object hook: a tagged object becomes its value."""
+    tag = d.get(_TAG_KEY)
+    if tag is None:
+        return d
+    try:
+        reader = _readers[tag]
+    except (KeyError, TypeError):  # unknown, or not even hashable
+        raise WireFormatError(f"unknown wire tag {tag!r}") from None
+    del d[_TAG_KEY]
+    try:
+        return reader(d)
+    except WireFormatError:
+        raise
+    except Exception as exc:
+        raise WireFormatError(f"bad {tag!r} body: {exc}") from exc
+
+
 # --------------------------------------------------------------------------
-# message <-> wire dict
+# datagram framing
 # --------------------------------------------------------------------------
 
-def message_to_wire(msg: Message) -> Dict[str, Any]:
-    """The versionless ``msg`` body of a data frame."""
-    return {
-        "kind": msg.kind,
-        "src": msg.src,
-        "dst": msg.dst,
-        "payload": _enc(msg.payload),
-        "size": msg.size,
-        "msg_id": msg.msg_id,
-        "reply_to": msg.reply_to,
-        "sent_at": msg.sent_at,
-        "trace_id": msg.trace_id,
-    }
+#: One encoder for every datagram (``json.dumps(..., separators=)``
+#: would build a ``JSONEncoder`` per call).  Every container it sees is
+#: fresh from a writer, so there is no cycle to check for.
+_to_json = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+_parse = json.JSONDecoder(object_hook=_from_tagged).decode
+
+#: Acknowledging node -> its ack frame up to the message id.
+_ack_prefixes: Dict[str, bytes] = {}
 
 
-def message_from_wire(body: Any) -> Message:
-    """Rebuild a :class:`Message`, validating field presence and types."""
+def encode_message(msg: Message) -> bytes:
+    """Frame *msg* as a data datagram."""
+    return _to_json({"v": WIRE_VERSION, "t": FRAME_MSG, "msg": {
+        "kind": msg.kind, "src": msg.src, "dst": msg.dst,
+        "payload": _wire(msg.payload), "size": msg.size,
+        "msg_id": msg.msg_id, "reply_to": msg.reply_to,
+        "sent_at": msg.sent_at, "trace_id": msg.trace_id,
+    }}).encode("utf-8")
+
+
+def encode_ack(src: str, msg_id: int) -> bytes:
+    """Frame a transport-level receipt for ``(original dst, msg_id)``.
+
+    ``src`` is the *acknowledging* node — the original message's
+    destination; the sender keys its pending sends on ``(dst, msg_id)``.
+    """
+    prefix = _ack_prefixes.get(src)
+    if prefix is None:
+        head = _to_json({"v": WIRE_VERSION, "t": FRAME_ACK, "src": src})
+        prefix = _ack_prefixes[src] = (head[:-1] + ',"id":').encode("utf-8")
+    return prefix + int.__repr__(msg_id).encode() + b"}"
+
+
+def decode_frame(data: bytes) -> Dict[str, Any]:
+    """Parse one datagram.
+
+    Returns ``{"t": "msg", "msg": Message}`` or
+    ``{"t": "ack", "src": str, "id": int}``.
+
+    Raises
+    ------
+    WireFormatError
+        On anything that is not a well-formed, current-version frame.
+    """
+    try:
+        raw = _parse(data.decode("utf-8"))
+    except WireFormatError:
+        raise
+    except (ValueError, RecursionError) as exc:  # bad UTF-8/JSON, too deep
+        raise WireFormatError(f"undecodable datagram: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise WireFormatError(f"frame is not an object: {raw!r}")
+    if raw.get("v") != WIRE_VERSION:
+        raise WireFormatError(
+            f"unsupported wire version {raw.get('v')!r} "
+            f"(expected {WIRE_VERSION})"
+        )
+    ftype = raw.get("t")
+    if ftype == FRAME_ACK:
+        src, msg_id = raw.get("src"), raw.get("id")
+        if not isinstance(src, str):
+            raise WireFormatError(f"ack src must be a string, got {src!r}")
+        if not isinstance(msg_id, int) or isinstance(msg_id, bool):
+            raise WireFormatError(f"ack id must be an int, got {msg_id!r}")
+        return {"t": FRAME_ACK, "src": src, "id": msg_id}
+    if ftype != FRAME_MSG:
+        raise WireFormatError(f"unknown frame type {ftype!r}")
+    body = raw.get("msg")
     if not isinstance(body, dict):
         raise WireFormatError(f"message body is not an object: {body!r}")
     try:
@@ -433,74 +526,11 @@ def message_from_wire(body: Any) -> Message:
     trace_id = body.get("trace_id")
     if trace_id is not None and not isinstance(trace_id, str):
         raise WireFormatError(f"trace_id must be a string, got {trace_id!r}")
-    decoded = _dec(payload)
-    if not isinstance(decoded, dict):
+    if not isinstance(payload, dict):
         raise WireFormatError("payload must decode to a dict")
     try:
-        return Message(
-            kind=kind, src=src, dst=dst, payload=decoded, size=float(size),
-            msg_id=msg_id, reply_to=reply_to, sent_at=float(sent_at),
-            trace_id=trace_id,
-        )
-    except ValueError as exc:  # e.g. non-positive size
+        msg = Message(kind, src, dst, payload, float(size), msg_id,
+                      reply_to, float(sent_at), trace_id)
+    except (ValueError, OverflowError) as exc:  # size <= 0, an int > 1e308
         raise WireFormatError(str(exc)) from exc
-
-
-# --------------------------------------------------------------------------
-# datagram framing
-# --------------------------------------------------------------------------
-
-#: One encoder for every datagram (``json.dumps(..., separators=)``
-#: would build a ``JSONEncoder`` per call).
-_to_json = json.JSONEncoder(separators=(",", ":")).encode
-
-
-def encode_message(msg: Message) -> bytes:
-    """Frame *msg* as a data datagram."""
-    frame = {"v": WIRE_VERSION, "t": FRAME_MSG, "msg": message_to_wire(msg)}
-    return _to_json(frame).encode("utf-8")
-
-
-def encode_ack(src: str, msg_id: int) -> bytes:
-    """Frame a transport-level receipt for ``(original dst, msg_id)``.
-
-    ``src`` is the *acknowledging* node — the original message's
-    destination; the sender keys its pending sends on ``(dst, msg_id)``.
-    """
-    frame = {"v": WIRE_VERSION, "t": FRAME_ACK, "src": src, "id": msg_id}
-    return _to_json(frame).encode("utf-8")
-
-
-def decode_frame(data: bytes) -> Dict[str, Any]:
-    """Parse one datagram.
-
-    Returns ``{"t": "msg", "msg": Message}`` or
-    ``{"t": "ack", "src": str, "id": int}``.
-
-    Raises
-    ------
-    WireFormatError
-        On anything that is not a well-formed, current-version frame.
-    """
-    try:
-        raw = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WireFormatError(f"undecodable datagram: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise WireFormatError(f"frame is not an object: {raw!r}")
-    if raw.get("v") != WIRE_VERSION:
-        raise WireFormatError(
-            f"unsupported wire version {raw.get('v')!r} "
-            f"(expected {WIRE_VERSION})"
-        )
-    ftype = raw.get("t")
-    if ftype == FRAME_MSG:
-        return {"t": FRAME_MSG, "msg": message_from_wire(raw.get("msg"))}
-    if ftype == FRAME_ACK:
-        src, msg_id = raw.get("src"), raw.get("id")
-        if not isinstance(src, str):
-            raise WireFormatError(f"ack src must be a string, got {src!r}")
-        if not isinstance(msg_id, int) or isinstance(msg_id, bool):
-            raise WireFormatError(f"ack id must be an int, got {msg_id!r}")
-        return {"t": FRAME_ACK, "src": src, "id": msg_id}
-    raise WireFormatError(f"unknown frame type {ftype!r}")
+    return {"t": FRAME_MSG, "msg": msg}

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.benchmarking import cli
+from repro.core import protocol
 from repro.benchmarking.harness import (
     SCHEMA_VERSION,
     BenchRecord,
@@ -106,7 +107,7 @@ class TestSelect:
 class TestUngatedMicros:
     NAMES = {
         "micro_udp_roundtrip", "micro_pump_tick", "micro_allocate",
-        "micro_periodic_timers",
+        "micro_periodic_timers", "micro_codec",
     }
 
     def test_periodic_timers_event_count(self):
@@ -135,6 +136,17 @@ class TestUngatedMicros:
         spec = next(s for s in BENCHES if s.name == "micro_pump_tick")
         assert spec.make(n_timeouts=2500)()["events"] >= 2500
 
+    def test_codec_times_every_corpus_kind(self):
+        spec = next(s for s in BENCHES if s.name == "micro_codec")
+        out = spec.make(n_rounds=20)()
+        per_kind = out["metrics"]["us_per_message"]
+        assert set(per_kind) == {
+            protocol.COMPOSE, protocol.STREAM, protocol.STEP_DONE,
+            protocol.TASK_REQUEST, protocol.LOAD_UPDATE, "ack",
+        }
+        assert all(us > 0 for us in per_kind.values())
+        assert out["events"] == 20 * 6
+
     def test_allocate_places_on_the_dense_64_peer_domain(self):
         spec = next(s for s in BENCHES if s.name == "micro_allocate")
         out = spec.make(n_allocations=40, warmup=5.0)()
@@ -153,7 +165,7 @@ class TestCli:
         assert listed == [
             "micro_event_kernel", "micro_net_send", "micro_mailbox",
             "micro_periodic_timers", "micro_udp_roundtrip",
-            "micro_pump_tick", "micro_allocate",
+            "micro_pump_tick", "micro_allocate", "micro_codec",
         ]
 
     def test_unknown_bench_exits_two(self, capsys):

@@ -167,6 +167,49 @@ class TestFailureAPI:
         assert peer.rm_id == "b0"
 
 
+class TestTaskStateRelease:
+    def test_no_peer_holds_task_state_after_a_drained_run(self):
+        """Regression: only the sink (on completion) and CANCEL_TASK
+        released a task's order, dependencies and job list, so every
+        source and intermediate hop kept them for every task it ever
+        served, and ``current_dependencies()`` walked them all on each
+        LOAD_UPDATE.  A hop now drops the order once it has forwarded
+        past its last step, the job list with its last job, and the
+        dependencies once the task's deadline has passed."""
+        from repro.core.manager import RMConfig
+        from repro.workloads import (
+            PopulationConfig,
+            ScenarioConfig,
+            WorkloadConfig,
+            build_scenario,
+        )
+
+        scenario = build_scenario(ScenarioConfig(
+            seed=11,
+            population=PopulationConfig(
+                n_peers=64, n_objects=32, replication=3,
+            ),
+            workload=WorkloadConfig(rate=4.0),
+            rm=RMConfig(max_peers=16),
+        ))
+        summary = scenario.run(30.0, drain=60.0)
+        assert summary.n_completed > 50
+        # Repairs and reassignments re-send orders to hops whose part is
+        # done; this run has none, so every hop's state must be gone.
+        assert summary.n_repairs == summary.n_reassignments == 0
+        tasks = scenario.overlay.all_tasks()
+        assert all(t.state.name in ("DONE", "FAILED", "REJECTED")
+                   for t in tasks)
+        assert scenario.env.now > max(
+            t.absolute_deadline for t in tasks
+        ) + 2.0  # a report tick after the last deadline
+        for node in [*scenario.overlay.peers.values(),
+                     *scenario.overlay.rms()]:
+            assert not node._orders, node
+            assert not node._deps, node
+            assert not node._task_jobs, node
+
+
 class TestLocalChainExecution:
     def test_consecutive_steps_on_same_peer(self, live_domain):
         """Two chain steps hosted at one peer need no network hop."""

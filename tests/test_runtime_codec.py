@@ -9,17 +9,23 @@ must be rejected with :class:`WireFormatError`, never delivered.
 
 from __future__ import annotations
 
+import collections
+import enum
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import protocol
 from repro.core.session import ComposeOrder
 from repro.graphs.service_graph import ServiceStep
 from repro.media.fig1 import V1, V2, V3
+from repro.media.formats import CODEC_COMPLEXITY, MediaFormat
 from repro.media.objects import MediaObject
 from repro.monitoring.profiler import LoadReport
 from repro.net.message import Message
+from repro.runtime import codec
 from repro.runtime.codec import (
     FRAME_ACK,
     FRAME_MSG,
@@ -243,6 +249,8 @@ def _msg_frame(**overrides):
     _msg_frame(payload=[1, 2]).encode(),                # payload not dict
     _msg_frame(payload={"__t__": "martian"}).encode(),  # unknown tag
     _msg_frame(kind=3).encode(),                        # kind not str
+    _msg_frame(size=10 ** 400).encode(),                # float() overflows
+    _msg_frame(sent_at=10 ** 400).encode(),
 ])
 def test_malformed_datagrams_rejected(data):
     with pytest.raises(WireFormatError):
@@ -391,3 +399,263 @@ def test_hostile_roster_entry_fields_rejected(fields):
 def test_hostile_rm_states_rejected(state):
     with pytest.raises(WireFormatError):
         check_rm_state(state)
+
+
+# -- the encoder against its reference ----------------------------------------
+
+def _fields(*names):
+    return {name: name for name in names}
+
+
+#: Each payload type's wire body: its tag, then wire key -> attribute.
+REFERENCE_BODIES = {
+    MediaFormat: ("fmt", _fields(
+        "codec", "width", "height", "bitrate_kbps", "fps")),
+    MediaObject: ("media", _fields(
+        "name", "fmt", "duration_s", "content_hash")),
+    QoSRequirements: ("qos", _fields("deadline", "importance", "constraints")),
+    ServiceStep: ("step", _fields(
+        "index", "service_id", "peer_id", "work", "out_bytes", "src_state",
+        "dst_state", "edge_id")),
+    ComposeOrder: ("order", _fields(
+        "task_id", "rm_id", "source_peer", "sink_peer", "steps",
+        "abs_deadline", "importance", "in_bytes", "resume_from", "epoch")),
+    LoadReport: ("load_report", _fields(
+        "peer_id", "time", "power", "utilization", "load", "bw_used",
+        "queue_work", "queue_length", "services", "dependencies")),
+    TaskState: ("task_state", {"v": "value"}),
+    TaskOutcome: ("task_outcome", {"v": "value"}),
+    ApplicationTask: ("task", _fields(
+        "name", "qos", "initial_state", "goal_state", "origin_peer",
+        "task_id", "submitted_at", "state", "allocation",
+        "allocation_fairness", "admitted_domain", "redirects", "repairs",
+        "finished_at", "outcome", "meta")),
+}
+
+
+def reference_encode(value):
+    """The generic recursive encoder the codec's type table replaced,
+    kept as the oracle for its bytes: an isinstance walk per value."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, (list, tuple)):
+        items = [reference_encode(v) for v in value]
+        if isinstance(value, tuple):
+            return {"__t__": "tuple", "v": items}
+        return items
+    if isinstance(value, (set, frozenset)):
+        return {"__t__": "set",
+                "v": sorted(map(reference_encode, value), key=repr)}
+    if isinstance(value, dict):
+        if all(isinstance(k, str) for k in value) and "__t__" not in value:
+            return {k: reference_encode(v) for k, v in value.items()}
+        return {"__t__": "dict", "v": [
+            [reference_encode(k), reference_encode(v)]
+            for k, v in value.items()
+        ]}
+    tag, fields = REFERENCE_BODIES[type(value)]
+    body = {key: reference_encode(getattr(value, attr))
+            for key, attr in fields.items()}
+    body["__t__"] = tag
+    return body
+
+
+def reference_frame(msg):
+    return json.JSONEncoder(separators=(",", ":")).encode({
+        "v": 1, "t": "msg", "msg": {
+            "kind": msg.kind, "src": msg.src, "dst": msg.dst,
+            "payload": reference_encode(msg.payload), "size": msg.size,
+            "msg_id": msg.msg_id, "reply_to": msg.reply_to,
+            "sent_at": msg.sent_at, "trace_id": msg.trace_id,
+        },
+    }).encode("utf-8")
+
+
+_scalars = (st.none() | st.booleans() | st.integers()
+            | st.floats(allow_nan=False) | st.text(max_size=6))
+_formats = st.builds(
+    MediaFormat, codec=st.sampled_from(sorted(CODEC_COMPLEXITY)),
+    width=st.integers(1, 4096), height=st.integers(1, 4096),
+    bitrate_kbps=st.floats(1.0, 1e5), fps=st.sampled_from([25.0, 30, 12.5]),
+)
+_hashables = st.recursive(
+    _scalars | _formats, lambda inner: st.tuples(inner, inner), max_leaves=4,
+)
+_payload_objects = st.sampled_from([
+    _order, _task, _load_report, _steps,
+    lambda: QoSRequirements(deadline=5.0, constraints={1: "x"}),
+    lambda: MediaObject("clip", V2, duration_s=2.5),
+    lambda: TaskState.RUNNING, lambda: TaskOutcome.MISSED_DEADLINE,
+]).map(lambda make: make())
+
+
+def _values(leaves):
+    return st.recursive(leaves, lambda inner: (
+        st.lists(inner, max_size=3) | st.tuples(inner, inner)
+        | st.sets(_hashables, max_size=3)
+        | st.frozensets(_hashables, max_size=3)
+        | st.dictionaries(st.text(max_size=5) | st.just("__t__"), inner,
+                          max_size=3)
+        | st.dictionaries(_hashables, inner, max_size=3)
+    ), max_leaves=10)
+
+
+#: Values that compare equal after a round trip (no NaN).
+round_trip_values = _values(_hashables | _payload_objects)
+#: Anything encodable.
+encodable_values = _values(_hashables | _payload_objects | st.floats())
+
+
+@given(st.dictionaries(st.text(max_size=5) | st.just("__t__"),
+                       encodable_values, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_encoder_bytes_equal_the_reference_encoder(payload):
+    msg = Message(kind="x", src="a", dst="b", payload=payload, size=64.0,
+                  msg_id=1, sent_at=0.5)
+    assert encode_message(msg) == reference_frame(msg)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_every_kind_encodes_to_the_reference_bytes(kind):
+    msg = Message(kind=kind, src="P4", dst="M0", payload=PAYLOADS[kind](),
+                  size=protocol.size_of(kind), msg_id=11, reply_to=7,
+                  sent_at=1.25, trace_id="task:t1")
+    assert encode_message(msg) == reference_frame(msg)
+
+
+def test_builtin_subclasses_encode_like_their_base():
+    class Level(enum.IntEnum):
+        HIGH = 3
+
+    class Name(str):
+        pass
+
+    Pair = collections.namedtuple("Pair", "a b")
+    msg = Message(kind="x", src="a", dst="b", size=64.0, payload={
+        "level": Level.HIGH, "name": Name("n"), "pair": Pair(1, V1),
+        "ordered": collections.OrderedDict(b=1, a=2),
+        "counts": collections.Counter({3: 1}),
+    })
+    assert encode_message(msg) == reference_frame(msg)
+
+
+@given(st.sampled_from(ALL_KINDS),
+       st.dictionaries(st.text(max_size=5), round_trip_values, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_generated_payloads_round_trip_for_every_kind(kind, payload):
+    msg = Message(kind=kind, src="P4", dst="M0", payload=payload,
+                  size=protocol.size_of(kind), msg_id=9, reply_to=3,
+                  sent_at=2.5, trace_id="task:t9")
+    assert decode_frame(encode_message(msg))["msg"] == msg
+
+
+# -- hostile input: nothing but WireFormatError ------------------------------
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: (
+        st.lists(inner, max_size=3)
+        | st.dictionaries(st.sampled_from(["__t__", "v", "name"])
+                          | st.text(max_size=4), inner, max_size=3)
+        | st.fixed_dictionaries({
+            "__t__": st.sampled_from(sorted(codec._readers) + ["martian"]),
+            "v": inner,
+        })
+    ),
+    max_leaves=8,
+)
+
+
+def _sent_frame(kind):
+    """*kind*'s frame as a sender writes it, parsed."""
+    return json.loads(encode_message(Message(
+        kind=kind, src="P4", dst="M0", payload=PAYLOADS[kind](),
+        size=protocol.size_of(kind), msg_id=11, reply_to=7, sent_at=1.25,
+    )))
+
+
+def _paths(node, prefix=()):
+    """Every key or index path into a parsed frame."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def decodes_or_rejects(data):
+    try:
+        decode_frame(data)
+    except WireFormatError:
+        pass
+
+
+@given(st.binary(max_size=300)
+       | st.text(alphabet='{}[]",:-.0123456789eEtrufalsnNIy_ ',
+                 max_size=120).map(str.encode))
+@settings(max_examples=400, deadline=None)
+def test_arbitrary_bytes_raise_only_wire_format_error(data):
+    decodes_or_rejects(data)
+
+
+@given(_json_values)
+@settings(max_examples=300, deadline=None)
+def test_arbitrary_payload_values_raise_only_wire_format_error(value):
+    frame = _sent_frame(protocol.TASK_ACK)
+    frame["msg"]["payload"]["x"] = value
+    decodes_or_rejects(json.dumps(frame).encode())
+
+
+@given(st.sampled_from(ALL_KINDS), st.data())
+@settings(max_examples=400, deadline=None)
+def test_one_field_mutations_raise_only_wire_format_error(kind, data):
+    frame = _sent_frame(kind)
+    path = data.draw(st.sampled_from(list(_paths(frame))))
+    parent = frame
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(_json_values)
+    decodes_or_rejects(json.dumps(frame).encode())
+
+
+# -- interned media formats ---------------------------------------------------
+
+def _format_frame(fmt):
+    return encode_message(Message(
+        kind=protocol.TASK_REQUEST, src="P4", dst="M0",
+        payload={"goal_state": fmt}, size=512.0,
+    ))
+
+
+def _decoded_format(data):
+    return decode_frame(data)["msg"].payload["goal_state"]
+
+
+def test_a_repeated_format_decodes_to_one_interned_object():
+    data = _format_frame(V3)
+    first = _decoded_format(data)
+    assert first == V3
+    assert _decoded_format(data) is first
+
+
+def test_the_intern_table_stops_growing_at_its_cap(monkeypatch):
+    monkeypatch.setattr(codec, "_formats", {})
+    frames = [
+        _format_frame(MediaFormat("MPEG-4", 640, 480, float(kbps)))
+        for kbps in range(1, codec.FORMAT_INTERN_CAP + 11)
+    ]
+    decoded = [_decoded_format(data) for data in frames]
+    assert len(codec._formats) == codec.FORMAT_INTERN_CAP
+    # Inside the cap a repeat is the same object; past it, a fresh one.
+    assert _decoded_format(frames[0]) is decoded[0]
+    late = _decoded_format(frames[-1])
+    assert late == decoded[-1] and late is not decoded[-1]
+    assert len(codec._formats) == codec.FORMAT_INTERN_CAP

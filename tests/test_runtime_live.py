@@ -394,6 +394,55 @@ def test_forged_gossip_page_cannot_redirect_the_domain():
     run(main())
 
 
+#: Messages whose one forged field raised inside the roster agent's
+#: datagram callback: a pull cursor that is no count, a leave naming an
+#: id that is no string.
+FORGED_AGENT_MESSAGES = {
+    "pull_cursor": [
+        (protocol.GOSSIP_DIGEST, {"roster_pull": {"cursor": cursor}})
+        for cursor in ("x", None, [0], -1)
+    ],
+    "leave_peer_id": [
+        (protocol.PEER_LEAVE, {"peer_id": peer_id})
+        for peer_id in ([1], {"P1": 1}, 7)
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORGED_AGENT_MESSAGES))
+def test_forged_pull_and_leave_are_dropped(case):
+    """Regression: ``_handle_pull`` ran ``int(cursor)`` and
+    ``_handle_leave`` tombstoned the payload's ``peer_id`` as given, so a
+    string, None or list cursor, or a list id, raised inside the agent's
+    datagram callback.  The agent now logs and drops each, and the
+    domain keeps serving tasks."""
+    async def main():
+        errors = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: errors.append(context)
+        )
+        async with LiveCluster(LiveClusterConfig(object_duration_s=0.2)) as c:
+            raw = await UdpTransport("X", c.directory, lambda msg: None).start()
+            try:
+                for kind, payload in FORGED_AGENT_MESSAGES[case]:
+                    raw.send(Message(
+                        kind=kind, src="X", dst=c.agent.node_id,
+                        payload=payload, size=protocol.size_of(kind),
+                        msg_id=next(raw.ids.msg),
+                    ))
+                await raw.flush()
+                assert errors == []
+                assert c.agent.roster.get("P1").up
+                ack = await c.submit("P4", timeout=10.0)
+                assert ack["disposition"] == "accepted", ack
+                await c.wait_task_event(
+                    ack["task_id"], "completed", timeout=10.0
+                )
+            finally:
+                await raw.aclose()
+    run(main())
+
+
 # -- watcher bookkeeping (no sockets) ---------------------------------------
 
 class _StubTask:

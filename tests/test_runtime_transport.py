@@ -230,6 +230,35 @@ def test_hostile_load_update_counted_not_delivered():
     run(main())
 
 
+def _payload_frame(value):
+    """A message frame whose payload carries *value* under ``x``."""
+    return json.dumps({"v": 1, "t": "msg", "msg": {
+        "kind": "load_update", "src": "A", "dst": "B",
+        "payload": {"x": value}, "size": 64.0, "msg_id": 1,
+        "reply_to": None, "sent_at": 0.0,
+    }}).encode()
+
+
+@pytest.mark.parametrize("data", [
+    _payload_frame({"__t__": "set", "v": [[1]]}),        # unhashable member
+    _payload_frame({"__t__": "dict", "v": [[[1], 2]]}),  # unhashable key
+    _payload_frame({"__t__": "tuple", "v": 5}),          # not iterable
+    _payload_frame({"__t__": "dict", "v": [[1]]}),       # not a pair
+    _payload_frame({"__t__": "set", "v": 3}),            # not iterable
+    b"[" * 1000,                              # nested past the recursion limit
+])
+def test_hostile_frames_counted_malformed_not_delivered(data):
+    """Regression: these raised TypeError, ValueError or RecursionError
+    out of ``decode_frame``, past the transport's ``WireFormatError``
+    guard, so nothing was counted and asyncio logged a traceback from
+    the read callback.  Each is now one malformed datagram."""
+    inbox = []
+    b = UdpTransport("B", PeerDirectory(), inbox.append)
+    b.datagram_received(data, ("127.0.0.1", 9))
+    assert inbox == []
+    assert b.malformed == 1 and b.stats.delivered == 0
+
+
 def test_down_node_semantics():
     async def main():
         _, a, b, inbox = make_pair()
