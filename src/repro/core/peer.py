@@ -60,17 +60,6 @@ class PeerConfig:
             )
 
 
-def _count_unmatched(kind: str) -> None:
-    """A message named a task this peer holds no order for: dropped,
-    and counted so the drop shows in ``/metrics``."""
-    tel = telemetry.current()
-    if tel.enabled:
-        tel.metrics.counter(
-            "repro_peer_unmatched_total", kind=kind,
-            help="Messages dropped for naming a task with no order here.",
-        ).inc()
-
-
 class Peer(NetNode):
     """A domain member peer.
 
@@ -135,6 +124,9 @@ class Peer(NetNode):
         self.connections = ConnectionManager(
             self, max_connections=self.config.max_connections
         )
+        #: Messages dropped for naming a task with no order here, by
+        #: kind.  A plain dict bump: always on, trajectory-neutral.
+        self.unmatched: Dict[str, int] = {}
         self.alive = True
 
         self.on(protocol.COMPOSE, self._handle_compose)
@@ -292,9 +284,20 @@ class Peer(NetNode):
         from_step = msg.payload.get("from_step", 0)
         order = self._orders.get(task_id)
         if order is None:
-            _count_unmatched(protocol.START_STREAM)
+            self._count_unmatched(protocol.START_STREAM)
             return
         self._forward_stream(order, from_step)
+
+    def _count_unmatched(self, kind: str) -> None:
+        """A message named a task this peer holds no order for: dropped,
+        and counted here and (telemetry on) in ``/metrics``."""
+        self.unmatched[kind] = self.unmatched.get(kind, 0) + 1
+        tel = telemetry.current()
+        if tel.enabled:
+            tel.metrics.counter(
+                "repro_peer_unmatched_total", kind=kind,
+                help="Messages dropped for naming a task with no order here.",
+            ).inc()
 
     def _forward_stream(self, order: ComposeOrder, step_index: int) -> None:
         """Send the data entering *step_index* to the peer hosting it."""
@@ -343,7 +346,7 @@ class Peer(NetNode):
         epoch = payload.get("epoch", 0)
         order = self._orders.get(task_id)
         if order is None:
-            _count_unmatched(protocol.STREAM)
+            self._count_unmatched(protocol.STREAM)
             return None
         if epoch < order.epoch:
             return None  # stale epoch (repaired away): drop

@@ -13,14 +13,15 @@ unchanged over either implementation:
 :class:`UdpTransport`
     an asyncio ``DatagramProtocol`` speaking the
     :mod:`repro.runtime.codec` wire format over real localhost sockets,
-    with per-message acks, timeout + exponential-backoff retries, and
-    duplicate suppression keyed on ``(src, msg_id)``.
+    with per-message acks, exponential-backoff retries paced by measured
+    round trips, and duplicate suppression keyed on ``(src, msg_id)``.
 """
 
 from __future__ import annotations
 
 import abc
 import asyncio
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Set, Tuple
@@ -160,14 +161,44 @@ class PeerDirectory:
 DropFn = Callable[[Message, int], bool]
 
 
+#: Lowest RTO: above loopback ack round trips' p99 and a live loop's stalls (docs/performance.md).
+RTO_FLOOR = 0.010
+
+
+@dataclass(slots=True)
+class RttEstimate:
+    """One destination's RFC 6298 retransmission timer: plain arithmetic, no clock, no I/O."""
+
+    ceiling: float
+    srtt: float = 0.0
+    rttvar: float = 0.0
+    rto: float = 0.0  # until the first sample
+
+    def sample(self, r: float) -> None:
+        """Fold in round trip *r* of a message sent exactly once."""
+        if self.rto:
+            self.rttvar += (abs(self.srtt - r) - self.rttvar) / 4
+            self.srtt += (r - self.srtt) / 8
+        else:
+            self.srtt, self.rttvar = r, r / 2
+        rto = self.srtt + 4 * self.rttvar  # clamped with no min/max: runs per ack
+        self.rto = RTO_FLOOR if rto < RTO_FLOOR else rto if rto < self.ceiling else self.ceiling
+
+    def back_off(self) -> None:
+        """A retransmission to this destination: double the timer."""
+        self.rto = min(2 * self.rto, self.ceiling)
+
+
 @dataclass(slots=True)
 class _PendingSend:
-    """One unacknowledged message: its frame, the number and ack wait
-    of its *next* attempt, and the armed timer that will make it."""
+    """One unacknowledged message: its frame, its *next* attempt's
+    number and ack wait, its last attempt, first send time and timer."""
 
     msg: Message
     frame: bytes
     timeout: float
+    last: int
+    sent_at: float
     attempt: int = 0
     handle: Optional[asyncio.TimerHandle] = None
 
@@ -177,11 +208,12 @@ class UdpTransport(Transport, asyncio.DatagramProtocol):
 
     Reliability: every data frame is acknowledged by the receiving
     transport; the sender retries with exponential backoff until the
-    ack arrives or ``max_retries`` is exhausted (then the message is
+    ack arrives or the retry budget is exhausted (then the message is
     *dropped*, mirroring the simulator's datagram semantics — protocol
     layers recover through their own timeouts).  Receivers ack every
     copy (an earlier ack may itself have been lost) but deliver a
-    given ``(src, msg_id)`` only once.
+    given ``(src, msg_id)`` only once, and only if addressed here.
+    First waits come from :class:`RttEstimate` (docs/runtime.md).
 
     Parameters
     ----------
@@ -196,8 +228,8 @@ class UdpTransport(Transport, asyncio.DatagramProtocol):
         Bind address; port 0 picks a free port (see :attr:`port` after
         :meth:`start`).
     ack_timeout, backoff, max_retries:
-        First-attempt ack wait, multiplicative backoff factor, and the
-        number of *re*-transmissions after the initial send.
+        First ack wait with no round-trip sample (and every estimate's
+        ceiling), backoff factor, and retries after a send at that wait.
     est_latency, est_bandwidth:
         Constants behind :meth:`expected_delay` (allocator cost model).
     dedup_capacity:
@@ -247,6 +279,7 @@ class UdpTransport(Transport, asyncio.DatagramProtocol):
         self._seen: OrderedDict[Tuple[str, int], None] = OrderedDict()
         self._dedup_capacity = dedup_capacity
         self._pending_acks: Dict[Tuple[str, int], _PendingSend] = {}
+        self._rtt: Dict[str, RttEstimate] = {}
         #: What a :meth:`flush` awaits: resolved when the above empties.
         self._drained: Optional["asyncio.Future[None]"] = None
         self._sock: Optional[asyncio.DatagramTransport] = None
@@ -400,8 +433,13 @@ class UdpTransport(Transport, asyncio.DatagramProtocol):
             self._note_dropped(msg)
             return
         key = (msg.dst, msg.msg_id)
+        est = self._rtt.get(msg.dst)
+        first, last = self.ack_timeout, self.max_retries
+        if est is not None and self.backoff > 1.0:
+            first = est.rto
+            last += math.ceil(math.log(self.ack_timeout / first, self.backoff))
         pending = self._pending_acks[key] = _PendingSend(
-            msg, frame, self.ack_timeout
+            msg, frame, first, last, self._loop.time()
         )
         self._attempt(key, pending)
 
@@ -426,7 +464,7 @@ class UdpTransport(Transport, asyncio.DatagramProtocol):
         msg, attempt = pending.msg, pending.attempt
         addr = (
             self.directory.address(msg.dst)
-            if attempt <= self.max_retries else None
+            if attempt <= pending.last else None
         )
         if addr is None:
             self._settle(key)
@@ -434,6 +472,8 @@ class UdpTransport(Transport, asyncio.DatagramProtocol):
             return
         if attempt > 0:
             self.stats.retransmits += 1
+            if (est := self._rtt.get(msg.dst)) is not None:
+                est.back_off()
             tel = telemetry.current()
             if tel.enabled:
                 tel.metrics.counter("repro_udp_retransmits_total").inc()
@@ -446,13 +486,20 @@ class UdpTransport(Transport, asyncio.DatagramProtocol):
         if not lost and self._sock is not None:
             self._sock.sendto(pending.frame, addr)
         pending.handle = self._loop.call_later(
-            pending.timeout, self._attempt, key, pending
+            pending.timeout, self._expired, key, pending
         )
         pending.attempt += 1
         pending.timeout *= self.backoff
 
-    def _settle(self, key: Tuple[str, int]) -> None:
-        """Forget *key* (acked or given up) and disarm its timer."""
+    def _expired(self, key: Tuple[str, int], pending: _PendingSend) -> None:
+        """Out of wait: retransmit once the loop has had as long again as it ran late,
+        so an ack queued behind a busy loop is read first."""
+        late = self._loop.time() - pending.handle.when()
+        pending.handle = self._loop.call_later(late, self._attempt, key, pending)
+
+    def _settle(self, key: Tuple[str, int], acked: bool = False) -> None:
+        """Forget *key* (acked or given up) and disarm its timer; the ack of a
+        message sent once times its round trip (Karn's rule)."""
         pending = self._pending_acks.pop(key, None)
         if pending is None:
             return
@@ -461,6 +508,15 @@ class UdpTransport(Transport, asyncio.DatagramProtocol):
         if self._drained is not None and not self._pending_acks:
             self._drained.set_result(None)
             self._drained = None
+        if not acked or pending.attempt != 1:
+            return
+        rtt = self._loop.time() - pending.sent_at
+        if (est := self._rtt.get(key[0])) is None:
+            est = self._rtt[key[0]] = RttEstimate(self.ack_timeout)
+        est.sample(rtt)
+        tel = telemetry.current()
+        if tel.enabled:
+            tel.metrics.histogram("repro_udp_rtt_seconds").observe(rtt)
 
     def _abandon_pending(self) -> None:
         """Give up on every unacknowledged message, now."""
@@ -473,13 +529,16 @@ class UdpTransport(Transport, asyncio.DatagramProtocol):
         tel = telemetry.current()
         try:
             frame = decode_frame(data)
+            if frame["t"] != FRAME_ACK and frame["msg"].dst != self.node_id:
+                # A reused port: not ours to deliver, nor ours to ack.
+                raise WireFormatError("addressed to another node")
         except WireFormatError:
             self.stats.malformed += 1
             if tel.enabled:
                 tel.metrics.counter("repro_udp_malformed_total").inc()
             return
         if frame["t"] == FRAME_ACK:
-            self._settle((frame["src"], frame["id"]))
+            self._settle((frame["src"], frame["id"]), acked=True)
             return
         msg: Message = frame["msg"]
         # Ack every copy: the previous ack may have been the lost packet.

@@ -99,6 +99,23 @@ class TestStreamHandling:
         for tel in (noop, d.tel):
             assert tel.metrics.total("repro_peer_unmatched_total") == 0
 
+    def test_unmatched_drops_are_tallied_with_telemetry_off(self):
+        from repro.net.message import Message
+
+        d = build_live_domain()  # its handle is never activated
+        peer = d.peers["P2"]
+        with telemetry.session(telemetry.Telemetry.noop()):
+            peer._handle_start_stream(Message(
+                kind=protocol.START_STREAM, src="rm0", dst="P2",
+                payload={"task_id": "ghost", "from_step": 0},
+            ))
+            peer._process_stream(
+                {"task_id": "ghost", "step_index": 0, "epoch": 0}
+            )
+        assert peer.unmatched == {
+            protocol.START_STREAM: 1, protocol.STREAM: 1,
+        }
+
     def test_older_compose_does_not_replace_newer(self, live_domain):
         d = live_domain
         peer = d.peers["P2"]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import math
 import time
 
 import pytest
@@ -19,7 +20,13 @@ from repro.monitoring.profiler import LoadReport
 from repro.net.message import Message
 from repro.net.network import ConstantLatency, Network
 from repro.runtime.codec import encode_message
-from repro.runtime.transport import PeerDirectory, SimTransport, UdpTransport
+from repro.runtime.transport import (
+    RTO_FLOOR,
+    PeerDirectory,
+    RttEstimate,
+    SimTransport,
+    UdpTransport,
+)
 from repro.sim.core import Environment
 from repro.sim.ids import Ids
 
@@ -478,3 +485,216 @@ def test_message_id_reset_determinism():
     directory = PeerDirectory()
     lives = [UdpTransport("A", directory, lambda m: None) for _ in range(2)]
     assert next(lives[0].ids.msg) != next(lives[1].ids.msg)
+
+
+# -- retransmission timer from measured round trips (RFC 6298) -------------
+
+def test_rtt_first_sample_sets_srtt_and_half_variance():
+    est = RttEstimate(ceiling=1.0)
+    est.sample(0.02)
+    assert est.srtt == pytest.approx(0.02)
+    assert est.rttvar == pytest.approx(0.01)
+    assert est.rto == pytest.approx(0.02 + 4 * 0.01)
+
+
+def test_rtt_later_samples_are_smoothed():
+    est = RttEstimate(ceiling=1.0)
+    est.sample(0.02)
+    est.sample(0.04)
+    # RTTVAR from the old SRTT (beta 1/4), then SRTT (alpha 1/8).
+    assert est.rttvar == pytest.approx(0.75 * 0.01 + 0.25 * 0.02)
+    assert est.srtt == pytest.approx(0.875 * 0.02 + 0.125 * 0.04)
+    assert est.rto == pytest.approx(est.srtt + 4 * est.rttvar)
+
+
+def test_rtt_timeout_is_clamped_to_floor_and_ceiling():
+    fast = RttEstimate(ceiling=1.0)
+    fast.sample(1e-5)
+    assert fast.rto == RTO_FLOOR
+    slow = RttEstimate(ceiling=0.05)
+    slow.sample(0.1)
+    assert slow.rto == 0.05 and slow.srtt == pytest.approx(0.1)
+
+
+def test_rtt_back_off_doubles_until_the_next_sample():
+    est = RttEstimate(ceiling=0.1)
+    est.sample(0.006)
+    base = est.rto
+    assert base == pytest.approx(0.018)
+    est.back_off()
+    assert est.rto == pytest.approx(2 * base)
+    est.back_off()
+    assert est.rto == pytest.approx(4 * base)
+    for _ in range(5):
+        est.back_off()
+    assert est.rto == 0.1  # capped at the ceiling
+    srtt, rttvar = est.srtt, est.rttvar
+    est.sample(0.006)  # a valid sample re-derives the timer
+    assert est.srtt == pytest.approx(0.875 * srtt + 0.125 * 0.006)
+    assert est.rto == pytest.approx(est.srtt + 4 * est.rttvar)
+    assert est.rto < 0.1 and est.rttvar < rttvar
+
+
+class _Switch:
+    """A DropFn that loses copies only while armed: every copy if
+    ``every`` is set, else just the first copy of each message."""
+
+    def __init__(self):
+        self.armed = False
+        self.every = False
+        self.calls = []
+
+    def __call__(self, msg, attempt):
+        self.calls.append((attempt, asyncio.get_running_loop().time()))
+        return self.armed and (self.every or attempt == 0)
+
+
+async def _warm_up(a, inbox, n=20):
+    """*n* acked messages A -> B, one at a time, so each is timed."""
+    for i in range(n):
+        a.send(message(kind="stream", src="A", dst="B",
+                       payload={"seq": i}, size=64.0))
+        await a.flush()
+    assert len(inbox) == n and a.retransmits == 0
+
+
+def test_karn_no_sample_from_a_retransmitted_message():
+    """Only an ack of a message sent exactly once is timed; one whose
+    first copy was lost only backs its destination's timer off."""
+    async def main():
+        switch = _Switch()
+        _, a, b, inbox = make_pair(drop_fn=switch, ack_timeout=1.0)
+        await start_all(a, b)
+        try:
+            await _warm_up(a, inbox)
+            est = a._rtt["B"]
+            srtt, rttvar, rto = est.srtt, est.rttvar, est.rto
+            switch.armed = True
+            a.send(message(kind="compose", src="A", dst="B", size=64.0))
+            await a.flush()
+            assert len(inbox) == 21 and a.retransmits == 1
+            assert (est.srtt, est.rttvar) == (srtt, rttvar)  # no sample
+            assert est.rto == pytest.approx(min(2 * rto, 1.0))
+            switch.armed = False
+            a.send(message(kind="compose", src="A", dst="B", size=64.0))
+            await a.flush()
+            assert est.srtt != srtt  # a single copy samples again
+            assert est.rto == pytest.approx(
+                max(est.srtt + 4 * est.rttvar, RTO_FLOOR)
+            )
+        finally:
+            close_all(a, b)
+    run(main())
+
+
+def test_lost_first_copy_recovers_at_the_measured_rto():
+    """After the round trip is measured, a lost datagram costs about
+    that round trip, not ``ack_timeout`` (1 s here)."""
+    async def main():
+        switch = _Switch()
+        _, a, b, inbox = make_pair(drop_fn=switch, ack_timeout=1.0)
+        await start_all(a, b)
+        try:
+            await _warm_up(a, inbox)
+            switch.armed = True
+            start = time.monotonic()
+            a.send(message(kind="compose", src="A", dst="B", size=64.0))
+            assert await wait_for(lambda: len(inbox) == 21)
+            assert time.monotonic() - start < 0.25
+            assert a.retransmits == 1
+        finally:
+            close_all(a, b)
+    run(main())
+
+
+def test_measured_rto_keeps_the_give_up_horizon():
+    """A message starting at a measured RTO retries first at about that
+    RTO, and is dropped no sooner than one starting at ``ack_timeout``
+    (Σ ack_timeout·backoff**k, k = 0..max_retries)."""
+    async def main():
+        ack_timeout, backoff, max_retries = 0.08, 2.0, 1
+        switch = _Switch()
+        _, a, b, inbox = make_pair(
+            drop_fn=switch, ack_timeout=ack_timeout, backoff=backoff,
+            max_retries=max_retries,
+        )
+        await start_all(a, b)
+        try:
+            await _warm_up(a, inbox)
+            rto = a._rtt["B"].rto
+            assert rto < ack_timeout
+            switch.armed = switch.every = True
+            switch.calls.clear()
+            loop = asyncio.get_running_loop()
+            a.send(message(kind="step_done", src="A", dst="B", size=96.0))
+            await a.flush(timeout=5.0)
+            dropped_at = loop.time()
+            attempts = [attempt for attempt, _ in switch.calls]
+            extra = math.ceil(math.log(ack_timeout / rto, backoff))
+            assert attempts == list(range(max_retries + extra + 1))
+            first_gap = switch.calls[1][1] - switch.calls[0][1]
+            assert rto <= first_gap < rto + 0.05
+            horizon = sum(
+                ack_timeout * backoff ** k for k in range(max_retries + 1)
+            )
+            assert dropped_at - switch.calls[0][1] >= horizon
+            assert a.stats.dropped == 1 and len(inbox) == 20
+        finally:
+            close_all(a, b)
+    run(main())
+
+
+def test_frame_for_another_node_is_neither_acked_nor_delivered():
+    """Regression: a reused loopback port could hand B a frame meant
+    for C; B delivered it to its handlers and acked it under its own
+    id, which settled nothing at the sender.  It is now dropped."""
+    async def main():
+        _, a, b, inbox = make_pair()
+        await start_all(a, b)
+        try:
+            data = encode_message(message(
+                kind="compose", src="A", dst="C", size=64.0,
+            ))
+            b.datagram_received(data, (a.host, a.port))
+            assert inbox == [] and b.stats.delivered == 0
+            assert b.acks_sent == 0 and b.malformed == 1
+        finally:
+            close_all(a, b)
+    run(main())
+
+
+def test_rtt_samples_feed_the_histogram_with_telemetry_on():
+    from repro import telemetry
+
+    async def main():
+        _, a, b, inbox = make_pair()
+        await start_all(a, b)
+        try:
+            await _warm_up(a, inbox, n=3)
+        finally:
+            close_all(a, b)
+
+    with telemetry.session(telemetry.Telemetry.wall()) as tel:
+        run(main())
+    hist = tel.metrics.histogram("repro_udp_rtt_seconds")
+    assert hist.count == 3 and hist.sum > 0
+
+
+def test_a_stalled_loop_does_not_retransmit_an_acked_message():
+    """A timer that fires after the loop stalled past it waits once
+    more, as long as it ran late: the ack that arrived meanwhile is read
+    first, instead of a spurious retransmission."""
+    async def main():
+        _, a, b, inbox = make_pair(ack_timeout=1.0)
+        await start_all(a, b)
+        try:
+            await _warm_up(a, inbox)
+            assert a._rtt["B"].rto < 0.05
+            a.send(message(kind="compose", src="A", dst="B", size=64.0))
+            time.sleep(0.1)  # the loop stalls past the measured RTO
+            await a.flush()
+            assert len(inbox) == 21
+            assert a.retransmits == 0 and b.duplicates == 0
+        finally:
+            close_all(a, b)
+    run(main())
