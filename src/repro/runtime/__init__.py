@@ -33,6 +33,10 @@ fabric underneath them:
 :mod:`repro.runtime.soak`
     The ``repro-live-soak`` scenario: sustained load plus fault
     injection against the sharded cluster (see ``docs/runtime.md``).
+
+The last three (the multi-process layer) are not loaded by the package:
+import them by module path, so ``python -m repro.runtime.soak`` runs the
+module once and a ``LiveCluster`` user never loads multiprocessing.
 """
 
 from repro.runtime.codec import (
@@ -52,14 +56,6 @@ from repro.runtime.node import LiveNode, NodeSpec, SimClockPump
 from repro.runtime.cluster import LiveCluster, LiveClusterConfig
 from repro.runtime.roster import Roster, RosterEntry, ring_position
 from repro.runtime.agent import RosterAgent
-from repro.runtime.shard import ShardConfig, ShardHost
-from repro.runtime.supervisor import (
-    ClusterSupervisor,
-    TaskLedger,
-    merge_prometheus,
-    partition_specs,
-)
-from repro.runtime.soak import SoakConfig, run_soak
 
 __all__ = [
     "WIRE_VERSION",
@@ -80,12 +76,4 @@ __all__ = [
     "RosterEntry",
     "ring_position",
     "RosterAgent",
-    "ShardConfig",
-    "ShardHost",
-    "ClusterSupervisor",
-    "TaskLedger",
-    "merge_prometheus",
-    "partition_specs",
-    "SoakConfig",
-    "run_soak",
 ]

@@ -16,7 +16,10 @@ spawns one ``ShardHost`` process per shard, the decentralized roster
 assembles the domain, and the tasks are injected through the
 supervisor's control pipe::
 
-    repro-live --peers 64 --shards 4 --tasks 8
+    repro-live --peers 64 --shards 4 --tasks 8 --trace run.jsonl --profile
+
+Each shard writes its files into ``shard-<sid>-<n>/`` next to the
+trace, and they are merged into ``--trace`` and the ``.folded`` path.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import os
 import sys
 from typing import Any, Dict, List, Optional
 
@@ -167,9 +171,11 @@ async def run_live(
     return report
 
 
-async def run_sharded(args: argparse.Namespace) -> Dict[str, Any]:
+async def run_sharded(
+    args: argparse.Namespace, flags: Dict[str, Any]
+) -> Dict[str, Any]:
     """The ``--shards`` path: the same fig-1 style domain, but hosted
-    by supervised shard processes with the decentralized roster."""
+    by supervised shard processes, each running the observation *flags*."""
     from repro.runtime.soak import SoakConfig, soak_shard_configs
     from repro.runtime.supervisor import ClusterSupervisor
 
@@ -180,11 +186,15 @@ async def run_sharded(args: argparse.Namespace) -> Dict[str, Any]:
         object_duration_s=args.duration,
         metrics_port=args.metrics_port or 0,
     )
+    observing = bool(args.trace or args.profile)
     sup = ClusterSupervisor(
-        soak_shard_configs(cfg),
+        soak_shard_configs(cfg, flags if observing else {}),
         serve_metrics=args.metrics_port is not None,
         metrics_port=args.metrics_port or 0,
         start_timeout=cfg.join_timeout,
+        observe_dir=os.path.dirname(
+            os.path.abspath(args.trace or flags["folded"])
+        ) if observing else None,
     )
     report: Dict[str, Any] = {"shards": args.shards}
     loop = asyncio.get_running_loop()
@@ -214,6 +224,10 @@ async def run_sharded(args: argparse.Namespace) -> Dict[str, Any]:
         report["status"] = sup.status()
     finally:
         await sup.stop()
+        if observing:
+            report["observe"] = sup.write_cluster_artifacts(
+                trace=args.trace, folded=flags["folded"],
+            )
     return report
 
 
@@ -271,17 +285,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.shards:
         if args.shards < 1:
             parser.error("--shards must be at least 1")
-        if args.trace or args.profile or args.sample is not None:
-            parser.error(
-                "--trace/--sample/--profile are in-process features; "
-                "with --shards use --record-dir on repro-live-soak or "
-                "each shard's own /metrics"
-            )
         try:
-            report = asyncio.run(run_sharded(args))
+            report = asyncio.run(run_sharded(args, flags))
         except (asyncio.TimeoutError, TimeoutError):
             print("error: sharded live run timed out", file=sys.stderr)
             return 1
+        merged = report.get("observe") or {}
+        for what in ("trace", "folded"):
+            if merged.get(what):
+                print(f"merged {what} -> {merged[what]}", file=sys.stderr)
         if args.json:
             print(json.dumps(report, indent=2, default=str))
         else:

@@ -5,20 +5,30 @@ its roster agent and nodes run through a
 :class:`~repro.runtime.cluster.LiveCluster` on the shard's own asyncio
 loop, and the host adds a per-shard ``/metrics`` + ``/healthz``
 endpoint, an optional flight recorder, the seed (and respawn-pull) step
-between agent and node start, a task generator, and drain.  The parent
-(:class:`~repro.runtime.supervisor.ClusterSupervisor`) talks to it over
-a :mod:`multiprocessing` pipe:
+between agent and node start, a task generator, and drain.
+
+What the shard observes leaves the way it does for an in-process
+``repro-live``: the shard runs one
+:class:`~repro.telemetry.observation.Observation` with the flags in
+:attr:`ShardConfig.observation`, which writes its trace (and
+``.folded``) into the shard's own directory as the run goes.  The
+parent merges those files after the run.
+
+The parent (:class:`~repro.runtime.supervisor.ClusterSupervisor`)
+talks to the shard over a :mod:`multiprocessing` pipe:
 
 child → parent
     ``ready`` (agent + metrics ports), ``hb`` (periodic health),
     ``submitted`` / ``submit_failed`` (origin-side task ledger),
     ``task`` (RM-side lifecycle events — only the RM-hosting shard
-    emits these), ``drained``, ``fatal``.
+    emits these), ``flight`` / ``snapshot_done`` (flight-recorder
+    dumps), ``drained``, ``fatal``.
 
 parent → child
     ``seeds`` (the other agents' addresses), ``submit`` (inject tasks),
     ``pause_tasks`` / ``resume_tasks``, ``task_done`` (terminal-event
-    relay for tasks this shard originated), ``drain``.
+    relay for tasks this shard originated), ``snapshot`` (dump for a
+    correlated bundle), ``drain``.
 
 ``SIGTERM`` (or a ``drain`` message) triggers the graceful path: the
 agent stops admitting joins, the task generator stops, in-flight
@@ -34,26 +44,18 @@ import asyncio
 import os
 import random
 import signal
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set
 
 from repro.runtime.cluster import LiveCluster, LiveClusterConfig
 from repro.runtime.node import NodeSpec
 from repro.tasks.task import ApplicationTask
-from repro.telemetry.export import TRACE_FORMAT_VERSION
 from repro.telemetry.logs import get_logger
 from repro.telemetry.observation import Observation
-from repro.telemetry.ship import TraceShipper
-
-#: Tracer history kept per shard (a soak must not grow without bound;
-#: the flight recorder keeps its own ring on top of the live stream).
-_TRACE_KEEP = 2000
-_TRACE_HIGH = 2 * _TRACE_KEEP
 
 #: Seconds between heartbeats up the pipe.
 HEARTBEAT_PERIOD = 1.0
-#: Wall profiler sampling period when ``observe`` is on.
+#: Wall profiler sampling period when ``--profile`` is on.
 PROFILER_PERIOD = 0.05
 #: RPC timeout of a generated task's submit.
 TASK_TIMEOUT = 15.0
@@ -73,11 +75,11 @@ class ShardConfig:
     cluster: LiveClusterConfig = field(default_factory=LiveClusterConfig)
     #: Directory for flight-recorder bundles (None = no recorder).
     record_dir: Optional[str] = None
-    #: Join the cluster observability plane: ship spans/events up the
-    #: supervisor pipe, attach the wall profiler (with the GIL cost
-    #: model) + overhead budgeter, report health payloads in the
-    #: heartbeat, and answer correlated snapshot requests.
-    observe: bool = False
+    #: The :class:`Observation` flags ``observation_flags()`` gives an
+    #: in-process run; the supervisor points ``trace`` and ``folded``
+    #: into this incarnation's directory at spawn.  Non-empty also puts
+    #: health payloads in the heartbeat and reports flight dumps.
+    observation: Dict[str, Any] = field(default_factory=dict)
     #: Tasks/s this shard originates (0 = driven by ``submit`` messages).
     task_rate: float = 0.0
     task_deadline: float = 20.0
@@ -104,10 +106,9 @@ class ShardHost:
         #: recorder and wall profiler of this shard (opened at startup).
         self.obs = Observation.wall(
             metrics_port=0, host=cfg.cluster.host, record_dir=cfg.record_dir,
-            profile=cfg.observe, rate=PROFILER_PERIOD,
+            rate=PROFILER_PERIOD, meta={"shard": cfg.shard_id},
+            **cfg.observation,
         )
-        self.shipper: Optional[TraceShipper] = None
-        self._epoch_unix: Optional[float] = None
         self.draining = False
         self._paused = False
         self._ready = asyncio.Event()
@@ -141,7 +142,9 @@ class ShardHost:
             raise
         await self._drain_requested.wait()
         clean = await self._drain()
-        self._final_flush()
+        # Finish the files before the slower cluster stop, so that
+        # ``drained`` also says they are complete.
+        self.obs.close()
         self._send({
             "type": "drained", "shard": self.cfg.shard_id,
             "ok": clean, "inflight": len(self._inflight),
@@ -156,16 +159,12 @@ class ShardHost:
     async def _startup(self) -> None:
         cfg = self.cfg
         self.obs.open()
-        # Unix time of the wall clock's zero point: the cluster merge
-        # aligns per-shard timestamps with this.
-        self._epoch_unix = time.time()
-        self.obs.start(metrics_fn=self._metrics_text, health_fn=self._health)
-        if cfg.observe:
-            self.shipper = TraceShipper(
-                self.obs.tel.tracer, shard=cfg.shard_id
-            )
-            if self.obs.recorder is not None:
-                self.obs.recorder.on_dump = self._on_flight_dump
+        self.obs.start(
+            self.cluster, metrics_fn=self._metrics_text,
+            health_fn=self._health,
+        )
+        if cfg.observation and self.obs.recorder is not None:
+            self.obs.recorder.on_dump = self._on_flight_dump
         agent = await self.cluster.agent.start()
         self._tasks.append(self._loop.create_task(
             self._pipe_loop(), name=f"pipe:{cfg.shard_id}"
@@ -203,10 +202,6 @@ class ShardHost:
         self._tasks.append(self._loop.create_task(
             self._trim_loop(), name=f"trim:{cfg.shard_id}"
         ))
-        if self.shipper is not None:
-            self._tasks.append(self._loop.create_task(
-                self._ship_loop(), name=f"ship:{cfg.shard_id}"
-            ))
 
     # -- control pipe ------------------------------------------------------
     async def _pipe_loop(self) -> None:
@@ -333,7 +328,7 @@ class ShardHost:
                 "roster": self.cluster.agent.roster.counts(),
                 "submitted": self.submitted,
             }
-            if self.cfg.observe:
+            if self.cfg.observation:
                 msg["health"] = self._health_payload()
             self._send(msg)
 
@@ -369,45 +364,15 @@ class ShardHost:
             "inflight": len(self._inflight),
         }
 
-    def _trace_meta(self) -> Dict[str, Any]:
-        return {
-            "version": TRACE_FORMAT_VERSION,
-            "shard": self.cfg.shard_id,
-            "clock": self.obs.tel.clock.label,
-            "epoch_unix": self._epoch_unix,
-        }
-
-    async def _ship_loop(self) -> None:
-        """Flush new spans/events up the pipe (cluster trace stream)."""
-        while True:
-            await asyncio.sleep(1.0)
-            self._ship(limit=4000)
-
-    def _ship(self, limit: Optional[int] = None) -> None:
-        assert self.shipper is not None
-        records = self.shipper.collect(limit=limit)
-        if records:
-            self._send({
-                "type": "trace", "shard": self.cfg.shard_id,
-                "meta": self._trace_meta(), "records": records,
-            })
-
     async def _trim_loop(self) -> None:
-        """Bound tracer history: a soak would otherwise grow it forever
-        (the flight recorder taps the stream, so trimming loses nothing
-        it cares about).  With a shipper attached the trim goes through
-        it — only records already flushed to the export stream are
-        dropped, closing the burst-loss window the bare ``del`` had."""
+        """Drop the tracer's history, which a soak would grow forever:
+        the trace file and the flight recorder took every record as it
+        finished, and nothing in a shard reads the history back."""
         tracer = self.obs.tel.tracer
         while True:
             await asyncio.sleep(5.0)
-            if self.shipper is not None:
-                self.shipper.trim(_TRACE_KEEP, high=_TRACE_HIGH)
-                continue
-            if len(tracer.spans) > _TRACE_HIGH:
-                del tracer.spans[:-_TRACE_KEEP]
-            if len(tracer.events) > _TRACE_HIGH:
-                del tracer.events[:-_TRACE_KEEP]
+            tracer.spans.clear()
+            tracer.events.clear()
 
     def _joined(self) -> int:
         return sum(
@@ -487,23 +452,6 @@ class ShardHost:
                 clean = False
             agent.tombstone(node.node_id)
         return clean
-
-    def _final_flush(self) -> None:
-        """Ship the tail of the trace stream and the shard's profile
-        before announcing ``drained`` (the supervisor consumes the pipe
-        in order, so these land before it stops listening)."""
-        if self.shipper is not None:
-            self._ship()
-        profile = self.obs.session
-        if profile is not None:
-            self.obs.stop()
-            agg = profile.profiler.agg
-            if agg.n_samples:
-                self._send({
-                    "type": "folded", "shard": self.cfg.shard_id,
-                    "text": agg.to_folded(),
-                    "profile": profile.record(top_n=10),
-                })
 
     async def _teardown(self, crash: bool) -> None:
         self.obs.stop()

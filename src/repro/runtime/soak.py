@@ -59,8 +59,8 @@ class SoakConfig:
     metrics_port: int = 0
     record_dir: Optional[str] = None
     #: Root of the cluster observability plane's artifacts (per-shard
-    #: trace streams, merged cluster trace + .folded, correlated flight
-    #: bundles).  None = plane off, shard behaviour unchanged.
+    #: trace + .folded files, merged cluster trace + .folded, correlated
+    #: flight bundles).  None = plane off, shard behaviour unchanged.
     observe_dir: Optional[str] = None
     seed: int = 7
     profiler_update_period: float = 5.0
@@ -93,7 +93,10 @@ def soak_specs(cfg: SoakConfig) -> List[NodeSpec]:
     return specs
 
 
-def soak_shard_configs(cfg: SoakConfig) -> List[ShardConfig]:
+def soak_shard_configs(
+    cfg: SoakConfig, observation: Optional[Dict[str, Any]] = None
+) -> List[ShardConfig]:
+    """One config per shard; *observation*: every shard's Observation flags."""
     specs = soak_specs(cfg)
     buckets = partition_specs(specs, cfg.shards)
     cluster = LiveClusterConfig(
@@ -116,7 +119,7 @@ def soak_shard_configs(cfg: SoakConfig) -> List[ShardConfig]:
             expected_nodes=len(specs),
             cluster=cluster,
             record_dir=record_dir,
-            observe=cfg.observe_dir is not None,
+            observation=dict(observation or {}),
             task_rate=cfg.task_rate / len(buckets),
             task_deadline=cfg.task_deadline,
             seed=cfg.seed + i,
@@ -127,7 +130,10 @@ def soak_shard_configs(cfg: SoakConfig) -> List[ShardConfig]:
 async def run_soak(cfg: SoakConfig) -> Dict[str, Any]:
     """Run the scenario; returns the result document (``ok`` rolls up
     every acceptance check)."""
-    configs = soak_shard_configs(cfg)
+    # --observe: each shard runs what `repro-live --trace --profile` does.
+    configs = soak_shard_configs(cfg, {
+        "trace": "trace.jsonl", "profile": True,
+    } if cfg.observe_dir else None)
     expected_nodes = cfg.peers + 1
     sup = ClusterSupervisor(
         configs, metrics_port=cfg.metrics_port,
@@ -232,11 +238,16 @@ async def run_soak(cfg: SoakConfig) -> Dict[str, Any]:
     if cfg.drain:
         checks.append(bool(result["drain"] and result["drain"]["ok"]))
     if cfg.observe_dir:
-        obs = result.get("observe") or {}
+        obs = result["observe"]
+        # Every incarnation left a part (a killed one: its prefix), and
+        # with two shards or more some task spans more than one.
+        incarnations = sum(sh.restarts + 1 for sh in sup.shards.values())
         result["observe_ok"] = bool(
-            obs.get("trace")
-            and os.path.exists(obs["trace"])
-            and obs.get("orphan_spans", 1) == 0
+            os.path.exists(obs["trace"])
+            and obs["parts"] >= incarnations
+            and obs["connected_tasks"] > 0
+            and obs["orphan_spans"] == 0
+            and (obs["cross_shard_tasks"] > 0 or len(configs) < 2)
         )
         checks.append(result["observe_ok"])
     result["ok"] = all(checks)

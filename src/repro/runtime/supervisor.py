@@ -21,23 +21,25 @@ agents' addresses as gossip seeds, and then supervises:
 * **graceful drain** — :meth:`drain` SIGTERMs/messages the peer shards
   first and the RM shard last, so every departing peer's sessions are
   reassigned (§4.5) while the RM is still up.
+* **observability files** — with an *observe_dir*, each shard
+  incarnation writes its own ``trace.jsonl`` (and ``profile.folded``)
+  into ``shard-<sid>-<n>/`` there, and :meth:`write_cluster_artifacts`
+  merges those files once the run is over.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import multiprocessing
 import os
 import urllib.request
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, IO, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.control.events import TERMINAL_EVENTS
 from repro.runtime.agent import agent_id_for
 from repro.runtime.node import NodeSpec
 from repro.runtime.shard import ShardConfig, _shard_entry
-from repro.telemetry.export import write_records
 from repro.telemetry.httpd import TelemetryHTTPServer
 from repro.telemetry.logs import get_logger
 
@@ -236,15 +238,6 @@ class ClusterSupervisor:
         self.observe_dir = observe_dir
         self.cluster_health: Optional[Any] = None
         self.coordinator: Optional[Any] = None
-        #: shard_id -> open per-shard trace sink for the current
-        #: incarnation: {"epoch", "fh", "path"}.
-        self._trace_sinks: Dict[str, Dict[str, Any]] = {}
-        self._trace_paths: List[str] = []
-        self._trace_seq: Dict[str, int] = {}
-        #: shard_id -> .folded artifact paths (one per drained
-        #: incarnation) and the final profile records.
-        self._folded_paths: List[str] = []
-        self.shard_profiles: Dict[str, Dict[str, Any]] = {}
         if observe_dir is not None:
             os.makedirs(observe_dir, exist_ok=True)
             # Deferred import: the observability plane pulls in the
@@ -285,7 +278,11 @@ class ClusterSupervisor:
         await self.stop()
 
     def _spawn(self, shard_id: str, respawn: bool) -> _Shard:
-        cfg = replace(self.configs[shard_id], respawn=respawn)
+        restarts = self.shards[shard_id].restarts + 1 if respawn else 0
+        cfg = replace(
+            self.configs[shard_id], respawn=respawn,
+            observation=self._observation(shard_id, restarts),
+        )
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_shard_entry, args=(cfg, child_conn),
@@ -293,10 +290,7 @@ class ClusterSupervisor:
         )
         proc.start()
         child_conn.close()
-        prev = self.shards.get(shard_id)
-        sh = _Shard(cfg=cfg, proc=proc, conn=parent_conn)
-        if prev is not None:
-            sh.restarts = prev.restarts
+        sh = _Shard(cfg=cfg, proc=proc, conn=parent_conn, restarts=restarts)
         self.shards[shard_id] = sh
         self.log.info(
             "spawned shard %s (pid %s, respawn=%s)",
@@ -377,10 +371,6 @@ class ClusterSupervisor:
         elif kind == "drained":
             sh.status = "drained"
             sh.drained_event.set()
-        elif kind == "trace":
-            self._on_trace(sid, msg)
-        elif kind == "folded":
-            self._on_folded(sid, msg)
         elif kind == "flight":
             if self.coordinator is not None:
                 self.coordinator.on_shard_dump(
@@ -403,54 +393,23 @@ class ClusterSupervisor:
         if sh is not None and sh.proc is not None and sh.proc.is_alive():
             self._send(sh, {"type": "task_done", "tid": tid})
 
-    # -- observability plane (pipe side) -----------------------------------
-    def _on_trace(self, sid: str, msg: Dict[str, Any]) -> None:
-        """Land a shard's shipped span/event batch in its per-shard
-        JSONL stream.  A respawned shard has a new wall-clock epoch, so
-        a meta change rotates to a fresh per-incarnation file — the
-        merge treats each incarnation as its own part."""
-        if self.observe_dir is None:
-            return
-        meta = dict(msg.get("meta") or {})
-        sink = self._trace_sinks.get(sid)
-        if sink is None or sink["epoch"] != meta.get("epoch_unix"):
-            if sink is not None:
-                self._close_sink(sink)
-            seq = self._trace_seq.get(sid, 0)
-            self._trace_seq[sid] = seq + 1
-            path = os.path.join(
-                self.observe_dir, f"trace-{sid}-{seq}.jsonl"
-            )
-            fh: IO[str] = open(path, "w", encoding="utf-8")
-            fh.write(json.dumps({"type": "meta", **meta}) + "\n")
-            sink = {"epoch": meta.get("epoch_unix"), "fh": fh, "path": path}
-            self._trace_sinks[sid] = sink
-            self._trace_paths.append(path)
-        write_records(sink["fh"], msg.get("records", []))
-        sink["fh"].flush()
+    # -- observability plane ---------------------------------------------
+    def _part_dir(self, sid: str, incarnation: int) -> str:
+        assert self.observe_dir is not None
+        return os.path.join(self.observe_dir, f"shard-{sid}-{incarnation}")
 
-    def _on_folded(self, sid: str, msg: Dict[str, Any]) -> None:
-        if self.observe_dir is None:
-            return
-        text = msg.get("text") or ""
-        if not text:
-            return
-        seq = len(self._folded_paths)
-        path = os.path.join(
-            self.observe_dir, f"folded-{sid}-{seq}.folded"
-        )
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-        self._folded_paths.append(path)
-        profile = msg.get("profile")
-        if profile is not None:
-            self.shard_profiles[sid] = profile
-
-    def _close_sink(self, sink: Dict[str, Any]) -> None:
-        try:
-            sink["fh"].close()
-        except OSError:
-            pass
+    def _observation(self, sid: str, incarnation: int) -> Dict[str, Any]:
+        """The shard's observation flags with its files pointed into
+        this incarnation's own directory."""
+        flags = dict(self.configs[sid].observation)
+        if flags:
+            part = self._part_dir(sid, incarnation)
+            os.makedirs(part, exist_ok=True)
+            if flags.get("trace"):
+                flags["trace"] = os.path.join(part, "trace.jsonl")
+            if flags.get("profile"):
+                flags["folded"] = os.path.join(part, "profile.folded")
+        return flags
 
     def _fanout_snapshot(
         self, reason: str, bundle_n: int, exclude: Optional[str]
@@ -472,52 +431,51 @@ class ClusterSupervisor:
             return None
         return self.coordinator.trigger(reason)
 
-    def write_cluster_artifacts(self) -> Optional[Dict[str, Any]]:
-        """Merge the per-shard streams into the cluster artifacts.
+    def write_cluster_artifacts(
+        self, trace: Optional[str] = None, folded: Optional[str] = None,
+    ) -> Optional[Dict[str, Any]]:
+        """Merge the shards' files into the cluster artifacts.
 
-        Call after :meth:`stop` (or at least after the shards of
-        interest drained).  Produces ``cluster-trace.jsonl`` — the
-        epoch-aligned, id-re-keyed, parent-stitched merge of every
-        shard incarnation's stream plus the supervisor's cluster-health
-        series — and ``cluster.folded``, the summed flame profile.
-        Returns paths plus the cross-shard connectivity summary.
+        Call after :meth:`stop`.  Writes *trace* (default
+        ``cluster-trace.jsonl``) — the epoch-aligned, id-re-keyed,
+        parent-stitched merge of every shard incarnation's trace plus
+        the supervisor's cluster-health series — and *folded* (default
+        ``cluster.folded``), the summed flame profile.  A SIGKILLed
+        incarnation contributes what it wrote before the kill.  Returns
+        paths plus the cross-shard connectivity summary.
         """
         if self.observe_dir is None:
             return None
-        from repro.profiling.folded import merge_folded, read_folded
+        from repro.profiling.folded import (
+            merge_folded,
+            read_folded,
+            write_folded,
+        )
         from repro.telemetry.cluster import cross_shard_summary, merge_traces
         from repro.telemetry.export import read_jsonl, write_trace_data
 
-        for sink in self._trace_sinks.values():
-            self._close_sink(sink)
-        self._trace_sinks.clear()
-        parts = []
-        for path in self._trace_paths:
-            try:
-                parts.append(read_jsonl(path))
-            except (OSError, ValueError):
-                continue
+        def files(name: str) -> List[str]:
+            paths = (
+                os.path.join(self._part_dir(sid, n), name)
+                for sid in sorted(self.shards)
+                for n in range(self.shards[sid].restarts + 1)
+            )
+            return [p for p in paths if os.path.exists(p)]
+
+        parts = [read_jsonl(p) for p in files("trace.jsonl")]
         merged = merge_traces(parts)
         if self.cluster_health is not None:
             merged.series.extend(self.cluster_health.records())
-        trace_path = os.path.join(self.observe_dir, "cluster-trace.jsonl")
-        write_trace_data(trace_path, merged)
-        folded_path = None
-        if self._folded_paths:
-            counts = merge_folded(
-                read_folded(p) for p in self._folded_paths
-            )
-            if counts:
-                from repro.profiling.folded import write_folded
-
-                folded_path = write_folded(
-                    os.path.join(self.observe_dir, "cluster.folded"),
-                    counts,
-                )
+        trace = trace or os.path.join(self.observe_dir, "cluster-trace.jsonl")
+        write_trace_data(trace, merged)
+        counts = merge_folded(read_folded(p) for p in files("profile.folded"))
+        folded = write_folded(
+            folded or os.path.join(self.observe_dir, "cluster.folded"), counts,
+        ) if counts else None
         summary = cross_shard_summary(merged)
         return {
-            "trace": trace_path,
-            "folded": folded_path,
+            "trace": trace,
+            "folded": folded,
             "parts": len(parts),
             "stitched_spans": merged.meta.get("stitched_spans", 0),
             "tasks": summary["tasks"],
@@ -528,7 +486,10 @@ class ClusterSupervisor:
                 self.coordinator.record()
                 if self.coordinator is not None else []
             ),
-            "profiles": self.shard_profiles,
+            "profiles": {
+                p.meta.get("shard"): p.profile
+                for p in parts if p.profile is not None
+            },
         }
 
     def _on_crash(self, sid: str, sh: _Shard) -> None:
@@ -556,7 +517,6 @@ class ClusterSupervisor:
         if self._closing:
             return
         new = self._spawn(sid, respawn=True)
-        new.restarts += 1
         try:
             await asyncio.wait_for(
                 new.ready_event.wait(), self.start_timeout
@@ -730,7 +690,7 @@ class ClusterSupervisor:
         ))
         # The pump exits as soon as _closing flips, but a SIGTERM'd
         # shard drains on its way out — sweep the pipes once after the
-        # join so its final trace/profile shipments still land.
+        # join so its last ledger messages still land.
         for sid, sh in self.shards.items():
             try:
                 while sh.conn.poll(0):
@@ -749,9 +709,6 @@ class ClusterSupervisor:
                 await self._pump_task
             except (asyncio.CancelledError, Exception):
                 pass
-        for sink in self._trace_sinks.values():
-            self._close_sink(sink)
-        self._trace_sinks.clear()
         if self.httpd is not None:
             self.httpd.close()
 

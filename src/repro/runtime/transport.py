@@ -416,7 +416,10 @@ class UdpTransport(Transport, asyncio.DatagramProtocol):
             self._note_dropped(msg)
             return
         if msg.dst == self.node_id:
-            # Loopback: no socket hop, but same delivery path.
+            # Loopback: no socket hop and no ack, so the span ends at
+            # delivery.
+            if tel.enabled:
+                tel.tracer.end_span_key(f"msg:{msg.msg_id}", status="ok")
             self._note_delivered(msg)
             self.on_message(msg)
             return
@@ -454,7 +457,6 @@ class UdpTransport(Transport, asyncio.DatagramProtocol):
         self.stats.delivered += 1
         tel = telemetry.current()
         if tel.enabled:
-            tel.tracer.end_span_key(f"msg:{msg.msg_id}", status="ok")
             tel.metrics.counter("repro_net_messages_delivered_total").inc()
 
     # -- reliability -------------------------------------------------------
@@ -498,8 +500,9 @@ class UdpTransport(Transport, asyncio.DatagramProtocol):
         pending.handle = self._loop.call_later(late, self._attempt, key, pending)
 
     def _settle(self, key: Tuple[str, int], acked: bool = False) -> None:
-        """Forget *key* (acked or given up) and disarm its timer; the ack of a
-        message sent once times its round trip (Karn's rule)."""
+        """Forget *key* (acked or given up) and disarm its timer.  An ack
+        ends the message's span, which only the sender holds, and the
+        ack of a message sent once times its round trip (Karn's rule)."""
         pending = self._pending_acks.pop(key, None)
         if pending is None:
             return
@@ -508,13 +511,17 @@ class UdpTransport(Transport, asyncio.DatagramProtocol):
         if self._drained is not None and not self._pending_acks:
             self._drained.set_result(None)
             self._drained = None
-        if not acked or pending.attempt != 1:
+        if not acked:
+            return
+        tel = telemetry.current()
+        if tel.enabled:
+            tel.tracer.end_span_key(f"msg:{key[1]}", status="ok")
+        if pending.attempt != 1:
             return
         rtt = self._loop.time() - pending.sent_at
         if (est := self._rtt.get(key[0])) is None:
             est = self._rtt[key[0]] = RttEstimate(self.ack_timeout)
         est.sample(rtt)
-        tel = telemetry.current()
         if tel.enabled:
             tel.metrics.histogram("repro_udp_rtt_seconds").observe(rtt)
 

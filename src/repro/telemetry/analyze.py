@@ -21,16 +21,6 @@ _RELIABILITY_KEYS = (
 )
 
 
-def span_children(spans: List[Span]) -> Dict[Optional[int], List[Span]]:
-    """parent span id -> children, each list in start order."""
-    tree: Dict[Optional[int], List[Span]] = {}
-    for span in spans:
-        tree.setdefault(span.parent_id, []).append(span)
-    for children in tree.values():
-        children.sort(key=lambda s: (s.start, s.span_id))
-    return tree
-
-
 @dataclass
 class TaskTrace:
     """Everything one task's trace contains."""

@@ -1,10 +1,9 @@
-"""Cluster trace stitching: merge per-shard streams into one timeline.
+"""Cluster trace stitching: merge per-shard files into one timeline.
 
-Each :class:`~repro.runtime.shard.ShardHost` ships its spans and events
-up the supervisor pipe as JSONL records; the supervisor lands them in
-one file per shard.  Those per-shard streams share ``trace_id``\\ s (the
-``task:<id>`` correlation key rides wire v1 with every message), but
-they are *not* directly mergeable:
+Each :class:`~repro.runtime.shard.ShardHost` incarnation writes its own
+trace file through its observation session.  Those files share
+``trace_id``\\ s (the ``task:<id>`` correlation key rides wire v1 with
+every message), but they are *not* directly mergeable:
 
 * span ids are per-process counters, so ids collide across shards and
   ``parent_id`` links would cross-wire;

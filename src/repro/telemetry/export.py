@@ -9,15 +9,19 @@ Line types::
     {"type": "series", "name": "repro_peer_load", "t": [...], "v": [...]}
     {"type": "profile", "runtime": "sim", "top": [...], "budget": {...}}
 
-The format is append-friendly (a crashed run still yields a readable
-prefix) and greppable; :func:`read_jsonl` tolerates unknown line types
-so future writers stay compatible with old readers.
+A run's file is written as the run goes (:class:`TraceWriter`): the
+meta line at open, each span and event as it finishes, then a closing
+meta line, metrics, series and profile at close.  So a killed run
+leaves a readable prefix: :func:`read_jsonl` merges the meta lines,
+skips a torn last line, and tolerates unknown line types so future
+writers stay compatible with old readers.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, IO, Iterable, List, Optional, Union
 
@@ -26,6 +30,9 @@ from repro.telemetry.tracer import Span, TraceEvent
 
 #: Trace-file schema version; bump on incompatible record changes.
 TRACE_FORMAT_VERSION = 1
+#: Wall seconds a :class:`TraceWriter` may hold finished records in its
+#: buffer: a killed run loses at most about this much of its stream.
+FLUSH_PERIOD = 1.0
 
 
 @dataclass
@@ -45,44 +52,44 @@ class TraceData:
         return self.meta.get("clock", "?")
 
 
-def iter_records(
-    tracer,
-    metrics: Optional[MetricsRegistry] = None,
-    meta: Optional[Dict[str, Any]] = None,
-    sampler=None,
-    profile: Optional[Dict[str, Any]] = None,
-) -> Iterable[Dict[str, Any]]:
-    """All records of one trace file, meta line first."""
-    head: Dict[str, Any] = {
-        "type": "meta",
-        "version": TRACE_FORMAT_VERSION,
-        "clock": getattr(getattr(tracer, "clock", None), "label", "?"),
-    }
-    if meta:
-        head.update(meta)
-    yield head
-    for span in sorted(tracer.spans, key=lambda s: (s.start, s.span_id)):
-        rec = span.as_dict()
-        rec["type"] = "span"
-        yield rec
-    for ev in tracer.events:
-        rec = ev.as_dict()
-        rec["type"] = "event"
-        yield rec
-    if metrics is not None:
-        for rec in metrics.snapshot():
-            rec = dict(rec)
-            rec["type"] = "metric"
-            yield rec
-    if sampler is not None:
-        for rec in sampler.records():
-            rec = dict(rec)
-            rec["type"] = "series"
-            yield rec
-    if profile is not None:
-        rec = dict(profile)
-        rec["type"] = "profile"
-        yield rec
+def _head(tracer, meta: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+    clock = getattr(getattr(tracer, "clock", None), "label", "?")
+    return {"version": TRACE_FORMAT_VERSION, "clock": clock, **(meta or {})}
+
+
+def _records(data: TraceData) -> Iterable[Dict[str, Any]]:
+    """A trace's records in file order, meta line first."""
+    yield {"type": "meta", **data.meta}
+    for span in data.spans:
+        yield {**span.as_dict(), "type": "span"}
+    for ev in data.events:
+        yield {**ev.as_dict(), "type": "event"}
+    for rec in data.metrics:
+        yield {**rec, "type": "metric"}  # over a snapshot's metric kind
+    for rec in data.series:
+        yield {**rec, "type": "series"}
+    if data.profile is not None:
+        yield {**data.profile, "type": "profile"}
+
+
+def _line(rec: Dict[str, Any]) -> str:
+    return json.dumps(rec, separators=(",", ":"), default=str) + "\n"
+
+
+def write_trace_data(
+    dest: Union[str, "os.PathLike[str]", IO[str]], data: TraceData
+) -> int:
+    """Write an in-memory trace (e.g. a merge result) as a JSONL file;
+    returns the number of records written.  The inverse of
+    :func:`read_jsonl`."""
+    if isinstance(dest, (str, os.PathLike)):
+        with open(dest, "w", encoding="utf-8") as fp:
+            return write_trace_data(fp, data)
+    n = 0
+    for rec in _records(data):
+        dest.write(_line(rec))
+        n += 1
+    return n
 
 
 def write_jsonl(
@@ -93,55 +100,62 @@ def write_jsonl(
     sampler=None,
     profile: Optional[Dict[str, Any]] = None,
 ) -> int:
-    """Write a trace file; returns the number of records written."""
-    records = iter_records(
-        tracer, metrics=metrics, meta=meta, sampler=sampler,
+    """Write a tracer's retained history at once; returns the number of
+    records written."""
+    return write_trace_data(dest, TraceData(
+        meta=_head(tracer, meta),
+        spans=sorted(tracer.spans, key=lambda s: (s.start, s.span_id)),
+        events=list(tracer.events),
+        metrics=metrics.snapshot() if metrics is not None else [],
+        series=sampler.records() if sampler is not None else [],
         profile=profile,
-    )
-    if isinstance(dest, (str, os.PathLike)):
-        with open(dest, "w", encoding="utf-8") as fp:
-            return write_records(fp, records)
-    return write_records(dest, records)
+    ))
 
 
-def write_records(fp: IO[str], records: Iterable[Dict[str, Any]]) -> int:
-    """The one JSONL line-writer: one compact record per line."""
-    n = 0
-    for rec in records:
-        fp.write(json.dumps(rec, separators=(",", ":"), default=str))
-        fp.write("\n")
-        n += 1
-    return n
+class TraceWriter:
+    """The trace file of one run, written while the run goes: the meta
+    line at once, every span and event as it finishes (the tracer's
+    listener hook, the flight recorder's tap), the rest at :meth:`close`.
+    Trimming the tracer's history loses nothing, and a killed process
+    leaves what it finished more than :data:`FLUSH_PERIOD` before."""
 
+    def __init__(
+        self,
+        path: Union[str, "os.PathLike[str]"],
+        tracer,
+        meta: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        self.tracer = tracer
+        # Binary: listeners run on whichever thread finished the record
+        # (sampler, profiler), and buffered binary files lock their
+        # writes where text wrappers do not.
+        self._fp = open(path, "wb")
+        self._write({"type": "meta", **_head(tracer, meta)})
+        self._fp.flush()
+        self._flushed = time.monotonic()
+        tracer.add_listener(self._on_record)
 
-def write_trace_data(
-    dest: Union[str, "os.PathLike[str]"], data: TraceData
-) -> int:
-    """Write an in-memory :class:`TraceData` (e.g. a merge result) as a
-    JSONL trace file; returns the number of records written.
+    def _write(self, rec: Dict[str, Any]) -> None:
+        self._fp.write(_line(rec).encode("ascii"))
 
-    The inverse of :func:`read_jsonl` — :func:`write_jsonl` serializes
-    a live tracer, not an already-loaded trace.
-    """
-    def records() -> Iterable[Dict[str, Any]]:
-        yield {"type": "meta", **data.meta}
-        for span in data.spans:
-            yield {"type": "span", **span.as_dict()}
-        for ev in data.events:
-            yield {"type": "event", **ev.as_dict()}
-        for rec in data.metrics:
-            yield {"type": "metric", **rec}
-        for rec in data.series:
-            yield {"type": "series", **rec}
-        if data.profile is not None:
-            yield {"type": "profile", **data.profile}
+    def _on_record(self, kind: str, record) -> None:
+        self._write({**record.as_dict(), "type": kind})
+        now = time.monotonic()
+        if now - self._flushed >= FLUSH_PERIOD:
+            self._fp.flush()
+            self._flushed = now
 
-    with open(dest, "w", encoding="utf-8") as fp:
-        return write_records(fp, records())
+    def close(self, tail: TraceData) -> None:
+        """Detach, append *tail* (its meta, metrics, series, profile)
+        and close the file."""
+        self.tracer.remove_listener(self._on_record)
+        for rec in _records(tail):
+            self._write(rec)
+        self._fp.close()
 
 
 def read_jsonl(src: Union[str, "os.PathLike[str]", IO[str]]) -> TraceData:
-    """Load a trace file written by :func:`write_jsonl`."""
+    """Load a trace file; a torn last line is skipped."""
     if isinstance(src, (str, os.PathLike)):
         with open(src, "r", encoding="utf-8") as fp:
             return _read(fp)
@@ -150,14 +164,19 @@ def read_jsonl(src: Union[str, "os.PathLike[str]", IO[str]]) -> TraceData:
 
 def _read(fp: IO[str]) -> TraceData:
     data = TraceData()
+    torn: Optional[ValueError] = None
     for lineno, line in enumerate(fp, 1):
         line = line.strip()
         if not line:
             continue
+        if torn is not None:
+            raise torn
         try:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"bad trace line {lineno}: {exc}") from exc
+            # Fatal unless it is the last line: a run killed mid-write.
+            torn = ValueError(f"bad trace line {lineno}: {exc}")
+            continue
         rtype = rec.get("type")
         if rtype == "meta":
             data.meta.update(

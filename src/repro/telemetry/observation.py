@@ -6,8 +6,11 @@ and the shard host — builds one :class:`Observation`.  It owns the
 :class:`~repro.telemetry.Telemetry` handle, the health sampler and its
 probes, the flight recorder, the profiler bundle and the ``/metrics``
 server, and :meth:`Observation.close` is the one place their exit order
-lives: stop the collectors, publish, write the ``.folded`` and JSONL
-artifacts, report once, detach, restore the previous telemetry handle.
+lives: stop the collectors, publish, write the ``.folded`` and finish
+the JSONL trace, report once, detach, restore the previous telemetry
+handle.  :meth:`open` starts a :class:`~repro.telemetry.export.TraceWriter`,
+so the trace is written as the run goes; a shard of the sharded runtime
+runs this same session and its parent merges the files.
 
 With no flag set an ``Observation`` holds nothing and every method is a
 no-op, so callers never branch on "is observation on".
@@ -17,11 +20,13 @@ from __future__ import annotations
 
 import argparse
 import os
+import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Optional
 
 from repro import telemetry
+from repro.telemetry.export import TraceData, TraceWriter
 from repro.telemetry.flight_recorder import FlightRecorder
 from repro.telemetry.timeseries import (
     HealthSampler,
@@ -54,7 +59,8 @@ class Observation:
     #: Serve ``/metrics`` + ``/healthz`` here (0 = ephemeral port).
     metrics_port: Optional[int] = None
     host: str = "127.0.0.1"
-    #: Extra keys for the trace's meta line; add to it until close().
+    #: Extra keys for the trace's meta lines: the one written at open,
+    #: and the closing one, which has what was added until close().
     meta: Dict[str, Any] = field(default_factory=dict)
     #: Receives the exit report lines (None = silent).
     log: Optional[Callable[[str], None]] = None
@@ -75,6 +81,7 @@ class Observation:
         #: budgeter + SLO monitor) that ``profile`` attached.
         self.session: Optional[Any] = None
         self.httpd: Optional[Any] = None
+        self.writer: Optional[TraceWriter] = None
         self._aggregate: Optional[Callable[[], Dict[str, Any]]] = None
         self._scope = ExitStack()
         self._stopped = self._closed = False
@@ -102,8 +109,18 @@ class Observation:
 
     # -- lifecycle ----------------------------------------------------------
     def open(self) -> "Observation":
-        """Install the telemetry handle process-wide, until close()."""
+        """Install the telemetry handle process-wide, until close(), and
+        start the trace file."""
         if self.tel is not None:
+            if self.trace:
+                meta = {"runtime": "live" if self.env is None else "sim"}
+                if self.env is None:
+                    # Unix time of the wall clock's zero: a cluster
+                    # merge aligns per-process timestamps with it.
+                    meta["epoch_unix"] = time.time() - self.tel.clock.now()
+                self.writer = TraceWriter(
+                    self.trace, self.tel.tracer, {**meta, **self.meta}
+                )
             self._scope.enter_context(telemetry.session(self.tel))
         return self
 
@@ -192,8 +209,8 @@ class Observation:
                     prof.write_folded(self.folded)
             if tel is not None:
                 tel.tracer.finish_open()
-                if self.trace:
-                    self._write_trace()
+            if self.writer is not None:
+                self._finish_trace()
             if self.log is not None:
                 self._report(self.log)
         finally:
@@ -210,15 +227,16 @@ class Observation:
         self.close()
 
     # -- export -------------------------------------------------------------
-    def _write_trace(self) -> None:
-        meta = {"runtime": "live" if self.env is None else "sim", **self.meta}
+    def _finish_trace(self) -> None:
+        meta = dict(self.meta)
         if self._aggregate is not None:
             meta["aggregate"] = self._aggregate()
-        telemetry.export.write_jsonl(
-            self.trace, self.tel.tracer, self.tel.metrics, meta=meta,
-            sampler=self.sampler,
-            profile=self.session.record() if self.session else None,
-        )
+        sampler, prof = self.sampler, self.session
+        self.writer.close(TraceData(
+            meta=meta, metrics=self.tel.metrics.snapshot(),
+            series=sampler.records() if sampler is not None else [],
+            profile=prof.record() if prof is not None else None,
+        ))
 
     def _report(self, log: Callable[[str], None]) -> None:
         prof = self.session

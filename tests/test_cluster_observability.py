@@ -1,8 +1,10 @@
 """The cluster observability plane, unit-tested without processes.
 
 Covers the supervisor-side pieces the sharded soak exercises end to
-end in ``test_runtime_sharded.py``: cursor-based trace shipping (the
-flush-before-trim regression), cross-shard merge + parentage stitching,
+end in ``test_runtime_sharded.py``: the streaming trace writer every
+shard's observation session uses (the span-loss regression: trimming
+loses nothing, a torn last line reads), cross-shard merge + parentage
+stitching,
 ``.folded`` profile merge/diff, the cluster health rollup with SLO burn
 over merged series, correlated flight bundles, the GIL-handoff cost
 model, and the ``repro-trace merge`` / ``diff-profile`` / dash panel
@@ -18,8 +20,7 @@ import time
 import pytest
 
 from repro import telemetry
-from repro.telemetry.export import TraceData, read_jsonl
-from repro.telemetry.ship import TraceShipper
+from repro.telemetry.export import TraceData, TraceWriter, read_jsonl
 from repro.telemetry.tracer import (
     MESSAGE,
     SERVICE,
@@ -41,70 +42,124 @@ def finish_span(tracer, name, kind=SERVICE, trace_id=None, parent=None):
     return tracer.end_span(span)
 
 
-# -- trace shipping (span-loss regression) ------------------------------------
+# -- the streaming trace writer (span-loss regression) ------------------------
 
-class TestTraceShipper:
-    def test_collect_hands_out_unshipped_suffix_once(self):
-        tracer = make_tracer()
-        for i in range(3):
-            finish_span(tracer, f"a{i}")
-        tracer.event("e0")
-        ship = TraceShipper(tracer, shard="s0")
-        recs = ship.collect()
-        assert [r["type"] for r in recs] == ["span"] * 3 + ["event"]
-        assert all(r["attrs"]["shard"] == "s0" for r in recs)
-        assert ship.collect() == []  # nothing new
-        finish_span(tracer, "a3")
-        assert [r["name"] for r in ship.collect()] == ["a3"]
-        assert ship.total_spans == 4 and ship.total_events == 1
+class TestTraceWriter:
+    def _lines(self, path):
+        with open(path, encoding="utf-8") as fp:
+            return [json.loads(line) for line in fp]
 
-    def test_collect_limit_leaves_remainder_pending(self):
+    def test_each_record_is_written_once_as_it_finishes(self, tmp_path):
         tracer = make_tracer()
-        for i in range(5):
-            finish_span(tracer, f"a{i}")
-        ship = TraceShipper(tracer)
-        assert len(ship.collect(limit=2)) == 2
-        assert ship.pending() == 3
-        assert len(ship.collect()) == 3
+        path = tmp_path / "t.jsonl"
+        writer = TraceWriter(path, tracer, {"shard": "s0"})
+        # The meta line is on disk before anything finishes.
+        assert self._lines(path) == [{
+            "type": "meta", "version": 1, "clock": "wall", "shard": "s0",
+        }]
+        before = finish_span(tracer, "before")
+        open_span = tracer.start_span("open", SERVICE)
+        tracer.event("ev")
+        tracer.end_span(open_span)
+        writer.close(TraceData())
+        recs = self._lines(path)
+        assert [(r["type"], r.get("name")) for r in recs[1:]] == [
+            ("span", "before"), ("event", "ev"), ("span", "open"),
+            ("meta", None),
+        ]
+        assert recs[1]["span_id"] == before.span_id
+        finish_span(tracer, "after close")  # the listener is gone
+        assert len(self._lines(path)) == 5
 
-    def test_trim_never_drops_unshipped_records(self):
-        """The span-loss window regression: a burst of spans arriving
-        between flushes must survive any trim, no matter how far past
-        the high-water mark the history grew."""
+    def test_trimmed_records_are_on_disk(self, tmp_path):
+        """Trimming the tracer's history (as a shard does every few
+        seconds) loses nothing: every finished span and event was
+        written when it finished."""
         tracer = make_tracer()
-        ship = TraceShipper(tracer)
-        finish_span(tracer, "shipped")
-        ship.collect()
-        # Burst: 50 spans arrive before the next flush.
+        path = tmp_path / "t.jsonl"
+        writer = TraceWriter(path, tracer)
         for i in range(50):
-            finish_span(tracer, f"burst{i}")
-        dropped = ship.trim(keep=2, high=10)
-        # Only the already-shipped prefix (1 span) was droppable.
-        assert dropped == 1
-        names = [r["name"] for r in ship.collect()]
-        assert names == [f"burst{i}" for i in range(50)]
+            finish_span(tracer, f"s{i}")
+            if i % 10 == 0:
+                tracer.event(f"e{i}")
+            if i % 7 == 0:
+                del tracer.spans[:-2]
+                del tracer.events[:-1]
+        writer.close(TraceData())
+        data = read_jsonl(path)
+        assert [s.name for s in data.spans] == [f"s{i}" for i in range(50)]
+        assert [e.name for e in data.events] == [
+            f"e{i}" for i in range(0, 50, 10)
+        ]
 
-    def test_trim_drops_shipped_prefix_down_to_keep(self):
-        tracer = make_tracer()
-        ship = TraceShipper(tracer)
-        for i in range(20):
-            finish_span(tracer, f"a{i}")
-        ship.collect()
-        dropped = ship.trim(keep=5, high=10)
-        assert dropped == 15
-        assert len(tracer.spans) == 5
-        # Cursor followed the deletion: nothing re-ships.
-        assert ship.collect() == []
-        assert ship.total_spans == 20
+    def test_records_finished_on_many_threads_stay_whole(self, tmp_path):
+        """Live runs finish records on the loop thread and on the
+        sampler's: every line must be one whole record."""
+        import sys
+        import threading
 
-    def test_trim_high_watermark_hysteresis(self):
         tracer = make_tracer()
-        ship = TraceShipper(tracer)
-        for i in range(8):
-            finish_span(tracer, f"a{i}")
-        ship.collect()
-        assert ship.trim(keep=2, high=10) == 0  # under the mark
-        assert len(tracer.spans) == 8
+        path = tmp_path / "t.jsonl"
+        writer = TraceWriter(path, tracer)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lambda t=t: [
+                    finish_span(tracer, f"t{t}") for _ in range(300)
+                ])
+                for t in range(4)
+            ]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30.0)
+            assert not any(th.is_alive() for th in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        writer.close(TraceData())
+        spans = read_jsonl(path).spans
+        assert len({s.span_id for s in spans}) == len(spans) == 1200
+
+    def test_close_appends_tail_and_closing_meta(self, tmp_path):
+        tel = telemetry.Telemetry.wall()
+        tel.metrics.counter("repro_test_total").inc(3)
+        path = tmp_path / "t.jsonl"
+        writer = TraceWriter(path, tel.tracer, {"runtime": "live"})
+        finish_span(tel.tracer, "a")
+        writer.close(TraceData(
+            meta={"aggregate": {"sent": 1}},
+            metrics=tel.metrics.snapshot(), profile={"runtime": "wall"},
+        ))
+        types = [r["type"] for r in self._lines(path)]
+        assert types == ["meta", "span", "meta", "metric", "profile"]
+        data = read_jsonl(path)
+        assert data.meta["runtime"] == "live"
+        assert data.meta["aggregate"] == {"sent": 1}
+        assert data.profile == {"runtime": "wall"}
+
+    def test_torn_last_line_reads_up_to_last_whole_line(self, tmp_path):
+        """A process killed mid-write leaves a cut last line."""
+        tracer = make_tracer()
+        path = tmp_path / "t.jsonl"
+        writer = TraceWriter(path, tracer)
+        for i in range(3):
+            finish_span(tracer, f"s{i}")
+        writer.close(TraceData())
+        whole = path.read_bytes()
+        path.write_bytes(whole[:-20])
+        data = read_jsonl(path)
+        assert [s.name for s in data.spans] == ["s0", "s1"]
+        assert data.clock == "wall"
+
+    def test_a_bad_line_before_the_last_still_fails(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            '{"type":"meta","clock":"wall"}\n{"type":"sp\n'
+            '{"type":"meta","x":1}\n'
+        )
+        with pytest.raises(ValueError, match="bad trace line 2"):
+            read_jsonl(path)
 
 
 # -- merge + stitch -----------------------------------------------------------

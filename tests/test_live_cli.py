@@ -92,15 +92,24 @@ class TestFailedRun:
         assert "clock=wall" in capsys.readouterr().out
 
 
-def test_sharded_run_completes_its_tasks(capsys):
+def test_sharded_run_completes_its_tasks(tmp_path, capsys):
     """``--shards``: the domain hosted by two supervised shard
-    processes serves every task it is given."""
+    processes serves every task it is given, and ``--trace`` merges
+    the files both shards wrote into one trace."""
+    trace = tmp_path / "sharded.jsonl"
     assert main([
         "--peers", "4", "--shards", "2", "--tasks", "2", "--json",
+        "--trace", str(trace),
     ]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["tasks"]["submit_acks"] == 2
     assert report["tasks"]["open"] == 0
+    assert report["observe"]["parts"] == 2
+    for sid in ("s0", "s1"):
+        assert (tmp_path / f"shard-{sid}-0" / "trace.jsonl").exists()
+    data = read_jsonl(str(trace))
+    assert {s.attrs.get("shard") for s in data.spans} == {"s0", "s1"}
+    assert data.meta["shards"] == ["s0", "s1"]
 
 
 class TestValidation:
@@ -109,7 +118,7 @@ class TestValidation:
         (["--metrics-port", "0"], "--metrics-port requires --trace"),
         (["--profile-budget", "0.05"], "--profile-budget requires"),
         (["--profile-folded", "f.folded"], "--profile-folded requires"),
-        (["--shards", "2", "--trace", "x"], "in-process features"),
+        (["--shards", "-1"], "--shards must be at least 1"),
         (["--peers", "0"], "--peers must be at least 1"),
     ])
     def test_rejected(self, argv, needle, capsys):

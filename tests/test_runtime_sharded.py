@@ -233,8 +233,8 @@ def test_respawned_coordinator_adopts_the_standing_rm():
 @pytest.fixture(scope="module")
 def soak_result(tmp_path_factory):
     """One shared miniature soak: spawn, kill+respawn, settle, drain —
-    with the cluster observability plane on (trace shipping, health
-    rollup, correlated bundles, per-shard profilers)."""
+    with the cluster observability plane on (per-shard trace files,
+    health rollup, correlated bundles, per-shard profilers)."""
     from repro.runtime.soak import SoakConfig, run_soak
 
     root = tmp_path_factory.mktemp("soak")
@@ -296,9 +296,27 @@ def test_observe_writes_merged_cluster_trace(soak_result):
     assert obs, soak_result
     assert soak_result["observe_ok"], obs
     assert os.path.exists(obs["trace"])
-    # Every shard incarnation contributed a stream part (the killed
-    # shard's pre-kill file plus its respawn's).
-    assert obs["parts"] >= soak_result["shards"]
+    # Every shard incarnation contributed a part (the killed shard's
+    # pre-kill file plus its respawn's).
+    assert obs["parts"] >= soak_result["shards"] + 1
+
+
+def test_observe_killed_incarnation_contributes_its_prefix(soak_result):
+    """The SIGKILLed shard's first incarnation wrote its trace as it
+    went: its file holds what it finished before the kill (and none of
+    the records a clean exit appends), and the merge reads it beside
+    the respawn's."""
+    from repro.telemetry.export import read_jsonl
+
+    obs = soak_result["observe"]
+    victim = soak_result["killed"]
+    part = read_jsonl(os.path.join(
+        os.path.dirname(obs["trace"]), f"shard-{victim}-0", "trace.jsonl",
+    ))
+    assert part.meta["shard"] == victim and part.spans
+    assert part.profile is None and not part.metrics
+    merged = read_jsonl(obs["trace"])
+    assert merged.meta["shards"].count(victim) == 2
 
 
 def test_observe_cross_shard_tasks_form_connected_paths(soak_result):
@@ -317,8 +335,8 @@ def test_observe_cross_shard_tasks_form_connected_paths(soak_result):
     cross = [t for t in summary["per_task"] if t["cross_shard"]]
     assert any(t["connected"] for t in cross), summary
     # A cross-shard task may lack its root only because the SIGKILLed
-    # shard lost it unshipped — never because stitching left a span
-    # dangling under a known root.
+    # shard died before writing it — never because stitching left a
+    # span dangling under a known root.
     for t in cross:
         if not t["connected"]:
             assert t["orphans"] == 0, t

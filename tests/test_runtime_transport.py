@@ -698,3 +698,75 @@ def test_a_stalled_loop_does_not_retransmit_an_acked_message():
         finally:
             close_all(a, b)
     run(main())
+
+
+def test_the_sender_ends_its_message_span_at_the_ack():
+    """Regression: the sender opened ``msg:<id>`` and only the
+    receiver's delivery closed it, so across processes every message
+    span was lost and the sender's open-span map grew by one entry per
+    message.  The peer here is a bare socket that acks like another
+    process would: it holds no span of A's."""
+    import socket
+
+    from repro import telemetry
+    from repro.runtime.codec import decode_frame, encode_ack
+
+    async def main():
+        directory = PeerDirectory()
+        a = UdpTransport("A", directory, lambda m: None)
+        await a.start()
+        peer = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        peer.bind((a.host, 0))
+        peer.setblocking(False)
+        directory.add("B", a.host, peer.getsockname()[1])
+        loop = asyncio.get_running_loop()
+        try:
+            msgs = [
+                message(kind="compose", src="A", dst="B", size=64.0)
+                for _ in range(3)
+            ]
+            for msg in msgs:
+                a.send(msg)
+            for _ in msgs:
+                data, addr = await loop.sock_recvfrom(peer, 65536)
+                msg_id = decode_frame(data)["msg"].msg_id
+                peer.sendto(encode_ack("B", msg_id), addr)
+            await a.flush()
+            return msgs
+        finally:
+            a.close()
+            peer.close()
+
+    with telemetry.session(telemetry.Telemetry.wall()) as tel:
+        msgs = run(main())
+    spans = tel.tracer.spans_of_kind(telemetry.MESSAGE)
+    assert sorted(s.attrs["msg_id"] for s in spans) == sorted(
+        m.msg_id for m in msgs
+    )
+    assert all(s.status == "ok" and s.node == "A" for s in spans)
+    assert all(tel.tracer.open_span(f"msg:{m.msg_id}") is None for m in msgs)
+
+
+def test_the_receiver_ends_no_message_span():
+    """The receiver counts the delivery but leaves span keys alone: a
+    ``msg:<id>`` open in its process belongs to one of its own sends."""
+    from repro import telemetry
+
+    async def main(tel):
+        _, a, b, inbox = make_pair()
+        await start_all(a, b)
+        try:
+            msg = message(kind="compose", src="A", dst="B", size=64.0)
+            key = f"msg:{msg.msg_id}"
+            own = tel.tracer.start_span("own", telemetry.MESSAGE, key=key)
+            b.datagram_received(encode_message(msg), (a.host, a.port))
+            assert [m.msg_id for m in inbox] == [msg.msg_id]
+            assert tel.tracer.open_span(key) is own
+        finally:
+            close_all(a, b)
+
+    with telemetry.session(telemetry.Telemetry.wall()) as tel:
+        run(main(tel))
+    assert tel.metrics.counter(
+        "repro_net_messages_delivered_total"
+    ).value == 1
