@@ -291,7 +291,10 @@ class ResourceManager(Peer):
     def _handle_step_done(self, msg: Message) -> None:
         p = msg.payload
         session = self.registry.session(p["task_id"])
-        if session is None or p.get("epoch", 0) != session.epoch:
+        if session is None:
+            self._count_unmatched(msg.kind, "repro_rm_unmatched_total")
+            return
+        if p.get("epoch", 0) != session.epoch:
             return
         session.note_step_done(p["step_index"], p["peer_id"])
         graph = self.info.service_graphs.get(p["task_id"])
@@ -311,7 +314,10 @@ class ResourceManager(Peer):
     def _handle_task_done(self, msg: Message) -> None:
         p = msg.payload
         task = self.registry.get(p["task_id"])
-        if task is None or task.state in (TaskState.DONE, TaskState.FAILED):
+        if task is None:
+            self._count_unmatched(msg.kind, "repro_rm_unmatched_total")
+            return
+        if task.state in (TaskState.DONE, TaskState.FAILED):
             return
         self.registry.complete(task, p["completed_at"])
 

@@ -16,7 +16,7 @@ coordinating RM.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Optional
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro import telemetry
 from repro.core import protocol
@@ -32,6 +32,15 @@ from repro.scheduling.policies import SchedulingPolicy, make_policy
 from repro.scheduling.processor import Processor
 from repro.sim.core import Environment
 from repro.sim.events import Event
+
+#: Most ``START_STREAM``/``STREAM`` messages one peer parks at once; an
+#: arrival past this is dropped (and counted unmatched).
+PARK_LIMIT = 256
+#: Seconds a parked message waits for its task's ``COMPOSE``: past the
+#: default UdpTransport's give-up span, so an order still being retried
+#: lands first.  Waits first·2**k, k = 0..max_retries + ceil(log2(
+#: ack_timeout / first)), sum below 2·0.05 s·2**7 = 12.8 s, + loop slack.
+PARK_TTL = 15.0
 
 
 @dataclass
@@ -127,6 +136,10 @@ class Peer(NetNode):
         #: Messages dropped for naming a task with no order here, by
         #: kind.  A plain dict bump: always on, trajectory-neutral.
         self.unmatched: Dict[str, int] = {}
+        #: Messages that overtook their task's order: task id ->
+        #: (expiry, messages in arrival order), oldest first.
+        self._parked: Dict[str, Tuple[float, List[Message]]] = {}
+        self._n_parked = 0
         self.alive = True
 
         self.on(protocol.COMPOSE, self._handle_compose)
@@ -195,11 +208,13 @@ class Peer(NetNode):
 
     def _report(self, report) -> None:
         """A report tick: forget the tasks done here whose deadline has
-        passed, then report."""
+        passed and what waited past its TTL in the park, then report."""
         now = self.env.now
         for task_id, until in list(self._linger.items()):
             if until < now:
                 self._release(task_id)
+        if self._parked:
+            self._expire_parked()
         self._send_load_update(report)
 
     def _send_load_update(self, report) -> None:
@@ -277,26 +292,61 @@ class Peer(NetNode):
             return  # stale repair
         self._orders[order.task_id] = order
         self._linger.pop(order.task_id, None)
+        if self._parked:
+            self._expire_parked()
+            for parked in self._unpark(order.task_id):
+                self._dispatch(parked)
 
     def _handle_start_stream(self, msg: Message) -> None:
         """The RM told us to (re)start emitting a task's data."""
-        task_id = msg.payload["task_id"]
-        from_step = msg.payload.get("from_step", 0)
-        order = self._orders.get(task_id)
+        order = self._orders.get(msg.payload["task_id"])
         if order is None:
-            self._count_unmatched(protocol.START_STREAM)
+            self._park(msg)
             return
-        self._forward_stream(order, from_step)
+        self._forward_stream(order, msg.payload.get("from_step", 0))
 
-    def _count_unmatched(self, kind: str) -> None:
-        """A message named a task this peer holds no order for: dropped,
-        and counted here and (telemetry on) in ``/metrics``."""
+    def _park(self, msg: Message) -> None:
+        """Hold a message that overtook its task's ``COMPOSE`` until the
+        order lands; on a task's first park, nudge the RM to resend it."""
+        task_id = msg.payload["task_id"]
+        self._expire_parked()
+        if task_id in self._linger or self._n_parked >= PARK_LIMIT:
+            self._count_unmatched(msg.kind)
+            return
+        self._n_parked += 1
+        if task_id in self._parked:
+            self._parked[task_id][1].append(msg)
+            return
+        self._parked[task_id] = (self.env.now + PARK_TTL, [msg])
+        if self.rm_id:
+            self.network.nudge(self.node_id, self.rm_id)
+
+    def _unpark(self, task_id: str) -> List[Message]:
+        _, msgs = self._parked.pop(task_id, (0.0, []))
+        self._n_parked -= len(msgs)
+        return msgs
+
+    def _expire_parked(self) -> None:
+        """Drop (and count) what waited past its TTL: lazily, oldest first."""
+        now = self.env.now
+        while self._parked:
+            task_id, (until, _) = next(iter(self._parked.items()))
+            if until > now:
+                return
+            for msg in self._unpark(task_id):
+                self._count_unmatched(msg.kind)
+
+    def _count_unmatched(
+        self, kind: str, family: str = "repro_peer_unmatched_total"
+    ) -> None:
+        """A message named a task this node cannot match: dropped, and
+        counted here and (telemetry on) in ``/metrics``."""
         self.unmatched[kind] = self.unmatched.get(kind, 0) + 1
         tel = telemetry.current()
         if tel.enabled:
             tel.metrics.counter(
-                "repro_peer_unmatched_total", kind=kind,
-                help="Messages dropped for naming a task with no order here.",
+                family, kind=kind,
+                help="Messages dropped for naming a task with no match here.",
             ).inc()
 
     def _forward_stream(self, order: ComposeOrder, step_index: int) -> None:
@@ -336,6 +386,9 @@ class Peer(NetNode):
             self._linger[order.task_id] = order.abs_deadline
 
     def _handle_stream(self, msg: Message) -> Optional[Generator]:
+        if msg.payload["task_id"] not in self._orders:
+            self._park(msg)
+            return None
         return self._process_stream(msg.payload)
 
     def _process_stream(
@@ -346,8 +399,7 @@ class Peer(NetNode):
         epoch = payload.get("epoch", 0)
         order = self._orders.get(task_id)
         if order is None:
-            self._count_unmatched(protocol.STREAM)
-            return None
+            return None  # a local hop always holds its order
         if epoch < order.epoch:
             return None  # stale epoch (repaired away): drop
         if step_index >= len(order.steps):
@@ -451,10 +503,12 @@ class Peer(NetNode):
             self.processor.cancel(job, "task cancelled by RM")
 
     def _release(self, task_id: str) -> None:
-        """Forget a task's order and dependencies here."""
+        """Forget a task's order, dependencies and parked messages here."""
         self._orders.pop(task_id, None)
         self._deps.pop(task_id, None)
         self._linger.pop(task_id, None)
+        if self._parked:
+            self._unpark(task_id)
 
     def _handle_rm_takeover(self, msg: Message) -> None:
         """The backup RM took over: re-point our reports (§4.1)."""

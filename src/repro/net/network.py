@@ -295,6 +295,10 @@ class Network:
         _heappush(env._queue, (now + (arrival - now), NORMAL, env._seq, ev))
         env._seq += 1
 
+    def nudge(self, src: str, dst: str) -> None:
+        """*src* asks *dst* to resend what it has pending to *src*: the
+        simulated fabric never retransmits, so there is nothing to hurry."""
+
     def _drop(self, msg: Message) -> None:
         self.stats.dropped += 1
         tel = telemetry.current()

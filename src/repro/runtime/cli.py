@@ -264,7 +264,7 @@ def _print_text(report: Dict[str, Any]) -> None:
     agg = report["aggregate"]
     print(
         f"traffic: sent={agg['sent']} delivered={agg['delivered']} "
-        f"dropped={agg['dropped']}"
+        f"dropped={agg['dropped']} unmatched={agg['unmatched']}"
     )
     kinds = ", ".join(
         f"{k}={n}" for k, n in sorted(agg["by_kind"].items())

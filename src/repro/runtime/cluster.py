@@ -267,7 +267,9 @@ class LiveCluster:
         return out
 
     def aggregate_summary(self) -> Dict[str, Any]:
-        """Cluster-wide counters, shaped like one NetworkStats.summary()."""
+        """Cluster-wide counters, shaped like one NetworkStats.summary(),
+        plus ``unmatched``: the messages every peer and the RM dropped for
+        naming a task they could not match."""
         keys = (
             "sent", "delivered", "dropped", "partition_drops", "bytes_sent",
             "retransmits", "duplicates", "malformed", "acks_sent",
@@ -278,4 +280,8 @@ class LiveCluster:
                 total[key] += s.get(key, 0)
             for kind, n in s["by_kind"].items():
                 total["by_kind"][kind] = total["by_kind"].get(kind, 0) + n
+        total["unmatched"] = sum(
+            sum(n.node.unmatched.values())
+            for n in self.nodes.values() if n.node is not None
+        )
         return total

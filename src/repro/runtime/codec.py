@@ -1,10 +1,11 @@
 """Versioned JSON wire format for :class:`~repro.net.message.Message`.
 
-The live runtime ships protocol messages as UDP datagrams.  Two frame
+The live runtime ships protocol messages as UDP datagrams.  Three frame
 types share one envelope::
 
     {"v": 1, "t": "msg", "msg": {...}}       a protocol message
     {"v": 1, "t": "ack", "src": ..., "id": ...}   transport-level receipt
+    {"v": 1, "t": "nudge", "src": ...}            "resend what is pending to src"
 
 The ``msg`` body carries every :class:`Message` field verbatim —
 including ``size``, the *nominal* wire size from
@@ -50,6 +51,7 @@ WIRE_VERSION = 1
 
 FRAME_MSG = "msg"
 FRAME_ACK = "ack"
+FRAME_NUDGE = "nudge"
 
 _TAG_KEY = "__t__"
 
@@ -460,11 +462,17 @@ def encode_ack(src: str, msg_id: int) -> bytes:
     return prefix + int.__repr__(msg_id).encode() + b"}"
 
 
+def encode_nudge(src: str) -> bytes:
+    """Frame a nudge: resend now what is pending to *src*."""
+    return _to_json({"v": WIRE_VERSION, "t": FRAME_NUDGE, "src": src}).encode()
+
+
 def decode_frame(data: bytes) -> Dict[str, Any]:
     """Parse one datagram.
 
-    Returns ``{"t": "msg", "msg": Message}`` or
-    ``{"t": "ack", "src": str, "id": int}``.
+    Returns ``{"t": "msg", "msg": Message}``,
+    ``{"t": "ack", "src": str, "id": int}`` or
+    ``{"t": "nudge", "src": str}``.
 
     Raises
     ------
@@ -485,10 +493,12 @@ def decode_frame(data: bytes) -> Dict[str, Any]:
             f"(expected {WIRE_VERSION})"
         )
     ftype = raw.get("t")
-    if ftype == FRAME_ACK:
+    if ftype == FRAME_ACK or ftype == FRAME_NUDGE:
         src, msg_id = raw.get("src"), raw.get("id")
         if not isinstance(src, str):
-            raise WireFormatError(f"ack src must be a string, got {src!r}")
+            raise WireFormatError(f"{ftype} src must be a string, got {src!r}")
+        if ftype == FRAME_NUDGE:
+            return {"t": FRAME_NUDGE, "src": src}
         if not isinstance(msg_id, int) or isinstance(msg_id, bool):
             raise WireFormatError(f"ack id must be an int, got {msg_id!r}")
         return {"t": FRAME_ACK, "src": src, "id": msg_id}

@@ -14,7 +14,8 @@ unchanged over either implementation:
     an asyncio ``DatagramProtocol`` speaking the
     :mod:`repro.runtime.codec` wire format over real localhost sockets,
     with per-message acks, exponential-backoff retries paced by measured
-    round trips, and duplicate suppression keyed on ``(src, msg_id)``.
+    round trips, nudged resends, and duplicate suppression keyed on
+    ``(src, msg_id)``.
 """
 
 from __future__ import annotations
@@ -31,10 +32,12 @@ from repro.net.message import Message
 from repro.net.network import Network, NetworkStats
 from repro.runtime.codec import (
     FRAME_ACK,
+    FRAME_MSG,
     WireFormatError,
     decode_frame,
     encode_ack,
     encode_message,
+    encode_nudge,
 )
 from repro.sim.ids import Ids
 from repro.telemetry.logs import get_logger
@@ -75,6 +78,10 @@ class Transport(abc.ABC):
     @abc.abstractmethod
     def expected_delay(self, src: str, dst: str, size: float = 512.0) -> float:
         """Planning estimate of one-way delay (the RM's cost model)."""
+
+    def nudge(self, src: str, dst: str) -> None:
+        """*src* asks *dst* to resend now what it has pending to *src*
+        (a no-op on a fabric that never retransmits)."""
 
     def summary(self) -> Dict[str, Any]:
         """Traffic counters, comparable between sim and live runs."""
@@ -201,6 +208,7 @@ class _PendingSend:
     sent_at: float
     attempt: int = 0
     handle: Optional[asyncio.TimerHandle] = None
+    nudged: bool = False  # resent on a nudge since its timer last fired
 
 
 class UdpTransport(Transport, asyncio.DatagramProtocol):
@@ -280,6 +288,7 @@ class UdpTransport(Transport, asyncio.DatagramProtocol):
         self._dedup_capacity = dedup_capacity
         self._pending_acks: Dict[Tuple[str, int], _PendingSend] = {}
         self._rtt: Dict[str, RttEstimate] = {}
+        self.nudges_sent = 0
         #: What a :meth:`flush` awaits: resolved when the above empties.
         self._drained: Optional["asyncio.Future[None]"] = None
         self._sock: Optional[asyncio.DatagramTransport] = None
@@ -446,6 +455,33 @@ class UdpTransport(Transport, asyncio.DatagramProtocol):
         )
         self._attempt(key, pending)
 
+    def nudge(self, src: str, dst: str) -> None:
+        """Send *dst* one ``nudge`` frame: *src* (this node) saw a message
+        overtake its order, so *dst* should resend what is pending now."""
+        addr = self.directory.address(dst)
+        if dst == src or addr is None or self._sock is None or self._closed:
+            return
+        self._sock.sendto(encode_nudge(src), addr)
+        self.nudges_sent += 1
+
+    def _nudged(self, node_id: str) -> None:
+        """Resend every message pending to *node_id* once, before its own
+        timer fires: a retransmission that Karn's rule leaves untimed and
+        that does not back the timer off."""
+        addr = self.directory.address(node_id)
+        if addr is None or self._sock is None:
+            return
+        tel = telemetry.current()
+        for (dst, _), pending in self._pending_acks.items():
+            if dst != node_id or pending.nudged:
+                continue
+            pending.nudged = True
+            self.stats.retransmits += 1
+            if tel.enabled:
+                tel.metrics.counter("repro_udp_retransmits_total").inc()
+            if not (self.drop_fn and self.drop_fn(pending.msg, pending.attempt)):
+                self._sock.sendto(pending.frame, addr)
+
     def _note_dropped(self, msg: Message) -> None:
         self.stats.dropped += 1
         tel = telemetry.current()
@@ -464,6 +500,7 @@ class UdpTransport(Transport, asyncio.DatagramProtocol):
         """Transmit once more and arm the ack timer; as that timer's
         callback, out of retries, count the message dropped instead."""
         msg, attempt = pending.msg, pending.attempt
+        pending.nudged = False
         addr = (
             self.directory.address(msg.dst)
             if attempt <= pending.last else None
@@ -516,7 +553,7 @@ class UdpTransport(Transport, asyncio.DatagramProtocol):
         tel = telemetry.current()
         if tel.enabled:
             tel.tracer.end_span_key(f"msg:{key[1]}", status="ok")
-        if pending.attempt != 1:
+        if pending.attempt != 1 or pending.nudged:
             return
         rtt = self._loop.time() - pending.sent_at
         if (est := self._rtt.get(key[0])) is None:
@@ -536,7 +573,7 @@ class UdpTransport(Transport, asyncio.DatagramProtocol):
         tel = telemetry.current()
         try:
             frame = decode_frame(data)
-            if frame["t"] != FRAME_ACK and frame["msg"].dst != self.node_id:
+            if frame["t"] == FRAME_MSG and frame["msg"].dst != self.node_id:
                 # A reused port: not ours to deliver, nor ours to ack.
                 raise WireFormatError("addressed to another node")
         except WireFormatError:
@@ -546,6 +583,9 @@ class UdpTransport(Transport, asyncio.DatagramProtocol):
             return
         if frame["t"] == FRAME_ACK:
             self._settle((frame["src"], frame["id"]), acked=True)
+            return
+        if frame["t"] != FRAME_MSG:
+            self._nudged(frame["src"])
             return
         msg: Message = frame["msg"]
         # Ack every copy: the previous ack may have been the lost packet.

@@ -73,6 +73,56 @@ class TestAdmission:
         assert all(o is TaskOutcome.MET_DEADLINE for o in outcomes)
 
 
+class TestUnmatchedReports:
+    """Reports naming a session or task this RM does not hold are
+    dropped and tallied, always on and (telemetry on) in ``/metrics``."""
+
+    @staticmethod
+    def _report(d, kind, **payload):
+        from repro.net.message import Message
+
+        d.rm._dispatch(Message(kind=kind, src="P2", dst="rm0", payload={
+            "task_id": "ghost", **payload,
+        }))
+
+    def test_step_done_without_session_and_unknown_task_done(
+        self, live_domain
+    ):
+        d = live_domain
+        self._report(d, protocol.STEP_DONE, step_index=0, peer_id="P2",
+                     epoch=0)
+        self._report(d, protocol.TASK_DONE, completed_at=1.0, sink="P4")
+        self._report(d, protocol.TASK_DONE, completed_at=1.0, sink="P4")
+        assert d.rm.unmatched == {
+            protocol.STEP_DONE: 1, protocol.TASK_DONE: 2,
+        }
+        metrics = d.tel.metrics
+        assert metrics.value(
+            "repro_rm_unmatched_total", kind=protocol.TASK_DONE
+        ) == 2
+        assert metrics.total("repro_peer_unmatched_total") == 0
+
+    def test_stale_and_late_reports_are_not_unmatched(self, live_domain):
+        """A stale-epoch STEP_DONE and a second TASK_DONE name a session
+        or task the RM holds: ignored, not counted."""
+        d = live_domain
+        d.submit(deadline=60.0)
+        d.env.run(until=60.0)
+        task = d.task()
+        assert task.state is TaskState.DONE
+        self._report(d, protocol.TASK_DONE, task_id=task.task_id,
+                     completed_at=1.0, sink="P4")
+        assert d.rm.unmatched == {}
+
+    def test_tallied_with_telemetry_off(self):
+        d = build_live_domain()  # its handle is never activated
+        with telemetry.session(telemetry.Telemetry.noop()):
+            self._report(d, protocol.STEP_DONE, step_index=0,
+                         peer_id="P2", epoch=0)
+        assert d.rm.unmatched == {protocol.STEP_DONE: 1}
+        assert d.tel.metrics.total("repro_rm_unmatched_total") == 0
+
+
 class TestFailureHandling:
     def test_peer_crash_triggers_repair(self):
         d = build_live_domain()

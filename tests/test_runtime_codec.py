@@ -29,6 +29,7 @@ from repro.runtime import codec
 from repro.runtime.codec import (
     FRAME_ACK,
     FRAME_MSG,
+    FRAME_NUDGE,
     WIRE_VERSION,
     WireFormatError,
     check_join_record,
@@ -37,6 +38,7 @@ from repro.runtime.codec import (
     decode_frame,
     encode_ack,
     encode_message,
+    encode_nudge,
 )
 from repro.tasks.qos import QoSRequirements
 from repro.tasks.task import ApplicationTask, TaskOutcome, TaskState
@@ -206,10 +208,16 @@ def test_ack_frame_round_trip():
     assert frame == {"t": FRAME_ACK, "src": "P2", "id": 41}
 
 
+def test_nudge_frame_round_trip():
+    frame = decode_frame(encode_nudge("P2"))
+    assert frame == {"t": FRAME_NUDGE, "src": "P2"}
+
+
 def test_wire_v1_golden_bytes():
     """Wire v1 pinned byte for byte (frames written by the PR-12 codec):
     how the encoder is built may change, what it emits may not."""
     assert encode_ack("P2", 41) == b'{"v":1,"t":"ack","src":"P2","id":41}'
+    assert encode_nudge("P2") == b'{"v":1,"t":"nudge","src":"P2"}'
     msg = Message(kind=protocol.LOAD_UPDATE, src="P2", dst="M0",
                   payload=_load_report().as_payload(), size=256.0,
                   msg_id=17, sent_at=12.5, trace_id="tr-1")
@@ -242,6 +250,8 @@ def _msg_frame(**overrides):
     b'{"v": 1, "t": "bogus"}',                          # unknown frame
     b'{"v": 1, "t": "ack", "src": 7, "id": 1}',         # ack src not str
     b'{"v": 1, "t": "ack", "src": "a", "id": true}',    # bool id
+    b'{"v": 1, "t": "nudge", "src": 7}',                # nudge src not str
+    b'{"v": 1, "t": "nudge"}',                          # nudge without src
     b'{"v": 1, "t": "msg", "msg": []}',                 # body not object
     b'{"v": 1, "t": "msg", "msg": {"kind": "x"}}',      # missing fields
     _msg_frame(msg_id="five").encode(),                 # ill-typed id
@@ -623,6 +633,19 @@ def test_one_field_mutations_raise_only_wire_format_error(kind, data):
         del parent[path[-1]]
     else:
         parent[path[-1]] = data.draw(_json_values)
+    decodes_or_rejects(json.dumps(frame).encode())
+
+
+@given(st.sampled_from(["v", "t", "src"]), st.booleans(), _json_values)
+@settings(max_examples=200, deadline=None)
+def test_one_field_mutations_of_a_nudge_raise_only_wire_format_error(
+    key, delete, value
+):
+    frame = json.loads(encode_nudge("P4"))
+    if delete:
+        del frame[key]
+    else:
+        frame[key] = value
     decodes_or_rejects(json.dumps(frame).encode())
 
 

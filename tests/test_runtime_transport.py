@@ -253,6 +253,7 @@ def _payload_frame(value):
     _payload_frame({"__t__": "dict", "v": [[1]]}),       # not a pair
     _payload_frame({"__t__": "set", "v": 3}),            # not iterable
     b"[" * 1000,                              # nested past the recursion limit
+    b'{"v":1,"t":"nudge","src":7}',                      # nudge src not str
 ])
 def test_hostile_frames_counted_malformed_not_delivered(data):
     """Regression: these raised TypeError, ValueError or RecursionError
@@ -770,3 +771,129 @@ def test_the_receiver_ends_no_message_span():
     assert tel.metrics.counter(
         "repro_net_messages_delivered_total"
     ).value == 1
+
+
+class _Recorder:
+    """A DropFn logging ``(dst, msg_id, attempt)`` per transmission and
+    losing every copy while ``lose`` is set."""
+
+    def __init__(self):
+        self.lose = False
+        self.sends = []
+
+    def __call__(self, msg, attempt):
+        self.sends.append((msg.dst, msg.msg_id, attempt))
+        return self.lose
+
+
+def make_trio(drop_fn, **kwargs):
+    """A sends to B and C; B and C record deliveries."""
+    directory = PeerDirectory()
+    inbox_b, inbox_c = [], []
+    a = UdpTransport("A", directory, lambda m: None, drop_fn=drop_fn,
+                     **kwargs)
+    b = UdpTransport("B", directory, inbox_b.append, **kwargs)
+    c = UdpTransport("C", directory, inbox_c.append, **kwargs)
+    return a, b, c, inbox_b, inbox_c
+
+
+def test_nudge_resends_only_what_is_pending_to_the_nudging_node():
+    async def main():
+        rec = _Recorder()
+        a, b, c, inbox_b, inbox_c = make_trio(rec, ack_timeout=2.0)
+        await start_all(a, b, c)
+        try:
+            rec.lose = True
+            to_b = message(kind="compose", src="A", dst="B", size=64.0)
+            to_c = message(kind="compose", src="A", dst="C", size=64.0)
+            a.send(to_b)
+            a.send(to_c)
+            rec.lose = False
+            b.nudge("B", "A")
+            assert await wait_for(lambda: len(inbox_b) == 1)
+            assert b.nudges_sent == 1 and a.retransmits == 1
+            assert rec.sends == [
+                ("B", to_b.msg_id, 0), ("C", to_c.msg_id, 0),
+                ("B", to_b.msg_id, 1),
+            ]
+            await asyncio.sleep(0.05)
+            assert inbox_c == []  # C's copy waits for its own timer
+            assert a.stats.dropped == 0
+        finally:
+            close_all(a, b, c)
+    run(main())
+
+
+def test_nudged_resend_neither_samples_nor_backs_off_the_rtt():
+    """Karn's rule: a nudged message was sent twice, so its ack times
+    nothing; and a nudge is no timeout, so the RTO keeps its value."""
+    async def main():
+        switch = _Switch()
+        _, a, b, inbox = make_pair(drop_fn=switch, ack_timeout=1.0)
+        await start_all(a, b)
+        try:
+            await _warm_up(a, inbox)
+            est = a._rtt["B"]
+            before = (est.srtt, est.rttvar, est.rto)
+            switch.armed = True
+            a.send(message(kind="compose", src="A", dst="B", size=64.0))
+            switch.armed = False
+            b.nudge("B", "A")
+            await a.flush()
+            assert len(inbox) == 21 and a.retransmits == 1
+            assert (est.srtt, est.rttvar, est.rto) == before
+        finally:
+            close_all(a, b)
+    run(main())
+
+
+def test_one_nudged_resend_per_message_until_its_timer_fires():
+    async def main():
+        rec = _Recorder()
+        a, b, c, inbox_b, _ = make_trio(rec, ack_timeout=0.3)
+        await start_all(a, b, c)
+        try:
+            rec.lose = True
+            msg = message(kind="compose", src="A", dst="B", size=64.0)
+            a.send(msg)
+            b.nudge("B", "A")
+            b.nudge("B", "A")
+            assert await wait_for(lambda: len(rec.sends) == 2)
+            await asyncio.sleep(0.05)
+            assert rec.sends == [("B", msg.msg_id, 0), ("B", msg.msg_id, 1)]
+            # The timer fires (attempt 1 again: a nudge spends no retry),
+            # and a nudge after it may resend once more.
+            assert await wait_for(lambda: len(rec.sends) == 3)
+            assert rec.sends[2] == ("B", msg.msg_id, 1)
+            rec.lose = False
+            b.nudge("B", "A")
+            assert await wait_for(lambda: len(inbox_b) == 1)
+            assert a.retransmits == 3
+        finally:
+            close_all(a, b, c)
+    run(main())
+
+
+def test_nudge_with_nothing_pending_sends_nothing():
+    async def main():
+        rec = _Recorder()
+        a, b, c, _, inbox_c = make_trio(rec, ack_timeout=2.0)
+        await start_all(a, b, c)
+        try:
+            b.nudge("B", "A")  # A holds nothing at all
+            rec.lose = True
+            a.send(message(kind="compose", src="A", dst="C", size=64.0))
+            b.nudge("B", "A")  # A holds something, but not for B
+            await asyncio.sleep(0.05)
+            assert len(rec.sends) == 1 and a.retransmits == 0
+            assert b.nudges_sent == 2 and inbox_c == []
+        finally:
+            close_all(a, b, c)
+    run(main())
+
+
+def test_sim_transport_nudge_is_a_no_op():
+    env = Environment()
+    sim = SimTransport(Network(env, ConstantLatency(0.01)))
+    sim.nudge("A", "B")
+    assert env.peek() == float("inf") and sim.stats.sent == 0

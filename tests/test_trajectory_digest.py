@@ -94,8 +94,8 @@ WARMUP = 10.0
 PINNED = {
     "many_small_domains": (
         lambda: _config(400, 8, 8.0, None), 30.0, 20.0,
-        "9f03ae0c093b5d70e63680898d2e69e755f32e30113bfdbff7cc10059eedfdd7",
-        107354,
+        "a9cb47ebf5797f9b22e249cd2ae1c7dcdf155e130a1c2eab1bdc330f395370f7",
+        107444,
     ),
     "dense": (
         lambda: _config(128, 64, 14.0, None), 30.0, 20.0,
@@ -107,7 +107,7 @@ PINNED = {
             200, 12, 4.0,
             ChurnConfig(mean_lifetime=30.0, mean_offtime=8.0),
         ), 40.0, 20.0,
-        "4ad75751eec5ae0ece702fcc3856bc5b300d2f1b2680f567bd85fa8cc1e29beb",
+        "e1181336ba397565dea153d6f1e1297db257d71f02e3435f3674f27ee7b2eda5",
         None,
     ),
 }
