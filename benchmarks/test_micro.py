@@ -81,16 +81,3 @@ def test_dense_domain_allocation(benchmark):
     out = benchmark(spec.make(n_allocations=200))
     assert out["events"] == 200 and out["metrics"]["domain_peers"] == 64
     assert out["metrics"]["placed"] > 0
-
-
-def test_batch_fairness_what_if(benchmark):
-    """Vectorized candidate evaluation vs the scalar loop."""
-    vec = LoadVector({f"p{i}": float(i % 7) for i in range(200)})
-    rng = np.random.default_rng(0)
-    candidates = [
-        {f"p{int(j)}": 0.5 for j in rng.integers(0, 200, size=3)}
-        for _ in range(256)
-    ]
-    batch = benchmark(vec.fairness_with_batch, candidates)
-    assert len(batch) == 256
-    assert all(0 < f <= 1 for f in batch)

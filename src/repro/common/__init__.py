@@ -2,8 +2,6 @@
 
 from repro.common.errors import (
     AllocationError,
-    AdmissionRejected,
-    ConfigError,
     NoFeasibleAllocation,
     ReproError,
     UnknownPeer,
@@ -12,8 +10,6 @@ from repro.common.util import EWMA, clamp, fmt_table, percentile
 
 __all__ = [
     "AllocationError",
-    "AdmissionRejected",
-    "ConfigError",
     "EWMA",
     "NoFeasibleAllocation",
     "ReproError",

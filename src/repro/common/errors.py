@@ -7,10 +7,6 @@ class ReproError(Exception):
     """Base class for all library-specific errors."""
 
 
-class ConfigError(ReproError):
-    """A configuration value is invalid or inconsistent."""
-
-
 class UnknownPeer(ReproError, KeyError):
     """An operation referenced a peer id the component does not know."""
 
@@ -29,14 +25,5 @@ class NoFeasibleAllocation(AllocationError):
 
     def __init__(self, task_id: str, reason: str = "no_path") -> None:
         super().__init__(f"no feasible allocation for task {task_id}: {reason}")
-        self.task_id = task_id
-        self.reason = reason
-
-
-class AdmissionRejected(ReproError):
-    """Admission control refused a task (overload, no redirect target)."""
-
-    def __init__(self, task_id: str, reason: str) -> None:
-        super().__init__(f"task {task_id} rejected: {reason}")
         self.task_id = task_id
         self.reason = reason

@@ -1,4 +1,4 @@
-"""Small shared utilities: smoothing, clamping, table formatting."""
+"""Small shared utilities: smoothing, clamping, tables and sparklines."""
 
 from __future__ import annotations
 
@@ -95,3 +95,30 @@ def fmt_table(
     for row in str_rows:
         lines.append(" | ".join(c.rjust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
+
+
+_BLOCKS = "▁▂▃▄▅▆▇█"
+
+
+def sparkline(values: Sequence[float], width: int | None = None) -> str:
+    """A one-line unicode chart of *values* (e.g. fairness over time).
+
+    Values are min-max normalized; ``width`` (if given) downsamples by
+    bucket-averaging so long series stay one terminal line.
+    """
+    vals = [float(v) for v in values]
+    if not vals:
+        return ""
+    if width is not None and width > 0 and len(vals) > width:
+        bucket = len(vals) / width
+        vals = [
+            sum(vals[int(i * bucket):max(int((i + 1) * bucket),
+                                         int(i * bucket) + 1)])
+            / max(int((i + 1) * bucket) - int(i * bucket), 1)
+            for i in range(width)
+        ]
+    lo, hi = min(vals), max(vals)
+    if hi - lo < 1e-12:
+        return _BLOCKS[len(_BLOCKS) // 2] * len(vals)
+    scale = (len(_BLOCKS) - 1) / (hi - lo)
+    return "".join(_BLOCKS[int((v - lo) * scale)] for v in vals)

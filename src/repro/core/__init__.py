@@ -18,7 +18,6 @@ from repro.core.allocation import AllocationResult, Allocator
 from repro.core.estimate import CompletionTimeEstimator
 from repro.core.fairness import (
     LoadVector,
-    fairness_after_assignment,
     jain_fairness,
     optimal_single_load,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "PeerRecord",
     "RMConfig",
     "ResourceManager",
-    "fairness_after_assignment",
     "jain_fairness",
     "optimal_single_load",
 ]

@@ -22,7 +22,7 @@ incrementally: evaluating a candidate that touches ``k`` peers is
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import Dict, Mapping, Sequence
 
 import numpy as np
 
@@ -127,39 +127,6 @@ class LoadVector:
             return 1.0
         return (self._sum * self._sum) / (n * self._sumsq)
 
-    def fairness_with_batch(
-        self, candidates: Sequence[Mapping[str, float]]
-    ) -> np.ndarray:
-        """Vectorized what-if fairness for many candidate assignments.
-
-        Semantically identical to calling :meth:`fairness_with` per
-        candidate; useful when an exhaustive allocator evaluates
-        hundreds of paths at once (vectorize-the-hot-loop, per the
-        profiling guides).
-        """
-        n = len(self._loads)
-        if n == 0:
-            raise ValueError("fairness of an empty load distribution")
-        if not candidates:
-            return np.empty(0, dtype=float)
-        sums = np.full(len(candidates), self._sum)
-        sumsqs = np.full(len(candidates), self._sumsq)
-        for i, deltas in enumerate(candidates):
-            for peer, delta in deltas.items():
-                old = self._loads.get(peer)
-                if old is None:
-                    continue
-                new = max(0.0, old + delta)
-                sums[i] += new - old
-                sumsqs[i] += new * new - old * old
-        out = np.empty(len(candidates), dtype=float)
-        cancelled = sumsqs <= self._sumsq * _CANCELLED
-        ok = ~cancelled
-        out[ok] = (sums[ok] ** 2) / (n * sumsqs[ok])
-        for i in np.flatnonzero(cancelled):
-            out[i] = self._recomputed_with(candidates[i])
-        return out
-
     def fairness_with(self, deltas: Mapping[str, float]) -> float:
         """Fairness index *if* each peer in *deltas* gained that much load.
 
@@ -190,22 +157,3 @@ class LoadVector:
             if old is not None:
                 loads[peer] = max(0.0, old + delta)
         return jain_fairness(list(loads.values()))
-
-
-def fairness_after_assignment(
-    loads: Mapping[str, float] | LoadVector,
-    per_peer_delta: Mapping[str, float],
-) -> float:
-    """Fairness of *loads* after adding *per_peer_delta* (convenience)."""
-    vec = loads if isinstance(loads, LoadVector) else LoadVector(loads)
-    return vec.fairness_with(per_peer_delta)
-
-
-def aggregate_path_deltas(
-    pairs: Iterable[tuple[str, float]],
-) -> Dict[str, float]:
-    """Sum per-peer load deltas over (peer, delta) pairs of a path."""
-    out: Dict[str, float] = {}
-    for peer, delta in pairs:
-        out[peer] = out.get(peer, 0.0) + delta
-    return out

@@ -62,10 +62,6 @@ class PeerRecord:
         """Latest reported l_i (0 before any report)."""
         return self.last_report.load if self.last_report else 0.0
 
-    @property
-    def reported_bw(self) -> float:
-        return self.last_report.bw_used if self.last_report else 0.0
-
 
 @dataclass
 class _Projection:

@@ -10,11 +10,42 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import importlib
+import io
+import json
+import os
 import sys
 import time
 
 from repro.experiments import EXPERIMENTS
+from repro.experiments.base import ExperimentResult
+
+
+def result_to_csv(result: ExperimentResult) -> str:
+    """Render a result's table as CSV text."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(result.headers)
+    for row in result.rows:
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def result_to_json(result: ExperimentResult) -> str:
+    """Render a result (table + notes) as a JSON document."""
+    doc = {
+        "experiment_id": result.experiment_id,
+        "title": result.title,
+        "headers": result.headers,
+        "rows": [
+            [cell if not hasattr(cell, "item") else cell.item()
+             for cell in row]
+            for row in result.rows
+        ],
+        "notes": list(result.notes),
+    }
+    return json.dumps(doc, indent=2, default=str)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,21 +107,16 @@ def main(argv: list[str] | None = None) -> int:
         elapsed = time.time() - start
         print(result.render())
         print(f"  ({elapsed:.1f}s wall)\n")
-        if args.json or args.csv:
-            import os
-
-            from repro.reporting import result_to_csv, result_to_json
-
-            if args.json:
-                os.makedirs(args.json, exist_ok=True)
-                path = os.path.join(args.json, f"{exp_id}.json")
-                with open(path, "w", encoding="utf-8") as fp:
-                    fp.write(result_to_json(result))
-            if args.csv:
-                os.makedirs(args.csv, exist_ok=True)
-                path = os.path.join(args.csv, f"{exp_id}.csv")
-                with open(path, "w", encoding="utf-8") as fp:
-                    fp.write(result_to_csv(result))
+        if args.json:
+            os.makedirs(args.json, exist_ok=True)
+            path = os.path.join(args.json, f"{exp_id}.json")
+            with open(path, "w", encoding="utf-8") as fp:
+                fp.write(result_to_json(result))
+        if args.csv:
+            os.makedirs(args.csv, exist_ok=True)
+            path = os.path.join(args.csv, f"{exp_id}.csv")
+            with open(path, "w", encoding="utf-8") as fp:
+                fp.write(result_to_csv(result))
     return 0
 
 

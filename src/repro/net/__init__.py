@@ -18,7 +18,6 @@ from repro.net.latency import (
     ConstantLatency,
     DomainAwareLatency,
     LatencyModel,
-    UniformLatency,
 )
 from repro.net.message import Message
 from repro.net.network import Network, NetworkStats
@@ -36,5 +35,4 @@ __all__ = [
     "NetworkStats",
     "RPCError",
     "RPCTimeout",
-    "UniformLatency",
 ]

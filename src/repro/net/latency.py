@@ -42,28 +42,6 @@ class ConstantLatency(LatencyModel):
         return self.delay
 
 
-class UniformLatency(LatencyModel):
-    """Delay drawn uniformly from ``[lo, hi]`` per transmission."""
-
-    def __init__(
-        self, lo: float, hi: float, rng: Optional[np.random.Generator] = None
-    ) -> None:
-        if not 0 <= lo <= hi:
-            raise ValueError(f"invalid latency range [{lo}, {hi}]")
-        self.lo = float(lo)
-        self.hi = float(hi)
-        # Fallback: the ambient scenario seed when installed (see
-        # repro.sim.rng), else OS entropy; build_scenario plumbs an
-        # explicit seed-derived rng.
-        self.rng = rng if rng is not None else fallback_rng("latency")
-
-    def sample(self, src: str, dst: str) -> float:
-        return float(self.rng.uniform(self.lo, self.hi))
-
-    def expected(self, src: str, dst: str) -> float:
-        return (self.lo + self.hi) / 2.0
-
-
 class DomainAwareLatency(LatencyModel):
     """Intra-domain links are fast; inter-domain links are slow.
 

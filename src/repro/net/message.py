@@ -86,10 +86,6 @@ class Message:
         if self.size <= 0:
             raise ValueError(f"message size must be positive, got {self.size}")
 
-    def is_reply(self) -> bool:
-        """True if this message answers an earlier request."""
-        return self.reply_to is not None
-
     def ensure_trace_id(self, ids: "Ids") -> str:
         """Assign (if still unset) and return this message's trace id.
 

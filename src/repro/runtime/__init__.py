@@ -8,9 +8,9 @@ fabric underneath them:
 :mod:`repro.runtime.codec`
     Versioned JSON wire format for :class:`~repro.net.message.Message`.
 :mod:`repro.runtime.transport`
-    The :class:`Transport` abstraction with a simulated
-    (:class:`SimTransport`) and a live UDP (:class:`UdpTransport`)
-    implementation (acks, retries, duplicate suppression).
+    :class:`UdpTransport`: the live UDP fabric in the place of the
+    simulator's :class:`~repro.net.network.Network` (acks, retries,
+    duplicate suppression).
 :mod:`repro.runtime.node`
     :class:`LiveNode`: one protocol endpoint whose event kernel is
     pumped in wall-clock time on an asyncio loop.
@@ -46,12 +46,7 @@ from repro.runtime.codec import (
     encode_ack,
     encode_message,
 )
-from repro.runtime.transport import (
-    PeerDirectory,
-    SimTransport,
-    Transport,
-    UdpTransport,
-)
+from repro.runtime.transport import PeerDirectory, UdpTransport
 from repro.runtime.node import LiveNode, NodeSpec, SimClockPump
 from repro.runtime.cluster import LiveCluster, LiveClusterConfig
 from repro.runtime.roster import Roster, RosterEntry, ring_position
@@ -64,8 +59,6 @@ __all__ = [
     "encode_ack",
     "encode_message",
     "PeerDirectory",
-    "SimTransport",
-    "Transport",
     "UdpTransport",
     "LiveNode",
     "NodeSpec",

@@ -1,26 +1,19 @@
-"""The pluggable message fabric under the protocol endpoints.
+"""The live message fabric under the protocol endpoints.
 
-:class:`~repro.net.node.NetNode` (and therefore every peer and RM) only
-ever touches its fabric through a narrow surface: ``register``/
-``unregister``, ``send``, reachability (``is_up``/``set_down``/
-``set_up``) and the planning estimate ``expected_delay``.  The
-:class:`Transport` ABC names that surface; the protocol layer runs
-unchanged over either implementation:
-
-:class:`SimTransport`
-    wraps the discrete-event :class:`~repro.net.network.Network`
-    (simulation — the default everywhere else in the repo).
-:class:`UdpTransport`
-    an asyncio ``DatagramProtocol`` speaking the
-    :mod:`repro.runtime.codec` wire format over real localhost sockets,
-    with per-message acks, exponential-backoff retries paced by measured
-    round trips, nudged resends, and duplicate suppression keyed on
-    ``(src, msg_id)``.
+:class:`~repro.net.node.NetNode` (and therefore every peer and RM)
+touches its fabric only through ``register``/``unregister``, ``send``,
+``nudge``, reachability (``is_up``/``set_down``/``set_up``) and the
+planning estimate ``expected_delay``.  In the simulator that fabric is
+the discrete-event :class:`~repro.net.network.Network`; in the live
+runtime it is :class:`UdpTransport`, an asyncio ``DatagramProtocol``
+speaking the :mod:`repro.runtime.codec` wire format over real localhost
+sockets, with per-message acks, exponential-backoff retries paced by
+measured round trips, nudged resends, and duplicate suppression keyed
+on ``(src, msg_id)``.  The protocol layer runs unchanged over either.
 """
 
 from __future__ import annotations
 
-import abc
 import asyncio
 import math
 from collections import OrderedDict
@@ -29,7 +22,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Set, Tuple
 
 from repro import telemetry
 from repro.net.message import Message
-from repro.net.network import Network, NetworkStats
+from repro.net.network import NetworkStats
 from repro.runtime.codec import (
     FRAME_ACK,
     FRAME_MSG,
@@ -44,92 +37,6 @@ from repro.telemetry.logs import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import NetNode
-
-
-class Transport(abc.ABC):
-    """Fabric surface the protocol endpoints rely on."""
-
-    stats: NetworkStats
-
-    @abc.abstractmethod
-    def register(self, node: "NetNode") -> None:
-        """Attach a local endpoint."""
-
-    @abc.abstractmethod
-    def unregister(self, node_id: str) -> None:
-        """Detach an endpoint (departed peer)."""
-
-    @abc.abstractmethod
-    def send(self, msg: Message) -> None:
-        """Transmit *msg*; delivery is asynchronous and unreliable."""
-
-    @abc.abstractmethod
-    def is_up(self, node_id: str) -> bool:
-        """Reachability as far as this transport can tell."""
-
-    @abc.abstractmethod
-    def set_down(self, node_id: str) -> None:
-        """Mark a node unreachable (crash/disconnect)."""
-
-    @abc.abstractmethod
-    def set_up(self, node_id: str) -> None:
-        """Restore a node's reachability."""
-
-    @abc.abstractmethod
-    def expected_delay(self, src: str, dst: str, size: float = 512.0) -> float:
-        """Planning estimate of one-way delay (the RM's cost model)."""
-
-    def nudge(self, src: str, dst: str) -> None:
-        """*src* asks *dst* to resend now what it has pending to *src*
-        (a no-op on a fabric that never retransmits)."""
-
-    def summary(self) -> Dict[str, Any]:
-        """Traffic counters, comparable between sim and live runs."""
-        return self.stats.summary()
-
-    def close(self) -> None:
-        """Release any underlying resources (sockets, timers)."""
-
-
-class SimTransport(Transport):
-    """The simulated fabric behind the :class:`Transport` surface.
-
-    A thin delegate around an existing :class:`Network`; protocol code
-    written against :class:`Transport` runs in the simulator through
-    this without any behavioural change.
-    """
-
-    def __init__(self, network: Network) -> None:
-        self.network = network
-
-    @property
-    def stats(self) -> NetworkStats:  # type: ignore[override]
-        return self.network.stats
-
-    @property
-    def env(self):
-        return self.network.env
-
-    def register(self, node: "NetNode") -> None:
-        self.network.register(node)
-
-    def unregister(self, node_id: str) -> None:
-        self.network.unregister(node_id)
-
-    def send(self, msg: Message) -> None:
-        self.network.send(msg)
-
-    def is_up(self, node_id: str) -> bool:
-        return self.network.is_up(node_id)
-
-    def set_down(self, node_id: str) -> None:
-        self.network.set_down(node_id)
-
-    def set_up(self, node_id: str) -> None:
-        self.network.set_up(node_id)
-
-    def expected_delay(self, src: str, dst: str, size: float = 512.0) -> float:
-        return self.network.expected_delay(src, dst, size)
 
 
 class PeerDirectory:
@@ -211,7 +118,7 @@ class _PendingSend:
     nudged: bool = False  # resent on a nudge since its timer last fired
 
 
-class UdpTransport(Transport, asyncio.DatagramProtocol):
+class UdpTransport(asyncio.DatagramProtocol):
     """One node's live UDP endpoint.
 
     Reliability: every data frame is acknowledged by the receiving
@@ -375,7 +282,7 @@ class UdpTransport(Transport, asyncio.DatagramProtocol):
         finally:
             deadline.cancel()
 
-    # -- Transport surface -------------------------------------------------
+    # -- fabric surface (the one Network offers the simulator) ------------
     def register(self, node: "NetNode") -> None:
         if self._node is not None:
             raise ValueError(
@@ -481,6 +388,10 @@ class UdpTransport(Transport, asyncio.DatagramProtocol):
                 tel.metrics.counter("repro_udp_retransmits_total").inc()
             if not (self.drop_fn and self.drop_fn(pending.msg, pending.attempt)):
                 self._sock.sendto(pending.frame, addr)
+
+    def summary(self) -> Dict[str, Any]:
+        """Traffic counters, comparable between sim and live runs."""
+        return self.stats.summary()
 
     def _note_dropped(self, msg: Message) -> None:
         self.stats.dropped += 1

@@ -124,13 +124,6 @@ class Store:
         self._dispatch()
         return ev
 
-    def cancel_get(self, ev: StoreGet) -> None:
-        """Withdraw a pending get (e.g. on timeout)."""
-        try:
-            self._getters.remove(ev)
-        except ValueError:
-            pass
-
     def _serve_getters(self) -> None:
         """One pass of the getter-matching loop (see _dispatch)."""
         i = 0

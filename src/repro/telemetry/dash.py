@@ -25,6 +25,7 @@ import json
 import sys
 from typing import Any, Dict, List, Optional
 
+from repro.common.util import sparkline
 from repro.telemetry.analyze import (
     _RELIABILITY_KEYS,
     control_event_counts,
@@ -32,7 +33,6 @@ from repro.telemetry.analyze import (
     reliability_summary,
 )
 from repro.telemetry.export import TraceData, read_jsonl
-from repro.reporting.ascii import sparkline
 
 #: Max label sets rendered per series family before eliding.
 _MAX_SERIES_PER_FAMILY = 4

@@ -12,8 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 
-from repro.common.util import fmt_table
-from repro.reporting.ascii import sparkline
+from repro.common.util import fmt_table, sparkline
 from repro.telemetry.observation import (
     Observation,
     add_observation_flags,

@@ -111,9 +111,3 @@ def load_config(path: str) -> ScenarioConfig:
     """Read a ScenarioConfig from a JSON file."""
     with open(path, "r", encoding="utf-8") as fp:
         return config_from_json(fp.read())
-
-
-def save_config(cfg: ScenarioConfig, path: str) -> None:
-    """Write a ScenarioConfig to a JSON file."""
-    with open(path, "w", encoding="utf-8") as fp:
-        fp.write(config_to_json(cfg))

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from repro.core.fairness import (
     LoadVector,
-    aggregate_path_deltas,
-    fairness_after_assignment,
     jain_fairness,
     optimal_single_load,
 )
@@ -199,7 +197,6 @@ class TestLoadVector:
             jain_fairness(list(merged.values())), rel=1e-9, abs=1e-9
         )
         assert vec.fairness_with(deltas) == expected
-        assert vec.fairness_with_batch([deltas])[0] == expected
 
     @given(
         st.dictionaries(
@@ -217,60 +214,3 @@ class TestLoadVector:
         vec.remove(next(iter(loads)))
         rebuilt = LoadVector(vec.as_dict())
         assert vec.fairness() == pytest.approx(rebuilt.fairness())
-
-
-class TestHelpers:
-    def test_fairness_after_assignment(self):
-        loads = {"a": 1.0, "b": 3.0}
-        out = fairness_after_assignment(loads, {"a": 2.0})
-        assert out == pytest.approx(1.0)
-
-    def test_aggregate_path_deltas(self):
-        deltas = aggregate_path_deltas([("a", 1.0), ("b", 2.0), ("a", 0.5)])
-        assert deltas == {"a": 1.5, "b": 2.0}
-
-
-class TestBatchWhatIf:
-    def test_batch_matches_scalar(self):
-        vec = LoadVector({"a": 1.0, "b": 2.0, "c": 3.0})
-        candidates = [
-            {"a": 0.5},
-            {"b": 1.0, "c": -1.0},
-            {"ghost": 9.0},
-            {},
-        ]
-        batch = vec.fairness_with_batch(candidates)
-        for got, deltas in zip(batch, candidates):
-            assert got == pytest.approx(vec.fairness_with(deltas))
-
-    def test_empty_candidate_list(self):
-        vec = LoadVector({"a": 1.0})
-        assert len(vec.fairness_with_batch([])) == 0
-
-    def test_empty_distribution_rejected(self):
-        with pytest.raises(ValueError):
-            LoadVector().fairness_with_batch([{}])
-
-    @given(
-        st.dictionaries(
-            st.sampled_from(list("abcde")),
-            st.floats(min_value=0.0, max_value=50.0),
-            min_size=2,
-        ),
-        st.lists(
-            st.dictionaries(
-                st.sampled_from(list("abcde")),
-                st.floats(min_value=-5.0, max_value=50.0),
-            ),
-            max_size=8,
-        ),
-    )
-    @settings(max_examples=60)
-    def test_batch_property(self, loads, candidates):
-        vec = LoadVector(loads)
-        batch = vec.fairness_with_batch(candidates)
-        assert len(batch) == len(candidates)
-        for got, deltas in zip(batch, candidates):
-            assert got == pytest.approx(
-                vec.fairness_with(deltas), rel=1e-9, abs=1e-9
-            )

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.common.errors import UnknownPeer
-from repro.net import ConstantLatency, Message, NetNode, Network, UniformLatency
+from repro.net import ConstantLatency, Message, NetNode, Network
 from repro.sim import Environment
 
 
@@ -272,16 +272,6 @@ class TestLatencyModels:
     def test_constant_negative_rejected(self):
         with pytest.raises(ValueError):
             ConstantLatency(-1.0)
-
-    def test_uniform_in_range(self):
-        m = UniformLatency(0.1, 0.2)
-        for _ in range(50):
-            assert 0.1 <= m.sample("a", "b") <= 0.2
-        assert m.expected("a", "b") == pytest.approx(0.15)
-
-    def test_uniform_bad_range(self):
-        with pytest.raises(ValueError):
-            UniformLatency(0.5, 0.1)
 
     def test_domain_aware(self):
         from repro.net import DomainAwareLatency

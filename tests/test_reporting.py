@@ -6,13 +6,9 @@ import json
 
 import pytest
 
+from repro.common.util import sparkline
 from repro.experiments.base import ExperimentResult
-from repro.reporting import (
-    histogram,
-    result_to_csv,
-    result_to_json,
-    sparkline,
-)
+from repro.experiments.cli import result_to_csv, result_to_json
 
 
 class TestSparkline:
@@ -37,24 +33,6 @@ class TestSparkline:
     def test_monotone_series_monotone_blocks(self):
         line = sparkline([0, 1, 2, 3, 4, 5, 6, 7])
         assert list(line) == sorted(line)
-
-
-class TestHistogram:
-    def test_empty(self):
-        assert histogram([]) == "(empty)"
-
-    def test_bins_validation(self):
-        with pytest.raises(ValueError):
-            histogram([1.0], bins=0)
-
-    def test_counts_sum_to_n(self):
-        out = histogram([1, 2, 2, 3, 3, 3], bins=3)
-        counts = [int(line.rsplit(" ", 1)[1]) for line in out.splitlines()]
-        assert sum(counts) == 6
-
-    def test_constant_input_single_bar(self):
-        out = histogram([2.0, 2.0, 2.0])
-        assert out.count("\n") == 0 and out.endswith("3")
 
 
 @pytest.fixture

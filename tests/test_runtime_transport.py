@@ -24,7 +24,6 @@ from repro.runtime.transport import (
     RTO_FLOOR,
     PeerDirectory,
     RttEstimate,
-    SimTransport,
     UdpTransport,
 )
 from repro.sim.core import Environment
@@ -288,10 +287,9 @@ def test_down_node_semantics():
 
 
 def test_summary_parity_between_sim_and_udp():
-    """Both transports expose the same NetworkStats.summary() shape, so
-    live and simulated runs are directly comparable."""
-    env = Environment()
-    sim = SimTransport(Network(env, ConstantLatency(0.01)))
+    """The live transport and the simulated Network expose the same
+    NetworkStats.summary() shape, so live and simulated runs are
+    directly comparable."""
 
     async def live_counts():
         _, a, b, inbox = make_pair()
@@ -304,7 +302,7 @@ def test_summary_parity_between_sim_and_udp():
             close_all(a, b)
 
     sender, receiver = run(live_counts())
-    sim_keys = set(sim.summary())
+    sim_keys = set(Network(Environment(), ConstantLatency(0.01)).stats.summary())
     for live in (sender, receiver):
         assert sim_keys <= set(live)  # live adds counters, drops none
         assert {"retransmits", "duplicates", "malformed",
@@ -891,9 +889,3 @@ def test_nudge_with_nothing_pending_sends_nothing():
             close_all(a, b, c)
     run(main())
 
-
-def test_sim_transport_nudge_is_a_no_op():
-    env = Environment()
-    sim = SimTransport(Network(env, ConstantLatency(0.01)))
-    sim.nudge("A", "B")
-    assert env.peek() == float("inf") and sim.stats.sent == 0

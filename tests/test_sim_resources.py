@@ -100,15 +100,6 @@ class TestStore:
         env.run()
         assert got == [(3.0, "match")]
 
-    def test_cancel_get(self, env):
-        st = Store(env)
-        pending = st.get()
-        st.cancel_get(pending)
-        st.put("x")
-        env.run()
-        assert st.items == ["x"]
-        assert not pending.triggered
-
     def test_len(self, env):
         st = Store(env)
         st.put("a")
