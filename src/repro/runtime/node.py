@@ -458,31 +458,6 @@ class LiveNode:
     def summary(self) -> Dict[str, Any]:
         return self.transport.summary()
 
-    def health_signal(self) -> Dict[str, Any]:
-        """One read-only health snapshot for the wall-clock sampler.
-
-        Called from the sampler's daemon thread, so only plain
-        attribute reads — anything mid-mutation is the sampler's
-        problem (it swallows probe errors).
-        """
-        signal: Dict[str, Any] = {
-            "node_id": self.node_id,
-            "role": self.role,
-            "load": None,
-            "finished_by_class": {},
-            "missed_by_class": {},
-        }
-        node = self.node
-        if node is not None and node.alive:
-            profiler = getattr(node, "profiler", None)
-            if profiler is not None:
-                signal["load"] = profiler.load
-            proc = getattr(node, "processor", None)
-            if proc is not None:
-                signal["finished_by_class"] = dict(proc.completed_by_class)
-                signal["missed_by_class"] = dict(proc.missed_by_class)
-        return signal
-
     def __repr__(self) -> str:
         return (
             f"<LiveNode {self.node_id} role={self.role or 'joining'} "

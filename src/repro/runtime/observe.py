@@ -6,10 +6,11 @@ monitor, flight recorder) judges everything on one process's partial
 view.  This module is the parent-process half of the cluster
 observability plane:
 
-* :class:`ClusterHealth` — folds the per-shard health payloads riding
-  the heartbeat pipe into *cluster-wide* series on a supervisor-owned
-  :class:`~repro.telemetry.timeseries.HealthSampler` (same family
-  names the stock SLOs watch, labelled ``scope=cluster``), and runs a
+* :class:`ClusterHealth` — folds the union of the shards' health
+  readings riding the heartbeat pipe into *cluster-wide* series on a
+  supervisor-owned :class:`~repro.telemetry.timeseries.HealthSampler`,
+  with the same fold every sampler runs (same family names the stock
+  SLOs watch, labelled ``scope=cluster``), and runs a
   :class:`~repro.profiling.slo.BurnRateMonitor` over them — so miss
   rate, redirect rate and load imbalance are judged on the merged
   population, not each shard's slice.
@@ -36,7 +37,13 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro import telemetry
 from repro.profiling.slo import DEFAULT_SLOS, SLO, BurnRateMonitor
 from repro.telemetry.logs import get_logger
-from repro.telemetry.timeseries import HealthSampler, _RateTracker
+from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.timeseries import (
+    HealthSampler,
+    health_probe,
+    load_stats,
+    merge_readings,
+)
 
 #: Minimum seconds between cluster-series ticks (heartbeats from N
 #: shards would otherwise tick N times per period).
@@ -46,19 +53,14 @@ DEFAULT_TICK_INTERVAL = 0.5
 class ClusterHealth:
     """Cluster-wide health series + SLO burn over shard heartbeats.
 
-    Shards attach a ``health`` payload to each heartbeat::
-
-        {"loads": {"n": 12, "sum": 4.2, "max": 0.9},
-         "finished": {"normal": 30}, "missed": {"normal": 1},
-         "rm": {"admitted": 31, "rejected": 0, "redirected_out": 2},
-         "inflight": 3}
-
-    :meth:`ingest` stores the latest payload per shard;
-    :meth:`maybe_tick` (rate-limited) folds the stored payloads into
-    cluster aggregates — load mean over *all* peers, max/mean imbalance
-    over the merged vector's peak, per-QoS miss ratio over summed
-    counters, RM rates over summed cumulative totals — and evaluates
-    the burn monitor over the merged series.
+    Each shard's heartbeat carries its
+    :func:`~repro.telemetry.timeseries.health_reading` (the same one
+    its own sampler folds).  :meth:`ingest` keeps the latest reading
+    per shard; :meth:`maybe_tick` (rate-limited) samples the
+    supervisor's sampler, whose probes fold the union of those readings
+    with the one health fold (``scope=cluster``, no per-peer series),
+    record per-shard provenance (``repro_shard_*``) and evaluate the
+    burn monitor over the merged series.
     """
 
     def __init__(
@@ -78,16 +80,22 @@ class ClusterHealth:
             self.sampler, slos=slos, tel=self.tel, recorder=recorder,
             **(slo_kwargs or {}),
         )
+        self.sampler.add_probe(health_probe(
+            self._union, per_peer=False, scope="cluster",
+        ))
+        self.sampler.add_probe(self._shard_probe)
+        self.sampler.add_probe(self.monitor.as_probe())
         self.tick_interval = float(tick_interval)
-        self._rm_rates = _RateTracker()
-        #: shard_id -> latest health payload.
-        self._latest: Dict[str, Dict[str, Any]] = {}
+        #: shard_id -> (latest reading, in-flight task count).
+        self._latest: Dict[str, Tuple[Dict[str, Any], int]] = {}
         self._last_tick: Optional[float] = None
         self.n_ticks = 0
 
     # -- ingestion -----------------------------------------------------------
-    def ingest(self, shard_id: str, health: Dict[str, Any]) -> None:
-        self._latest[shard_id] = health
+    def ingest(
+        self, shard_id: str, reading: Dict[str, Any], inflight: int = 0
+    ) -> None:
+        self._latest[shard_id] = (reading, inflight)
 
     def maybe_tick(self, now: Optional[float] = None) -> bool:
         if now is None:
@@ -101,125 +109,56 @@ class ClusterHealth:
         return True
 
     def tick(self, now: Optional[float] = None) -> None:
-        """Fold the stored shard payloads into one cluster sample."""
+        """Take one cluster sample of the stored shard readings."""
         if now is None:
             now = self.tel.clock.now()
         self._last_tick = now
         self.n_ticks += 1
-        s = self.sampler
-        s._now = now  # every observe() below stamps at this tick
+        self.sampler.sample(now)
 
-        n = 0
-        load_sum = 0.0
-        load_max = 0.0
-        finished: Dict[str, float] = {}
-        missed: Dict[str, float] = {}
-        rm_totals = {"admitted": 0.0, "rejected": 0.0,
-                     "redirected_out": 0.0}
+    def _union(self) -> Dict[str, Any]:
+        return merge_readings(
+            self._latest[sid][0] for sid in sorted(self._latest)
+        )
+
+    def _shard_probe(self, s: HealthSampler) -> None:
         for sid in sorted(self._latest):
-            h = self._latest[sid]
-            loads = h.get("loads") or {}
-            sn = int(loads.get("n", 0))
-            ssum = float(loads.get("sum", 0.0))
-            smax = float(loads.get("max", 0.0))
-            n += sn
-            load_sum += ssum
-            load_max = max(load_max, smax)
-            s_mean = ssum / sn if sn else 0.0
-            s.observe("repro_shard_load_mean", s_mean, shard=sid)
-            s.observe("repro_shard_load_max", smax, shard=sid)
-            s.observe(
-                "repro_shard_imbalance",
-                smax / s_mean if s_mean > 0 else 1.0,
-                shard=sid,
-            )
-            s.observe(
-                "repro_shard_tasks_inflight",
-                float(h.get("inflight", 0)), shard=sid,
-            )
-            for cls, v in (h.get("finished") or {}).items():
-                finished[cls] = finished.get(cls, 0.0) + v
-            for cls, v in (h.get("missed") or {}).items():
-                missed[cls] = missed.get(cls, 0.0) + v
-            for key, v in (h.get("rm") or {}).items():
-                if key in rm_totals:
-                    rm_totals[key] += float(v)
-
-        mean = load_sum / n if n else 0.0
-        # Peak-over-mean of the *merged* load vector: per-shard maxima
-        # are exact order statistics, so the cluster max is too.
-        imbalance = load_max / mean if mean > 0 else 1.0
-        s.observe("repro_load_mean", mean, scope="cluster")
-        s.observe("repro_load_imbalance", imbalance, scope="cluster")
-        for cls in sorted(finished) or ["normal"]:
-            done = finished.get(cls, 0.0)
-            ratio = missed.get(cls, 0.0) / done if done else 0.0
-            s.observe(
-                "repro_sched_miss_ratio", ratio, qos=cls, scope="cluster"
-            )
-        rates = self._rm_rates.rates(now, rm_totals)
-        s.observe(
-            "repro_rm_admission_rate", rates["admitted"], scope="cluster"
-        )
-        s.observe(
-            "repro_rm_reject_rate", rates["rejected"], scope="cluster"
-        )
-        s.observe(
-            "repro_rm_redirect_rate", rates["redirected_out"],
-            scope="cluster",
-        )
-        s.n_samples += 1
-        self.monitor.evaluate(now)
+            reading, inflight = self._latest[sid]
+            loads = list(reading["loads"].values())
+            mean, imbalance, _ = load_stats(loads)
+            s.observe("repro_shard_load_mean", mean, shard=sid)
+            s.observe("repro_shard_load_max", max(loads, default=0.0),
+                      shard=sid)
+            s.observe("repro_shard_imbalance", imbalance, shard=sid)
+            s.observe("repro_shard_tasks_inflight", float(inflight),
+                      shard=sid)
 
     # -- exports -------------------------------------------------------------
     def records(self) -> List[Dict[str, Any]]:
         """JSONL-ready ``series`` records of every cluster/shard ring."""
         return self.sampler.records()
 
-    def prometheus_lines(self) -> List[str]:
-        """Cluster-rollup gauges for the supervisor's /metrics."""
-        out: List[str] = []
-
-        def gauge(name: str, help_text: str, rings) -> None:
-            rows = [
-                (ring.labels, ring.last)
-                for ring in rings if ring.last is not None
-            ]
-            if not rows:
-                return
-            out.append(f"# HELP {name} {help_text}")
-            out.append(f"# TYPE {name} gauge")
-            for labels, last in rows:
-                if labels:
-                    lbl = ",".join(
-                        f'{k}="{v}"' for k, v in sorted(labels.items())
+    def publish(self, metrics: MetricsRegistry) -> None:
+        """Set the cluster-rollup gauges of the supervisor's /metrics."""
+        for family, name, help_text in _EXPOSED:
+            for ring in self.sampler.series_family(family):
+                if ring.last is not None:
+                    metrics.gauge(name, help=help_text, **ring.labels).set(
+                        round(ring.last, 6)
                     )
-                    out.append(f"{name}{{{lbl}}} {round(last, 6)}")
-                else:
-                    out.append(f"{name} {round(last, 6)}")
 
-        fam = self.sampler.series_family
-        gauge(
-            "repro_cluster_load_mean",
-            "Mean peer load over the merged population",
-            fam("repro_load_mean"),
-        )
-        gauge(
-            "repro_cluster_load_imbalance",
-            "Max/mean load imbalance over the merged population",
-            fam("repro_load_imbalance"),
-        )
-        gauge(
-            "repro_cluster_miss_ratio",
-            "Cluster-wide deadline-miss ratio per QoS class",
-            fam("repro_sched_miss_ratio"),
-        )
-        gauge(
-            "repro_cluster_slo_burn_rate",
-            "Cluster-level error-budget burn rate per SLO window",
-            fam("repro_slo_burn_rate"),
-        )
-        return out
+
+#: Sampled family -> the /metrics gauge that exposes its latest value.
+_EXPOSED = (
+    ("repro_load_mean", "repro_cluster_load_mean",
+     "Mean peer load over the merged population"),
+    ("repro_load_imbalance", "repro_cluster_load_imbalance",
+     "Max/mean load imbalance over the merged population"),
+    ("repro_sched_miss_ratio", "repro_cluster_miss_ratio",
+     "Cluster-wide deadline-miss ratio per QoS class"),
+    ("repro_slo_burn_rate", "repro_cluster_slo_burn_rate",
+     "Cluster-level error-budget burn rate per SLO window"),
+)
 
 
 class BundleCoordinator:

@@ -52,6 +52,7 @@ from repro.runtime.node import NodeSpec
 from repro.tasks.task import ApplicationTask
 from repro.telemetry.logs import get_logger
 from repro.telemetry.observation import Observation
+from repro.telemetry.timeseries import live_reading
 
 #: Seconds between heartbeats up the pipe.
 HEARTBEAT_PERIOD = 1.0
@@ -78,7 +79,7 @@ class ShardConfig:
     #: The :class:`Observation` flags ``observation_flags()`` gives an
     #: in-process run; the supervisor points ``trace`` and ``folded``
     #: into this incarnation's directory at spawn.  Non-empty also puts
-    #: health payloads in the heartbeat and reports flight dumps.
+    #: the health reading in the heartbeat and reports flight dumps.
     observation: Dict[str, Any] = field(default_factory=dict)
     #: Tasks/s this shard originates (0 = driven by ``submit`` messages).
     task_rate: float = 0.0
@@ -329,40 +330,8 @@ class ShardHost:
                 "submitted": self.submitted,
             }
             if self.cfg.observation:
-                msg["health"] = self._health_payload()
+                msg["health"] = live_reading(self.cluster)
             self._send(msg)
-
-    def _health_payload(self) -> Dict[str, Any]:
-        """The heartbeat's cluster-health contribution: compact
-        aggregates the supervisor can merge exactly (sums and maxima,
-        not shard-level means)."""
-        loads: List[float] = []
-        finished: Dict[str, int] = {}
-        missed: Dict[str, int] = {}
-        rm = {"admitted": 0.0, "rejected": 0.0, "redirected_out": 0.0}
-        for live in self.cluster.nodes.values():
-            sig = live.health_signal()
-            if sig.get("load") is not None:
-                loads.append(sig["load"])
-            for cls, n in sig.get("finished_by_class", {}).items():
-                finished[cls] = finished.get(cls, 0) + n
-            for cls, n in sig.get("missed_by_class", {}).items():
-                missed[cls] = missed.get(cls, 0) + n
-            stats = getattr(live.node, "stats", None)
-            if stats is not None:
-                for key in rm:
-                    rm[key] += stats.get(key, 0)
-        return {
-            "loads": {
-                "n": len(loads),
-                "sum": sum(loads),
-                "max": max(loads) if loads else 0.0,
-            },
-            "finished": finished,
-            "missed": missed,
-            "rm": rm,
-            "inflight": len(self._inflight),
-        }
 
     async def _trim_loop(self) -> None:
         """Drop the tracer's history, which a soak would grow forever:

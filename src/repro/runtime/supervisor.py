@@ -42,6 +42,7 @@ from repro.runtime.node import NodeSpec
 from repro.runtime.shard import ShardConfig, _shard_entry
 from repro.telemetry.httpd import TelemetryHTTPServer
 from repro.telemetry.logs import get_logger
+from repro.telemetry.metrics import MetricsRegistry
 
 
 #: Respawn backoff after a crash: 0.5 s · 2^restarts, capped at 8 s; a
@@ -356,7 +357,9 @@ class ClusterSupervisor:
                 sh.status = "running"
             health = msg.get("health")
             if health is not None and self.cluster_health is not None:
-                self.cluster_health.ingest(sid, health)
+                self.cluster_health.ingest(
+                    sid, health, msg.get("inflight", 0)
+                )
                 self.cluster_health.maybe_tick()
         elif kind == "task":
             self.ledger.on_rm_event(
@@ -714,7 +717,7 @@ class ClusterSupervisor:
 
     # -- observability -----------------------------------------------------
     def metrics_text(self) -> str:
-        """Aggregated exposition: every shard's /metrics merged, plus
+        """Aggregated exposition: every shard's /metrics merged with the
         supervisor-level series.  Runs on the endpoint's thread."""
         texts: List[str] = []
         for sh in list(self.shards.values()):
@@ -726,41 +729,28 @@ class ClusterSupervisor:
                     texts.append(resp.read().decode("utf-8"))
             except OSError:
                 continue
-        merged = merge_prometheus(texts) if texts else ""
-        extra = [
-            "# HELP repro_supervisor_shard_up 1 while the shard process "
-            "is alive",
-            "# TYPE repro_supervisor_shard_up gauge",
-        ]
+        m = MetricsRegistry()
         for sid, sh in self.shards.items():
-            up = 1 if sh.proc is not None and sh.proc.is_alive() else 0
-            extra.append(
-                f'repro_supervisor_shard_up{{shard="{sid}"}} {up}'
-            )
-        extra += [
-            "# HELP repro_supervisor_shard_restarts_total respawns "
-            "performed for the shard",
-            "# TYPE repro_supervisor_shard_restarts_total counter",
-        ]
-        for sid, sh in self.shards.items():
-            extra.append(
-                f'repro_supervisor_shard_restarts_total{{shard="{sid}"}} '
-                f"{sh.restarts}"
-            )
+            m.gauge(
+                "repro_supervisor_shard_up",
+                help="1 while the shard process is alive", shard=sid,
+            ).set(1.0 if sh.proc is not None and sh.proc.is_alive() else 0.0)
+            m.counter(
+                "repro_supervisor_shard_restarts_total",
+                help="respawns performed for the shard", shard=sid,
+            ).value = float(sh.restarts)
         counts = self.ledger.counts()
-        extra += [
-            "# HELP repro_supervisor_tasks_open RM-seen tasks with no "
-            "terminal event yet",
-            "# TYPE repro_supervisor_tasks_open gauge",
-            f"repro_supervisor_tasks_open {counts['open']}",
-            "# HELP repro_supervisor_tasks_terminal_total tasks that "
-            "reached a terminal event",
-            "# TYPE repro_supervisor_tasks_terminal_total counter",
-            f"repro_supervisor_tasks_terminal_total {counts['terminal']}",
-        ]
+        m.gauge(
+            "repro_supervisor_tasks_open",
+            help="RM-seen tasks with no terminal event yet",
+        ).set(counts["open"])
+        m.counter(
+            "repro_supervisor_tasks_terminal_total",
+            help="tasks that reached a terminal event",
+        ).value = float(counts["terminal"])
         if self.cluster_health is not None:
-            extra += self.cluster_health.prometheus_lines()
-        return merged + "\n".join(extra) + "\n"
+            self.cluster_health.publish(m)
+        return merge_prometheus(texts + [m.to_prometheus_text()])
 
     def status(self) -> Dict[str, Any]:
         """Health snapshot (also the aggregated /healthz body)."""

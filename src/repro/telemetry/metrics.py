@@ -239,7 +239,7 @@ class MetricsRegistry:
                     )
                 else:
                     lines.append(
-                        f"{name}{_fmt_labels(key)} {inst.value:g}"
+                        f"{name}{_fmt_labels(key)} {_fmt_value(inst.value)}"
                     )
         return "\n".join(lines) + ("\n" if lines else "")
 
@@ -276,6 +276,13 @@ def bucket_quantile(buckets: List[List[Any]], q: float) -> float:
             return prev_bound + frac * (bound - prev_bound)
         prev_bound, prev_count = bound, count
     return prev_bound
+
+
+def _fmt_value(v: float) -> str:
+    """``%g`` where it is exact, else every digit (a large counter or a
+    long fraction must not lose precision on the way out)."""
+    text = f"{v:g}"
+    return text if float(text) == v else repr(float(v))
 
 
 def _fmt_labels(key: _LabelKey, **extra: str) -> str:

@@ -11,7 +11,8 @@ so an always-on sampler has a hard memory ceiling):
 * per-QoS-class deadline-miss ratio from the LLS processors,
 * RM admission / redirect / reject rates,
 * gossip summary staleness age (max and mean over held summaries),
-* network retry / duplicate / loss rates from ``NetworkStats``.
+* network retry / duplicate / loss rates from ``NetworkStats``,
+* reputation trust and quarantines, when an RM runs the defense.
 
 Two drivers share the same sampler:
 
@@ -22,10 +23,14 @@ Two drivers share the same sampler:
 * **live runtime** — :meth:`HealthSampler.start_wall` runs a daemon
   thread, so the asyncio loop and socket path are untouched.
 
-Probes are plain callables ``probe(sampler)`` that call
-:meth:`HealthSampler.observe`; the builders below are duck-typed on the
-overlay / live-cluster surfaces so this module imports nothing from the
-simulator (same rule as :mod:`repro.telemetry.clock`).
+What a sample is made of lives in one place: :func:`health_reading`
+turns peers, RMs and net counters into plain data that sums across
+populations (:func:`merge_readings`), and :func:`health_probe` folds a
+reading into the families above.  The simulator, the live sampler
+thread, the shard heartbeat and the supervisor's cluster rollup all
+take the same reading and run the same fold.  Everything is duck-typed
+on the overlay / live-cluster surfaces, so this module imports nothing
+from the simulator (same rule as :mod:`repro.telemetry.clock`).
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from __future__ import annotations
 import math
 import threading
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 #: Default sampling period, seconds (sim or wall, per driver).
 DEFAULT_PERIOD = 1.0
@@ -41,15 +46,6 @@ DEFAULT_PERIOD = 1.0
 DEFAULT_CAPACITY = 720
 
 _SeriesKey = Tuple[str, Tuple[Tuple[str, str], ...]]
-
-
-def qos_class(importance: float) -> str:
-    """Bucket a task/job importance into a QoS class label."""
-    if importance >= 2.0:
-        return "high"
-    if importance >= 1.0:
-        return "normal"
-    return "low"
 
 
 class SeriesRing:
@@ -274,21 +270,11 @@ class HealthSampler:
             )
         ring.append(self._now, value)
 
-    def ingest(self, t: float, name: str, value: float, **labels: Any) -> None:
-        """Record one externally-timed point (supervisor aggregation).
-
-        Unlike :meth:`observe` — which stamps at the time of the probe
-        sweep currently running — this sets the sample time explicitly,
-        for callers folding in measurements that arrived over a pipe
-        with their own timestamps (cluster health rollup).
-        """
-        self._now = float(t)
-        self.observe(name, value, **labels)
-
-    def sample(self) -> None:
-        """Take one snapshot: run every probe at the current clock time."""
+    def sample(self, now: Optional[float] = None) -> None:
+        """Take one snapshot: run every probe at *now* (default: the
+        current clock time)."""
         t0 = perf_counter()
-        self._now = self.tel.clock.now()
+        self._now = self.tel.clock.now() if now is None else float(now)
         for probe in self._probes:
             try:
                 probe(self)
@@ -362,7 +348,103 @@ class HealthSampler:
             self.sample()
 
 
-# -- delta-rate helper -------------------------------------------------------
+# -- the health reading and its fold -----------------------------------------
+
+#: The cumulative counters a reading carries, each -> its rate family.
+_RM_RATES = {
+    "admitted": "repro_rm_admission_rate",
+    "rejected": "repro_rm_reject_rate",
+    "redirected_out": "repro_rm_redirect_rate",
+}
+_NET_RATES = {
+    "sent": "repro_net_send_rate",
+    "dropped": "repro_net_drop_rate",
+    "partition_drops": "repro_net_partition_drop_rate",
+    "retransmits": "repro_net_retry_rate",
+    "duplicates": "repro_net_dup_rate",
+}
+
+
+def health_reading(
+    peers: Iterable[Tuple[str, Any]],
+    rms: Iterable[Any],
+    net: Dict[str, Any],
+    domain_of: Optional[Dict[str, str]] = None,
+) -> Dict[str, Any]:
+    """What one health sample is made of, as plain data.
+
+    *peers* yields ``(peer_id, node)`` pairs (``.alive``,
+    ``.profiler.load``, ``.processor``), *rms* the resource managers
+    (``.stats``, ``.info``, ``.env``, ``.reputation``), *net* is a
+    ``NetworkStats.summary()``-shaped mapping and *domain_of* maps a
+    peer to its domain (None: no per-domain loads).  Every field is a
+    number, a list or a mapping of them, so the readings of disjoint
+    populations sum (:func:`merge_readings`) and pickle up a pipe.
+    """
+    loads: Dict[str, float] = {}
+    domain_loads: Dict[str, List[float]] = {}
+    finished: Dict[str, int] = {}
+    missed: Dict[str, int] = {}
+    for pid, node in peers:
+        if node.alive:
+            load = loads[pid] = node.profiler.load
+            did = domain_of.get(pid) if domain_of is not None else None
+            if did is not None:
+                domain_loads.setdefault(did, []).append(load)
+        proc = getattr(node, "processor", None)
+        if proc is not None:
+            finished = _merged(finished, proc.completed_by_class)
+            missed = _merged(missed, proc.missed_by_class)
+    rm_totals = dict.fromkeys(_RM_RATES, 0.0)
+    staleness: List[float] = []
+    trust: Dict[str, Any] = {}
+    for rm in rms:
+        now = rm.env.now
+        for key in rm_totals:
+            rm_totals[key] += rm.stats.get(key, 0)
+        info = rm.info
+        for rm_id in info.summary_received_at:
+            staleness.append(info.summary_age(rm_id, now))
+        # Only RMs running the reputation defense (RMConfig.
+        # enable_defense) add trust, so undefended runs keep their
+        # exact series set.
+        engine = getattr(rm, "reputation", None)
+        if engine is not None:
+            snap = engine.snapshot(now)
+            trust = _merged(trust, {
+                "scores": [p["score"] for p in snap["peers"].values()],
+                "quarantined": len(snap["quarantined"]),
+                "quarantines_total": snap["quarantines_total"],
+            })
+    return {
+        "loads": loads,
+        "domain_loads": domain_loads,
+        "finished": finished,
+        "missed": missed,
+        "rm": rm_totals,
+        "staleness": staleness,
+        "trust": trust,
+        "net": {key: net.get(key, 0) for key in _NET_RATES},
+    }
+
+
+def merge_readings(readings: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
+    """The reading of the union of disjoint populations: numbers and
+    lists add, mappings merge key by key."""
+    out = health_reading((), (), {})
+    for reading in readings:
+        out = _merged(out, reading)
+    return out
+
+
+def _merged(a: Any, b: Any) -> Any:
+    if not isinstance(a, dict):
+        return a + b
+    out = dict(a)
+    for key, value in b.items():
+        out[key] = _merged(out[key], value) if key in out else value
+    return out
+
 
 class _RateTracker:
     """Turns monotone counters into per-second rates between samples."""
@@ -388,7 +470,7 @@ class _RateTracker:
         return out
 
 
-def _load_stats(loads: List[float]) -> Tuple[float, float, float]:
+def load_stats(loads: List[float]) -> Tuple[float, float, float]:
     """(mean, max/mean imbalance, stdev) of a load vector."""
     if not loads:
         return 0.0, 1.0, 0.0
@@ -399,212 +481,96 @@ def _load_stats(loads: List[float]) -> Tuple[float, float, float]:
     return mean, imbalance, math.sqrt(var)
 
 
-# -- probe builders: simulator ----------------------------------------------
+def health_probe(
+    read: Callable[[], Dict[str, Any]],
+    per_peer: bool = True,
+    **labels: str,
+) -> Callable[[HealthSampler], None]:
+    """The one probe: folds the reading ``read()`` returns into the
+    health families.  *labels* tag every series (the supervisor's
+    rollup uses ``scope="cluster"``); ``per_peer=False`` skips the
+    per-peer ``l_i`` series (bench reports stay small)."""
+    rm_rates = _RateTracker()
+    net_rates = _RateTracker()
+
+    def probe(s: HealthSampler) -> None:
+        r = read()
+
+        def put(name: str, value: float, **extra: str) -> None:
+            s.observe(name, value, **labels, **extra)
+
+        loads = r["loads"]
+        if per_peer:
+            for pid, load in loads.items():
+                put("repro_peer_load", load, peer=pid)
+        mean, imbalance, stdev = load_stats(list(loads.values()))
+        put("repro_load_mean", mean)
+        put("repro_load_imbalance", imbalance)
+        put("repro_load_stdev", stdev)
+        for did, dloads in sorted(r["domain_loads"].items()):
+            _, d_imb, d_std = load_stats(dloads)
+            put("repro_domain_load_imbalance", d_imb, domain=did)
+            put("repro_domain_load_stdev", d_std, domain=did)
+        finished, missed = r["finished"], r["missed"]
+        for cls in sorted(finished) or ["normal"]:
+            done = finished.get(cls, 0)
+            ratio = missed.get(cls, 0) / done if done else 0.0
+            put("repro_sched_miss_ratio", ratio, qos=cls)
+        for key, rate in rm_rates.rates(s.now, r["rm"]).items():
+            put(_RM_RATES[key], rate)
+        ages = r["staleness"]
+        put("repro_gossip_staleness_max", max(ages) if ages else 0.0)
+        put(
+            "repro_gossip_staleness_mean",
+            sum(ages) / len(ages) if ages else 0.0,
+        )
+        for key, rate in net_rates.rates(s.now, r["net"]).items():
+            put(_NET_RATES[key], rate)
+        trust = r["trust"]
+        if trust:
+            scores = trust["scores"]
+            put("repro_reputation_quarantined", trust["quarantined"])
+            put(
+                "repro_reputation_quarantines_total",
+                trust["quarantines_total"],
+            )
+            put("repro_reputation_min_trust", min(scores) if scores else 1.0)
+            put(
+                "repro_reputation_mean_trust",
+                sum(scores) / len(scores) if scores else 1.0,
+            )
+
+    return probe
+
 
 def overlay_probes(
     overlay, network, per_peer: bool = True
 ) -> List[Callable[[HealthSampler], None]]:
-    """Probes over a simulated :class:`OverlayNetwork` + fabric.
+    """The probe over a simulated :class:`OverlayNetwork` + fabric."""
+    return [health_probe(
+        lambda: health_reading(
+            overlay.peers.items(), overlay.rms(),
+            network.stats.summary(), overlay.domain_of,
+        ),
+        per_peer=per_peer,
+    )]
 
-    Duck-typed: needs ``overlay.peers`` (id -> node with ``.alive``,
-    ``.profiler.load``, ``.processor``), ``overlay.domains`` /
-    ``overlay.rms()`` and ``network.stats``.  With ``per_peer=False``
-    the per-peer ``l_i`` series are skipped (bench reports stay small).
+
+def live_reading(cluster) -> Dict[str, Any]:
+    """The reading of a :class:`~repro.runtime.cluster.LiveCluster`.
+
+    The sampler's daemon thread takes it while the asyncio loop mutates
+    the cluster, so it only reads plain attributes (the sampler
+    swallows the occasional mid-mutation race).
     """
-    net_rates = _RateTracker()
-    rm_rates = _RateTracker()
+    live = [n for n in list(cluster.nodes.values()) if n.node is not None]
+    return health_reading(
+        [(n.node_id, n.node) for n in live],
+        [n.node for n in live if n.role == "rm"],
+        cluster.aggregate_summary(),
+    )
 
-    def load_probe(s: HealthSampler) -> None:
-        loads: List[float] = []
-        by_domain: Dict[str, List[float]] = {}
-        domain_of = overlay.domain_of
-        for pid, node in overlay.peers.items():
-            if not node.alive:
-                continue
-            load = node.profiler.load
-            loads.append(load)
-            did = domain_of.get(pid)
-            if did is not None:
-                by_domain.setdefault(did, []).append(load)
-            if per_peer:
-                s.observe("repro_peer_load", load, peer=pid)
-        mean, imbalance, stdev = _load_stats(loads)
-        s.observe("repro_load_mean", mean)
-        s.observe("repro_load_imbalance", imbalance)
-        s.observe("repro_load_stdev", stdev)
-        for did, dloads in sorted(by_domain.items()):
-            _, d_imb, d_std = _load_stats(dloads)
-            s.observe("repro_domain_load_imbalance", d_imb, domain=did)
-            s.observe("repro_domain_load_stdev", d_std, domain=did)
-
-    def miss_probe(s: HealthSampler) -> None:
-        finished: Dict[str, int] = {}
-        missed: Dict[str, int] = {}
-        for node in overlay.peers.values():
-            proc = getattr(node, "processor", None)
-            if proc is None:
-                continue
-            for cls, n in proc.completed_by_class.items():
-                finished[cls] = finished.get(cls, 0) + n
-            for cls, n in proc.missed_by_class.items():
-                missed[cls] = missed.get(cls, 0) + n
-        for cls in sorted(finished) or ["normal"]:
-            done = finished.get(cls, 0)
-            ratio = missed.get(cls, 0) / done if done else 0.0
-            s.observe("repro_sched_miss_ratio", ratio, qos=cls)
-
-    def rm_probe(s: HealthSampler) -> None:
-        totals = {"admitted": 0.0, "rejected": 0.0, "redirected_out": 0.0}
-        staleness: List[float] = []
-        now = s.now
-        for rm in overlay.rms():
-            for key in totals:
-                totals[key] += rm.stats.get(key, 0)
-            info = rm.info
-            for rm_id in info.summary_received_at:
-                staleness.append(info.summary_age(rm_id, now))
-        rates = rm_rates.rates(now, totals)
-        s.observe("repro_rm_admission_rate", rates["admitted"])
-        s.observe("repro_rm_reject_rate", rates["rejected"])
-        s.observe("repro_rm_redirect_rate", rates["redirected_out"])
-        s.observe(
-            "repro_gossip_staleness_max",
-            max(staleness) if staleness else 0.0,
-        )
-        s.observe(
-            "repro_gossip_staleness_mean",
-            sum(staleness) / len(staleness) if staleness else 0.0,
-        )
-
-    def net_probe(s: HealthSampler) -> None:
-        stats = network.stats
-        rates = net_rates.rates(s.now, {
-            "sent": stats.sent,
-            "dropped": stats.dropped,
-            "partition_drops": getattr(stats, "partition_drops", 0),
-            "retransmits": stats.retransmits,
-            "duplicates": stats.duplicates,
-        })
-        s.observe("repro_net_send_rate", rates["sent"])
-        s.observe("repro_net_drop_rate", rates["dropped"])
-        s.observe(
-            "repro_net_partition_drop_rate", rates["partition_drops"]
-        )
-        s.observe("repro_net_retry_rate", rates["retransmits"])
-        s.observe("repro_net_dup_rate", rates["duplicates"])
-
-    def reputation_probe(s: HealthSampler) -> None:
-        # Only emits when some RM runs with the reputation defense
-        # (RMConfig.enable_defense) — undefended runs keep their exact
-        # series set, so existing golden metrics documents hold.
-        scores: List[float] = []
-        quarantined = 0
-        total = 0
-        engines = 0
-        for rm in overlay.rms():
-            engine = getattr(rm, "reputation", None)
-            if engine is None:
-                continue
-            engines += 1
-            snap = engine.snapshot(rm.env.now)
-            scores.extend(p["score"] for p in snap["peers"].values())
-            quarantined += len(snap["quarantined"])
-            total += snap["quarantines_total"]
-        if not engines:
-            return
-        s.observe("repro_reputation_quarantined", quarantined)
-        s.observe("repro_reputation_quarantines_total", total)
-        s.observe(
-            "repro_reputation_min_trust", min(scores) if scores else 1.0
-        )
-        s.observe(
-            "repro_reputation_mean_trust",
-            sum(scores) / len(scores) if scores else 1.0,
-        )
-
-    return [load_probe, miss_probe, rm_probe, net_probe, reputation_probe]
-
-
-# -- probe builders: live runtime --------------------------------------------
 
 def live_cluster_probes(cluster) -> List[Callable[[HealthSampler], None]]:
-    """Probes over a :class:`~repro.runtime.cluster.LiveCluster`.
-
-    Runs on the sampler's daemon thread while the asyncio loop mutates
-    the cluster, so everything here is read-only over plain attributes
-    (the sampler swallows the occasional mid-mutation race).
-    """
-    net_rates = _RateTracker()
-    rm_rates = _RateTracker()
-
-    def node_probe(s: HealthSampler) -> None:
-        loads: List[float] = []
-        finished: Dict[str, int] = {}
-        missed: Dict[str, int] = {}
-        for live in list(cluster.nodes.values()):
-            signal = live.health_signal()
-            if signal.get("load") is not None:
-                loads.append(signal["load"])
-                s.observe(
-                    "repro_peer_load", signal["load"], peer=live.node_id
-                )
-            for cls, n in signal.get("finished_by_class", {}).items():
-                finished[cls] = finished.get(cls, 0) + n
-            for cls, n in signal.get("missed_by_class", {}).items():
-                missed[cls] = missed.get(cls, 0) + n
-        mean, imbalance, stdev = _load_stats(loads)
-        s.observe("repro_load_mean", mean)
-        s.observe("repro_load_imbalance", imbalance)
-        s.observe("repro_load_stdev", stdev)
-        for cls in sorted(finished) or ["normal"]:
-            done = finished.get(cls, 0)
-            ratio = missed.get(cls, 0) / done if done else 0.0
-            s.observe("repro_sched_miss_ratio", ratio, qos=cls)
-
-    def rm_probe(s: HealthSampler) -> None:
-        totals = {"admitted": 0.0, "rejected": 0.0, "redirected_out": 0.0}
-        staleness: List[float] = []
-        now = s.now
-        for live in list(cluster.nodes.values()):
-            node = live.node
-            stats = getattr(node, "stats", None)
-            if stats is None:
-                continue
-            for key in totals:
-                totals[key] += stats.get(key, 0)
-            info = getattr(node, "info", None)
-            if info is not None:
-                sim_now = live.env.now
-                for rm_id in info.summary_received_at:
-                    staleness.append(info.summary_age(rm_id, sim_now))
-        rates = rm_rates.rates(now, totals)
-        s.observe("repro_rm_admission_rate", rates["admitted"])
-        s.observe("repro_rm_reject_rate", rates["rejected"])
-        s.observe("repro_rm_redirect_rate", rates["redirected_out"])
-        s.observe(
-            "repro_gossip_staleness_max",
-            max(staleness) if staleness else 0.0,
-        )
-        s.observe(
-            "repro_gossip_staleness_mean",
-            sum(staleness) / len(staleness) if staleness else 0.0,
-        )
-
-    def net_probe(s: HealthSampler) -> None:
-        agg = cluster.aggregate_summary()
-        rates = net_rates.rates(s.now, {
-            "sent": agg["sent"],
-            "dropped": agg["dropped"],
-            "partition_drops": agg.get("partition_drops", 0),
-            "retransmits": agg["retransmits"],
-            "duplicates": agg["duplicates"],
-        })
-        s.observe("repro_net_send_rate", rates["sent"])
-        s.observe("repro_net_drop_rate", rates["dropped"])
-        s.observe(
-            "repro_net_partition_drop_rate", rates["partition_drops"]
-        )
-        s.observe("repro_net_retry_rate", rates["retransmits"])
-        s.observe("repro_net_dup_rate", rates["duplicates"])
-
-    return [node_probe, rm_probe, net_probe]
+    """The probe over a live cluster's nodes."""
+    return [health_probe(lambda: live_reading(cluster))]

@@ -13,6 +13,7 @@ surfaces.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time
@@ -375,16 +376,24 @@ class TestFolded:
 
 # -- cluster health rollup ----------------------------------------------------
 
+_PEER_IDS = itertools.count()
+
+
 def health(n, total, peak, finished=0, missed=0, admitted=0,
-           redirected=0, inflight=0):
-    return {
-        "loads": {"n": n, "sum": total, "max": peak},
-        "finished": {"normal": finished},
-        "missed": {"normal": missed},
-        "rm": {"admitted": admitted, "rejected": 0,
-               "redirected_out": redirected},
-        "inflight": inflight,
+           redirected=0):
+    """A shard's health reading: *n* peers (ids unique across calls,
+    as across shards) whose loads sum to *total* with maximum *peak*."""
+    from repro.telemetry.timeseries import health_reading
+
+    reading = health_reading((), (), {})
+    rest = (total - peak) / (n - 1) if n > 1 else 0.0
+    reading["loads"] = {
+        f"p{next(_PEER_IDS)}": peak if i == 0 else rest for i in range(n)
     }
+    reading["finished"] = {"normal": finished}
+    reading["missed"] = {"normal": missed}
+    reading["rm"].update(admitted=admitted, redirected_out=redirected)
+    return reading
 
 
 class TestClusterHealth:
@@ -465,11 +474,14 @@ class TestClusterHealth:
 
     def test_prometheus_lines_roll_up_cluster_gauges(self):
         from repro.runtime.observe import ClusterHealth
+        from repro.telemetry.metrics import MetricsRegistry
 
         ch = ClusterHealth()
         ch.ingest("s0", health(4, 2.0, 0.9, finished=10, missed=1))
         ch.tick(now=1.0)
-        text = "\n".join(ch.prometheus_lines())
+        metrics = MetricsRegistry()
+        ch.publish(metrics)
+        text = metrics.to_prometheus_text()
         assert 'repro_cluster_load_mean{scope="cluster"} 0.5' in text
         assert "repro_cluster_load_imbalance" in text
         assert 'repro_cluster_miss_ratio{qos="normal"' in text

@@ -12,7 +12,9 @@ helpers.
 from __future__ import annotations
 
 import json
+import re
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -37,7 +39,14 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     bucket_quantile,
 )
-from repro.telemetry.timeseries import overlay_probes
+from repro.telemetry.timeseries import (
+    health_probe,
+    health_reading,
+    live_cluster_probes,
+    overlay_probes,
+)
+
+DOCS = Path(__file__).resolve().parent.parent / "docs"
 
 
 @pytest.fixture(autouse=True)
@@ -183,6 +192,63 @@ class TestHealthSampler:
         assert data.series
         names = {rec["name"] for rec in data.series}
         assert "repro_load_imbalance" in names
+
+    def test_live_sampler_reads_the_rm_reputation(self):
+        # The live probe takes the simulator's reading, so an RM running
+        # the defense adds the four reputation families there too.
+        import asyncio
+
+        from repro.runtime.cluster import LiveCluster, LiveClusterConfig
+
+        sampler = HealthSampler(Telemetry.wall())
+
+        async def main():
+            config = LiveClusterConfig(n_peers=2)
+            config.rm_config = RMConfig(
+                expected_update_period=config.profiler_update_period,
+                enable_defense=True,
+            )
+            async with LiveCluster(config) as cluster:
+                for probe in live_cluster_probes(cluster):
+                    sampler.add_probe(probe)
+                sampler.sample()
+
+        asyncio.run(main())
+        assert sampler.errors == 0
+        names = {ring.name for ring in sampler.all_series()}
+        assert {
+            "repro_reputation_quarantined",
+            "repro_reputation_quarantines_total",
+            "repro_reputation_min_trust",
+            "repro_reputation_mean_trust",
+        } <= names
+
+
+def test_docs_table_lists_every_health_family():
+    """The sampled-signals table in docs/observability.md names exactly
+    the families the health fold can emit."""
+    reading = health_reading((), (), {})
+    reading["loads"] = {"p0": 1.0}
+    reading["domain_loads"] = {"d0": [1.0]}
+    reading["trust"] = {
+        "scores": [1.0], "quarantined": 0, "quarantines_total": 0,
+    }
+    sampler = HealthSampler(Telemetry.wall())
+    sampler.add_probe(health_probe(lambda: reading))
+    sampler.sample()
+    assert sampler.errors == 0
+    emitted = {ring.name for ring in sampler.all_series()}
+
+    doc = DOCS / "observability.md"
+    table = doc.read_text(encoding="utf-8").split(
+        "Sampled signals", 1
+    )[1].split("\n\n", 2)[1]
+    documented = {
+        name
+        for row in table.splitlines()
+        for name in re.findall(r"`(repro_\w+)`", row.split("|")[1])
+    }
+    assert documented == emitted
 
 
 # -- flight recorder ---------------------------------------------------------
