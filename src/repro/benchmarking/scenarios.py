@@ -161,7 +161,8 @@ def _micro_udp_roundtrip(n_messages: int, window: int = 64) -> Callable:
                 for base in range(0, n_messages, window):
                     for i in range(base, min(base + window, n_messages)):
                         a.send(Message(kind="stream", src="a", dst="b",
-                                       payload={"seq": i}, size=64.0,
+                                       payload={"task_id": "t1",
+                                                "step_index": i}, size=64.0,
                                        msg_id=next(a.ids.msg)))
                     await a.flush(timeout=10.0)
             finally:

@@ -1,8 +1,9 @@
 """Protocol message kinds and payload schemas (peer <-> RM <-> RM).
 
-All payloads are plain dicts of JSON-able values plus task/step objects
-where noted; sizes are rough wire estimates that drive transmission
-delay and the message-overhead accounting of experiments E4/E7.
+All payloads are plain dicts of JSON-able values plus task/step objects;
+:data:`SCHEMAS` holds each kind's nominal size (a rough wire estimate
+that drives transmission delay and the message-overhead accounting of
+experiments E4/E7) and payload schema.
 """
 
 from __future__ import annotations
@@ -51,28 +52,73 @@ RM_TAKEOVER = "rm_takeover"
 JOIN_REQUEST = "join_request"
 JOIN_ACK = "join_ack"
 
-#: Nominal wire sizes (bytes) per message kind, for overhead accounting.
-MESSAGE_SIZES = {
-    LOAD_UPDATE: 256.0,
-    TASK_REQUEST: 512.0,
-    STEP_DONE: 96.0,
-    TASK_DONE: 128.0,
-    PEER_LEAVE: 64.0,
-    QOS_UPDATE: 96.0,
-    TASK_ACK: 256.0,
-    COMPOSE: 1024.0,
-    START_STREAM: 128.0,
-    CANCEL_TASK: 96.0,
-    TASK_REDIRECT: 768.0,
-    GOSSIP_DIGEST: 256.0,
-    GOSSIP_SUMMARIES: 2048.0,
-    RM_SYNC: 4096.0,
-    RM_TAKEOVER: 128.0,
-    JOIN_REQUEST: 256.0,
-    JOIN_ACK: 256.0,
+# -- payload schemas ---------------------------------------------------------
+# Plain data, compiled once by the live codec (repro.runtime.codec), which
+# checks every decoded frame against its kind's row before any handler
+# sees it.  A spec is an atom name -- ``str``, ``count`` (int >= 0),
+# ``num`` (finite >= 0), ``pos`` (finite > 0), ``port``, ``bool``,
+# ``state`` (hashable), ``any``, or a decoded tagged type (``order``,
+# ``load_report``, ``task``, ...) -- with a trailing ``?`` also admitting
+# None; a tuple of allowed values; ``[spec]`` for a list; ``{"*": spec}``
+# for a string-keyed map; or a record, whose fields ending in ``?`` may
+# be absent (a handler reads it with a default).  Fields a row does not
+# name pass.
+
+JOIN_EDGE = {"src": "state", "dst": "state", "service_id": "str",
+             "edge_id?": "str", "work": "num", "out_bytes": "num"}
+#: A live member's capability record (node -> agent -> RM).
+JOIN_RECORD = {"peer_id": "str", "host": "str", "port": "port",
+               "shard?": "str", "power": "pos", "bandwidth": "pos",
+               "uptime": "num", "objects?": ["media"], "edges?": [JOIN_EDGE]}
+#: A gossiped roster entry (``RosterEntry.to_wire``).
+ROSTER_ENTRY = {"id": "str", "host": "str", "port": "port",
+                "kind?": ("node", "agent"), "shard?": "str?",
+                "power?": "num", "bandwidth?": "num", "uptime?": "num",
+                "version?": "count", "status?": ("up", "left")}
+#: A gossiped RM state; ``rm_id`` is None before the election.
+RM_STATE = {"rm_id": "str?", "epoch?": "count", "ready?": "bool"}
+PULL_CURSOR = {"cursor?": "count"}
+PULL_REPLY = {"next?": "count?"}
+#: The address-only roster slice a JOIN_ACK carries.
+ROSTER_SLICE = {"peer_id": "str", "host": "str", "port": "port"}
+
+#: Kind -> (nominal wire size in bytes, for overhead accounting; payload).
+SCHEMAS = {
+    LOAD_UPDATE: (256.0, {"report": "load_report"}),
+    TASK_REQUEST: (512.0, {"name": "str", "goal_state": "state",
+                           "deadline": "pos", "importance?": "pos",
+                           "origin?": "str"}),
+    STEP_DONE: (96.0, {"task_id": "str", "step_index": "count",
+                       "peer_id": "str", "epoch?": "count",
+                       "started?": "num", "finished?": "num"}),
+    TASK_DONE: (128.0, {"task_id": "str", "completed_at": "num"}),
+    PEER_LEAVE: (64.0, {"peer_id": "str"}),
+    QOS_UPDATE: (96.0, {"task_id": "str", "deadline_abs": "num",
+                        "origin?": "str", "importance?": "pos"}),
+    TASK_ACK: (256.0, {"task_id": "str",
+                       "disposition": ("accepted", "redirected", "rejected")}),
+    COMPOSE: (1024.0, {"order": "order"}),
+    START_STREAM: (128.0, {"task_id": "str", "from_step?": "count"}),
+    CANCEL_TASK: (96.0, {"task_id": "str"}),
+    STREAM: (256.0, {"task_id": "str", "step_index": "count",
+                     "epoch?": "count", "from?": "str"}),
+    TASK_REDIRECT: (768.0, {"task": "task"}),
+    # The simulated RMs gossip summaries; the live roster agents reuse
+    # both gossip kinds for the roster (docs/runtime.md).
+    GOSSIP_DIGEST: (256.0, {"digest?": {"*": "count"},
+                            "roster_pull?": PULL_CURSOR}),
+    GOSSIP_SUMMARIES: (2048.0, {"summaries?": ["any"],
+                                "roster?": [ROSTER_ENTRY], "rm?": RM_STATE,
+                                "pull_reply?": PULL_REPLY}),
+    RM_SYNC: (4096.0, {"snapshot": {"*": "any"}}),
+    RM_TAKEOVER: (128.0, {"rm_id": "str"}),
+    JOIN_REQUEST: (256.0, JOIN_RECORD),
+    JOIN_ACK: (256.0, {"role": ("rm", "peer"), "rm_id": "str",
+                       "domain_id?": "str", "roster?": {"*": ROSTER_SLICE}}),
 }
 
 
 def size_of(kind: str) -> float:
     """Nominal wire size for *kind* (default 256 B)."""
-    return MESSAGE_SIZES.get(kind, 256.0)
+    row = SCHEMAS.get(kind)
+    return 256.0 if row is None else row[0]

@@ -45,14 +45,6 @@ from repro import telemetry
 from repro.core import protocol
 from repro.net.message import Message
 from repro.overlay.qualification import QualificationPolicy
-from repro.runtime.codec import (
-    WireFormatError,
-    _count,
-    _string,
-    check_join_record,
-    check_rm_state,
-    check_roster_entry,
-)
 from repro.runtime.roster import (
     KIND_AGENT,
     KIND_NODE,
@@ -259,8 +251,6 @@ class RosterAgent:
         if self.draining:
             return  # admission stopped; the joiner retries another seed
         rec = msg.payload
-        if not self._checked("join", msg.src, check_join_record, rec):
-            return
         pid = rec["peer_id"]
         self.records[pid] = dict(rec)
         self.directory.add(pid, rec["host"], rec["port"])
@@ -286,23 +276,16 @@ class RosterAgent:
             self._forward_record(pid)
 
     def _handle_leave(self, msg: Message) -> None:
-        pid = msg.payload.get("peer_id", msg.src)
-        if self._checked("leave", msg.src, _string, pid, "leave peer_id"):
-            self.tombstone(pid)
-            self.directory.remove(pid)
+        pid = msg.payload["peer_id"]
+        self.tombstone(pid)
+        self.directory.remove(pid)
 
     def _handle_gossip(self, msg: Message) -> None:
         payload = msg.payload
-        docs = payload.get("roster")
-        changed = self.roster.merge([
-            doc for doc in (docs if isinstance(docs, list) else [])
-            if self._checked("gossip", msg.src, check_roster_entry, doc)
-        ])
+        changed = self.roster.merge(payload.get("roster", []))
         self._sync_directory(changed)
         state = payload.get("rm")
-        if state is not None and self._checked(
-            "gossip", msg.src, check_rm_state, state
-        ):
+        if state is not None:
             self._apply_rm_state(state)
         if changed:
             # The final member may reach the coordinator via gossip
@@ -312,29 +295,15 @@ class RosterAgent:
             # re-elect one).
             self._maybe_elect()
         pull = payload.get("pull_reply")
-        if isinstance(pull, dict) and self._pull_future is not None:
+        if pull is not None and self._pull_future is not None:
             if not self._pull_future.done():
                 self._pull_future.set_result(pull.get("next"))
 
-    def _checked(self, what: str, src: str, check: Any, *args: Any) -> bool:
-        """Untagged fields from the wire reach the roster and the
-        directory every node of this host sends through: drop a
-        malformed piece alone, and log it."""
-        try:
-            check(*args)
-        except WireFormatError as exc:
-            self.log.warning("dropped %s from %s: %s", what, src, exc)
-            return False
-        return True
-
     def _handle_pull(self, msg: Message) -> None:
         req = msg.payload.get("roster_pull")
-        if not isinstance(req, dict):
+        if req is None:
             return
-        cursor = req.get("cursor", 0)
-        if not self._checked("pull", msg.src, _count, cursor, "pull cursor"):
-            return
-        entries, nxt = self.roster.page(cursor, PAGE_SIZE)
+        entries, nxt = self.roster.page(req.get("cursor", 0), PAGE_SIZE)
         self._send(protocol.GOSSIP_SUMMARIES, msg.src, {
             "roster": [e.to_wire() for e in entries],
             "rm": self._rm_state(),
@@ -383,8 +352,8 @@ class RosterAgent:
         rm_id = state.get("rm_id")
         if rm_id is None:
             return
-        epoch = int(state.get("epoch", 0))
-        ready = bool(state.get("ready", False))
+        epoch = state.get("epoch", 0)
+        ready = state.get("ready", False)
         if self.rm_id is not None and (
             (epoch, ready) <= (self.rm_epoch, self.rm_ready)
         ):

@@ -9,8 +9,8 @@ types share one envelope::
 
 The ``msg`` body carries every :class:`Message` field verbatim —
 including ``size``, the *nominal* wire size from
-:data:`repro.core.protocol.MESSAGE_SIZES` — so the byte accounting of a
-live run matches the simulator's (the JSON encoding itself is an
+:data:`repro.core.protocol.SCHEMAS` — so the byte accounting of a live
+run matches the simulator's (the JSON encoding itself is an
 implementation detail, not the accounted size).
 
 Plain JSON scalars, lists and string-keyed dicts pass through;
@@ -20,29 +20,32 @@ formats/objects, QoS sets, compose orders, service steps, load reports,
 application tasks).  Encoding looks each value's exact type up in one
 writer table.  Decoding is one JSON parse whose object hook turns each
 tagged object into its value as the parser closes it, children first,
-so no value is visited twice; decoded media formats are interned.  Any
-datagram that is not valid UTF-8 JSON, has the wrong version, an
-unknown frame type/tag, ill-typed message fields or an out-of-range
-load report raises :class:`WireFormatError` — the transport drops such
-datagrams.  A ``JOIN_REQUEST`` record and the roster entries and RM
-state a gossip page carries are untagged maps, so their receivers check
-them with :func:`check_join_record`, :func:`check_roster_entry` and
-:func:`check_rm_state` instead.
+so no value is visited twice; decoded media formats are interned.
+
+Every spec — each tagged body's, the frames', and each message kind's
+payload row in :data:`~repro.core.protocol.SCHEMAS` — is compiled once
+into a checker, and a frame reaches its receiver only if all of them
+accept it: a datagram that is not valid UTF-8 JSON, has the wrong
+version, an unknown frame type, kind or tag, or a field its row rejects
+raises :class:`WireFormatError`, and the transport drops it whole.
+Handlers trust what they are given.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-import math
-from typing import Any, Callable, Dict, Tuple, Type
+import sys
+from typing import Any, Callable, Dict, Iterator, Tuple, Type
 
+from repro.core.protocol import SCHEMAS
 from repro.core.session import ComposeOrder
 from repro.graphs.service_graph import ServiceStep
 from repro.media.formats import MediaFormat
 from repro.media.objects import MediaObject
 from repro.monitoring.profiler import LoadReport
+from repro.net.connections import HANDSHAKE_KIND
 from repro.net.message import Message
-from repro.runtime.roster import KIND_AGENT, KIND_NODE, STATUS_LEFT, STATUS_UP
 from repro.tasks.qos import QoSRequirements
 from repro.tasks.task import ApplicationTask, TaskOutcome, TaskState
 
@@ -65,6 +68,80 @@ class WireFormatError(ValueError):
 
 
 # --------------------------------------------------------------------------
+# schemas: each spec (the language is in repro.core.protocol) compiles
+# once to a predicate over a decoded value
+# --------------------------------------------------------------------------
+
+#: Types every value of which hashes (a format's fields are checked),
+#: skipping a dataclass hash per service-graph state.
+_HASHABLE = {str, int, float, bool, type(None), MediaFormat}
+
+
+def _hashable(v: Any) -> bool:
+    try:
+        hash(v)
+    except TypeError:
+        return False
+    return True
+
+
+#: The names generated checks read; every registered tag adds its class.
+_scope: Dict[str, Any] = {
+    "_MAX": sys.float_info.max, "_ABSENT": object(),
+    "_HASHABLE": _HASHABLE, "_hashable": _hashable,
+}
+#: Atom name -> a Python test of the value named ``{0}``; every
+#: registered tag adds one for its decoded type.  Decoded JSON numbers
+#: are exact ints and floats (a bool is neither).
+_atoms: Dict[str, str] = {
+    "str": "{0}.__class__ is str",
+    "count": "{0}.__class__ is int and {0} >= 0",
+    # Bounded by the largest float: an int past it would overflow float().
+    "num": "({0}.__class__ is float or {0}.__class__ is int)"
+           " and 0 <= {0} <= _MAX",
+    "pos": "({0}.__class__ is float or {0}.__class__ is int)"
+           " and 0 < {0} <= _MAX",
+    "port": "{0}.__class__ is int and 1 <= {0} <= 65535",
+    "bool": "{0}.__class__ is bool",
+    "state": "({0}.__class__ in _HASHABLE or _hashable({0}))",
+    "any": "True",
+}
+
+
+def _compile(spec: Any) -> Callable[[Any], bool]:
+    """*spec* as one generated predicate, so a record's fields are
+    tested inline rather than by a call each.  The source is built from
+    the specs in this program alone, never from received bytes."""
+    return eval(f"lambda v: {_test(spec, 'v', itertools.count())}", _scope)
+
+
+def _test(spec: Any, x: str, ids: Iterator[int]) -> str:
+    """A Python expression: does the value named *x* match *spec*?"""
+    if isinstance(spec, str):
+        test = _atoms[spec.rstrip("?")].format(x)
+        return f"({x} is None or {test})" if spec[-1] == "?" else f"({test})"
+    if isinstance(spec, tuple):
+        return f"({x} in {spec!r})"
+    y = f"x{next(ids)}"
+    if isinstance(spec, list):
+        return (f"({x}.__class__ is list and "
+                f"all({_test(spec[0], y, ids)} for {y} in {x}))")
+    if "*" in spec:
+        k = f"x{next(ids)}"
+        return (f"({x}.__class__ is dict and all({k}.__class__ is str and "
+                f"{_test(spec['*'], y, ids)} for {k}, {y} in {x}.items()))")
+    tests = [f"{x}.__class__ is dict"]
+    for name, sub in spec.items():
+        y = f"x{next(ids)}"
+        got = f"({y} := {x}.get({name.rstrip('?')!r}, _ABSENT))"
+        if name[-1] == "?":
+            tests.append(f"({got} is _ABSENT or {_test(sub, y, ids)})")
+        else:
+            tests.append(f"({got} is not _ABSENT and {_test(sub, y, ids)})")
+    return "(" + " and ".join(tests) + ")"
+
+
+# --------------------------------------------------------------------------
 # value encoding: one writer per exact type; decoding: one reader per tag
 # --------------------------------------------------------------------------
 
@@ -79,9 +156,23 @@ def _register(
     cls: Type, tag: str,
     to_wire: Callable[[Any], Any],
     from_wire: Callable[[Dict[str, Any]], Any],
+    spec: Any = None,
 ) -> None:
+    """Write a *cls* as a *tag* body, and read one back through
+    *from_wire* once *spec* accepts it; in specs, *tag* names a *cls*."""
     _writers[cls] = to_wire
-    _readers[tag] = from_wire
+    _scope[f"_{tag}"] = cls
+    _atoms[tag] = f"isinstance({{0}}, _{tag})"
+    if spec is None:
+        _readers[tag] = from_wire
+        return
+    check = _compile(spec)
+
+    def read(d: Dict[str, Any]) -> Any:
+        if check(d):
+            return from_wire(d)
+        raise WireFormatError(f"malformed {tag!r} body")
+    _readers[tag] = read
 
 
 def _wire(value: Any) -> Any:
@@ -134,28 +225,33 @@ _readers["dict"] = lambda d: {k: v for k, v in d.get("v", [])}
 
 # -- payload dataclasses ------------------------------------------------------
 
-_formats: Dict[Tuple[Tuple[str, Any], ...], MediaFormat] = {}
-
-
-def _format_from_wire(d: Dict[str, Any]) -> MediaFormat:
-    # Formats are frozen values drawn from a small catalog: a repeated
-    # one (same keys, equal values) is the object decoded before.
-    key = tuple(d.items())
-    fmt = _formats.get(key)
-    if fmt is None:
-        fmt = MediaFormat(**d)
-        if len(_formats) < FORMAT_INTERN_CAP:
-            _formats[key] = fmt
-    return fmt
-
-
 _register(
     MediaFormat, "fmt",
     lambda f: {"codec": f.codec, "width": f.width, "height": f.height,
                "bitrate_kbps": f.bitrate_kbps, "fps": f.fps,
                _TAG_KEY: "fmt"},
-    _format_from_wire,
+    lambda d: MediaFormat(**d),
+    {"codec": "str", "width": "count", "height": "count",
+     "bitrate_kbps": "num", "fps": "num"},
 )
+_read_format = _readers["fmt"]
+_formats: Dict[Tuple[Tuple[str, Any], ...], MediaFormat] = {}
+
+
+def _format_from_wire(d: Dict[str, Any]) -> MediaFormat:
+    # Formats are frozen values drawn from a small catalog: a repeated
+    # one (same keys, equal values) is the object checked and decoded
+    # before.
+    key = tuple(d.items())
+    fmt = _formats.get(key)
+    if fmt is None:
+        fmt = _read_format(d)
+        if len(_formats) < FORMAT_INTERN_CAP:
+            _formats[key] = fmt
+    return fmt
+
+
+_readers["fmt"] = _format_from_wire
 
 _register(
     MediaObject, "media",
@@ -166,6 +262,7 @@ _register(
         name=d["name"], fmt=d["fmt"], duration_s=d["duration_s"],
         content_hash=d["content_hash"],
     ),
+    {"name": "str", "fmt": "fmt", "duration_s": "pos", "content_hash": "str"},
 )
 
 _register(
@@ -177,6 +274,7 @@ _register(
         deadline=d["deadline"], importance=d["importance"],
         constraints=d["constraints"],
     ),
+    {"deadline": "pos", "importance": "pos", "constraints": {"*": "any"}},
 )
 
 _register(
@@ -192,6 +290,9 @@ _register(
         src_state=d["src_state"], dst_state=d["dst_state"],
         edge_id=d["edge_id"],
     ),
+    {"index": "count", "service_id": "str", "peer_id": "str", "work": "num",
+     "out_bytes": "num", "src_state": "state", "dst_state": "state",
+     "edge_id": "str"},
 )
 
 _register(
@@ -210,42 +311,11 @@ _register(
         in_bytes=d["in_bytes"], resume_from=d["resume_from"],
         epoch=d["epoch"],
     ),
+    {"task_id": "str", "rm_id": "str", "source_peer": "str",
+     "sink_peer": "str", "steps": ["step"], "abs_deadline": "num",
+     "importance": "pos", "in_bytes": "num", "resume_from": "count",
+     "epoch": "count"},
 )
-
-
-def _finite(value: Any, field: str, positive: bool = False) -> None:
-    """*field* is a finite real number, > 0 if *positive* else >= 0."""
-    try:
-        ok = (
-            isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value)
-            and (value > 0 if positive else value >= 0)
-        )
-    except OverflowError:  # an int too large for a float
-        ok = False
-    if not ok:
-        bound = "> 0" if positive else ">= 0"
-        raise WireFormatError(
-            f"{field} must be a finite number {bound}, got {value!r}"
-        )
-
-
-def _count(value: Any, field: str) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise WireFormatError(f"{field} must be an int >= 0, got {value!r}")
-
-
-def _string(value: Any, field: str) -> None:
-    if not isinstance(value, str):
-        raise WireFormatError(f"{field} must be a string, got {value!r}")
-
-
-def _port(value: Any, field: str) -> None:
-    if not (isinstance(value, int) and not isinstance(value, bool)
-            and 1 <= value <= 65535):
-        raise WireFormatError(
-            f"{field} must be an int in 1-65535, got {value!r}"
-        )
 
 
 def _load_report_to_wire(r: LoadReport) -> Dict[str, Any]:
@@ -254,124 +324,26 @@ def _load_report_to_wire(r: LoadReport) -> Dict[str, Any]:
     return body
 
 
-def _load_report_from_wire(d: Dict[str, Any]) -> LoadReport:
-    # A report feeds the RM's load arithmetic directly: a field of the
-    # wrong type or range must be dropped here, at the boundary, not
-    # raise later inside an allocation.
-    report = LoadReport.from_payload(d)
-    _string(report.peer_id, "load_report peer_id")
-    _finite(report.power, "load_report power", positive=True)
-    for name in ("time", "utilization", "load", "bw_used", "queue_work"):
-        _finite(getattr(report, name), f"load_report {name}")
-    _count(report.queue_length, "load_report queue_length")
-    _count(report.dependencies, "load_report dependencies")
-    if not isinstance(report.services, dict):
-        raise WireFormatError("load_report services must be a map")
-    for service, mean_time in report.services.items():
-        if not isinstance(service, str):
-            raise WireFormatError(
-                f"load_report service id must be a string, got {service!r}"
-            )
-        _finite(mean_time, f"load_report services[{service!r}]")
-    return report
-
-
 _register(
-    LoadReport, "load_report", _load_report_to_wire, _load_report_from_wire,
+    LoadReport, "load_report", _load_report_to_wire, LoadReport.from_payload,
+    {"peer_id": "str", "time": "num", "power": "pos", "utilization": "num",
+     "load": "num", "bw_used": "num", "queue_work": "num",
+     "queue_length": "count", "services": {"*": "num"},
+     "dependencies": "count"},
 )
-
-
-def check_join_record(rec: Dict[str, Any]) -> None:
-    """Raise :class:`WireFormatError` unless *rec* is a well-formed
-    ``JOIN_REQUEST`` record.
-
-    The record is an untagged map, so decoding cannot check it; its two
-    receivers (the roster agent and the RM) call this before admitting
-    it, because its fields reach the roster, the RM's information base
-    and its load arithmetic as given.
-    """
-    _string(rec.get("peer_id"), "join peer_id")
-    _string(rec.get("host"), "join host")
-    _string(rec.get("shard", ""), "join shard")
-    _port(rec.get("port"), "join port")
-    _finite(rec.get("power"), "join power", positive=True)
-    _finite(rec.get("bandwidth"), "join bandwidth", positive=True)
-    _finite(rec.get("uptime"), "join uptime")
-    objects = rec.get("objects", [])
-    if not (isinstance(objects, list)
-            and all(isinstance(o, MediaObject) for o in objects)):
-        raise WireFormatError(
-            f"join objects must be a list of media objects, got {objects!r}"
-        )
-    edges = rec.get("edges", [])
-    if not isinstance(edges, list):
-        raise WireFormatError(f"join edges must be a list, got {edges!r}")
-    for edge in edges:
-        if not isinstance(edge, dict):
-            raise WireFormatError(f"join edge must be a map, got {edge!r}")
-        try:
-            hash((edge["src"], edge["dst"]))
-        except (KeyError, TypeError) as exc:
-            raise WireFormatError(
-                f"join edge needs hashable src/dst states: {exc}"
-            ) from exc
-        _string(edge.get("service_id"), "join edge service_id")
-        _string(edge.get("edge_id", ""), "join edge edge_id")
-        _finite(edge.get("work"), "join edge work")
-        _finite(edge.get("out_bytes"), "join edge out_bytes")
-
-
-def check_roster_entry(doc: Any) -> None:
-    """Raise :class:`WireFormatError` unless *doc* is a well-formed
-    gossiped roster entry (:meth:`RosterEntry.to_wire`).
-
-    A merged entry lands in the roster and, through it, in the address
-    directory every node of the receiving host sends through, so one
-    bad port there would break their sends.
-    """
-    if not isinstance(doc, dict):
-        raise WireFormatError(f"roster entry must be a map, got {doc!r}")
-    _string(doc.get("id"), "roster id")
-    _string(doc.get("host"), "roster host")
-    _port(doc.get("port"), "roster port")
-    if doc.get("kind", KIND_NODE) not in (KIND_NODE, KIND_AGENT):
-        raise WireFormatError(f"roster kind {doc.get('kind')!r} unknown")
-    if doc.get("status", STATUS_UP) not in (STATUS_UP, STATUS_LEFT):
-        raise WireFormatError(f"roster status {doc.get('status')!r} unknown")
-    shard = doc.get("shard")
-    if shard is not None:
-        _string(shard, "roster shard")
-    for name in ("power", "bandwidth", "uptime"):
-        _finite(doc.get(name, 0.0), f"roster {name}")
-    _count(doc.get("version", 1), "roster version")
-
-
-def check_rm_state(state: Any) -> None:
-    """Raise :class:`WireFormatError` unless *state* is a well-formed
-    gossiped RM state: ``rm_id`` a string (None before the election),
-    ``epoch`` an int >= 0 and ``ready`` a bool."""
-    if not isinstance(state, dict):
-        raise WireFormatError(f"rm state must be a map, got {state!r}")
-    rm_id = state.get("rm_id")
-    if rm_id is not None:
-        _string(rm_id, "rm_id")
-    _count(state.get("epoch", 0), "rm epoch")
-    if not isinstance(state.get("ready", False), bool):
-        raise WireFormatError(
-            f"rm ready must be a bool, got {state.get('ready')!r}"
-        )
-
 
 _register(
     TaskState, "task_state",
     lambda s: {"v": s.value, _TAG_KEY: "task_state"},
     lambda d: TaskState(d["v"]),
+    {"v": tuple(s.value for s in TaskState)},
 )
 
 _register(
     TaskOutcome, "task_outcome",
     lambda o: {"v": o.value, _TAG_KEY: "task_outcome"},
     lambda d: TaskOutcome(d["v"]),
+    {"v": tuple(o.value for o in TaskOutcome)},
 )
 
 
@@ -404,7 +376,15 @@ def _task_from_wire(d: Dict[str, Any]) -> ApplicationTask:
     )
 
 
-_register(ApplicationTask, "task", _task_to_wire, _task_from_wire)
+_register(
+    ApplicationTask, "task", _task_to_wire, _task_from_wire,
+    {"name": "str", "qos": "qos", "initial_state": "state",
+     "goal_state": "state", "origin_peer": "str", "task_id": "str",
+     "submitted_at": "num", "state": "task_state", "allocation": ["any"],
+     "allocation_fairness": "num", "admitted_domain": "str?",
+     "redirects": "count", "repairs": "count", "finished_at": "num?",
+     "outcome": "task_outcome?", "meta": {"*": "any"}},
+)
 
 
 def _from_tagged(d: Dict[str, Any]) -> Any:
@@ -467,6 +447,22 @@ def encode_nudge(src: str) -> bytes:
     return _to_json({"v": WIRE_VERSION, "t": FRAME_NUDGE, "src": src}).encode()
 
 
+#: Frame type -> the row its frame must match; a message's payload must
+#: then match its kind's row in SCHEMAS.
+_frame_checks = {ftype: _compile(spec) for ftype, spec in {
+    FRAME_MSG: {"msg": {
+        "kind": "str", "src": "str", "dst": "str", "payload": "any",
+        "size": "pos", "msg_id": "count", "reply_to": "count?",
+        "sent_at": "num", "trace_id?": "str?",
+    }},
+    FRAME_ACK: {"src": "str", "id": "count"},
+    FRAME_NUDGE: {"src": "str"},
+}.items()}
+_payload_checks = {kind: _compile(row) for kind, (_, row) in SCHEMAS.items()}
+# The net layer's connection handshake rides as a message, carrying nothing.
+_payload_checks[HANDSHAKE_KIND] = _compile({})
+
+
 def decode_frame(data: bytes) -> Dict[str, Any]:
     """Parse one datagram.
 
@@ -477,7 +473,8 @@ def decode_frame(data: bytes) -> Dict[str, Any]:
     Raises
     ------
     WireFormatError
-        On anything that is not a well-formed, current-version frame.
+        On anything that is not a well-formed, current-version frame
+        whose payload matches its kind's row.
     """
     try:
         raw = _parse(data.decode("utf-8"))
@@ -485,62 +482,24 @@ def decode_frame(data: bytes) -> Dict[str, Any]:
         raise
     except (ValueError, RecursionError) as exc:  # bad UTF-8/JSON, too deep
         raise WireFormatError(f"undecodable datagram: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise WireFormatError(f"frame is not an object: {raw!r}")
-    if raw.get("v") != WIRE_VERSION:
-        raise WireFormatError(
-            f"unsupported wire version {raw.get('v')!r} "
-            f"(expected {WIRE_VERSION})"
-        )
+    # Messages name no hostile value: its repr could nest past the limit.
+    if not isinstance(raw, dict) or raw.get("v") != WIRE_VERSION:
+        raise WireFormatError(f"not a version-{WIRE_VERSION} frame")
     ftype = raw.get("t")
-    if ftype == FRAME_ACK or ftype == FRAME_NUDGE:
-        src, msg_id = raw.get("src"), raw.get("id")
-        if not isinstance(src, str):
-            raise WireFormatError(f"{ftype} src must be a string, got {src!r}")
-        if ftype == FRAME_NUDGE:
-            return {"t": FRAME_NUDGE, "src": src}
-        if not isinstance(msg_id, int) or isinstance(msg_id, bool):
-            raise WireFormatError(f"ack id must be an int, got {msg_id!r}")
-        return {"t": FRAME_ACK, "src": src, "id": msg_id}
-    if ftype != FRAME_MSG:
-        raise WireFormatError(f"unknown frame type {ftype!r}")
-    body = raw.get("msg")
-    if not isinstance(body, dict):
-        raise WireFormatError(f"message body is not an object: {body!r}")
-    try:
-        kind = body["kind"]
-        src = body["src"]
-        dst = body["dst"]
-        payload = body["payload"]
-        size = body["size"]
-        msg_id = body["msg_id"]
-        reply_to = body["reply_to"]
-        sent_at = body["sent_at"]
-    except KeyError as exc:
-        raise WireFormatError(f"message body missing field {exc}") from exc
-    if not (isinstance(kind, str) and isinstance(src, str)
-            and isinstance(dst, str)):
-        raise WireFormatError("kind/src/dst must be strings")
-    if not isinstance(msg_id, int) or isinstance(msg_id, bool):
-        raise WireFormatError(f"msg_id must be an int, got {msg_id!r}")
-    if reply_to is not None and (
-        not isinstance(reply_to, int) or isinstance(reply_to, bool)
-    ):
-        raise WireFormatError(f"bad reply_to {reply_to!r}")
-    if not isinstance(size, (int, float)) or isinstance(size, bool):
-        raise WireFormatError(f"size must be a number, got {size!r}")
-    if not isinstance(sent_at, (int, float)) or isinstance(sent_at, bool):
-        raise WireFormatError(f"sent_at must be a number, got {sent_at!r}")
-    # Optional, absent from frames produced by older encoders — the
-    # envelope version stays at 1 because decoding tolerates both.
-    trace_id = body.get("trace_id")
-    if trace_id is not None and not isinstance(trace_id, str):
-        raise WireFormatError(f"trace_id must be a string, got {trace_id!r}")
-    if not isinstance(payload, dict):
-        raise WireFormatError("payload must decode to a dict")
-    try:
-        msg = Message(kind, src, dst, payload, float(size), msg_id,
-                      reply_to, float(sent_at), trace_id)
-    except (ValueError, OverflowError) as exc:  # size <= 0, an int > 1e308
-        raise WireFormatError(str(exc)) from exc
-    return {"t": FRAME_MSG, "msg": msg}
+    check = _frame_checks.get(ftype) if isinstance(ftype, str) else None
+    if check is None or not check(raw):
+        raise WireFormatError("unknown or malformed frame")
+    if ftype == FRAME_ACK:
+        return {"t": FRAME_ACK, "src": raw["src"], "id": raw["id"]}
+    if ftype == FRAME_NUDGE:
+        return {"t": FRAME_NUDGE, "src": raw["src"]}
+    body = raw["msg"]
+    kind, payload = body["kind"], body["payload"]
+    check = _payload_checks.get(kind)
+    if check is None or not check(payload):
+        raise WireFormatError(f"unknown kind or malformed payload: {kind:.40}")
+    return {"t": FRAME_MSG, "msg": Message(
+        kind, body["src"], body["dst"], payload, float(body["size"]),
+        body["msg_id"], body["reply_to"], float(body["sent_at"]),
+        body.get("trace_id"),
+    )}

@@ -33,7 +33,6 @@ from repro.net.message import Message
 from repro.sim.core import Environment
 from repro.sim.events import Event
 from repro.sim.ids import Ids
-from repro.runtime.codec import WireFormatError, check_join_record
 from repro.runtime.transport import PeerDirectory, UdpTransport
 from repro.telemetry.logs import get_logger
 
@@ -405,12 +404,6 @@ class LiveNode:
     ) -> Callable[[Message], None]:
         def handle_join(msg: Message) -> None:
             rec = msg.payload
-            # Checked here too: a sender can address the RM directly.
-            try:
-                check_join_record(rec)
-            except WireFormatError as exc:
-                self.log.warning("dropped join from %s: %s", msg.src, exc)
-                return
             self.directory.add(rec["peer_id"], rec["host"], rec["port"])
             self._rm_admit(rm, rec)
             self._check_admitted()

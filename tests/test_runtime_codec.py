@@ -32,20 +32,17 @@ from repro.runtime.codec import (
     FRAME_NUDGE,
     WIRE_VERSION,
     WireFormatError,
-    check_join_record,
-    check_rm_state,
-    check_roster_entry,
     decode_frame,
     encode_ack,
     encode_message,
     encode_nudge,
 )
+from repro.runtime.roster import RosterEntry
 from repro.tasks.qos import QoSRequirements
 from repro.tasks.task import ApplicationTask, TaskOutcome, TaskState
 
-# Every kind constant the protocol module defines (STREAM has no entry
-# in MESSAGE_SIZES — its wire size is data-dependent — so enumerate the
-# module's uppercase string constants rather than the size table).
+# Every kind constant the protocol module defines: its uppercase string
+# constants, enumerated apart from the schema table they must all be in.
 ALL_KINDS = sorted(
     value
     for name, value in vars(protocol).items()
@@ -90,46 +87,48 @@ def _task():
     )
 
 
-#: A representative payload per message kind, mirroring what the
-#: protocol layer actually puts on the wire.
+#: A payload per message kind, the shape its sender writes (the live
+#: roster agents' for the two gossip kinds; the simulated RMs' summaries
+#: and snapshots hold objects no wire format carries).
 PAYLOADS = {
-    protocol.LOAD_UPDATE: lambda: _load_report().as_payload(),
+    protocol.LOAD_UPDATE: lambda: {"report": _load_report()},
     protocol.TASK_REQUEST: lambda: {
-        "name": "movie", "initial_state": None, "goal_state": V3,
-        "qos": QoSRequirements(deadline=60.0), "origin": "P4",
+        "name": "movie", "goal_state": V3, "deadline": 60.0,
+        "importance": 1.0, "origin": "P4",
     },
     protocol.STEP_DONE: lambda: {
         "task_id": "t1", "step_index": 0, "peer_id": "P1", "epoch": 1,
+        "started": 4.0, "finished": 4.5,
     },
-    protocol.TASK_DONE: lambda: {"task_id": "t1", "sink": "P4"},
+    protocol.TASK_DONE: lambda: {
+        "task_id": "t1", "completed_at": 9.5, "sink": "P4",
+    },
     protocol.PEER_LEAVE: lambda: {"peer_id": "P3"},
     protocol.QOS_UPDATE: lambda: {
-        "task_id": "t1", "qos": QoSRequirements(deadline=90.0),
+        "task_id": "t1", "deadline_abs": 90.0, "origin": "P4",
+        "importance": 2.0,
     },
     protocol.TASK_ACK: lambda: {
         "task_id": "t1", "disposition": "accepted",
     },
     protocol.COMPOSE: lambda: {"order": _order()},
-    protocol.START_STREAM: lambda: {
-        "task_id": "t1", "from_step": 0, "epoch": 1,
-    },
-    protocol.CANCEL_TASK: lambda: {"task_id": "t1", "reason": "reassigned"},
+    protocol.START_STREAM: lambda: {"task_id": "t1", "from_step": 0},
+    protocol.CANCEL_TASK: lambda: {"task_id": "t1"},
     protocol.STREAM: lambda: {
-        "task_id": "t1", "step_index": 1, "bytes": 4.8e5, "epoch": 1,
+        "task_id": "t1", "step_index": 1, "epoch": 1, "from": "P1",
     },
-    protocol.TASK_REDIRECT: lambda: {"task": _task(), "from_domain": "d1"},
-    protocol.GOSSIP_DIGEST: lambda: {
-        "domains": {"d0": 4.0, "d1": 7.5}, "round": 3,
-    },
+    protocol.TASK_REDIRECT: lambda: {"task": _task()},
+    protocol.GOSSIP_DIGEST: lambda: {"roster_pull": {"cursor": 100}},
     protocol.GOSSIP_SUMMARIES: lambda: {
-        "summaries": [{"domain": "d1", "load": 7.5,
-                       "states": {V1, V2, V3}}],
+        "roster": [RosterEntry("P1", "127.0.0.1", 40001).to_wire()],
+        "rm": {"rm_id": "M0", "ready": True, "epoch": 2},
+        "pull_reply": {"next": None},
     },
-    protocol.RM_SYNC: lambda: {
-        "tasks": {"t9": _task()},
-        "reports": {"P2": _load_report()},
-    },
-    protocol.RM_TAKEOVER: lambda: {"new_rm": "P2", "epoch": 2},
+    protocol.RM_SYNC: lambda: {"snapshot": {
+        "domain_id": "d0", "tasks": {"t9": _task()},
+        "last_seen": {"P2": 12.5}, "known_rms": {"rm1": "d1"},
+    }},
+    protocol.RM_TAKEOVER: lambda: {"rm_id": "P2"},
     protocol.JOIN_REQUEST: lambda: {
         "peer_id": "P5", "host": "127.0.0.1", "port": 40001,
         "power": 10.0, "bandwidth": 1.25e6, "uptime": 0.9,
@@ -139,13 +138,26 @@ PAYLOADS = {
     },
     protocol.JOIN_ACK: lambda: {
         "role": "peer", "rm_id": "M0", "domain_id": "d0",
-        "roster": {"P1": {"host": "127.0.0.1", "port": 40002}},
+        "roster": {"M0": {"peer_id": "M0", "host": "127.0.0.1",
+                          "port": 40002}},
     },
 }
 
 
 def test_payload_table_covers_every_protocol_kind():
-    assert sorted(PAYLOADS) == ALL_KINDS
+    assert sorted(PAYLOADS) == ALL_KINDS == sorted(protocol.SCHEMAS)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_every_payload_row_matches_its_kind_schema(kind):
+    assert codec._payload_checks[kind](PAYLOADS[kind]())
+
+
+def _frame(kind, payload):
+    return encode_message(Message(
+        kind=kind, src="P4", dst="M0", payload=payload,
+        size=protocol.size_of(kind), msg_id=3,
+    ))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -195,9 +207,9 @@ def test_round_trip_containers():
         "intkeys": {3: "x", (1, 2): "y"},
         "nested": [{"deep": {"deeper": (True, False)}}],
     }
-    msg = Message(kind="load_update", src="a", dst="b",
-                  payload=payload, size=64.0)
-    out = decode_frame(encode_message(msg))["msg"].payload
+    msg = Message(kind="rm_sync", src="a", dst="b",
+                  payload={"snapshot": payload}, size=64.0)
+    out = decode_frame(encode_message(msg))["msg"].payload["snapshot"]
     assert out == payload
     assert isinstance(out["tuple"], tuple)
     assert isinstance(out["set"], set)
@@ -261,6 +273,9 @@ def _msg_frame(**overrides):
     _msg_frame(kind=3).encode(),                        # kind not str
     _msg_frame(size=10 ** 400).encode(),                # float() overflows
     _msg_frame(sent_at=10 ** 400).encode(),
+    _msg_frame(kind="martian").encode(),                # unknown kind
+    _msg_frame(payload={"task_id": "t1"}).encode(),     # a field missing
+    _msg_frame(trace_id=5).encode(),
 ])
 def test_malformed_datagrams_rejected(data):
     with pytest.raises(WireFormatError):
@@ -320,14 +335,15 @@ def test_non_finite_load_report_numbers_rejected(value):
         decode_frame(_load_update_frame(load=value))
 
 
-# -- join record validation ---------------------------------------------------
+# -- join records and gossip, checked at decode --------------------------------
 
 def test_shipped_join_record_is_well_formed():
     rec = PAYLOADS[protocol.JOIN_REQUEST]()
-    check_join_record(rec)
-    check_join_record(dict(rec, shard="s1", power=1, uptime=0))
+    decode_frame(_frame(protocol.JOIN_REQUEST, rec))
+    decode_frame(_frame(protocol.JOIN_REQUEST,
+                        dict(rec, shard="s1", power=1, uptime=0)))
     del rec["objects"], rec["edges"]  # hosting nothing is fine
-    check_join_record(rec)
+    decode_frame(_frame(protocol.JOIN_REQUEST, rec))
 
 
 @pytest.mark.parametrize("fields", [
@@ -363,20 +379,21 @@ def test_shipped_join_record_is_well_formed():
 def test_hostile_join_record_fields_rejected(fields):
     rec = dict(PAYLOADS[protocol.JOIN_REQUEST](), **fields)
     with pytest.raises(WireFormatError):
-        check_join_record(rec)
+        decode_frame(_frame(protocol.JOIN_REQUEST, rec))
 
 
-# -- gossip validation --------------------------------------------------------
+def _gossip_frame(**payload):
+    return _frame(protocol.GOSSIP_SUMMARIES, payload)
+
 
 def test_shipped_roster_entries_and_rm_states_are_well_formed():
-    from repro.runtime.roster import RosterEntry
-
-    check_roster_entry(RosterEntry("P1", "127.0.0.1", 40001).to_wire())
-    check_roster_entry({"id": "roster@s1", "host": "127.0.0.1",
-                        "port": 40002, "kind": "agent", "shard": "s1",
-                        "status": "left", "version": 3})
-    check_rm_state({"rm_id": None, "ready": False, "epoch": 0})
-    check_rm_state({"rm_id": "M0", "ready": True, "epoch": 2})
+    decode_frame(_gossip_frame(roster=[
+        RosterEntry("P1", "127.0.0.1", 40001).to_wire(),
+        {"id": "roster@s1", "host": "127.0.0.1", "port": 40002,
+         "kind": "agent", "shard": "s1", "status": "left", "version": 3},
+    ]))
+    decode_frame(_gossip_frame(rm={"rm_id": None, "ready": False, "epoch": 0}))
+    decode_frame(_gossip_frame(rm={"rm_id": "M0", "ready": True, "epoch": 2}))
 
 
 @pytest.mark.parametrize("fields", [
@@ -395,7 +412,7 @@ def test_shipped_roster_entries_and_rm_states_are_well_formed():
 def test_hostile_roster_entry_fields_rejected(fields):
     doc = {"id": "M0", "host": "127.0.0.1", "port": 40001, **fields}
     with pytest.raises(WireFormatError):
-        check_roster_entry(doc)
+        decode_frame(_gossip_frame(roster=[doc]))
 
 
 @pytest.mark.parametrize("state", [
@@ -408,7 +425,7 @@ def test_hostile_roster_entry_fields_rejected(fields):
 ])
 def test_hostile_rm_states_rejected(state):
     with pytest.raises(WireFormatError):
-        check_rm_state(state)
+        decode_frame(_gossip_frame(rm=state))
 
 
 # -- the encoder against its reference ----------------------------------------
@@ -549,10 +566,57 @@ def test_builtin_subclasses_encode_like_their_base():
     assert encode_message(msg) == reference_frame(msg)
 
 
-@given(st.sampled_from(ALL_KINDS),
-       st.dictionaries(st.text(max_size=5), round_trip_values, max_size=4))
-@settings(max_examples=200, deadline=None)
-def test_generated_payloads_round_trip_for_every_kind(kind, payload):
+#: Each atom of the schema language -> values it admits (no NaN, so a
+#: round trip compares equal); tagged atoms draw sample objects.
+_ATOMS = {
+    "str": st.text(max_size=6),
+    "count": st.integers(0, 2 ** 62),
+    "num": st.integers(0, 10 ** 6) | st.floats(0.0, 1e300),
+    "pos": st.floats(1e-300, 1e300),
+    "port": st.integers(1, 65535),
+    "bool": st.booleans(),
+    "state": _hashables,
+    # A QoS constraint map is string-keyed, as the qos body's row says.
+    "any": _values(_hashables | st.sampled_from([
+        _order, _task, _load_report, _steps,
+        lambda: QoSRequirements(deadline=5.0, constraints={"codec": "x"}),
+        lambda: MediaObject("clip", V2, duration_s=2.5),
+        lambda: TaskState.RUNNING, lambda: TaskOutcome.MISSED_DEADLINE,
+    ]).map(lambda make: make())),
+    "fmt": _formats,
+    "media": st.builds(MediaObject, st.text(max_size=6), _formats,
+                       duration_s=st.floats(0.5, 1e4)),
+    "order": st.just(_order).map(lambda make: make()),
+    "load_report": st.just(_load_report).map(lambda make: make()),
+    "task": st.just(_task).map(lambda make: make()),
+}
+
+
+def _drawn(spec):
+    """A strategy for the values *spec* accepts."""
+    if isinstance(spec, str):
+        atom = _ATOMS[spec.rstrip("?")]
+        return st.none() | atom if spec.endswith("?") else atom
+    if isinstance(spec, tuple):
+        return st.sampled_from(spec)
+    if isinstance(spec, list):
+        return st.lists(_drawn(spec[0]), max_size=3)
+    if "*" in spec:
+        return st.dictionaries(st.text(max_size=5), _drawn(spec["*"]),
+                               max_size=3)
+    return st.fixed_dictionaries(
+        {k: _drawn(v) for k, v in spec.items() if not k.endswith("?")},
+        optional={k[:-1]: _drawn(v) for k, v in spec.items()
+                  if k.endswith("?")},
+    )
+
+
+@given(st.sampled_from(ALL_KINDS).flatmap(
+    lambda kind: st.tuples(st.just(kind), _drawn(protocol.SCHEMAS[kind][1]))
+))
+@settings(max_examples=300, deadline=None)
+def test_generated_payloads_round_trip_for_every_kind(drawn):
+    kind, payload = drawn
     msg = Message(kind=kind, src="P4", dst="M0", payload=payload,
                   size=protocol.size_of(kind), msg_id=9, reply_to=3,
                   sent_at=2.5, trace_id="task:t9")
@@ -654,7 +718,8 @@ def test_one_field_mutations_of_a_nudge_raise_only_wire_format_error(
 def _format_frame(fmt):
     return encode_message(Message(
         kind=protocol.TASK_REQUEST, src="P4", dst="M0",
-        payload={"goal_state": fmt}, size=512.0,
+        payload=dict(PAYLOADS[protocol.TASK_REQUEST](), goal_state=fmt),
+        size=512.0,
     ))
 
 

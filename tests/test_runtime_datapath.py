@@ -49,7 +49,8 @@ def test_steady_state_creates_no_tasks():
         try:
             for i in range(100):
                 a.send(Message(kind="stream", src="A", dst="B",
-                               payload={"seq": i}, size=64.0,
+                               payload={"task_id": "t1", "step_index": i},
+                               size=64.0,
                                msg_id=next(a.ids.msg)))
                 assert len(asyncio.all_tasks()) == tasks_before
                 await pump.run_process(sleeper())

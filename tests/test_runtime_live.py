@@ -351,8 +351,9 @@ def test_forged_gossip_page_cannot_redirect_the_domain():
     written into the directory every node of the host sends through;
     the next send to the RM raised inside asyncio, which closed that
     node's socket.  A non-string id raised inside the datagram callback.
-    Now each bad piece is dropped alone: the valid entry on the same
-    page still merges, a task completes, and a late joiner is admitted."""
+    Now decode drops a page with a bad piece whole: a well-formed page
+    from the same socket still merges, a task completes, and a late
+    joiner is admitted."""
     async def main():
         async with LiveCluster(LiveClusterConfig(object_duration_s=0.2)) as c:
             rm = c.rm_node
@@ -372,6 +373,14 @@ def test_forged_gossip_page_cannot_redirect_the_domain():
                         ],
                         "rm": {"rm_id": "P2", "ready": "yes", "epoch": 99},
                     },
+                    size=protocol.size_of(protocol.GOSSIP_SUMMARIES),
+                    msg_id=next(raw.ids.msg),
+                ))
+                await raw.flush()
+                raw.send(Message(
+                    kind=protocol.GOSSIP_SUMMARIES, src="X",
+                    dst=c.agent.node_id,
+                    payload={"roster": [dict(entry, id="Xgood", version=1)]},
                     size=protocol.size_of(protocol.GOSSIP_SUMMARIES),
                     msg_id=next(raw.ids.msg),
                 ))
@@ -433,6 +442,65 @@ def test_forged_pull_and_leave_are_dropped(case):
                 await raw.flush()
                 assert errors == []
                 assert c.agent.roster.get("P1").up
+                ack = await c.submit("P4", timeout=10.0)
+                assert ack["disposition"] == "accepted", ack
+                await c.wait_task_event(
+                    ack["task_id"], "completed", timeout=10.0
+                )
+            finally:
+                await raw.aclose()
+    run(main())
+
+
+#: Well-formed v1 frames whose payload is not its kind's shape: each
+#: raised inside the receiving node's clock pump and killed it.
+_PEER_SIDE_PAYLOADS = [
+    (protocol.COMPOSE, {"order": 3}),
+    (protocol.STREAM, {}),
+    (protocol.START_STREAM, {}),
+    (protocol.CANCEL_TASK, {}),
+    (protocol.RM_TAKEOVER, {}),
+]
+MISSHAPEN_PAYLOADS = {
+    "rm": [
+        (protocol.TASK_DONE, {}),
+        (protocol.STEP_DONE, {}),
+        (protocol.LOAD_UPDATE, {"report": 5}),
+        (protocol.TASK_REQUEST, {"task": "x"}),
+        *_PEER_SIDE_PAYLOADS,
+        (protocol.PEER_LEAVE, {"peer_id": [1]}),
+    ],
+    "origin": _PEER_SIDE_PAYLOADS,
+}
+
+
+@pytest.mark.parametrize("target", sorted(MISSHAPEN_PAYLOADS))
+def test_misshapen_payloads_are_dropped_at_decode(target):
+    """Regression: only join records, gossip pieces and load reports
+    were checked, so any other kind with a payload of the wrong shape
+    (``task_done {}``, ``compose {"order": 3}``, ...) from a raw socket
+    raised in its handler — ``clock pump died: KeyError('task_id')`` —
+    and the RM, or the origin peer, stopped serving.  Decode now drops
+    each, and the domain keeps serving tasks."""
+    async def main():
+        errors = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: errors.append(context)
+        )
+        async with LiveCluster(LiveClusterConfig(object_duration_s=0.2)) as c:
+            node = c.rm_node if target == "rm" else c.nodes["P4"]
+            raw = await UdpTransport("X", c.directory, lambda msg: None).start()
+            try:
+                for kind, payload in MISSHAPEN_PAYLOADS[target]:
+                    raw.send(Message(
+                        kind=kind, src="X", dst=node.node_id,
+                        payload=payload, size=protocol.size_of(kind),
+                        msg_id=next(raw.ids.msg),
+                    ))
+                await raw.flush()
+                await asyncio.sleep(0.05)
+                assert errors == []
+                assert not node._pump_task.done()
                 ack = await c.submit("P4", timeout=10.0)
                 assert ack["disposition"] == "accepted", ack
                 await c.wait_task_event(

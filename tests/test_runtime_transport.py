@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.core import protocol
+from repro.core.session import ComposeOrder
 from repro.monitoring.profiler import LoadReport
 from repro.net.message import Message
 from repro.net.network import ConstantLatency, Network
@@ -37,9 +38,42 @@ def run(coro):
 _ids = Ids()
 
 
+#: A payload of each kind's shape, for messages whose content does not
+#: matter: decode drops a payload that is not its kind's shape.
+SHAPED = {
+    protocol.LOAD_UPDATE: lambda: {"report": LoadReport(
+        peer_id="A", time=1.0, power=10.0, utilization=0.4, load=4.0,
+        bw_used=0.0, queue_work=0.0, queue_length=0,
+    )},
+    protocol.TASK_REQUEST: lambda: {
+        "name": "movie", "goal_state": "V3", "deadline": 20.0,
+    },
+    protocol.STEP_DONE: lambda: {
+        "task_id": "t1", "step_index": 0, "peer_id": "A",
+    },
+    protocol.TASK_DONE: lambda: {"task_id": "t1", "completed_at": 1.0},
+    protocol.COMPOSE: lambda: {"order": ComposeOrder(
+        task_id="t1", rm_id="A", source_peer="A", sink_peer="B", steps=[],
+        abs_deadline=20.0, importance=1.0, in_bytes=0.0,
+    )},
+    protocol.PEER_LEAVE: lambda: {"peer_id": "A"},
+    protocol.JOIN_REQUEST: lambda: {
+        "peer_id": "A", "host": "127.0.0.1", "port": 1, "power": 10.0,
+        "bandwidth": 1.25e6, "uptime": 1.0,
+    },
+}
+
+
 def message(**kwargs):
     """A Message numbered the way a sender numbers it."""
+    if "payload" not in kwargs:
+        kwargs["payload"] = SHAPED[kwargs["kind"]]()
     return Message(msg_id=next(_ids.msg), **kwargs)
+
+
+def stream(i):
+    """Stream data entering step *i*: the step index orders a sequence."""
+    return {"task_id": "t1", "step_index": i}
 
 
 def make_pair(drop_fn=None, **kwargs):
@@ -83,8 +117,7 @@ def test_clean_delivery():
         _, a, b, inbox = make_pair()
         await start_all(a, b)
         try:
-            msg = message(kind="load_update", src="A", dst="B",
-                          payload={"x": 1}, size=256.0)
+            msg = message(kind="load_update", src="A", dst="B", size=256.0)
             a.send(msg)
             assert await wait_for(lambda: len(inbox) == 1)
             assert inbox[0] == msg
@@ -107,8 +140,7 @@ def test_retry_recovers_from_packet_loss():
         await start_all(a, b)
         try:
             start = time.monotonic()
-            msg = message(kind="task_request", src="A", dst="B",
-                          payload={"name": "movie"}, size=512.0)
+            msg = message(kind="task_request", src="A", dst="B", size=512.0)
             a.send(msg)
             assert await wait_for(lambda: len(inbox) == 1)
             elapsed = time.monotonic() - start
@@ -180,14 +212,16 @@ def test_wall_clock_bound_under_loss():
             start = time.monotonic()
             sent = [
                 message(kind="stream", src="A", dst="B",
-                        payload={"seq": i}, size=64.0)
+                        payload=stream(i), size=64.0)
                 for i in range(20)
             ]
             for m in sent:
                 a.send(m)
             assert await wait_for(lambda: len(inbox) == len(sent))
             assert time.monotonic() - start < 5.0
-            assert sorted(m.payload["seq"] for m in inbox) == list(range(20))
+            assert sorted(m.payload["step_index"] for m in inbox) == list(
+                range(20)
+            )
             assert b.duplicates == 0  # each delivered exactly once
         finally:
             close_all(a, b)
@@ -337,7 +371,7 @@ def test_aclose_disarms_pending_sends():
         try:
             for i in range(10):
                 a.send(message(kind="stream", src="A", dst="B",
-                               payload={"seq": i}, size=64.0))
+                               payload=stream(i), size=64.0))
             await asyncio.sleep(0.05)
             handles = [p.handle for p in a._pending_acks.values()]
             assert len(handles) == 10  # all mid-retry, none settled
@@ -366,7 +400,7 @@ def test_flush_abandons_stragglers():
         )
         await start_all(a, b)
         try:
-            a.send(message(kind="leave", src="A", dst="B", size=32.0))
+            a.send(message(kind="peer_leave", src="A", dst="B", size=32.0))
             (pending,) = a._pending_acks.values()
             start = time.monotonic()
             await a.flush(timeout=0.05)
@@ -386,7 +420,7 @@ def test_flush_returns_as_soon_as_everything_is_acked():
         try:
             for i in range(5):
                 a.send(message(kind="stream", src="A", dst="B",
-                               payload={"seq": i}, size=64.0))
+                               payload=stream(i), size=64.0))
             start = time.monotonic()
             await a.flush(timeout=5.0)
             assert time.monotonic() - start < 1.0
@@ -445,8 +479,7 @@ def test_unencodable_payload_is_a_logged_drop(capture_log):
             assert a._pending_acks == {}
             assert a.stats.sent == 1 and a.stats.dropped == 1
             # The transport is unharmed: the next message goes through.
-            a.send(message(kind="task_request", src="A", dst="B",
-                           payload={"ok": 1}, size=64.0))
+            a.send(message(kind="task_request", src="A", dst="B", size=64.0))
             assert await wait_for(lambda: len(inbox) == 1)
         finally:
             close_all(a, b)
@@ -466,7 +499,7 @@ def test_receiver_learns_sender_address():
         await start_all(a, b)
         try:
             directory.add("A", "127.0.0.1", 1)  # stale: A's old life
-            a.send(message(kind="join", src="A", dst="B", size=64.0))
+            a.send(message(kind="join_request", src="A", dst="B", size=64.0))
             assert await wait_for(lambda: len(inbox) == 1)
             assert directory.address("A") == (a.host, a.port)
         finally:
@@ -552,7 +585,7 @@ async def _warm_up(a, inbox, n=20):
     """*n* acked messages A -> B, one at a time, so each is timed."""
     for i in range(n):
         a.send(message(kind="stream", src="A", dst="B",
-                       payload={"seq": i}, size=64.0))
+                       payload=stream(i), size=64.0))
         await a.flush()
     assert len(inbox) == n and a.retransmits == 0
 

@@ -296,14 +296,16 @@ class TestTraceId:
         assert got["rep"].trace_id == "task:t7"
 
     def test_codec_carries_trace_id(self):
-        msg = Message(kind="ping", src="a", dst="b", trace_id="task:t1")
+        msg = Message(kind="cancel_task", src="a", dst="b",
+                      payload={"task_id": "t1"}, trace_id="task:t1")
         out = decode_frame(encode_message(msg))["msg"]
         assert out.trace_id == "task:t1"
 
     def test_codec_tolerates_frames_without_trace_id(self):
         # A frame from a pre-trace encoder: same version, no field.
         frame = json.loads(
-            encode_message(Message(kind="ping", src="a", dst="b"))
+            encode_message(Message(kind="cancel_task", src="a", dst="b",
+                                   payload={"task_id": "t1"}))
         )
         frame["msg"].pop("trace_id")
         out = decode_frame(json.dumps(frame).encode())["msg"]
