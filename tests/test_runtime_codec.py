@@ -576,19 +576,16 @@ _ATOMS = {
     "port": st.integers(1, 65535),
     "bool": st.booleans(),
     "state": _hashables,
-    # A QoS constraint map is string-keyed, as the qos body's row says.
-    "any": _values(_hashables | st.sampled_from([
-        _order, _task, _load_report, _steps,
-        lambda: QoSRequirements(deadline=5.0, constraints={"codec": "x"}),
-        lambda: MediaObject("clip", V2, duration_s=2.5),
-        lambda: TaskState.RUNNING, lambda: TaskOutcome.MISSED_DEADLINE,
-    ]).map(lambda make: make())),
+    # The qos body's row keys constraints by string (as _task's does).
+    "any": _values(_hashables | _payload_objects.filter(
+        lambda v: not isinstance(v, QoSRequirements)
+    )),
     "fmt": _formats,
     "media": st.builds(MediaObject, st.text(max_size=6), _formats,
                        duration_s=st.floats(0.5, 1e4)),
-    "order": st.just(_order).map(lambda make: make()),
-    "load_report": st.just(_load_report).map(lambda make: make()),
-    "task": st.just(_task).map(lambda make: make()),
+    "order": st.builds(_order),
+    "load_report": st.builds(_load_report),
+    "task": st.builds(_task),
 }
 
 
