@@ -6,7 +6,7 @@ from repro.common.errors import (
     ReproError,
     UnknownPeer,
 )
-from repro.common.util import EWMA, clamp, fmt_table, percentile
+from repro.common.util import EWMA, fmt_table, percentile
 
 __all__ = [
     "AllocationError",
@@ -14,7 +14,6 @@ __all__ = [
     "NoFeasibleAllocation",
     "ReproError",
     "UnknownPeer",
-    "clamp",
     "fmt_table",
     "percentile",
 ]

@@ -6,13 +6,6 @@ import math
 from typing import Iterable, Optional, Sequence
 
 
-def clamp(value: float, lo: float, hi: float) -> float:
-    """Clamp *value* into ``[lo, hi]``."""
-    if lo > hi:
-        raise ValueError(f"empty interval [{lo}, {hi}]")
-    return lo if value < lo else hi if value > hi else value
-
-
 class EWMA:
     """Exponentially weighted moving average.
 

@@ -24,6 +24,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.control.placement import PlacementEngine
     from repro.core.manager import ResourceManager
 
+#: Under importance-aware admission, a below-average-importance task
+#: faces this fraction of the max utilization cap.
+LOW_IMPORTANCE_CAP = 0.7
+
 
 class AdmissionController:
     """Decides and executes task admission for one Resource Manager."""
@@ -116,7 +120,7 @@ class AdmissionController:
             sum(running) / len(running)
         ):
             return None
-        return self.engine.strict_variant(cfg.low_importance_cap)
+        return self.engine.strict_variant(LOW_IMPORTANCE_CAP)
 
     # -- session launch -----------------------------------------------------
     def launch(

@@ -22,6 +22,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.control.placement import PlacementEngine
     from repro.core.manager import ResourceManager
 
+#: Peer-liveness scan period (seconds).
+MONITOR_PERIOD = 1.0
+
 
 class RepairCoordinator:
     """Owns peer-failure repair and overload reassignment for one RM."""
@@ -42,7 +45,7 @@ class RepairCoordinator:
                 continue
             silent = now - rm.last_seen.get(peer_id, now)
             limit = cfg.dead_after_periods * max(
-                rm._peer_update_period(peer_id), cfg.monitor_period
+                rm._peer_update_period(peer_id), MONITOR_PERIOD
             )
             if silent > limit:
                 self.peer_down(peer_id, graceful=False)

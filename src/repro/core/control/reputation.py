@@ -48,7 +48,7 @@ read and the event trajectory is byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, Optional, TYPE_CHECKING
 
 from repro import telemetry
 
@@ -63,28 +63,46 @@ PROBATION = "probation"
 QUARANTINED = "quarantined"
 
 
+#: EWMA weight of a divergent observation (pull toward 0).
+ALPHA_PENALTY = 0.35
+#: EWMA weight of a consistent report (pull toward 1).  Asymmetric
+#: on purpose: lying half the time must not average out.
+ALPHA_RECOVER = 0.10
+#: Under-reporting: flagged when reported load is below this
+#: fraction of the expected-busy level implied by projections.
+#: Deliberately low — the shipped liars report *zero* load, while an
+#: honest report legitimately lags the RM's projections.
+UNDER_REPORT_FRAC = 0.2
+#: ...but under-reporting is only judged when live projections exceed
+#: this fraction of the claimed power (tiny assignments prove nothing).
+MIN_PROJECTION_FRAC = 0.25
+#: Slow completion: flagged when observed work/elapsed rate is
+#: below this fraction of the report-implied free power.
+SLOW_RATE_FACTOR = 0.3
+#: Steps shorter than this are timing noise; skip them.
+MIN_STEP_TIME = 0.05
+#: Score below which the peer is a suspect (load discounted).
+SUSPECT_THRESHOLD = 0.7
+#: Score below which the peer is quarantined out of placement.
+QUARANTINE_THRESHOLD = 0.4
+#: Score a probationer must regain to be trusted again.
+RECOVER_THRESHOLD = 0.85
+#: Fraction of claimed power a probationer may be offered.
+PROBATION_CAPACITY = 0.35
+#: Quarantine penalty as a multiple of claimed power — must exceed
+#: any utilization cap so every placement on the peer is infeasible.
+QUARANTINE_PENALTY = 2.0
+
+
 @dataclass
 class ReputationConfig:
     """Tunables for the report-consistency defense."""
 
-    #: EWMA weight of a divergent observation (pull toward 0).
-    alpha_penalty: float = 0.35
-    #: EWMA weight of a consistent report (pull toward 1).  Asymmetric
-    #: on purpose: lying half the time must not average out.
-    alpha_recover: float = 0.10
     #: Reports ignored per peer before scoring starts (join transient).
     warmup_reports: int = 2
     #: Reported power may drift from the join claim by this factor
     #: before the mismatch counts as a lie.
     power_tolerance: float = 1.3
-    #: Under-reporting: flagged when reported load is below this
-    #: fraction of the expected-busy level implied by projections.
-    #: Deliberately low — the shipped liars report *zero* load, while an
-    #: honest report legitimately lags the RM's projections.
-    under_report_frac: float = 0.2
-    #: ...but only judged when live projections exceed this fraction of
-    #: the claimed power (tiny assignments prove nothing).
-    min_projection_frac: float = 0.25
     #: Consecutive divergences a timing-sensitive signal needs before it
     #: penalizes (under-reporting, slow completions) — a report caught
     #: stale mid-admission-burst must not tank an honest peer.
@@ -92,26 +110,10 @@ class ReputationConfig:
     #: Timing signals only apply when the report claims utilization
     #: below this (a peer that admits being busy isn't hiding load).
     idle_claim_util: float = 0.5
-    #: Slow completion: flagged when observed work/elapsed rate is
-    #: below this fraction of the report-implied free power.
-    slow_rate_factor: float = 0.3
-    #: Steps shorter than this are timing noise; skip them.
-    min_step_time: float = 0.05
-    #: Score below which the peer is a suspect (load discounted).
-    suspect_threshold: float = 0.7
-    #: Score below which the peer is quarantined out of placement.
-    quarantine_threshold: float = 0.4
-    #: Score a probationer must regain to be trusted again.
-    recover_threshold: float = 0.85
     #: First quarantine length (seconds); relapses escalate.
     quarantine_period: float = 30.0
     quarantine_escalation: float = 2.0
     max_quarantine_period: float = 240.0
-    #: Fraction of claimed power a probationer may be offered.
-    probation_capacity: float = 0.35
-    #: Quarantine penalty as a multiple of claimed power — must exceed
-    #: any utilization cap so every placement on the peer is infeasible.
-    quarantine_penalty: float = 2.0
 
 
 @dataclass
@@ -160,9 +162,6 @@ class ReputationEngine:
         """Drop a departed peer's trust state."""
         self._states.pop(peer_id, None)
 
-    def state_of(self, peer_id: str) -> Optional[TrustState]:
-        return self._states.get(peer_id)
-
     # -- observations ------------------------------------------------------
     def observe_report(
         self,
@@ -196,10 +195,10 @@ class ReputationEngine:
             or reported_power * cfg.power_tolerance < claimed
         ):
             divergent = "power_mismatch"
-        elif projected > cfg.min_projection_frac * max(claimed, 1e-9):
+        elif projected > MIN_PROJECTION_FRAC * max(claimed, 1e-9):
             # The RM assigned this peer real work; idle claims are lies.
             expected_busy = min(projected, claimed)
-            if report.load < cfg.under_report_frac * expected_busy:
+            if report.load < UNDER_REPORT_FRAC * expected_busy:
                 divergent = "under_report"
 
         if divergent is None:
@@ -229,7 +228,7 @@ class ReputationEngine:
         st = self._states.get(peer_id)
         if st is None or st.reports_seen <= cfg.warmup_reports:
             return
-        if work <= 0.0 or elapsed < cfg.min_step_time:
+        if work <= 0.0 or elapsed < MIN_STEP_TIME:
             return
         report = rec.last_report
         if report is None or report.utilization >= cfg.idle_claim_util:
@@ -237,7 +236,7 @@ class ReputationEngine:
         st.steps_seen += 1
         free = max(rec.power - report.load, rec.power * 0.05)
         observed = work / elapsed
-        if observed < cfg.slow_rate_factor * free:
+        if observed < SLOW_RATE_FACTOR * free:
             st.step_streak += 1
             if st.step_streak >= cfg.timing_streak:
                 self._penalize(st, "slow_completion", now, weight=0.5)
@@ -252,11 +251,10 @@ class ReputationEngine:
         now: float,
         weight: float = 1.0,
     ) -> None:
-        cfg = self.config
         if consistent:
-            st.score += cfg.alpha_recover * (1.0 - st.score)
+            st.score += ALPHA_RECOVER * (1.0 - st.score)
         else:
-            st.score -= weight * cfg.alpha_penalty * st.score
+            st.score -= weight * ALPHA_PENALTY * st.score
         self._transition(st, now)
 
     def _penalize(
@@ -274,18 +272,17 @@ class ReputationEngine:
         self._apply(st, consistent=False, now=now, weight=weight)
 
     def _transition(self, st: TrustState, now: float) -> None:
-        cfg = self.config
         if st.state == QUARANTINED:
             self._expire_quarantine(st, now)
             return
-        if st.score < cfg.quarantine_threshold:
+        if st.score < QUARANTINE_THRESHOLD:
             self._quarantine(st, now)
         elif st.state == PROBATION:
-            if st.score >= cfg.recover_threshold:
+            if st.score >= RECOVER_THRESHOLD:
                 st.state = TRUSTED
-        elif st.score < cfg.suspect_threshold:
+        elif st.score < SUSPECT_THRESHOLD:
             st.state = SUSPECT
-        elif st.state == SUSPECT and st.score >= cfg.recover_threshold:
+        elif st.state == SUSPECT and st.score >= RECOVER_THRESHOLD:
             st.state = TRUSTED
 
     def _quarantine(self, st: TrustState, now: float) -> None:
@@ -315,7 +312,7 @@ class ReputationEngine:
             # Re-entry: reduced capacity, score floored at the threshold
             # so consistent behavior can climb back to trusted.
             st.state = PROBATION
-            st.score = max(st.score, self.config.quarantine_threshold)
+            st.score = max(st.score, QUARANTINE_THRESHOLD)
 
     # -- enforcement -------------------------------------------------------
     def load_penalty(
@@ -331,13 +328,12 @@ class ReputationEngine:
         st = self._states.get(peer_id)
         if st is None:
             return 0.0
-        cfg = self.config
         if st.state == QUARANTINED:
             if now < st.quarantined_until:
-                return rec.power * cfg.quarantine_penalty
+                return rec.power * QUARANTINE_PENALTY
             self._expire_quarantine(st, now)
         if st.state == PROBATION:
-            return rec.power * (1.0 - cfg.probation_capacity)
+            return rec.power * (1.0 - PROBATION_CAPACITY)
         if st.state == TRUSTED:
             # No discount while trusted: an honest peer that ate an
             # isolated ding must not perturb placement at all.
@@ -352,12 +348,6 @@ class ReputationEngine:
         return st.state == QUARANTINED
 
     # -- reporting ---------------------------------------------------------
-    def quarantined_ids(self, now: float) -> List[str]:
-        return sorted(
-            pid for pid in self._states
-            if self.is_quarantined(pid, now)
-        )
-
     def snapshot(self, now: float) -> Dict[str, object]:
         """Point-in-time view for metrics documents and probes."""
         peers = {}

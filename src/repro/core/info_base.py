@@ -57,11 +57,6 @@ class PeerRecord:
             reported_at=self.reported_at,
         )
 
-    @property
-    def reported_load(self) -> float:
-        """Latest reported l_i (0 before any report)."""
-        return self.last_report.load if self.last_report else 0.0
-
 
 @dataclass
 class _Projection:
@@ -177,8 +172,8 @@ class DomainInfoBase:
 
     def effective_load(self, peer_id: str, now: float) -> float:
         """Reported load plus live projections for *peer_id*."""
-        # peer() and the reported_load property are inlined: this is the
-        # single most-called method in large runs.
+        # peer() is inlined: this is the single most-called method in
+        # large runs.
         rec = self.peers.get(peer_id)
         if rec is None:
             raise UnknownPeer(peer_id)
@@ -271,12 +266,6 @@ class DomainInfoBase:
 
     def drop_service_graph(self, task_id: str) -> Optional[ServiceGraph]:
         return self.service_graphs.pop(task_id, None)
-
-    def tasks_using_peer(self, peer_id: str) -> List[ServiceGraph]:
-        """Running tasks whose service graph involves *peer_id* (§4.1)."""
-        return [
-            g for g in self.service_graphs.values() if g.uses_peer(peer_id)
-        ]
 
     # -- graph maintenance -------------------------------------------------------
     def register_service_instance(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, Optional, TYPE_CHECKING
 
 from repro.core import protocol
 from repro.core.allocation import Allocator
@@ -22,7 +22,7 @@ from repro.core.control.admission import AdmissionController
 from repro.core.control.events import emit_task_event
 from repro.core.control.placement import PlacementEngine
 from repro.core.control.registry import TaskRegistry
-from repro.core.control.repair import RepairCoordinator
+from repro.core.control.repair import MONITOR_PERIOD, RepairCoordinator
 from repro.core.control.reputation import ReputationEngine
 from repro.core.info_base import DomainInfoBase, PeerRecord
 from repro.core.peer import Peer, PeerConfig
@@ -51,8 +51,6 @@ class RMConfig:
     max_peers: int = 64
     #: Declare a peer dead after this many missed update periods.
     dead_after_periods: float = 3.5
-    #: Peer-liveness scan period (seconds).
-    monitor_period: float = 1.0
     #: Grace beyond the deadline before a silent task is declared lost.
     task_loss_grace: float = 10.0
     #: Maximum inter-domain redirects per task.
@@ -76,11 +74,10 @@ class RMConfig:
     enable_repair: bool = True
     #: Importance-aware admission (§3.3): beyond
     #: ``importance_admission_util`` load, below-average-importance tasks
-    #: face a stricter cap (``low_importance_cap`` x max utilization).
+    #: face a stricter cap (``LOW_IMPORTANCE_CAP`` x max utilization).
     #: Off by default (the paper admits on feasibility alone).
     importance_admission: bool = False
     importance_admission_util: float = 0.75
-    low_importance_cap: float = 0.7
     #: State-replication period to the backup RM (§4.1).
     sync_period: float = 5.0
     #: Stream duration the resource-graph edge costs are calibrated for;
@@ -191,7 +188,7 @@ class ResourceManager(Peer):
     # ------------------------------------------------------------------ setup
     def _start_loops(self) -> None:
         cfg = self.rm_config
-        self._monitor = self.env.every(cfg.monitor_period, self._monitor_tick)
+        self._monitor = self.env.every(MONITOR_PERIOD, self._monitor_tick)
         if cfg.enable_reassignment:
             self._reassigner = self.env.every(
                 cfg.reassign_period, self._reassign_tick
@@ -229,10 +226,6 @@ class ResourceManager(Peer):
         for name, obj in (objects or {}).items():
             record.objects.add(name)
             self.object_catalog[name] = obj
-
-    @property
-    def member_ids(self) -> List[str]:
-        return list(self.info.peers)
 
     @property
     def is_full(self) -> bool:

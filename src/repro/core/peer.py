@@ -55,10 +55,6 @@ class PeerConfig:
     #: Connection-slot budget ("limited by the resources at the peer").
     max_connections: int = 32
     profiler_update_period: float = 2.0
-    profiler_sample_period: float = 0.5
-    profiler_alpha: float = 0.4
-    #: §4.4 QoS-adaptive reporting: busy peers report faster.
-    profiler_adaptive: bool = False
 
     def __post_init__(self) -> None:
         if self.power <= 0:
@@ -111,9 +107,6 @@ class Peer(NetNode):
             self.processor,
             report_fn=self._report,
             update_period=self.config.profiler_update_period,
-            sample_period=self.config.profiler_sample_period,
-            alpha=self.config.profiler_alpha,
-            adaptive=self.config.profiler_adaptive,
         )
         #: Media objects stored locally, by name (O_i of §3.2).
         self.objects: Dict[str, MediaObject] = {}

@@ -58,12 +58,6 @@ class ComposeOrder:
     def as_payload(self) -> Dict[str, Any]:
         return {"order": self}
 
-    def next_peer_after(self, index: int) -> str:
-        """Destination of the data leaving step *index*."""
-        if index + 1 < len(self.steps):
-            return self.steps[index + 1].peer_id
-        return self.sink_peer
-
     def bytes_into(self, index: int) -> float:
         """Size of the data entering step *index*."""
         if index == 0:

@@ -27,6 +27,10 @@ from repro.net.message import Message
 from repro.sim.rng import fallback_rng
 from repro.summaries.domain_summary import DomainSummary
 
+#: Bloom geometry for published summaries (bits, hashes).
+BLOOM_BITS = 2048
+BLOOM_HASHES = 5
+
 
 @dataclass
 class GossipConfig:
@@ -34,9 +38,6 @@ class GossipConfig:
 
     period: float = 5.0
     fanout: int = 2
-    #: Bloom geometry for published summaries (bits, hashes).
-    bloom_bits: int = 2048
-    bloom_hashes: int = 5
 
     def __post_init__(self) -> None:
         if self.period <= 0:
@@ -91,7 +92,7 @@ class GossipAgent:
         base = current or DomainSummary(rm.domain_id, rm.node_id)
         summary = base.rebuild(
             objects, services, rm.info.n_peers, mean_util,
-            geometry=(self.config.bloom_bits, self.config.bloom_hashes),
+            geometry=(BLOOM_BITS, BLOOM_HASHES),
         )
         self.summaries[rm.node_id] = summary
         self._last_published = fingerprint
@@ -179,8 +180,3 @@ class GossipAgent:
 
     def stop(self) -> None:
         self._timer.cancel()
-
-    def converged_with(self, others: list["GossipAgent"]) -> bool:
-        """Do all agents hold identical version vectors? (test/metric)"""
-        ref = self.digest()
-        return all(o.digest() == ref for o in others)

@@ -16,8 +16,8 @@ class ServiceEdge:
         Application states (resource-graph vertices) this service
         converts between.
     service_id:
-        The service *type* (e.g. a :class:`~repro.media.TranscoderSpec`
-        id); several peers may host instances of the same type.
+        The service *type* (e.g. a transcoder's ``src->dst`` format
+        pair); several peers may host instances of the same type.
     peer_id:
         The hosting peer — executing this edge puts load on that peer.
     work:
@@ -61,7 +61,6 @@ class ResourceGraph:
     def __init__(self) -> None:
         self._vertices: Dict[Hashable, None] = {}
         self._out: Dict[Hashable, List[ServiceEdge]] = {}
-        self._in: Dict[Hashable, List[ServiceEdge]] = {}
         self._edges: Dict[str, ServiceEdge] = {}
 
     # -- vertices -----------------------------------------------------------
@@ -70,7 +69,6 @@ class ResourceGraph:
         if state not in self._vertices:
             self._vertices[state] = None
             self._out[state] = []
-            self._in[state] = []
 
     def has_state(self, state: Hashable) -> bool:
         return state in self._vertices
@@ -104,7 +102,6 @@ class ResourceGraph:
             raise ValueError(f"duplicate edge id {edge.edge_id!r}")
         self._edges[edge.edge_id] = edge
         self._out[src].append(edge)
-        self._in[dst].append(edge)
         return edge
 
     def remove_edge(self, edge_id: str) -> None:
@@ -113,7 +110,6 @@ class ResourceGraph:
         if edge is None:
             return
         self._out[edge.src].remove(edge)
-        self._in[edge.dst].remove(edge)
 
     def remove_peer(self, peer_id: str) -> List[ServiceEdge]:
         """Remove every edge hosted at *peer_id* (peer disconnect, §4.1).
@@ -129,24 +125,13 @@ class ResourceGraph:
         """Look up an edge by id."""
         return self._edges[edge_id]
 
-    def has_edge(self, edge_id: str) -> bool:
-        return edge_id in self._edges
-
     def out_edges(self, state: Hashable) -> List[ServiceEdge]:
         """Edges leaving *state* (``E_out`` of §3.4)."""
         return list(self._out.get(state, ()))
 
-    def in_edges(self, state: Hashable) -> List[ServiceEdge]:
-        """Edges entering *state* (``E_in`` of §3.4)."""
-        return list(self._in.get(state, ()))
-
     def edges(self) -> Iterator[ServiceEdge]:
         """All edges, in insertion order."""
         return iter(list(self._edges.values()))
-
-    def edges_at_peer(self, peer_id: str) -> List[ServiceEdge]:
-        """All service instances hosted by one peer."""
-        return [e for e in self._edges.values() if e.peer_id == peer_id]
 
     @property
     def n_states(self) -> int:
@@ -171,7 +156,6 @@ class ResourceGraph:
         g = ResourceGraph()
         g._vertices = dict.fromkeys(self._vertices)
         g._out = {v: list(es) for v, es in self._out.items()}
-        g._in = {v: list(es) for v, es in self._in.items()}
         g._edges = dict(self._edges)
         return g
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.graphs.resource_graph import ServiceEdge
@@ -15,8 +15,7 @@ class ServiceStep:
     ``T_1, T_2, T_3`` in Figure 1(B) are steps; each corresponds to one
     resource-graph edge at allocation time, but steps carry their own
     copies of (service, peer, work, bytes) so the service graph stays
-    valid when the resource graph is later updated — and so a *repair*
-    can re-point a step at a replacement peer.
+    valid when the resource graph is later updated.
     """
 
     index: int
@@ -27,10 +26,6 @@ class ServiceStep:
     src_state: Hashable
     dst_state: Hashable
     edge_id: str = ""
-
-    def with_peer(self, peer_id: str, edge_id: str = "") -> "ServiceStep":
-        """A copy of this step hosted at a different peer (repair)."""
-        return replace(self, peer_id=peer_id, edge_id=edge_id)
 
 
 class ServiceGraph:
@@ -104,20 +99,6 @@ class ServiceGraph:
     def uses_peer(self, peer_id: str) -> bool:
         """True if the task depends on *peer_id* in any role."""
         return peer_id in self.peers()
-
-    def steps_on_peer(self, peer_id: str) -> List[ServiceStep]:
-        """Steps hosted at *peer_id*."""
-        return [s for s in self.steps if s.peer_id == peer_id]
-
-    def replace_step(self, index: int, new_step: ServiceStep) -> None:
-        """Swap a step in place (service-graph repair, §4.1)."""
-        if not 0 <= index < len(self.steps):
-            raise IndexError(f"no step {index} in {self}")
-        if new_step.index != index:
-            raise ValueError(
-                f"replacement step index {new_step.index} != slot {index}"
-            )
-        self.steps[index] = new_step
 
     def allocation_pairs(self) -> List[Tuple[str, str]]:
         """``(service_id, peer_id)`` pairs, the task-record form."""

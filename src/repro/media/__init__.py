@@ -15,12 +15,11 @@ with stream duration, output pixel rate and codec complexity.
 
 from repro.media.formats import CODEC_COMPLEXITY, MediaFormat
 from repro.media.objects import MediaObject
-from repro.media.transcode import TranscoderSpec, TranscodingCostModel
+from repro.media.transcode import transcode_work
 
 __all__ = [
     "CODEC_COMPLEXITY",
     "MediaFormat",
     "MediaObject",
-    "TranscoderSpec",
-    "TranscodingCostModel",
+    "transcode_work",
 ]

@@ -22,7 +22,7 @@ from typing import Dict, Hashable
 from repro.graphs.resource_graph import ResourceGraph
 from repro.media.formats import MediaFormat
 from repro.media.objects import MediaObject
-from repro.media.transcode import TranscodingCostModel
+from repro.media.transcode import transcode_work
 
 #: v1 — the source format quoted in the paper.
 V1 = MediaFormat("MPEG-2", 800, 600, 512.0)
@@ -66,20 +66,14 @@ class Fig1Scenario:
     peers: list[str]
 
 
-def build_fig1_graph(
-    duration_s: float = 60.0,
-    cost_model: TranscodingCostModel | None = None,
-) -> Fig1Scenario:
+def build_fig1_graph(duration_s: float = 60.0) -> Fig1Scenario:
     """Construct the Figure-1 resource graph.
 
     Parameters
     ----------
     duration_s:
         Stream duration; edge work and output bytes scale with it.
-    cost_model:
-        Transcoding cost coefficients (defaults used if omitted).
     """
-    model = cost_model if cost_model is not None else TranscodingCostModel()
     graph = ResourceGraph()
     for state in (V1, V2, V3, V4, V5):
         graph.add_state(state)
@@ -89,7 +83,7 @@ def build_fig1_graph(
             dst,
             service_id=f"T-{edge_id}",
             peer_id=peer,
-            work=model.work(src, dst, duration_s),
+            work=transcode_work(src, dst, duration_s),
             out_bytes=dst.bytes_per_second() * duration_s,
             edge_id=edge_id,
         )

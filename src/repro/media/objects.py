@@ -40,9 +40,5 @@ class MediaObject:
         """Encoded size at the source format."""
         return self.fmt.bytes_per_second() * self.duration_s
 
-    def size_in(self, fmt: MediaFormat) -> float:
-        """Encoded size if re-encoded into *fmt*."""
-        return fmt.bytes_per_second() * self.duration_s
-
     def __str__(self) -> str:
         return f"{self.name}[{self.fmt.label()}]"

@@ -10,6 +10,9 @@ from repro.common.util import EWMA
 from repro.scheduling.processor import Processor
 from repro.sim.core import Environment
 
+#: With adaptive reporting, an idle peer reports this many times slower.
+ADAPTIVE_IDLE_FACTOR = 2.0
+
 
 @dataclass
 class ServiceObservation:
@@ -23,11 +26,6 @@ class ServiceObservation:
     @property
     def mean_time(self) -> float:
         return self.total_time / self.count if self.count else 0.0
-
-    @property
-    def mean_rate(self) -> float:
-        """Observed work units per second while executing this service."""
-        return self.total_work / self.total_time if self.total_time else 0.0
 
     def observe(self, exec_time: float, work: float) -> None:
         if exec_time < 0 or work < 0:
@@ -108,11 +106,10 @@ class Profiler:
         alpha: float = 0.4,
         adaptive: bool = False,
         adaptive_busy_factor: float = 0.5,
-        adaptive_idle_factor: float = 2.0,
     ) -> None:
         if update_period <= 0 or sample_period <= 0:
             raise ValueError("periods must be positive")
-        if adaptive_busy_factor <= 0 or adaptive_idle_factor <= 0:
+        if adaptive_busy_factor <= 0:
             raise ValueError("adaptive factors must be positive")
         self.env = env
         self.processor = processor
@@ -123,11 +120,10 @@ class Profiler:
         #: appropriate update frequency."  With ``adaptive=True`` a peer
         #: executing deadline-bearing jobs reports faster
         #: (``update_period x busy_factor``) and an idle peer slower
-        #: (``x idle_factor``) — load information is fresh exactly where
-        #: QoS decisions depend on it.
+        #: (``x ADAPTIVE_IDLE_FACTOR``) — load information is fresh
+        #: exactly where QoS decisions depend on it.
         self.adaptive = adaptive
         self.adaptive_busy_factor = adaptive_busy_factor
-        self.adaptive_idle_factor = adaptive_idle_factor
         self._util = EWMA(alpha)
         self._last_sample_t = env.now
         self._last_busy = processor.busy_time_now()
@@ -215,7 +211,7 @@ class Profiler:
             return self.update_period
         if self.processor.queue_length > 0:
             return self.update_period * self.adaptive_busy_factor
-        return self.update_period * self.adaptive_idle_factor
+        return self.update_period * ADAPTIVE_IDLE_FACTOR
 
     def _report(self) -> None:
         if self.report_fn is None:

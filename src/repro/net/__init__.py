@@ -10,10 +10,7 @@ This is the "wide-area environment with unpredictable latencies" of the
 paper's introduction, as a simulation substrate.
 """
 
-from repro.net.connections import (
-    ConnectionCapacityError,
-    ConnectionManager,
-)
+from repro.net.connections import ConnectionManager
 from repro.net.latency import (
     ConstantLatency,
     DomainAwareLatency,
@@ -24,7 +21,6 @@ from repro.net.network import Network, NetworkStats
 from repro.net.node import NetNode, RPCError, RPCTimeout
 
 __all__ = [
-    "ConnectionCapacityError",
     "ConnectionManager",
     "ConstantLatency",
     "DomainAwareLatency",

@@ -8,13 +8,12 @@ limited by the resources at the peer."
 A :class:`ConnectionManager` tracks the logical connections a peer
 holds open.  Opening a connection to a new peer costs one handshake
 message (accounted on the wire); when the cap is reached the
-least-recently-used idle connection is torn down.  Connections pinned
-by an active streaming session are never evicted.
+least-recently-used connection is torn down.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Set
+from typing import TYPE_CHECKING, Dict
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import NetNode
@@ -22,15 +21,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Wire size of a connection handshake message.
 HANDSHAKE_SIZE = 128.0
 HANDSHAKE_KIND = "conn_open"
-
-
-class ConnectionCapacityError(Exception):
-    """All connection slots are pinned; nothing can be evicted."""
-
-    def __init__(self, node_id: str, max_connections: int) -> None:
-        super().__init__(
-            f"{node_id}: all {max_connections} connections pinned"
-        )
 
 
 class ConnectionManager:
@@ -54,14 +44,10 @@ class ConnectionManager:
         #: peer id -> last-use timestamp (insertion order == LRU order
         #: is *not* assumed; we sort on eviction).
         self._last_used: Dict[str, float] = {}
-        self._pinned: Set[str] = set()
         self.opened = 0
         self.evicted = 0
 
     # -- queries ------------------------------------------------------------
-    def is_open(self, peer_id: str) -> bool:
-        return peer_id in self._last_used
-
     @property
     def n_open(self) -> int:
         return len(self._last_used)
@@ -71,67 +57,32 @@ class ConnectionManager:
         return sorted(self._last_used, key=self._last_used.get)
 
     # -- lifecycle ---------------------------------------------------------------
-    def ensure(self, peer_id: str, pin: bool = False) -> bool:
+    def ensure(self, peer_id: str) -> bool:
         """Make sure a connection to *peer_id* is open.
 
         Returns ``True`` if a new connection was established (and the
         handshake message sent), ``False`` if it already existed.
-
-        Raises
-        ------
-        ConnectionCapacityError
-            If a new slot is needed but every open connection is pinned.
         """
         if peer_id == self.node.node_id:
             return False  # no self-connections
         now = self.node.env.now
         if peer_id in self._last_used:
             self._last_used[peer_id] = now
-            if pin:
-                self._pinned.add(peer_id)
             return False
         if len(self._last_used) >= self.max_connections:
-            self._evict_one()
+            victim = min(self._last_used, key=self._last_used.get)
+            del self._last_used[victim]
+            self.evicted += 1
         self._last_used[peer_id] = now
-        if pin:
-            self._pinned.add(peer_id)
         self.opened += 1
         self.node.send(HANDSHAKE_KIND, peer_id, {}, size=HANDSHAKE_SIZE)
         return True
 
-    def _evict_one(self) -> None:
-        evictable = [
-            pid for pid in self._last_used if pid not in self._pinned
-        ]
-        if not evictable:
-            raise ConnectionCapacityError(
-                self.node.node_id, self.max_connections
-            )
-        victim = min(evictable, key=self._last_used.get)
-        del self._last_used[victim]
-        self.evicted += 1
-
-    def pin(self, peer_id: str) -> None:
-        """Protect a connection from eviction (active session)."""
-        if peer_id in self._last_used:
-            self._pinned.add(peer_id)
-
-    def unpin(self, peer_id: str) -> None:
-        """Release a session's pin."""
-        self._pinned.discard(peer_id)
-
-    def close(self, peer_id: str) -> None:
-        """Tear a connection down explicitly."""
-        self._last_used.pop(peer_id, None)
-        self._pinned.discard(peer_id)
-
     def close_all(self) -> None:
         self._last_used.clear()
-        self._pinned.clear()
 
     def __repr__(self) -> str:
         return (
             f"<ConnectionManager {self.node.node_id} "
-            f"{self.n_open}/{self.max_connections} open, "
-            f"{len(self._pinned)} pinned>"
+            f"{self.n_open}/{self.max_connections} open>"
         )

@@ -103,9 +103,9 @@ class Network:
     layers rely on.
 
     Failure injection: :meth:`set_down` makes a node unreachable — all
-    traffic from or to it is counted as dropped; :meth:`set_up` restores
-    it.  Node-process shutdown is handled by higher layers (overlay
-    churn); the network only models reachability.
+    traffic from or to it is counted as dropped.  Node-process shutdown
+    is handled by higher layers (overlay churn); the network only models
+    reachability.
     """
 
     def __init__(
@@ -170,10 +170,6 @@ class Network:
         except KeyError:
             raise UnknownPeer(node_id) from None
 
-    def knows(self, node_id: str) -> bool:
-        """True if *node_id* is registered (up or down)."""
-        return node_id in self._nodes
-
     @property
     def node_ids(self) -> list[str]:
         """Ids of all registered nodes."""
@@ -185,10 +181,6 @@ class Network:
         if node_id not in self._nodes:
             raise UnknownPeer(node_id)
         self._down.add(node_id)
-
-    def set_up(self, node_id: str) -> None:
-        """Restore a node's reachability."""
-        self._down.discard(node_id)
 
     def is_up(self, node_id: str) -> bool:
         """True if the node is registered and not failed."""
@@ -214,18 +206,6 @@ class Network:
     def heal_partition(self) -> None:
         """Remove any active partition; delivery resumes immediately."""
         self._partition = None
-
-    @property
-    def partitioned(self) -> bool:
-        """True while a partition is in force."""
-        return self._partition is not None
-
-    def reachable(self, src: str, dst: str) -> bool:
-        """True if no active partition separates *src* from *dst*."""
-        part = self._partition
-        if part is None:
-            return True
-        return part.get(src, -1) == part.get(dst, -1)
 
     # -- transmission ---------------------------------------------------------
     def send(self, msg: Message) -> None:

@@ -31,9 +31,6 @@ class ChurnConfig:
     graceful_prob: float = 0.5
     #: Whether a replacement peer joins after each departure.
     replace: bool = True
-    #: Resource managers are exempted (their failure is the failover
-    #: experiment's job, not churn's).
-    exempt_rms: bool = True
 
     def __post_init__(self) -> None:
         if self.mean_lifetime <= 0:
@@ -76,7 +73,9 @@ class ChurnProcess:
         """Give one peer an exponential lifetime."""
         if peer_id in self._watched:
             return
-        if self.config.exempt_rms and self._is_rm(peer_id):
+        # Resource managers are exempted (their failure is the failover
+        # experiment's job, not churn's).
+        if self._is_rm(peer_id):
             return
         self._watched.add(peer_id)
         self.overlay.env.process(

@@ -116,10 +116,3 @@ class FailoverAgent:
     def stop(self) -> None:
         self._sync.cancel()
         self._watch.cancel()
-
-    @property
-    def recovery_delay(self) -> Optional[float]:
-        """Takeover time minus the last successful sync (E8 metric)."""
-        if self.takeover_time is None:
-            return None
-        return self.takeover_time - self.last_sync

@@ -20,7 +20,7 @@ way a real peer re-runs different code after promotion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional
+from typing import Dict, Hashable, List, Optional
 
 from repro.core import protocol
 from repro.core.allocation import Allocator
@@ -425,14 +425,6 @@ class OverlayNetwork:
 
     def rms(self) -> List[ResourceManager]:
         return [d.rm for d in self.domains.values()]
-
-    def all_tasks(self) -> List[Any]:
-        """Every task object any RM has seen (deduplicated by id)."""
-        seen: Dict[str, Any] = {}
-        for rm in self.rms():
-            for tid, task in rm.tasks.items():
-                seen[tid] = task
-        return list(seen.values())
 
     def domain_for(self, peer_id: str) -> Optional[Domain]:
         did = self.domain_of.get(peer_id)

@@ -12,6 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
+#: Score weights of power, bandwidth and uptime (each normalized by its
+#: minimum).
+W_POWER = 1.0
+W_BANDWIDTH = 1.0
+W_UPTIME = 2.0
+
 
 @dataclass(frozen=True)
 class QualificationPolicy:
@@ -19,15 +25,12 @@ class QualificationPolicy:
 
     A peer qualifies only if it clears *all three* minimums; its score
     is then a weighted sum of its resources normalized by those
-    minimums (so "twice the minimum bandwidth" adds ``w_bandwidth``).
+    minimums (so "twice the minimum bandwidth" adds ``W_BANDWIDTH``).
     """
 
     min_power: float = 5.0
     min_bandwidth: float = 1e6
     min_uptime: float = 0.7
-    w_power: float = 1.0
-    w_bandwidth: float = 1.0
-    w_uptime: float = 2.0
 
     def qualifies(
         self, power: float, bandwidth: float, uptime: float
@@ -44,9 +47,9 @@ class QualificationPolicy:
         if not self.qualifies(power, bandwidth, uptime):
             return 0.0
         return (
-            self.w_power * power / self.min_power
-            + self.w_bandwidth * bandwidth / self.min_bandwidth
-            + self.w_uptime * uptime / self.min_uptime
+            W_POWER * power / self.min_power
+            + W_BANDWIDTH * bandwidth / self.min_bandwidth
+            + W_UPTIME * uptime / self.min_uptime
         )
 
     def rank(

@@ -229,21 +229,15 @@ def profile_wall(
     slos: Tuple[SLO, ...] = DEFAULT_SLOS,
     slo_kwargs: Optional[Dict[str, Any]] = None,
     start: bool = True,
-    gil_model: bool = True,
 ) -> ProfileSession:
     """Attach the profiling bundle to the live (wall-clock) runtime.
 
-    With *gil_model* (default), the profiler calibrates its per-wakeup
-    GIL-handoff cost on start and the budgeter meters the estimated
-    total cost; ``gil_model=False`` zeroes the model (budgeter sees
-    measured self-time only, the pre-model behaviour).  *budget* /
+    The profiler calibrates its per-wakeup GIL-handoff cost on start
+    and the budgeter meters the estimated total cost.  *budget* /
     *period* default to ``DEFAULT_BUDGET`` / ``DEFAULT_PERIOD``.
     """
     period = DEFAULT_PERIOD if period is None else period
-    profiler = WallStackProfiler(
-        period=period,
-        gil_cost_per_sample=None if gil_model else 0.0,
-    )
+    profiler = WallStackProfiler(period=period)
     sess = _profile(
         "wall", profiler, "wall_period", period, WALL_PERIOD_RANGE[1],
         tel, sampler, recorder, budget, slos, slo_kwargs,

@@ -7,8 +7,8 @@ windows to get the *overhead ratio* — the fraction of real time the
 process spends observing itself — and steers it toward a configurable
 budget (default 2%) by retuning sampling-rate knobs:
 
-* over budget  -> every actuator backs off (knob × ``backoff``),
-* under half the budget -> actuators recover (knob ÷ ``recover``),
+* over budget  -> every actuator backs off (knob × ``BACKOFF``),
+* under half the budget -> actuators recover (knob ÷ ``RECOVER``),
   so a quiet system drifts back to full sampling resolution.
 
 Knobs are uniform: *larger setting = cheaper* (a stride of events, a
@@ -28,6 +28,17 @@ from typing import Any, Callable, Deque, Dict, List, Optional
 #: Default observability overhead budget: 2% of wall time.
 DEFAULT_BUDGET = 0.02
 
+#: Actuators back off by multiplying their knob by this factor, and
+#: recover by dividing it by the other.
+BACKOFF = 2.0
+RECOVER = 1.25
+#: Recover only below ``budget * SLACK`` (hysteresis band).
+SLACK = 0.5
+#: Actuation decisions kept in the history, and the newest of them a
+#: record embeds.
+HISTORY = 256
+RECORD_DECISIONS = 32
+
 #: Numeric encoding of actions for the decision series.
 ACTION_CODES = {"backoff": -1.0, "hold": 0.0, "recover": 1.0}
 
@@ -42,8 +53,6 @@ class Actuator:
         setter: Callable[[float], None],
         lo: float,
         hi: float,
-        backoff: float = 2.0,
-        recover: float = 1.25,
     ) -> None:
         if lo <= 0 or hi < lo:
             raise ValueError(f"bad actuator range [{lo}, {hi}]")
@@ -52,8 +61,6 @@ class Actuator:
         self._set = setter
         self.lo = float(lo)
         self.hi = float(hi)
-        self.backoff = float(backoff)
-        self.recover = float(recover)
 
     def get(self) -> float:
         return self._get()
@@ -61,7 +68,7 @@ class Actuator:
     def cheapen(self) -> bool:
         """Back the knob off; returns True if it moved."""
         cur = self._get()
-        new = min(self.hi, cur * self.backoff)
+        new = min(self.hi, cur * BACKOFF)
         if new != cur:
             self._set(new)
             return True
@@ -70,7 +77,7 @@ class Actuator:
     def enrich(self) -> bool:
         """Recover sampling resolution; returns True if it moved."""
         cur = self._get()
-        new = max(self.lo, cur / self.recover)
+        new = max(self.lo, cur / RECOVER)
         if new != cur:
             self._set(new)
             return True
@@ -87,16 +94,12 @@ class OverheadBudgeter:
         self,
         budget: float = DEFAULT_BUDGET,
         min_interval: float = 0.1,
-        slack: float = 0.5,
-        history: int = 256,
     ) -> None:
         if budget <= 0:
             raise ValueError(f"budget must be positive, got {budget}")
         self.budget = float(budget)
         #: Minimum wall seconds between evaluations.
         self.min_interval = float(min_interval)
-        #: Recover only below ``budget * slack`` (hysteresis band).
-        self.slack = float(slack)
         self._sources: List[tuple] = []  # (name, cumulative-seconds fn)
         self.actuators: List[Actuator] = []
         self._t0 = perf_counter()
@@ -110,7 +113,7 @@ class OverheadBudgeter:
         self.n_backoffs = 0
         self.n_recovers = 0
         self.last_action = "hold"
-        self.decisions: Deque[Dict[str, Any]] = deque(maxlen=history)
+        self.decisions: Deque[Dict[str, Any]] = deque(maxlen=HISTORY)
 
     # -- wiring -------------------------------------------------------------
     def add_source(self, name: str, fn: Callable[[], float]) -> None:
@@ -164,7 +167,7 @@ class OverheadBudgeter:
             if moved:
                 action = "backoff"
                 self.n_backoffs += 1
-        elif ratio < self.budget * self.slack:
+        elif ratio < self.budget * SLACK:
             for a in reversed(self.actuators):
                 if a.enrich():
                     action = "recover"
@@ -222,7 +225,7 @@ class OverheadBudgeter:
                 actuator=a.name,
             ).set(round(a.get(), 6))
 
-    def record(self, last_n: int = 32) -> Dict[str, Any]:
+    def record(self) -> Dict[str, Any]:
         """JSON-ready summary (embedded in the ``profile`` record)."""
         decisions = list(self.decisions)
         return {
@@ -235,7 +238,7 @@ class OverheadBudgeter:
             "settings": {
                 a.name: round(a.get(), 6) for a in self.actuators
             },
-            "decisions": decisions[-last_n:],
+            "decisions": decisions[-RECORD_DECISIONS:],
         }
 
     def __repr__(self) -> str:

@@ -26,7 +26,6 @@ from time import perf_counter
 from typing import Callable, Optional
 
 from repro.profiling.stacks import (
-    DEFAULT_MAX_STACKS,
     StackAggregator,
     describe_dispatch,
     fold_frames,
@@ -40,8 +39,8 @@ DEFAULT_PERIOD = 0.05
 #: Default sim sampling stride, events.
 DEFAULT_STRIDE = 64
 
-#: Fallback per-wakeup GIL-handoff cost (seconds) when calibration is
-#: disabled or yields an implausible value.  Each timer wakeup makes
+#: Fallback per-wakeup GIL-handoff cost (seconds) when calibration
+#: yields an implausible value.  Each timer wakeup makes
 #: the sampler thread contend for the GIL: the running app thread
 #: stalls for roughly one context handoff.  Tens of microseconds is
 #: the observed order on CPython 3.10–3.12.
@@ -49,6 +48,8 @@ DEFAULT_GIL_HANDOFF_S = 50e-6
 
 #: Calibration results outside this band are discarded as noise.
 _GIL_COST_BOUNDS = (1e-6, 2e-3)
+#: How often the calibration's waker thread wakes, seconds.
+_CALIBRATION_WAKE_S = 0.001
 
 #: Process-wide calibration cache (the cost is a property of the
 #: interpreter + host, not of any one profiler instance).
@@ -63,9 +64,7 @@ def _busy_loop(deadline: float) -> int:
     return n
 
 
-def estimate_gil_handoff_cost(
-    phase_s: float = 0.03, wake_period: float = 0.001,
-) -> float:
+def estimate_gil_handoff_cost(phase_s: float = 0.03) -> float:
     """Measure the per-wakeup GIL-handoff tax a timer sampler inflicts.
 
     The profiler's ``self_time_s`` clock sees only the time *inside*
@@ -73,7 +72,7 @@ def estimate_gil_handoff_cost(
     wakeup imposes on the application thread that must yield the GIL.
     This one-shot calibration measures that hidden side: a pure-Python
     busy loop runs for *phase_s* seconds alone, then again while a
-    thread wakes every *wake_period* seconds to walk
+    thread wakes every :data:`_CALIBRATION_WAKE_S` seconds to walk
     ``sys._current_frames()`` — the drop in loop throughput divided by
     the number of wakeups is the per-wakeup cost.  Implausible results
     (scheduler noise on a loaded CI box) fall back to
@@ -94,7 +93,7 @@ def estimate_gil_handoff_cost(
     stop = threading.Event()
 
     def _waker() -> None:
-        while not stop.wait(wake_period):
+        while not stop.wait(_CALIBRATION_WAKE_S):
             sys._current_frames()
             wakeups[0] += 1
 
@@ -123,24 +122,19 @@ class WallStackProfiler:
     def __init__(
         self,
         period: float = DEFAULT_PERIOD,
-        aggregator: Optional[StackAggregator] = None,
-        max_stacks: int = DEFAULT_MAX_STACKS,
         gil_cost_per_sample: Optional[float] = None,
-        calibrate_gil: bool = True,
     ) -> None:
         if period <= 0:
             raise ValueError(f"period must be positive, got {period}")
         #: Seconds between samples; the budgeter retunes this live.
         self.period = float(period)
-        self.agg = aggregator or StackAggregator(max_stacks=max_stacks)
+        self.agg = StackAggregator()
         #: Cumulative wall seconds spent taking samples (self-cost).
         self.self_time_s = 0.0
         self.n_samples = 0
         #: Per-wakeup GIL-handoff cost model.  None means "calibrate on
-        #: start()" (or fall back to the default constant if calibration
-        #: is disabled); pass 0.0 to turn the model off entirely.
+        #: start()"; pass 0.0 to turn the model off entirely.
         self.gil_cost_per_sample = gil_cost_per_sample
-        self._calibrate_gil = calibrate_gil
         #: Called as ``on_sample(profiler)`` after every sample.
         self.on_sample: Optional[Callable[["WallStackProfiler"], None]] = None
         self._thread: Optional[threading.Thread] = None
@@ -165,10 +159,7 @@ class WallStackProfiler:
         if self._thread is not None:
             return
         if self.gil_cost_per_sample is None:
-            self.gil_cost_per_sample = (
-                estimate_gil_handoff_cost() if self._calibrate_gil
-                else DEFAULT_GIL_HANDOFF_S
-            )
+            self.gil_cost_per_sample = estimate_gil_handoff_cost()
         self._stop.clear()
 
         def _run() -> None:
@@ -231,14 +222,12 @@ class SimEventProfiler:
         self,
         env,
         stride: int = DEFAULT_STRIDE,
-        aggregator: Optional[StackAggregator] = None,
-        max_stacks: int = DEFAULT_MAX_STACKS,
     ) -> None:
         if stride < 1:
             raise ValueError(f"stride must be >= 1, got {stride}")
         self.env = env
         self._stride_box = [int(stride)]
-        self.agg = aggregator or StackAggregator(max_stacks=max_stacks)
+        self.agg = StackAggregator()
         self.self_time_s = 0.0
         self.n_samples = 0
         self.on_sample: Optional[Callable[["SimEventProfiler"], None]] = None

@@ -32,9 +32,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 #: Default windows, in clock seconds (sim or wall, per driver).
 DEFAULT_FAST_WINDOW = 60.0
 DEFAULT_SLOW_WINDOW = 600.0
-#: Default burn-rate alert thresholds per window.
-DEFAULT_FAST_BURN = 10.0
-DEFAULT_SLOW_BURN = 2.0
+#: Burn-rate alert thresholds per window.
+FAST_BURN = 10.0
+SLOW_BURN = 2.0
 
 
 @dataclass(frozen=True)
@@ -120,8 +120,6 @@ class BurnRateMonitor:
         recorder=None,
         fast_window: float = DEFAULT_FAST_WINDOW,
         slow_window: float = DEFAULT_SLOW_WINDOW,
-        fast_burn: float = DEFAULT_FAST_BURN,
-        slow_burn: float = DEFAULT_SLOW_BURN,
         min_samples: int = 5,
         hysteresis: float = 0.8,
         warmup: float = 0.5,
@@ -131,8 +129,8 @@ class BurnRateMonitor:
         self.tel = tel
         self.recorder = recorder
         self.windows = (
-            ("fast", float(fast_window), float(fast_burn)),
-            ("slow", float(slow_window), float(slow_burn)),
+            ("fast", float(fast_window), FAST_BURN),
+            ("slow", float(slow_window), SLOW_BURN),
         )
         self.min_samples = int(min_samples)
         self.hysteresis = float(hysteresis)

@@ -23,6 +23,9 @@ OTHER_KEY = "(other)"
 #: Default ceiling on distinct folded stacks held in memory.
 DEFAULT_MAX_STACKS = 4096
 
+#: Deepest stack a sample keeps, in frames from the leaf.
+MAX_DEPTH = 64
+
 
 def shorten_path(path: str) -> str:
     """Compress a source path to its repo-relative tail.
@@ -43,11 +46,12 @@ def format_frame(frame) -> str:
     return f"{shorten_path(code.co_filename)}:{code.co_name}"
 
 
-def fold_frames(frame, max_depth: int = 64) -> str:
-    """Fold a leaf frame and its callers into one root-first stack."""
+def fold_frames(frame) -> str:
+    """Fold a leaf frame and its callers into one root-first stack
+    (at most :data:`MAX_DEPTH` frames, the innermost)."""
     names: List[str] = []
     f = frame
-    while f is not None and len(names) < max_depth:
+    while f is not None and len(names) < MAX_DEPTH:
         names.append(format_frame(f))
         f = f.f_back
     names.reverse()
@@ -92,17 +96,14 @@ class StackAggregator:
     def unique_stacks(self) -> int:
         return len(self._counts)
 
-    def top(
-        self, n: int = 10, by: str = "count"
-    ) -> List[Tuple[str, float, float]]:
-        """The *n* hottest stacks as ``(stack, count, seconds)``."""
-        idx = 1 if by == "seconds" else 0
+    def top(self, n: int = 10) -> List[Tuple[str, float, float]]:
+        """The *n* hottest stacks by count as ``(stack, count, seconds)``."""
         rows = sorted(
             (
                 (stack, entry[0], entry[1])
                 for stack, entry in self._counts.items()
             ),
-            key=lambda row: (-row[idx + 1], row[0]),
+            key=lambda row: (-row[1], row[0]),
         )
         return rows[:n]
 

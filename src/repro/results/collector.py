@@ -9,7 +9,6 @@ from repro.common.util import percentile
 from repro.results.timeseries import TimeSeries
 from repro.core.fairness import jain_fairness
 from repro.sim.core import Environment
-from repro.sim.events import Timer
 from repro.tasks.task import ApplicationTask, TaskOutcome
 
 
@@ -96,7 +95,6 @@ class MetricsCollector:
         self.fairness_series = TimeSeries()
         self.utilization_series = TimeSeries()
         self._overlay: Any = None
-        self._sampler: Optional[Timer] = None
 
     # -- lifecycle hook -----------------------------------------------------
     def on_task_event(self, task: ApplicationTask, event: str) -> None:
@@ -118,7 +116,7 @@ class MetricsCollector:
         if period <= 0:
             raise ValueError("period must be positive")
         self._overlay = overlay
-        self._sampler = self.env.every(period, self._sample)
+        self.env.every(period, self._sample)
 
     def _sample(self) -> None:
         alive = [p for p in self._overlay.peers.values() if p.alive]
@@ -130,10 +128,6 @@ class MetricsCollector:
             self.utilization_series.add(
                 now, sum(p.profiler.utilization for p in alive) / len(alive)
             )
-
-    def stop_sampling(self) -> None:
-        if self._sampler is not None:
-            self._sampler.cancel()
 
     # -- aggregation ------------------------------------------------------------
     def summary(

@@ -64,6 +64,9 @@ DOMAIN_ID = "d0"
 GOSSIP_PERIOD = 1.0
 GOSSIP_FANOUT = 2
 PAGE_SIZE = 100
+#: A roster pull gives up on a seed that leaves one page unanswered
+#: this many seconds.
+PULL_PAGE_TIMEOUT = 1.0
 
 
 def agent_id_for(shard_id: str) -> str:
@@ -161,9 +164,7 @@ class RosterAgent:
                     kind=KIND_AGENT, shard=aid[len(AGENT_PREFIX):],
                 ))
 
-    async def pull_roster(
-        self, timeout: float = 5.0, per_page_timeout: float = 1.0
-    ) -> bool:
+    async def pull_roster(self, timeout: float = 5.0) -> bool:
         """Anti-entropy pull from any live agent (crash-respawn path).
 
         Pages through a seed's roster via ``gossip_digest`` requests;
@@ -185,7 +186,7 @@ class RosterAgent:
                            {"roster_pull": {"cursor": cursor}})
                 try:
                     cursor = await asyncio.wait_for(
-                        self._pull_future, per_page_timeout
+                        self._pull_future, PULL_PAGE_TIMEOUT
                     )
                 except asyncio.TimeoutError:
                     ok = False

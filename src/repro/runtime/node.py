@@ -75,12 +75,6 @@ class SimClockPump:
         if self._done is not None and not self._done.done():
             self._done.set_result(None)
 
-    @property
-    def wall_sim_now(self) -> float:
-        """The sim time corresponding to the current wall clock."""
-        loop = self._loop or asyncio.get_running_loop()
-        return loop.time() - self._anchor
-
     def run_process(
         self, gen: Generator[Event, Any, Any], name: Optional[str] = None
     ) -> "asyncio.Future[Any]":

@@ -17,9 +17,8 @@ tombstone) always lands.
 
 Members are ordered on a hash ring (:func:`ring_position`, the
 Socket-Project DHT idiom): id assignment is stable across processes and
-restarts, ``successor`` walks the ring, and the election coordinator is
-simply the ring-lowest live agent — any replica computes the same one
-without a message exchange.
+restarts, and the election coordinator is simply the ring-lowest live
+agent — any replica computes the same one without a message exchange.
 """
 
 from __future__ import annotations
@@ -117,14 +116,9 @@ class Roster:
     def entries(self) -> List[RosterEntry]:
         return list(self._entries.values())
 
-    def members(
-        self, kind: Optional[str] = None, up_only: bool = True
-    ) -> List[RosterEntry]:
-        out = [
-            e for e in self._entries.values()
-            if (kind is None or e.kind == kind)
-            and (not up_only or e.up)
-        ]
+    def members(self, kind: str) -> List[RosterEntry]:
+        """Live members of *kind*, in ring order."""
+        out = [e for e in self._entries.values() if e.kind == kind and e.up]
         out.sort(key=lambda e: (e.ring, e.member_id))
         return out
 
@@ -134,30 +128,10 @@ class Roster:
     def agents_up(self) -> List[RosterEntry]:
         return self.members(kind=KIND_AGENT)
 
-    def ring_ids(self, kind: Optional[str] = None) -> List[str]:
-        """Live member ids in ring order."""
-        return [e.member_id for e in self.members(kind=kind)]
-
-    def successor(self, key: str, kind: Optional[str] = None) -> Optional[str]:
-        """The live member owning *key*: first id at/after its ring
-        position, wrapping — the DHT successor rule."""
-        ring = self.members(kind=kind)
-        if not ring:
-            return None
-        pos = ring_position(key)
-        for entry in ring:
-            if entry.ring >= pos:
-                return entry.member_id
-        return ring[0].member_id
-
     def coordinator(self) -> Optional[str]:
         """Ring-lowest live agent: the deterministic election runner."""
         agents = self.agents_up()
         return agents[0].member_id if agents else None
-
-    def version_of(self, member_id: str) -> int:
-        entry = self._entries.get(member_id)
-        return entry.version if entry is not None else 0
 
     # -- write side --------------------------------------------------------
     def upsert(self, entry: RosterEntry) -> RosterEntry:

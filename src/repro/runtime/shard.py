@@ -26,9 +26,9 @@ child → parent
 
 parent → child
     ``seeds`` (the other agents' addresses), ``submit`` (inject tasks),
-    ``pause_tasks`` / ``resume_tasks``, ``task_done`` (terminal-event
-    relay for tasks this shard originated), ``snapshot`` (dump for a
-    correlated bundle), ``drain``.
+    ``pause_tasks``, ``task_done`` (terminal-event relay for tasks this
+    shard originated), ``snapshot`` (dump for a correlated bundle),
+    ``drain``.
 
 ``SIGTERM`` (or a ``drain`` message) triggers the graceful path: the
 agent stops admitting joins, the task generator stops, in-flight
@@ -225,8 +225,6 @@ class ShardHost:
             self.request_drain()
         elif kind == "pause_tasks":
             self._paused = True
-        elif kind == "resume_tasks":
-            self._paused = False
         elif kind == "task_done":
             self._inflight.discard(msg.get("tid"))
         elif kind == "submit":

@@ -50,6 +50,8 @@ from repro.telemetry.metrics import MetricsRegistry
 RESPAWN_BACKOFF = 0.5
 RESPAWN_BACKOFF_MAX = 8.0
 MAX_RESTARTS = 5
+#: Seconds a stopping shard process gets to exit before it is killed.
+JOIN_GRACE = 5.0
 
 
 def partition_specs(
@@ -667,9 +669,9 @@ class ClusterSupervisor:
         if task is not None and not task.done():
             task.cancel()
 
-    async def _join_proc(self, sh: _Shard, grace: float = 5.0) -> None:
+    async def _join_proc(self, sh: _Shard) -> None:
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + grace
+        deadline = loop.time() + JOIN_GRACE
         while sh.proc.is_alive() and loop.time() < deadline:
             await asyncio.sleep(0.05)
         if sh.proc.is_alive():

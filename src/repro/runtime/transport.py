@@ -2,7 +2,7 @@
 
 :class:`~repro.net.node.NetNode` (and therefore every peer and RM)
 touches its fabric only through ``register``/``unregister``, ``send``,
-``nudge``, reachability (``is_up``/``set_down``/``set_up``) and the
+``nudge``, reachability (``is_up``/``set_down``) and the
 planning estimate ``expected_delay``.  In the simulator that fabric is
 the discrete-event :class:`~repro.net.network.Network`; in the live
 runtime it is :class:`UdpTransport`, an asyncio ``DatagramProtocol``
@@ -77,6 +77,10 @@ DropFn = Callable[[Message, int], bool]
 
 #: Lowest RTO: above loopback ack round trips' p99 and a live loop's stalls (docs/performance.md).
 RTO_FLOOR = 0.010
+#: How many ``(src, msg_id)`` keys the duplicate filter remembers.
+DEDUP_CAPACITY = 8192
+#: Socket receive buffer asked for at bind (bytes).
+RCVBUF = 1 << 20
 
 
 @dataclass(slots=True)
@@ -147,8 +151,6 @@ class UdpTransport(asyncio.DatagramProtocol):
         ceiling), backoff factor, and retries after a send at that wait.
     est_latency, est_bandwidth:
         Constants behind :meth:`expected_delay` (allocator cost model).
-    dedup_capacity:
-        How many ``(src, msg_id)`` keys the duplicate filter remembers.
     drop_fn:
         Optional outbound packet-loss shim for tests.
     ids:
@@ -168,9 +170,7 @@ class UdpTransport(asyncio.DatagramProtocol):
         max_retries: int = 6,
         est_latency: float = 0.001,
         est_bandwidth: float = 1.25e7,
-        dedup_capacity: int = 8192,
         drop_fn: Optional[DropFn] = None,
-        rcvbuf: int = 1 << 20,
         ids: Optional[Ids] = None,
     ) -> None:
         if ack_timeout <= 0 or backoff < 1.0 or max_retries < 0:
@@ -186,13 +186,11 @@ class UdpTransport(asyncio.DatagramProtocol):
         self.est_latency = est_latency
         self.est_bandwidth = est_bandwidth
         self.drop_fn = drop_fn
-        self.rcvbuf = rcvbuf
         self.ids = ids if ids is not None else Ids.incarnation()
         self.stats = NetworkStats()
         self._node: Optional["NetNode"] = None
         self._down: Set[str] = set()
         self._seen: OrderedDict[Tuple[str, int], None] = OrderedDict()
-        self._dedup_capacity = dedup_capacity
         self._pending_acks: Dict[Tuple[str, int], _PendingSend] = {}
         self._rtt: Dict[str, RttEstimate] = {}
         self.nudges_sent = 0
@@ -231,7 +229,7 @@ class UdpTransport(asyncio.DatagramProtocol):
         )
         self._sock = sock
         raw = sock.get_extra_info("socket")
-        if raw is not None and self.rcvbuf:
+        if raw is not None:
             import socket as _socket
             try:
                 # Best effort: the kernel clamps to rmem_max.  A mass
@@ -239,7 +237,7 @@ class UdpTransport(asyncio.DatagramProtocol):
                 # socket faster than its event loop drains them; the
                 # default buffer overflows long before the retry budget.
                 raw.setsockopt(
-                    _socket.SOL_SOCKET, _socket.SO_RCVBUF, self.rcvbuf
+                    _socket.SOL_SOCKET, _socket.SO_RCVBUF, RCVBUF
                 )
             except OSError:
                 pass
@@ -306,9 +304,6 @@ class UdpTransport(asyncio.DatagramProtocol):
 
     def set_down(self, node_id: str) -> None:
         self._down.add(node_id)
-
-    def set_up(self, node_id: str) -> None:
-        self._down.discard(node_id)
 
     def expected_delay(self, src: str, dst: str, size: float = 512.0) -> float:
         return self.est_latency + size / self.est_bandwidth
@@ -514,7 +509,7 @@ class UdpTransport(asyncio.DatagramProtocol):
                 tel.metrics.counter("repro_udp_duplicates_total").inc()
             return
         self._seen[key] = None
-        if len(self._seen) > self._dedup_capacity:
+        if len(self._seen) > DEDUP_CAPACITY:
             self._seen.popitem(last=False)
         # Learn the sender's address from the wire: a respawned process
         # keeps its node ids but binds fresh ports, and replies routed

@@ -8,7 +8,7 @@ policies: LLS (the paper's), EDF, FIFO, SJF and an importance-weighted
 value policy — the comparison set for experiment E3.
 """
 
-from repro.scheduling.job import Job, JobCancelled
+from repro.scheduling.job import Job
 from repro.scheduling.policies import (
     EDFPolicy,
     FIFOPolicy,
@@ -25,7 +25,6 @@ __all__ = [
     "FIFOPolicy",
     "ImportancePolicy",
     "Job",
-    "JobCancelled",
     "LLSPolicy",
     "Processor",
     "SJFPolicy",

@@ -8,15 +8,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.events import Event
 
 
-class JobCancelled(Exception):
-    """The job was withdrawn before completion (peer failure, reassignment)."""
-
-    def __init__(self, job: "Job", reason: str = "") -> None:
-        super().__init__(f"job {job.job_id} cancelled: {reason or 'n/a'}")
-        self.job = job
-        self.reason = reason
-
-
 class Job:
     """One schedulable unit of CPU work.
 

@@ -100,8 +100,7 @@ class Processor:
         The event *succeeds with the job* both on completion and on
         cancellation — check ``job.cancelled`` (cancellation must not
         crash sessions that already gave up waiting, so it is a value,
-        not an exception; :class:`JobCancelled` is available for callers
-        who prefer to raise).
+        not an exception).
         """
         if self._stopped:
             raise RuntimeError(f"processor {self.peer_id} is stopped")

@@ -84,11 +84,6 @@ def set_ambient_streams(streams: Optional[RandomStreams]) -> None:
     _ambient = streams
 
 
-def ambient_streams() -> Optional[RandomStreams]:
-    """The currently installed ambient stream set, if any."""
-    return _ambient
-
-
 def fallback_rng(name: str) -> np.random.Generator:
     """A generator for a component constructed without an explicit rng.
 

@@ -1,9 +1,8 @@
 """A classic Bloom filter over string items.
 
 Deterministic across runs (hashes derive from SHA-256, no process
-randomization), supports union (for merging domain views) and
-false-positive-rate estimation; sized via the standard
-``m = -n ln p / (ln 2)^2`` formula.
+randomization); sized via the standard ``m = -n ln p / (ln 2)^2``
+formula.
 """
 
 from __future__ import annotations
@@ -80,23 +79,10 @@ class BloomFilter:
                 return False
         return True
 
-    def union(self, other: "BloomFilter") -> "BloomFilter":
-        """Bitwise-OR merge (filters must share geometry)."""
-        if (self.n_bits, self.n_hashes) != (other.n_bits, other.n_hashes):
-            raise ValueError("cannot union filters of different geometry")
-        merged = BloomFilter(self.n_bits, self.n_hashes)
-        np.logical_or(self.bits, other.bits, out=merged.bits)
-        merged.n_items = self.n_items + other.n_items
-        return merged
-
     @property
     def fill_ratio(self) -> float:
         """Fraction of set bits."""
         return float(self.bits.mean())
-
-    def estimated_fp_rate(self) -> float:
-        """Current false-positive probability estimate."""
-        return self.fill_ratio ** self.n_hashes
 
     def copy(self) -> "BloomFilter":
         dup = BloomFilter(self.n_bits, self.n_hashes)

@@ -31,9 +31,6 @@ class DomainSummary:
         """Bloom membership test (false positives possible, §4.5)."""
         return name in self.objects
 
-    def may_have_service(self, service_id: str) -> bool:
-        return service_id in self.services
-
     def rebuild(
         self,
         objects: Iterable[str],

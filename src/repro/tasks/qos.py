@@ -36,13 +36,3 @@ class QoSRequirements:
             raise ValueError(
                 f"importance must be positive, got {self.importance}"
             )
-
-    def relax(self, deadline_factor: float) -> "QoSRequirements":
-        """A copy with the deadline scaled (users relaxing QoS, §4.5)."""
-        if deadline_factor <= 0:
-            raise ValueError("deadline_factor must be positive")
-        return QoSRequirements(
-            deadline=self.deadline * deadline_factor,
-            importance=self.importance,
-            constraints=dict(self.constraints),
-        )

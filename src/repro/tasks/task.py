@@ -136,14 +136,6 @@ class ApplicationTask:
         if reason:
             self.meta["fail_reason"] = reason
 
-    def peers_used(self) -> List[str]:
-        """Distinct peers in the current allocation, in invocation order."""
-        seen: List[str] = []
-        for _service, peer in self.allocation:
-            if peer not in seen:
-                seen.append(peer)
-        return seen
-
     def __repr__(self) -> str:
         return (
             f"<Task {self.task_id} {self.name!r} {self.state.value}"

@@ -25,7 +25,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, IO, Iterable, List, Optional, Union
 
-from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracer import Span, TraceEvent
 
 #: Trace-file schema version; bump on incompatible record changes.
@@ -90,26 +89,6 @@ def write_trace_data(
         dest.write(_line(rec))
         n += 1
     return n
-
-
-def write_jsonl(
-    dest: Union[str, "os.PathLike[str]", IO[str]],
-    tracer,
-    metrics: Optional[MetricsRegistry] = None,
-    meta: Optional[Dict[str, Any]] = None,
-    sampler=None,
-    profile: Optional[Dict[str, Any]] = None,
-) -> int:
-    """Write a tracer's retained history at once; returns the number of
-    records written."""
-    return write_trace_data(dest, TraceData(
-        meta=_head(tracer, meta),
-        spans=sorted(tracer.spans, key=lambda s: (s.start, s.span_id)),
-        events=list(tracer.events),
-        metrics=metrics.snapshot() if metrics is not None else [],
-        series=sampler.records() if sampler is not None else [],
-        profile=profile,
-    ))
 
 
 class TraceWriter:

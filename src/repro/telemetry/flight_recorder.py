@@ -32,12 +32,14 @@ usual no-op guard.
 
 from __future__ import annotations
 
-import json
 import os
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
-from repro.telemetry.export import TRACE_FORMAT_VERSION
+from repro.telemetry.export import (
+    TRACE_FORMAT_VERSION, TraceData, write_trace_data,
+)
+from repro.telemetry.tracer import Span, TraceEvent
 
 #: Ring capacity (finished spans + events combined).
 DEFAULT_CAPACITY = 4096
@@ -73,7 +75,7 @@ class FlightRecorder:
         self.cooldown = float(cooldown)
         self.sampler = sampler
 
-        self._ring: Deque[Tuple[float, str, Dict[str, Any]]] = deque(
+        self._ring: Deque[Tuple[float, Union[Span, TraceEvent]]] = deque(
             maxlen=capacity
         )
         self._miss_times: Deque[float] = deque(maxlen=self.miss_burst + 1)
@@ -98,12 +100,11 @@ class FlightRecorder:
     def _on_record(self, kind: str, rec) -> None:
         if self._closed:
             return
-        data = rec.as_dict()
-        t = data.get("end", data.get("time", 0.0)) or 0.0
-        self._ring.append((t, kind, data))
+        t = (rec.time if kind == "event" else rec.end) or 0.0
+        self._ring.append((t, rec))
         if kind != "event":
             return
-        name = data.get("name")
+        name = rec.name
         if name == "failover.takeover":
             self._trigger("rm_failover", t)
         elif name == "job.missed":
@@ -198,28 +199,21 @@ class FlightRecorder:
             f"flight-{len(self.dumps):03d}-{reason}.jsonl",
         )
         os.makedirs(self.out_dir or ".", exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            meta = {
-                "type": "meta",
+        window = [rec for t, rec in self._ring if t >= cutoff]
+        write_trace_data(path, TraceData(
+            meta={
                 "version": TRACE_FORMAT_VERSION,
                 "bundle": "flight",
                 "reason": reason,
                 "time": round(now, 6),
                 "window": self.window,
                 "clock": self.tel.clock.label,
-            }
-            fh.write(json.dumps(meta) + "\n")
-            for t, kind, data in self._ring:
-                if t < cutoff:
-                    continue
-                fh.write(json.dumps({"type": kind, **data}) + "\n")
-            if self.sampler is not None:
-                for rec in self.sampler.records():
-                    fh.write(json.dumps({"type": "series", **rec}) + "\n")
-            for rec in self.tel.metrics.snapshot():
-                # snapshot() records carry the metric kind in "type";
-                # the JSONL record type must win (matches export.py).
-                fh.write(json.dumps({**rec, "type": "metric"}) + "\n")
+            },
+            spans=[rec for rec in window if isinstance(rec, Span)],
+            events=[rec for rec in window if isinstance(rec, TraceEvent)],
+            metrics=self.tel.metrics.snapshot(),
+            series=self.sampler.records() if self.sampler is not None else [],
+        ))
         self.dumps.append(path)
         cb = self.on_dump
         if cb is not None:

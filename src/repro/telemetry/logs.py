@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import logging
 import sys
-from typing import IO, Optional
 
 #: Root of the package's logger namespace.
 ROOT = "repro"
@@ -66,7 +65,6 @@ def get_logger(component: str, node: str = "-") -> NodeAdapter:
 
 def configure_logging(
     level: str = "INFO",
-    stream: Optional[IO[str]] = None,
     json_lines: bool = False,
 ) -> logging.Handler:
     """Attach one handler to the ``repro`` logger namespace.
@@ -79,7 +77,7 @@ def configure_logging(
     for handler in list(root.handlers):
         if getattr(handler, "_repro_telemetry", False):
             root.removeHandler(handler)
-    handler = logging.StreamHandler(stream or sys.stderr)
+    handler = logging.StreamHandler(sys.stderr)
     handler._repro_telemetry = True  # type: ignore[attr-defined]
     handler.addFilter(_EnsureNode())
     if json_lines:

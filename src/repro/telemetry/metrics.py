@@ -53,9 +53,6 @@ class Gauge:
     def inc(self, n: float = 1.0) -> None:
         self.value += n
 
-    def dec(self, n: float = 1.0) -> None:
-        self.value -= n
-
 
 class Histogram:
     """Cumulative-bucket histogram (Prometheus semantics)."""
@@ -91,12 +88,6 @@ class Histogram:
         return bucket_quantile(
             [[b, n] for b, n in self.cumulative()], q
         )
-
-    def quantiles(
-        self, qs: Iterable[float] = (0.5, 0.95, 0.99)
-    ) -> Dict[float, float]:
-        """Estimates for several quantiles at once."""
-        return {q: self.quantile(q) for q in qs}
 
     def cumulative(self) -> List[Tuple[float, int]]:
         """(upper bound, cumulative count) pairs, +inf last."""

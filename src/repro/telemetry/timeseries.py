@@ -138,10 +138,6 @@ class SeriesRing:
         """Per-point sample counts (all 1 until a rollup has merged)."""
         return list(self._n)
 
-    def points(self) -> List[Tuple[float, float, float, float, int]]:
-        """All points as ``(t, mean, min, max, count)`` tuples."""
-        return list(zip(self._t, self._v, self._mn, self._mx, self._n))
-
     def points_since(
         self, t_min: float
     ) -> List[Tuple[float, float, float, float, int]]:
@@ -190,28 +186,6 @@ class SeriesRing:
             "v": [round(v, 6) for v in self._v],
             "n": list(self._n),
         }
-
-    @classmethod
-    def from_record(cls, rec: Dict[str, Any]) -> "SeriesRing":
-        """Rebuild a ring from its record.
-
-        The ring arrives exactly at capacity and is restored without
-        re-compacting; merged points keep their counts (1 each when the
-        record has no ``"n"``), min/max degrade to the stored mean.
-        """
-        values = rec.get("v", [])
-        ring = cls(
-            rec.get("name", "?"), rec.get("labels"),
-            capacity=max(2, len(values)),
-        )
-        counts = rec.get("n") or [1] * len(values)
-        for t, v, n in zip(rec.get("t", []), values, counts):
-            ring._t.append(float(t))
-            ring._v.append(float(v))
-            ring._mn.append(float(v))
-            ring._mx.append(float(v))
-            ring._n.append(int(n))
-        return ring
 
     def __repr__(self) -> str:
         return (
@@ -336,7 +310,7 @@ class HealthSampler:
         )
         self._thread.start()
 
-    def stop_wall(self, final_sample: bool = True) -> None:
+    def stop_wall(self) -> None:
         """Stop the daemon thread (and take one last snapshot)."""
         thread = self._thread
         if thread is None:
@@ -344,8 +318,7 @@ class HealthSampler:
         self._stop.set()
         thread.join(timeout=2.0)
         self._thread = None
-        if final_sample:
-            self.sample()
+        self.sample()
 
 
 # -- the health reading and its fold -----------------------------------------

@@ -25,6 +25,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.telemetry.clock import ClockSource
+
 # -- span kinds --------------------------------------------------------------
 #: Whole task lifecycle: submit -> admission -> ... -> done/miss/reject.
 TASK = "task"
@@ -124,7 +126,7 @@ class TelemetryTracer:
 
     enabled = True
 
-    def __init__(self, clock) -> None:
+    def __init__(self, clock: ClockSource) -> None:
         self.clock = clock
         #: Finished spans, in completion order.
         self.spans: List[Span] = []

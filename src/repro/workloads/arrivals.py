@@ -15,6 +15,9 @@ from repro.sim.events import Event, Interrupt
 from repro.sim.rng import fallback_rng
 from repro.workloads.catalog import MediaCatalog
 
+#: Max conversion hops considered when picking a goal format.
+MAX_GOAL_HOPS = 3
+
 
 @dataclass
 class WorkloadConfig:
@@ -30,8 +33,6 @@ class WorkloadConfig:
     importance_range: tuple = (1, 5)
     #: Stop submitting after this simulated time (None = forever).
     stop_at: Optional[float] = None
-    #: Max conversion hops considered when picking a goal format.
-    max_goal_hops: int = 3
 
     def __post_init__(self) -> None:
         if self.rate <= 0:
@@ -95,7 +96,7 @@ class TaskArrivalProcess:
         goals = self._goals_cache.get(obj.fmt)
         if goals is None:
             goals = self.catalog.reachable_from(
-                obj.fmt, max_hops=self.config.max_goal_hops
+                obj.fmt, max_hops=MAX_GOAL_HOPS
             )
             self._goals_cache[obj.fmt] = goals
         if not goals:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.media.formats import MediaFormat
-from repro.media.transcode import TranscodingCostModel
+from repro.media.transcode import transcode_work
 
 
 def default_formats() -> List[MediaFormat]:
@@ -38,9 +38,6 @@ class MediaCatalog:
     """
 
     formats: List[MediaFormat] = field(default_factory=default_formats)
-    cost_model: TranscodingCostModel = field(
-        default_factory=TranscodingCostModel
-    )
     canonical_duration: float = 60.0
     max_upscale: float = 1.0
 
@@ -69,7 +66,7 @@ class MediaCatalog:
 
     def work_of(self, src: MediaFormat, dst: MediaFormat) -> float:
         """Canonical work of one conversion instance."""
-        return self.cost_model.work(src, dst, self.canonical_duration)
+        return transcode_work(src, dst, self.canonical_duration)
 
     def out_bytes_of(self, dst: MediaFormat) -> float:
         """Canonical output volume of a conversion into *dst*."""

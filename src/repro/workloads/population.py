@@ -18,6 +18,10 @@ from repro.media.objects import MediaObject
 from repro.overlay.network import PeerSpec, ServiceInstanceSpec
 from repro.workloads.catalog import MediaCatalog
 
+#: Beta(a, b) parameters for uptime scores in [0, 1].
+UPTIME_ALPHA = 6.0
+UPTIME_BETA = 2.0
+
 
 @dataclass
 class PopulationConfig:
@@ -31,9 +35,6 @@ class PopulationConfig:
     #: Bandwidth tiers (bytes/s) and their probabilities.
     bandwidth_tiers: tuple = (2.5e5, 1.25e6, 1.25e7)
     bandwidth_probs: tuple = (0.2, 0.6, 0.2)
-    #: Beta(a, b) parameters for uptime scores in [0, 1].
-    uptime_alpha: float = 6.0
-    uptime_beta: float = 2.0
     #: Conversion types hosted per peer.
     services_per_peer: int = 6
     #: Distinct media objects in the system.
@@ -158,7 +159,7 @@ def generate_specs(
     bandwidths = rng.choice(
         cfg.bandwidth_tiers, size=cfg.n_peers, p=cfg.bandwidth_probs
     )
-    uptimes = rng.beta(cfg.uptime_alpha, cfg.uptime_beta, size=cfg.n_peers)
+    uptimes = rng.beta(UPTIME_ALPHA, UPTIME_BETA, size=cfg.n_peers)
 
     conversions = catalog.conversions()
     # Seed coverage: spread every conversion type across the population.

@@ -53,18 +53,12 @@ class ScenarioConfig:
     churn: Optional[ChurnConfig] = None
     enable_backups: bool = True
     enable_gossip: bool = True
-    #: Intra/inter-domain one-way base latencies (seconds) and jitter.
-    intra_latency: float = 0.005
-    inter_latency: float = 0.050
-    latency_jitter: float = 0.3
     #: Link bandwidth, bytes/second.
     bandwidth: float = 1.25e6
     #: Per-message loss probability on the fabric; the loss pattern is
     #: drawn from the run seed's "loss" stream, so two seeds produce
     #: different drop patterns and one seed reproduces exactly.
     loss_rate: float = 0.0
-    #: Fairness/utilization sampling period for metrics.
-    metrics_period: float = 1.0
 
 
 @dataclass
@@ -169,11 +163,7 @@ def build_scenario(
         streams=streams,
     )
     network.latency = DomainAwareLatency(
-        overlay.domain_of.get,
-        intra=cfg.intra_latency,
-        inter=cfg.inter_latency,
-        jitter=cfg.latency_jitter,
-        rng=streams.get("latency"),
+        overlay.domain_of.get, rng=streams.get("latency")
     )
 
     catalog = MediaCatalog(canonical_duration=cfg.population.object_duration)
@@ -208,7 +198,7 @@ def build_scenario(
         config=cfg.workload,
         rng=streams.get("arrivals"),
     )
-    metrics.start_sampling(overlay, period=cfg.metrics_period)
+    metrics.start_sampling(overlay)
 
     return Scenario(
         config=cfg,

@@ -138,11 +138,9 @@ class TraceReplayProcess:
         self,
         overlay: OverlayNetwork,
         entries: List[TraceEntry],
-        start_offset: float = 0.0,
     ) -> None:
         self.overlay = overlay
         self.entries = sorted(entries, key=lambda e: e.time)
-        self.start_offset = start_offset
         self.n_submitted = 0
         self.n_skipped = 0
         self.n_submit_failures = 0
@@ -150,7 +148,7 @@ class TraceReplayProcess:
 
     def _loop(self) -> Generator[Event, Any, None]:
         env = self.overlay.env
-        base = env.now + self.start_offset
+        base = env.now
         try:
             for entry in self.entries:
                 target = base + entry.time

@@ -1,23 +1,8 @@
-"""EWMA, clamp, percentile, table formatting."""
+"""EWMA, percentile, table formatting."""
 
 import pytest
 
-from repro.common.util import EWMA, clamp, fmt_table, percentile
-
-
-class TestClamp:
-    def test_inside(self):
-        assert clamp(5, 0, 10) == 5
-
-    def test_below(self):
-        assert clamp(-1, 0, 10) == 0
-
-    def test_above(self):
-        assert clamp(11, 0, 10) == 10
-
-    def test_empty_interval(self):
-        with pytest.raises(ValueError):
-            clamp(1, 5, 2)
+from repro.common.util import EWMA, fmt_table, percentile
 
 
 class TestEWMA:

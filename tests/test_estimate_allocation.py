@@ -172,7 +172,7 @@ class TestAllocator:
         info.peer("P2").power = 0.0
         est = CompletionTimeEstimator()
         graph = info.resource_graph
-        for edge in graph.edges_at_peer("P2"):
+        for edge in (e for e in graph.edges() if e.peer_id == "P2"):
             assert est.service_time(info, edge, 0.0) == float("inf")
         e1_e2 = [graph.edge("e1"), graph.edge("e2")]
         assert est.estimate_path(

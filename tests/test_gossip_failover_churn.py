@@ -56,7 +56,7 @@ class TestGossipConvergence:
         env.run(until=30.0)
         agents = [d.gossip for d in overlay.domains.values()]
         assert all(len(a.summaries) == 3 for a in agents)
-        assert agents[0].converged_with(agents[1:])
+        assert all(a.digest() == agents[0].digest() for a in agents[1:])
 
     def test_remote_summaries_visible_to_rm(self):
         env = Environment()
@@ -199,7 +199,7 @@ class TestFailover:
         env = Environment()
         overlay, domain = self.build_domain_with_backup(env)
         primary, backup = domain.rm, domain.backup
-        members_before = set(primary.member_ids)
+        members_before = set(primary.info.peers)
 
         def killer():
             yield env.timeout(10.0)
@@ -208,21 +208,7 @@ class TestFailover:
         env.process(killer())
         env.run(until=30.0)
         expected = members_before - {primary.node_id}
-        assert set(backup.member_ids) == expected
-
-    def test_recovery_delay_reported(self):
-        env = Environment()
-        overlay, domain = self.build_domain_with_backup(env)
-        agent = domain.failover
-
-        def killer():
-            yield env.timeout(10.0)
-            overlay.fail_peer(domain.rm.node_id)
-
-        env.process(killer())
-        env.run(until=30.0)
-        assert agent.recovery_delay is not None
-        assert agent.recovery_delay > 0
+        assert set(backup.info.peers) == expected
 
 
 class TestChurn:

@@ -34,7 +34,7 @@ class TestResourceGraph:
         g = ResourceGraph()
         e = g.add_service("u", "v", "svc", "p", 2.0, 100.0, edge_id="e1")
         assert g.has_state("u") and g.has_state("v")
-        assert g.out_edges("u") == [e] and g.in_edges("v") == [e]
+        assert g.out_edges("u") == [e]
 
     def test_parallel_edges_allowed(self):
         g = ResourceGraph()
@@ -55,7 +55,7 @@ class TestResourceGraph:
     def test_remove_edge(self):
         g = diamond()
         g.remove_edge("ab")
-        assert not g.has_edge("ab")
+        assert all(e.edge_id != "ab" for e in g.edges())
         assert all(e.edge_id != "ab" for e in g.out_edges("a"))
         g.remove_edge("ghost")  # idempotent
 
@@ -68,15 +68,11 @@ class TestResourceGraph:
         assert len(removed) == 2
         assert g.n_edges == 1 and g.peers() == ["pY"]
 
-    def test_edges_at_peer(self):
-        g = diamond()
-        assert [e.edge_id for e in g.edges_at_peer("p1")] == ["sa"]
-
     def test_copy_is_independent(self):
         g = diamond()
         dup = g.copy()
         dup.remove_peer("p1")
-        assert g.has_edge("sa") and not dup.has_edge("sa")
+        assert g.edge("sa") and "sa" not in {e.edge_id for e in dup.edges()}
 
     def test_peers_order(self):
         g = diamond()
@@ -306,23 +302,6 @@ class TestServiceGraph:
         sg = ServiceGraph.from_edges("t1", self.make_edges(), "src", "sink")
         assert sg.peers() == ["src", "p1", "p3", "sink"]
         assert sg.uses_peer("p3") and not sg.uses_peer("ghost")
-
-    def test_steps_on_peer(self):
-        sg = ServiceGraph.from_edges("t1", self.make_edges(), "src", "sink")
-        assert len(sg.steps_on_peer("p1")) == 1
-
-    def test_replace_step(self):
-        sg = ServiceGraph.from_edges("t1", self.make_edges(), "src", "sink")
-        new = sg.steps[1].with_peer("p9")
-        sg.replace_step(1, new)
-        assert sg.steps[1].peer_id == "p9"
-
-    def test_replace_step_index_mismatch(self):
-        sg = ServiceGraph.from_edges("t1", self.make_edges(), "src", "sink")
-        with pytest.raises(ValueError):
-            sg.replace_step(0, sg.steps[1])
-        with pytest.raises(IndexError):
-            sg.replace_step(9, sg.steps[1].with_peer("x"))
 
     def test_record_timing_validation(self):
         sg = ServiceGraph.from_edges("t1", self.make_edges(), "src", "sink")

@@ -32,7 +32,7 @@ from repro.telemetry import (
     Telemetry,
 )
 from repro.telemetry.dash import main as dash_main
-from repro.telemetry.export import read_jsonl, write_jsonl
+from repro.telemetry.export import TraceData, read_jsonl, write_trace_data
 from repro.telemetry.httpd import TelemetryHTTPServer
 from repro.telemetry.metrics import (
     Histogram,
@@ -87,16 +87,15 @@ class TestSeriesRing:
         # Old points are merged, never dropped; the newest stays raw.
         assert sum(ring.counts()) == 10
         assert ring.last == 18.0
-        assert ring.points()[-1] == (9.0, 18.0, 18.0, 18.0, 1)
+        assert ring.points_since(9.0) == [(9.0, 18.0, 18.0, 18.0, 1)]
 
-    def test_record_round_trip(self):
+    def test_as_record(self):
         ring = SeriesRing("repro_peer_load", {"peer": "p1"})
         ring.append(1.0, 0.5)
         rec = ring.as_record()
         assert rec["name"] == "repro_peer_load"
         assert rec["labels"] == {"peer": "p1"}
-        back = SeriesRing.from_record(rec)
-        assert back.values() == [0.5]
+        assert rec["v"] == [0.5]
 
     def test_capacity_validated(self):
         # A merge needs a pair: one slot cannot hold history.
@@ -187,7 +186,12 @@ class TestHealthSampler:
         sampler.attach_sim(env)
         env.run(until=5.0)
         path = tmp_path / "t.jsonl"
-        write_jsonl(path, tel.tracer, tel.metrics, sampler=sampler)
+        write_trace_data(path, TraceData(
+            meta={"clock": "sim"},
+            spans=tel.tracer.spans, events=tel.tracer.events,
+            metrics=tel.metrics.snapshot(),
+            series=sampler.records(),
+        ))
         data = read_jsonl(path)
         assert data.series
         names = {rec["name"] for rec in data.series}
@@ -280,6 +284,40 @@ class TestFlightRecorder:
         # Only the last-N-seconds window rides along.
         window_start = bundle.meta["time"] - bundle.meta["window"]
         assert all(ev.time >= window_start for ev in bundle.events)
+
+    def test_dump_reads_back_whole_and_renders(self, tmp_path, capsys):
+        env = Environment()
+        tel = telemetry.activate(Telemetry.sim(env))
+        sampler = HealthSampler(tel)
+        for peer, load in (("p1", 0.5), ("p2", 0.2)):
+            sampler.add_probe(
+                lambda s, p=peer, v=load: s.observe("repro_peer_load", v, peer=p)
+            )
+        recorder = FlightRecorder(
+            tel, out_dir=str(tmp_path), window=5.0, sampler=sampler,
+        )
+        for i in range(10):
+            env.run(until=float(i))
+            tel.tracer.end_span(tel.tracer.start_span(
+                f"s{i}", kind=telemetry.SERVICE, node="p1",
+            ))
+            tel.tracer.event("rm.elected", node="p1")
+            tel.metrics.counter("repro_test_total", i=str(i % 3)).inc()
+            sampler.sample()
+        path = recorder.dump("manual", now=9.0)
+        recorder.close()
+        bundle = read_jsonl(path)
+        # The window is t in [4, 9]: six spans and six events.
+        assert (len(bundle.spans), len(bundle.events)) == (6, 6)
+        assert len(bundle.series) == 2
+        assert len(bundle.metrics) == len(tel.metrics.snapshot()) == 3
+        assert bundle.meta["reason"] == "manual" and bundle.meta["window"] == 5.0
+        trace = tmp_path / "t.jsonl"
+        write_trace_data(trace, TraceData(
+            meta={"clock": "sim"}, series=sampler.records(),
+        ))
+        assert dash_main([str(trace), "--bundle", path]) == 0
+        assert "window spans: 6  series: 2" in capsys.readouterr().out
 
     def test_miss_burst_triggers_exactly_one_dump(self, tmp_path):
         tel = telemetry.activate(Telemetry.wall())
@@ -399,7 +437,7 @@ class TestQuantiles:
         h = Histogram(buckets=(1.0, 2.0, 4.0))
         for v in (0.5, 1.5, 1.5, 3.0):
             h.observe(v)
-        q = h.quantiles()
+        q = {p: h.quantile(p) for p in (0.5, 0.95)}
         assert 0.0 < q[0.5] <= 2.0
         assert q[0.95] <= 4.0
         assert h.quantile(1.0) == 4.0
@@ -465,10 +503,12 @@ class TestDashCli:
         sampler.attach_sim(env)
         env.run(until=20.0)
         path = tmp_path / "trace.jsonl"
-        write_jsonl(
-            path, tel.tracer, tel.metrics,
-            meta={"runtime": "sim"}, sampler=sampler,
-        )
+        write_trace_data(path, TraceData(
+            meta={"clock": "sim", "runtime": "sim"},
+            spans=tel.tracer.spans, events=tel.tracer.events,
+            metrics=tel.metrics.snapshot(),
+            series=sampler.records(),
+        ))
         return path
 
     def test_report_renders_sparklines(self, tmp_path, capsys):
@@ -519,6 +559,10 @@ class TestDashCli:
         env = Environment()
         tel = telemetry.activate(Telemetry.sim(env))
         path = tmp_path / "plain.jsonl"
-        write_jsonl(path, tel.tracer, tel.metrics)
+        write_trace_data(path, TraceData(
+            meta={"clock": "sim"},
+            spans=tel.tracer.spans, events=tel.tracer.events,
+            metrics=tel.metrics.snapshot(),
+        ))
         assert dash_main([str(path)]) == 0
         assert "--sample" in capsys.readouterr().out

@@ -130,7 +130,7 @@ class TestObjectsAndServices:
                                               edge_id="e1")
         assert "svc" in info.peer("p2").services
         assert edge.peer_id == "p2"
-        assert info.resource_graph.has_edge(edge.edge_id)
+        assert info.resource_graph.edge(edge.edge_id) is edge
 
 
 class TestRunningTasks:
@@ -149,9 +149,3 @@ class TestRunningTasks:
         assert info.service_graphs["t1"] is g
         assert info.drop_service_graph("t1") is g
         assert info.drop_service_graph("t1") is None
-
-    def test_tasks_using_peer(self, info):
-        info.register_service_graph(self.make_graph("t1", ["p1", "p2"]))
-        info.register_service_graph(self.make_graph("t2", ["p3", "p3"]))
-        using_p2 = info.tasks_using_peer("p2")
-        assert [g.task_id for g in using_p2] == ["t1"]

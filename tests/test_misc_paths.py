@@ -74,7 +74,7 @@ class TestManagerHandlerEdges:
 
 
 class TestOverlayQueries:
-    def test_all_tasks_deduplicates(self):
+    def test_domain_for(self):
         from repro.core.manager import RMConfig
         from repro.net import ConstantLatency, Network
         from repro.overlay import OverlayNetwork, PeerSpec
@@ -87,7 +87,6 @@ class TestOverlayQueries:
                                  enable_gossip=False)
         overlay.join(PeerSpec(peer_id="p0", power=10.0,
                               bandwidth=2e6, uptime=0.9))
-        assert overlay.all_tasks() == []
         assert overlay.domain_for("p0") is not None
         assert overlay.domain_for("ghost") is None
 

@@ -23,11 +23,10 @@ class TestServiceObservation:
         obs.observe(2.0, 8.0)
         obs.observe(4.0, 8.0)
         assert obs.mean_time == pytest.approx(3.0)
-        assert obs.mean_rate == pytest.approx(16.0 / 6.0)
 
     def test_empty_means_zero(self):
         obs = ServiceObservation("svc")
-        assert obs.mean_time == 0.0 and obs.mean_rate == 0.0
+        assert obs.mean_time == 0.0
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

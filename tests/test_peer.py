@@ -48,11 +48,6 @@ def stream(task_id, dst="P2", step_index=0, epoch=0, src="P1"):
 
 
 class TestComposeOrder:
-    def test_next_peer_after(self, live_domain):
-        order = make_order(live_domain, steps_peers=("P2", "P3"))
-        assert order.next_peer_after(0) == "P3"
-        assert order.next_peer_after(1) == "P4"
-
     def test_bytes_into(self, live_domain):
         order = make_order(live_domain, steps_peers=("P2", "P3"))
         assert order.bytes_into(0) == 1000.0
@@ -397,7 +392,7 @@ class TestTaskStateRelease:
         # Repairs and reassignments re-send orders to hops whose part is
         # done; this run has none, so every hop's state must be gone.
         assert summary.n_repairs == summary.n_reassignments == 0
-        tasks = scenario.overlay.all_tasks()
+        tasks = [t for rm in scenario.overlay.rms() for t in rm.tasks.values()]
         assert all(t.state.name in ("DONE", "FAILED", "REJECTED")
                    for t in tasks)
         assert scenario.env.now > max(

@@ -46,7 +46,9 @@ def placement_records(scenario) -> list:
     ``task_id`` is excluded: ids come from each run's own counter
     (``env.ids``, fresh from 1), so they pin id naming, not placement.
     """
-    tasks = scenario.overlay.all_tasks()
+    tasks = list({
+        t.task_id: t for rm in scenario.overlay.rms() for t in rm.tasks.values()
+    }.values())
     tasks.sort(key=lambda t: (t.submitted_at, int(t.task_id[1:])))
     return [
         {

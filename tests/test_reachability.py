@@ -1,4 +1,4 @@
-"""Every ``src/repro`` module is reachable from an entry point.
+"""Every ``src/repro`` module and name is reachable from an entry point.
 
 The entry points are the ``[project.scripts]`` modules, the non-test
 files of ``benchmarks/e2e/`` and ``examples/``, and the experiment
@@ -8,6 +8,12 @@ statement, in function bodies too, and every package a module sits in.
 A module outside it is reached from ``tests/`` only: delete it, or name
 it in :data:`ALLOWED` with the reason it stays (its package and what it
 imports then stay with it).
+
+The same holds one level down: every function, class and method defined
+under ``src/repro`` is named somewhere in a non-test file outside its
+own definition (see :func:`name_references`).  One that is not is
+called from tests only: delete it, or name it in :data:`ALLOWED_NAMES`
+with the reason it stays.
 """
 
 from __future__ import annotations
@@ -25,6 +31,44 @@ SRC = ROOT / "src" / "repro"
 ALLOWED = {
     "repro.analysis.queueing":
         "M/D/1 and M/M/1 oracle of tests/test_analysis.py::TestSimulatorVsTheory",
+}
+
+
+#: Definitions no non-test file names, kept with the reason.
+ALLOWED_NAMES = {
+    "repro.analysis.queueing.mm1_mean_wait":
+        "M/M/1 oracle of tests/test_analysis.py (module kept in ALLOWED)",
+    "repro.analysis.queueing.mm1_mean_response":
+        "M/M/1 oracle of tests/test_analysis.py (module kept in ALLOWED)",
+    "repro.analysis.queueing.md1_mean_response":
+        "M/D/1 oracle of tests/test_analysis.py (module kept in ALLOWED)",
+    "repro.core.control.placement.register_policy":
+        "the documented extension point (docs/architecture.md)",
+    "repro.core.estimate.CompletionTimeEstimator.service_time":
+        "readable reference of the arithmetic estimate_path inlines; "
+        "tests/test_estimate_allocation.py checks paths against it",
+    "repro.core.fairness.optimal_single_load":
+        "the l_best of §4.2: tests/test_fairness.py checks the "
+        "non-monotonic fairness index against it",
+    "repro.core.peer.Peer.request_qos_change":
+        "§4.5 renegotiation, the only QOS_UPDATE sender",
+    "repro.experiments.base.ExperimentResult.column":
+        "the paper-claim tests (benchmarks/test_e*.py) read results "
+        "through it",
+    "repro.runtime.transport.UdpTransport.error_received":
+        "asyncio.DatagramProtocol callback",
+    "repro.summaries.bloom.BloomFilter.for_capacity":
+        "the standard m = -n ln p / (ln 2)^2 sizing the module documents",
+    "repro.telemetry.deactivate":
+        "the documented inverse of activate; test fixtures restore the "
+        "no-op handle with it",
+    "repro.telemetry.httpd.TelemetryHTTPServer.__init__._Handler.do_GET":
+        "http.server request-handler callback",
+    "repro.telemetry.httpd.TelemetryHTTPServer.__init__._Handler"
+    ".log_message":
+        "http.server request-handler callback",
+    "repro.telemetry.logs._EnsureNode.filter":
+        "logging.Filter callback",
 }
 
 
@@ -81,6 +125,81 @@ def entry_files() -> list[Path]:
     return bench + list((ROOT / "examples").glob("*.py"))
 
 
+def script_functions() -> set[str]:
+    """The functions ``pyproject.toml``'s ``[project.scripts]`` call."""
+    text = (ROOT / "pyproject.toml").read_text()
+    table = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    return set(re.findall(r'^\S+\s*=\s*"[\w.]+:(\w+)"', table, re.MULTILINE))
+
+
+def definitions(path: Path, module: str) -> list[tuple[str, ast.AST]]:
+    """``(dotted name, node)`` of every function and class in *path*,
+    nested ones included."""
+    out = []
+
+    def visit(body: list, owner: str) -> None:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                name = f"{owner}.{node.name}"
+                out.append((name, node))
+                visit(node.body, name)
+            else:
+                for block in ("body", "orelse", "finalbody", "handlers"):
+                    visit(getattr(node, block, None) or [], owner)
+
+    visit(ast.parse(path.read_text(), str(path)).body, module)
+    return out
+
+
+def name_references(path: Path) -> list[tuple[str, int]]:
+    """``(identifier, line)`` for every name *path* uses: a variable, an
+    attribute, or a string constant spelling one (``getattr`` tables).
+    Imports and the strings of ``__all__`` are not uses."""
+    tree = ast.parse(path.read_text(), str(path))
+    exported = {
+        id(node)
+        for stmt in tree.body if isinstance(stmt, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__"
+                for t in stmt.targets)
+        for node in ast.walk(stmt.value)
+    }
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.attr, node.lineno))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier() and id(node) not in exported):
+            refs.append((node.value, node.lineno))
+    return refs
+
+
+def unreferenced_names() -> set[str]:
+    """Definitions under ``src/repro`` that no non-test file names
+    outside the definition itself (dunders and script ``main``s aside)."""
+    modules = src_modules()
+    uses: dict[str, list[tuple[Path, int]]] = {}
+    for path in [*modules.values(), *entry_files()]:
+        for name, line in name_references(path):
+            uses.setdefault(name, []).append((path, line))
+    called = script_functions()
+    out = set()
+    for module, path in modules.items():
+        for dotted, node in definitions(path, module):
+            name = dotted.rsplit(".", 1)[1]
+            if name.startswith("__") and name.endswith("__") or name in called:
+                continue
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            if not any(
+                p != path or not first <= line <= node.end_lineno
+                for p, line in uses.get(name, ())
+            ):
+                out.add(dotted)
+    return out
+
+
 def test_entry_points_exist():
     scripts = script_modules()
     assert len(scripts) == 7
@@ -110,3 +229,17 @@ def test_allowlist_is_current():
     leaves the list."""
     entry, modules = reached()
     assert set(ALLOWED) <= set(modules) - entry
+
+
+def test_every_name_is_reachable():
+    unreached = sorted(unreferenced_names() - set(ALLOWED_NAMES))
+    assert unreached == [], (
+        f"named from tests only: {unreached}; delete them or list them "
+        "in ALLOWED_NAMES with the reason they stay"
+    )
+
+
+def test_name_allowlist_is_current():
+    """An allowed name that a non-test file names, or that is gone,
+    leaves the list."""
+    assert set(ALLOWED_NAMES) <= unreferenced_names()

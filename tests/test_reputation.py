@@ -19,6 +19,9 @@ import pytest
 import repro
 from repro.core.control.reputation import (
     PROBATION,
+    PROBATION_CAPACITY,
+    QUARANTINE_PENALTY,
+    QUARANTINE_THRESHOLD,
     QUARANTINED,
     SUSPECT,
     TRUSTED,
@@ -63,7 +66,7 @@ class TestSignals:
         rec = record()
         eng.note_join(rec)
         feed(eng, rec, 20, load=4.0)
-        st = eng.state_of("p1")
+        st = eng._states["p1"]
         assert st.state == TRUSTED and st.score == pytest.approx(1.0)
         assert eng.load_penalty("p1", rec, now=20.0) == 0.0
         assert st.signals == {}
@@ -74,14 +77,14 @@ class TestSignals:
         eng.note_join(rec)
         # True power 10 vs claim 30: a lie, but inside the warmup.
         feed(eng, rec, 2, power=10.0)
-        assert eng.state_of("p1").signals == {}
+        assert eng._states["p1"].signals == {}
 
     def test_power_mismatch_fires_without_streak_gate(self):
         eng = make_engine(warmup_reports=0)
         rec = record(power=30.0)  # join claim inflated 3x
         eng.note_join(rec)
         eng.observe_report(report(power=10.0, t=0.0), rec, 0.0, 0.0)
-        st = eng.state_of("p1")
+        st = eng._states["p1"]
         assert st.signals == {"power_mismatch": 1}
         assert st.score < 1.0
 
@@ -90,7 +93,7 @@ class TestSignals:
         rec = record(power=30.0)
         eng.note_join(rec)
         feed(eng, rec, 5, power=10.0)
-        st = eng.state_of("p1")
+        st = eng._states["p1"]
         assert st.state == QUARANTINED and st.quarantines == 1
         assert eng.is_quarantined("p1", now=5.0)
 
@@ -99,7 +102,7 @@ class TestSignals:
         rec = record(power=10.0)
         eng.note_join(rec)
         feed(eng, rec, 10, power=12.0)  # 1.2x drift: fine
-        assert eng.state_of("p1").signals == {}
+        assert eng._states["p1"].signals == {}
 
     def test_under_report_needs_streak(self):
         eng = make_engine(warmup_reports=0, timing_streak=3)
@@ -110,9 +113,9 @@ class TestSignals:
             eng.observe_report(
                 report(load=0.0, t=float(i)), rec, 8.0, float(i)
             )
-        assert eng.state_of("p1").signals == {}
+        assert eng._states["p1"].signals == {}
         eng.observe_report(report(load=0.0, t=2.0), rec, 8.0, 2.0)
-        assert eng.state_of("p1").signals == {"under_report": 1}
+        assert eng._states["p1"].signals == {"under_report": 1}
 
     def test_consistent_report_resets_under_report_streak(self):
         eng = make_engine(warmup_reports=0, timing_streak=3)
@@ -125,7 +128,7 @@ class TestSignals:
         # One honest-looking report in between resets the streak.
         eng.observe_report(report(load=6.0, t=2.0), rec, 8.0, 2.0)
         eng.observe_report(report(load=0.0, t=3.0), rec, 8.0, 3.0)
-        assert eng.state_of("p1").signals == {}
+        assert eng._states["p1"].signals == {}
 
     def test_tiny_projection_never_judged(self):
         eng = make_engine(warmup_reports=0)
@@ -133,7 +136,7 @@ class TestSignals:
         eng.note_join(rec)
         # 1 unit projected on a 10-power peer: proves nothing.
         feed(eng, rec, 10, load=0.0, projected=1.0)
-        assert eng.state_of("p1").signals == {}
+        assert eng._states["p1"].signals == {}
 
     def test_isolated_timing_ding_leaves_peer_trusted(self):
         """Half-weight timing penalty: one ding cannot reach suspect."""
@@ -141,7 +144,7 @@ class TestSignals:
         rec = record(power=10.0)
         eng.note_join(rec)
         eng.observe_report(report(load=0.0, t=0.0), rec, 8.0, 0.0)
-        st = eng.state_of("p1")
+        st = eng._states["p1"]
         assert st.signals == {"under_report": 1}
         assert st.state == TRUSTED
         assert eng.load_penalty("p1", rec, now=0.0) == 0.0
@@ -155,7 +158,7 @@ class TestSignals:
         for i in range(3):
             eng.observe_step("p1", rec, work=1.0, elapsed=10.0,
                              now=float(i))
-        assert eng.state_of("p1").signals == {"slow_completion": 1}
+        assert eng._states["p1"].signals == {"slow_completion": 1}
 
     def test_step_ignored_when_peer_admits_busy(self):
         eng = make_engine(warmup_reports=0, idle_claim_util=0.5)
@@ -165,7 +168,7 @@ class TestSignals:
         for i in range(5):
             eng.observe_step("p1", rec, work=1.0, elapsed=10.0,
                              now=float(i))
-        assert eng.state_of("p1").signals == {}
+        assert eng._states["p1"].signals == {}
 
     def test_fast_step_resets_streak(self):
         eng = make_engine(warmup_reports=0, timing_streak=3)
@@ -175,7 +178,7 @@ class TestSignals:
         eng.observe_step("p1", rec, work=1.0, elapsed=10.0, now=0.0)
         eng.observe_step("p1", rec, work=9.0, elapsed=1.0, now=1.0)
         eng.observe_step("p1", rec, work=1.0, elapsed=10.0, now=2.0)
-        assert eng.state_of("p1").signals == {}
+        assert eng._states["p1"].signals == {}
 
 
 class TestStateMachine:
@@ -184,41 +187,41 @@ class TestStateMachine:
         rec = record(power=30.0)
         eng.note_join(rec)
         feed(eng, rec, 6, power=10.0)
-        assert eng.state_of("p1").state == QUARANTINED
+        assert eng._states["p1"].state == QUARANTINED
         return eng, rec
 
     def test_quarantine_penalty_is_infeasible_load(self):
         eng, rec = self.quarantined_engine()
         assert eng.load_penalty("p1", rec, now=10.0) == pytest.approx(
-            rec.power * eng.config.quarantine_penalty
+            rec.power * QUARANTINE_PENALTY
         )
 
     def test_quarantine_expires_into_probation(self):
         eng, rec = self.quarantined_engine()
-        until = eng.state_of("p1").quarantined_until
+        until = eng._states["p1"].quarantined_until
         assert not eng.is_quarantined("p1", now=until + 1.0)
-        st = eng.state_of("p1")
+        st = eng._states["p1"]
         assert st.state == PROBATION
-        assert st.score >= eng.config.quarantine_threshold
+        assert st.score >= QUARANTINE_THRESHOLD
         # Probation: reduced capacity, not exile.
         penalty = eng.load_penalty("p1", rec, now=until + 1.0)
         assert penalty == pytest.approx(
-            rec.power * (1.0 - eng.config.probation_capacity)
+            rec.power * (1.0 - PROBATION_CAPACITY)
         )
 
     def test_probationer_recovers_to_trusted(self):
         eng, rec = self.quarantined_engine()
-        until = eng.state_of("p1").quarantined_until
+        until = eng._states["p1"].quarantined_until
         eng.is_quarantined("p1", now=until + 1.0)  # expire
         # Power claim fixed, reports consistent: trust climbs back.
         feed(eng, rec, 30, power=30.0, t0=until + 2.0)
-        st = eng.state_of("p1")
+        st = eng._states["p1"]
         assert st.state == TRUSTED
         assert eng.load_penalty("p1", rec, now=until + 40.0) == 0.0
 
     def test_relapse_escalates_quarantine_period(self):
         eng, rec = self.quarantined_engine()
-        st = eng.state_of("p1")
+        st = eng._states["p1"]
         first = st.quarantined_until  # now=5 + 30 s base period
         eng.is_quarantined("p1", now=first + 1.0)  # -> probation
         # From probation the first lying report re-quarantines.
@@ -239,7 +242,7 @@ class TestStateMachine:
         now = 0.0
         for _ in range(6):  # 30, 60, 120, 240, 240, 240
             feed(eng, rec, 6, power=10.0, t0=now)
-            st = eng.state_of("p1")
+            st = eng._states["p1"]
             assert st.state == QUARANTINED
             now = st.quarantined_until + 1.0
             eng.is_quarantined("p1", now=now)
@@ -250,7 +253,7 @@ class TestStateMachine:
         rec = record(power=30.0)
         eng.note_join(rec)
         feed(eng, rec, 2, power=10.0)
-        st = eng.state_of("p1")
+        st = eng._states["p1"]
         assert st.state == SUSPECT
         assert eng.load_penalty("p1", rec, now=2.0) == pytest.approx(
             rec.power * (1.0 - st.score)
@@ -259,7 +262,7 @@ class TestStateMachine:
     def test_forget_and_unknown_peer(self):
         eng, rec = self.quarantined_engine()
         eng.forget("p1")
-        assert eng.state_of("p1") is None
+        assert "p1" not in eng._states
         assert eng.load_penalty("p1", rec, now=0.0) == 0.0
         assert not eng.is_quarantined("p1", now=0.0)
 
@@ -274,7 +277,6 @@ class TestStateMachine:
         assert snap["quarantines_total"] == 1
         assert snap["peers"]["p2"]["state"] == TRUSTED
         assert snap["signals"]["power_mismatch"] > 0
-        assert eng.quarantined_ids(now=5.0) == ["p1"]
 
 
 class TestInfoBaseHook:
@@ -293,11 +295,11 @@ class TestInfoBaseHook:
         eng = ReputationEngine()
         info.reputation = eng
         eng.note_join(info.peer("p1"))
-        st = eng.state_of("p1")
+        st = eng._states["p1"]
         st.state = QUARANTINED
         st.quarantined_until = 1e9
         info.update_from_report(report("p1", load=4.0))
-        expected = 4.0 + 10.0 * eng.config.quarantine_penalty
+        expected = 4.0 + 10.0 * QUARANTINE_PENALTY
         assert info.effective_load("p1", now=0.0) == pytest.approx(expected)
         # The untouched peer pays nothing.
         assert info.effective_load("p2", now=0.0) == 0.0
@@ -307,7 +309,7 @@ class TestInfoBaseHook:
         info.reputation = eng
         eng.note_join(info.peer("p1"))
         info.remove_peer("p1")
-        assert eng.state_of("p1") is None
+        assert "p1" not in eng._states
 
     def test_projected_load_reads_live_deltas(self, info):
         info.project_allocation("t1", {"p1": 2.0}, expires_at=50.0)

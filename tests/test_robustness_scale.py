@@ -53,10 +53,7 @@ class TestGossipRobustness:
 class TestConnectionManagerProperties:
     @given(
         st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=9),   # target node
-                st.booleans(),                           # pin?
-            ),
+            st.integers(min_value=0, max_value=9),  # target node
             min_size=1,
             max_size=60,
         ),
@@ -70,17 +67,12 @@ class TestConnectionManagerProperties:
         for i in range(10):
             NetNode(env, net, f"t{i}")
         cm = ConnectionManager(owner, max_connections=cap)
-        from repro.net import ConnectionCapacityError
 
-        for target, pin in ops:
-            try:
-                cm.ensure(f"t{target}", pin=pin)
-            except ConnectionCapacityError:
-                # Only legal when every slot is pinned.
-                assert len(cm._pinned & set(cm._last_used)) == cap
+        for target in ops:
+            cm.ensure(f"t{target}")
             # Invariants after every operation:
             assert cm.n_open <= cap
-            assert cm._pinned <= set(cm._last_used) | set()
+            assert f"t{target}" in cm.connections()
             env.run()  # drain handshakes
 
 

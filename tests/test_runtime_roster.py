@@ -47,7 +47,7 @@ def test_upsert_bumps_above_anything_seen():
     first = r.upsert(entry("P1"))
     assert first.version == 1
     r.tombstone("P1")
-    assert r.version_of("P1") == 2
+    assert r.get("P1").version == 2
     rejoin = r.upsert(entry("P1", port=2000))
     # The re-join outranks the tombstone: it must propagate everywhere.
     assert rejoin.version == 3 and rejoin.up
@@ -102,18 +102,12 @@ def test_merge_converges_regardless_of_delivery_order():
     assert all(s == snapshots[0] for s in snapshots)
 
 
-def test_ring_order_and_successor():
+def test_ring_order():
     r = Roster()
     for mid in ("P1", "P2", "P3", "P4"):
         r.upsert(entry(mid))
-    ring = r.ring_ids()
+    ring = [e.member_id for e in r.nodes_up()]
     assert ring == sorted(ring, key=lambda m: (ring_position(m), m))
-    # successor owns the first position at/after the key, wrapping.
-    owner = r.successor("some-task-key")
-    assert owner in ring
-    pos = ring_position("some-task-key")
-    eligible = [m for m in ring if ring_position(m) >= pos]
-    assert owner == (eligible[0] if eligible else ring[0])
 
 
 def test_coordinator_is_ring_lowest_live_agent():
@@ -121,7 +115,7 @@ def test_coordinator_is_ring_lowest_live_agent():
     for i in range(3):
         r.upsert(entry(f"roster@s{i}", kind=KIND_AGENT))
     r.upsert(entry("P1"))  # nodes never coordinate
-    agents = r.ring_ids(kind=KIND_AGENT)
+    agents = [e.member_id for e in r.agents_up()]
     assert r.coordinator() == agents[0]
     # The coordinator crashing promotes the next ring position — every
     # replica computes the same answer with no election messages.

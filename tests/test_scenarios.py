@@ -28,7 +28,8 @@ from repro.scenarios import (
 )
 from repro.scenarios import suite as scenario_suite
 from repro.sim import Environment, RandomStreams
-from repro.sim.rng import ambient_streams, fallback_rng, set_ambient_streams
+from repro.sim import rng as sim_rng
+from repro.sim.rng import fallback_rng, set_ambient_streams
 from repro.workloads.configio import config_from_dict
 from repro.workloads.scenario import build_scenario
 
@@ -333,9 +334,9 @@ class TestFaultScript:
             rng=scenario.streams.get("faults"),
         )
         scenario.env.run(until=5.0)
-        assert scenario.network.partitioned
+        assert scenario.network._partition is not None
         scenario.env.run(until=12.0)
-        assert not scenario.network.partitioned
+        assert scenario.network._partition is None
         assert script.n_partitions == 1 and script.n_heals == 1
         assert scenario.network.stats.partition_drops > 0
 
@@ -525,7 +526,7 @@ class TestBuilder:
     def test_builder_installs_ambient_streams(self):
         spec = ScenarioSpec.from_dict(small_doc())
         stressed = build_stressed_scenario(spec)
-        assert ambient_streams() is stressed.scenario.streams
+        assert sim_rng._ambient is stressed.scenario.streams
 
     def test_spec_reusable_across_builds(self, tmp_path):
         """One loaded spec can be built repeatedly (bench repeat)."""
@@ -645,6 +646,7 @@ class TestHealthCoupling:
     def test_deadline_miss_burst_fires_once_per_cooldown(self, tmp_path):
         from repro import telemetry
         from repro.telemetry.flight_recorder import FlightRecorder
+        from repro.telemetry.tracer import TraceEvent
 
         tel = telemetry.Telemetry.sim(Environment())
         recorder = FlightRecorder(
@@ -652,15 +654,10 @@ class TestHealthCoupling:
             cooldown=30.0,
         )
 
-        class Rec:
-            def __init__(self, t):
-                self.t = t
-
-            def as_dict(self):
-                return {"name": "job.missed", "time": self.t}
-
         def miss(t):
-            recorder._on_record("event", Rec(t))
+            recorder._on_record(
+                "event", TraceEvent(time=t, name="job.missed", node="p0")
+            )
 
         # 4 misses in 1s: the 4th crosses burst=3 -> one dump.
         for t in (0.0, 0.2, 0.4, 0.6):

@@ -15,18 +15,6 @@ class TestQoS:
         with pytest.raises(ValueError):
             QoSRequirements(deadline=1.0, importance=0.0)
 
-    def test_relax_scales_deadline(self):
-        q = QoSRequirements(deadline=10.0, importance=2.0,
-                            constraints={"k": 1})
-        r = q.relax(1.5)
-        assert r.deadline == 15.0
-        assert r.importance == 2.0
-        assert r.constraints == {"k": 1} and r.constraints is not q.constraints
-
-    def test_relax_validation(self):
-        with pytest.raises(ValueError):
-            QoSRequirements(deadline=10.0).relax(0.0)
-
     def test_frozen(self):
         q = QoSRequirements(deadline=1.0)
         with pytest.raises(Exception):
@@ -115,10 +103,3 @@ class TestLifecycle:
         t.mark_running()
         t.mark_allocated([("s1", "p2")], 0.7, "d0")
         assert t.allocation == [("s1", "p2")]
-
-    def test_peers_used_deduplicates_in_order(self):
-        t = make_task()
-        t.mark_allocated(
-            [("s1", "p2"), ("s2", "p1"), ("s3", "p2")], 1.0, "d0"
-        )
-        assert t.peers_used() == ["p2", "p1"]

@@ -29,7 +29,7 @@ from repro.telemetry.analyze import (
     task_traces,
 )
 from repro.telemetry.cli import main as trace_cli_main
-from repro.telemetry.export import read_jsonl, write_jsonl
+from repro.telemetry.export import TraceData, read_jsonl, write_trace_data
 
 
 @pytest.fixture(autouse=True)
@@ -165,14 +165,16 @@ class TestExport:
     def test_span_tree_round_trips_through_jsonl(self, tmp_path):
         tel = self.build()
         path = tmp_path / "trace.jsonl"
-        write_jsonl(path, tel.tracer, tel.metrics, meta={"seed": 7})
+        write_trace_data(path, TraceData(
+            meta={"clock": "sim", "seed": 7},
+            spans=tel.tracer.spans, events=tel.tracer.events,
+            metrics=tel.metrics.snapshot(),
+        ))
         data = read_jsonl(path)
         assert data.clock == "sim"
         assert data.meta["seed"] == 7
         assert [s.as_dict() for s in data.spans] == [
-            s.as_dict() for s in sorted(
-                tel.tracer.spans, key=lambda s: (s.start, s.span_id)
-            )
+            s.as_dict() for s in tel.tracer.spans
         ]
         by_id = {s.span_id: s for s in data.spans}
         child = next(s for s in data.spans if s.kind == telemetry.SERVICE)
@@ -187,7 +189,11 @@ class TestExport:
     def test_reader_tolerates_unknown_record_types(self, tmp_path):
         tel = self.build()
         path = tmp_path / "trace.jsonl"
-        write_jsonl(path, tel.tracer, tel.metrics)
+        write_trace_data(path, TraceData(
+            meta={"clock": "sim"},
+            spans=tel.tracer.spans, events=tel.tracer.events,
+            metrics=tel.metrics.snapshot(),
+        ))
         with open(path, "a", encoding="utf-8") as fp:
             fp.write(json.dumps({"type": "future-thing", "x": 1}) + "\n")
         data = read_jsonl(path)
@@ -196,7 +202,11 @@ class TestExport:
     def test_write_accepts_file_object(self):
         tel = self.build()
         buf = io.StringIO()
-        write_jsonl(buf, tel.tracer, tel.metrics)
+        write_trace_data(buf, TraceData(
+            meta={"clock": "sim"},
+            spans=tel.tracer.spans, events=tel.tracer.events,
+            metrics=tel.metrics.snapshot(),
+        ))
         first = json.loads(buf.getvalue().splitlines()[0])
         assert first["type"] == "meta" and first["clock"] == "sim"
 
@@ -373,7 +383,11 @@ def _sample_trace(tmp_path):
     tel.metrics.counter("net_messages_sent_total").inc(4)  # pre-rename trace
     tel.metrics.counter("net_messages_delivered_total").inc(4)
     path = tmp_path / "t.jsonl"
-    write_jsonl(path, tel.tracer, tel.metrics)
+    write_trace_data(path, TraceData(
+        meta={"clock": "sim"},
+        spans=tel.tracer.spans, events=tel.tracer.events,
+        metrics=tel.metrics.snapshot(),
+    ))
     return path
 
 
@@ -505,10 +519,11 @@ class TestLiveTracing:
     ):
         tel = live_trace["tel"]
         path = tmp_path / "live.jsonl"
-        write_jsonl(
-            path, tel.tracer, tel.metrics,
-            meta={"aggregate": live_trace["aggregate"]},
-        )
+        write_trace_data(path, TraceData(
+            meta={"clock": "wall", "aggregate": live_trace["aggregate"]},
+            spans=tel.tracer.spans, events=tel.tracer.events,
+            metrics=tel.metrics.snapshot(),
+        ))
         data = read_jsonl(path)
         assert data.clock == "wall"
         traces = [

@@ -13,6 +13,7 @@ from repro.workloads import (
     build_scenario,
 )
 from repro.workloads.configio import (
+    config_from_dict,
     config_from_json,
     config_to_json,
 )
@@ -158,6 +159,23 @@ class TestConfigIO:
             config_from_json('{"tracing": true}')
         with pytest.raises(ValueError, match="allocation_policy"):
             config_from_json('{"allocation_policy": "random"}')
+
+    @pytest.mark.parametrize("section, key", [
+        (None, "intra_latency"), (None, "inter_latency"),
+        (None, "latency_jitter"), (None, "metrics_period"),
+        ("population", "uptime_alpha"), ("population", "uptime_beta"),
+        ("workload", "max_goal_hops"), ("churn", "exempt_rms"),
+        ("qualification", "w_power"), ("qualification", "w_bandwidth"),
+        ("qualification", "w_uptime"),
+        ("gossip", "bloom_bits"), ("gossip", "bloom_hashes"),
+        ("rm", "monitor_period"), ("rm", "low_importance_cap"),
+    ])
+    def test_retired_key_rejected_by_name(self, section, key):
+        # Knobs nothing set became module constants; a saved config that
+        # still names one fails loudly instead of being ignored.
+        doc = {key: 1.0} if section is None else {section: {key: 1.0}}
+        with pytest.raises(ValueError, match=key):
+            config_from_dict(doc)
 
     def test_unknown_section_key_rejected(self):
         with pytest.raises(ValueError):
