@@ -1,12 +1,12 @@
 """The micro benchmarks behind ``repro-bench``.
 
 Each one isolates a hot path — the event kernel, network send, mailbox
-traffic, the periodic plane and the RM's allocation search; for the
-live runtime, a loopback UDP round trip, the clock pump and the wire
-codec — so that a
-change seen end to end (``python3 -m benchmarks.e2e``, the judge) can
-be attributed to a layer.  The simulated micros are deterministic:
-fixed seeds, no wall-clock dependence inside the simulated world.
+traffic, the periodic plane, the RM's allocation search and the LLS
+processor; for the live runtime, a loopback UDP round trip, the clock
+pump and the wire codec — so that a change seen end to end
+(``python3 -m benchmarks.e2e``, the judge) can be attributed to a
+layer.  The simulated micros are deterministic: fixed seeds, no
+wall-clock dependence inside the simulated world.
 """
 
 from __future__ import annotations
@@ -360,6 +360,41 @@ def _micro_allocate(n_allocations: int, warmup: float = 20.0) -> Callable:
     return fn
 
 
+def _micro_processor(n_jobs: int) -> Callable:
+    """One LLS ``Processor`` (quantum 0.1 s) fed *n_jobs* jobs, one per
+    0.3 s (utilisation ~0.83): slices end on quantum expiry, completion
+    and arrival wake-ups.  ``events_per_sec`` reads slices/s, and
+    ``metrics["gc_collected"]`` is what the run left to the collector."""
+    from repro.profiling.gc_probe import garbage_left_by
+    from repro.scheduling.job import Job
+    from repro.scheduling.policies import LLSPolicy
+    from repro.scheduling.processor import Processor
+    from repro.sim import Environment
+
+    def run() -> List[Any]:
+        env = Environment()
+        cpu = Processor(env, "p", power=1.0, policy=LLSPolicy(), quantum=0.1)
+        jobs = [Job(work=0.1 + 0.05 * (k % 7), release=0.3 * k,
+                    abs_deadline=0.3 * k + 0.5 + 0.25 * (k % 5))
+                for k in range(n_jobs)]
+
+        def feed():
+            for job in jobs:
+                cpu.submit(job)
+                yield env.timeout(0.3)
+
+        env.process(feed())
+        env.run()
+        return [cpu, jobs]  # alive in the closing count, with their env
+
+    def fn() -> Dict[str, Any]:
+        (_cpu, jobs), collected = garbage_left_by(run)
+        slices = sum(1 + job.preemptions for job in jobs)
+        return {"events": slices, "metrics": {"gc_collected": collected}}
+
+    return fn
+
+
 #: The registry, in execution order.
 BENCHES: List[BenchSpec] = [
     BenchSpec(
@@ -397,6 +432,11 @@ BENCHES: List[BenchSpec] = [
         name="micro_allocate", make=_micro_allocate,
         params={"n_allocations": 8_000},
         quick_params={"n_allocations": 2_000},
+    ),
+    BenchSpec(
+        name="micro_processor", make=_micro_processor,
+        params={"n_jobs": 40_000},
+        quick_params={"n_jobs": 10_000},
     ),
     BenchSpec(
         name="micro_codec", make=_micro_codec,

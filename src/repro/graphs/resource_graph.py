@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Iterator, List
+from typing import Any, Dict, Hashable, Iterator, List, Optional
 
 
 @dataclass(frozen=True)
@@ -59,24 +59,36 @@ class ResourceGraph:
     """
 
     def __init__(self) -> None:
-        self._vertices: Dict[Hashable, None] = {}
+        #: Out-edges per state; its keys are the states, in insertion order.
         self._out: Dict[Hashable, List[ServiceEdge]] = {}
         self._edges: Dict[str, ServiceEdge] = {}
+        self._view: Optional[tuple] = None
 
     # -- vertices -----------------------------------------------------------
     def add_state(self, state: Hashable) -> None:
         """Add an application state (idempotent)."""
-        if state not in self._vertices:
-            self._vertices[state] = None
+        if state not in self._out:
             self._out[state] = []
+            self._view = None
 
     def has_state(self, state: Hashable) -> bool:
-        return state in self._vertices
+        return state in self._out
 
     @property
     def states(self) -> List[Hashable]:
         """All states, in insertion order."""
-        return list(self._vertices)
+        return list(self._out)
+
+    def search_view(self) -> tuple:
+        """``(index, adj)`` for the Fig-3 search: each state's int, and
+        per int its out-edges as ``(dst int, edge)``.  Built on first
+        use and dropped by every mutation, so it is never stale."""
+        if self._view is None:
+            index = {state: i for i, state in enumerate(self._out)}
+            self._view = index, [
+                [(index[e.dst], e) for e in edges] for edges in self._out.values()
+            ]
+        return self._view
 
     # -- edges ------------------------------------------------------------------
     def add_service(
@@ -102,6 +114,7 @@ class ResourceGraph:
             raise ValueError(f"duplicate edge id {edge.edge_id!r}")
         self._edges[edge.edge_id] = edge
         self._out[src].append(edge)
+        self._view = None
         return edge
 
     def remove_edge(self, edge_id: str) -> None:
@@ -110,6 +123,7 @@ class ResourceGraph:
         if edge is None:
             return
         self._out[edge.src].remove(edge)
+        self._view = None
 
     def remove_peer(self, peer_id: str) -> List[ServiceEdge]:
         """Remove every edge hosted at *peer_id* (peer disconnect, §4.1).
@@ -135,7 +149,7 @@ class ResourceGraph:
 
     @property
     def n_states(self) -> int:
-        return len(self._vertices)
+        return len(self._out)
 
     @property
     def n_edges(self) -> int:
@@ -154,7 +168,6 @@ class ResourceGraph:
         # whole graph every replication period); the adjacency lists are
         # cloned, the edges themselves shared.
         g = ResourceGraph()
-        g._vertices = dict.fromkeys(self._vertices)
         g._out = {v: list(es) for v, es in self._out.items()}
         g._edges = dict(self._edges)
         return g

@@ -113,38 +113,38 @@ def _bfs_paper(
     state: Any,
     max_expansions: int,
 ) -> Iterator[Tuple[Path, Any]]:
-    # Read the adjacency dict directly: out_edges() returns a defensive
-    # copy, but this loop only iterates (allocation runs this search for
-    # every admitted task).
-    out = graph._out
-    # A queue entry is (edge, state of the parent prefix, parent entry):
-    # it is its own parent link, so queueing a prefix copies nothing.
+    # On the graph's interned view, the goal and visited tests compare
+    # ints: most pops are parallel edges into an expanded state.
+    index, adj = graph.search_view()
+    start, goal = index[v_init], index[v_sol]
+    # A queue entry is (edge, its dst, state of the parent prefix,
+    # parent entry): it is its own parent link, so queueing a prefix
+    # copies nothing.  The goal is never marked visited.
     queue: deque[tuple] = deque(
-        (edge, state, None) for edge in out.get(v_init, ())
+        (edge, dst, state, None) for dst, edge in adj[start]
     )
     popleft = queue.popleft
     append = queue.append
-    visited: set[Hashable] = {v_init}
+    visited = [False] * len(adj)
+    visited[start] = True
     expansions = 1
     while queue and expansions <= max_expansions:
         entry = popleft()
-        edge = entry[0]
-        v = edge.dst
-        at_goal = v == v_sol
-        if not at_goal and v in visited:
+        v = entry[1]
+        if visited[v]:
             continue
-        state = entry[1]
+        state = entry[2]
         if extend is not None:
-            state = extend(state, edge)
+            state = extend(state, entry[0])
             if state is None:
                 continue
-        if at_goal:
+        if v == goal:
             yield _path_of(entry), state
             continue
-        visited.add(v)
+        visited[v] = True
         expansions += 1
-        for edge in out.get(v, ()):
-            append((edge, state, entry))
+        for dst, edge in adj[v]:
+            append((edge, dst, state, entry))
 
 
 def _dfs_simple(

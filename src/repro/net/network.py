@@ -137,6 +137,8 @@ class Network:
         self._partition: Optional[Dict[str, int]] = None
         #: Last scheduled arrival per (src, dst), for FIFO ordering.
         self._last_arrival: Dict[Tuple[str, str], float] = {}
+        #: Each node's keys in ``_last_arrival``, as src or dst.
+        self._pairs_of: Dict[str, Set[Tuple[str, str]]] = {}
         # Bound once: every send attaches this callback to its delivery
         # event, and re-binding the method per message shows up at scale.
         self._on_arrival = self._handle_arrival
@@ -158,10 +160,10 @@ class Network:
         """
         self._nodes.pop(node_id, None)
         self._down.discard(node_id)
-        if self._last_arrival:
-            stale = [k for k in self._last_arrival if node_id in k]
-            for k in stale:
-                del self._last_arrival[k]
+        for key in self._pairs_of.pop(node_id, ()):
+            del self._last_arrival[key]
+            for end in key:
+                self._pairs_of.get(end, set()).discard(key)
 
     def node(self, node_id: str) -> "NetNode":
         """Look up a registered node."""
@@ -263,7 +265,10 @@ class Network:
         key = (src, dst)
         arrival = now + delay
         floor = self._last_arrival.get(key)
-        if floor is not None and floor > arrival:
+        if floor is None:
+            for end in key:
+                self._pairs_of.setdefault(end, set()).add(key)
+        elif floor > arrival:
             arrival = floor
         self._last_arrival[key] = arrival
         # Environment.schedule inlined (one delivery per message): a

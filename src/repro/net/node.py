@@ -181,9 +181,9 @@ class NetNode:
         waiter = Event(self.env)
         self._pending[msg.msg_id] = waiter
         deadline = self.env.timeout(timeout)
-        outcome = yield waiter | deadline
-        if waiter in outcome:
-            return outcome[waiter]
+        first = yield waiter | deadline
+        if first is waiter:
+            return waiter.value
         self._pending.pop(msg.msg_id, None)
         raise RPCTimeout(msg, timeout)
 

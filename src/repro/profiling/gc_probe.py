@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import gc
 from time import perf_counter
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
 class GCProbe:
@@ -20,6 +20,7 @@ class GCProbe:
     def __init__(self) -> None:
         self.collections: List[int] = [0, 0, 0]
         self.seconds: List[float] = [0.0, 0.0, 0.0]
+        self.collected = 0  # unreachable objects the collections found
         self._t0 = perf_counter()
         self._wall: Optional[float] = None
         #: Start of the collection in progress; None between them, and
@@ -34,6 +35,7 @@ class GCProbe:
             gen = info["generation"]
             self.collections[gen] += 1
             self.seconds[gen] += perf_counter() - self._started
+            self.collected += info["collected"] + info["uncollectable"]
             self._started = None
 
     def stop(self) -> None:
@@ -52,6 +54,20 @@ class GCProbe:
             "seconds": [round(s, 6) for s in self.seconds],
             "share": round(sum(self.seconds) / wall, 5),
         }
+
+
+def garbage_left_by(run: Callable[[], Any]) -> Tuple[Any, int]:
+    """``run()``'s result and the objects it left to the cyclic
+    collector, which stays on (its pauses are run time).  The result is
+    alive in the closing collection, so what it holds is not counted."""
+    gc.collect()
+    probe = GCProbe()
+    try:
+        result = run()
+        gc.collect()
+    finally:
+        probe.stop()
+    return result, probe.collected
 
 
 def format_gc(block: Dict[str, Any]) -> str:

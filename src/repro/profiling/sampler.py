@@ -241,7 +241,7 @@ class SimEventProfiler:
 
     def detach(self) -> None:
         if self._attached:
-            self.env.clear_profile_hook()
+            self.env.set_profile_hook(None)
             self._attached = False
 
     # -- the hook -----------------------------------------------------------

@@ -66,7 +66,8 @@ class Job:
         self.release = float(release)
         self.abs_deadline = float(abs_deadline)
         self.importance = float(importance)
-        #: Event fired on completion (set by the processor at submit).
+        #: Event fired on completion (set by the processor at submit,
+        #: cleared once it has fired).
         self.done: Optional["Event"] = None
         self.started_at: Optional[float] = None
         self.completed_at: Optional[float] = None

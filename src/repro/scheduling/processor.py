@@ -38,6 +38,15 @@ def qos_class(importance: float) -> str:
     return "low"
 
 
+def _resolve(job: Job) -> None:
+    """Succeed *job*'s done event with the job, once, and drop it from
+    the job: the event holds the job, so keeping both is a cycle."""
+    done = job.done
+    if done is not None:
+        job.done = None
+        done.succeed(job)
+
+
 class Processor:
     """A single peer's CPU.
 
@@ -122,19 +131,11 @@ class Processor:
         self.n_cancelled += 1
         if job in self.ready:
             self.ready.remove(job)
-            if job.done is not None and not job.done.triggered:
-                job.done.succeed(job)
+            _resolve(job)
         elif job is self.running:
             # The run loop observes the flag at the next preemption point;
             # force one now.
             self._kick()
-
-    def cancel_all(self, reason: str = "") -> None:
-        """Cancel every queued and running job (peer going down)."""
-        for job in list(self.ready):
-            self.cancel(job, reason)
-        if self.running is not None:
-            self.cancel(self.running, reason)
 
     def stop(self) -> None:
         """Halt the processor permanently (peer departure)."""
@@ -142,18 +143,17 @@ class Processor:
             return
         self._stopped = True
         running = self.running
-        self.cancel_all("processor stopped")
+        for job in list(self.ready):
+            self.cancel(job)
+        if running is not None:
+            self.cancel(running)
         if self._proc.is_alive:
             self._proc.interrupt("stop")
         # The interrupt may beat the preemption wake-up, in which case the
         # run loop never observes the cancelled running job: resolve its
         # completion event here so no session waits forever.
-        if (
-            running is not None
-            and running.done is not None
-            and not running.done.triggered
-        ):
-            running.done.succeed(running)
+        if running is not None:
+            _resolve(running)
 
     # -- load inspection ---------------------------------------------------------
     @property
@@ -164,31 +164,18 @@ class Processor:
     def queue_work(self) -> float:
         """Remaining work across all queued and running jobs."""
         total = sum(j.remaining for j in self.ready)
-        if self.running is not None:
-            total += self._running_remaining()
+        job, start = self.running, self._slice_started
+        if job is not None:
+            # Less what the slice in progress has done of it.
+            done = 0.0 if start is None else (self.env.now - start) * self.power
+            total += max(0.0, job.remaining - done)
         return total
 
     def busy_time_now(self) -> float:
         """Cumulative busy time including the in-progress slice."""
-        extra = 0.0
         if self.running is not None and self._slice_started is not None:
-            extra = self.env.now - self._slice_started
-        return self.busy_time + extra
-
-    def utilization(self, since: float, busy_at_since: float) -> float:
-        """Mean utilization over a window given a previous busy snapshot."""
-        span = self.env.now - since
-        if span <= 0:
-            return 1.0 if self.running is not None else 0.0
-        return min(1.0, (self.busy_time_now() - busy_at_since) / span)
-
-    def _running_remaining(self) -> float:
-        job = self.running
-        assert job is not None
-        done = 0.0
-        if self._slice_started is not None:
-            done = (self.env.now - self._slice_started) * self.power
-        return max(0.0, job.remaining - done)
+            return self.busy_time + (self.env.now - self._slice_started)
+        return self.busy_time
 
     # -- internals ------------------------------------------------------------
     def _kick(self) -> None:
@@ -253,8 +240,7 @@ class Processor:
                 self.running = None
 
                 if job.cancelled:
-                    if job.done is not None and not job.done.triggered:
-                        job.done.succeed(job)
+                    _resolve(job)
                     continue
                 if job.remaining <= _EPS * max(1.0, job.work):
                     job.remaining = 0.0
@@ -286,8 +272,7 @@ class Processor:
                         tel.metrics.gauge(
                             "repro_sched_queue_depth", peer=self.peer_id
                         ).set(self.queue_length)
-                    if job.done is not None:
-                        job.done.succeed(job)
+                    _resolve(job)
                 else:
                     # Preempted (arrival or quantum expiry): back to ready.
                     self.ready.append(job)

@@ -143,16 +143,10 @@ class Environment:
         not schedule events or mutate simulation state, so the event
         trajectory is identical with or without it.  The unhooked run loop
         is untouched — :meth:`run` selects a separate loop variant when a
-        hook is installed.
+        hook is installed.  ``set_profile_hook(None)`` removes it.
         """
         self._profile_hook = hook
         self._profile_stride = stride_box if stride_box is not None else [1]
-        self._profile_i = 0
-
-    def clear_profile_hook(self) -> None:
-        """Remove any installed profile hook."""
-        self._profile_hook = None
-        self._profile_stride = [1]
         self._profile_i = 0
 
     def run(self, until: Union[None, float, Event] = None) -> Any:
@@ -199,42 +193,27 @@ class Environment:
         hook = self._profile_hook
         try:
             if hook is not None:
-                # Hooked variants: identical dispatch semantics plus a
+                # Hooked variant: identical dispatch semantics plus a
                 # stride counter and the sampling call.  Kept separate so
-                # the default loops above/below stay byte-identical (the
+                # the default loops below stay byte-identical (the
                 # trajectory goldens time the unhooked path).
                 stride_box = self._profile_stride
                 i = self._profile_i
-                if stop_at is None:
-                    while queue:
-                        entry = pop(queue)
-                        self._now = entry[0]
-                        n += 1
-                        event = entry[3]
-                        callbacks, event.callbacks = event.callbacks, None
-                        for callback in callbacks:
-                            callback(event)
-                        if not event._ok and not callbacks:
-                            raise event._value
-                        i += 1
-                        if i >= stride_box[0]:
-                            i = 0
-                            hook(event, callbacks)
-                else:
-                    while queue and queue[0][0] <= stop_at:
-                        entry = pop(queue)
-                        self._now = entry[0]
-                        n += 1
-                        event = entry[3]
-                        callbacks, event.callbacks = event.callbacks, None
-                        for callback in callbacks:
-                            callback(event)
-                        if not event._ok and not callbacks:
-                            raise event._value
-                        i += 1
-                        if i >= stride_box[0]:
-                            i = 0
-                            hook(event, callbacks)
+                limit = float("inf") if stop_at is None else stop_at
+                while queue and queue[0][0] <= limit:
+                    entry = pop(queue)
+                    self._now = entry[0]
+                    n += 1
+                    event = entry[3]
+                    callbacks, event.callbacks = event.callbacks, None
+                    for callback in callbacks:
+                        callback(event)
+                    if not event._ok and not callbacks:
+                        raise event._value
+                    i += 1
+                    if i >= stride_box[0]:
+                        i = 0
+                        hook(event, callbacks)
             elif stop_at is None:
                 while queue:
                     entry = pop(queue)

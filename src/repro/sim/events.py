@@ -385,32 +385,33 @@ class Process(Event):
 
 
 class AnyOf(Event):
-    """Fires when *any* component event has fired; value maps event->value.
+    """Fires once, when its first component event fires: it succeeds
+    with that winning event as its value, or fails with its exception.
 
     ``a | b`` builds one: the processor races its quantum against a
-    wake-up, an RPC its reply against a deadline.
+    wake-up, an RPC its reply against a deadline.  Each component holds
+    one bound ``_fire`` and the race holds no component, so the loser
+    (dropped, or still on the heap) closes no reference cycle.
     """
 
-    __slots__ = ("events",)
+    __slots__ = ()
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
-        self.events = list(events)
-        for ev in self.events:
-            if ev.env is not env:
-                raise ValueError("cannot mix events from different environments")
-        for ev in self.events:
-            if ev.processed:
-                self._check(ev)
+        events = list(events)
+        if any(ev.env is not env for ev in events):
+            raise ValueError("cannot mix events from different environments")
+        fire = self._fire
+        for ev in events:
+            if ev.callbacks is None:  # already processed
+                fire(ev)
             else:
-                ev.callbacks.append(self._check)
+                ev.callbacks.append(fire)
 
-    def _check(self, event: Event) -> None:
-        if self.triggered:
+    def _fire(self, event: Event) -> None:
+        if self._value is not _PENDING:
             return
-        if not event._ok:
+        if event._ok:
+            self.succeed(event)
+        else:
             self.fail(event._value)
-            return
-        self.succeed(
-            {ev: ev._value for ev in self.events if ev.processed and ev._ok}
-        )

@@ -107,7 +107,7 @@ class TestSelect:
 class TestUngatedMicros:
     NAMES = {
         "micro_udp_roundtrip", "micro_pump_tick", "micro_allocate",
-        "micro_periodic_timers", "micro_codec",
+        "micro_periodic_timers", "micro_codec", "micro_processor",
     }
 
     def test_periodic_timers_event_count(self):
@@ -156,6 +156,12 @@ class TestUngatedMicros:
         assert 0 < metrics["placed"] <= 40
         assert metrics["paths_examined"] >= metrics["placed"]
 
+    def test_processor_slices_leave_nothing_for_the_collector(self):
+        spec = next(s for s in BENCHES if s.name == "micro_processor")
+        out = spec.make(n_jobs=300)()
+        assert out["events"] > 2 * 300  # quanta and wake-ups split jobs
+        assert out["metrics"] == {"gc_collected": 0}
+
 
 class TestCli:
     def test_list_exits_zero(self, capsys):
@@ -165,7 +171,8 @@ class TestCli:
         assert listed == [
             "micro_event_kernel", "micro_net_send", "micro_mailbox",
             "micro_periodic_timers", "micro_udp_roundtrip",
-            "micro_pump_tick", "micro_allocate", "micro_codec",
+            "micro_pump_tick", "micro_allocate", "micro_processor",
+            "micro_codec",
         ]
 
     def test_unknown_bench_exits_two(self, capsys):

@@ -348,3 +348,38 @@ class TestFifoFloorPruning:
         assert registered == set(overlay.peers)
         for src, dst in net._last_arrival:
             assert src in registered and dst in registered
+
+
+class TestFifoFloorIndex:
+    """A departure prunes its own pairs through the per-node index."""
+
+    def test_destination_only_node_is_pruned(self, env):
+        net, a, b = make_pair(env)
+        c = NetNode(env, net, "c")
+        for node in (b, c):
+            node.on("m", lambda msg: None)
+        a.send("m", "b")  # b is only ever a destination
+        a.send("m", "c")
+        env.run()
+        net.unregister("b")
+        assert list(net._last_arrival) == [("a", "c")]
+        assert "b" not in net._pairs_of
+        assert net._pairs_of["a"] == {("a", "c")}
+        assert net._pairs_of["c"] == {("a", "c")}
+
+    def test_index_matches_floor_map_through_churn(self, env):
+        net = Network(env, ConstantLatency(0.01), bandwidth=1e9)
+        nodes = {i: NetNode(env, net, f"n{i}") for i in range(5)}
+        for node in nodes.values():
+            node.on("m", lambda msg: None)
+        for i in range(5):
+            for j in (i, (i + 1) % 5, (i + 3) % 5):
+                nodes[i].send("m", f"n{j}")
+        env.run()
+        for gone in ("n1", "n3"):
+            net.unregister(gone)
+            indexed = {k for keys in net._pairs_of.values() for k in keys}
+            assert indexed == set(net._last_arrival)
+            for node_id, keys in net._pairs_of.items():
+                assert all(node_id in k for k in keys)
+        assert all("n1" not in k and "n3" not in k for k in net._last_arrival)

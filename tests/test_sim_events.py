@@ -1,5 +1,7 @@
 """Event lifecycle and composition primitives."""
 
+import gc
+
 import pytest
 
 from repro.sim import Environment
@@ -86,17 +88,15 @@ class TestTimeout:
 class TestConditions:
     def test_any_of_fires_on_first(self, env):
         a, b = env.timeout(1, "a"), env.timeout(3, "b")
-        got = {}
+        got = []
 
         def waiter():
-            result = yield a | b
-            got["t"] = env.now
-            got["has_a"] = a in result
-            got["has_b"] = b in result
+            first = yield a | b
+            got.append((env.now, first))
 
         env.process(waiter())
         env.run()
-        assert got["t"] == 1.0 and got["has_a"] and not got["has_b"]
+        assert got == [(1.0, a)]
 
     def test_or_operator(self, env):
         cond = env.timeout(1) | env.timeout(2)
@@ -134,9 +134,48 @@ class TestConditions:
         done = []
 
         def waiter():
-            result = yield a | env.timeout(1)
-            done.append((env.now, result[a]))
+            first = yield a | env.timeout(1)
+            done.append((env.now, first, first.value))
 
         env.process(waiter())
         env.run()
-        assert done == [(0.0, "x")]
+        assert done == [(0.0, a, "x")]
+
+    def test_already_processed_component_fires_it_at_once(self, env):
+        a = env.timeout(0, "x")
+        env.run()
+        cond = env.timeout(1) | a
+        assert cond.triggered and cond.value is a
+
+    def test_failing_component_fails_it(self, env):
+        bad, slow = env.event(), env.timeout(5)
+        cond = bad | slow
+        boom = RuntimeError("boom")
+        bad.fail(boom)
+        cond.callbacks.append(lambda e: None)  # handled: run() must not raise
+        env.run()
+        assert not cond.ok and cond.value is boom
+
+    @pytest.mark.parametrize("winner", ["timeout", "wake"])
+    def test_race_leaves_nothing_for_the_collector(self, env, winner):
+        """The processor's race: a quantum against a wake-up.  Whichever
+        side wins, the loser closes no reference cycle."""
+        seen = []
+
+        def cpu():
+            for _ in range(3):
+                wake = env.event()
+                if winner == "wake":
+                    env.timeout(0.5).callbacks.append(
+                        lambda _e, wake=wake: wake.succeed())
+                seen.append((yield env.timeout(1.0) | wake))
+
+        gc.collect()
+        gc.disable()
+        try:
+            env.process(cpu())
+            env.run()
+            seen.clear()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
