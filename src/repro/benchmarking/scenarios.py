@@ -106,17 +106,23 @@ def _micro_mailbox(n_items: int) -> Callable:
     return fn
 
 
-def _micro_periodic_timers(n_peers: int, sim_seconds: float) -> Callable:
-    """The periodic plane alone: per peer, a 0.5 s sampler and a 2 s
-    reporter ``Timer`` (the Profiler's two periods) with EWMA-sized
-    bodies, run for *sim_seconds*.  ``events_per_sec`` counts the timers'
-    start events too; ``ticks`` is the body calls alone."""
+def _micro_timers(n_peers: int, sim_seconds: float) -> Callable:
+    """``sim_wide``'s tick mix with no network: per peer, a 0.5 s sampler
+    and a 2 s reporter ``Timer`` (the Profiler's two periods) with
+    EWMA-sized bodies, run for *sim_seconds*.  ``events_per_sec`` counts
+    the timers' start events too; ``ticks`` is the body calls alone,
+    ``ticks_per_s`` their rate, and ``peak_heap`` the longest event heap
+    a report tick saw after the first report round."""
 
     def fn() -> Dict[str, Any]:
+        from time import perf_counter
+
         from repro.sim import Environment
 
         env = Environment()
+        queue = env._queue
         ticks = [0]
+        peak = [0]
         for _ in range(n_peers):
             state = [0.0, 0.0]
 
@@ -127,11 +133,18 @@ def _micro_periodic_timers(n_peers: int, sim_seconds: float) -> Callable:
             def report(state=state) -> None:
                 state[1] = state[0]
                 ticks[0] += 1
+                if env.now > 2.0 and len(queue) > peak[0]:
+                    peak[0] = len(queue)
 
             env.every(0.5, sample)
             env.every(2.0, report)
+        start = perf_counter()
         env.run(until=sim_seconds)
-        return {"events": env.n_processed, "metrics": {"ticks": ticks[0]}}
+        seconds = perf_counter() - start
+        return {"events": env.n_processed, "metrics": {
+            "ticks": ticks[0], "ticks_per_s": ticks[0] / seconds,
+            "peak_heap": peak[0],
+        }}
 
     return fn
 
@@ -413,7 +426,7 @@ BENCHES: List[BenchSpec] = [
         quick_params={"n_items": 15_000},
     ),
     BenchSpec(
-        name="micro_periodic_timers", make=_micro_periodic_timers,
+        name="micro_timers", make=_micro_timers,
         params={"n_peers": 2500, "sim_seconds": 20.0},
         quick_params={"sim_seconds": 5.0},
     ),

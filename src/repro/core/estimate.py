@@ -159,47 +159,6 @@ class CompletionTimeEstimator:
                 return True
         return False
 
-    def feasible(
-        self,
-        info: DomainInfoBase,
-        net: Network,
-        path: Sequence[ServiceEdge],
-        deadline: float,
-        now: float,
-        source_peer: str,
-        sink_peer: str,
-        in_bytes: float,
-        prefix: bool = False,
-        work_scale: float = 1.0,
-    ) -> bool:
-        """Does this (prefix of a) path satisfy the requirement set q?
-
-        ``deadline`` is the *remaining* time budget (for a fresh task
-        this equals the relative QoS deadline; for a redirected or
-        repaired task the clock has already been running).
-
-        For a *prefix* only the lower-bound time check applies (the
-        capacity check is deferred to full candidates: a prefix's peers
-        are a subset, so capacity can only be checked meaningfully on
-        the complete assignment, and the time so far is already a valid
-        lower bound on any completion through this prefix).
-        """
-        if deadline <= 0:
-            return False
-        budget = deadline * (1.0 - self.safety_margin)
-        elapsed = self.estimate_path(
-            info, net, path, now, source_peer,
-            sink_peer if not prefix else (path[-1].peer_id if path else source_peer),
-            in_bytes, work_scale,
-        )
-        if elapsed > budget:
-            return False
-        if not prefix and self.path_overloads(
-            info, path, now, deadline, work_scale
-        ):
-            return False
-        return True
-
     def path_load_deltas(
         self,
         path: Sequence[ServiceEdge],

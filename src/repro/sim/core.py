@@ -48,6 +48,9 @@ class Environment:
         self.ids = ids if ids is not None else Ids()
         self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = 0
+        # The most recently pushed pending Timer tick, which a tick armed
+        # for the same instant joins instead of the heap (see Timer).
+        self._tick_head: Optional[Timer] = None
         #: Events processed so far (the benchmark harness's work unit).
         self.n_processed = 0
         #: The process currently being stepped (None outside process code).
@@ -127,19 +130,24 @@ class Environment:
             # than silently dropping it.
             raise event._value
         if self._profile_hook is not None:
-            self._profile_i += 1
-            if self._profile_i >= self._profile_stride[0]:
-                self._profile_i = 0
-                self._profile_hook(event, callbacks)
+            self._profiled(event, callbacks)
 
     # -- profiling ----------------------------------------------------------
+    def _profiled(self, event: Event, callbacks) -> None:
+        """Count one dispatched event toward the hook's stride."""
+        self._profile_i += 1
+        if self._profile_i >= self._profile_stride[0]:
+            self._profile_i = 0
+            self._profile_hook(event, callbacks)
+
     def set_profile_hook(self, hook, stride_box: Optional[list[int]] = None) -> None:
         """Install a sampling hook on the event dispatch loop.
 
         *hook* is called as ``hook(event, callbacks)`` after every
-        stride-th event has been dispatched, where the stride is read live
-        from ``stride_box[0]`` (a one-element list the caller may mutate to
-        retune the sample rate mid-run).  The hook observes only: it must
+        stride-th event has been dispatched (a coalesced Timer tick
+        included), where the stride is read live from ``stride_box[0]``
+        (a one-element list the caller may mutate to retune the sample
+        rate mid-run); the count carries across :meth:`run` calls.  The hook observes only: it must
         not schedule events or mutate simulation state, so the event
         trajectory is identical with or without it.  The unhooked run loop
         is untouched — :meth:`run` selects a separate loop variant when a
@@ -187,18 +195,17 @@ class Environment:
         # locals (the loop runs a few hundred thousand times per second
         # of large scenarios, so method/property dispatch per event is
         # measurable).  Keep any semantic change mirrored in step().
+        # Ticks a Timer head runs for its followers add to n_processed
+        # themselves, so the loop adds its own count on the way out.
         queue = self._queue
         pop = heapq.heappop
-        n = self.n_processed
-        hook = self._profile_hook
+        n = 0
         try:
-            if hook is not None:
-                # Hooked variant: identical dispatch semantics plus a
-                # stride counter and the sampling call.  Kept separate so
+            if self._profile_hook is not None:
+                # Hooked variant: identical dispatch semantics plus the
+                # stride count and the sampling call.  Kept separate so
                 # the default loops below stay byte-identical (the
                 # trajectory goldens time the unhooked path).
-                stride_box = self._profile_stride
-                i = self._profile_i
                 limit = float("inf") if stop_at is None else stop_at
                 while queue and queue[0][0] <= limit:
                     entry = pop(queue)
@@ -210,10 +217,7 @@ class Environment:
                         callback(event)
                     if not event._ok and not callbacks:
                         raise event._value
-                    i += 1
-                    if i >= stride_box[0]:
-                        i = 0
-                        hook(event, callbacks)
+                    self._profiled(event, callbacks)
             elif stop_at is None:
                 while queue:
                     entry = pop(queue)
@@ -239,7 +243,7 @@ class Environment:
         except StopSimulation:
             pass
         finally:
-            self.n_processed = n
+            self.n_processed += n
             if until_event is not None and until_event.callbacks is not None:
                 try:
                     until_event.callbacks.remove(self._stop_callback)

@@ -33,15 +33,11 @@ _PENDING = object()
 class Interrupt(Exception):
     """Raised inside a process that has been :meth:`Process.interrupt`-ed.
 
-    The interrupting party may attach an arbitrary ``cause`` which the
-    interrupted process can inspect to decide how to react (e.g. a peer
-    failure notification aborting an in-flight service invocation).
+    The interrupting party may attach an arbitrary cause, which the
+    interrupted process reads as ``args[0]`` to decide how to react
+    (e.g. a peer failure notification aborting an in-flight service
+    invocation).
     """
-
-    @property
-    def cause(self) -> Any:
-        """The cause passed to :meth:`Process.interrupt`."""
-        return self.args[0]
 
 
 class Event:
@@ -187,19 +183,29 @@ class Timer(Event):
     The process-free form of ``while True: yield env.timeout(d); body()``
     with the same kernel events: one URGENT start event at creation
     (the loop's :class:`Initialize`), then one NORMAL event per tick at
-    ``now + delay``.  The next tick is pushed after the body returns, so
+    ``now + delay``.  The next tick is armed after the body returns, so
     whatever the body schedules keeps the loop's sequence order.
     *delay* is a number or a zero-argument callable; a callable is
     re-read before every tick (adaptive periods).
 
-    The timer is itself the event on the heap and is re-armed in place:
-    a tick allocates no Process, generator, Timeout or callbacks list.
-    :meth:`cancel` works from anywhere, the body included; a tick that
-    is already pushed still pops, as an empty event.  An exception from
+    Ticks due at the same instant share one heap entry.  A tick that is
+    armed for exactly the due time of the most recently pushed pending
+    tick (``env._tick_head``) takes its seq and joins that head's
+    follower list instead of the heap.  The head runs its followers
+    after its own tick, in seq order, and pushes the rest back under
+    the next follower the moment the heap top orders first (an URGENT
+    event a body scheduled, a same-time event with a lower seq) or a
+    body raises.  Every tick is still one processed event in its
+    ``(time, priority, seq)`` place: a lone tick is a head with no
+    followers, and a tick costs no Process, generator, Timeout or
+    callbacks list.  :meth:`cancel` works from anywhere, the body
+    included; a tick that is already armed still counts as an event
+    when it comes due, without running the body.  An exception from
     the body propagates out of ``run``/``step`` and stops the timer.
     """
 
-    __slots__ = ("body", "delay", "cancelled", "_delay_fn", "_ticks")
+    __slots__ = ("body", "delay", "cancelled", "_delay_fn", "_ticks",
+                 "_due", "_followers")
 
     def __init__(
         self,
@@ -217,6 +223,7 @@ class Timer(Event):
             self._delay_fn = None
             self.delay = _check_delay(delay)
         self._ticks = [self._tick]
+        self._followers: "list[tuple[int, Timer]] | tuple[()]" = ()
         self.callbacks.append(self._arm)
         self._value = None
         env.schedule(self, priority=URGENT)
@@ -224,20 +231,59 @@ class Timer(Event):
     def cancel(self) -> None:
         """Stop ticking; idempotent."""
         self.cancelled = True
-        if self.callbacks is not None:  # the pending tick pops empty
-            self.callbacks = []
 
     def _tick(self, _event: Event) -> None:
-        self.body()
-        if not self.cancelled:
-            self._arm()
+        env = self.env
+        if env._tick_head is self:
+            env._tick_head = None
+        batch, self._followers = self._followers, ()
+        n = len(batch)
+        i = 0  # followers run, each one processed event
+        try:
+            if not self.cancelled:
+                self.body()
+                if not self.cancelled:
+                    self._arm()
+            queue = env._queue
+            t = env._now
+            hook = env._profile_hook
+            while i < n:
+                seq, timer = batch[i]
+                if queue and queue[0] < (t, NORMAL, seq):
+                    break
+                i += 1
+                if not timer.cancelled:
+                    timer.body()
+                    if not timer.cancelled:
+                        timer._arm()
+                if hook is not None:
+                    env._profiled(timer, timer._ticks)
+        finally:
+            env.n_processed += i
+            if i < n:
+                seq, timer = batch[i]
+                timer._followers = batch[i + 1:]
+                timer.callbacks = timer._ticks
+                _heappush(env._queue, (env._now, NORMAL, seq, timer))
 
     def _arm(self, _event: Optional[Event] = None) -> None:
+        if self.cancelled:
+            return
         if self._delay_fn is not None:
             self.delay = _check_delay(self._delay_fn())
         env = self.env
-        self.callbacks = self._ticks
-        _heappush(env._queue, (env._now + self.delay, NORMAL, env._seq, self))
+        due = env._now + self.delay
+        head = env._tick_head
+        if head is not None and head._due == due:
+            if head._followers:
+                head._followers.append((env._seq, self))
+            else:
+                head._followers = [(env._seq, self)]
+        else:
+            self._due = due
+            self.callbacks = self._ticks
+            env._tick_head = self
+            _heappush(env._queue, (due, NORMAL, env._seq, self))
         env._seq += 1
 
     def __repr__(self) -> str:

@@ -76,19 +76,6 @@ class Histogram:
                 return
         self.overflow += 1
 
-    def quantile(self, q: float) -> float:
-        """Estimated q-quantile (Prometheus-style linear interpolation).
-
-        The estimate interpolates within the bucket where the cumulative
-        count crosses ``q * count``.  The first bucket's lower edge is
-        taken as ``min(0.0, lowest bound)`` (laxity histograms observe
-        negative values); observations in the overflow bucket clamp to
-        the highest finite bound.
-        """
-        return bucket_quantile(
-            [[b, n] for b, n in self.cumulative()], q
-        )
-
     def cumulative(self) -> List[Tuple[float, int]]:
         """(upper bound, cumulative count) pairs, +inf last."""
         out: List[Tuple[float, int]] = []
@@ -152,9 +139,6 @@ class MetricsRegistry:
         )
 
     # -- introspection -----------------------------------------------------
-    def families(self) -> List[str]:
-        return sorted(self._types)
-
     def value(self, name: str, **labels: Any) -> Optional[float]:
         """Scalar value of one series (histograms report their sum)."""
         inst = self._series.get((name, _label_key(labels)))

@@ -107,15 +107,18 @@ class TestSelect:
 class TestUngatedMicros:
     NAMES = {
         "micro_udp_roundtrip", "micro_pump_tick", "micro_allocate",
-        "micro_periodic_timers", "micro_codec", "micro_processor",
+        "micro_timers", "micro_codec", "micro_processor",
     }
 
     def test_periodic_timers_event_count(self):
-        spec = next(s for s in BENCHES if s.name == "micro_periodic_timers")
+        spec = next(s for s in BENCHES if s.name == "micro_timers")
         out = spec.make(n_peers=100, sim_seconds=10.0)()
         # 200 start events, then 100 x (20 samples + 5 reports) ticks.
         assert out["metrics"]["ticks"] == 2500
         assert out["events"] == 2700
+        assert out["metrics"]["ticks_per_s"] > 0
+        # Each period's ticks share a heap entry once their phases align.
+        assert 0 < out["metrics"]["peak_heap"] <= 4
         full = spec.make(**spec.effective_params(quick=True))()
         assert full["events"] == 5000 + 2500 * (10 + 2)
 
@@ -170,7 +173,7 @@ class TestCli:
                   for line in capsys.readouterr().out.splitlines()]
         assert listed == [
             "micro_event_kernel", "micro_net_send", "micro_mailbox",
-            "micro_periodic_timers", "micro_udp_roundtrip",
+            "micro_timers", "micro_udp_roundtrip",
             "micro_pump_tick", "micro_allocate", "micro_processor",
             "micro_codec",
         ]

@@ -126,15 +126,6 @@ class TestEstimator:
         # A long deadline demands little rate.
         assert not est.path_overloads(info, [edge], 0.0, deadline=1000.0)
 
-    def test_feasible_rejects_nonpositive_deadline(self):
-        info, net, sc = make_domain()
-        edge = info.resource_graph.edge("e1")
-        est = CompletionTimeEstimator()
-        assert not est.feasible(
-            info, net, [edge], deadline=0.0, now=0.0,
-            source_peer="P1", sink_peer="P4", in_bytes=1e6,
-        )
-
 
 class TestAllocator:
     def test_fig1_picks_lightest_short_path(self):

@@ -141,22 +141,6 @@ class TestEstimatorProperties:
         )
         assert ts == pytest.approx(t1 * scale)
 
-    @given(st.floats(min_value=0.1, max_value=100.0))
-    @settings(max_examples=40)
-    def test_tighter_deadline_never_more_feasible(self, deadline):
-        info, net = small_domain({"p0": 5.0})
-        edge = info.register_service_instance(
-            "a", "b", "s", "p0", 20.0, edge_id="e1"
-        )
-        est = CompletionTimeEstimator()
-        loose = est.feasible(
-            info, net, [edge], deadline * 2, 0.0, "p0", "p0", 0.0
-        )
-        tight = est.feasible(
-            info, net, [edge], deadline, 0.0, "p0", "p0", 0.0
-        )
-        assert loose or not tight
-
 
 # ---------------------------------------------------------------- allocator
 def reference_search(g, v_init, v_sol, policy, ok):

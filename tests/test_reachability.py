@@ -11,9 +11,11 @@ imports then stay with it).
 
 The same holds one level down: every function, class and method defined
 under ``src/repro`` is named somewhere in a non-test file outside its
-own definition (see :func:`name_references`).  One that is not is
-called from tests only: delete it, or name it in :data:`ALLOWED_NAMES`
-with the reason it stays.
+own definition (see :func:`name_references`).  A method is named only
+through an attribute (``x.feasible``) or a string: a local variable of
+the same name does not reach it.  One that is not named is called from
+tests only: delete it, or name it in :data:`ALLOWED_NAMES` with the
+reason it stays.
 """
 
 from __future__ import annotations
@@ -44,6 +46,10 @@ ALLOWED_NAMES = {
         "M/D/1 oracle of tests/test_analysis.py (module kept in ALLOWED)",
     "repro.core.control.placement.register_policy":
         "the documented extension point (docs/architecture.md)",
+    "repro.core.estimate.CompletionTimeEstimator.path_overloads":
+        "readable reference of the capacity check allocate inlines; "
+        "tests/test_properties.py::TestAllocatorDifferential rebuilds "
+        "every candidate from it",
     "repro.core.estimate.CompletionTimeEstimator.service_time":
         "readable reference of the arithmetic estimate_path inlines; "
         "tests/test_estimate_allocation.py checks paths against it",
@@ -59,6 +65,9 @@ ALLOWED_NAMES = {
         "asyncio.DatagramProtocol callback",
     "repro.summaries.bloom.BloomFilter.for_capacity":
         "the standard m = -n ln p / (ln 2)^2 sizing the module documents",
+    "repro.telemetry.timeseries.SeriesRing.quantile":
+        "the readback tests/test_profiling.py::TestSeriesRingRollup "
+        "checks the count-weighted rollup through",
     "repro.telemetry.deactivate":
         "the documented inverse of activate; test fixtures restore the "
         "no-op handle with it",
@@ -132,30 +141,32 @@ def script_functions() -> set[str]:
     return set(re.findall(r'^\S+\s*=\s*"[\w.]+:(\w+)"', table, re.MULTILINE))
 
 
-def definitions(path: Path, module: str) -> list[tuple[str, ast.AST]]:
-    """``(dotted name, node)`` of every function and class in *path*,
-    nested ones included."""
+def definitions(path: Path, module: str) -> list[tuple[str, ast.AST, bool]]:
+    """``(dotted name, node, is_method)`` of every function and class in
+    *path*, nested ones included; *is_method* is true for a definition
+    in a class body."""
     out = []
 
-    def visit(body: list, owner: str) -> None:
+    def visit(body: list, owner: str, in_class: bool) -> None:
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 name = f"{owner}.{node.name}"
-                out.append((name, node))
-                visit(node.body, name)
+                out.append((name, node, in_class))
+                visit(node.body, name, isinstance(node, ast.ClassDef))
             else:
                 for block in ("body", "orelse", "finalbody", "handlers"):
-                    visit(getattr(node, block, None) or [], owner)
+                    visit(getattr(node, block, None) or [], owner, in_class)
 
-    visit(ast.parse(path.read_text(), str(path)).body, module)
+    visit(ast.parse(path.read_text(), str(path)).body, module, False)
     return out
 
 
-def name_references(path: Path) -> list[tuple[str, int]]:
-    """``(identifier, line)`` for every name *path* uses: a variable, an
-    attribute, or a string constant spelling one (``getattr`` tables).
-    Imports and the strings of ``__all__`` are not uses."""
+def name_references(path: Path) -> list[tuple[str, int, bool]]:
+    """``(identifier, line, bare)`` for every name *path* uses: a
+    variable (*bare*), an attribute, or a string constant spelling one
+    (``getattr`` tables).  Imports and the strings of ``__all__`` are
+    not uses."""
     tree = ast.parse(path.read_text(), str(path))
     exported = {
         id(node)
@@ -167,12 +178,12 @@ def name_references(path: Path) -> list[tuple[str, int]]:
     refs = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            refs.append((node.id, node.lineno))
+            refs.append((node.id, node.lineno, True))
         elif isinstance(node, ast.Attribute):
-            refs.append((node.attr, node.lineno))
+            refs.append((node.attr, node.lineno, False))
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and node.value.isidentifier() and id(node) not in exported):
-            refs.append((node.value, node.lineno))
+            refs.append((node.value, node.lineno, False))
     return refs
 
 
@@ -180,21 +191,22 @@ def unreferenced_names() -> set[str]:
     """Definitions under ``src/repro`` that no non-test file names
     outside the definition itself (dunders and script ``main``s aside)."""
     modules = src_modules()
-    uses: dict[str, list[tuple[Path, int]]] = {}
+    uses: dict[str, list[tuple[Path, int, bool]]] = {}
     for path in [*modules.values(), *entry_files()]:
-        for name, line in name_references(path):
-            uses.setdefault(name, []).append((path, line))
+        for name, line, bare in name_references(path):
+            uses.setdefault(name, []).append((path, line, bare))
     called = script_functions()
     out = set()
     for module, path in modules.items():
-        for dotted, node in definitions(path, module):
+        for dotted, node, is_method in definitions(path, module):
             name = dotted.rsplit(".", 1)[1]
             if name.startswith("__") and name.endswith("__") or name in called:
                 continue
             first = min([node.lineno] + [d.lineno for d in node.decorator_list])
             if not any(
-                p != path or not first <= line <= node.end_lineno
-                for p, line in uses.get(name, ())
+                (p != path or not first <= line <= node.end_lineno)
+                and not (bare and is_method)
+                for p, line, bare in uses.get(name, ())
             ):
                 out.add(dotted)
     return out

@@ -109,7 +109,7 @@ class TestInterrupts:
             try:
                 yield env.timeout(100)
             except Interrupt as i:
-                got.append((env.now, i.cause))
+                got.append((env.now, i.args[0]))
 
         v = env.process(victim())
 

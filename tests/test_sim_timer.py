@@ -147,3 +147,42 @@ class TestProfilingLabel:
             "sim.dispatch;Timer;Profiler._sample",
             "sim.dispatch;Timer;Profiler._sample",
         ]
+
+
+class TestProfileStride:
+    def test_stride_carries_across_run_calls(self, env):
+        # 100 one-event slices at stride 7: the count must survive each
+        # run() return, or no slice ever reaches the stride.
+        samples = []
+        env.set_profile_hook(lambda ev, cbs: samples.append(ev), [7])
+        for k in range(1, 101):
+            env.timeout(float(k))
+        for k in range(1, 101):
+            env.run(until=float(k))
+        assert env.n_processed == 100
+        assert len(samples) == 14
+
+    def test_coalesced_ticks_are_sampled_at_the_stride(self, env):
+        class Profiler:
+            def _sample(self):
+                pass
+
+        samples = []
+        env.set_profile_hook(
+            lambda ev, cbs: samples.append(
+                (env.now, ev, describe_dispatch(ev, cbs))
+            ),
+            [5],
+        )
+        for _ in range(50):
+            env.every(1.0, Profiler()._sample)
+        env.run(until=10.0)
+        assert len(env._queue) == 1  # the 50 timers share one entry
+        assert env.n_processed == 50 + 500
+        assert len(samples) == 550 // 5
+        assert {label for _, _, label in samples} == {
+            "sim.dispatch;Timer;Profiler._sample"
+        }
+        # The hook is handed the follower the stride lands on.
+        at_one = [ev for t, ev, _ in samples if t == 1.0]
+        assert len(at_one) == len(set(at_one)) == 10
