@@ -236,3 +236,4 @@ class Profiler:
         """Halt sampling and reporting (peer departure)."""
         self._sampler.cancel()
         self._reporter.cancel()
+        self.report_fn = None  # bound to the peer, which holds us

@@ -13,7 +13,7 @@ least-recently-used connection is torn down.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Dict, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import NetNode
@@ -39,7 +39,7 @@ class ConnectionManager:
             raise ValueError(
                 f"max_connections must be >= 1, got {max_connections}"
             )
-        self.node = node
+        self.node: Optional["NetNode"] = node
         self.max_connections = max_connections
         #: peer id -> last-use timestamp (insertion order == LRU order
         #: is *not* assumed; we sort on eviction).
@@ -79,10 +79,11 @@ class ConnectionManager:
         return True
 
     def close_all(self) -> None:
+        """Close every connection for good (the node departs) and let go
+        of the node, which holds this manager: no cycle outlives it."""
         self._last_used.clear()
+        self.node = None
 
     def __repr__(self) -> str:
-        return (
-            f"<ConnectionManager {self.node.node_id} "
-            f"{self.n_open}/{self.max_connections} open>"
-        )
+        owner = self.node.node_id if self.node is not None else "closed"
+        return f"<ConnectionManager {owner} {self.n_open}/{self.max_connections} open>"

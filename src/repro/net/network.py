@@ -77,17 +77,17 @@ class NetworkStats:
 class _Delivery(Event):
     """The scheduled arrival of one in-flight message.
 
-    A plain :class:`Event` plus a closure used to play this role; a
-    dedicated subclass carrying the message avoids the per-send lambda
+    A dedicated subclass carrying the message avoids a per-send closure
     and lets the constructor skip the generic-event ceremony (a fresh
-    delivery can never be already-scheduled).
+    delivery can never be already-scheduled); every delivery shares its
+    network's one callbacks tuple.
     """
 
     __slots__ = ("msg",)
 
     def __init__(self, network: "Network", msg: Message) -> None:
         self.env = network.env
-        self.callbacks = [network._on_arrival]
+        self.callbacks = network._on_arrival
         self._value = None
         self._ok = True
         self._scheduled = False
@@ -139,9 +139,9 @@ class Network:
         self._last_arrival: Dict[Tuple[str, str], float] = {}
         #: Each node's keys in ``_last_arrival``, as src or dst.
         self._pairs_of: Dict[str, Set[Tuple[str, str]]] = {}
-        # Bound once: every send attaches this callback to its delivery
-        # event, and re-binding the method per message shows up at scale.
-        self._on_arrival = self._handle_arrival
+        # Bound once: every delivery event carries this tuple, and
+        # re-binding the method per message shows up at scale.
+        self._on_arrival = (self._handle_arrival,)
 
     # -- registration ------------------------------------------------------
     def register(self, node: "NetNode") -> None:
@@ -307,7 +307,7 @@ class Network:
             msg.ensure_trace_id(self.env.ids)
             tel.tracer.end_span_key(f"msg:{msg.msg_id}", status="ok")
             tel.metrics.counter("repro_net_messages_delivered_total").inc()
-        self._nodes[msg.dst].mailbox.put(msg)
+        self._nodes[msg.dst]._arrive(msg)
 
     def expected_delay(self, src: str, dst: str, size: float = 512.0) -> float:
         """Planning estimate of one-way delay (used by the RM's cost model)."""

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import inspect
-from typing import Any, Callable, Dict, Generator, Optional
+from heapq import heappush as _heappush
+from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.net.message import Message, trace_id_for_payload
 from repro.net.network import Network
 from repro.sim.core import Environment
-from repro.sim.events import Event, Initialize
-from repro.sim.resources import Store, StoreGet
+from repro.sim.events import NORMAL, Event, Initialize
 
 #: A handler takes the incoming message; it may return a generator to be
 #: run as a new process, or ``None`` for fire-and-forget handling.
@@ -29,26 +29,41 @@ class RPCTimeout(RPCError):
         self.timeout = timeout
 
 
+class _Mail(Event):
+    """A mailbox event at ``now``: the put of a message (no callbacks),
+    or the get that takes it (fires with the message)."""
+
+    __slots__ = ()
+
+    def __init__(self, env: Environment, callbacks: tuple, value: Any) -> None:
+        self.env = env
+        self.callbacks = callbacks
+        self._value = value
+        self._ok = True
+        self._scheduled = True
+
+
 class NetNode:
     """A protocol endpoint attached to a :class:`Network`.
 
     Subclasses (peers, resource managers) register message handlers with
-    :meth:`on`; a callback on the mailbox's get delivers each incoming
-    message to its handler, spawning a new simulation process when the
-    handler is a generator function.  Replies to outstanding :meth:`rpc`
-    calls are matched by correlation id before handler dispatch.
+    :meth:`on`; each incoming message goes to its handler, spawning a
+    new simulation process when the handler is a generator function.
+    Replies to outstanding :meth:`rpc` calls are matched by correlation
+    id before handler dispatch.
     """
 
     def __init__(self, env: Environment, network: Network, node_id: str) -> None:
         self.env = env
         self.network = network
         self.node_id = node_id
-        self.mailbox = Store(env)
+        #: Messages put while no get waits, oldest first.
+        self.mailbox: List[Message] = []
         self._handlers: Dict[str, Handler] = {}
         self._pending: Dict[int, Event] = {}
-        #: The outstanding mailbox get (None before the start event and
-        #: after shutdown).
-        self._inbox: Optional[StoreGet] = None
+        #: A get waits for the next message (never with a non-empty
+        #: mailbox); after shutdown it is detached and dispatches nothing.
+        self._waiting = False
         self._listening = True
         Initialize(env, self._listen)
         network.register(self)
@@ -65,18 +80,65 @@ class NetNode:
             raise ValueError(f"{self.node_id}: handler for {kind!r} already set")
         self._handlers[kind] = handler
 
-    # Mailbox dispatch is a callback on the outstanding get: each message
-    # is handled when its get fires, and the next get is issued after the
-    # handler returns — the events and order of a dispatcher process
-    # looping on ``yield mailbox.get()``, without the process.
+    # The mailbox keeps the events and order of a dispatcher process
+    # looping on ``yield get()`` over a FIFO buffer: each message is one
+    # put event and one get event at the time it is put, and the next
+    # get is issued after the handler returns.
+    def post(self, msg: Message) -> None:
+        """Put *msg* into the mailbox: schedule the put at ``now`` and,
+        when a get waits, the get that takes it right after."""
+        env = self.env
+        put = _Mail(env, (), None)
+        _heappush(env._queue, (env._now, NORMAL, env._seq, put))
+        env._seq += 1
+        self.mailbox.append(msg)
+        if self._waiting:
+            self._take()
+
+    def _take(self) -> None:
+        """The waiting get takes the oldest message: schedule it at ``now``."""
+        self._waiting = False
+        env = self.env
+        get = _Mail(env, (self._on_mail,), self.mailbox.pop(0))
+        _heappush(env._queue, (env._now, NORMAL, env._seq, get))
+        env._seq += 1
+
+    def _arrive(self, msg: Message) -> None:
+        """Take *msg* at its delivery event.
+
+        When a get waits and nothing on the heap orders before the put
+        :meth:`post` would schedule, the put and the get would be the
+        next two events: they run here instead, each still counted with
+        its seq, and the heap never holds them.
+        """
+        env = self.env
+        queue, seq = env._queue, env._seq
+        if not self._waiting or (queue and queue[0] < (env._now, NORMAL, seq)):
+            self.post(msg)
+            return
+        self._waiting = False
+        env._seq = seq + 2
+        env.n_processed += 2
+        hook = env._profile_hook
+        if hook is not None:
+            env._profiled(_Mail(env, (), None), ())
+        if self._listening:
+            self._dispatch(msg)
+            self._listen()
+        if hook is not None:
+            callbacks = (self._on_mail,)
+            env._profiled(_Mail(env, callbacks, msg), callbacks)
+
     def _listen(self, _event: Optional[Event] = None) -> None:
         if self._listening:
-            self._inbox = self.mailbox.get()
-            self._inbox.callbacks.append(self._on_mail)
+            self._waiting = True
+            if self.mailbox:
+                self._take()
 
     def _on_mail(self, get: Event) -> None:
-        self._dispatch(get.value)
-        self._listen()
+        if self._listening:
+            self._dispatch(get._value)
+            self._listen()
 
     def _dispatch(self, msg: Message) -> None:
         # Correlated replies resolve the waiting RPC instead of (or in
@@ -100,12 +162,12 @@ class NetNode:
         """Stop dispatching (node leaves the system).
 
         The pending get is detached, not withdrawn: it still takes the
-        next message put into the mailbox, which is then dropped.
+        next message put into the mailbox, which is then dropped.  The
+        handlers go too: they are bound to the node, and a node that
+        left would otherwise stay in a reference cycle with them.
         """
         self._listening = False
-        inbox, self._inbox = self._inbox, None
-        if inbox is not None and inbox.callbacks is not None:
-            inbox.callbacks.remove(self._on_mail)
+        self._handlers.clear()
         for waiter in self._pending.values():
             if not waiter.triggered:
                 waiter.fail(RPCError(f"{self.node_id} shut down"))

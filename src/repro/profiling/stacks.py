@@ -185,15 +185,12 @@ def describe_callback(cb) -> Optional[str]:
     """A low-cardinality label for an event callback target.
 
     Bound methods of a :class:`~repro.sim.events.Process` resolve to the
-    process generator's code location (``path:function``); a
-    :class:`~repro.sim.events.Timer`'s to its body (``Profiler._sample``);
-    other bound methods to ``Class.method``; plain functions to their
-    qualname.  Instance names are deliberately ignored — per-peer names
-    would blow up stack cardinality.
+    process generator's code location (``path:function``); other bound
+    methods to ``Class.method``; plain functions to their qualname.
+    Instance names are deliberately ignored — per-peer names would blow
+    up stack cardinality.
     """
     owner = getattr(cb, "__self__", None)
-    if isinstance(owner, Timer):
-        return describe_callback(owner.body)
     if owner is not None:
         gen = getattr(owner, "generator", None)
         code = getattr(gen, "gi_code", None)
@@ -213,9 +210,13 @@ def describe_dispatch(event, callbacks) -> str:
     Event-count sampling has no call stack to walk (the kernel loop *is*
     the stack), so the synthetic three-frame stack is
     ``sim.dispatch;<EventType>;<first callback target>`` — enough to see
-    which event kinds and handlers dominate the run.
+    which event kinds and handlers dominate the run.  A
+    :class:`~repro.sim.events.Timer` is named by its body
+    (``Profiler._sample``), not by the kernel's tick callback.
     """
     target = None
+    if isinstance(event, Timer):
+        callbacks = (event.body,) if event.body is not None else ()
     for cb in callbacks or ():
         target = describe_callback(cb)
         if target is not None:

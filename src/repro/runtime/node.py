@@ -13,9 +13,9 @@ heartbeats, the RM's liveness monitor and every protocol timeout run on
 real wall-clock timers — through the exact same code paths as the
 simulator.
 
-Inbound UDP messages are decoded by the transport and dropped into the
-node's ordinary mailbox; the mailbox-get callback dispatches them on
-the next pump step.
+Inbound UDP messages are decoded by the transport and posted to the
+node's ordinary mailbox; the mailbox's get dispatches them on the next
+pump steps.
 """
 
 from __future__ import annotations
@@ -330,7 +330,8 @@ class LiveNode:
                 self._join_payload = msg.payload
                 self._joined.set()
             return
-        self.node.mailbox.put(msg)
+        # Not taken inline: the pump's drain is where handler errors land.
+        self.node.post(msg)
         self.pump.kick()
 
     def _assume_role(self, ack: Dict[str, Any]) -> None:

@@ -2,7 +2,7 @@
 
 A self-contained, deterministic discrete-event simulator in the style of
 SimPy: simulation *processes* are Python generators that ``yield`` events
-(timeouts, other processes, store gets, ...) and are resumed by the
+(timeouts, other processes, races, ...) and are resumed by the
 :class:`~repro.sim.core.Environment` when those events fire.
 
 The kernel is the substrate on which the entire peer-to-peer middleware
@@ -40,7 +40,6 @@ from repro.sim.events import (
     Timer,
 )
 from repro.sim.ids import Ids
-from repro.sim.resources import Store
 from repro.sim.rng import RandomStreams
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "Process",
     "RandomStreams",
     "StopSimulation",
-    "Store",
     "Timeout",
     "Timer",
 ]

@@ -144,14 +144,16 @@ class Environment:
         """Install a sampling hook on the event dispatch loop.
 
         *hook* is called as ``hook(event, callbacks)`` after every
-        stride-th event has been dispatched (a coalesced Timer tick
-        included), where the stride is read live from ``stride_box[0]``
-        (a one-element list the caller may mutate to retune the sample
-        rate mid-run); the count carries across :meth:`run` calls.  The hook observes only: it must
-        not schedule events or mutate simulation state, so the event
-        trajectory is identical with or without it.  The unhooked run loop
-        is untouched — :meth:`run` selects a separate loop variant when a
-        hook is installed.  ``set_profile_hook(None)`` removes it.
+        stride-th event has been dispatched (a coalesced Timer tick and
+        the put and get a node runs at a delivery included), where the
+        stride is read live from ``stride_box[0]`` (a one-element list
+        the caller may mutate to retune the sample rate mid-run); the
+        count carries across :meth:`run` calls.  The hook observes
+        only: it must not schedule events or mutate simulation state, so
+        the event trajectory is identical with or without it.  The
+        unhooked run loop is untouched — :meth:`run` selects a separate
+        loop variant when a hook is installed.  ``set_profile_hook(None)``
+        removes it.
         """
         self._profile_hook = hook
         self._profile_stride = stride_box if stride_box is not None else [1]
@@ -195,7 +197,8 @@ class Environment:
         # locals (the loop runs a few hundred thousand times per second
         # of large scenarios, so method/property dispatch per event is
         # measurable).  Keep any semantic change mirrored in step().
-        # Ticks a Timer head runs for its followers add to n_processed
+        # Ticks a Timer head runs for its followers, and the put and get
+        # a node runs inline at a delivery, add to n_processed
         # themselves, so the loop adds its own count on the way out.
         queue = self._queue
         pop = heapq.heappop

@@ -198,14 +198,17 @@ class Timer(Event):
     body raises.  Every tick is still one processed event in its
     ``(time, priority, seq)`` place: a lone tick is a head with no
     followers, and a tick costs no Process, generator, Timeout or
-    callbacks list.  :meth:`cancel` works from anywhere, the body
-    included; a tick that is already armed still counts as an event
-    when it comes due, without running the body.  An exception from
-    the body propagates out of ``run``/``step`` and stops the timer.
+    callbacks list: every tick carries the class-wide ``_TICK`` tuple,
+    so a timer holds no reference to itself.  :meth:`cancel` works from
+    anywhere, the body included, and drops the body and the period
+    callable (a departed peer's timers keep nothing of it alive); a
+    tick that is already armed still counts as an event when it comes
+    due, without running the body.  An exception from the body
+    propagates out of ``run``/``step`` and stops the timer.
     """
 
-    __slots__ = ("body", "delay", "cancelled", "_delay_fn", "_ticks",
-                 "_due", "_followers")
+    __slots__ = ("body", "delay", "cancelled", "_delay_fn", "_due",
+                 "_followers")
 
     def __init__(
         self,
@@ -222,7 +225,6 @@ class Timer(Event):
         else:
             self._delay_fn = None
             self.delay = _check_delay(delay)
-        self._ticks = [self._tick]
         self._followers: "list[tuple[int, Timer]] | tuple[()]" = ()
         self.callbacks.append(self._arm)
         self._value = None
@@ -231,8 +233,9 @@ class Timer(Event):
     def cancel(self) -> None:
         """Stop ticking; idempotent."""
         self.cancelled = True
+        self.body = self._delay_fn = None
 
-    def _tick(self, _event: Event) -> None:
+    def _tick(self) -> None:
         env = self.env
         if env._tick_head is self:
             env._tick_head = None
@@ -257,13 +260,13 @@ class Timer(Event):
                     if not timer.cancelled:
                         timer._arm()
                 if hook is not None:
-                    env._profiled(timer, timer._ticks)
+                    env._profiled(timer, _TICK)
         finally:
             env.n_processed += i
             if i < n:
                 seq, timer = batch[i]
                 timer._followers = batch[i + 1:]
-                timer.callbacks = timer._ticks
+                timer.callbacks = _TICK
                 _heappush(env._queue, (env._now, NORMAL, seq, timer))
 
     def _arm(self, _event: Optional[Event] = None) -> None:
@@ -281,7 +284,7 @@ class Timer(Event):
                 head._followers = [(env._seq, self)]
         else:
             self._due = due
-            self.callbacks = self._ticks
+            self.callbacks = _TICK
             env._tick_head = self
             _heappush(env._queue, (due, NORMAL, env._seq, self))
         env._seq += 1
@@ -289,6 +292,10 @@ class Timer(Event):
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else f"every {self.delay}"
         return f"<Timer {getattr(self.body, '__qualname__', '?')} {state}>"
+
+
+#: Every armed tick's callbacks: called with the popped timer itself.
+_TICK = (Timer._tick,)
 
 
 def _check_delay(delay: float) -> float:

@@ -98,17 +98,28 @@ class TestSelect:
             select(only=["no_such_bench"])
 
     def test_quick_params_change_effective_params(self):
-        spec = next(s for s in BENCHES if s.name == "micro_mailbox")
+        spec = next(s for s in BENCHES if s.name == "micro_net_burst")
         full = spec.effective_params(quick=False)
         quick = spec.effective_params(quick=True)
-        assert quick["n_items"] < full["n_items"]
+        assert quick["n_messages"] < full["n_messages"]
+        assert quick["paced"] is full["paced"] is False
 
 
 class TestUngatedMicros:
     NAMES = {
         "micro_udp_roundtrip", "micro_pump_tick", "micro_allocate",
         "micro_timers", "micro_codec", "micro_processor",
+        "micro_net_stream", "micro_net_burst",
     }
+
+    @pytest.mark.parametrize("name", ["micro_net_stream", "micro_net_burst"])
+    def test_net_send_is_three_events_per_message_both_ways(self, name):
+        spec = next(s for s in BENCHES if s.name == name)
+        out = spec.make(n_messages=500, paced=spec.params["paced"])()
+        assert out["events"] == 3 * 500 + 2
+        assert out["metrics"]["messages"] == 500
+        assert out["metrics"]["events_per_message"] == 3.0
+        assert out["metrics"]["messages_per_s"] > 0
 
     def test_periodic_timers_event_count(self):
         spec = next(s for s in BENCHES if s.name == "micro_timers")
@@ -172,7 +183,7 @@ class TestCli:
         listed = [line.split()[0]
                   for line in capsys.readouterr().out.splitlines()]
         assert listed == [
-            "micro_event_kernel", "micro_net_send", "micro_mailbox",
+            "micro_event_kernel", "micro_net_stream", "micro_net_burst",
             "micro_timers", "micro_udp_roundtrip",
             "micro_pump_tick", "micro_allocate", "micro_processor",
             "micro_codec",
@@ -184,7 +195,7 @@ class TestCli:
     def test_micro_quick_run_writes_report(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
         rc = cli.main([
-            "--quick", "--only", "micro_mailbox", "--out", str(out),
+            "--quick", "--only", "micro_net_stream", "--out", str(out),
             "--warmup", "0", "--repeat", "1",
         ])
         assert rc == 0
@@ -192,6 +203,6 @@ class TestCli:
         assert doc["schema_version"] == 2
         assert doc["mode"] == "quick"
         (rec,) = doc["results"]
-        assert rec["name"] == "micro_mailbox"
+        assert rec["name"] == "micro_net_stream"
         assert rec["events"] > 0
         assert rec["events_per_sec"] > 0

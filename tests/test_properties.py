@@ -348,30 +348,3 @@ class TestKernelProperties:
         env.run()
         assert fired == sorted(delays)
         assert env.now == max(delays)
-
-    @given(st.integers(min_value=1, max_value=30),
-           st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_fifo_store_preserves_order(self, n, seed):
-        from repro.sim import Store
-
-        env = Environment()
-        st_ = Store(env)
-        rng = np.random.default_rng(seed)
-        delays = rng.uniform(0, 5, size=n)
-        got = []
-
-        def producer():
-            for i, d in enumerate(delays):
-                yield env.timeout(float(d))
-                yield st_.put(i)
-
-        def consumer():
-            for _ in range(n):
-                item = yield st_.get()
-                got.append(item)
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert got == list(range(n))
