@@ -364,8 +364,10 @@ def _micro_allocate(n_allocations: int, warmup: float = 20.0) -> Callable:
 def _micro_processor(n_jobs: int) -> Callable:
     """One LLS ``Processor`` (quantum 0.1 s) fed *n_jobs* jobs, one per
     0.3 s (utilisation ~0.83): slices end on quantum expiry, completion
-    and arrival wake-ups.  ``events_per_sec`` reads slices/s, and
-    ``metrics["gc_collected"]`` is what the run left to the collector."""
+    and arrival wake-ups.  ``events_per_sec`` reads slices/s;
+    ``metrics`` holds what the run left to the collector
+    (``gc_collected``) and the kernel's work: events processed
+    (``kernel_events``) and its seq counter (``seq``)."""
     from repro.profiling.gc_probe import garbage_left_by
     from repro.scheduling.job import Job
     from repro.scheduling.policies import LLSPolicy
@@ -389,9 +391,11 @@ def _micro_processor(n_jobs: int) -> Callable:
         return [cpu, jobs]  # alive in the closing count, with their env
 
     def fn() -> Dict[str, Any]:
-        (_cpu, jobs), collected = garbage_left_by(run)
+        (cpu, jobs), collected = garbage_left_by(run)
         slices = sum(1 + job.preemptions for job in jobs)
-        return {"events": slices, "metrics": {"gc_collected": collected}}
+        return {"events": slices, "metrics": {
+            "gc_collected": collected, "kernel_events": cpu.env.n_processed,
+            "seq": cpu.env._seq}}
 
     return fn
 

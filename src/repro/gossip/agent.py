@@ -69,6 +69,7 @@ class GossipAgent:
         self.summaries: Dict[str, DomainSummary] = {}
         self._last_published: Optional[tuple] = None
         self.rounds = 0
+        self.n_foreign = 0  # received summaries items that were not one
 
         rm.on(protocol.GOSSIP_DIGEST, self._handle_digest)
         rm.on(protocol.GOSSIP_SUMMARIES, self._handle_summaries)
@@ -116,8 +117,9 @@ class GossipAgent:
         """Version vector of all held summaries."""
         return {rm_id: s.version for rm_id, s in self.summaries.items()}
 
+    # The live roster pages share both kinds: a missing field is empty.
     def _handle_digest(self, msg: Message) -> None:
-        their: Dict[str, int] = msg.payload["digest"]
+        their: Dict[str, int] = msg.payload.get("digest", {})
         # Learn about RMs we did not know.
         for rm_id in their:
             if rm_id != self.rm.node_id:
@@ -135,7 +137,10 @@ class GossipAgent:
 
     def _handle_summaries(self, msg: Message) -> None:
         now = self.rm.env.now
-        for summary in msg.payload["summaries"]:
+        for summary in msg.payload.get("summaries", ()):
+            if not isinstance(summary, DomainSummary):
+                self.n_foreign += 1
+                continue
             held = self.summaries.get(summary.rm_id)
             if summary.newer_than(held):
                 # Copy on receipt: the simulated fabric delivers payload

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import inspect
-from heapq import heappush as _heappush
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.net.message import Message, trace_id_for_payload
 from repro.net.network import Network
 from repro.sim.core import Environment
-from repro.sim.events import NORMAL, Event, Initialize
+from repro.sim.events import Event, Initialize
 
 #: A handler takes the incoming message; it may return a generator to be
 #: run as a new process, or ``None`` for fire-and-forget handling.
@@ -40,7 +39,7 @@ class _Mail(Event):
         self.callbacks = callbacks
         self._value = value
         self._ok = True
-        self._scheduled = True
+        self._scheduled = False
 
 
 class NetNode:
@@ -87,10 +86,7 @@ class NetNode:
     def post(self, msg: Message) -> None:
         """Put *msg* into the mailbox: schedule the put at ``now`` and,
         when a get waits, the get that takes it right after."""
-        env = self.env
-        put = _Mail(env, (), None)
-        _heappush(env._queue, (env._now, NORMAL, env._seq, put))
-        env._seq += 1
+        self.env.schedule(_Mail(self.env, (), None))
         self.mailbox.append(msg)
         if self._waiting:
             self._take()
@@ -98,36 +94,22 @@ class NetNode:
     def _take(self) -> None:
         """The waiting get takes the oldest message: schedule it at ``now``."""
         self._waiting = False
-        env = self.env
-        get = _Mail(env, (self._on_mail,), self.mailbox.pop(0))
-        _heappush(env._queue, (env._now, NORMAL, env._seq, get))
-        env._seq += 1
+        msg = self.mailbox.pop(0)
+        self.env.schedule(_Mail(self.env, (self._on_mail,), msg))
 
     def _arrive(self, msg: Message) -> None:
-        """Take *msg* at its delivery event.
-
-        When a get waits and nothing on the heap orders before the put
-        :meth:`post` would schedule, the put and the get would be the
-        next two events: they run here instead, each still counted with
-        its seq, and the heap never holds them.
-        """
+        """Take *msg* at its delivery event: when a get waits and the
+        put :meth:`post` would schedule runs next, the put and the get
+        run here, each still counted with its seq."""
         env = self.env
-        queue, seq = env._queue, env._seq
-        if not self._waiting or (queue and queue[0] < (env._now, NORMAL, seq)):
+        if not self._waiting or not env.claim_next(_Mail, (), None):
             self.post(msg)
             return
         self._waiting = False
-        env._seq = seq + 2
-        env.n_processed += 2
-        hook = env._profile_hook
-        if hook is not None:
-            env._profiled(_Mail(env, (), None), ())
+        env.claim_next(_Mail, _GET, msg)  # nothing was pushed since the put
         if self._listening:
             self._dispatch(msg)
             self._listen()
-        if hook is not None:
-            callbacks = (self._on_mail,)
-            env._profiled(_Mail(env, callbacks, msg), callbacks)
 
     def _listen(self, _event: Optional[Event] = None) -> None:
         if self._listening:
@@ -251,3 +233,6 @@ class NetNode:
 
     def __repr__(self) -> str:
         return f"<NetNode {self.node_id}>"
+
+
+_GET = (NetNode._on_mail,)  # a get run in place, as the profile hook sees it

@@ -17,13 +17,13 @@ Accounting maintained for the Profiler:
 from __future__ import annotations
 
 import math
-from typing import Any, Generator, List, Optional
+from typing import List, Optional
 
 from repro import telemetry
 from repro.scheduling.job import Job
 from repro.scheduling.policies import SchedulingPolicy
 from repro.sim.core import Environment
-from repro.sim.events import Event, Interrupt
+from repro.sim.events import URGENT, Event, Initialize
 
 #: Remaining-work epsilon below which a job counts as complete.
 _EPS = 1e-9
@@ -47,6 +47,53 @@ def _resolve(job: Job) -> None:
         done.succeed(job)
 
 
+class _Due(Event):
+    """A processor's kernel event: per wait (a slice, or idle) a slice
+    end and a wake (when a kick finds one armed), each carrying the
+    wait's number, and for a preemptible slice the race between them;
+    or one of ``stop``'s two URGENT events.  Its callbacks are a
+    class-wide tuple: the processor never refers to it, so no cycle."""
+
+    __slots__ = ("cpu", "wait")
+
+    def __init__(self, env: Environment, callbacks: tuple, cpu, wait=-1):
+        self.env = env
+        self.callbacks = callbacks
+        self._value = None
+        self._ok = True
+        self._scheduled = False
+        self.cpu = cpu
+        self.wait = wait
+
+
+def _ended(event: _Due) -> None:
+    """A slice end or a wake: the first of the two ends the wait."""
+    cpu = event.cpu
+    if event.wait != cpu._wait:
+        return
+    cpu._wait += 1
+    if cpu.running is not None and cpu._preemptive:
+        # The race of a preemptible slice's end and wake: one more event.
+        if not cpu.env.claim_next(_Due, _RACED, cpu):
+            cpu.env.schedule(_Due(cpu.env, _RACED, cpu))
+            return
+    if not cpu._stopped:
+        cpu._resume()
+
+
+def _raced(event: _Due) -> None:
+    if not event.cpu._stopped:
+        event.cpu._resume()
+
+
+def _interrupted(event: _Due) -> None:
+    """``stop``'s interrupt delivery: the run loop's own end follows."""
+    event.env.schedule(_Due(event.env, (), None), priority=URGENT)
+
+
+_ENDED, _RACED, _STOP = (_ended,), (_raced,), (_interrupted,)
+
+
 class Processor:
     """A single peer's CPU.
 
@@ -64,6 +111,9 @@ class Processor:
         Re-evaluation period for time-varying policies; ``None`` derives
         a default (only used when the policy declares
         ``time_varying=True``).
+
+    It runs on callbacks, with the kernel events of a process looping
+    on ``yield timeout | wake`` (see :class:`_Due`).
     """
 
     def __init__(
@@ -87,8 +137,14 @@ class Processor:
         self.ready: List[Job] = []
         self.running: Optional[Job] = None
         self._slice_started: Optional[float] = None
-        self._wake: Optional[Event] = None
+        #: The wait in progress; its slice end or wake bumps it.
+        self._wait = 0
+        #: The wait a kick wakes (None: no wake armed).
+        self._armed: Optional[int] = None
         self._stopped = False
+        self._preemptive = policy.preemptive
+        self._cap = (self.quantum if self._preemptive and policy.time_varying
+                     else math.inf)  # the longest slice
 
         # accounting
         self.busy_time = 0.0
@@ -100,7 +156,7 @@ class Processor:
         self.completed_by_class: dict = {}
         self.missed_by_class: dict = {}
 
-        self._proc = env.process(self._run(), name=f"cpu:{peer_id}")
+        Initialize(env, lambda _event: self._next())
 
     # -- public API ------------------------------------------------------------
     def submit(self, job: Job) -> Event:
@@ -133,8 +189,7 @@ class Processor:
             self.ready.remove(job)
             _resolve(job)
         elif job is self.running:
-            # The run loop observes the flag at the next preemption point;
-            # force one now.
+            # The flag is observed at the slice's end: force one now.
             self._kick()
 
     def stop(self) -> None:
@@ -147,11 +202,8 @@ class Processor:
             self.cancel(job)
         if running is not None:
             self.cancel(running)
-        if self._proc.is_alive:
-            self._proc.interrupt("stop")
-        # The interrupt may beat the preemption wake-up, in which case the
-        # run loop never observes the cancelled running job: resolve its
-        # completion event here so no session waits forever.
+        self.env.schedule(_Due(self.env, _STOP, self), priority=URGENT)
+        # The interrupt beats the wake, so resolve the running job here.
         if running is not None:
             _resolve(running)
 
@@ -179,105 +231,83 @@ class Processor:
 
     # -- internals ------------------------------------------------------------
     def _kick(self) -> None:
-        if self._wake is not None and not self._wake.triggered:
-            self._wake.succeed()
+        if self._armed is not None:
+            self.env.schedule(_Due(self.env, _ENDED, self, self._armed))
+            self._armed = None
 
-    def _select(self) -> Job:
-        now = self.env.now
-        return min(
-            self.ready, key=lambda j: self.policy.key(j, now, self.power)
-        )
-
-    def _run(self) -> Generator[Event, Any, None]:
-        env = self.env
-        # power/policy/quantum are set only in __init__ — hoist them
-        # (and the derived flags) out of the dispatch loop.
-        power = self.power
+    def _next(self) -> None:
+        """Start the next wait: a slice of the policy's pick, or idle."""
         ready = self.ready
-        timeout_at = env.timeout
-        preempt_allowed = self.policy.preemptive
-        slice_capped = preempt_allowed and self.policy.time_varying
-        quantum = self.quantum
-        try:
-            while True:
-                if not ready:
-                    self._wake = Event(env)
-                    yield self._wake
-                    self._wake = None
-                    continue
-
-                job = self._select()
-                ready.remove(job)
-                self.running = job
-                if job.started_at is None:
-                    job.started_at = env.now
-                    tel = telemetry.current()
-                    if tel.enabled and math.isfinite(job.abs_deadline):
-                        # Slack the job still has when it first reaches the
-                        # CPU — the quantity LLS schedules on.
-                        tel.metrics.histogram(
-                            "repro_sched_dispatch_laxity_seconds"
-                        ).observe(job.laxity(env.now, power))
-                else:
-                    job.preemptions += 1
-
-                slice_len = job.remaining / power
-                if slice_capped and quantum < slice_len:
-                    slice_len = quantum
-
-                self._slice_started = env.now
-                self._wake = Event(env) if preempt_allowed else None
-                timeout = timeout_at(slice_len)
-                if self._wake is not None:
-                    yield timeout | self._wake
-                else:
-                    yield timeout
-                elapsed = env.now - self._slice_started
-                self._slice_started = None
-                self._wake = None
-                self.busy_time += elapsed
-                job.remaining = max(0.0, job.remaining - elapsed * power)
-                self.running = None
-
-                if job.cancelled:
-                    _resolve(job)
-                    continue
-                if job.remaining <= _EPS * max(1.0, job.work):
-                    job.remaining = 0.0
-                    job.completed_at = env.now
-                    self.n_completed += 1
-                    cls = qos_class(job.importance)
-                    self.completed_by_class[cls] = (
-                        self.completed_by_class.get(cls, 0) + 1
-                    )
-                    if not job.met_deadline:
-                        self.n_missed += 1
-                        self.missed_by_class[cls] = (
-                            self.missed_by_class.get(cls, 0) + 1
-                        )
-                    tel = telemetry.current()
-                    if tel.enabled:
-                        tel.metrics.counter(
-                            "repro_sched_jobs_completed_total", qos=cls
-                        ).inc()
-                        if not job.met_deadline:
-                            tel.metrics.counter(
-                                "repro_sched_jobs_missed_total", qos=cls
-                            ).inc()
-                            # Flight-recorder trigger: miss bursts.
-                            tel.tracer.event(
-                                "job.missed", node=self.peer_id,
-                                task=job.task_id, qos=cls,
-                            )
-                        tel.metrics.gauge(
-                            "repro_sched_queue_depth", peer=self.peer_id
-                        ).set(self.queue_length)
-                    _resolve(job)
-                else:
-                    # Preempted (arrival or quantum expiry): back to ready.
-                    self.ready.append(job)
-        except Interrupt:
+        if not ready:
+            self._armed = self._wait
             return
+        now, power, key = self.env._now, self.power, self.policy.key
+        job = min(ready, key=lambda j: key(j, now, power))
+        ready.remove(job)
+        self.running = job
+        if job.started_at is None:
+            job.started_at = now
+            tel = telemetry.current()
+            if tel.enabled and math.isfinite(job.abs_deadline):
+                # Slack the job still has when it first reaches the
+                # CPU — the quantity LLS schedules on.
+                tel.metrics.histogram(
+                    "repro_sched_dispatch_laxity_seconds"
+                ).observe(job.laxity(now, power))
+        else:
+            job.preemptions += 1
+        slice_len = min(job.remaining / power, self._cap)
+        self._slice_started = now
+        self.env.schedule(_Due(self.env, _ENDED, self, self._wait), slice_len)
+        if self._preemptive:
+            self._armed = self._wait
+
+    def _resume(self) -> None:
+        """Account the slice that ended, if any, and start the next wait."""
+        self._armed = None
+        job = self.running
+        if job is not None:
+            env = self.env
+            elapsed = env._now - self._slice_started
+            self._slice_started = None
+            self.busy_time += elapsed
+            job.remaining = max(0.0, job.remaining - elapsed * self.power)
+            self.running = None
+            if job.cancelled:
+                _resolve(job)
+            elif job.remaining <= _EPS * max(1.0, job.work):
+                job.remaining = 0.0
+                job.completed_at = env.now
+                self.n_completed += 1
+                cls = qos_class(job.importance)
+                tally = self.completed_by_class
+                tally[cls] = tally.get(cls, 0) + 1
+                if not job.met_deadline:
+                    self.n_missed += 1
+                    tally = self.missed_by_class
+                    tally[cls] = tally.get(cls, 0) + 1
+                tel = telemetry.current()
+                if tel.enabled:
+                    tel.metrics.counter(
+                        "repro_sched_jobs_completed_total", qos=cls
+                    ).inc()
+                    if not job.met_deadline:
+                        tel.metrics.counter(
+                            "repro_sched_jobs_missed_total", qos=cls
+                        ).inc()
+                        # Flight-recorder trigger: miss bursts.
+                        tel.tracer.event(
+                            "job.missed", node=self.peer_id,
+                            task=job.task_id, qos=cls,
+                        )
+                    tel.metrics.gauge(
+                        "repro_sched_queue_depth", peer=self.peer_id
+                    ).set(self.queue_length)
+                _resolve(job)
+            else:
+                # Preempted (arrival or quantum expiry): back to ready.
+                self.ready.append(job)
+        self._next()
 
     def __repr__(self) -> str:
         return (

@@ -107,6 +107,21 @@ class Environment:
         )
         self._seq += 1
 
+    def claim_next(self, kind: type, callbacks: tuple, value: Any = None) -> bool:
+        """True if an event at ``(now, NORMAL)`` with the next seq would
+        run next (nothing on the heap orders first): then its seq is
+        claimed, it counts as processed and a profile hook is fed
+        ``kind(self, callbacks, value)``, and the caller runs it in place.
+        """
+        queue, seq = self._queue, self._seq
+        if queue and queue[0] < (self._now, NORMAL, seq):
+            return False
+        self._seq = seq + 1
+        self.n_processed += 1
+        if self._profile_hook is not None:
+            self._profiled(kind(self, callbacks, value), callbacks)
+        return True
+
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
@@ -145,7 +160,7 @@ class Environment:
 
         *hook* is called as ``hook(event, callbacks)`` after every
         stride-th event has been dispatched (a coalesced Timer tick and
-        the put and get a node runs at a delivery included), where the
+        an event run in place by :meth:`claim_next` included), where the
         stride is read live from ``stride_box[0]`` (a one-element list
         the caller may mutate to retune the sample rate mid-run); the
         count carries across :meth:`run` calls.  The hook observes
@@ -197,9 +212,8 @@ class Environment:
         # locals (the loop runs a few hundred thousand times per second
         # of large scenarios, so method/property dispatch per event is
         # measurable).  Keep any semantic change mirrored in step().
-        # Ticks a Timer head runs for its followers, and the put and get
-        # a node runs inline at a delivery, add to n_processed
-        # themselves, so the loop adds its own count on the way out.
+        # Timer followers and claim_next count themselves in
+        # n_processed, so the loop adds its own count on the way out.
         queue = self._queue
         pop = heapq.heappop
         n = 0

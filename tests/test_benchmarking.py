@@ -174,7 +174,9 @@ class TestUngatedMicros:
         spec = next(s for s in BENCHES if s.name == "micro_processor")
         out = spec.make(n_jobs=300)()
         assert out["events"] > 2 * 300  # quanta and wake-ups split jobs
-        assert out["metrics"] == {"gc_collected": 0}
+        assert out["metrics"] == {
+            "gc_collected": 0, "kernel_events": 2637, "seq": 2637,
+        }
 
 
 class TestCli:

@@ -144,6 +144,50 @@ class TestGossipRosterAndParity:
         assert b.rm.info.remote_summaries[a_id] is held_by_b
 
 
+class TestGossipPayloads:
+    """Every field of the two gossip rows is optional and ``summaries``
+    is untyped (the live roster pages share the kinds): a schema-valid
+    payload the simulated agent does not expect must not raise."""
+
+    def _agent_and_post(self, payload_by_kind):
+        from repro.net import Message
+        from repro.runtime.codec import _payload_checks
+
+        env = Environment()
+        overlay = build_overlay(env, max_peers=4)
+        overlay.join(spec("p0"))
+        env.run(until=2.0)
+        agent = next(iter(overlay.domains.values())).gossip
+        for kind, payload in payload_by_kind:
+            assert _payload_checks[kind](payload), payload  # decode accepts it
+            agent.rm.post(Message(kind=kind, src="rmX", dst=agent.rm.node_id,
+                                  payload=payload, msg_id=next(env.ids.msg)))
+        env.run(until=3.0)
+        return agent
+
+    def test_digest_without_digest_reads_as_empty(self):
+        from repro.core import protocol
+
+        agent = self._agent_and_post([(protocol.GOSSIP_DIGEST, {})])
+        assert agent.n_foreign == 0
+
+    def test_summaries_without_summaries_reads_as_empty(self):
+        from repro.core import protocol
+
+        agent = self._agent_and_post([(protocol.GOSSIP_SUMMARIES, {})])
+        assert set(agent.summaries) == {agent.rm.node_id}
+
+    def test_foreign_summaries_items_are_skipped_and_counted(self):
+        from repro.core import protocol
+        from repro.summaries.domain_summary import DomainSummary
+
+        items = [{"rm_id": "rmX"}, 7, DomainSummary("d9", "rmY", version=1)]
+        agent = self._agent_and_post(
+            [(protocol.GOSSIP_SUMMARIES, {"summaries": items})])
+        assert agent.n_foreign == 2
+        assert "rmY" in agent.summaries and "rmX" not in agent.summaries
+
+
 class TestFailover:
     def build_domain_with_backup(self, env):
         overlay = build_overlay(env, max_peers=8, enable_gossip=False)

@@ -17,9 +17,14 @@ long, so only the digest is pinned there; without churn it happens only
 while the overlay forms (a backup re-paired when a domain splits), and
 the warm-up keeps it out of the count.
 
+The kernel's seq counter (one per event scheduled or run in place) is
+pinned beside the count, over the same window and for the same
+configs: a change that schedules an event it never processes, or
+claims seqs an event did not, can keep the count but moves the seq.
+
 The ``scalability_1000`` golden is the exception: it keeps the protocol
 it was first pinned under (no warm-up, no drain), so it also pins the
-whole run's event count, overlay formation included.
+whole run's event count and seq, overlay formation included.
 
 Every id a run hands out comes from its own environment's id source,
 so the configs run in this process, back to back and in any order.
@@ -113,16 +118,21 @@ PINNED = {
 }
 
 
+#: name -> the seq counter's advance over the event-count window.
+SEQ_IN_WINDOW = {"many_small_domains": 107410, "dense": 82120}
+
+
 def run_pinned(name: str) -> dict:
     make, duration, drain, _, _ = PINNED[name]
     scenario = build_scenario(make())
     env = scenario.env
     env.run(until=WARMUP)
-    warm = env.n_processed
+    warm, warm_seq = env.n_processed, env._seq
     scenario.run(duration, drain=drain)
     return {
         "digest": decision_digest(scenario),
         "n_processed": env.n_processed - warm,
+        "seq": env._seq - warm_seq,
     }
 
 
@@ -133,6 +143,8 @@ def test_decision_digest_is_pinned(name):
     assert got["digest"] == digest
     if n_processed is not None:
         assert got["n_processed"] == n_processed
+    if name in SEQ_IN_WINDOW:
+        assert got["seq"] == SEQ_IN_WINDOW[name]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -164,6 +176,7 @@ def test_scalability_1000_golden():
     ))
     scenario.env.run(until=30.0)
     assert scenario.env.n_processed == 190_047
+    assert scenario.env._seq == 194_360
     assert scenario.network.stats.sent == 25_671
     assert decision_digest(scenario) == (
         "d16ed779748176485282aa30b8392c6eb77557d91b3e6bbbec3b0bab5cb01701"
