@@ -267,8 +267,8 @@ class Processor:
         self._armed = None
         job = self.running
         if job is not None:
-            env = self.env
-            elapsed = env._now - self._slice_started
+            now = self.env._now
+            elapsed = now - self._slice_started
             self._slice_started = None
             self.busy_time += elapsed
             job.remaining = max(0.0, job.remaining - elapsed * self.power)
@@ -277,7 +277,7 @@ class Processor:
                 _resolve(job)
             elif job.remaining <= _EPS * max(1.0, job.work):
                 job.remaining = 0.0
-                job.completed_at = env.now
+                job.completed_at = now
                 self.n_completed += 1
                 cls = qos_class(job.importance)
                 tally = self.completed_by_class

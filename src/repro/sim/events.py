@@ -441,10 +441,10 @@ class AnyOf(Event):
     """Fires once, when its first component event fires: it succeeds
     with that winning event as its value, or fails with its exception.
 
-    ``a | b`` builds one: the processor races its quantum against a
-    wake-up, an RPC its reply against a deadline.  Each component holds
-    one bound ``_fire`` and the race holds no component, so the loser
-    (dropped, or still on the heap) closes no reference cycle.
+    ``a | b`` builds one: an RPC races its reply against a deadline.
+    Each component holds one bound ``_fire`` and the race holds no
+    component, so the loser (dropped, or still on the heap) closes no
+    reference cycle.
     """
 
     __slots__ = ()

@@ -18,7 +18,6 @@ count must be the same.
 
 from __future__ import annotations
 
-import itertools
 import math
 import struct
 from typing import Any, Generator, List, Optional
@@ -32,7 +31,7 @@ from repro.scheduling import Job, Processor, make_policy
 from repro.scheduling.policies import SchedulingPolicy
 from repro.scheduling.processor import _EPS, _resolve, qos_class
 from repro.sim import Environment
-from repro.sim.events import Event, Initialize, Interrupt
+from repro.sim.events import Event, Interrupt
 
 
 # -- the reference: the processor as a generator process, verbatim -------------
