@@ -75,11 +75,8 @@ def test_profile_sample_overhead_within_budget():
         f"run (pair ratios: {[round(r, 3) for r in ratios]})"
     )
 
-    # The profiler actually observed the run, and the budgeter either
-    # kept measured overhead near the target or visibly reacted to it.
+    # The profiler actually observed the run, and its measured cost
+    # (self-time plus the modelled GIL tax) met the budget.
     assert last_record is not None and last_record["samples"] > 0
     budget = last_record["budget"]
-    assert (
-        budget["overhead_cumulative"] <= 2 * budget["target"]
-        or budget["backoffs"] > 0
-    )
+    assert budget["met"], budget

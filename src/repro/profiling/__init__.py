@@ -1,4 +1,4 @@
-"""Self-observation: in-process profiling, overhead budgeting, SLOs.
+"""Self-observation: in-process profiling, its measured cost, SLOs.
 
 The telemetry stack (:mod:`repro.telemetry`) observes the *protocol*;
 this package observes the *system running it*:
@@ -8,14 +8,13 @@ this package observes the *system running it*:
 * :mod:`repro.profiling.sampler` — the two sampling drivers
   (timer-thread ``sys._current_frames`` for the live runtime,
   event-count dispatch sampling for the simulator),
-* :mod:`repro.profiling.budget` — the adaptive overhead budgeter
-  keeping total observability self-cost under a configured fraction of
-  wall time (default 2%),
 * :mod:`repro.profiling.slo` — SLO definitions + multi-window
   burn-rate alerting over HealthSampler series, dumped to the flight
   recorder,
 * :mod:`repro.profiling.attach` — one-call wiring per runtime
-  (:func:`profile_sim` / :func:`profile_wall`),
+  (:func:`profile_sim` / :func:`profile_wall`), and the budget check:
+  the observers' summed self-cost against a fraction of wall time
+  (default 2%), measured once when the run stops,
 * :mod:`repro.profiling.folded` — ``.folded`` profile I/O, cross-shard
   merge, and share-normalized run-to-run diffing,
 * :mod:`repro.profiling.gc_probe` — cyclic-GC collections and seconds
@@ -27,14 +26,10 @@ the zero-overhead guarantee of disabled telemetry hold.
 """
 
 from repro.profiling.attach import (
+    DEFAULT_BUDGET,
     ProfileSession,
     profile_sim,
     profile_wall,
-)
-from repro.profiling.budget import (
-    DEFAULT_BUDGET,
-    Actuator,
-    OverheadBudgeter,
 )
 from repro.profiling.folded import (
     diff_folded,
@@ -59,13 +54,11 @@ from repro.profiling.slo import (
 from repro.profiling.stacks import StackAggregator, fold_frames
 
 __all__ = [
-    "Actuator",
     "BurnAlert",
     "BurnRateMonitor",
     "DEFAULT_BUDGET",
     "DEFAULT_GIL_HANDOFF_S",
     "DEFAULT_SLOS",
-    "OverheadBudgeter",
     "ProfileSession",
     "SLO",
     "SimEventProfiler",

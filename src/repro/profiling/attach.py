@@ -1,16 +1,16 @@
-"""One-call wiring of profiler + budgeter + SLO monitor per runtime.
+"""One-call wiring of profiler + SLO monitor per runtime.
 
 Every ``--profile`` run (attached through
 :class:`~repro.telemetry.observation.Observation`) and the tests all
 want the same bundle:
 
 * the right sampling driver for the runtime (event-count for sim,
-  timer-thread for live),
-* an :class:`OverheadBudgeter` fed every self-cost source in play and
-  actuating the profiler's rate knob,
-* when a :class:`HealthSampler` is attached: budgeter decisions as
-  series, a :class:`BurnRateMonitor` over the stock SLOs, and the
-  flight-recorder cooldown-gauge refresh probe.
+  timer-thread for live), at the rate it was built with,
+* when a :class:`HealthSampler` is attached: a :class:`BurnRateMonitor`
+  over the stock SLOs and the flight-recorder cooldown-gauge refresh
+  probe,
+* the budget check: each observer's self-cost, summed over the wall
+  time since attach and compared with the budget (default 2%).
 
 :func:`profile_sim` / :func:`profile_wall` build that bundle and return
 a :class:`ProfileSession` that knows how to stop itself, publish
@@ -21,13 +21,9 @@ record.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from time import perf_counter
+from typing import Any, Dict, Optional
 
-from repro.profiling.budget import (
-    DEFAULT_BUDGET,
-    Actuator,
-    OverheadBudgeter,
-)
 from repro.profiling.gc_probe import GCProbe
 from repro.profiling.sampler import (
     DEFAULT_PERIOD,
@@ -35,15 +31,10 @@ from repro.profiling.sampler import (
     SimEventProfiler,
     WallStackProfiler,
 )
-from repro.profiling.slo import (
-    DEFAULT_SLOS,
-    BurnRateMonitor,
-    SLO,
-)
+from repro.profiling.slo import BurnRateMonitor
 
-#: Actuation ranges: sim stride in events, wall period in seconds.
-SIM_STRIDE_RANGE = (16.0, 65536.0)
-WALL_PERIOD_RANGE = (0.005, 1.0)
+#: Default observability overhead budget: 2% of wall time.
+DEFAULT_BUDGET = 0.02
 
 
 @dataclass
@@ -52,22 +43,27 @@ class ProfileSession:
 
     runtime: str  # "sim" | "wall"
     profiler: Any
-    budgeter: OverheadBudgeter
+    #: The bound on the observers' summed self-cost / wall time that
+    #: the run is checked against; nothing is retuned to meet it.
+    budget: float = DEFAULT_BUDGET
     monitor: Optional[BurnRateMonitor] = None
     folded_path: Optional[str] = None
     #: Cyclic-GC collections and seconds over the session's lifetime.
     gc_probe: GCProbe = field(default_factory=GCProbe)
+    _t0: float = field(default_factory=perf_counter, init=False)
+    #: The budget block, measured once at :meth:`stop`.
+    _measured: Optional[Dict[str, Any]] = field(default=None, init=False)
 
     # -- lifecycle ----------------------------------------------------------
     def stop(self) -> None:
-        """Detach/stop the profiler and the GC probe (leaves aggregates
-        readable)."""
+        """Detach/stop the profiler and the GC probe, and measure the
+        budget (leaves aggregates readable)."""
         if self.runtime == "sim":
             self.profiler.detach()
         else:
             self.profiler.stop()
         self.gc_probe.stop()
-        self.budgeter.evaluate()
+        self._measured = self.budget_record()
 
     def write_folded(self, path: str) -> Optional[str]:
         """Write the flamegraph artifact; None when nothing sampled."""
@@ -76,10 +72,56 @@ class ProfileSession:
         self.folded_path = self.profiler.agg.write_folded(path)
         return self.folded_path
 
+    # -- the budget check ---------------------------------------------------
+    def budget_record(self) -> Dict[str, Any]:
+        """The ``budget`` block: each observer's self-cost in seconds,
+        their sum over the wall time since attach, and whether that
+        ratio is within the budget.  Fixed at :meth:`stop`; before it
+        (a live ``/metrics`` scrape) it is measured now.
+
+        The wall profiler's cost includes its modelled GIL-handoff tax
+        (``estimated_cost_s``).  The health sampler's leaves out the
+        flight-recorder dumps an alert writes: a dump is the alert's
+        deliverable, not a cost of observing.
+        """
+        if self._measured is not None:
+            return self._measured
+        prof = self.profiler
+        seconds = {
+            "profiler": prof.estimated_cost_s if self.runtime == "wall"
+            else prof.self_time_s,
+        }
+        monitor = self.monitor
+        if monitor is not None:
+            seconds["health_sampler"] = (
+                monitor.sampler.sample_cost_s - monitor.dump_cost_s
+            )
+        wall = perf_counter() - self._t0
+        ratio = round(sum(seconds.values()) / wall, 6)
+        return {
+            "target": self.budget,
+            "overhead_ratio": ratio,
+            "met": ratio <= self.budget,
+            "wall_seconds": round(wall, 6),
+            "seconds": {k: round(v, 6) for k, v in seconds.items()},
+        }
+
     # -- exports ------------------------------------------------------------
     def publish(self, metrics, top_n: int = 5) -> None:
         self.profiler.agg.publish(metrics, top_n=top_n)
-        self.budgeter.publish(metrics)
+        self.publish_budget(metrics)
+
+    def publish_budget(self, metrics) -> None:
+        """The budget check as gauges."""
+        block = self.budget_record()
+        metrics.gauge(
+            "repro_prof_overhead_cumulative",
+            help="Observers' summed self-cost / wall time since attach.",
+        ).set(block["overhead_ratio"])
+        metrics.gauge(
+            "repro_prof_budget_target",
+            help="Configured observability overhead budget.",
+        ).set(block["target"])
 
     def record(self, top_n: int = 20) -> Dict[str, Any]:
         """The ``profile`` JSONL trace record (sans ``type``)."""
@@ -90,7 +132,7 @@ class ProfileSession:
             rec["period"] = self.profiler.period
         rec.update(self.profiler.agg.record(top_n=top_n))
         rec["self_seconds"] = round(self.profiler.self_time_s, 6)
-        if hasattr(self.profiler, "estimated_cost_s"):
+        if self.runtime == "wall":
             per = self.profiler.gil_cost_per_sample
             if per is not None:
                 rec["gil_per_sample_s"] = round(per, 9)
@@ -98,7 +140,7 @@ class ProfileSession:
             rec["estimated_seconds"] = round(
                 self.profiler.estimated_cost_s, 6
             )
-        rec["budget"] = self.budgeter.record()
+        rec["budget"] = self.budget_record()
         rec["gc"] = self.gc_probe.record()
         if self.monitor is not None:
             rec["slo"] = self.monitor.record()
@@ -113,9 +155,7 @@ class ProfileSession:
             "runtime": self.runtime,
             "samples": agg.n_samples,
             "unique_stacks": agg.unique_stacks,
-            "overhead_ratio": round(self.budgeter.overhead_cumulative, 5),
-            "budget": self.budgeter.budget,
-            "retunes": self.budgeter.n_backoffs + self.budgeter.n_recovers,
+            "budget": self.budget_record(),
             "gc": self.gc_probe.record(),
         }
         if self.monitor is not None:
@@ -127,70 +167,38 @@ class ProfileSession:
         return self.monitor.alerts if self.monitor is not None else []
 
 
+def format_budget(block: Dict[str, Any]) -> str:
+    """One report phrase from a ``budget`` block, costliest observer
+    first: ``overhead 0.71% (budget 2%, met; profiler 0.046 s)``."""
+    costs = ", ".join(
+        f"{name} {s:.3f} s" for name, s in sorted(
+            block["seconds"].items(), key=lambda kv: -kv[1]
+        )
+    )
+    return (
+        f"overhead {block['overhead_ratio']:.2%} (budget "
+        f"{block['target']:.0%}, {'met' if block['met'] else 'NOT met'}; "
+        f"{costs})"
+    )
+
+
 def _profile(
-    runtime: str, profiler, knob: str, lo: float, hi: float,
-    tel, sampler, recorder, budget: Optional[float],
-    slos: Tuple[SLO, ...], slo_kwargs: Optional[Dict[str, Any]],
+    runtime: str, profiler, tel, sampler, recorder, budget: Optional[float],
 ) -> ProfileSession:
     """The bundle both runtimes share, around their own *profiler*."""
-    budgeter = OverheadBudgeter(
-        budget=DEFAULT_BUDGET if budget is None else budget
-    )
-    # lo = the configured rate: recovery restores the requested
-    # resolution after backoffs but never samples more finely than asked.
-    budgeter.add_actuator(Actuator(
-        knob,
-        profiler.get_rate_setting,
-        profiler.set_rate_setting,
-        lo=float(lo),
-        hi=max(float(lo), hi),
-    ))
-    # The wall profiler models the GIL-handoff tax each timer wakeup
-    # inflicts on application threads; the budgeter must meter that
-    # estimated total, not just the measured in-sampler time.  The sim
-    # profiler has no such hidden cost and exposes only self_time_s.
-    if hasattr(profiler, "estimated_cost_s"):
-        budgeter.add_source("profiler", lambda: profiler.estimated_cost_s)
-    else:
-        budgeter.add_source("profiler", lambda: profiler.self_time_s)
-    # Evaluate from the profiler's own sample callback so the budgeter
-    # runs even without a sampler (rate-limited by min_interval).
-    profiler.on_sample = lambda _p: budgeter.maybe_evaluate()
+    budget = DEFAULT_BUDGET if budget is None else float(budget)
+    if budget <= 0:
+        raise ValueError(f"budget must be positive, got {budget}")
     monitor = None
     if sampler is not None:
-        monitor = BurnRateMonitor(
-            sampler, slos=slos, tel=tel, recorder=recorder,
-            **(slo_kwargs or {}),
-        )
-        # The monitor probe runs inside sampler.sample(), so its
-        # flight-recorder dump writes land in sample_cost_s; back them
-        # out — the dump is the alert's deliverable, not observation
-        # overhead.
-        budgeter.add_source(
-            "health_sampler",
-            lambda: sampler.sample_cost_s - monitor.dump_cost_s,
-        )
+        monitor = BurnRateMonitor(sampler, tel=tel, recorder=recorder)
         # Probe order matters: signal probes already registered, then
-        # budgeter series, then SLO evaluation over this tick's fresh
-        # points, then the cooldown-gauge refresh.
-        sampler.add_probe(budgeter.as_probe())
+        # SLO evaluation over this tick's fresh points, then the
+        # cooldown-gauge refresh.
         sampler.add_probe(monitor.as_probe())
-        # Second-stage knob: the monitor's full-window rescans dominate
-        # its cost, so the budgeter may thin the evaluation cadence
-        # once the profiler stride is exhausted.
-        budgeter.add_actuator(Actuator(
-            "slo_stride",
-            monitor.get_rate_setting,
-            monitor.set_rate_setting,
-            lo=1.0,
-            hi=32.0,
-        ))
         if recorder is not None:
             sampler.add_probe(lambda s: recorder.refresh_cooldowns(s.now))
-    return ProfileSession(
-        runtime=runtime, profiler=profiler, budgeter=budgeter,
-        monitor=monitor,
-    )
+    return ProfileSession(runtime, profiler, budget, monitor)
 
 
 def profile_sim(
@@ -200,24 +208,17 @@ def profile_sim(
     recorder=None,
     budget: Optional[float] = None,
     stride: Optional[int] = None,
-    slos: Tuple[SLO, ...] = DEFAULT_SLOS,
-    slo_kwargs: Optional[Dict[str, Any]] = None,
 ) -> ProfileSession:
     """Attach the profiling bundle to a simulation environment.
 
-    The profiler hook observes only and the budgeter never actuates the
-    sim sampler's period (that would change the simulated trajectory
-    mid-run) — with ``--profile`` the event trajectory is identical to
-    the same run without it.  *budget* / *stride* default to
-    ``DEFAULT_BUDGET`` / ``DEFAULT_STRIDE``.
+    The profiler hook observes only — with ``--profile`` the event
+    trajectory is identical to the same run without it.  *budget* /
+    *stride* default to ``DEFAULT_BUDGET`` / ``DEFAULT_STRIDE``.
     """
     stride = DEFAULT_STRIDE if stride is None else stride
     profiler = SimEventProfiler(env, stride=stride)
     profiler.attach()
-    return _profile(
-        "sim", profiler, "sim_stride", stride, SIM_STRIDE_RANGE[1],
-        tel, sampler, recorder, budget, slos, slo_kwargs,
-    )
+    return _profile("sim", profiler, tel, sampler, recorder, budget)
 
 
 def profile_wall(
@@ -226,22 +227,17 @@ def profile_wall(
     recorder=None,
     budget: Optional[float] = None,
     period: Optional[float] = None,
-    slos: Tuple[SLO, ...] = DEFAULT_SLOS,
-    slo_kwargs: Optional[Dict[str, Any]] = None,
     start: bool = True,
 ) -> ProfileSession:
     """Attach the profiling bundle to the live (wall-clock) runtime.
 
-    The profiler calibrates its per-wakeup GIL-handoff cost on start
-    and the budgeter meters the estimated total cost.  *budget* /
+    The profiler calibrates its per-wakeup GIL-handoff cost on start,
+    and the budget check meters the estimated total cost.  *budget* /
     *period* default to ``DEFAULT_BUDGET`` / ``DEFAULT_PERIOD``.
     """
     period = DEFAULT_PERIOD if period is None else period
     profiler = WallStackProfiler(period=period)
-    sess = _profile(
-        "wall", profiler, "wall_period", period, WALL_PERIOD_RANGE[1],
-        tel, sampler, recorder, budget, slos, slo_kwargs,
-    )
+    sess = _profile("wall", profiler, tel, sampler, recorder, budget)
     if start:
         profiler.start()
     return sess

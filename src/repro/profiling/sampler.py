@@ -13,9 +13,9 @@
   the previous sample to the sampled dispatch (standard event-boundary
   sampling: hot handlers are hit in proportion to how often they run).
 
-Both expose the same budgeter-facing surface: ``self_time_s`` (their
-own measured cost), a retunable rate knob, and an ``on_sample``
-callback fired after each sample (the budgeter's evaluation trigger).
+Both run at the rate they were built with and expose
+``self_time_s``, their own measured cost, which the ``profile``
+record's budget check sums.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import sys
 import threading
 from time import perf_counter
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.profiling.stacks import (
     StackAggregator,
@@ -126,7 +126,7 @@ class WallStackProfiler:
     ) -> None:
         if period <= 0:
             raise ValueError(f"period must be positive, got {period}")
-        #: Seconds between samples; the budgeter retunes this live.
+        #: Seconds between samples.
         self.period = float(period)
         self.agg = StackAggregator()
         #: Cumulative wall seconds spent taking samples (self-cost).
@@ -135,8 +135,6 @@ class WallStackProfiler:
         #: Per-wakeup GIL-handoff cost model.  None means "calibrate on
         #: start()"; pass 0.0 to turn the model off entirely.
         self.gil_cost_per_sample = gil_cost_per_sample
-        #: Called as ``on_sample(profiler)`` after every sample.
-        self.on_sample: Optional[Callable[["WallStackProfiler"], None]] = None
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
 
@@ -152,7 +150,7 @@ class WallStackProfiler:
     def estimated_cost_s(self) -> float:
         """Total estimated profiler cost: measured self-time plus the
         modeled GIL-handoff tax.  This — not ``self_time_s`` alone — is
-        what the overhead budgeter should meter."""
+        what the budget check meters."""
         return self.self_time_s + self.gil_cost_s
 
     def start(self) -> None:
@@ -191,16 +189,6 @@ class WallStackProfiler:
             self.agg.add(fold_frames(frame), seconds=period)
         self.n_samples += 1
         self.self_time_s += perf_counter() - t0
-        cb = self.on_sample
-        if cb is not None:
-            cb(self)
-
-    # -- budgeter knob ------------------------------------------------------
-    def get_rate_setting(self) -> float:
-        return self.period
-
-    def set_rate_setting(self, period: float) -> None:
-        self.period = float(period)
 
     def __repr__(self) -> str:
         return (
@@ -226,17 +214,16 @@ class SimEventProfiler:
         if stride < 1:
             raise ValueError(f"stride must be >= 1, got {stride}")
         self.env = env
-        self._stride_box = [int(stride)]
+        self.stride = int(stride)
         self.agg = StackAggregator()
         self.self_time_s = 0.0
         self.n_samples = 0
-        self.on_sample: Optional[Callable[["SimEventProfiler"], None]] = None
         self._last_t: Optional[float] = None
         self._attached = False
 
     # -- lifecycle ----------------------------------------------------------
     def attach(self) -> None:
-        self.env.set_profile_hook(self._on_dispatch, self._stride_box)
+        self.env.set_profile_hook(self._on_dispatch, self.stride)
         self._attached = True
 
     def detach(self) -> None:
@@ -253,24 +240,6 @@ class SimEventProfiler:
         self.agg.add(describe_dispatch(event, callbacks), seconds=seconds)
         self.n_samples += 1
         self.self_time_s += perf_counter() - now
-        cb = self.on_sample
-        if cb is not None:
-            cb(self)
-
-    # -- budgeter knob ------------------------------------------------------
-    @property
-    def stride(self) -> int:
-        return self._stride_box[0]
-
-    @stride.setter
-    def stride(self, value: int) -> None:
-        self._stride_box[0] = max(1, int(value))
-
-    def get_rate_setting(self) -> float:
-        return float(self._stride_box[0])
-
-    def set_rate_setting(self, stride: float) -> None:
-        self._stride_box[0] = max(1, int(round(stride)))
 
     def __repr__(self) -> str:
         return (

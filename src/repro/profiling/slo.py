@@ -13,7 +13,9 @@ over two trailing windows of HealthSampler samples:
 where ``burn = bad_fraction / (1 - objective)`` — burn 1 means exactly
 spending the error budget, burn 10 means burning it 10x too fast.
 Families with multiple label sets (per-QoS miss ratios, per-domain
-imbalance) alert on their *worst* ring.
+imbalance) alert on their *worst* ring.  Every sampler tick evaluates
+every SLO, from running sums per ring (:class:`_WindowCounts`), so a
+tick costs a bisect per ring and window, not a rescan of the window.
 
 Alerts are edge-triggered: one ``slo.burn`` trace event +
 ``repro_slo_alerts_total`` increment per excursion (cleared with 20%
@@ -25,6 +27,7 @@ re-exported continuously as both a gauge and a sampled series.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -109,6 +112,47 @@ class BurnAlert:
         }
 
 
+class _WindowCounts:
+    """One ring's points, folded for one SLO into running sums.
+
+    ``total[i]`` and ``bad[i]`` are the sample and bad counts of the
+    ring's first *i* points, so a trailing window costs a bisect on the
+    times ``t`` and two subtractions.  New points extend the sums; a
+    compaction merges old points, so the monitor starts a fresh fold
+    after one (``compactions``).  Once a time goes backwards (a
+    caller's ``now``, or a merge's rounding) ``t`` is not sorted, and
+    the window edge comes from the ring's own backward scan instead.
+    """
+
+    __slots__ = ("compactions", "t", "total", "bad", "ordered")
+
+    def __init__(self, compactions: int) -> None:
+        self.compactions = compactions
+        self.t: List[float] = []
+        self.total = [0]
+        self.bad = [0]
+        self.ordered = True
+
+    def window(self, ring, slo: SLO, t_min: float) -> Tuple[int, int]:
+        """(samples, bad samples) of *ring*'s points with t >= t_min."""
+        t, total, bad = self.t, self.total, self.bad
+        if len(ring) > len(t):
+            worst = 3 if slo.comparison == ">" else 2
+            for point in ring.points_from(len(t)):
+                if t and point[0] < t[-1]:
+                    self.ordered = False
+                t.append(point[0])
+                n = point[4]
+                total.append(total[-1] + n)
+                bad.append(bad[-1] + n if slo.violated(point[worst])
+                           else bad[-1])
+        if self.ordered:
+            i = bisect_left(t, t_min)
+        else:
+            i = len(t) - len(ring.points_since(t_min))
+        return total[-1] - total[i], bad[-1] - bad[i]
+
+
 class BurnRateMonitor:
     """Evaluates SLO burn rates on every HealthSampler tick."""
 
@@ -138,21 +182,18 @@ class BurnRateMonitor:
         #: least ``warmup * window`` seconds — a nearly-empty slow
         #: window would otherwise scream on the first bad sample.
         self.warmup = float(warmup)
-        #: Evaluate every Nth sampler tick (the budgeter's SLO knob:
-        #: full-window rescans are the monitor's dominant cost).
-        self.eval_stride = 1
         #: Cumulative wall seconds spent evaluating (self-cost).
         self.self_time_s = 0.0
         #: Wall seconds spent writing flight-recorder dumps.  Excluded
-        #: from self-cost: the dump is the alert's deliverable, and
-        #: budgeting it would punish sampling for firing alerts.
+        #: from self-cost: the dump is the alert's deliverable, not a
+        #: cost of observing.
         self.dump_cost_s = 0.0
-        self._tick = 0
         self._t_first: Optional[float] = None
         #: All alerts fired, in order.
         self.alerts: List[BurnAlert] = []
         self._active: Dict[Tuple[str, str], bool] = {}
         self._gauges: Dict[Tuple[str, str], Any] = {}
+        self._counts: Dict[Tuple[Any, SLO], _WindowCounts] = {}
 
     # -- evaluation ---------------------------------------------------------
     def as_probe(self) -> Callable[[Any], None]:
@@ -162,21 +203,12 @@ class BurnRateMonitor:
         def probe(s) -> None:
             t0 = perf_counter()
             d0 = self.dump_cost_s
-            self._tick += 1
-            if self._tick % max(1, self.eval_stride) == 0:
-                self.evaluate(s.now)
+            self.evaluate(s.now)
             self.self_time_s += (
                 perf_counter() - t0 - (self.dump_cost_s - d0)
             )
 
         return probe
-
-    # -- budgeter knob ------------------------------------------------------
-    def get_rate_setting(self) -> float:
-        return float(self.eval_stride)
-
-    def set_rate_setting(self, stride: float) -> None:
-        self.eval_stride = max(1, int(round(stride)))
 
     def evaluate(self, now: float) -> List[BurnAlert]:
         """One evaluation pass; returns alerts fired at this tick."""
@@ -203,11 +235,11 @@ class BurnRateMonitor:
                     fired.append(alert)
         return fired
 
-    @staticmethod
     def _worst_bad_fraction(
-        rings, t_min: float, slo: SLO
+        self, rings, t_min: float, slo: SLO
     ) -> Tuple[float, int]:
-        """Max bad-sample fraction across the family's rings.
+        """Max bad-sample fraction across the family's rings, over
+        their points with ``t >= t_min``.
 
         Rolled-up points weigh in with their merged counts; a merged
         point is bad if its *worst* side (max for ">" SLOs, min for
@@ -216,12 +248,12 @@ class BurnRateMonitor:
         worst_frac = 0.0
         worst_n = 0
         for ring in rings:
-            total = bad = 0
-            for _t, _v, mn, mx, cnt in ring.points_since(t_min):
-                total += cnt
-                probe_v = mx if slo.comparison == ">" else mn
-                if slo.violated(probe_v):
-                    bad += cnt
+            counts = self._counts.get((ring, slo))
+            if counts is None or counts.compactions != ring.compactions:
+                counts = self._counts[(ring, slo)] = _WindowCounts(
+                    ring.compactions
+                )
+            total, bad = counts.window(ring, slo, t_min)
             if not total:
                 continue
             frac = bad / total
@@ -311,6 +343,7 @@ class BurnRateMonitor:
     def record(self) -> Dict[str, Any]:
         """JSON-ready summary (embedded in the ``profile`` record)."""
         return {
+            "self_seconds": round(self.self_time_s, 6),
             "slos": [
                 {
                     "name": slo.name,

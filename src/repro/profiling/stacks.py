@@ -150,26 +150,25 @@ class StackAggregator:
             ],
         }
 
-    def publish(self, metrics, top_n: int = 5,
-                prefix: str = "repro_prof") -> None:
+    def publish(self, metrics, top_n: int = 5) -> None:
         """Export aggregate + top-N hot-path gauges to *metrics*."""
         metrics.gauge(
-            f"{prefix}_samples",
+            "repro_prof_samples",
             help="Profile samples aggregated so far.",
         ).set(self.n_samples)
         metrics.gauge(
-            f"{prefix}_unique_stacks",
+            "repro_prof_unique_stacks",
             help="Distinct folded stacks held (bounded by max_stacks).",
         ).set(self.unique_stacks)
         metrics.gauge(
-            f"{prefix}_truncated",
+            "repro_prof_truncated",
             help="Samples collapsed into the (other) bucket.",
         ).set(self.truncated)
         for rank, (stack, count, _seconds) in enumerate(
             self.top(top_n), start=1
         ):
             metrics.gauge(
-                f"{prefix}_hot_share",
+                "repro_prof_hot_share",
                 help="Fraction of samples landing in this hot path.",
                 rank=str(rank), stack=stack,
             ).set(round(self.share(count), 4))

@@ -376,7 +376,7 @@ class ShardHost:
             help="Live agents in this shard's roster replica",
         ).set(float(counts["agents_up"]))
         if self.obs.session is not None:
-            self.obs.session.budgeter.publish(m)
+            self.obs.session.publish_budget(m)
         return m.to_prometheus_text()
 
     def _health(self) -> Dict[str, Any]:

@@ -59,7 +59,7 @@ class Environment:
         # (event, callbacks) after every stride-th dispatch.  None on the
         # default path, which keeps the plain run loop below untouched.
         self._profile_hook = None
-        self._profile_stride: list[int] = [1]
+        self._profile_stride = 1
         self._profile_i = 0
 
     # -- clock -------------------------------------------------------------
@@ -151,18 +151,16 @@ class Environment:
     def _profiled(self, event: Event, callbacks) -> None:
         """Count one dispatched event toward the hook's stride."""
         self._profile_i += 1
-        if self._profile_i >= self._profile_stride[0]:
+        if self._profile_i >= self._profile_stride:
             self._profile_i = 0
             self._profile_hook(event, callbacks)
 
-    def set_profile_hook(self, hook, stride_box: Optional[list[int]] = None) -> None:
+    def set_profile_hook(self, hook, stride: int = 1) -> None:
         """Install a sampling hook on the event dispatch loop.
 
         *hook* is called as ``hook(event, callbacks)`` after every
-        stride-th event has been dispatched (a coalesced Timer tick and
-        an event run in place by :meth:`claim_next` included), where the
-        stride is read live from ``stride_box[0]`` (a one-element list
-        the caller may mutate to retune the sample rate mid-run); the
+        *stride*-th event has been dispatched (a coalesced Timer tick
+        and an event run in place by :meth:`claim_next` included); the
         count carries across :meth:`run` calls.  The hook observes
         only: it must not schedule events or mutate simulation state, so
         the event trajectory is identical with or without it.  The
@@ -171,7 +169,7 @@ class Environment:
         removes it.
         """
         self._profile_hook = hook
-        self._profile_stride = stride_box if stride_box is not None else [1]
+        self._profile_stride = stride
         self._profile_i = 0
 
     def run(self, until: Union[None, float, Event] = None) -> Any:

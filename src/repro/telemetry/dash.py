@@ -283,8 +283,9 @@ def render_report(
         )
 
     if data.profile:
+        from repro.profiling.attach import format_budget
+
         prof = data.profile
-        budget = prof.get("budget", {})
         heading("profiler")
         rate = (
             f"stride={prof['stride']}" if "stride" in prof
@@ -294,10 +295,7 @@ def render_report(
             f"runtime={prof.get('runtime', '?')} "
             f"samples={prof.get('samples', 0)} "
             f"stacks={prof.get('unique_stacks', 0)} {rate} "
-            f"overhead={budget.get('overhead_cumulative', 0.0):.2%} "
-            f"(budget {budget.get('target', 0.0):.0%}, "
-            f"{budget.get('backoffs', 0)} backoffs / "
-            f"{budget.get('recovers', 0)} recovers)"
+            + format_budget(prof["budget"])
         )
         top = prof.get("top", [])
         if markdown and top:
@@ -310,13 +308,6 @@ def render_report(
                 )
             else:
                 lines.append(f"  {entry['share']:6.1%}  {entry['stack']}")
-        settings = budget.get("settings") or {}
-        if settings:
-            lines.append(
-                "knobs: " + " ".join(
-                    f"{k}={v:g}" for k, v in sorted(settings.items())
-                )
-            )
         slo = prof.get("slo")
         if slo is not None:
             heading("slo burn")

@@ -78,7 +78,7 @@ class Observation:
         self.sampler: Optional[HealthSampler] = None
         self.recorder: Optional[FlightRecorder] = None
         #: The :class:`~repro.profiling.ProfileSession` (profiler +
-        #: budgeter + SLO monitor) that ``profile`` attached.
+        #: SLO monitor + budget check) that ``profile`` attached.
         self.session: Optional[Any] = None
         self.httpd: Optional[Any] = None
         self.writer: Optional[TraceWriter] = None
@@ -177,7 +177,7 @@ class Observation:
 
     def metrics_text(self) -> str:
         """Prometheus text of the run's registry, with the live
-        profiler/budgeter state folded in on each scrape."""
+        profiler state and budget check folded in on each scrape."""
         if self.session is not None:
             self.session.publish(self.tel.metrics)
         return self.tel.metrics.to_prometheus_text()
@@ -241,14 +241,14 @@ class Observation:
     def _report(self, log: Callable[[str], None]) -> None:
         prof = self.session
         if prof is not None:
+            from repro.profiling.attach import format_budget
             from repro.profiling.gc_probe import format_gc
 
             info = prof.summary()
             log(
                 f"profiler: {info['samples']} samples / "
-                f"{info['unique_stacks']} stacks; overhead "
-                f"{info['overhead_ratio']:.2%} (budget {info['budget']:.0%}, "
-                f"{info['retunes']} retunes)"
+                f"{info['unique_stacks']} stacks; "
+                f"{format_budget(info['budget'])}"
                 + (f" -> {prof.folded_path}" if prof.folded_path else "")
             )
             log(format_gc(info["gc"]))
@@ -305,15 +305,17 @@ def add_observation_flags(
     )
     parser.add_argument(
         "--profile", action="store_true",
-        help="attach the in-process sampling profiler + overhead "
-        "budgeter (and, when health series are sampled, SLO burn-rate "
-        "alerting); writes a flame-ready .folded file on exit.  "
-        "Observation only: the run's decisions are unchanged.",
+        help="attach the in-process sampling profiler (and, when health "
+        "series are sampled, SLO burn-rate alerting) at a fixed rate; "
+        "writes a flame-ready .folded file on exit and reports each "
+        "observer's measured self-cost.  Observation only: the run's "
+        "decisions are unchanged.",
     )
     parser.add_argument(
         "--profile-budget", type=float, default=None, metavar="FRAC",
         help="observability overhead budget as a fraction of wall time "
-        "(default 0.02); the budgeter backs sampling off above it",
+        "(default 0.02): the run reports whether the observers' summed "
+        "self-cost stayed within it; nothing is retuned to meet it",
     )
     parser.add_argument(
         "--profile-folded", metavar="FILE", default=None,

@@ -56,9 +56,14 @@ class SeriesRing:
     count-weighted mean time/value plus the running min/max/count.  Long
     soaks keep their full history at progressively coarser resolution
     (recent samples stay raw) instead of forgetting it.
+    ``compactions`` counts those merges: a reader that keeps positions
+    into the ring knows from it when they went stale.
     """
 
-    __slots__ = ("name", "labels", "capacity", "_t", "_v", "_mn", "_mx", "_n")
+    __slots__ = (
+        "name", "labels", "capacity", "compactions",
+        "_t", "_v", "_mn", "_mx", "_n",
+    )
 
     def __init__(
         self,
@@ -71,6 +76,7 @@ class SeriesRing:
         self.name = name
         self.labels: Dict[str, str] = dict(labels or {})
         self.capacity = int(capacity)
+        self.compactions = 0
         self._t: List[float] = []
         self._v: List[float] = []
         self._mn: List[float] = []
@@ -120,6 +126,7 @@ class SeriesRing:
         self._mn = m_mn + mns[half:]
         self._mx = m_mx + mxs[half:]
         self._n = m_n + ns[half:]
+        self.compactions += 1
 
     def __len__(self) -> int:
         return len(self._v)
@@ -138,14 +145,24 @@ class SeriesRing:
         """Per-point sample counts (all 1 until a rollup has merged)."""
         return list(self._n)
 
+    def points_from(
+        self, start: int
+    ) -> Iterable[Tuple[float, float, float, float, int]]:
+        """Points from index *start* on, oldest first, as
+        ``(t, value, min, max, count)``."""
+        return zip(
+            self._t[start:], self._v[start:],
+            self._mn[start:], self._mx[start:], self._n[start:],
+        )
+
     def points_since(
         self, t_min: float
     ) -> List[Tuple[float, float, float, float, int]]:
         """Points with ``t >= t_min`` (newest window), oldest first.
 
-        Scans from the newest point and stops at the window edge, so a
-        short trailing window over a long ring stays cheap (the SLO
-        monitor calls this every evaluation).
+        Scans from the newest point and stops at the first point older
+        than *t_min*, so it holds the trailing window even if a caller's
+        times went backwards.
         """
         out: List[Tuple[float, float, float, float, int]] = []
         for point in zip(
@@ -218,7 +235,7 @@ class HealthSampler:
         #: Probe exceptions swallowed (live probes race the event loop).
         self.errors = 0
         #: Cumulative wall seconds spent inside :meth:`sample` — the
-        #: sampler's self-cost, read by the overhead budgeter.
+        #: sampler's self-cost, summed in the ``profile`` record.
         self.sample_cost_s = 0.0
         self._now = 0.0
         self._thread: Optional[threading.Thread] = None

@@ -614,20 +614,22 @@ class TestGilCostModel:
         prof.self_time_s = 0.003
         assert prof.estimated_cost_s == pytest.approx(0.003)
 
-    def test_budgeter_meters_the_estimated_cost(self):
+    def test_budget_meters_the_estimated_cost(self):
         from repro.profiling import profile_wall
 
         sess = profile_wall(period=0.01, start=False)
         sess.profiler.gil_cost_per_sample = 200e-6
         sess.profiler.n_samples = 100
         sess.profiler.self_time_s = 0.001
-        src = dict(sess.budgeter._sources)["profiler"]
-        assert src() == pytest.approx(0.001 + 0.02)
         sess.stop()
         rec = sess.record(top_n=1)
         assert rec["gil_per_sample_s"] == pytest.approx(200e-6)
         assert rec["gil_seconds"] == pytest.approx(0.02)
         assert rec["estimated_seconds"] == pytest.approx(0.021)
+        # The budget check sums the estimate, GIL tax included.
+        assert rec["budget"]["seconds"] == {
+            "profiler": rec["estimated_seconds"]
+        }
 
     def test_live_profiler_stays_under_budget_with_gil_model(self):
         """The budget acceptance check at unit scale: a short idle-ish

@@ -393,7 +393,7 @@ def test_profile_hook_counts_messages_taken_inline(stride):
     a, b = NetNode(env, net, "a"), NetNode(env, net, "b")
     labels = []
     env.set_profile_hook(
-        lambda ev, cbs: labels.append(describe_dispatch(ev, cbs)), [stride])
+        lambda ev, cbs: labels.append(describe_dispatch(ev, cbs)), stride)
     got = []
 
     def on_m(msg) -> None:

@@ -340,7 +340,7 @@ def simulate(cpu_cls, spec: dict, driver) -> tuple:
     if spec["stride"] is not None:
         env.set_profile_hook(
             lambda _ev, _cbs: hooked.__setitem__(0, hooked[0] + 1),
-            [spec["stride"]])
+            spec["stride"])
     procs = [cpu_cls(env, f"p{i}", power, make_policy(policy), quantum)
              for i, (policy, quantum, power) in enumerate(spec["cpus"])]
     jobs: List[tuple] = []  # (job, its processor) in submit order

@@ -1,8 +1,8 @@
-"""The self-observing runtime: profiler, overhead budgeter, SLO burn.
+"""The self-observing runtime: profiler, budget check, SLO burn.
 
 Covers the tentpole surfaces — sim/wall sampling profilers (with the
 trajectory-identity guarantee for the sim hook), folded-stack
-aggregation, the overhead budgeter's staged backoff/recovery, and
+aggregation, the ``profile`` record's measured budget block, and
 multi-window SLO burn-rate alerting into the flight recorder — plus the
 satellites: SeriesRing rollup edge cases, the recorder's cooldown
 gauge/skip counter, and the liar_peers/liar_control SLO distinction.
@@ -19,9 +19,7 @@ import pytest
 import repro
 from repro import telemetry
 from repro.profiling import (
-    Actuator,
     BurnRateMonitor,
-    OverheadBudgeter,
     SLO,
     SimEventProfiler,
     StackAggregator,
@@ -29,7 +27,6 @@ from repro.profiling import (
     profile_sim,
     profile_wall,
 )
-from repro.profiling.budget import ACTION_CODES
 from repro.profiling.stacks import OTHER_KEY
 from repro.scenarios import build_stressed_scenario, load_spec
 from repro.sim import Environment
@@ -163,16 +160,6 @@ class TestSimEventProfiler:
         env.run()
         assert prof.agg.n_samples == 0
 
-    def test_rate_setting_is_live(self):
-        env = toy_sim()
-        prof = SimEventProfiler(env, stride=4)
-        prof.set_rate_setting(400.0)
-        assert prof.stride == 400
-        assert prof.get_rate_setting() == 400.0
-        # Never finer than one sample per event.
-        prof.set_rate_setting(0.2)
-        assert prof.stride == 1
-
 
 # -- the wall profiler -------------------------------------------------------
 
@@ -197,104 +184,6 @@ class TestWallStackProfiler:
         prof.stop()
         sleep(0.02)
         assert prof.agg.n_samples == n
-
-
-# -- the overhead budgeter ---------------------------------------------------
-
-class _SyntheticLoad:
-    """A cost source whose rate is inversely proportional to a knob."""
-
-    def __init__(self, rate: float):
-        self.rate = rate  # overhead ratio contributed at setting=1
-        self.setting = 1.0
-        self.cost = 0.0
-        self._last = perf_counter()
-
-    def tick(self):
-        now = perf_counter()
-        self.cost += (self.rate / self.setting) * (now - self._last)
-        self._last = now
-
-    def get(self):
-        return self.setting
-
-    def set(self, v):
-        self.setting = v
-
-
-class TestOverheadBudgeter:
-    def test_converges_under_synthetic_load_and_recovers(self):
-        load = _SyntheticLoad(rate=0.08)
-        budgeter = OverheadBudgeter(budget=0.02, min_interval=0.0)
-        budgeter.add_source("load", lambda: load.cost)
-        budgeter.add_actuator(
-            Actuator("knob", load.get, load.set, lo=1.0, hi=64.0)
-        )
-        for _ in range(8):
-            sleep(0.002)
-            load.tick()
-            budgeter.evaluate()
-        # 8% load / knob settles around the 2% budget: the knob lands
-        # in [4, 8] (timing jitter may overshoot one doubling, then
-        # hysteresis holds or walks it back).
-        assert 4.0 <= load.setting <= 8.0
-        assert budgeter.n_backoffs >= 2
-        assert budgeter.overhead_ratio <= 0.08 / 4.0 + 0.005
-        # Load vanishes -> recovery walks the knob back to full
-        # resolution (lo), never past it.
-        load.rate = 0.0
-        for _ in range(12):
-            sleep(0.002)
-            load.tick()
-            budgeter.evaluate()
-        assert load.setting == 1.0
-        assert budgeter.n_recovers >= 2
-
-    def test_severe_overshoot_backs_off_every_knob(self):
-        budgeter = OverheadBudgeter(budget=0.02, min_interval=0.0)
-        a = _SyntheticLoad(rate=0.0)
-        b = _SyntheticLoad(rate=0.0)
-        budgeter.add_actuator(Actuator("a", a.get, a.set, lo=1.0, hi=8.0))
-        budgeter.add_actuator(Actuator("b", b.get, b.set, lo=1.0, hi=8.0))
-        burst = _SyntheticLoad(rate=0.5)  # >> 2x budget: severe
-        budgeter.add_source("burst", lambda: burst.cost)
-        sleep(0.002)
-        burst.tick()
-        budgeter.evaluate()
-        assert a.setting == 2.0 and b.setting == 2.0
-
-    def test_mild_overshoot_moves_one_knob_in_order(self):
-        budgeter = OverheadBudgeter(budget=0.02, min_interval=0.0)
-        a = _SyntheticLoad(rate=0.0)
-        b = _SyntheticLoad(rate=0.0)
-        budgeter.add_actuator(Actuator("a", a.get, a.set, lo=1.0, hi=8.0))
-        budgeter.add_actuator(Actuator("b", b.get, b.set, lo=1.0, hi=8.0))
-        mild = _SyntheticLoad(rate=0.03)  # over budget, under 2x
-        budgeter.add_source("mild", lambda: mild.cost)
-        sleep(0.002)
-        mild.tick()
-        budgeter.evaluate()
-        assert a.setting == 2.0 and b.setting == 1.0
-
-    def test_decisions_are_recorded_with_settings(self):
-        load = _SyntheticLoad(rate=0.5)
-        budgeter = OverheadBudgeter(budget=0.02, min_interval=0.0)
-        budgeter.add_source("load", lambda: load.cost)
-        budgeter.add_actuator(
-            Actuator("knob", load.get, load.set, lo=1.0, hi=64.0)
-        )
-        sleep(0.002)
-        load.tick()
-        decision = budgeter.evaluate()
-        assert decision["action"] == "backoff"
-        assert decision["settings"] == {"knob": 2.0}
-        assert budgeter.decisions[-1] is decision
-        assert set(ACTION_CODES) == {"backoff", "hold", "recover"}
-
-    def test_min_interval_rate_limits(self):
-        budgeter = OverheadBudgeter(budget=0.02, min_interval=60.0)
-        budgeter.evaluate()
-        assert budgeter.maybe_evaluate() is None
 
 
 # -- SLO burn-rate alerting --------------------------------------------------
@@ -367,24 +256,23 @@ class TestBurnRateMonitor:
             ring.append(float(t), v)
         merged = [p for p in ring.points_since(float("-inf")) if p[4] > 1]
         assert merged and all(p[1] < 0.5 for p in merged)
-        frac, n = BurnRateMonitor._worst_bad_fraction(
-            [ring], 0.0, miss_rate_slo()
+        monitor = BurnRateMonitor(
+            HealthSampler(_FakeTel()), slos=(miss_rate_slo(),)
         )
+        frac, n = monitor._worst_bad_fraction([ring], 0.0, miss_rate_slo())
         # The bad sample merged with a good neighbour: the whole
         # 2-count point counts bad (conservative over-count, never an
         # excursion hidden by the mean).
         assert n == 5 and frac == pytest.approx(2 / 5)
 
-    def test_burn_series_and_eval_stride_knob(self):
+    def test_burn_series_on_every_tick(self):
         sampler, monitor = self.make(warmup=0.0)
-        monitor.set_rate_setting(2.4)
-        assert monitor.eval_stride == 2
         drive(sampler, monitor, [(float(t), 0.0) for t in range(8)])
         ring = sampler.series(
             "repro_slo_burn_rate", slo="miss_rate", window="fast"
         )
-        # Every 2nd tick evaluates -> 4 burn points, all zero.
-        assert ring is not None and len(ring) == 4
+        # Every tick evaluates -> 8 burn points, all zero.
+        assert ring is not None and len(ring) == 8
         assert set(ring.values()) == {0.0}
 
 

@@ -398,4 +398,4 @@ def test_observe_shard_profilers_stayed_under_budget(soak_result):
         assert prof["samples"] > 0, (sid, prof)
         assert prof.get("gil_per_sample_s", 0) > 0, (sid, prof)
         assert prof["estimated_seconds"] >= prof["gil_seconds"]
-        assert prof["budget"]["overhead_cumulative"] < 0.05, (sid, prof)
+        assert prof["budget"]["overhead_ratio"] < 0.05, (sid, prof)

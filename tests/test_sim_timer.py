@@ -154,7 +154,7 @@ class TestProfileStride:
         # 100 one-event slices at stride 7: the count must survive each
         # run() return, or no slice ever reaches the stride.
         samples = []
-        env.set_profile_hook(lambda ev, cbs: samples.append(ev), [7])
+        env.set_profile_hook(lambda ev, cbs: samples.append(ev), 7)
         for k in range(1, 101):
             env.timeout(float(k))
         for k in range(1, 101):
@@ -172,7 +172,7 @@ class TestProfileStride:
             lambda ev, cbs: samples.append(
                 (env.now, ev, describe_dispatch(ev, cbs))
             ),
-            [5],
+            5,
         )
         for _ in range(50):
             env.every(1.0, Profiler()._sample)

@@ -8,19 +8,28 @@ that only makes the simulator faster must leave every digest
 unchanged; a change to a protocol, a policy or the model will move them
 and must re-pin them deliberately.
 
-The kernel's processed-event count is pinned too, for the two configs
-without churn, over the window after a ``WARMUP`` of simulated time (the
-end-to-end benchmark's window convention).  Stopping a periodic loop or
-a node costs kernel bookkeeping events that move no decision and that a
-kernel change may legitimately remove: under churn that happens all run
-long, so only the digest is pinned there; without churn it happens only
-while the overlay forms (a backup re-paired when a domain splits), and
-the warm-up keeps it out of the count.
+The kernel's processed-event count is pinned too, for every config,
+over the window after a ``WARMUP`` of simulated time (the end-to-end
+benchmark's window convention).  Stopping a periodic loop, a processor
+or a node costs kernel bookkeeping events that move no decision.
+Without churn that happens only while the overlay forms (a backup
+re-paired when a domain splits), and the warm-up keeps it out of the
+count; under churn it happens all run long, so the churn window pins
+that bookkeeping too.  A kernel change that removes stop bookkeeping
+moves the churn count and seq: it must re-pin them and list the old
+and new values (68,051 events and seq 67,946 when first pinned).
 
 The kernel's seq counter (one per event scheduled or run in place) is
-pinned beside the count, over the same window and for the same
-configs: a change that schedules an event it never processes, or
-claims seqs an event did not, can keep the count but moves the seq.
+pinned beside the count, over the same window: a change that schedules
+an event it never processes, or claims seqs an event did not, can keep
+the count but moves the seq.
+
+A change that only reorders events due at one instant keeps both (an
+event run in place by ``claim_next`` ahead of one already on the heap,
+say) and may keep every decision.  So the churn window's dispatch
+order is pinned as well: a hash over each dispatched event's time and
+class name, read through a stride-1 profile hook.  Renaming an event
+class re-pins it.
 
 The ``scalability_1000`` golden is the exception: it keeps the protocol
 it was first pinned under (no warm-up, no drain), so it also pins the
@@ -95,7 +104,7 @@ def _config(
 WARMUP = 10.0
 
 #: name -> (config, duration after WARMUP, drain, digest, events in the
-#: window or None)
+#: window)
 PINNED = {
     "many_small_domains": (
         lambda: _config(400, 8, 8.0, None), 30.0, 20.0,
@@ -113,21 +122,34 @@ PINNED = {
             ChurnConfig(mean_lifetime=30.0, mean_offtime=8.0),
         ), 40.0, 20.0,
         "e1181336ba397565dea153d6f1e1297db257d71f02e3435f3674f27ee7b2eda5",
-        None,
+        68051,
     ),
 }
 
 
 #: name -> the seq counter's advance over the event-count window.
-SEQ_IN_WINDOW = {"many_small_domains": 107410, "dense": 82120}
+SEQ_IN_WINDOW = {
+    "many_small_domains": 107410, "dense": 82120, "churn": 67946,
+}
+
+#: The churn window's dispatch order (see the module docstring).
+CHURN_ORDER = (
+    "a4e48595a70e0e429e779ee63fed1ae6d47a34edd5aa2b76654b2f16ec0243b6"
+)
 
 
-def run_pinned(name: str) -> dict:
+def run_pinned(name: str, order: Optional[Any] = None) -> dict:
+    """Run a pinned config; *order*, a hash object, is fed the
+    dispatch order of the window."""
     make, duration, drain, _, _ = PINNED[name]
     scenario = build_scenario(make())
     env = scenario.env
     env.run(until=WARMUP)
     warm, warm_seq = env.n_processed, env._seq
+    if order is not None:
+        env.set_profile_hook(lambda event, _callbacks: order.update(
+            struct.pack("<d", env.now) + type(event).__name__.encode()
+        ))
     scenario.run(duration, drain=drain)
     return {
         "digest": decision_digest(scenario),
@@ -141,15 +163,23 @@ def test_decision_digest_is_pinned(name):
     _, _, _, digest, n_processed = PINNED[name]
     got = run_pinned(name)
     assert got["digest"] == digest
-    if n_processed is not None:
-        assert got["n_processed"] == n_processed
-    if name in SEQ_IN_WINDOW:
-        assert got["seq"] == SEQ_IN_WINDOW[name]
+    assert got["n_processed"] == n_processed
+    assert got["seq"] == SEQ_IN_WINDOW[name]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_back_to_back_builds_agree(name):
     assert run_pinned(name) == run_pinned(name)
+
+
+def test_churn_dispatch_order_is_pinned():
+    order = hashlib.sha256()
+    got = run_pinned("churn", order)
+    # The hook observes only: the window is the unhooked one.
+    assert got["digest"] == PINNED["churn"][3]
+    assert got["n_processed"] == PINNED["churn"][4]
+    assert got["seq"] == SEQ_IN_WINDOW["churn"]
+    assert order.hexdigest() == CHURN_ORDER
 
 
 def test_churn_digest_is_independent_of_earlier_runs():
