@@ -2,8 +2,9 @@
 
 Each one isolates a hot path — the event kernel, network send and
 delivery (paced and in a burst), the periodic plane, the RM's
-allocation search and the LLS processor; for the live runtime, a
-loopback UDP round trip, the clock pump and the wire codec — so that a
+allocation search, the LLS processor and the load-report path; for
+the live runtime, a loopback UDP round trip, the clock pump and the
+wire codec — so that a
 change seen end to end (``python3 -m benchmarks.e2e``, the judge) can
 be attributed to a layer.  The simulated micros are deterministic:
 fixed seeds, no wall-clock dependence inside the simulated world.
@@ -400,6 +401,47 @@ def _micro_processor(n_jobs: int) -> Callable:
     return fn
 
 
+def _micro_report(n_peers: int, sim_seconds: float) -> Callable:
+    """The load-report path: *n_peers* peers' Profilers in one domain
+    sample every 0.5 s and report every 2 s to its RM for *sim_seconds*
+    (every fourth peer runs a FIFO job for half the run).  The work
+    unit is reports; ``metrics`` holds reports per second of
+    ``env.run`` and the kernel's ``kernel_events`` and ``seq``."""
+
+    def fn() -> Dict[str, Any]:
+        from time import perf_counter
+
+        import numpy as np
+
+        from repro.core.info_base import PeerRecord
+        from repro.core.manager import ResourceManager
+        from repro.core.peer import Peer, PeerConfig
+        from repro.net import ConstantLatency, Network
+        from repro.scheduling.job import Job
+        from repro.sim import Environment
+
+        env = Environment()
+        net = Network(env, ConstantLatency(0.01), bandwidth=1.25e6)
+        rm = ResourceManager(env, net, "rm", "d0",
+                             rng=np.random.default_rng(7))
+        cfg = PeerConfig(scheduling_policy="FIFO")
+        peers = [Peer(env, net, f"p{i}", cfg, rm_id="rm")
+                 for i in range(n_peers)]
+        for i, peer in enumerate(peers):
+            rm.admit_peer(PeerRecord(peer.node_id, cfg.power, cfg.bandwidth))
+            if i % 4 == 0:
+                peer.processor.submit(Job(cfg.power * sim_seconds / 2,
+                                          sim_seconds, release=0.0))
+        start = perf_counter()
+        env.run(until=sim_seconds)
+        reports = sum(p.profiler.reports_sent for p in peers)
+        return {"events": reports, "metrics": {
+            "reports_per_s": reports / (perf_counter() - start),
+            "kernel_events": env.n_processed, "seq": env._seq}}
+
+    return fn
+
+
 #: The registry, in execution order.
 BENCHES: List[BenchSpec] = [
     BenchSpec(
@@ -442,6 +484,11 @@ BENCHES: List[BenchSpec] = [
         name="micro_processor", make=_micro_processor,
         params={"n_jobs": 40_000},
         quick_params={"n_jobs": 10_000},
+    ),
+    BenchSpec(
+        name="micro_report", make=_micro_report,
+        params={"n_peers": 500, "sim_seconds": 60.0},
+        quick_params={"sim_seconds": 20.0},
     ),
     BenchSpec(
         name="micro_codec", make=_micro_codec,

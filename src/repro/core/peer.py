@@ -202,10 +202,11 @@ class Peer(NetNode):
     def _report(self, report) -> None:
         """A report tick: forget the tasks done here whose deadline has
         passed and what waited past its TTL in the park, then report."""
-        now = self.env.now
-        for task_id, until in list(self._linger.items()):
-            if until < now:
-                self._release(task_id)
+        if self._linger:
+            now = self.env.now
+            for task_id, until in list(self._linger.items()):
+                if until < now:
+                    self._release(task_id)
         if self._parked:
             self._expire_parked()
         self._send_load_update(report)
@@ -213,8 +214,9 @@ class Peer(NetNode):
     def _send_load_update(self, report) -> None:
         if not self.alive or not self.rm_id:
             return
-        up, down = self.current_dependencies()
-        report.dependencies = len(up) + len(down)
+        if self._deps:  # else the report's 0 stands
+            up, down = self.current_dependencies()
+            report.dependencies = len(up) + len(down)
         self.send(
             protocol.LOAD_UPDATE,
             self.rm_id,

@@ -179,15 +179,17 @@ class Profiler:
                 for sid, obs in self.observations.items()
             }
             self._services_dirty = False
+        proc, u, bw = self.processor, self._util.value, self._bw_rate.value
+        u = 0.0 if u is None else u
         return LoadReport(
-            peer_id=self.processor.peer_id,
+            peer_id=proc.peer_id,
             time=self.env.now,
-            power=self.processor.power,
-            utilization=self.utilization,
-            load=self.load,
-            bw_used=self.bw_used,
-            queue_work=self.processor.queue_work(),
-            queue_length=self.processor.queue_length,
+            power=proc.power,
+            utilization=u,
+            load=proc.power * u,
+            bw_used=0.0 if bw is None else bw,
+            queue_work=proc.queue_work(),
+            queue_length=proc.queue_length,
             services=self._services_snapshot,
         )
 
@@ -197,10 +199,14 @@ class Profiler:
         now = self.env.now
         span = now - self._last_sample_t
         bytes_out = self._bytes_out
-        if span > 0:
+        if span > 0:  # EWMA.update, inline for both averages
             u = (busy - self._last_busy) / span
-            self._util.update(u if u < 1.0 else 1.0)
-            self._bw_rate.update((bytes_out - self._last_bytes) / span)
+            u = u if u < 1.0 else 1.0
+            bw = (bytes_out - self._last_bytes) / span
+            ewma, v = self._util, self._util.value
+            ewma.value = float(u) if v is None else v + ewma.alpha * (u - v)
+            ewma, v = self._bw_rate, self._bw_rate.value
+            ewma.value = float(bw) if v is None else v + ewma.alpha * (bw - v)
         self._last_sample_t = now
         self._last_busy = busy
         self._last_bytes = bytes_out

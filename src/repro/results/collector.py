@@ -110,8 +110,9 @@ class MetricsCollector:
         """Periodically sample true loads across all live peers.
 
         ``overlay`` needs a ``peers`` mapping of id -> object exposing
-        ``alive`` and ``profiler.load`` (both :class:`OverlayNetwork`
-        and ad-hoc harnesses satisfy this).
+        ``alive`` and a :class:`~repro.monitoring.profiler.Profiler`
+        (both :class:`OverlayNetwork` and ad-hoc harnesses satisfy
+        this).
         """
         if period <= 0:
             raise ValueError("period must be positive")
@@ -119,15 +120,15 @@ class MetricsCollector:
         self.env.every(period, self._sample)
 
     def _sample(self) -> None:
-        alive = [p for p in self._overlay.peers.values() if p.alive]
+        alive = [p.profiler for p in self._overlay.peers.values() if p.alive]
         if alive:
             now = self.env.now
-            self.fairness_series.add(
-                now, jain_fairness([p.profiler.load for p in alive])
-            )
-            self.utilization_series.add(
-                now, sum(p.profiler.utilization for p in alive) / len(alive)
-            )
+            utils = [profiler.utilization for profiler in alive]
+            self.fairness_series.add(now, jain_fairness([
+                profiler.processor.power * u
+                for profiler, u in zip(alive, utils)
+            ]))
+            self.utilization_series.add(now, sum(utils) / len(alive))
 
     # -- aggregation ------------------------------------------------------------
     def summary(

@@ -69,7 +69,6 @@ class ClusterHealth:
         slos: Tuple[SLO, ...] = DEFAULT_SLOS,
         recorder=None,
         tick_interval: float = DEFAULT_TICK_INTERVAL,
-        slo_kwargs: Optional[Dict[str, Any]] = None,
     ) -> None:
         # A private (non-activated) wall handle: the supervisor process
         # has no telemetry of its own and must not flip the global
@@ -78,7 +77,6 @@ class ClusterHealth:
         self.sampler = HealthSampler(self.tel)
         self.monitor = BurnRateMonitor(
             self.sampler, slos=slos, tel=self.tel, recorder=recorder,
-            **(slo_kwargs or {}),
         )
         self.sampler.add_probe(health_probe(
             self._union, per_peer=False, scope="cluster",

@@ -72,7 +72,7 @@ def _ended(event: _Due) -> None:
     if event.wait != cpu._wait:
         return
     cpu._wait += 1
-    if cpu.running is not None and cpu._preemptive:
+    if cpu._preemptive and (cpu.running is not None or cpu._stopped_slice):
         # The race of a preemptible slice's end and wake: one more event.
         if not cpu.env.claim_next(_Due, _RACED, cpu):
             cpu.env.schedule(_Due(cpu.env, _RACED, cpu))
@@ -142,6 +142,8 @@ class Processor:
         #: The wait a kick wakes (None: no wake armed).
         self._armed: Optional[int] = None
         self._stopped = False
+        #: Stopped mid-slice: that slice's end still races its wake.
+        self._stopped_slice = False
         self._preemptive = policy.preemptive
         self._cap = (self.quantum if self._preemptive and policy.time_varying
                      else math.inf)  # the longest slice
@@ -203,8 +205,12 @@ class Processor:
         if running is not None:
             self.cancel(running)
         self.env.schedule(_Due(self.env, _STOP, self), priority=URGENT)
-        # The interrupt beats the wake, so resolve the running job here.
+        # The interrupt beats the wake, so resolve the running job here,
+        # and account the partial slice: nothing resumes to do it.
         if running is not None:
+            self.busy_time += self.env.now - self._slice_started
+            self.running = self._slice_started = None
+            self._stopped_slice = True
             _resolve(running)
 
     # -- load inspection ---------------------------------------------------------
@@ -215,7 +221,7 @@ class Processor:
 
     def queue_work(self) -> float:
         """Remaining work across all queued and running jobs."""
-        total = sum(j.remaining for j in self.ready)
+        total = sum(j.remaining for j in self.ready) if self.ready else 0
         job, start = self.running, self._slice_started
         if job is not None:
             # Less what the slice in progress has done of it.

@@ -251,8 +251,9 @@ class HealthSampler:
         """The timestamp of the sample currently being taken."""
         return self._now
 
-    def observe(self, name: str, value: float, **labels: Any) -> None:
-        """Record one point on the named series at the sample time."""
+    def observe(self, name: str, value: float, **labels: Any) -> SeriesRing:
+        """Record one point on the named series at the sample time, and
+        return its ring (a caller may append to it directly after)."""
         key = (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
         ring = self._series.get(key)
         if ring is None:
@@ -260,6 +261,7 @@ class HealthSampler:
                 name, dict(key[1]), capacity=self.capacity,
             )
         ring.append(self._now, value)
+        return ring
 
     def sample(self, now: Optional[float] = None) -> None:
         """Take one snapshot: run every probe at *now* (default: the
@@ -383,8 +385,10 @@ def health_reading(
                 domain_loads.setdefault(did, []).append(load)
         proc = getattr(node, "processor", None)
         if proc is not None:
-            finished = _merged(finished, proc.completed_by_class)
-            missed = _merged(missed, proc.missed_by_class)
+            for total, tally in ((finished, proc.completed_by_class),
+                                 (missed, proc.missed_by_class)):
+                for cls, n in tally.items():
+                    total[cls] = total[cls] + n if cls in total else n
     rm_totals = dict.fromkeys(_RM_RATES, 0.0)
     staleness: List[float] = []
     trust: Dict[str, Any] = {}
@@ -479,15 +483,24 @@ def health_probe(
     """The one probe: folds the reading ``read()`` returns into the
     health families.  *labels* tag every series (the supervisor's
     rollup uses ``scope="cluster"``); ``per_peer=False`` skips the
-    per-peer ``l_i`` series (bench reports stay small)."""
+    per-peer ``l_i`` series (bench reports stay small).  Like its
+    rate trackers, a probe serves one sampler: it holds each ring it
+    fills, keyed by family and label values."""
     rm_rates = _RateTracker()
     net_rates = _RateTracker()
+    rings: Dict[Tuple[str, ...], SeriesRing] = {}
 
     def probe(s: HealthSampler) -> None:
         r = read()
+        now = s.now
 
         def put(name: str, value: float, **extra: str) -> None:
-            s.observe(name, value, **labels, **extra)
+            key = (name, *extra.values())
+            ring = rings.get(key)
+            if ring is None:
+                rings[key] = s.observe(name, value, **labels, **extra)
+            else:
+                ring.append(now, value)
 
         loads = r["loads"]
         if per_peer:

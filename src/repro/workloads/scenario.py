@@ -29,6 +29,12 @@ from repro.workloads.population import (
     make_objects,
 )
 
+#: Gen-0 threshold while ``Scenario.run`` holds the heap.  At CPython's
+#: 700, ``sim_wide``'s window made 406/36/3 gen-0/1/2 passes that freed
+#: nothing; at this one it makes none (docs/performance.md, "The run
+#: owns the collector").
+YOUNG_THRESHOLD = 100_000
+
 
 @dataclass
 class ScenarioConfig:
@@ -85,21 +91,26 @@ class Scenario:
         For the length of the call, everything the heap already holds
         (the built and warmed-up population above all) sits in the
         cyclic collector's permanent generation, so gen-2 collections
-        walk only what the run itself allocates.  The freeze is
-        process-wide; it is undone on exit, and a caller that froze
-        first keeps its own.
+        walk only what the run itself allocates, and gen 0 waits for
+        :data:`YOUNG_THRESHOLD` net allocations.  Both are process-wide
+        and undone on exit; a caller that froze first, or whose gen-0
+        threshold is higher or 0, keeps its own.
         """
         if duration <= 0:
             raise ValueError("duration must be positive")
         froze = gc.get_freeze_count() == 0
+        thresholds = gc.get_threshold()
         if froze:
             gc.freeze()
+        if 0 < thresholds[0] < YOUNG_THRESHOLD:
+            gc.set_threshold(YOUNG_THRESHOLD, *thresholds[1:])
         try:
             self.env.run(until=self.env.now + duration)
             self.workload.stop()
             if drain > 0:
                 self.env.run(until=self.env.now + drain)
         finally:
+            gc.set_threshold(*thresholds)
             if froze:
                 gc.unfreeze()
         return self.summary()

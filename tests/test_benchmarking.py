@@ -109,7 +109,7 @@ class TestUngatedMicros:
     NAMES = {
         "micro_udp_roundtrip", "micro_pump_tick", "micro_allocate",
         "micro_timers", "micro_codec", "micro_processor",
-        "micro_net_stream", "micro_net_burst",
+        "micro_net_stream", "micro_net_burst", "micro_report",
     }
 
     @pytest.mark.parametrize("name", ["micro_net_stream", "micro_net_burst"])
@@ -178,6 +178,16 @@ class TestUngatedMicros:
             "gc_collected": 0, "kernel_events": 2637, "seq": 2637,
         }
 
+    def test_report_path_kernel_work_is_pinned(self):
+        spec = next(s for s in BENCHES if s.name == "micro_report")
+        out = spec.make(n_peers=40, sim_seconds=10.0)()
+        # 40 peers, a report every 2 s from t = 2 to 10.
+        assert out["events"] == 200
+        metrics = out["metrics"]
+        assert metrics["reports_per_s"] > 0
+        # The load-report path before its trim did exactly this work.
+        assert (metrics["kernel_events"], metrics["seq"]) == (1703, 1827)
+
 
 class TestCli:
     def test_list_exits_zero(self, capsys):
@@ -188,7 +198,7 @@ class TestCli:
             "micro_event_kernel", "micro_net_stream", "micro_net_burst",
             "micro_timers", "micro_udp_roundtrip",
             "micro_pump_tick", "micro_allocate", "micro_processor",
-            "micro_codec",
+            "micro_report", "micro_codec",
         ]
 
     def test_unknown_bench_exits_two(self, capsys):

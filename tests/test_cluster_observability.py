@@ -453,16 +453,11 @@ class TestClusterHealth:
                 triggers.append((reason, key))
                 return "bundle-dir"
 
-        ch = ClusterHealth(
-            recorder=FakeRecorder(),
-            slo_kwargs={
-                "fast_window": 5.0, "slow_window": 50.0,
-                "min_samples": 3, "warmup": 0.2,
-            },
-        )
+        ch = ClusterHealth(recorder=FakeRecorder())
         # Sustained 50% miss ratio on the merged population: burn
-        # 0.5 / 0.01 budget = 50x >> the fast threshold.
-        for i in range(12):
+        # 0.5 / 0.01 budget = 50x >> the fast threshold, held past the
+        # default fast window's warm-up (half of its 60 s).
+        for i in range(40):
             ch.ingest("s0", health(2, 1.0, 0.6, finished=10 * (i + 1),
                                    missed=5 * (i + 1)))
             ch.tick(now=float(i))

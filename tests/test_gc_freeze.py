@@ -1,7 +1,8 @@
 """``Scenario.run`` keeps cyclic GC off the built population.
 
-The run freezes the heap it is handed and unfreezes on exit; nothing in
-``src/repro`` may let a decision depend on when the collector runs.
+The run freezes the heap it is handed and raises the young generation's
+threshold, and undoes both on exit; nothing in ``src/repro`` may let a
+decision depend on when the collector runs.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.workloads import (
     WorkloadConfig,
     build_scenario,
 )
+from repro.workloads.scenario import YOUNG_THRESHOLD
 
 SRC = Path(repro.__file__).parent
 #: The only modules that may touch the collector.
@@ -47,8 +49,10 @@ def spawn(scenario, body):
 @pytest.fixture(autouse=True)
 def _no_freeze_left():
     assert gc.get_freeze_count() == 0
+    thresholds = gc.get_threshold()
     yield
     gc.unfreeze()
+    gc.set_threshold(*thresholds)
 
 
 def test_process_inside_run_sees_frozen_heap():
@@ -87,6 +91,56 @@ def test_caller_freeze_is_kept():
     assert len(counts) == 1 and 0 < counts[0] <= frozen
     assert 0 < gc.get_freeze_count() <= frozen
     assert len(young) == 10_000
+
+
+def test_run_raises_young_threshold_and_restores_it():
+    scenario = small_scenario()
+    gc.set_threshold(700, 10, 10)
+    seen = []
+    spawn(scenario, lambda: seen.append(gc.get_threshold()))
+    scenario.run(duration=5.0, drain=0.0)
+    assert seen == [(YOUNG_THRESHOLD, 10, 10)]
+    assert gc.get_threshold() == (700, 10, 10)
+
+
+def test_failed_run_restores_thresholds():
+    scenario = small_scenario()
+    gc.set_threshold(500, 7, 9)
+
+    def boom():
+        assert gc.get_threshold() == (YOUNG_THRESHOLD, 7, 9)
+        raise RuntimeError("boom")
+
+    spawn(scenario, boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        scenario.run(duration=5.0, drain=0.0)
+    assert gc.get_threshold() == (500, 7, 9)
+    assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("caller", [
+    (0, 10, 10),  # automatic collection off: the run keeps it off
+    (YOUNG_THRESHOLD * 3, 4, 5),  # already higher: not lowered
+])
+def test_caller_thresholds_are_kept(caller):
+    scenario = small_scenario()
+    gc.set_threshold(*caller)
+    seen = []
+    spawn(scenario, lambda: seen.append(gc.get_threshold()))
+    scenario.run(duration=5.0, drain=0.0)
+    assert seen == [caller]
+    assert gc.get_threshold() == caller
+
+
+def test_env_run_keeps_the_default_threshold():
+    """Warm-up, benchmark drain slices and the golden enter ``env.run``
+    directly: only ``Scenario.run`` moves the threshold."""
+    scenario = small_scenario()
+    before = gc.get_threshold()
+    seen = []
+    spawn(scenario, lambda: seen.append(gc.get_threshold()))
+    scenario.env.run(until=5.0)
+    assert seen == [before]
 
 
 def _module_names(node: ast.AST):

@@ -415,18 +415,31 @@ def simulate(cpu_cls, spec: dict, driver) -> tuple:
             env.step()
     env.run(until=END + 10.0)  # what the stops left behind still fires
     counts.append((env.n_processed, env._seq, hooked[0], len(log)))
+    stopped_at: dict = {}
+    for entry in log:
+        if entry[1] == "stop":
+            stopped_at.setdefault(entry[2] % len(procs), entry[0])
     state = [
         (job.job_id, _bits(job.started_at), _bits(job.completed_at),
          job.preemptions, _bits(job.remaining), job.cancelled)
         for job, _ in jobs
-    ] + [
-        (_bits(cpu.busy_time), _bits(cpu.busy_time_now()),
-         _bits(cpu.queue_work()), cpu.queue_length, cpu.n_completed,
-         cpu.n_missed, cpu.n_cancelled, cpu.completed_by_class,
-         cpu.missed_by_class)
-        for cpu in procs
-    ]
+    ] + [_cpu_state(cpu, stopped_at.get(i)) for i, cpu in enumerate(procs)]
     return log, state, counts
+
+
+def _cpu_state(cpu, stopped_at: Optional[float]) -> tuple:
+    """A CPU's final accounting.  The oracle keeps the slice it was
+    stopped in running for good, so its busy time grows with the clock
+    and never books that slice; the processor books it at the stop and
+    clears it.  Such an oracle CPU is read as if it had done the same."""
+    busy, busy_now = cpu.busy_time, cpu.busy_time_now()
+    work, length = cpu.queue_work(), cpu.queue_length
+    if cpu._stopped and cpu.running is not None:
+        busy = busy_now = busy + (stopped_at - cpu._slice_started)
+        work, length = 0, len(cpu.ready)
+    return (_bits(busy), _bits(busy_now), _bits(work), length,
+            cpu.n_completed, cpu.n_missed, cpu.n_cancelled,
+            cpu.completed_by_class, cpu.missed_by_class)
 
 
 @settings(max_examples=400, deadline=None)

@@ -230,6 +230,25 @@ class TestProcessor:
 
         env.run(env.process(driver()))
 
+    @pytest.mark.parametrize("policy", [LLSPolicy, EDFPolicy, FIFOPolicy])
+    def test_stop_mid_slice_accounts_the_slice(self, env, policy):
+        """A processor stopped mid-slice books the slice's CPU time at
+        the stop and runs nothing after it."""
+        cpu = Processor(env, "p", power=1.0, policy=policy(), quantum=0.5)
+        j = Job(work=10, abs_deadline=100, release=0)
+
+        def driver():
+            cpu.submit(j)
+            yield env.timeout(3.25)
+            cpu.stop()
+            yield env.timeout(20)
+
+        env.run(env.process(driver()))
+        assert j.cancelled
+        assert cpu.running is None and cpu.queue_length == 0
+        assert cpu.busy_time == cpu.busy_time_now() == pytest.approx(3.25)
+        assert cpu.queue_work() == 0
+
     def test_lls_alternation_under_quantum(self, env):
         """Two equal jobs with different deadlines share under LLS."""
         cpu = Processor(env, "p", power=1.0, policy=LLSPolicy(), quantum=0.5)
