@@ -388,7 +388,7 @@ def health_reading(
             for total, tally in ((finished, proc.completed_by_class),
                                  (missed, proc.missed_by_class)):
                 for cls, n in tally.items():
-                    total[cls] = total[cls] + n if cls in total else n
+                    total[cls] = total.get(cls, 0) + n
     rm_totals = dict.fromkeys(_RM_RATES, 0.0)
     staleness: List[float] = []
     trust: Dict[str, Any] = {}
