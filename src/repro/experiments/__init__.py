@@ -1,9 +1,12 @@
-"""The experiment harness: one module per reproduced figure/claim.
+"""The experiment harness: the paper's figures and claims, regenerated.
 
-Each experiment module exposes ``run(quick=False) -> ExperimentResult``;
-the result carries the table the experiment regenerates (see DESIGN.md
-§4 for the experiment index and EXPERIMENTS.md for recorded outcomes).
-``quick=True`` shrinks durations/replications for CI and benchmarks.
+F1–F3 walk through the paper's three figures, one module each with
+``run(quick=False) -> ExperimentResult``.  E1–E13 are the sweeps behind
+its claims: rows of one table, :data:`repro.experiments.sweeps.SWEEPS`,
+that one runner serves.  Each result carries the table the experiment
+regenerates (see DESIGN.md §4 for the experiment index and
+EXPERIMENTS.md for recorded outcomes).  ``quick=True`` shrinks
+durations/replications for CI and tests.
 
 Run them all from the command line::
 
@@ -11,26 +14,17 @@ Run them all from the command line::
     python -m repro.experiments.cli e1 e2 --quick
 """
 
-from repro.experiments.base import ExperimentResult, replicate
+from repro.experiments.base import ExperimentResult
+from repro.experiments.sweeps import SWEEPS
 
-__all__ = ["ExperimentResult", "replicate"]
+__all__ = ["ExperimentResult"]
 
-#: Registry of experiment ids to module paths (populated lazily by cli).
-EXPERIMENTS = {
+#: The figure walkthroughs by module path (the CLI imports them lazily).
+FIGURES = {
     "f1": "repro.experiments.f1_graph_example",
     "f2": "repro.experiments.f2_walkthrough",
     "f3": "repro.experiments.f3_allocation_algorithm",
-    "e1": "repro.experiments.e1_fairness",
-    "e2": "repro.experiments.e2_missrate",
-    "e3": "repro.experiments.e3_scheduling",
-    "e4": "repro.experiments.e4_scalability",
-    "e5": "repro.experiments.e5_churn",
-    "e6": "repro.experiments.e6_admission",
-    "e7": "repro.experiments.e7_update_period",
-    "e8": "repro.experiments.e8_failover",
-    "e9": "repro.experiments.e9_gossip",
-    "e10": "repro.experiments.e10_ablation",
-    "e11": "repro.experiments.e11_importance",
-    "e12": "repro.experiments.e12_loss",
-    "e13": "repro.experiments.e13_adaptive_updates",
 }
+
+#: Every experiment id in run order: the figures, then the sweep table.
+EXPERIMENTS = [*FIGURES, *SWEEPS]

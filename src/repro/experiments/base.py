@@ -1,11 +1,9 @@
-"""Shared experiment plumbing: results, tables, replication."""
+"""Shared experiment plumbing: one result table."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Sequence
-
-import numpy as np
+from typing import Any, Dict, List
 
 from repro.common.util import fmt_table
 
@@ -43,28 +41,3 @@ class ExperimentResult:
         idx = self.headers.index(header)
         return [row[idx] for row in self.rows]
 
-
-def replicate(
-    fn: Callable[[int], Dict[str, float]],
-    seeds: Sequence[int],
-) -> Dict[str, tuple[float, float]]:
-    """Run *fn* per seed; return per-key (mean, std) over replications.
-
-    ``fn`` returns a flat dict of numeric results for one seed.
-    """
-    if not seeds:
-        raise ValueError("need at least one seed")
-    samples: Dict[str, List[float]] = {}
-    for seed in seeds:
-        result = fn(seed)
-        for key, value in result.items():
-            samples.setdefault(key, []).append(float(value))
-    return {
-        key: (float(np.mean(vals)), float(np.std(vals)))
-        for key, vals in samples.items()
-    }
-
-
-def seeds_for(quick: bool, full: int = 3) -> List[int]:
-    """Replication seeds: 1 for quick runs, *full* otherwise."""
-    return [1] if quick else list(range(1, full + 1))

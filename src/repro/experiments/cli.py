@@ -11,15 +11,26 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import importlib
 import io
 import json
 import os
 import sys
 import time
+from typing import Callable, Tuple
 
-from repro.experiments import EXPERIMENTS
+from repro.experiments import EXPERIMENTS, FIGURES, SWEEPS
 from repro.experiments.base import ExperimentResult
+
+
+def load(exp_id: str) -> Tuple[str, Callable[..., ExperimentResult]]:
+    """An experiment's description and its ``run(quick=False)``."""
+    if exp_id in SWEEPS:
+        sweep = SWEEPS[exp_id]
+        return sweep.measure.__doc__, functools.partial(sweep.run, exp_id)
+    module = importlib.import_module(FIGURES[exp_id])
+    return module.__doc__, module.run
 
 
 def result_to_csv(result: ExperimentResult) -> str:
@@ -58,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiments", nargs="*",
-        help="experiment ids (f1-f3, e1-e10) or 'all'",
+        help="experiment ids (f1-f3, e1-e13) or 'all'",
     )
     parser.add_argument(
         "--list", action="store_true", help="list available experiments"
@@ -83,9 +94,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.list or not args.experiments:
         print("available experiments:")
-        for exp_id, module in EXPERIMENTS.items():
-            mod = importlib.import_module(module)
-            doc = (mod.__doc__ or "").strip().splitlines()[0]
+        for exp_id in EXPERIMENTS:
+            doc = load(exp_id)[0].strip().splitlines()[0]
             print(f"  {exp_id:4s} {doc}")
         return 0
 
@@ -101,9 +111,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     for exp_id in wanted:
-        mod = importlib.import_module(EXPERIMENTS[exp_id])
+        run = load(exp_id)[1]
         start = time.time()
-        result = mod.run(quick=args.quick)
+        result = run(quick=args.quick)
         elapsed = time.time() - start
         print(result.render())
         print(f"  ({elapsed:.1f}s wall)\n")

@@ -44,7 +44,6 @@ class ConnectionManager:
         #: peer id -> last-use timestamp (insertion order == LRU order
         #: is *not* assumed; we sort on eviction).
         self._last_used: Dict[str, float] = {}
-        self.opened = 0
         self.evicted = 0
 
     # -- queries ------------------------------------------------------------
@@ -74,7 +73,6 @@ class ConnectionManager:
             del self._last_used[victim]
             self.evicted += 1
         self._last_used[peer_id] = now
-        self.opened += 1
         self.node.send(HANDSHAKE_KIND, peer_id, {}, size=HANDSHAKE_SIZE)
         return True
 

@@ -25,12 +25,16 @@ def default_formats() -> List[MediaFormat]:
     ]
 
 
+#: Largest pixel-rate factor from a conversion's source to its output.
+MAX_UPSCALE = 1.0
+
+
 @dataclass
 class MediaCatalog:
     """Formats plus the *type-level* conversion pool between them.
 
     A conversion (src -> dst) is considered offerable when it does not
-    upscale by more than ``max_upscale`` in pixel rate — transcoders
+    upscale by more than :data:`MAX_UPSCALE` in pixel rate — transcoders
     mostly shrink or re-encode streams.  Peers host *instances* of
     these conversions; the type pool also gives the reachability map the
     workload generator uses to pick goals that are achievable in
@@ -39,7 +43,6 @@ class MediaCatalog:
 
     formats: List[MediaFormat] = field(default_factory=default_formats)
     canonical_duration: float = 60.0
-    max_upscale: float = 1.0
 
     def __post_init__(self) -> None:
         if len(self.formats) < 2:
@@ -59,7 +62,7 @@ class MediaCatalog:
                 for dst in self.formats:
                     if src == dst:
                         continue
-                    if dst.pixel_rate <= src.pixel_rate * self.max_upscale:
+                    if dst.pixel_rate <= src.pixel_rate * MAX_UPSCALE:
                         out.append((src, dst))
             self._conversions = out
         return self._conversions

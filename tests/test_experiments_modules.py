@@ -1,28 +1,51 @@
 """Direct tests of the experiment modules and the CLI."""
 
-import pytest
-
 from repro.experiments import EXPERIMENTS
-from repro.experiments.base import ExperimentResult, replicate, seeds_for
-from repro.experiments.cli import main as cli_main
+from repro.experiments.base import ExperimentResult
+from repro.experiments.cli import load, main as cli_main
 from repro.experiments.f1_graph_example import DEFAULT_LOADS, run as run_f1
 from repro.experiments.f2_walkthrough import run as run_f2
+from repro.experiments.sweeps import Sweep
 from repro.media.fig1 import FIG1_CANDIDATE_PATHS
 
 
-class TestBase:
-    def test_replicate_means_and_stds(self):
-        stats = replicate(lambda seed: {"x": float(seed)}, seeds=[1, 2, 3])
-        assert stats["x"][0] == pytest.approx(2.0)
-        assert stats["x"][1] == pytest.approx(0.8164965, rel=1e-4)
+def probe_sweep(calls, seeds=3):
+    """A two-axis sweep whose measure records its calls."""
 
-    def test_replicate_needs_seeds(self):
-        with pytest.raises(ValueError):
-            replicate(lambda s: {}, seeds=[])
+    def measure(seed, duration, x, pair):
+        calls.append((seed, duration, x, pair))
+        return float(seed), x * 10
 
-    def test_seeds_for(self):
-        assert seeds_for(quick=True) == [1]
-        assert seeds_for(quick=False, full=4) == [1, 2, 3, 4]
+    return Sweep(
+        "probe", [("x", [1], [1, 2]), (("a", "b"), [("p", "q")],
+                                        [("p", "q"), ("r", "s")])],
+        ["seed", "x10"], measure, "a note", (5.0, 50.0), seeds=seeds,
+    )
+
+
+class TestSweep:
+    def test_cells_outermost_first_with_seeds_innermost(self):
+        calls = []
+        probe_sweep(calls, seeds=2).run("p")
+        assert calls == [
+            (seed, 50.0, x, pair)
+            for x in (1, 2) for pair in (("p", "q"), ("r", "s"))
+            for seed in (1, 2)
+        ]
+
+    def test_means_over_seeds_per_cell(self):
+        result = probe_sweep([], seeds=3).run("p")
+        assert result.headers == ["x", "a", "b", "seed", "x10"]
+        assert result.rows[0] == [1, "p", "q", 2.0, 10.0]
+        assert result.rows[-1] == [2, "r", "s", 2.0, 20.0]
+        assert len(result.rows) == 4
+        assert result.notes == ["a note"]
+
+    def test_quick_runs_seed_one_on_the_quick_values(self):
+        calls = []
+        result = probe_sweep(calls, seeds=4).run("p", quick=True)
+        assert calls == [(1, 5.0, 1, ("p", "q"))]
+        assert result.rows == [[1, "p", "q", 1.0, 10.0]]
 
 
 class TestF1:
@@ -80,16 +103,14 @@ class TestF2:
 
 class TestRegistry:
     def test_all_experiments_importable_with_run(self):
-        import importlib
-
-        for exp_id, module_path in EXPERIMENTS.items():
-            mod = importlib.import_module(module_path)
-            assert callable(mod.run), exp_id
-            assert mod.__doc__, exp_id
+        for exp_id in EXPERIMENTS:
+            doc, run = load(exp_id)
+            assert callable(run), exp_id
+            assert doc.strip().upper().startswith(exp_id.upper()), exp_id
 
     def test_ids_cover_figures_and_claims(self):
-        assert {"f1", "f2", "f3"} <= EXPERIMENTS.keys()
-        assert {f"e{i}" for i in range(1, 11)} <= EXPERIMENTS.keys()
+        assert EXPERIMENTS == ["f1", "f2", "f3",
+                               *(f"e{i}" for i in range(1, 14))]
 
 
 class TestCLI:

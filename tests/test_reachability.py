@@ -1,9 +1,9 @@
 """Every ``src/repro`` module and name is reachable from an entry point.
 
 The entry points are the ``[project.scripts]`` modules, the non-test
-files of ``benchmarks/e2e/`` and ``examples/``, and the experiment
-modules ``repro.experiments.EXPERIMENTS`` names (the experiments CLI
-loads them with ``importlib``).  The closure follows every ``import``
+files of ``benchmarks/e2e/`` and ``examples/``, the figure modules
+``repro.experiments.FIGURES`` names (the experiments CLI loads them
+with ``importlib``) and the sweep table, ``repro.experiments.sweeps``.  The closure follows every ``import``
 statement, in function bodies too, and every package a module sits in.
 A module outside it is reached from ``tests/`` only: delete it, or name
 it in :data:`ALLOWED` with the reason it stays (its package and what it
@@ -24,7 +24,7 @@ import ast
 import re
 from pathlib import Path
 
-from repro.experiments import EXPERIMENTS
+from repro.experiments import FIGURES
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
@@ -59,8 +59,8 @@ ALLOWED_NAMES = {
     "repro.core.peer.Peer.request_qos_change":
         "§4.5 renegotiation, the only QOS_UPDATE sender",
     "repro.experiments.base.ExperimentResult.column":
-        "the paper-claim tests (benchmarks/test_e*.py) read results "
-        "through it",
+        "the paper-claim checks (tests/test_paper_claims.py) read "
+        "results through it",
     "repro.runtime.transport.UdpTransport.error_received":
         "asyncio.DatagramProtocol callback",
     "repro.summaries.bloom.BloomFilter.for_capacity":
@@ -217,13 +217,18 @@ def test_entry_points_exist():
     assert len(scripts) == 7
     modules = src_modules()
     assert scripts <= set(modules)
-    assert set(EXPERIMENTS.values()) <= set(modules)
+    assert experiment_modules() <= set(modules)
     assert entry_files()
+
+
+def experiment_modules() -> set[str]:
+    """The figure modules and the sweep table the experiments CLI runs."""
+    return set(FIGURES.values()) | {"repro.experiments.sweeps"}
 
 
 def reached(extra: set[str] = frozenset()) -> tuple[set[str], dict[str, Path]]:
     modules = src_modules()
-    roots = script_modules() | set(EXPERIMENTS.values()) | extra
+    roots = script_modules() | experiment_modules() | extra
     return closure(roots, entry_files(), modules), modules
 
 

@@ -27,7 +27,7 @@ class TestCatalog:
         assert all(a != b for a, b in cat.conversions())
 
     def test_conversions_respect_upscale_cap(self):
-        cat = MediaCatalog(max_upscale=1.0)
+        cat = MediaCatalog()
         for a, b in cat.conversions():
             assert b.pixel_rate <= a.pixel_rate
 
