@@ -167,7 +167,7 @@ class TaskRegistry:
                 epoch=session.epoch,
             )
             session.order = order
-            for pid in set(graph.peers()) | {holder}:
+            for pid in dict.fromkeys([*graph.peers(), holder]):
                 if rm.info.has_peer(pid) or pid == rm.node_id:
                     rm._send_or_local(
                         pid, protocol.COMPOSE, {"order": order},

@@ -317,7 +317,9 @@ class TestTrajectoryDeterminism:
     """A run must be a pure function of (config, seed) — in particular
     independent of PYTHONHASHSEED.  The repair fan-out used to iterate a
     ``set`` of peer ids, so the COMPOSE send order (and from there the
-    whole trajectory) varied run to run under churn."""
+    whole trajectory) varied run to run under churn.  The backup RM's
+    takeover replayed its COMPOSEs the same way; a lossy network makes
+    it take over (every later latency draw moved)."""
 
     _SCRIPT = """
 from repro.core.manager import RMConfig
@@ -339,25 +341,45 @@ print(scenario.env.n_processed, scenario.network.stats.sent,
       scenario.churn.departures, scenario.churn.rejoins)
 """
 
+    _LOSS_SCRIPT = """
+from repro.workloads import (
+    PopulationConfig, ScenarioConfig, WorkloadConfig, build_scenario,
+)
+
+scenario = build_scenario(ScenarioConfig(
+    seed=1,
+    population=PopulationConfig(n_peers=14, n_objects=6, replication=2),
+    workload=WorkloadConfig(rate=0.4),
+    loss_rate=0.2,
+))
+agents = [d.failover for d in scenario.overlay.domains.values()]
+summary = scenario.run(duration=400.0, drain=60.0)
+print(scenario.env.n_processed, scenario.network.stats.sent,
+      sum(a is not None and a.took_over for a in agents), summary.n_failed)
+"""
+
     def test_trajectory_independent_of_hash_seed(self):
         import os
         import subprocess
         import sys
 
-        outputs = []
-        for hash_seed in ("101", "202"):
-            env = dict(os.environ)
-            env["PYTHONHASHSEED"] = hash_seed
-            env.setdefault("PYTHONPATH", "src")
-            proc = subprocess.run(
-                [sys.executable, "-c", self._SCRIPT],
-                capture_output=True, text=True, env=env, timeout=120,
+        for script in (self._SCRIPT, self._LOSS_SCRIPT):
+            outputs = []
+            for hash_seed in ("101", "202"):
+                env = dict(os.environ)
+                env["PYTHONHASHSEED"] = hash_seed
+                env.setdefault("PYTHONPATH", "src")
+                proc = subprocess.run(
+                    [sys.executable, "-c", script],
+                    capture_output=True, text=True, env=env, timeout=120,
+                )
+                assert proc.returncode == 0, proc.stderr
+                outputs.append(proc.stdout.strip())
+            exercised = outputs[0].split()[2]
+            assert int(exercised) > 0, (
+                "scenario never exercised churn/repair or a takeover"
             )
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(proc.stdout.strip())
-        events, messages, departures, _ = outputs[0].split()
-        assert int(departures) > 0, "scenario never exercised churn/repair"
-        assert outputs[0] == outputs[1], (
-            f"trajectory depends on PYTHONHASHSEED: "
-            f"{outputs[0]!r} != {outputs[1]!r}"
-        )
+            assert outputs[0] == outputs[1], (
+                f"trajectory depends on PYTHONHASHSEED: "
+                f"{outputs[0]!r} != {outputs[1]!r}"
+            )
