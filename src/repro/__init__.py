@@ -32,7 +32,7 @@ Package map
 ``repro.workloads``   populations, arrivals, one-call scenarios
 ``repro.results``     run summaries and time series
 ``repro.telemetry``   tracing + runtime metrics registry
-``repro.experiments`` the reproduced evaluation (F1-F3, E1-E10)
+``repro.experiments`` the reproduced evaluation (F1-F3, E1-E13)
 """
 
 from repro.core.allocation import AllocationResult, Allocator

@@ -3,8 +3,9 @@
 The entry points are the ``[project.scripts]`` modules, the non-test
 files of ``benchmarks/e2e/`` and ``examples/``, the figure modules
 ``repro.experiments.FIGURES`` names (the experiments CLI loads them
-with ``importlib``) and the sweep table, ``repro.experiments.sweeps``.  The closure follows every ``import``
-statement, in function bodies too, and every package a module sits in.
+with ``importlib``) and the sweep table, ``repro.experiments.sweeps``.
+The closure follows every ``import`` statement, in function bodies too,
+and every package a module sits in.
 A module outside it is reached from ``tests/`` only: delete it, or name
 it in :data:`ALLOWED` with the reason it stays (its package and what it
 imports then stay with it).
