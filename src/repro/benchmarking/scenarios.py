@@ -282,15 +282,12 @@ def _micro_codec(n_rounds: int) -> Callable:
     return fn
 
 
-def _micro_allocate(n_allocations: int, warmup: float = 20.0) -> Callable:
-    """``Allocator.allocate`` (Fig-3 search + estimate + fairness) on
-    the largest domain — 64 peers — of the ``sim_dense`` population of
-    ``benchmarks/e2e``, frozen after *warmup* simulated seconds of its
-    load.  The work unit is allocations, feasible or not, so
-    ``events_per_sec`` reads allocations/s.  The domain is built here,
-    outside the timed ``fn``.
-    """
-    from repro.common.errors import NoFeasibleAllocation
+def allocation_requests(warmup: float = 20.0) -> tuple:
+    """The largest domain — 64 peers — of the ``sim_dense`` population
+    of ``benchmarks/e2e``, frozen after *warmup* simulated seconds of
+    its load, and its requests: ``(rm, [(task, allocate kwargs)])``,
+    one per (object held in the domain, reachable goal), as admission
+    would place it, with the least-loaded holder as the source."""
     from repro.core.manager import RMConfig
     from repro.tasks.qos import QoSRequirements
     from repro.tasks.task import ApplicationTask
@@ -315,8 +312,6 @@ def _micro_allocate(n_allocations: int, warmup: float = 20.0) -> Callable:
     info = rm.info
     peer_ids = list(info.peers)
     requests = []
-    # One request per (object held in the domain, reachable goal), as
-    # admission would place it: least-loaded holder as the source.
     for obj in rm.object_catalog.values():
         holders = info.peers_with_object(obj.name)
         if not holders:
@@ -337,25 +332,51 @@ def _micro_allocate(n_allocations: int, warmup: float = 20.0) -> Callable:
                 now=now,
                 work_scale=obj.duration_s / rm.rm_config.canonical_duration,
             )))
+    return rm, requests
+
+
+def _micro_allocate(n_allocations: int, warmup: float = 20.0) -> Callable:
+    """``Allocator.allocate`` (Fig-3 search + estimate + fairness) over
+    :func:`allocation_requests` in turn.  The work unit is allocations,
+    feasible or not, so ``events_per_sec`` reads allocations/s.  The
+    domain is built here, outside the timed ``fn``.  ``metrics`` pins
+    the search's work: allocations placed, paths examined, candidates
+    found and a digest of the winners (edge ids and fairness bits).
+    """
+    import hashlib
+
+    from repro.common.errors import NoFeasibleAllocation
+
+    rm, requests = allocation_requests(warmup)
+    info = rm.info
 
     def fn() -> Dict[str, Any]:
         allocate = rm.allocator.allocate
         net = rm.network
-        placed = examined = 0
+        placed = examined = candidates = 0
+        winners = hashlib.blake2b(digest_size=16)
         for i in range(n_allocations):
             task, kwargs = requests[i % len(requests)]
             try:
-                examined += allocate(info, net, task, **kwargs).n_examined
-                placed += 1
+                result = allocate(info, net, task, **kwargs)
             except NoFeasibleAllocation:
-                pass
+                continue
+            placed += 1
+            examined += result.n_examined
+            candidates += result.n_candidates
+            winners.update(
+                f"{','.join(result.edge_ids)}|{result.fairness.hex()};"
+                .encode()
+            )
         return {
             "events": n_allocations,
             "metrics": {
-                "domain_peers": len(peer_ids),
+                "domain_peers": len(info.peers),
                 "requests": len(requests),
                 "placed": placed,
                 "paths_examined": examined,
+                "candidates": candidates,
+                "winners_digest": winners.hexdigest(),
             },
         }
 

@@ -16,35 +16,63 @@ the paper's design choice under test.  Each rule is a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional
+from typing import Any, Callable, Dict, Hashable, List, Optional
 
 import numpy as np
 
 from repro.common.errors import NoFeasibleAllocation
 from repro.core.estimate import CompletionTimeEstimator
-from repro.core.fairness import LoadVector
 from repro.core.info_base import DomainInfoBase
 from repro.graphs.resource_graph import ServiceEdge
-from repro.graphs.search import iter_paths
+from repro.graphs.search import Link, iter_hits, iter_paths, path_of
 from repro.net.network import Network
 from repro.sim.rng import fallback_rng
 from repro.tasks.task import ApplicationTask
 
 
-@dataclass
 class Candidate:
     """One feasible allocation candidate.
 
     ``max_post_util`` (the highest post-assignment utilization among the
     touched peers) is precomputed so fairness-blind baseline selectors
     (greedy least-loaded) can share the identical search machinery.
+    ``path`` and ``deltas`` are built on first read, since only the
+    winner's are usually read: *path* may be a search link
+    (:data:`~repro.graphs.search.Link`) and *deltas* a tuple
+    ``(prefix deltas, peer, delta)`` for the prefix's table with one
+    peer appended.
     """
 
-    path: List[ServiceEdge]
-    fairness: float
-    est_time: float
-    deltas: Dict[str, float]
-    max_post_util: float = 0.0
+    __slots__ = ("_path", "fairness", "est_time", "_deltas", "max_post_util")
+
+    def __init__(
+        self,
+        path: List[ServiceEdge] | Link,
+        fairness: float,
+        est_time: float,
+        deltas: Dict[str, float] | tuple,
+        max_post_util: float = 0.0,
+    ) -> None:
+        self._path = path
+        self.fairness = fairness
+        self.est_time = est_time
+        self._deltas = deltas
+        self.max_post_util = max_post_util
+
+    @property
+    def path(self) -> List[ServiceEdge]:
+        path = self._path
+        if type(path) is not list:
+            path = self._path = path_of(path)
+        return path
+
+    @property
+    def deltas(self) -> Dict[str, float]:
+        deltas = self._deltas
+        if type(deltas) is tuple:
+            base, peer_id, delta = deltas
+            deltas = self._deltas = {**base, peer_id: delta}
+        return deltas
 
     @property
     def edge_ids(self) -> List[str]:
@@ -177,7 +205,6 @@ class Allocator:
         sink_peer: str,
         in_bytes: float,
         now: float,
-        loads: Optional[LoadVector] = None,
         work_scale: float = 1.0,
     ) -> AllocationResult:
         """Run the allocation for *task*.
@@ -198,15 +225,9 @@ class Allocator:
         # service-time term and the capacity check.  A peer claiming no
         # power gets no free rate, so its edges prune like a missing
         # peer's ("infinitely overloaded") instead of dividing by zero.
-        load_of: Dict[str, float] = {}
-        free_rate: Dict[str, float] = {}
-        min_free_frac = est.min_free_frac
-        for peer_id, rec in peers.items():
-            load = load_of[peer_id] = info.effective_load(peer_id, now)
-            power = rec.power
-            if power > 0:
-                free_rate[peer_id] = max(power - load, power * min_free_frac)
-        load_view = loads if loads is not None else LoadVector(load_of)
+        load_of, free_rate, load_view = info.load_table(
+            now, est.min_free_frac
+        )
         # The remaining time budget: equals the relative QoS deadline for
         # a fresh submission, shrinks for redirected / repaired tasks.
         deadline = task.absolute_deadline - now
@@ -217,6 +238,10 @@ class Allocator:
         budget = deadline * (1.0 - est.safety_margin)
         max_utilization = est.max_utilization
         transfer_time = est.transfer_time
+        path_load_deltas = est.path_load_deltas
+        fairness_of_sums = load_view.fairness_of_sums
+        add_candidate = candidates.append
+        max_candidates = self.max_candidates
 
         def extend(state: tuple, edge: ServiceEdge) -> Optional[tuple]:
             """One hop of ``estimate_path``, folded along the search:
@@ -233,7 +258,26 @@ class Allocator:
                 return None
             return elapsed, edge.out_bytes * work_scale, peer_id
 
-        for path, (elapsed, carried, last_peer) in iter_paths(
+        def top_post_util(deltas: Dict[str, float]) -> Optional[float]:
+            """The highest post-assignment utilization of *deltas*, or
+            ``None`` when one peer would pass its cap (path_overloads'
+            arithmetic), checked in the table's order."""
+            top = 0.0
+            for peer_id, delta in deltas.items():
+                power = peers[peer_id].power
+                load = load_of[peer_id] + delta
+                if load > power * max_utilization:
+                    return None
+                post = load / power
+                if post > top:
+                    top = post
+            return top
+
+        # The hits out of one expanded prefix come with its link, so its
+        # delta table, capacity verdict, top utilization and fairness
+        # sums are computed once, when its first feasible hit arrives.
+        parent: Any = object()  # no prefix yet
+        for link, (elapsed, carried, last_peer) in iter_hits(
             info.resource_graph,
             v_init,
             v_sol,
@@ -248,24 +292,49 @@ class Allocator:
             )
             if est_time > budget:
                 continue
-            # One delta table for the capacity check (path_overloads'
-            # arithmetic), fairness and max_post_util.
-            deltas = est.path_load_deltas(path, deadline, work_scale)
-            max_post_util = 0.0
-            for peer_id, delta in deltas.items():
-                power = peers[peer_id].power
-                if load_of[peer_id] + delta > power * max_utilization:
-                    break
-                post = (load_view.get(peer_id) + delta) / power
-                if post > max_post_util:
-                    max_post_util = post
-            else:  # no peer overloaded
-                candidates.append(Candidate(
+            if link is not None and link[-1] is not parent:
+                parent = link[-1]
+                base = path_load_deltas(path_of(parent), deadline, work_scale)
+                base_top = top_post_util(base)
+                base_s, base_q = load_view.sums_with(base)
+            if link is None or last_peer in base:
+                # The path's table is not the prefix's plus one entry.
+                path = path_of(link)
+                deltas = path_load_deltas(path, deadline, work_scale)
+                top = top_post_util(deltas)
+                if top is None:
+                    continue
+                cand = Candidate(
                     path, load_view.fairness_with(deltas), est_time,
-                    deltas, max_post_util,
-                ))
-                if len(candidates) >= self.max_candidates:
-                    break
+                    deltas, top,
+                )
+            else:
+                # path_load_deltas, top_post_util and fairness_with, each
+                # one step on from the prefix's.
+                if base_top is None:
+                    continue
+                delta = 0.0 + link[0].work * work_scale / deadline
+                power = peers[last_peer].power
+                old = load_of[last_peer]
+                load = old + delta
+                if load > power * max_utilization:
+                    continue
+                new = load if load > 0.0 else 0.0  # max(0.0, load)
+                fairness = fairness_of_sums(
+                    base_s + (new - old), base_q + (new * new - old * old)
+                )
+                if fairness is None:
+                    fairness = load_view.fairness_with(
+                        {**base, last_peer: delta}
+                    )
+                post = load / power
+                cand = Candidate(
+                    link, fairness, est_time, (base, last_peer, delta),
+                    post if post > base_top else base_top,
+                )
+            add_candidate(cand)
+            if len(candidates) >= max_candidates:
+                break
 
         if not candidates:
             # Distinguish "no route exists at all" from "routes exist but

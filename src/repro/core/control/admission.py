@@ -9,6 +9,7 @@ stale past the configured bound.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 from repro.common.errors import NoFeasibleAllocation
@@ -210,13 +211,17 @@ class AdmissionController:
         )
         session = rm.registry.session(task.task_id)
         if session is not None:
-            session.order.abs_deadline = task.absolute_deadline
-            session.order.importance = task.qos.importance
+            # A new order, not an edit: a simulated peer holds the old
+            # one by reference and must keep it until this one arrives.
+            session.order = order = replace(
+                session.order, abs_deadline=task.absolute_deadline,
+                importance=task.qos.importance,
+            )
             for peer_id in session.graph.peers():
                 if rm.info.has_peer(peer_id) or peer_id == rm.node_id:
                     rm._send_or_local(
                         peer_id, protocol.COMPOSE,
-                        {"order": session.order},
+                        {"order": order},
                         size=protocol.size_of(protocol.COMPOSE),
                     )
         rm._emit(task, "qos_updated")

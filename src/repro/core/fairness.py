@@ -17,12 +17,13 @@ Properties exercised by the property-based tests (and quoted from §4.2):
 The allocator needs *what-if* fairness for many candidate assignments
 per request, so :class:`LoadVector` maintains the sum and sum-of-squares
 incrementally: evaluating a candidate that touches ``k`` peers is
-``O(k)`` instead of ``O(|P_D|)``.
+``O(k)`` instead of ``O(|P_D|)``, and one that adds a new peer to a
+prefix whose sums are known is ``O(1)`` (:meth:`LoadVector.sums_with`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,6 +82,15 @@ class LoadVector:
             for peer, load in loads.items():
                 self.set(peer, load)
 
+    @classmethod
+    def adopt(cls, loads: Dict[str, float], s: float, q: float) -> LoadVector:
+        """A vector over *loads* itself (not a copy), given the sum and
+        sum of squares accumulated over it in its order, as
+        ``LoadVector(loads)`` would: ``s += load; q += load * load``."""
+        vec = cls.__new__(cls)
+        vec._loads, vec._sum, vec._sumsq = loads, s, q
+        return vec
+
     # -- mutation ------------------------------------------------------------
     def set(self, peer: str, load: float) -> None:
         """Set one peer's load."""
@@ -133,19 +143,38 @@ class LoadVector:
         Peers in *deltas* that are not part of the distribution are
         ignored (they belong to another domain).  O(len(deltas)).
         """
+        fairness = self.fairness_of_sums(*self.sums_with(deltas))
+        if fairness is None:
+            return self._recomputed_with(deltas)
+        return fairness
+
+    def sums_with(self, deltas: Mapping[str, float]) -> Tuple[float, float]:
+        """The running sum and sum of squares of :meth:`fairness_with`
+        after *deltas*, accumulated in their order.  A caller extending
+        *deltas* by one peer new to them steps on from these with
+        ``new = max(0.0, old + delta); s += new - old;
+        q += new * new - old * old`` and gets the same floats."""
+        loads = self._loads
+        s, q = self._sum, self._sumsq
+        for peer, delta in deltas.items():
+            old = loads.get(peer)
+            if old is None:
+                continue
+            new = old + delta
+            if not new > 0.0:  # max(0.0, new)
+                new = 0.0
+            s += new - old
+            q += new * new - old * old
+        return s, q
+
+    def fairness_of_sums(self, s: float, q: float) -> Optional[float]:
+        """Equation (1) from what-if sums, or ``None`` when *q* has lost
+        its low digits to cancellation (recompute from the loads)."""
         n = len(self._loads)
         if n == 0:
             raise ValueError("fairness of an empty load distribution")
-        s, q = self._sum, self._sumsq
-        for peer, delta in deltas.items():
-            old = self._loads.get(peer)
-            if old is None:
-                continue
-            new = max(0.0, old + delta)
-            s += new - old
-            q += new * new - old * old
         if q <= self._sumsq * _CANCELLED:
-            return self._recomputed_with(deltas)
+            return None
         return (s * s) / (n * q)
 
     def _recomputed_with(self, deltas: Mapping[str, float]) -> float:

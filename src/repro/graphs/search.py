@@ -20,15 +20,22 @@ Two *visited policies* are provided:
 Both are *folds*: the caller's ``extend(state, edge)`` carries a state
 along every prefix one edge at a time and returns ``None`` to prune the
 prefix, which is then never extended (Fig. 3's "fulfills requirements
-in q" check).  Hits are yielded as ``(path, state)``: the edges as a
-list of :class:`ServiceEdge` and the state of the complete path.
+in q" check).  :func:`iter_hits` yields each hit as ``(link, state)``:
+the complete path as a parent link and its state.
 
+* A link is a tuple whose first item is the path's last edge and whose
+  last item is the link of its parent prefix (``None`` for the empty
+  prefix); :func:`path_of` turns it into the edge list.  Every hit out
+  of one expanded prefix holds that prefix's link, so a caller can key
+  per-prefix work on it and pay it once per prefix, not once per hit
+  (the allocator does).  :func:`iter_paths` is the path-yielding form.
 * ``extend`` runs once per prefix the search costs, on the state its
   parent prefix produced.
-* Visit before cost: the BFS drops a prefix entering an already-expanded
-  state other than ``v_sol`` without calling ``extend`` — it would be
-  discarded whatever it costs (of *k* parallel edges into a state, only
-  the first feasible one is expanded).
+* Visit before cost: the BFS never queues an edge into an
+  already-expanded state other than ``v_sol``, and drops a queued one
+  whose state was expanded since, without calling ``extend`` — it
+  would be discarded whatever it costs (of *k* parallel edges into a
+  state, only the first feasible one is expanded).
 * The order of hits is fixed — BFS: queue order (expanded states in
   turn, each in adjacency order); DFS: adjacency-order pre-order — and
   pruning only thins it, never reorders it.
@@ -46,10 +53,10 @@ Path = List[ServiceEdge]
 #: ``None`` when that prefix cannot meet the requirements.
 Extend = Callable[[Any, ServiceEdge], Any]
 #: A prefix as parent links: ``(last edge, ..., link of the parent)``.
-_Link = Optional[tuple]
+Link = Optional[tuple]
 
 
-def iter_paths(
+def iter_hits(
     graph: ResourceGraph,
     v_init: Hashable,
     v_sol: Hashable,
@@ -57,8 +64,9 @@ def iter_paths(
     extend: Optional[Extend] = None,
     state: Any = None,
     max_expansions: int = 100_000,
-) -> Iterator[Tuple[Path, Any]]:
-    """Yield candidate execution sequences from ``v_init`` to ``v_sol``.
+) -> Iterator[Tuple[Link, Any]]:
+    """Yield candidate execution sequences from ``v_init`` to ``v_sol``
+    as ``(link, state)`` (see the module docstring).
 
     Parameters
     ----------
@@ -90,12 +98,28 @@ def iter_paths(
         return
     if v_init == v_sol:
         # Already in the requested state: the empty sequence solves it.
-        yield [], state
+        yield None, state
         return
     yield from search(graph, v_init, v_sol, extend, state, max_expansions)
 
 
-def _path_of(link: _Link) -> Path:
+def iter_paths(
+    graph: ResourceGraph,
+    v_init: Hashable,
+    v_sol: Hashable,
+    visited_policy: str = "paper",
+    extend: Optional[Extend] = None,
+    state: Any = None,
+    max_expansions: int = 100_000,
+) -> Iterator[Tuple[Path, Any]]:
+    """:func:`iter_hits` with each hit as ``(edge list, state)``."""
+    for link, state in iter_hits(
+        graph, v_init, v_sol, visited_policy, extend, state, max_expansions
+    ):
+        yield path_of(link), state
+
+
+def path_of(link: Link) -> Path:
     """The edge list a chain of parent links stands for."""
     path: Path = []
     while link is not None:
@@ -112,39 +136,42 @@ def _bfs_paper(
     extend: Optional[Extend],
     state: Any,
     max_expansions: int,
-) -> Iterator[Tuple[Path, Any]]:
+) -> Iterator[Tuple[Link, Any]]:
     # On the graph's interned view, the goal and visited tests compare
-    # ints: most pops are parallel edges into an expanded state.
+    # ints.
     index, adj = graph.search_view()
     start, goal = index[v_init], index[v_sol]
-    # A queue entry is (edge, its dst, state of the parent prefix,
-    # parent entry): it is its own parent link, so queueing a prefix
-    # copies nothing.  The goal is never marked visited.
-    queue: deque[tuple] = deque(
-        (edge, dst, state, None) for dst, edge in adj[start]
-    )
-    popleft = queue.popleft
-    append = queue.append
     visited = [False] * len(adj)
     visited[start] = True
+    if max_expansions < 1:
+        return
+    # The expanded prefixes in expansion order, as (state int, fold
+    # state, link).  Trying each one's out-edges in adjacency order is
+    # the order a queue of edges would pop them in, and an edge into a
+    # state expanded meanwhile is skipped where it would be popped.
+    # The goal is never marked visited.
+    expanded: deque[tuple] = deque([(start, state, None)])
+    popleft = expanded.popleft
+    append = expanded.append
     expansions = 1
-    while queue and expansions <= max_expansions:
-        entry = popleft()
-        v = entry[1]
-        if visited[v]:
-            continue
-        state = entry[2]
-        if extend is not None:
-            state = extend(state, entry[0])
-            if state is None:
-                continue
-        if v == goal:
-            yield _path_of(entry), state
-            continue
-        visited[v] = True
-        expansions += 1
+    while expanded:
+        v, state, parent = popleft()
         for dst, edge in adj[v]:
-            append((edge, dst, state, entry))
+            if visited[dst]:
+                continue
+            new_state = state
+            if extend is not None:
+                new_state = extend(state, edge)
+                if new_state is None:
+                    continue
+            if dst == goal:
+                yield (edge, parent), new_state
+                continue
+            visited[dst] = True
+            expansions += 1
+            if expansions > max_expansions:
+                return
+            append((dst, new_state, (edge, parent)))
 
 
 def _dfs_simple(
@@ -154,12 +181,12 @@ def _dfs_simple(
     extend: Optional[Extend],
     state: Any,
     max_expansions: int,
-) -> Iterator[Tuple[Path, Any]]:
+) -> Iterator[Tuple[Link, Any]]:
     budget = [max_expansions]
 
     def dfs(
-        v: Hashable, state: Any, link: _Link, on_path: set[Hashable]
-    ) -> Iterator[Tuple[Path, Any]]:
+        v: Hashable, state: Any, link: Link, on_path: set[Hashable]
+    ) -> Iterator[Tuple[Link, Any]]:
         if budget[0] <= 0:
             return
         budget[0] -= 1
@@ -173,7 +200,7 @@ def _dfs_simple(
                 if new_state is None:
                     continue
             if nxt == v_sol:
-                yield _path_of((edge, link)), new_state
+                yield (edge, link), new_state
                 continue
             on_path.add(nxt)
             yield from dfs(nxt, new_state, (edge, link), on_path)

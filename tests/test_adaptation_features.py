@@ -97,6 +97,19 @@ class TestQoSRenegotiation:
     def test_relaxed_deadline_applied_and_propagated(self):
         d = build_live_domain()
         d.submit(origin="P4", deadline=10.0)
+        # What each peer holds the instant the RM applies the change,
+        # before any refreshed COMPOSE is delivered.
+        held_at_update = {}
+        update_qos = d.rm.admission.update_qos
+
+        def update_and_look(payload, src):
+            update_qos(payload, src)
+            for pid, peer in d.peers.items():
+                order = peer._orders.get(payload["task_id"])
+                if order is not None:
+                    held_at_update[pid] = order
+
+        d.rm.admission.update_qos = update_and_look
 
         def relax():
             yield d.env.timeout(1.0)
@@ -114,18 +127,55 @@ class TestQoSRenegotiation:
         assert session.order.abs_deadline == pytest.approx(
             task.absolute_deadline
         )
+        assert held_at_update
+        for pid, order in held_at_update.items():
+            # Not received yet: the peer still runs on the old deadline.
+            assert order is not session.order
+            assert order.abs_deadline == pytest.approx(
+                task.submitted_at + 10.0
+            )
         for pid in session.graph.peers():
             if pid in d.peers:
                 order = d.peers[pid]._orders.get(task.task_id)
                 if order is not None:
-                    # Some peers may not have received it yet at t=2;
-                    # those that did carry the new deadline.
-                    assert order.abs_deadline in (
-                        pytest.approx(task.absolute_deadline),
-                        pytest.approx(task.submitted_at + 10.0),
+                    # Received since: the new deadline.
+                    assert order.abs_deadline == pytest.approx(
+                        task.absolute_deadline
                     )
         d.env.run(until=60.0)
         assert task.outcome is TaskOutcome.MET_DEADLINE
+
+    def test_renegotiation_leaves_held_orders_until_delivery(self):
+        """The RM builds a new order: a peer keeps the one it holds (by
+        reference, on the simulated fabric) until the refreshed COMPOSE
+        is delivered, as a live peer keeps its decoded copy."""
+        d = build_live_domain()
+        d.submit(origin="P4", deadline=10.0)
+        d.env.run(until=1.0)
+        task = d.task()
+        held = {
+            pid: peer._orders[task.task_id]
+            for pid, peer in d.peers.items()
+            if task.task_id in peer._orders
+        }
+        assert held
+        old_deadline = task.absolute_deadline
+        d.rm.admission.update_qos(
+            {"task_id": task.task_id,
+             "deadline_abs": task.submitted_at + 30.0},
+            "P4",
+        )
+        for pid, order in held.items():
+            assert d.peers[pid]._orders[task.task_id] is order
+            assert order.abs_deadline == old_deadline
+        d.env.run(until=1.5)
+        new_order = d.rm.sessions[task.task_id].order
+        assert new_order.abs_deadline == task.absolute_deadline
+        assert new_order.abs_deadline != old_deadline
+        for pid in held:
+            assert d.peers[pid]._orders[task.task_id].abs_deadline == (
+                new_order.abs_deadline
+            )
 
     def test_tightened_deadline_records_miss(self):
         d = build_live_domain()

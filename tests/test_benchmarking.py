@@ -167,8 +167,12 @@ class TestUngatedMicros:
         assert out["events"] == 40
         metrics = out["metrics"]
         assert metrics["domain_peers"] == 64
-        assert 0 < metrics["placed"] <= 40
-        assert metrics["paths_examined"] >= metrics["placed"]
+        # The search's work, pinned: a speed-up keeps every figure.
+        assert metrics == {
+            "domain_peers": 64, "requests": 534, "placed": 40,
+            "paths_examined": 1818, "candidates": 1817,
+            "winners_digest": "c136928b3f8d8716c4f121b35468a7a7",
+        }
 
     def test_processor_slices_leave_nothing_for_the_collector(self):
         spec = next(s for s in BENCHES if s.name == "micro_processor")

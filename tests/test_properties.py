@@ -1,18 +1,27 @@
 """Cross-cutting property-based tests (Hypothesis)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.benchmarking.scenarios import allocation_requests
 from repro.common.errors import NoFeasibleAllocation
 from repro.core.allocation import Allocator, select_max_fairness
+from repro.core.control.reputation import (
+    PROBATION,
+    QUARANTINED,
+    SUSPECT,
+    TRUSTED,
+    ReputationEngine,
+)
 from repro.core.estimate import CompletionTimeEstimator
-from repro.core.fairness import LoadVector
 from repro.core.info_base import DomainInfoBase, PeerRecord
 from repro.graphs import ResourceGraph, iter_paths
 from repro.monitoring.profiler import LoadReport
-from repro.net.latency import ConstantLatency
+from repro.net.latency import ConstantLatency, DomainAwareLatency
 from repro.net.network import Network
 from repro.sim.core import Environment
 from repro.tasks.qos import QoSRequirements
@@ -174,11 +183,11 @@ def reference_search(g, v_init, v_sol, policy, ok):
         yield from dfs(v_init, [], {v_init})
 
 
-def reference_candidates(alloc, info, net, task, loads, **kw):
+def reference_candidates(alloc, info, net, task, **kw):
     """Fig. 3 from the estimator's public path-level methods alone."""
     est, now, scale = alloc.estimator, kw["now"], kw["work_scale"]
     src, in_bytes = kw["source_peer"], kw["in_bytes"]
-    view = loads if loads is not None else info.load_vector(now)
+    view = info.load_vector(now)
     deadline = task.absolute_deadline - now
     if deadline <= 0:
         return "qos"
@@ -222,58 +231,103 @@ def reference_candidates(alloc, info, net, task, loads, **kw):
 @st.composite
 def allocation_case(draw):
     """A random domain (multigraph with parallel edges and cycles, some
-    powerless or unknown hosts, reported + projected load) and request."""
+    powerless or unknown hosts, reported + projected load, optionally a
+    reputation engine's penalties and a two-domain latency) and request.
+
+    Shapes: ``sparse`` (1-5 peers, random edges), ``dense`` (8-14 peers,
+    1-3 parallel edges per state pair, a few hosts serving most edges,
+    so prefixes are shared and peers repeat within a path) and
+    ``cancelled`` (no load and no work, so every what-if sum of squares
+    is 0 and fairness takes the recomputed path)."""
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    shape = draw(st.sampled_from(["sparse", "sparse", "dense", "cancelled"]))
     rng = np.random.default_rng(seed)
     uniform = lambda lo, hi: float(rng.uniform(lo, hi))
     env = Environment()
-    net = Network(env, ConstantLatency(uniform(0.0, 0.05)), bandwidth=1e6)
     info = DomainInfoBase("d", "rm")
+    if draw(st.booleans()):
+        latency = ConstantLatency(uniform(0.0, 0.05))
+    else:
+        # Roster peers are in "d"; the outside endpoints "x0", "x1" are
+        # in another domain, or in none.
+        latency = DomainAwareLatency(
+            lambda node: "d" if node in info.peers else (
+                "x" if node == "x0" else None
+            ),
+            intra=uniform(0.0, 0.02), inter=uniform(0.02, 0.2),
+            rng=np.random.default_rng(seed),
+        )
+    net = Network(env, latency, bandwidth=1e6)
+    quiet = shape == "cancelled"
+    if not quiet and draw(st.booleans()):
+        info.reputation = ReputationEngine()
     now = uniform(0.0, 10.0)
-    n_peers = int(rng.integers(1, 6))
+    n_peers = int(rng.integers(8, 15) if shape == "dense"
+                  else rng.integers(1, 6))
     for i in range(n_peers):
         power = 0.0 if rng.random() < 0.08 else uniform(1.0, 20.0)
         rec = PeerRecord(peer_id=f"p{i}", power=power, bandwidth=1e6)
         info.add_peer(rec)
+        if info.reputation is not None:
+            info.reputation.note_join(rec)
+            trust = info.reputation._states[rec.peer_id]
+            trust.state = str(rng.choice(
+                [TRUSTED, SUSPECT, PROBATION, QUARANTINED]
+            ))
+            trust.score = uniform(0.0, 1.0)
+            trust.quarantined_until = now + uniform(-5.0, 5.0)
         if rng.random() < 0.8:
-            load = uniform(0.0, 1.2 * power)
+            load = 0.0 if quiet else uniform(0.0, 1.2 * power)
             rec.last_report = LoadReport(
                 peer_id=rec.peer_id, time=0.0, power=power,
                 utilization=0.0, load=load, bw_used=0.0,
                 queue_work=0.0, queue_length=0,
             )
-        for k in range(int(rng.integers(0, 3))):
+        for k in range(0 if quiet else int(rng.integers(0, 3))):
             info.project_allocation(
                 f"old{i}.{k}", {rec.peer_id: uniform(0.0, 2.0)},
                 expires_at=uniform(0.0, 20.0),
             )
+    graph = info.resource_graph
     n_states = int(rng.integers(2, 6))
-    for k in range(int(rng.integers(1, 25))):
-        a, b = (int(x) for x in rng.integers(n_states, size=2))
-        if a == b:
-            continue
-        # Hosts beyond the roster are peers the RM does not know.
-        info.resource_graph.add_service(
-            a, b, f"svc{k}", f"p{int(rng.integers(n_peers + 1))}",
-            work=uniform(0.0, 6.0) if rng.random() < 0.9 else 0.0,
+
+    def host():
+        # Hosts beyond the roster are peers the RM does not know; in
+        # the dense shape three hosts serve most edges.
+        if shape == "dense" and rng.random() < 0.7:
+            return f"p{int(rng.integers(3))}"
+        return f"p{int(rng.integers(n_peers + 1))}"
+
+    def add(a, b, k):
+        graph.add_service(
+            a, b, f"svc{k}", host(),
+            work=0.0 if quiet or rng.random() < 0.1 else uniform(0.0, 6.0),
             out_bytes=uniform(0.0, 1e5) if rng.random() < 0.8 else 0.0,
             edge_id=f"e{k}",
         )
+
+    if shape == "dense":
+        k = 0
+        for a in range(n_states):
+            for b in range(n_states):
+                if a != b and rng.random() < 0.6:
+                    for _ in range(int(rng.integers(1, 4))):
+                        add(a, b, k)
+                        k += 1
+    else:
+        for k in range(int(rng.integers(1, 25))):
+            a, b = (int(x) for x in rng.integers(n_states, size=2))
+            if a != b:
+                add(a, b, k)
     for v in (0, n_states - 1):
         if rng.random() < 0.95:
-            info.resource_graph.add_state(v)
+            graph.add_state(v)
     task = ApplicationTask(
         name="obj", qos=QoSRequirements(deadline=uniform(0.01, 60.0)),
         initial_state=0, goal_state=n_states - 1, origin_peer="p0",
         submitted_at=now - (uniform(0.0, 45.0) if rng.random() < 0.2 else 0.0),
         task_id="t1",
     )
-    loads = None
-    if rng.random() < 0.3:
-        loads = LoadVector({
-            pid: uniform(0.0, 10.0) for pid in info.peers
-            if rng.random() < 0.9
-        } or {"p0": 1.0})
     alloc = Allocator(
         estimator=CompletionTimeEstimator(
             min_free_frac=uniform(0.01, 1.0),
@@ -282,29 +336,28 @@ def allocation_case(draw):
         ),
         visited_policy=draw(st.sampled_from(["paper", "exhaustive"])),
     )
+    endpoints = [f"p{i}" for i in range(n_peers)] + ["x0", "x1"]
     request = dict(
         v_init=0 if rng.random() < 0.95 else n_states - 1,
         v_sol=n_states - 1,
-        source_peer=f"p{int(rng.integers(n_peers))}",
-        sink_peer=f"p{int(rng.integers(n_peers))}",
+        source_peer=str(rng.choice(endpoints)),
+        sink_peer=str(rng.choice(endpoints)),
         in_bytes=uniform(0.0, 1e6) if rng.random() < 0.9 else 0.0,
         now=now, work_scale=uniform(0.25, 4.0),
     )
-    return alloc, info, net, task, loads, request
+    return alloc, info, net, task, request
 
 
 class TestAllocatorDifferential:
     @given(allocation_case())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=600, deadline=None)
     def test_allocate_equals_reference_bit_for_bit(self, case):
         """The cost-carrying search changes no float and no order: every
         candidate — not only the winner — equals, with ``==``, what the
         pre-fold search plus ``estimate_path`` / ``path_overloads`` /
         ``path_load_deltas`` produce."""
-        alloc, info, net, task, loads, request = case
-        expected = reference_candidates(
-            alloc, info, net, task, loads, **request
-        )
+        alloc, info, net, task, request = case
+        expected = reference_candidates(alloc, info, net, task, **request)
         seen = []
 
         def selector(candidates):
@@ -313,7 +366,7 @@ class TestAllocatorDifferential:
 
         alloc.selector = selector
         try:
-            result = alloc.allocate(info, net, task, loads=loads, **request)
+            result = alloc.allocate(info, net, task, **request)
         except NoFeasibleAllocation as exc:
             assert exc.reason == expected
             return
@@ -328,6 +381,41 @@ class TestAllocatorDifferential:
         assert (
             result.edge_ids, result.fairness, result.est_time, result.deltas
         ) == best[:4]
+
+
+    def test_every_micro_allocate_request_equals_reference(self):
+        """The dense domain the ``micro_allocate`` bench times (64 peers,
+        373 edges): for each of its 534 requests, every candidate equals
+        the reference's."""
+        rm, requests = allocation_requests(warmup=20.0)
+        assert len(requests) == 534
+        seen = []
+
+        def selector(candidates):
+            seen.extend(candidates)
+            return select_max_fairness(candidates)
+
+        alloc = dataclasses.replace(rm.allocator, selector=selector)
+        placed = 0
+        for task, request in requests:
+            expected = reference_candidates(
+                alloc, rm.info, rm.network, task, **request
+            )
+            seen.clear()
+            try:
+                result = alloc.allocate(rm.info, rm.network, task, **request)
+            except NoFeasibleAllocation as exc:
+                assert exc.reason == expected
+                continue
+            candidates, n_examined = expected
+            assert [
+                (c.edge_ids, c.fairness, c.est_time, c.deltas,
+                 c.max_post_util)
+                for c in seen
+            ] == candidates
+            assert result.n_examined == n_examined
+            placed += 1
+        assert placed == 534
 
 
 # ---------------------------------------------------------------- kernel

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import ResourceGraph, iter_paths
-from repro.graphs.search import Extend, Path, _path_of
+from repro.graphs.search import Extend, Path, path_of
 from repro.media.formats import MediaFormat
 
 
@@ -56,7 +56,7 @@ def _bfs_paper(
             if state is None:
                 continue
         if at_goal:
-            yield _path_of(entry), state
+            yield path_of(entry), state
             continue
         visited.add(v)
         expansions += 1
