@@ -12,6 +12,7 @@ fixed seeds, no wall-clock dependence inside the simulated world.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -283,11 +284,10 @@ def _micro_codec(n_rounds: int) -> Callable:
 
 
 def allocation_requests(warmup: float = 20.0) -> tuple:
-    """The largest domain — 64 peers — of the ``sim_dense`` population
-    of ``benchmarks/e2e``, frozen after *warmup* simulated seconds of
-    its load, and its requests: ``(rm, [(task, allocate kwargs)])``,
-    one per (object held in the domain, reachable goal), as admission
-    would place it, with the least-loaded holder as the source."""
+    """``(rm, [(task, allocate kwargs)])``: the largest (64-peer) domain
+    of ``benchmarks/e2e``'s ``sim_dense`` after *warmup* simulated
+    seconds, and one request per (object held, reachable goal) with
+    the least-loaded holder as the source, as admission would ask."""
     from repro.core.manager import RMConfig
     from repro.tasks.qos import QoSRequirements
     from repro.tasks.task import ApplicationTask
@@ -337,14 +337,10 @@ def allocation_requests(warmup: float = 20.0) -> tuple:
 
 def _micro_allocate(n_allocations: int, warmup: float = 20.0) -> Callable:
     """``Allocator.allocate`` (Fig-3 search + estimate + fairness) over
-    :func:`allocation_requests` in turn.  The work unit is allocations,
-    feasible or not, so ``events_per_sec`` reads allocations/s.  The
-    domain is built here, outside the timed ``fn``.  ``metrics`` pins
-    the search's work: allocations placed, paths examined, candidates
-    found and a digest of the winners (edge ids and fairness bits).
-    """
-    import hashlib
-
+    :func:`allocation_requests`, built outside the timed ``fn``.  The
+    work unit is allocations, feasible or not, so ``events_per_sec``
+    reads allocations/s; ``metrics`` pins the search's work, down to a
+    digest of the winners' edge ids and fairness bits."""
     from repro.common.errors import NoFeasibleAllocation
 
     rm, requests = allocation_requests(warmup)
@@ -364,10 +360,7 @@ def _micro_allocate(n_allocations: int, warmup: float = 20.0) -> Callable:
             placed += 1
             examined += result.n_examined
             candidates += result.n_candidates
-            winners.update(
-                f"{','.join(result.edge_ids)}|{result.fairness.hex()};"
-                .encode()
-            )
+            winners.update(f"{result.edge_ids}{result.fairness.hex()}".encode())
         return {
             "events": n_allocations,
             "metrics": {

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.common.errors import NoFeasibleAllocation
 from repro.core.estimate import CompletionTimeEstimator
+from repro.core.fairness import LoadVector
 from repro.core.info_base import DomainInfoBase
 from repro.graphs.resource_graph import ServiceEdge
 from repro.graphs.search import Link, iter_hits, iter_paths, path_of
@@ -36,43 +37,31 @@ class Candidate:
     ``max_post_util`` (the highest post-assignment utilization among the
     touched peers) is precomputed so fairness-blind baseline selectors
     (greedy least-loaded) can share the identical search machinery.
-    ``path`` and ``deltas`` are built on first read, since only the
-    winner's are usually read: *path* may be a search link
-    (:data:`~repro.graphs.search.Link`) and *deltas* a tuple
-    ``(prefix deltas, peer, delta)`` for the prefix's table with one
-    peer appended.
+    ``path`` and ``deltas`` are built on first read (usually only the
+    winner's are): *path* may be a search link and *deltas* a tuple
+    ``(prefix deltas, peer, delta)``, the prefix's table plus one peer.
     """
 
     __slots__ = ("_path", "fairness", "est_time", "_deltas", "max_post_util")
 
-    def __init__(
-        self,
-        path: List[ServiceEdge] | Link,
-        fairness: float,
-        est_time: float,
-        deltas: Dict[str, float] | tuple,
-        max_post_util: float = 0.0,
-    ) -> None:
-        self._path = path
-        self.fairness = fairness
-        self.est_time = est_time
-        self._deltas = deltas
-        self.max_post_util = max_post_util
+    def __init__(self, path: List[ServiceEdge] | Link, fairness: float,
+                 est_time: float, deltas: Dict[str, float] | tuple,
+                 max_post_util: float = 0.0) -> None:
+        self._path, self.fairness, self.est_time = path, fairness, est_time
+        self._deltas, self.max_post_util = deltas, max_post_util
 
     @property
     def path(self) -> List[ServiceEdge]:
-        path = self._path
-        if type(path) is not list:
-            path = self._path = path_of(path)
-        return path
+        if type(self._path) is not list:
+            self._path = path_of(self._path)
+        return self._path
 
     @property
     def deltas(self) -> Dict[str, float]:
-        deltas = self._deltas
-        if type(deltas) is tuple:
-            base, peer_id, delta = deltas
-            deltas = self._deltas = {**base, peer_id: delta}
-        return deltas
+        if type(self._deltas) is tuple:
+            base, peer_id, delta = self._deltas
+            self._deltas = {**base, peer_id: delta}
+        return self._deltas
 
     @property
     def edge_ids(self) -> List[str]:
@@ -225,9 +214,15 @@ class Allocator:
         # service-time term and the capacity check.  A peer claiming no
         # power gets no free rate, so its edges prune like a missing
         # peer's ("infinitely overloaded") instead of dividing by zero.
-        load_of, free_rate, load_view = info.load_table(
-            now, est.min_free_frac
-        )
+        load_of: Dict[str, float] = {}
+        free_rate: Dict[str, float] = {}
+        for peer_id, rec in peers.items():
+            load = load_of[peer_id] = info.effective_load(peer_id, now)
+            power = rec.power
+            if power > 0:  # max(power - load, floor), without the call
+                free, floor = power - load, power * est.min_free_frac
+                free_rate[peer_id] = floor if floor > free else free
+        load_view = LoadVector(load_of)
         # The remaining time budget: equals the relative QoS deadline for
         # a fresh submission, shrinks for redirected / repaired tasks.
         deadline = task.absolute_deadline - now
@@ -238,10 +233,6 @@ class Allocator:
         budget = deadline * (1.0 - est.safety_margin)
         max_utilization = est.max_utilization
         transfer_time = est.transfer_time
-        path_load_deltas = est.path_load_deltas
-        fairness_of_sums = load_view.fairness_of_sums
-        add_candidate = candidates.append
-        max_candidates = self.max_candidates
 
         def extend(state: tuple, edge: ServiceEdge) -> Optional[tuple]:
             """One hop of ``estimate_path``, folded along the search:
@@ -259,24 +250,20 @@ class Allocator:
             return elapsed, edge.out_bytes * work_scale, peer_id
 
         def top_post_util(deltas: Dict[str, float]) -> Optional[float]:
-            """The highest post-assignment utilization of *deltas*, or
-            ``None`` when one peer would pass its cap (path_overloads'
-            arithmetic), checked in the table's order."""
+            # max_post_util, or None past a cap (path_overloads' test).
             top = 0.0
             for peer_id, delta in deltas.items():
                 power = peers[peer_id].power
                 load = load_of[peer_id] + delta
                 if load > power * max_utilization:
                     return None
-                post = load / power
-                if post > top:
-                    top = post
+                if load / power > top:
+                    top = load / power
             return top
 
-        # The hits out of one expanded prefix come with its link, so its
-        # delta table, capacity verdict, top utilization and fairness
-        # sums are computed once, when its first feasible hit arrives.
-        parent: Any = object()  # no prefix yet
+        # Hits out of one expanded prefix share its link, so its delta
+        # table, top utilization and fairness sums are built once.
+        parent: Any = object()
         for link, (elapsed, carried, last_peer) in iter_hits(
             info.resource_graph,
             v_init,
@@ -294,25 +281,18 @@ class Allocator:
                 continue
             if link is not None and link[-1] is not parent:
                 parent = link[-1]
-                base = path_load_deltas(path_of(parent), deadline, work_scale)
+                base = est.path_load_deltas(path_of(parent), deadline, work_scale)
                 base_top = top_post_util(base)
                 base_s, base_q = load_view.sums_with(base)
-            if link is None or last_peer in base:
-                # The path's table is not the prefix's plus one entry.
+            if link is None or last_peer in base:  # not one peer more
                 path = path_of(link)
-                deltas = path_load_deltas(path, deadline, work_scale)
+                deltas = est.path_load_deltas(path, deadline, work_scale)
                 top = top_post_util(deltas)
                 if top is None:
                     continue
-                cand = Candidate(
-                    path, load_view.fairness_with(deltas), est_time,
-                    deltas, top,
-                )
-            else:
-                # path_load_deltas, top_post_util and fairness_with, each
-                # one step on from the prefix's.
-                if base_top is None:
-                    continue
+                cand = Candidate(path, load_view.fairness_with(deltas),
+                                 est_time, deltas, top)
+            elif base_top is not None:  # their arithmetic, one step on
                 delta = 0.0 + link[0].work * work_scale / deadline
                 power = peers[last_peer].power
                 old = load_of[last_peer]
@@ -320,20 +300,19 @@ class Allocator:
                 if load > power * max_utilization:
                     continue
                 new = load if load > 0.0 else 0.0  # max(0.0, load)
-                fairness = fairness_of_sums(
+                fairness = load_view.fairness_of_sums(
                     base_s + (new - old), base_q + (new * new - old * old)
                 )
                 if fairness is None:
-                    fairness = load_view.fairness_with(
-                        {**base, last_peer: delta}
-                    )
+                    fairness = load_view.fairness_with({**base, last_peer: delta})
                 post = load / power
-                cand = Candidate(
-                    link, fairness, est_time, (base, last_peer, delta),
-                    post if post > base_top else base_top,
-                )
-            add_candidate(cand)
-            if len(candidates) >= max_candidates:
+                cand = Candidate(link, fairness, est_time,
+                                 (base, last_peer, delta),
+                                 post if post > base_top else base_top)
+            else:
+                continue
+            candidates.append(cand)
+            if len(candidates) >= self.max_candidates:
                 break
 
         if not candidates:

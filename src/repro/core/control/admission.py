@@ -211,8 +211,7 @@ class AdmissionController:
         )
         session = rm.registry.session(task.task_id)
         if session is not None:
-            # A new order, not an edit: a simulated peer holds the old
-            # one by reference and must keep it until this one arrives.
+            # A new order: a peer keeps the one it holds until this lands.
             session.order = order = replace(
                 session.order, abs_deadline=task.absolute_deadline,
                 importance=task.qos.importance,

@@ -144,12 +144,7 @@ class CompletionTimeEstimator:
         The load delta of an edge is its demanded work *rate*:
         ``work / deadline`` (a tighter deadline demands more rate).
         """
-        deltas: dict[str, float] = {}
-        for edge in path:
-            deltas[edge.peer_id] = (
-                deltas.get(edge.peer_id, 0.0)
-                + edge.work * work_scale / deadline
-            )
+        deltas = self.path_load_deltas(path, deadline, work_scale)
         for peer_id, delta in deltas.items():
             if not info.has_peer(peer_id):
                 return True

@@ -17,8 +17,7 @@ Properties exercised by the property-based tests (and quoted from §4.2):
 The allocator needs *what-if* fairness for many candidate assignments
 per request, so :class:`LoadVector` maintains the sum and sum-of-squares
 incrementally: evaluating a candidate that touches ``k`` peers is
-``O(k)`` instead of ``O(|P_D|)``, and one that adds a new peer to a
-prefix whose sums are known is ``O(1)`` (:meth:`LoadVector.sums_with`).
+``O(k)`` instead of ``O(|P_D|)``, and ``O(1)`` from its prefix's sums.
 """
 
 from __future__ import annotations
@@ -75,21 +74,15 @@ class LoadVector:
     """A named load distribution with O(1) incremental what-if fairness."""
 
     def __init__(self, loads: Mapping[str, float] | None = None) -> None:
-        self._loads: Dict[str, float] = {}
-        self._sum = 0.0
-        self._sumsq = 0.0
-        if loads:
-            for peer, load in loads.items():
-                self.set(peer, load)
-
-    @classmethod
-    def adopt(cls, loads: Dict[str, float], s: float, q: float) -> LoadVector:
-        """A vector over *loads* itself (not a copy), given the sum and
-        sum of squares accumulated over it in its order, as
-        ``LoadVector(loads)`` would: ``s += load; q += load * load``."""
-        vec = cls.__new__(cls)
-        vec._loads, vec._sum, vec._sumsq = loads, s, q
-        return vec
+        # The sums set() would accumulate peer by peer, in one pass.
+        self._loads: Dict[str, float] = dict(loads) if loads else {}
+        s = q = 0.0
+        for peer, load in self._loads.items():
+            if load < 0:
+                raise ValueError(f"negative load {load} for {peer}")
+            s += load
+            q += load * load
+        self._sum, self._sumsq = s, q
 
     # -- mutation ------------------------------------------------------------
     def set(self, peer: str, load: float) -> None:
@@ -144,32 +137,23 @@ class LoadVector:
         ignored (they belong to another domain).  O(len(deltas)).
         """
         fairness = self.fairness_of_sums(*self.sums_with(deltas))
-        if fairness is None:
-            return self._recomputed_with(deltas)
-        return fairness
+        return self._recomputed_with(deltas) if fairness is None else fairness
 
     def sums_with(self, deltas: Mapping[str, float]) -> Tuple[float, float]:
-        """The running sum and sum of squares of :meth:`fairness_with`
-        after *deltas*, accumulated in their order.  A caller extending
-        *deltas* by one peer new to them steps on from these with
-        ``new = max(0.0, old + delta); s += new - old;
-        q += new * new - old * old`` and gets the same floats."""
-        loads = self._loads
+        """:meth:`fairness_with`'s running sums after *deltas*, in their
+        order: one more peer is one more step of this loop."""
         s, q = self._sum, self._sumsq
         for peer, delta in deltas.items():
-            old = loads.get(peer)
+            old = self._loads.get(peer)
             if old is None:
                 continue
-            new = old + delta
-            if not new > 0.0:  # max(0.0, new)
-                new = 0.0
+            new = max(0.0, old + delta)
             s += new - old
             q += new * new - old * old
         return s, q
 
     def fairness_of_sums(self, s: float, q: float) -> Optional[float]:
-        """Equation (1) from what-if sums, or ``None`` when *q* has lost
-        its low digits to cancellation (recompute from the loads)."""
+        """Equation (1) from what-if sums; ``None`` if *q* has cancelled."""
         n = len(self._loads)
         if n == 0:
             raise ValueError("fairness of an empty load distribution")

@@ -16,7 +16,7 @@ fairness index operate on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Set
 
 from repro.common.errors import UnknownPeer
 from repro.core.fairness import LoadVector
@@ -217,46 +217,6 @@ class DomainInfoBase:
         return LoadVector(
             {pid: self.effective_load(pid, now) for pid in self.peers}
         )
-
-    def load_table(
-        self, now: float, min_free_frac: float
-    ) -> Tuple[Dict[str, float], Dict[str, float], LoadVector]:
-        """The allocator's view in one roster pass: each peer's effective
-        load, the free rate ``max(power - load, power * min_free_frac)``
-        of each peer claiming power, and the loads as a
-        :class:`LoadVector` equal to :meth:`load_vector`'s."""
-        loads: Dict[str, float] = {}
-        free_rate: Dict[str, float] = {}
-        s = q = 0.0
-        plain = self.reputation is None
-        projections = self._projections
-        proj_cache = self._proj_cache
-        for peer_id, rec in self.peers.items():
-            if plain:
-                # effective_load without a penalty, inlined up to its
-                # projection cache.
-                report = rec.last_report
-                load = report.load if report is not None else 0.0
-                if projections.get(peer_id):
-                    cached = proj_cache.get(peer_id)
-                    if cached is not None and now < cached[1]:
-                        load += cached[0]
-                    else:
-                        load = self.effective_load(peer_id, now)
-            else:
-                load = self.effective_load(peer_id, now)
-            if load < 0:
-                raise ValueError(f"negative load {load} for {peer_id}")
-            loads[peer_id] = load
-            s += load
-            q += load * load
-            power = rec.power
-            if power > 0:
-                # max(power - load, floor), without the call.
-                free = power - load
-                floor = power * min_free_frac
-                free_rate[peer_id] = floor if floor > free else free
-        return loads, free_rate, LoadVector.adopt(loads, s, q)
 
     def utilization_vector(self, now: float) -> Dict[str, float]:
         """Effective utilization (load / power) per peer.

@@ -20,25 +20,23 @@ Two *visited policies* are provided:
 Both are *folds*: the caller's ``extend(state, edge)`` carries a state
 along every prefix one edge at a time and returns ``None`` to prune the
 prefix, which is then never extended (Fig. 3's "fulfills requirements
-in q" check).  :func:`iter_hits` yields each hit as ``(link, state)``:
-the complete path as a parent link and its state.
+in q" check).  :func:`iter_hits` yields each hit as ``(link, state)``,
+:func:`iter_paths` as ``(edge list, state)``.
 
-* A link is a tuple whose first item is the path's last edge and whose
-  last item is the link of its parent prefix (``None`` for the empty
-  prefix); :func:`path_of` turns it into the edge list.  Every hit out
-  of one expanded prefix holds that prefix's link, so a caller can key
-  per-prefix work on it and pay it once per prefix, not once per hit
-  (the allocator does).  :func:`iter_paths` is the path-yielding form.
+* A link is ``(last edge, link of the parent prefix)``, ``None`` for
+  the empty path (:func:`path_of` lists its edges).  The hits out of
+  one expanded prefix share its link, so a caller can pay per-prefix
+  work once per prefix rather than once per hit (the allocator does).
 * ``extend`` runs once per prefix the search costs, on the state its
   parent prefix produced.
-* Visit before cost: the BFS never queues an edge into an
-  already-expanded state other than ``v_sol``, and drops a queued one
-  whose state was expanded since, without calling ``extend`` — it
-  would be discarded whatever it costs (of *k* parallel edges into a
-  state, only the first feasible one is expanded).
-* The order of hits is fixed — BFS: queue order (expanded states in
-  turn, each in adjacency order); DFS: adjacency-order pre-order — and
-  pruning only thins it, never reorders it.
+* Visit before cost: the BFS skips an edge into an already-expanded
+  state other than ``v_sol`` without calling ``extend`` — it would be
+  discarded whatever it costs (of *k* parallel edges into a state,
+  only the first feasible one is expanded).
+* The order of hits is fixed — BFS: expanded states in turn, each in
+  adjacency order, as a queue of edges would pop them; DFS:
+  adjacency-order pre-order — and pruning only thins it, never
+  reorders it.
 """
 
 from __future__ import annotations
@@ -103,19 +101,9 @@ def iter_hits(
     yield from search(graph, v_init, v_sol, extend, state, max_expansions)
 
 
-def iter_paths(
-    graph: ResourceGraph,
-    v_init: Hashable,
-    v_sol: Hashable,
-    visited_policy: str = "paper",
-    extend: Optional[Extend] = None,
-    state: Any = None,
-    max_expansions: int = 100_000,
-) -> Iterator[Tuple[Path, Any]]:
+def iter_paths(*args: Any, **kwargs: Any) -> Iterator[Tuple[Path, Any]]:
     """:func:`iter_hits` with each hit as ``(edge list, state)``."""
-    for link, state in iter_hits(
-        graph, v_init, v_sol, visited_policy, extend, state, max_expansions
-    ):
+    for link, state in iter_hits(*args, **kwargs):
         yield path_of(link), state
 
 
@@ -138,24 +126,16 @@ def _bfs_paper(
     max_expansions: int,
 ) -> Iterator[Tuple[Link, Any]]:
     # On the graph's interned view, the goal and visited tests compare
-    # ints.
+    # ints.  The queue holds expanded prefixes as (state int, fold
+    # state, link); the goal is never marked visited.
     index, adj = graph.search_view()
     start, goal = index[v_init], index[v_sol]
     visited = [False] * len(adj)
     visited[start] = True
-    if max_expansions < 1:
-        return
-    # The expanded prefixes in expansion order, as (state int, fold
-    # state, link).  Trying each one's out-edges in adjacency order is
-    # the order a queue of edges would pop them in, and an edge into a
-    # state expanded meanwhile is skipped where it would be popped.
-    # The goal is never marked visited.
     expanded: deque[tuple] = deque([(start, state, None)])
-    popleft = expanded.popleft
-    append = expanded.append
     expansions = 1
-    while expanded:
-        v, state, parent = popleft()
+    while expanded and expansions <= max_expansions:
+        v, state, parent = expanded.popleft()
         for dst, edge in adj[v]:
             if visited[dst]:
                 continue
@@ -171,7 +151,7 @@ def _bfs_paper(
             expansions += 1
             if expansions > max_expansions:
                 return
-            append((dst, new_state, (edge, parent)))
+            expanded.append((dst, new_state, (edge, parent)))
 
 
 def _dfs_simple(
@@ -232,15 +212,7 @@ class PathSearch:
         state: Any = None,
     ) -> List[Path]:
         """All candidate paths as a list (see :func:`iter_paths`)."""
-        return [
-            path
-            for path, _ in iter_paths(
-                self.graph,
-                v_init,
-                v_sol,
-                visited_policy=self.visited_policy,
-                extend=extend,
-                state=state,
-                max_expansions=self.max_expansions,
-            )
-        ]
+        return [path for path, _ in iter_paths(
+            self.graph, v_init, v_sol, self.visited_policy, extend, state,
+            self.max_expansions,
+        )]

@@ -171,7 +171,7 @@ class TestUngatedMicros:
         assert metrics == {
             "domain_peers": 64, "requests": 534, "placed": 40,
             "paths_examined": 1818, "candidates": 1817,
-            "winners_digest": "c136928b3f8d8716c4f121b35468a7a7",
+            "winners_digest": "aedb5dfe3e85a4ee1cb5e6e6c40c43c0",
         }
 
     def test_processor_slices_leave_nothing_for_the_collector(self):
