@@ -284,10 +284,9 @@ def _micro_codec(n_rounds: int) -> Callable:
 
 
 def allocation_requests(warmup: float = 20.0) -> tuple:
-    """``(rm, [(task, allocate kwargs)])``: the largest (64-peer) domain
-    of ``benchmarks/e2e``'s ``sim_dense`` after *warmup* simulated
-    seconds, and one request per (object held, reachable goal) with
-    the least-loaded holder as the source, as admission would ask."""
+    """``(rm, [(task, allocate kwargs)])``: the 64-peer domain of the
+    ``sim_dense`` population after *warmup* s, one request per (object
+    held, reachable goal) from the least-loaded holder, as admission."""
     from repro.core.manager import RMConfig
     from repro.tasks.qos import QoSRequirements
     from repro.tasks.task import ApplicationTask
@@ -337,18 +336,15 @@ def allocation_requests(warmup: float = 20.0) -> tuple:
 
 def _micro_allocate(n_allocations: int, warmup: float = 20.0) -> Callable:
     """``Allocator.allocate`` (Fig-3 search + estimate + fairness) over
-    :func:`allocation_requests`, built outside the timed ``fn``.  The
-    work unit is allocations, feasible or not, so ``events_per_sec``
-    reads allocations/s; ``metrics`` pins the search's work, down to a
-    digest of the winners' edge ids and fairness bits."""
+    :func:`allocation_requests`, built outside the timed ``fn``, in
+    allocations/s (feasible or not); ``metrics`` pin the search's work,
+    down to a digest of the winners' edge ids and fairness bits."""
     from repro.common.errors import NoFeasibleAllocation
 
     rm, requests = allocation_requests(warmup)
-    info = rm.info
 
     def fn() -> Dict[str, Any]:
-        allocate = rm.allocator.allocate
-        net = rm.network
+        allocate, info, net = rm.allocator.allocate, rm.info, rm.network
         placed = examined = candidates = 0
         winners = hashlib.blake2b(digest_size=16)
         for i in range(n_allocations):

@@ -37,9 +37,8 @@ class Candidate:
     ``max_post_util`` (the highest post-assignment utilization among the
     touched peers) is precomputed so fairness-blind baseline selectors
     (greedy least-loaded) can share the identical search machinery.
-    ``path`` and ``deltas`` are built on first read (usually only the
-    winner's are): *path* may be a search link and *deltas* a tuple
-    ``(prefix deltas, peer, delta)``, the prefix's table plus one peer.
+    ``path`` and ``deltas`` are built on first read, from a search link
+    and from ``(prefix deltas, peer, delta)``: usually only the winner's.
     """
 
     __slots__ = ("_path", "fairness", "est_time", "_deltas", "max_post_util")
@@ -285,30 +284,26 @@ class Allocator:
                 base_top = top_post_util(base)
                 base_s, base_q = load_view.sums_with(base)
             if link is None or last_peer in base:  # not one peer more
-                path = path_of(link)
-                deltas = est.path_load_deltas(path, deadline, work_scale)
+                deltas = est.path_load_deltas(path_of(link), deadline, work_scale)
                 top = top_post_util(deltas)
                 if top is None:
                     continue
-                cand = Candidate(path, load_view.fairness_with(deltas),
+                cand = Candidate(link, load_view.fairness_with(deltas),
                                  est_time, deltas, top)
             elif base_top is not None:  # their arithmetic, one step on
                 delta = 0.0 + link[0].work * work_scale / deadline
-                power = peers[last_peer].power
-                old = load_of[last_peer]
+                power, old = peers[last_peer].power, load_of[last_peer]
                 load = old + delta
                 if load > power * max_utilization:
                     continue
                 new = load if load > 0.0 else 0.0  # max(0.0, load)
+                # fairness_with's last step (called itself on None or 0.0).
                 fairness = load_view.fairness_of_sums(
                     base_s + (new - old), base_q + (new * new - old * old)
-                )
-                if fairness is None:
-                    fairness = load_view.fairness_with({**base, last_peer: delta})
-                post = load / power
+                ) or load_view.fairness_with({**base, last_peer: delta})
                 cand = Candidate(link, fairness, est_time,
                                  (base, last_peer, delta),
-                                 post if post > base_top else base_top)
+                                 max(load / power, base_top))
             else:
                 continue
             candidates.append(cand)

@@ -74,14 +74,12 @@ class LoadVector:
     """A named load distribution with O(1) incremental what-if fairness."""
 
     def __init__(self, loads: Mapping[str, float] | None = None) -> None:
-        # The sums set() would accumulate peer by peer, in one pass.
         self._loads: Dict[str, float] = dict(loads) if loads else {}
         s = q = 0.0
-        for peer, load in self._loads.items():
+        for peer, load in self._loads.items():  # set()'s sums, one pass
             if load < 0:
                 raise ValueError(f"negative load {load} for {peer}")
-            s += load
-            q += load * load
+            s, q = s + load, q + load * load
         self._sum, self._sumsq = s, q
 
     # -- mutation ------------------------------------------------------------
@@ -140,8 +138,7 @@ class LoadVector:
         return self._recomputed_with(deltas) if fairness is None else fairness
 
     def sums_with(self, deltas: Mapping[str, float]) -> Tuple[float, float]:
-        """:meth:`fairness_with`'s running sums after *deltas*, in their
-        order: one more peer is one more step of this loop."""
+        """:meth:`fairness_with`'s what-if sums, in the order of *deltas*."""
         s, q = self._sum, self._sumsq
         for peer, delta in deltas.items():
             old = self._loads.get(peer)

@@ -103,8 +103,7 @@ def iter_hits(
 
 def iter_paths(*args: Any, **kwargs: Any) -> Iterator[Tuple[Path, Any]]:
     """:func:`iter_hits` with each hit as ``(edge list, state)``."""
-    for link, state in iter_hits(*args, **kwargs):
-        yield path_of(link), state
+    return ((path_of(link), state) for link, state in iter_hits(*args, **kwargs))
 
 
 def path_of(link: Link) -> Path:

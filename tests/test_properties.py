@@ -382,7 +382,6 @@ class TestAllocatorDifferential:
             result.edge_ids, result.fairness, result.est_time, result.deltas
         ) == best[:4]
 
-
     def test_every_micro_allocate_request_equals_reference(self):
         """The dense domain the ``micro_allocate`` bench times (64 peers,
         373 edges): for each of its 534 requests, every candidate equals
