@@ -101,8 +101,9 @@ def _micro_timers(n_peers: int, sim_seconds: float) -> Callable:
     and a 2 s reporter ``Timer`` (the Profiler's two periods) with
     EWMA-sized bodies, run for *sim_seconds*.  ``events_per_sec`` counts
     the timers' start events too; ``ticks`` is the body calls alone,
-    ``ticks_per_s`` their rate, and ``peak_heap`` the longest event heap
-    a report tick saw after the first report round."""
+    ``ticks_per_s`` their rate, ``peak_heap`` the longest event heap
+    a report tick saw after the first report round, and ``seq`` the
+    kernel's sequence counter at the end."""
 
     def fn() -> Dict[str, Any]:
         from time import perf_counter
@@ -133,7 +134,7 @@ def _micro_timers(n_peers: int, sim_seconds: float) -> Callable:
         seconds = perf_counter() - start
         return {"events": env.n_processed, "metrics": {
             "ticks": ticks[0], "ticks_per_s": ticks[0] / seconds,
-            "peak_heap": peak[0],
+            "peak_heap": peak[0], "seq": env._seq,
         }}
 
     return fn

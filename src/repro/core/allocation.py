@@ -215,8 +215,13 @@ class Allocator:
         # peer's ("infinitely overloaded") instead of dividing by zero.
         load_of: Dict[str, float] = {}
         free_rate: Dict[str, float] = {}
+        projections = info._projections if info.reputation is None else None
         for peer_id, rec in peers.items():
-            load = load_of[peer_id] = info.effective_load(peer_id, now)
+            if projections is None or projections.get(peer_id):
+                load = info.effective_load(peer_id, now)
+            else:  # effective_load without projections: the report's
+                load = 0.0 if rec.last_report is None else rec.last_report.load
+            load_of[peer_id] = load
             power = rec.power
             if power > 0:  # max(power - load, floor), without the call
                 free, floor = power - load, power * est.min_free_frac

@@ -261,20 +261,23 @@ class AdmissionController:
         rm = self.rm
         max_age = rm.rm_config.redirect_summary_max_age
         now = rm.env.now
+        name, me = task.name, rm.node_id
+        remote = rm.info.remote_summaries
         best: Optional[str] = None
         best_score = float("inf")
         fallback: Optional[str] = None
-        for rm_id, _domain in rm.known_rms.items():
-            if rm_id == rm.node_id:
+        for rm_id in rm.known_rms:
+            if rm_id == me:
                 continue
-            summary = rm.info.remote_summaries.get(rm_id)
+            summary = remote.get(rm_id)
             if summary is None or (
                 max_age is not None
                 and rm.info.summary_age(rm_id, now) > max_age
             ):
                 fallback = fallback or rm_id
                 continue
-            if not summary.may_have_object(task.name):
+            # Bloom membership (false positives possible, §4.5).
+            if name not in summary.objects:
                 continue
             score = summary.mean_utilization
             if score < best_score:

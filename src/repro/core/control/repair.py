@@ -40,14 +40,14 @@ class RepairCoordinator:
         """Sense withdrawn connections (silent peers, §4.1)."""
         rm = self.rm
         cfg = rm.rm_config
+        limit = cfg.dead_after_periods * max(
+            cfg.expected_update_period, MONITOR_PERIOD
+        )
+        last_seen = rm.last_seen
         for peer_id in list(rm.info.peers):
             if peer_id == rm.node_id:
                 continue
-            silent = now - rm.last_seen.get(peer_id, now)
-            limit = cfg.dead_after_periods * max(
-                rm._peer_update_period(peer_id), MONITOR_PERIOD
-            )
-            if silent > limit:
+            if now - last_seen.get(peer_id, now) > limit:
                 self.peer_down(peer_id, graceful=False)
 
     def peer_down(self, peer_id: str, graceful: bool) -> None:

@@ -352,10 +352,6 @@ class ResourceManager(Peer):
         self.repair.check_liveness(now)
         self.registry.expire_lost(now, self.rm_config.task_loss_grace)
 
-    def _peer_update_period(self, peer_id: str) -> float:
-        # Expected report interval for liveness judgement.
-        return self.rm_config.expected_update_period
-
     def _peer_down(self, peer_id: str, graceful: bool) -> None:
         """Stable failover entry point; delegates to the coordinator."""
         self.repair.peer_down(peer_id, graceful)

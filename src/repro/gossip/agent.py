@@ -9,13 +9,20 @@ Each RM runs a :class:`GossipAgent`:
 * a digest receiver replies with the summaries it holds that are newer
   than the digest claims (push on demand = pull-style anti-entropy).
 
+The version vector is kept beside the summaries (``versions``, in hold
+order), so a digest is a dict copy and a reply compares two vectors of
+integers.  Summaries are shared, not copied: a published summary is
+never written again (the publisher's load refresh makes a new object),
+so a receiver holds exactly what was sent, as over the live runtime's
+serialise-at-send wire.
+
 The agent also keeps the RM's ``known_rms`` roster in sync: any RM seen
 in a digest becomes a future gossip target.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 import numpy as np
@@ -67,6 +74,9 @@ class GossipAgent:
         )
         #: All summaries this agent holds, by rm id (own included).
         self.summaries: Dict[str, DomainSummary] = {}
+        #: Their versions (the digest) and other RMs' domains, in order.
+        self.versions: Dict[str, int] = {}
+        self._domains: Dict[str, str] = {}
         self._last_published: Optional[tuple] = None
         self.rounds = 0
         self.n_foreign = 0  # received summaries items that were not one
@@ -79,57 +89,65 @@ class GossipAgent:
     def publish(self) -> DomainSummary:
         """(Re)build this domain's summary if its contents changed."""
         rm = self.rm
-        objects = sorted(rm.info.all_objects())
-        services = sorted(rm.info.all_services())
         mean_util = rm.info.mean_utilization(rm.env.now)
-        fingerprint = (tuple(objects), tuple(services), rm.info.n_peers)
+        fingerprint = (rm.info.all_objects(), rm.info.all_services(),
+                       rm.info.n_peers)
         current = self.summaries.get(rm.node_id)
         if current is not None and fingerprint == self._last_published:
-            # Contents unchanged: only refresh the load figure in place
-            # (load drifts constantly; §4.4 says summaries change only
-            # on join/leave, so no version bump).
-            current.mean_utilization = mean_util
+            # Contents unchanged: only refresh the load figure, in a new
+            # object (receivers hold the one sent); §4.4 says summaries
+            # change only on join/leave, so no version bump.
+            if current.mean_utilization != mean_util:
+                current = replace(current, mean_utilization=mean_util)
+                self.summaries[rm.node_id] = current
             return current
         base = current or DomainSummary(rm.domain_id, rm.node_id)
         summary = base.rebuild(
-            objects, services, rm.info.n_peers, mean_util,
-            geometry=(BLOOM_BITS, BLOOM_HASHES),
+            sorted(fingerprint[0]), sorted(fingerprint[1]), rm.info.n_peers,
+            mean_util, geometry=(BLOOM_BITS, BLOOM_HASHES),
         )
         self.summaries[rm.node_id] = summary
+        self.versions[rm.node_id] = summary.version
         self._last_published = fingerprint
         self._sync_into_rm()
         return summary
 
     def _sync_into_rm(self) -> None:
-        """Expose held summaries to the RM's redirect logic."""
+        """Expose held summaries to the RM's redirect logic: a no-op
+        unless ``known_rms`` lost a held RM (a takeover pops it) or has
+        it as "?"; then all are written back in hold order."""
+        known = self.rm.known_rms
+        if self._domains.items() <= known.items():
+            return
         for rm_id, summary in self.summaries.items():
             if rm_id == self.rm.node_id:
                 continue
             self.rm.info.remote_summaries[rm_id] = summary
-            # Overwrite, don't setdefault: a digest may have introduced
-            # this RM under the "?" placeholder; the summary carries the
-            # authoritative domain id and must replace it, otherwise
-            # redirect targeting keeps a bogus domain roster forever.
-            self.rm.known_rms[rm_id] = summary.domain_id
+            # Overwrite, don't setdefault: the summary carries the
+            # authoritative domain id, not the "?" placeholder.
+            known[rm_id] = summary.domain_id
 
     # -- digests --------------------------------------------------------------
     def digest(self) -> Dict[str, int]:
         """Version vector of all held summaries."""
-        return {rm_id: s.version for rm_id, s in self.summaries.items()}
+        return dict(self.versions)
 
     # The live roster pages share both kinds: a missing field is empty.
     def _handle_digest(self, msg: Message) -> None:
         their: Dict[str, int] = msg.payload.get("digest", {})
+        rm = self.rm
         # Learn about RMs we did not know.
-        for rm_id in their:
-            if rm_id != self.rm.node_id:
-                self.rm.known_rms.setdefault(rm_id, "?")
+        if not their.keys() - rm.known_rms.keys() <= {rm.node_id}:
+            for rm_id in their:
+                if rm_id != rm.node_id:
+                    rm.known_rms.setdefault(rm_id, "?")
+        get, held = their.get, self.summaries
         fresher = [
-            s for rm_id, s in self.summaries.items()
-            if s.version > their.get(rm_id, -1)
+            held[rm_id] for rm_id, version in self.versions.items()
+            if version > get(rm_id, -1)
         ]
         if fresher:
-            self.rm.reply(
+            rm.reply(
                 msg, protocol.GOSSIP_SUMMARIES,
                 {"summaries": fresher},
                 size=protocol.size_of(protocol.GOSSIP_SUMMARIES),
@@ -141,19 +159,16 @@ class GossipAgent:
             if not isinstance(summary, DomainSummary):
                 self.n_foreign += 1
                 continue
-            held = self.summaries.get(summary.rm_id)
-            if summary.newer_than(held):
-                # Copy on receipt: the simulated fabric delivers payload
-                # objects by reference, so without the copy the
-                # publisher's in-place load refresh would time-travel to
-                # remote RMs without a gossip round — diverging from the
-                # live UDP runtime, which serializes every hop.
-                summary = summary.clone()
-                self.summaries[summary.rm_id] = summary
+            rm_id = summary.rm_id
+            if summary.newer_than(self.summaries.get(rm_id)):
+                # Stored as sent: no summary is written once published.
+                self.summaries[rm_id] = summary
+                self.versions[rm_id] = summary.version
                 # Stamp the receipt so redirect staleness bounds can
                 # distrust load reports that stopped refreshing.
-                if summary.rm_id != self.rm.node_id:
-                    self.rm.info.note_summary(summary.rm_id, summary, now)
+                if rm_id != self.rm.node_id:
+                    self._domains[rm_id] = summary.domain_id
+                    self.rm.info.note_summary(rm_id, summary, now)
         self._sync_into_rm()
 
     # -- the round --------------------------------------------------------------

@@ -197,8 +197,13 @@ class Profiler:
     def _sample(self) -> None:
         busy = self.processor.busy_time_now()
         now = self.env.now
-        span = now - self._last_sample_t
         bytes_out = self._bytes_out
+        if (busy == self._last_busy and bytes_out == self._last_bytes
+                and self._util.value == 0.0 and self._bw_rate.value == 0.0):
+            # Idle at zero: the update below would write back the same.
+            self._last_sample_t = now
+            return
+        span = now - self._last_sample_t
         if span > 0:  # EWMA.update, inline for both averages
             u = (busy - self._last_busy) / span
             u = u if u < 1.0 else 1.0

@@ -19,6 +19,7 @@ way a real peer re-runs different code after promotion.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional
 
@@ -34,6 +35,8 @@ from repro.overlay.failover import FailoverAgent, FailoverConfig
 from repro.overlay.qualification import QualificationPolicy
 from repro.sim.core import Environment
 from repro.sim.rng import RandomStreams
+
+_ROSTER = operator.attrgetter("rm.info.peers")
 
 @dataclass(frozen=True)
 class ServiceInstanceSpec:
@@ -137,6 +140,9 @@ class OverlayNetwork:
         self.specs_version = 0
         self.stats = {"joins": 0, "promotions": 0, "join_redirects": 0,
                       "join_rejects": 0}
+        #: Join walk: domains that may accept; roster sizes of full ones.
+        self._open: Dict[str, Domain] = {}
+        self._full: Dict[str, int] = {}
 
     # -- construction --------------------------------------------------------
     def _import_rm_config(self) -> RMConfig:
@@ -159,7 +165,7 @@ class OverlayNetwork:
             rng=self.streams.get("allocator"),
         )
         domain = Domain(domain_id=domain_id, rm=rm)
-        self.domains[domain_id] = domain
+        self.domains[domain_id] = self._open[domain_id] = domain
         self._enroll(rm, spec, rm)
         # Introduce the new RM to the existing ones (bootstrap contact
         # list; summaries then flow via gossip).
@@ -195,17 +201,28 @@ class OverlayNetwork:
             self.stats["join_rejects"] += 1
             return None
 
-        # Contact the preferred (or first) RM; walk redirects.
-        order = self._rm_contact_order(prefer_domain)
-        for domain in order:
+        # Contact the preferred (or first) RM; walk redirects, skipping
+        # domains seen full while their rosters keep their size (a full
+        # one never accepts), but counting them by place in the order.
+        full = self._full
+        sizes = map(len, map(_ROSTER, map(self.domains.get, full)))
+        if list(sizes) != list(full.values()):
+            self._open, self._full = dict(self.domains), {}
+        ids = (sorted(self.domains, key=prefer_domain.__ne__)
+               if prefer_domain in self.domains else list(self.domains))
+        for domain in self._rm_contact_order(prefer_domain):
             decision = domain.rm.consider_join(
                 spec.power, spec.bandwidth, spec.uptime
             )
             if decision == "accept":
+                self.stats["join_redirects"] += ids.index(domain.domain_id)
                 node = self._build_member(domain, spec)
                 self.stats["joins"] += 1
                 return node
-            self.stats["join_redirects"] += 1
+            if domain.rm.is_full:
+                del self._open[domain.domain_id]
+                self._full[domain.domain_id] = domain.rm.info.n_peers
+        self.stats["join_redirects"] += len(ids)
         # Every domain is full: promote if qualified (new domain), else
         # the join fails.
         if self._qualifies(spec):
@@ -217,8 +234,8 @@ class OverlayNetwork:
         return None
 
     def _rm_contact_order(self, prefer_domain: Optional[str]) -> List[Domain]:
-        order = list(self.domains.values())
-        if prefer_domain is not None and prefer_domain in self.domains:
+        order = list(self._open.values())
+        if prefer_domain in self._open:
             order.sort(key=lambda d: d.domain_id != prefer_domain)
         return order
 

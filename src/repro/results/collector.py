@@ -123,7 +123,8 @@ class MetricsCollector:
         alive = [p.profiler for p in self._overlay.peers.values() if p.alive]
         if alive:
             now = self.env.now
-            utils = [profiler.utilization for profiler in alive]
+            # Profiler.utilization, read off its EWMA.
+            utils = [0.0 if (u := p._util.value) is None else u for p in alive]
             self.fairness_series.add(now, jain_fairness([
                 profiler.processor.power * u
                 for profiler, u in zip(alive, utils)

@@ -252,12 +252,18 @@ class Timer(Event):
             hook = env._profile_hook
             while i < n:
                 seq, timer = batch[i]
-                if queue and queue[0] < (t, NORMAL, seq):
+                if queue and queue[0][0] <= t and queue[0] < (t, NORMAL, seq):
                     break
                 i += 1
                 if not timer.cancelled:
                     timer.body()
-                    if not timer.cancelled:
+                    head = env._tick_head  # _arm joining it, inline:
+                    if (not timer.cancelled and timer._delay_fn is None
+                            and head is not None and head._followers
+                            and head._due == t + timer.delay):
+                        head._followers.append((env._seq, timer))
+                        env._seq += 1
+                    else:
                         timer._arm()
                 if hook is not None:
                     env._profiled(timer, _TICK)

@@ -7,6 +7,7 @@ formula.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from typing import Iterable
@@ -48,16 +49,21 @@ class BloomFilter:
         k = max(1, round(m / n_items * math.log(2)))
         return cls(n_bits=m, n_hashes=k)
 
-    def _positions(self, item: str) -> list[int]:
+    @staticmethod
+    @functools.lru_cache(maxsize=1 << 16)
+    def _positions(item: str, n_bits: int, n_hashes: int) -> tuple:
+        # Memoised: a name is hashed once per geometry, not once per
+        # filter it is added to or probed against.
         digest = hashlib.sha256(item.encode("utf-8")).digest()
         h1 = int.from_bytes(digest[:8], "big")
         h2 = int.from_bytes(digest[8:16], "big") | 1  # odd: full-period step
-        return [(h1 + i * h2) % self.n_bits for i in range(self.n_hashes)]
+        return tuple((h1 + i * h2) % n_bits for i in range(n_hashes))
 
     def add(self, item: str) -> None:
         """Insert an item."""
-        for pos in self._positions(item):
-            self.bits[pos] = True
+        bits = self.bits
+        for pos in self._positions(item, self.n_bits, self.n_hashes):
+            bits[pos] = True
         self.n_items += 1
 
     def update(self, items: Iterable[str]) -> None:
@@ -66,16 +72,9 @@ class BloomFilter:
             self.add(item)
 
     def __contains__(self, item: str) -> bool:
-        # Open-coded _positions with early exit: a non-member bails on
-        # its first zero bit (membership probes run on every redirect
-        # decision).
-        digest = hashlib.sha256(item.encode("utf-8")).digest()
-        h1 = int.from_bytes(digest[:8], "big")
-        h2 = int.from_bytes(digest[8:16], "big") | 1
         bits = self.bits
-        n_bits = self.n_bits
-        for i in range(self.n_hashes):
-            if not bits[(h1 + i * h2) % n_bits]:
+        for pos in self._positions(item, self.n_bits, self.n_hashes):
+            if not bits[pos]:
                 return False
         return True
 

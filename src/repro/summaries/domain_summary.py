@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -27,10 +26,6 @@ class DomainSummary:
     objects: BloomFilter = field(default_factory=lambda: BloomFilter(2048, 5))
     services: BloomFilter = field(default_factory=lambda: BloomFilter(2048, 5))
 
-    def may_have_object(self, name: str) -> bool:
-        """Bloom membership test (false positives possible, §4.5)."""
-        return name in self.objects
-
     def rebuild(
         self,
         objects: Iterable[str],
@@ -54,12 +49,6 @@ class DomainSummary:
             objects=new_obj,
             services=new_srv,
         )
-
-    def clone(self) -> "DomainSummary":
-        """A shallow copy decoupled from the publisher's in-place
-        ``mean_utilization`` refresh.  The Bloom filters are shared:
-        they are immutable once :meth:`rebuild` has produced them."""
-        return dataclasses.replace(self)
 
     def newer_than(self, other: Optional["DomainSummary"]) -> bool:
         """Anti-entropy ordering: is this summary fresher?"""

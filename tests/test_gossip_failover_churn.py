@@ -120,12 +120,13 @@ class TestGossipRosterAndParity:
         assert agent.rm.known_rms["rmX"] == "d9"
         assert "rmX" in agent.rm.info.remote_summaries
 
-    def test_received_summary_is_a_copy(self):
+    def test_received_summary_is_what_was_sent(self):
         """Sim/live parity regression: the simulated fabric hands payload
         objects over by reference, while the UDP runtime serializes every
-        hop.  A receiver must therefore hold a *copy*, or the publisher's
-        in-place ``mean_utilization`` refresh time-travels current load
-        to remote RMs without any gossip round."""
+        hop.  A receiver holds the object it was sent, so the publisher
+        never writes a published summary: its load refresh replaces it,
+        or current load would time-travel to remote RMs without any
+        gossip round."""
         env = Environment()
         overlay = build_overlay(env, max_peers=2)
         for i in range(4):  # 2 domains of 2
@@ -136,11 +137,15 @@ class TestGossipRosterAndParity:
         a, b = agents
         a_id = a.rm.node_id
         held_by_b = b.summaries[a_id]
-        assert held_by_b is not a.summaries[a_id]
+        before = held_by_b.mean_utilization
         # The publisher's no-version-bump load refresh stays local.
-        a.summaries[a_id].mean_utilization = 123.0
-        assert held_by_b.mean_utilization != 123.0
-        # The RM's redirect view is backed by the receiver's copy too.
+        a.rm.info.mean_utilization = lambda now: 123.0
+        refreshed = a.publish()
+        assert refreshed.mean_utilization == 123.0
+        assert refreshed.version == held_by_b.version
+        assert a.summaries[a_id] is refreshed is not held_by_b
+        assert held_by_b.mean_utilization == before != 123.0
+        # The RM's redirect view is backed by what the receiver holds.
         assert b.rm.info.remote_summaries[a_id] is held_by_b
 
 

@@ -69,8 +69,8 @@ class TestDomainSummary:
         s = DomainSummary("d0", "rm0")
         s2 = s.rebuild(["o1"], ["svc1"], n_peers=4, mean_utilization=0.3)
         assert s2.version == 1
-        assert s2.may_have_object("o1")
-        assert not s2.may_have_object("o2-definitely-absent")
+        assert "o1" in s2.objects
+        assert "o2-definitely-absent" not in s2.objects
         assert s2.n_peers == 4
 
     def test_newer_than(self):
