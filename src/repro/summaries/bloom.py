@@ -61,9 +61,8 @@ class BloomFilter:
 
     def add(self, item: str) -> None:
         """Insert an item."""
-        bits = self.bits
         for pos in self._positions(item, self.n_bits, self.n_hashes):
-            bits[pos] = True
+            self.bits[pos] = True
         self.n_items += 1
 
     def update(self, items: Iterable[str]) -> None:

@@ -8,14 +8,15 @@ from typing import Iterable, Optional
 from repro.summaries.bloom import BloomFilter
 
 
-@dataclass
+@dataclass(frozen=True)
 class DomainSummary:
     """What a Resource Manager advertises to other domains (§3.1).
 
     ``SumO_k`` and ``SumS_k`` of the paper are the two Bloom filters;
     we additionally carry a mean-utilization figure so redirection can
     prefer lightly loaded domains, and a monotonically increasing
-    version for gossip anti-entropy.
+    version for gossip anti-entropy.  Frozen: receivers share the object
+    they were sent, so a change is a new summary.
     """
 
     domain_id: str

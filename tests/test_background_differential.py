@@ -6,7 +6,8 @@ them instead of cloning, the Bloom filter memoises a name's probe
 positions, an idle profiler sample returns early, and the overlay's join
 walk skips domains it has seen full.  Each reference below is the code
 as it was before, kept verbatim (the gossip methods with the summary
-``clone`` they called), and each differential drives both with the
+``clone`` they called, and their in-place load refresh forced past the
+now frozen summary), and each differential drives both with the
 same random inputs and compares every output, including dict order:
 ``known_rms`` order feeds the gossip target draw and the redirect
 tie-break.
@@ -57,7 +58,8 @@ class OracleAgent:
             # Contents unchanged: only refresh the load figure in place
             # (load drifts constantly; §4.4 says summaries change only
             # on join/leave, so no version bump).
-            current.mean_utilization = mean_util
+            # (DomainSummary is frozen now: the old write, forced.)
+            object.__setattr__(current, "mean_utilization", mean_util)
             return current
         base = current or DomainSummary(rm.domain_id, rm.node_id)
         summary = base.rebuild(
